@@ -13,12 +13,11 @@
 //   - closed: closed-loop bursty clients. C workers each own a slice of the
 //     user population and cycle bid → cancel in bursts of K back-to-back
 //     requests followed by a think pause. Re-submitting the same users makes
-//     this the repeat-bid workload that exercises the server's
-//     admissible-set cache.
+//     this the repeat-bid workload.
 //
 // The generator discovers the instance shape from /healthz, honors 429
 // backpressure (Retry-After), and finishes by printing the server's own
-// /statsz view (queue depths, cache hit rate, per-shard utility) next to
+// /statsz view (queue depths, per-shard utility) next to
 // the client-side latency distribution.
 //
 // Usage:

@@ -14,7 +14,6 @@
 //	igepa-serve -arrivals stream.jsonl   # replay a recorded arrival log
 //	igepa-serve -live-bound              # incremental LP bound per batch
 //	igepa-serve -pace 100                # wall-clock replay at 100× speed
-//	igepa-serve -cache 4096              # admissible-set cache per shard
 //	igepa-serve -listen :8080            # host the HTTP front-end
 //	igepa-serve -listen :8080 -replay    # deterministic replay dispatcher
 //	igepa-serve -listen :8080 -wal serve.wal -checkpoint serve.ckpt
@@ -135,7 +134,7 @@ func main() {
 	flag.Float64Var(&cfg.rate, "rate", 1000, "synthetic stream: mean arrivals per second")
 	flag.BoolVar(&cfg.liveBound, "live-bound", false, "track the incremental LP bound across batches (warm re-solves)")
 	flag.Float64Var(&cfg.pace, "pace", 0, "wall-clock replay speed-up factor (1 = real time, 0 = as fast as possible)")
-	flag.IntVar(&cfg.cache, "cache", 0, "admissible-set cache entries per shard (0 = disabled)")
+	flag.IntVar(&cfg.cache, "cache", 0, "deprecated, ignored: the planners no longer cache admissible sets")
 	flag.StringVar(&cfg.listen, "listen", "", "host the HTTP serving layer on this address instead of the replay sweep")
 	flag.DurationVar(&cfg.flush, "flush", 0, "listen: micro-batch flush deadline (0 = default)")
 	flag.IntVar(&cfg.queueDepth, "queue", 0, "listen: bounded queue depth (0 = default)")
@@ -392,10 +391,6 @@ func run(w *os.File, cfg config) error {
 			res.Arrangement.Size(), res.MovedSeats,
 			elapsed.Round(time.Millisecond), rate,
 			p50.Round(time.Microsecond), p99.Round(time.Microsecond))
-		if cfg.cache > 0 {
-			fmt.Fprintf(w, "%8s admissible-set cache: %d hits / %d misses (rate %.3f), %d entries\n",
-				"", res.Cache.Hits, res.Cache.Misses, res.Cache.HitRate(), res.Cache.Entries)
-		}
 	}
 
 	if cfg.pace > 0 {

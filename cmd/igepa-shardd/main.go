@@ -13,7 +13,7 @@
 //	    -wal shard1.wal -checkpoint shard1.ckpt
 //
 // Every shard of one cluster must be started with identical -workload,
-// -events, -users, -seed, -batch, -planner and -cache flags (and the router
+// -events, -users, -seed, -batch and -planner flags (and the router
 // with the same): the instance, the user→shard hash and the planner policy
 // are what make the cluster's decisions bit-identical to a single
 // -cluster-shard process. The router validates the shape via /healthz at
@@ -81,7 +81,7 @@ func main() {
 	flag.Float64Var(&cfg.tau, "tau", 0.5, "threshold planner: admission weight")
 	flag.Float64Var(&cfg.guard, "guard", 0.25, "threshold planner: reserved capacity fraction")
 	flag.IntVar(&cfg.workers, "workers", 0, "worker-pool bound (0 = all cores; results identical)")
-	flag.IntVar(&cfg.cache, "cache", 0, "admissible-set cache entries (0 = disabled)")
+	flag.IntVar(&cfg.cache, "cache", 0, "deprecated, ignored: the planners no longer cache admissible sets")
 	flag.DurationVar(&cfg.flush, "flush", 0, "micro-batch flush deadline (0 = default)")
 	flag.IntVar(&cfg.queueDepth, "queue", 0, "bounded queue depth (0 = default)")
 	flag.DurationVar(&cfg.freeze, "freeze-timeout", 0, "wire-renewal freeze watchdog (0 = default)")

@@ -180,10 +180,10 @@ func OnlineThreshold(in *Instance, order []int, tau, guard float64) (*Arrangemen
 // by construction and bit-identical for every worker count.
 type (
 	// ShardOptions configures sharded serving (shard count, batch size,
-	// planner policy, lease policy, admissible-set cache size, seed).
+	// planner policy, lease policy, seed).
 	ShardOptions = shard.Options
-	// ShardResult carries the merged arrangement plus lease-protocol and
-	// cache diagnostics.
+	// ShardResult carries the merged arrangement plus lease-protocol
+	// diagnostics.
 	ShardResult = shard.Result
 	// ShardPlannerKind selects the per-shard online policy.
 	ShardPlannerKind = shard.PlannerKind
@@ -201,8 +201,9 @@ type (
 	// planner constructors (wrong length, negative or over-committed
 	// leases).
 	OnlineBudgetError = online.BudgetError
-	// AdmissibleCacheStats reports the serving layer's admissible-set
-	// cache counters (ShardResult.Cache; enable with
+	// AdmissibleCacheStats is always zero.
+	//
+	// Deprecated: the serving layer no longer caches admissible sets (see
 	// ShardOptions.CacheSize).
 	AdmissibleCacheStats = admissible.CacheStats
 	// ShardBoundStats is the live LP-bound tracker's outcome

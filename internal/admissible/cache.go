@@ -1,180 +1,22 @@
 package admissible
 
-import (
-	"container/list"
-	"sync/atomic"
-)
+// The serving path once kept whole enumerations in a per-shard LRU. Searcher
+// replaced enumeration there, so nothing is left to cache; the names below
+// remain only so that callers written against the cache still compile.
 
-// Cache is a fixed-capacity LRU of admissible-set enumerations, keyed by the
-// (open bid set, user capacity) pair that determines the enumeration's
-// structure. It exists for the serving hot path: an online planner re-runs
-// the admissible-set DFS on every arrival, yet the *family* of admissible
-// sets — all nonempty, pairwise non-conflicting subsets of the open bids
-// with size ≤ cap — depends only on (open set, cap, conflict matrix), never
-// on the arriving user's weights. Repeat bid patterns (the common case on a
-// live platform: users re-submitting after a cancellation, or many users
-// bidding the same popular handful of events) therefore skip the DFS
-// entirely and only re-score the cached family under the new user's weights.
+// Cache holds nothing.
 //
-// Only complete enumerations are cached: when MaxSetsPerUser truncates the
-// DFS, the retained subset depends on the enumerating user's weight order,
-// so caching it would leak one user's preferences into another's decision.
-// Callers must check Result.Truncated before Insert (the online planners
-// do); the reference workloads never hit the cap.
+// Deprecated: the online planners search for the best set directly.
+type Cache struct{}
+
+// NewCache returns an empty Cache, whatever the capacity.
 //
-// A Cache is owned by a single goroutine (one per serving shard); lookups
-// and inserts are not synchronized. The statistics counters are atomics so
-// an admin/metrics endpoint may read them concurrently with the owner.
-type Cache struct {
-	capacity int
-	ll       *list.List               // front = most recently used
-	table    map[uint64]*list.Element // signature → entry
+// Deprecated: see Cache.
+func NewCache(int) *Cache { return &Cache{} }
 
-	hits, misses, evictions, collisions atomic.Int64
-	size                                atomic.Int64
-}
-
-// cacheEntry stores the full key next to the family so a 64-bit signature
-// collision degrades to a miss instead of returning another key's sets (a
-// wrong family could propose events outside the user's open set — an
-// infeasibility, not just a slowdown).
-type cacheEntry struct {
-	sig    uint64
-	cap    int
-	open   []int   // the key's open bid set, sorted ascending (owned copy)
-	family [][]int // every admissible set, events sorted ascending
-}
-
-// DefaultCacheSize is the per-shard entry count used when a caller enables
-// caching without choosing a size.
-const DefaultCacheSize = 4096
-
-// NewCache returns an LRU cache holding at most capacity enumerations
-// (capacity ≤ 0 means DefaultCacheSize).
-func NewCache(capacity int) *Cache {
-	if capacity <= 0 {
-		capacity = DefaultCacheSize
-	}
-	return &Cache{
-		capacity: capacity,
-		ll:       list.New(),
-		table:    make(map[uint64]*list.Element, capacity),
-	}
-}
-
-// signature hashes (open, cap) with FNV-1a over the little-endian event ids.
-// The hash is deterministic across processes, so cache behavior — and with
-// it the serving layer's decisions — is a pure function of the request
-// history, never of process-local seeding.
-func signature(open []int, cap int) uint64 {
-	const (
-		offset64 = 0xcbf29ce484222325
-		prime64  = 0x100000001b3
-	)
-	h := uint64(offset64)
-	mix := func(x uint64) {
-		for i := 0; i < 8; i++ {
-			h ^= x & 0xff
-			h *= prime64
-			x >>= 8
-		}
-	}
-	mix(uint64(cap))
-	for _, v := range open {
-		mix(uint64(v))
-	}
-	return h
-}
-
-// Lookup returns the cached family for (open, cap) and records a hit or a
-// miss. The returned slices are shared with the cache: callers must treat
-// them as read-only.
-func (c *Cache) Lookup(open []int, cap int) ([][]int, bool) {
-	el, ok := c.table[signature(open, cap)]
-	if ok {
-		e := el.Value.(*cacheEntry)
-		if e.cap == cap && equalInts(e.open, open) {
-			c.ll.MoveToFront(el)
-			c.hits.Add(1)
-			return e.family, true
-		}
-		// 64-bit collision between distinct keys: count it and miss.
-		c.collisions.Add(1)
-	}
-	c.misses.Add(1)
-	return nil, false
-}
-
-// Insert stores the family for (open, cap), copying the key, and evicts the
-// least recently used entry when the cache is full. A signature collision
-// overwrites the colliding slot (last writer wins — both keys stay correct
-// because Lookup verifies the full key).
-func (c *Cache) Insert(open []int, cap int, family [][]int) {
-	sig := signature(open, cap)
-	e := &cacheEntry{sig: sig, cap: cap, open: append([]int(nil), open...), family: family}
-	if el, ok := c.table[sig]; ok {
-		el.Value = e
-		c.ll.MoveToFront(el)
-		return
-	}
-	if c.ll.Len() >= c.capacity {
-		lru := c.ll.Back()
-		c.ll.Remove(lru)
-		delete(c.table, lru.Value.(*cacheEntry).sig)
-		c.evictions.Add(1)
-		c.size.Add(-1)
-	}
-	c.table[sig] = c.ll.PushFront(e)
-	c.size.Add(1)
-}
-
-// CacheStats is a point-in-time snapshot of a cache's counters. It is also
-// the aggregation currency: the sharded layers sum per-shard snapshots.
+// CacheStats is always zero.
+//
+// Deprecated: see Cache.
 type CacheStats struct {
 	Hits, Misses int64
-	Evictions    int64
-	Collisions   int64
-	Entries      int64
-}
-
-// HitRate returns Hits/(Hits+Misses), or 0 before any lookup.
-func (s CacheStats) HitRate() float64 {
-	if n := s.Hits + s.Misses; n > 0 {
-		return float64(s.Hits) / float64(n)
-	}
-	return 0
-}
-
-// Add accumulates another snapshot (per-shard aggregation).
-func (s CacheStats) Add(o CacheStats) CacheStats {
-	s.Hits += o.Hits
-	s.Misses += o.Misses
-	s.Evictions += o.Evictions
-	s.Collisions += o.Collisions
-	s.Entries += o.Entries
-	return s
-}
-
-// Stats snapshots the counters. Safe to call concurrently with the owner's
-// lookups and inserts.
-func (c *Cache) Stats() CacheStats {
-	return CacheStats{
-		Hits:       c.hits.Load(),
-		Misses:     c.misses.Load(),
-		Evictions:  c.evictions.Load(),
-		Collisions: c.collisions.Load(),
-		Entries:    c.size.Load(),
-	}
-}
-
-func equalInts(a, b []int) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i, x := range a {
-		if b[i] != x {
-			return false
-		}
-	}
-	return true
 }

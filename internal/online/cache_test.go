@@ -78,9 +78,9 @@ func TestReleaseReturnsSeats(t *testing.T) {
 	}
 }
 
-// TestCachedPlannerMatchesUncached pins the cache's transparency on real
-// workload shapes: with and without a cache the greedy and threshold
-// planners produce identical arrangements over a full arrival sweep.
+// TestCachedPlannerMatchesUncached pins that the deprecated SetCache is
+// inert: with and without it the greedy and threshold planners produce
+// identical arrangements over a full arrival sweep.
 func TestCachedPlannerMatchesUncached(t *testing.T) {
 	for seed := int64(1); seed <= 20; seed++ {
 		in := randomInstance(seed)
@@ -109,33 +109,5 @@ func TestCachedPlannerMatchesUncached(t *testing.T) {
 			t.Fatal(err)
 		}
 		modeltest.RequireEqual(t, "threshold cached vs plain", tPlain, tCached)
-	}
-}
-
-// TestCacheHitsOnRepeatPattern pins the point of the cache: an arrive →
-// release → arrive cycle restores the exact (open set, capacity) key, so the
-// second decision is served from the cache.
-func TestCacheHitsOnRepeatPattern(t *testing.T) {
-	in := randomInstance(7)
-	p := NewGreedy(in, 0)
-	c := admissible.NewCache(64)
-	p.SetCache(c)
-	got := p.Arrive(0)
-	if len(got) == 0 {
-		t.Skip("user 0 got nothing on this seed; pick another seed")
-	}
-	p.Release(got)
-	again := p.Arrive(0)
-	if len(got) != len(again) {
-		t.Fatalf("repeat arrival decided differently: %v then %v", got, again)
-	}
-	for i := range got {
-		if got[i] != again[i] {
-			t.Fatalf("repeat arrival decided differently: %v then %v", got, again)
-		}
-	}
-	st := c.Stats()
-	if st.Hits == 0 {
-		t.Fatalf("repeat pattern produced no cache hit: %+v", st)
 	}
 }

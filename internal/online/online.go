@@ -115,7 +115,10 @@ type GreedyPlanner struct {
 	budget  []int // seats this planner may grant per event (may be caller-owned)
 	load    []int // seats this planner has granted per event
 	maxSets int
-	cache   *admissible.Cache // optional enumeration cache (SetCache)
+
+	// per-arrival scratch, so a decision allocates only the slice it returns
+	search admissible.Searcher
+	open   []int
 }
 
 // NewGreedy returns a greedy online planner whose budget is the instance's
@@ -165,13 +168,11 @@ func NewGreedyBudgetShared(in *model.Instance, conf *conflict.Matrix, budget []i
 	}, nil
 }
 
-// SetCache attaches an admissible-set enumeration cache to the planner's hot
-// path (nil detaches). The cache is consulted per arrival with the user's
-// currently open bids and capacity; complete enumerations are stored for
-// reuse by later arrivals with the same (open set, capacity) key. The caller
-// owns the cache's single-goroutine discipline: a cache must not be shared
-// by planners that run concurrently.
-func (p *GreedyPlanner) SetCache(c *admissible.Cache) { p.cache = c }
+// SetCache does nothing: the planner searches for the best set directly and
+// keeps no families.
+//
+// Deprecated: kept only for callers that still attach a cache.
+func (p *GreedyPlanner) SetCache(*admissible.Cache) {}
 
 // Loads returns the per-event seat counts this planner has granted so far.
 // The slice is the planner's internal state: callers must not modify it and
@@ -202,64 +203,15 @@ func (p *GreedyPlanner) Release(events []int) {
 // events all pass accept and have remaining budget.
 func (p *GreedyPlanner) bestFeasibleSet(u int, accept func(v int) bool) []int {
 	usr := &p.in.Users[u]
-	var open []int
+	p.open = p.open[:0]
 	for _, v := range usr.Bids {
 		if p.load[v] < p.budget[v] && accept(v) {
-			open = append(open, v)
+			p.open = append(p.open, v)
 		}
-	}
-	if len(open) == 0 {
-		return nil
 	}
 	wc := p.in.Weights()
-	if p.cache != nil {
-		return p.bestCached(u, usr.Capacity, open, wc)
-	}
 	w := func(v int) float64 { return wc.Of(u, v) }
-	r := admissible.Enumerate(open, usr.Capacity, p.conf, w, admissible.Config{MaxSetsPerUser: p.maxSets})
-	bestW := 0.0
-	var best []int
-	for _, s := range r.Sets {
-		if s.Weight > bestW {
-			bestW = s.Weight
-			best = s.Events
-		}
-	}
-	return append([]int(nil), best...)
-}
-
-// bestCached is the cache-backed variant of the selection: fetch or
-// enumerate the admissible family for (open, cap), then score it under this
-// user's weights. The family is structural — which subsets of open are
-// conflict-free and small enough — so one user's enumeration serves every
-// later arrival with the same open bids and capacity, whatever their
-// weights. Truncated enumerations are never cached (the retained subset
-// depends on the enumerating user's weight order).
-func (p *GreedyPlanner) bestCached(u, cap int, open []int, wc *model.WeightCache) []int {
-	fam, ok := p.cache.Lookup(open, cap)
-	if !ok {
-		w := func(v int) float64 { return wc.Of(u, v) }
-		r := admissible.Enumerate(open, cap, p.conf, w, admissible.Config{MaxSetsPerUser: p.maxSets})
-		fam = make([][]int, len(r.Sets))
-		for i := range r.Sets {
-			fam[i] = r.Sets[i].Events
-		}
-		if !r.Truncated {
-			p.cache.Insert(open, cap, fam)
-		}
-	}
-	bestW := 0.0
-	var best []int
-	for _, s := range fam {
-		w := 0.0
-		for _, v := range s {
-			w += wc.Of(u, v)
-		}
-		if w > bestW {
-			bestW = w
-			best = s
-		}
-	}
+	best := p.search.Best(p.open, usr.Capacity, p.conf, w, admissible.Config{MaxSetsPerUser: p.maxSets})
 	return append([]int(nil), best...)
 }
 

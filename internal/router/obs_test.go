@@ -96,7 +96,18 @@ func TestRouterMetricsExposition(t *testing.T) {
 	cl := startCluster(t, in, 2, shard.Options{Batch: 16, Seed: 7}, Config{})
 	driveRouterTraffic(t, cl, 80)
 
-	fams := rawScrape(t, cl, "/metrics")
+	// The last bids may have triggered a renewal round that is still in
+	// flight: the coordinator's counter advances inside it, the mirrored
+	// metric only when it finishes. Holding renewMu, as a round does, makes
+	// the scrape and the coordinator read see one state.
+	var fams map[string]obs.Family
+	var renewals int
+	func() {
+		cl.rt.renewMu.Lock()
+		defer cl.rt.renewMu.Unlock()
+		fams = rawScrape(t, cl, "/metrics")
+		renewals = cl.rt.coord.Renewals()
+	}()
 	st := cl.rt.Stats()
 	if v := mustSample(t, fams, "igepa_router_arrivals_total", "igepa_router_arrivals_total", nil); v != float64(st.Arrivals) {
 		t.Errorf("igepa_router_arrivals_total = %v, want %d (statsz)", v, st.Arrivals)
@@ -126,7 +137,7 @@ func TestRouterMetricsExposition(t *testing.T) {
 	if rounds < 1 {
 		t.Errorf("igepa_router_renew_rounds_total = %v, want >= 1", rounds)
 	}
-	if got := float64(cl.rt.coord.Renewals()); rounds != got {
+	if got := float64(renewals); rounds != got {
 		t.Errorf("renew rounds metric %v != coordinator %v", rounds, got)
 	}
 	if n := mustSample(t, fams, "igepa_router_renew_seconds", "igepa_router_renew_seconds_count", nil); n != rounds {

@@ -33,8 +33,8 @@
 // # Admin surface
 //
 // /healthz reports liveness plus instance shape; /statsz reports arrival
-// counters, queue depths, p50/p99 latency (queue wait, decision, total),
-// admissible-set cache hit rates and per-shard utility; POST /admin/drain
+// counters, queue depths, p50/p99 latency (queue wait, decision, total)
+// and per-shard utility; POST /admin/drain
 // flushes partial batches (the end-of-stream signal in replay mode).
 package server
 
@@ -70,8 +70,8 @@ const (
 // Config parameterizes New.
 type Config struct {
 	// Shard configures the underlying engine (shard count S, lease-renewal
-	// batch B, planner policy, lease policy, admissible-set CacheSize, seed,
-	// workers). Shard.RecordLatency is managed by the server.
+	// batch B, planner policy, lease policy, seed, workers).
+	// Shard.RecordLatency is managed by the server.
 	Shard shard.Options
 	// Replay switches to the deterministic dispatcher: one global queue,
 	// flush strictly every Shard.Batch arrivals (drain flushes the tail),
@@ -1025,13 +1025,15 @@ type ShardStats struct {
 	QueueDepth int     `json:"queue_depth"`
 }
 
-// CacheStats is the /statsz view of the admissible-set cache counters.
+// CacheStats is always zero.
+//
+// Deprecated: the engine no longer caches admissible sets (see
+// shard.Options.CacheSize); the "cache" object stays on /statsz for clients
+// that read it.
 type CacheStats struct {
-	Hits      int64   `json:"hits"`
-	Misses    int64   `json:"misses"`
-	HitRate   float64 `json:"hit_rate"`
-	Evictions int64   `json:"evictions"`
-	Entries   int64   `json:"entries"`
+	Hits    int64   `json:"hits"`
+	Misses  int64   `json:"misses"`
+	HitRate float64 `json:"hit_rate"`
 }
 
 // Stats is the /statsz payload.
@@ -1194,7 +1196,6 @@ func (srv *Server) Stats() Stats {
 	}
 	st.LeaseRenewals = srv.eng.Renewals()
 	st.MovedSeats = srv.eng.MovedSeats()
-	cs := srv.eng.CacheStats()
 	bs := srv.eng.BoundStats()
 	lps := srv.eng.LPStats() // needs the shard locks we hold
 	for si := 0; si < srv.s; si++ {
@@ -1206,10 +1207,6 @@ func (srv *Server) Stats() Stats {
 		st.Utility += row.Utility
 	}
 	srv.unlockAll()
-	st.Cache = CacheStats{
-		Hits: cs.Hits, Misses: cs.Misses, HitRate: cs.HitRate(),
-		Evictions: cs.Evictions, Entries: cs.Entries,
-	}
 	st.WAL = srv.walStats()
 	if srv.fol != nil {
 		fs := srv.fol.stats()

@@ -5,7 +5,6 @@ import (
 	"sync"
 	"time"
 
-	"github.com/ebsn/igepa/internal/admissible"
 	"github.com/ebsn/igepa/internal/conflict"
 	"github.com/ebsn/igepa/internal/lp"
 	"github.com/ebsn/igepa/internal/model"
@@ -61,7 +60,6 @@ type Engine struct {
 	planners []shardPlanner
 	parts    []*model.Arrangement
 	budgets  [][]int
-	caches   []*admissible.Cache
 	renewer  *leaseRenewer
 	wc       *model.WeightCache
 	bound    *boundTracker // live LP bound (Options.LiveBound)
@@ -95,7 +93,7 @@ type Engine struct {
 }
 
 // NewEngine validates the configuration and assembles the serving state:
-// planners, even initial leases, optional per-shard admissible-set caches.
+// planners and even initial leases.
 // Configuration problems are reported as *ConfigError; nothing in the
 // serving stack panics on caller input.
 func NewEngine(in *model.Instance, opt Options) (*Engine, error) {
@@ -180,9 +178,6 @@ func NewEngine(in *model.Instance, opt Options) (*Engine, error) {
 	if e.clusterS > 0 {
 		e.ownsOverride = make(map[int]bool)
 	}
-	if opt.CacheSize > 0 {
-		e.caches = make([]*admissible.Cache, s)
-	}
 	for si := 0; si < s; si++ {
 		var err error
 		switch opt.Planner {
@@ -190,20 +185,12 @@ func NewEngine(in *model.Instance, opt Options) (*Engine, error) {
 			var p *online.GreedyPlanner
 			p, err = online.NewGreedyBudgetShared(in, conf, budgets[si], opt.MaxSetsPerUser)
 			if err == nil {
-				if e.caches != nil {
-					e.caches[si] = admissible.NewCache(opt.CacheSize)
-					p.SetCache(e.caches[si])
-				}
 				e.planners[si] = shardPlanner{arrive: p.Arrive, release: p.Release, loads: p.Loads()}
 			}
 		case PlannerThreshold:
 			var p *online.ThresholdPlanner
 			p, err = online.NewThresholdBudgetShared(in, conf, budgets[si], opt.Tau, opt.Guard, opt.MaxSetsPerUser)
 			if err == nil {
-				if e.caches != nil {
-					e.caches[si] = admissible.NewCache(opt.CacheSize)
-					p.SetCache(e.caches[si])
-				}
 				e.planners[si] = shardPlanner{arrive: p.Arrive, release: p.Release, loads: p.Loads()}
 			}
 		}
@@ -443,18 +430,6 @@ func (e *Engine) LatencyOf(u int) time.Duration {
 // must hold every per-shard lock: planners read the same table.
 func (e *Engine) RefreshWeights() { e.wc = e.in.Weights() }
 
-// CacheStats aggregates the per-shard admissible-set cache counters (zero
-// when Options.CacheSize is 0).
-func (e *Engine) CacheStats() admissible.CacheStats {
-	var st admissible.CacheStats
-	for _, c := range e.caches {
-		if c != nil {
-			st = st.Add(c.Stats())
-		}
-	}
-	return st
-}
-
 // Snapshot merges the per-shard parts into one arrangement (users absent or
 // cancelled hold nothing). The parts stay live; Snapshot may be called at
 // any quiescent point.
@@ -484,7 +459,6 @@ func (e *Engine) Result() (*Result, error) {
 		Arrivals:      append([]int(nil), e.arrivals...),
 		Latencies:     e.latencies,
 		LeaseSolves:   e.renewer.solveStats(),
-		Cache:         e.CacheStats(),
 		Bound:         e.BoundStats(),
 	}
 	return res, nil

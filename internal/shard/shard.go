@@ -156,14 +156,11 @@ type Options struct {
 	// returns the samples in Result.Latencies. Timing adds a clock read per
 	// arrival and has no effect on decisions.
 	RecordLatency bool
-	// CacheSize, when positive, gives every shard an LRU cache of that many
-	// admissible-set enumerations keyed by (open bid set, user capacity):
-	// repeat bid patterns skip the enumeration DFS and only re-score the
-	// cached family under the arriving user's weights. 0 disables caching;
-	// negative is a *ConfigError. Results remain a pure function of
-	// (instance, order, Options) — bit-identical across worker counts — but
-	// enabling the cache may resolve exact weight ties differently than the
-	// uncached scorer.
+	// CacheSize is ignored, except that a negative value is still a
+	// *ConfigError.
+	//
+	// Deprecated: it sized a per-shard cache of admissible-set
+	// enumerations; the planners now search for the best set directly.
 	CacheSize int
 	// ClusterShards, when positive, puts the engine in cluster mode: this
 	// process hosts exactly one shard (Shards must be 1) of a
@@ -228,8 +225,9 @@ type Result struct {
 	// LeaseSolves counts warm/cold LP solves of the lease-split LP
 	// (LeaseLP only).
 	LeaseSolves lp.SolverStats
-	// Cache aggregates the per-shard admissible-set cache counters (zero
-	// unless Options.CacheSize enabled caching).
+	// Cache is always zero.
+	//
+	// Deprecated: see Options.CacheSize.
 	Cache admissible.CacheStats
 	// Bound is the live LP-bound tracker's outcome (nil unless
 	// Options.LiveBound).
