@@ -57,16 +57,16 @@ type luFactors struct {
 	// schedules list steps in level-major order (ord[ptr[l]:ptr[l+1]] is
 	// level l, ascending step within a level): levL/levU drive solveBLevel's
 	// forward/backward sweeps, levUT/levLT drive solveBTLevel's.
-	schedOK          bool
-	stepOf           []int32 // basis position -> step (inverse colOrder)
-	lRowPtr, uRowPtr []int32
-	lRowIdx, uRowIdx []int32
-	lRowVal, uRowVal []float64
-	levLPtr, levLOrd []int32
-	levUPtr, levUOrd []int32
+	schedOK            bool
+	stepOf             []int32 // basis position -> step (inverse colOrder)
+	lRowPtr, uRowPtr   []int32
+	lRowIdx, uRowIdx   []int32
+	lRowVal, uRowVal   []float64
+	levLPtr, levLOrd   []int32
+	levUPtr, levUOrd   []int32
 	levUTPtr, levUTOrd []int32
 	levLTPtr, levLTOrd []int32
-	lev, cur         []int32 // schedule-builder scratch, length m
+	lev, cur           []int32 // schedule-builder scratch, length m
 }
 
 // stepHeap is a small binary min-heap of step indices used to process

@@ -40,8 +40,8 @@ type routerObs struct {
 	migratedSeats *obs.Counter
 
 	// per-backend, indexed by shard
-	beReqs, beErrs []*obs.Counter
-	beLat          []*obs.Histogram
+	beReqs, beErrs, beOps []*obs.Counter
+	beLat                 []*obs.Histogram
 
 	scrapeErrors *obs.Counter
 }
@@ -77,11 +77,13 @@ func newRouterObs(rt *Router) *routerObs {
 	for si := 0; si < rt.s; si++ {
 		l := obs.L("shard", strconv.Itoa(si))
 		o.beReqs = append(o.beReqs, reg.Counter("igepa_router_backend_requests_total",
-			"Backend round trips that produced an HTTP response.", l))
+			"Backend round trips (one envelope or one admin call) that produced an HTTP response.", l))
 		o.beErrs = append(o.beErrs, reg.Counter("igepa_router_backend_errors_total",
 			"Backend round trips that failed in transport or answered 5xx.", l))
+		o.beOps = append(o.beOps, reg.Counter("igepa_router_backend_ops_total",
+			"/v1 ops carried to the backend in envelopes; over igepa_router_backend_requests_total it reads as the coalescing factor.", l))
 		o.beLat = append(o.beLat, reg.Histogram("igepa_router_backend_seconds",
-			"Backend round-trip latency.", obs.LatencyBuckets(), l))
+			"Backend round-trip latency (one envelope or one admin call).", obs.LatencyBuckets(), l))
 	}
 	reg.GaugeFunc("igepa_router_degraded", "1 once the fail-stop latch has tripped.", func() float64 {
 		if rt.degraded.Load() {
@@ -116,6 +118,14 @@ func (o *routerObs) observeBackend(si int, d time.Duration, failed bool) {
 	if failed {
 		o.beErrs[si].Inc()
 	}
+}
+
+// observeOps counts the n /v1 ops an answered envelope carried.
+func (o *routerObs) observeOps(si, n int) {
+	if o == nil || si < 0 || si >= len(o.beOps) {
+		return
+	}
+	o.beOps[si].Add(int64(n))
 }
 
 // notePhase counts a completed migration phase.

@@ -29,14 +29,14 @@ import (
 // tryRenew runs one renewal round if none is in flight — the live-mode
 // trigger, fired every ~Batch accepted arrivals. Aborted rounds (a backend
 // briefly unreachable during prepare) are counted and retried on the next
-// trigger; only install failures degrade.
+// trigger; only install failures degrade. A closing router renews no more.
 func (rt *Router) tryRenew() {
 	if !rt.renewMu.TryLock() {
 		return
 	}
 	defer rt.renewMu.Unlock()
 	rt.sinceRenew.Store(0)
-	if rt.degraded.Load() {
+	if rt.closed.Load() || rt.degraded.Load() {
 		return
 	}
 	if err := rt.renewOnce(nil); err != nil {

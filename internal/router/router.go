@@ -89,11 +89,13 @@ const (
 	stateCancelled
 )
 
-// backend is one shard process: its base URL and a dedicated client whose
-// transport keeps a connection pool to that process alone.
+// backend is one shard process: its base URL, a dedicated client whose
+// transport keeps a connection pool to that process alone, and the
+// coalescer its per-user /v1 traffic rides.
 type backend struct {
 	base   string
 	client *http.Client
+	ops    *coalescer
 }
 
 type metrics struct {
@@ -178,6 +180,8 @@ func New(in *model.Instance, cfg Config) (*Router, error) {
 	}
 	if cfg.Retries == 0 {
 		cfg.Retries = DefaultRetries
+	} else if cfg.Retries < 0 {
+		cfg.Retries = 0
 	}
 	if cfg.RetryAfter <= 0 {
 		cfg.RetryAfter = time.Second
@@ -204,7 +208,15 @@ func New(in *model.Instance, cfg Config) (*Router, error) {
 					IdleConnTimeout:     90 * time.Second,
 				},
 			},
+			ops: newCoalescer(),
 		})
+	}
+	if !cfg.DisableMetrics {
+		rt.obs = newRouterObs(rt)
+	}
+	for si := range rt.backends {
+		rt.wg.Add(1)
+		go rt.sendLoop(si)
 	}
 	if cfg.Replay {
 		depth := cfg.QueueDepth
@@ -218,10 +230,6 @@ func New(in *model.Instance, cfg Config) (*Router, error) {
 		rt.state = make([]uint8, in.NumUsers())
 		rt.wg.Add(1)
 		go rt.dispatchLoop()
-	}
-
-	if !cfg.DisableMetrics {
-		rt.obs = newRouterObs(rt)
 	}
 
 	rt.mux = http.NewServeMux()
@@ -247,23 +255,34 @@ func (rt *Router) Handler() http.Handler { return rt.mux }
 // ServeHTTP implements http.Handler.
 func (rt *Router) ServeHTTP(w http.ResponseWriter, r *http.Request) { rt.mux.ServeHTTP(w, r) }
 
-// Close stops the dispatcher (replay mode), releasing every parked submitter
-// with a shutdown reply, and frees the coordinator. It does not touch the
-// backends — they are separate processes with their own lifecycles.
+// Close stops the dispatcher (replay mode) and the envelope senders,
+// releasing every parked submitter with a 503, waits out a renewal round in
+// flight and frees the coordinator. It does not touch the backends — they
+// are separate processes with their own lifecycles.
 func (rt *Router) Close() {
 	if !rt.closed.CompareAndSwap(false, true) {
 		return
 	}
 	if rt.q != nil {
 		rt.q.close()
-		rt.wg.Wait()
+	}
+	for i := range rt.backends {
+		rt.backends[i].ops.close()
+	}
+	rt.wg.Wait()
+	if rt.q != nil {
 		for _, r := range rt.q.takeAll() {
 			if r.reply != nil {
 				r.reply <- rrep{shutdown: true}
 			}
 		}
 	}
+	// A live renewal runs on its own goroutine under renewMu; closing the
+	// coordinator under that lock waits it out, and tryRenew sees closed
+	// before starting another.
+	rt.renewMu.Lock()
 	rt.coord.Close()
+	rt.renewMu.Unlock()
 	for i := range rt.backends {
 		if tr, ok := rt.backends[i].client.Transport.(*http.Transport); ok {
 			tr.CloseIdleConnections()
@@ -426,50 +445,6 @@ func (rt *Router) roundTrip(si int, method, path string, body []byte, resp any) 
 	return 0, fmt.Errorf("backend %d (%s): %w", si, b.base, lastErr)
 }
 
-// forward relays a client request body to backend si verbatim and copies the
-// backend's status, Retry-After, and body back — the live-mode proxy path.
-// Returns the backend status (0 on transport failure after retries).
-func (rt *Router) forward(w http.ResponseWriter, si int, path string, body []byte) int {
-	b := &rt.backends[si]
-	var lastErr error
-	for attempt := 0; attempt <= rt.cfg.Retries; attempt++ {
-		req, err := http.NewRequest(http.MethodPost, b.base+path, bytes.NewReader(body))
-		if err != nil {
-			httpError(w, http.StatusInternalServerError, err.Error())
-			return http.StatusInternalServerError
-		}
-		req.Header.Set("Content-Type", "application/json")
-		t0 := time.Now()
-		res, err := b.client.Do(req)
-		if err != nil {
-			rt.obs.observeBackend(si, 0, true)
-			lastErr = err
-			continue
-		}
-		payload, err := io.ReadAll(res.Body)
-		res.Body.Close()
-		if err != nil {
-			rt.obs.observeBackend(si, 0, true)
-			lastErr = err
-			continue
-		}
-		rt.obs.observeBackend(si, time.Since(t0), res.StatusCode >= 500)
-		if res.StatusCode == http.StatusMisdirectedRequest {
-			// Caller handles re-resolution; don't write yet.
-			return res.StatusCode
-		}
-		if ra := res.Header.Get("Retry-After"); ra != "" {
-			w.Header().Set("Retry-After", ra)
-		}
-		w.Header().Set("Content-Type", "application/json")
-		w.WriteHeader(res.StatusCode)
-		_, _ = w.Write(payload)
-		return res.StatusCode
-	}
-	httpError(w, http.StatusBadGateway, fmt.Sprintf("backend %d unreachable: %v", si, lastErr))
-	return 0
-}
-
 // --- /v1 handlers -----------------------------------------------------------
 
 type bidRequest struct {
@@ -513,19 +488,9 @@ func (rt *Router) handleBid(w http.ResponseWriter, r *http.Request) {
 		rt.replayBid(w, &req)
 		return
 	}
-	// Live: proxy to the owner; the backend does its own validation, queuing
-	// and duplicate detection. A 421 means our routing raced a migration —
-	// re-resolve once and retry.
-	status := rt.forward(w, rt.ownerOf(req.User), "/v1/bid", body)
-	if status == http.StatusMisdirectedRequest {
-		rt.m.misrouted.Add(1)
-		status = rt.forward(w, rt.ownerOf(req.User), "/v1/bid", body)
-		if status == http.StatusMisdirectedRequest {
-			httpError(w, http.StatusMisdirectedRequest,
-				fmt.Sprintf("no backend owns user %d (routing table inconsistent)", req.User))
-			return
-		}
-	}
+	// Live: the owner does its own validation, queuing and duplicate
+	// detection; the body travels verbatim.
+	status := rt.proxy(w, req.User, "/v1/bid", body)
 	if status == http.StatusOK || status == http.StatusAccepted {
 		rt.m.arrivals.Add(1)
 		if rt.sinceRenew.Add(1) >= int64(rt.b) {
@@ -572,12 +537,7 @@ func (rt *Router) handleCancel(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 	}
-	status := rt.forward(w, rt.ownerOf(req.User), "/v1/cancel", body)
-	if status == http.StatusMisdirectedRequest {
-		rt.m.misrouted.Add(1)
-		status = rt.forward(w, rt.ownerOf(req.User), "/v1/cancel", body)
-	}
-	if status == http.StatusOK {
+	if rt.proxy(w, req.User, "/v1/cancel", body) == http.StatusOK {
 		rt.m.cancels.Add(1)
 		if rt.cfg.Replay {
 			rt.stateMu.Lock()
@@ -603,17 +563,7 @@ func (rt *Router) handleAssignment(w http.ResponseWriter, r *http.Request) {
 		httpError(w, http.StatusBadRequest, "bad user")
 		return
 	}
-	var resp json.RawMessage
-	status, gerr := rt.getJSON(rt.ownerOf(u), "/v1/assignment?user="+q, &resp)
-	if status == http.StatusMisdirectedRequest {
-		rt.m.misrouted.Add(1)
-		status, gerr = rt.getJSON(rt.ownerOf(u), "/v1/assignment?user="+q, &resp)
-	}
-	if gerr != nil {
-		propagate(w, gerr)
-		return
-	}
-	writeRaw(w, status, resp)
+	rt.proxy(w, u, "/v1/assignment?user="+strconv.Itoa(u), nil)
 }
 
 // handleAssignmentDump merges the full arrangement: each backend dumps its
@@ -963,12 +913,6 @@ func propagate(w http.ResponseWriter, err error) {
 		return
 	}
 	httpError(w, http.StatusBadGateway, err.Error())
-}
-
-func writeRaw(w http.ResponseWriter, code int, raw json.RawMessage) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(code)
-	_, _ = w.Write(raw)
 }
 
 func writeJSON(w http.ResponseWriter, code int, v any) {

@@ -1,10 +1,12 @@
 package server
 
 import (
+	"bytes"
 	"encoding/json"
 	"fmt"
 	"log"
 	"net/http"
+	"strings"
 	"sync"
 	"time"
 
@@ -22,6 +24,8 @@ import (
 //	                        budget vector, thaw
 //	POST /cluster/abort   — explicit thaw without install
 //	POST /cluster/batch   — replay-mode dispatch of one ordered sub-batch
+//	POST /cluster/ops     — live /v1 traffic, coalesced: one envelope of
+//	                        bids, cancels and reads, one micro-batch
 //	POST /cluster/export  — migration: hand a user range off this shard
 //	POST /cluster/adopt   — migration: take a user range onto this shard
 //
@@ -151,6 +155,31 @@ type ClusterBatchRequest struct {
 type ClusterBatchResponse struct {
 	Decisions [][]int `json:"decisions"`
 	Epoch     int     `json:"epoch"`
+}
+
+// ClusterOp is one /v1 request carried in a /cluster/ops envelope: its path
+// (with the query, for a read) and, for a bid or cancel, its JSON body.
+type ClusterOp struct {
+	Path string          `json:"path"`
+	Body json.RawMessage `json:"body,omitempty"`
+}
+
+// ClusterOpsRequest is one envelope: the ops the router queued for this
+// shard while its previous envelope was in flight.
+type ClusterOpsRequest struct {
+	Ops []ClusterOp `json:"ops"`
+}
+
+// ClusterOpResult is one op's answer as its /v1 handler wrote it.
+type ClusterOpResult struct {
+	Status     int             `json:"status"`
+	RetryAfter string          `json:"retry_after,omitempty"`
+	Body       json.RawMessage `json:"body,omitempty"`
+}
+
+// ClusterOpsResponse answers an envelope, one result per op in op order.
+type ClusterOpsResponse struct {
+	Results []ClusterOpResult `json:"results"`
 }
 
 // ClusterExportRequest names the users to hand off this shard.
@@ -326,6 +355,116 @@ func (srv *Server) handleClusterBatch(w http.ResponseWriter, r *http.Request) {
 	}
 	srv.batches.Add(1)
 	writeJSON(w, http.StatusOK, ClusterBatchResponse{Decisions: decisions, Epoch: epoch})
+}
+
+// handleClusterOps is POST /cluster/ops — the router's coalesced live
+// traffic. Every bid is submitted first, through the submitBid a direct
+// /v1/bid runs; then the queues are flushed once, so the envelope's bids
+// form one micro-batch instead of waiting out FlushInterval; cancels and
+// reads run through their ordinary handlers while that batch decides; last,
+// each bid's decision is awaited. Each op is answered into its own
+// in-memory writer and returned verbatim. Only /v1/bid, /v1/cancel and
+// /v1/assignment?user= ride in an envelope: any other path is a per-op 400
+// that reaches no handler.
+func (srv *Server) handleClusterOps(w http.ResponseWriter, r *http.Request) {
+	if r.Method != http.MethodPost {
+		httpError(w, http.StatusMethodNotAllowed, "POST only")
+		return
+	}
+	var req ClusterOpsRequest
+	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
+		httpError(w, http.StatusBadRequest, "bad JSON: "+err.Error())
+		return
+	}
+	n := len(req.Ops)
+	hrs := make([]*http.Request, n)
+	outs := make([]opWriter, n)
+	bids := make([]request, n)
+	accepted := make([]bool, n)
+	flush := false
+	for i := range req.Ops {
+		if hrs[i] = envelopeRequest(&req.Ops[i]); hrs[i] == nil {
+			srv.m.badRequests.Add(1)
+			httpError(&outs[i], http.StatusBadRequest, fmt.Sprintf("%q cannot ride in an envelope", req.Ops[i].Path))
+		} else if hrs[i].URL.Path == "/v1/bid" {
+			bids[i], accepted[i] = srv.submitBid(&outs[i], hrs[i].Body)
+			flush = flush || accepted[i]
+		}
+	}
+	if flush {
+		for _, q := range srv.queues {
+			q.drain()
+		}
+	}
+	for i, hr := range hrs {
+		switch {
+		case hr == nil:
+		case hr.URL.Path == "/v1/cancel":
+			srv.handleCancel(&outs[i], hr)
+		case hr.URL.Path == "/v1/assignment":
+			srv.handleAssignment(&outs[i], hr)
+		}
+	}
+	resp := ClusterOpsResponse{Results: make([]ClusterOpResult, n)}
+	for i := range outs {
+		if accepted[i] {
+			srv.answerBid(&outs[i], bids[i])
+		}
+		resp.Results[i] = outs[i].result()
+	}
+	writeJSON(w, http.StatusOK, resp)
+}
+
+// envelopeRequest is the request an envelope op stands for, or nil when its
+// path is not one of the three an envelope may carry. A read must name a
+// user: the full-arrangement dump is a fan-out, not an op.
+func envelopeRequest(op *ClusterOp) *http.Request {
+	method := http.MethodPost
+	switch {
+	case op.Path == "/v1/bid", op.Path == "/v1/cancel":
+	case strings.HasPrefix(op.Path, "/v1/assignment?"):
+		method = http.MethodGet
+	default:
+		return nil
+	}
+	hr, err := http.NewRequest(method, op.Path, bytes.NewReader(op.Body))
+	if err != nil || (method == http.MethodGet && hr.URL.Query().Get("user") == "") {
+		return nil
+	}
+	return hr
+}
+
+// opWriter is the in-memory http.ResponseWriter an envelope op is answered
+// into.
+type opWriter struct {
+	header http.Header
+	status int
+	body   bytes.Buffer
+}
+
+func (o *opWriter) Header() http.Header {
+	if o.header == nil {
+		o.header = make(http.Header)
+	}
+	return o.header
+}
+
+func (o *opWriter) WriteHeader(code int) {
+	if o.status == 0 {
+		o.status = code
+	}
+}
+
+func (o *opWriter) Write(p []byte) (int, error) {
+	o.WriteHeader(http.StatusOK)
+	return o.body.Write(p)
+}
+
+// result is what the handler wrote; one that wrote nothing answered 200,
+// as net/http would have sent it.
+func (o *opWriter) result() ClusterOpResult {
+	o.WriteHeader(http.StatusOK)
+	return ClusterOpResult{Status: o.status, RetryAfter: o.header.Get("Retry-After"), Body: o.body.Bytes()}
 }
 
 // handleClusterExport is POST /cluster/export — hand a user range off this

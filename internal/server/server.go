@@ -323,6 +323,7 @@ func New(in *model.Instance, cfg Config) (*Server, error) {
 		srv.mux.HandleFunc("/cluster/lease", srv.handleClusterLease)
 		srv.mux.HandleFunc("/cluster/abort", srv.handleClusterAbort)
 		srv.mux.HandleFunc("/cluster/batch", srv.handleClusterBatch)
+		srv.mux.HandleFunc("/cluster/ops", srv.handleClusterOps)
 		srv.mux.HandleFunc("/cluster/export", srv.handleClusterExport)
 		srv.mux.HandleFunc("/cluster/adopt", srv.handleClusterAdopt)
 	}
@@ -661,28 +662,38 @@ func (srv *Server) handleBid(w http.ResponseWriter, r *http.Request) {
 		httpError(w, http.StatusMethodNotAllowed, "POST only")
 		return
 	}
+	if rq, ok := srv.submitBid(w, r.Body); ok {
+		srv.answerBid(w, rq)
+	}
+}
+
+// submitBid is the front half of a bid: decode, validate, ownership, the
+// state claim and the enqueue. A refused bid is answered on w and reports
+// false; an accepted one is returned for answerBid. /cluster/ops submits
+// every bid of an envelope through here before any of them is answered.
+func (srv *Server) submitBid(w http.ResponseWriter, body io.Reader) (request, bool) {
 	if !srv.writable(w) {
-		return
+		return request{}, false
 	}
 	var req bidRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
+	if err := json.NewDecoder(body).Decode(&req); err != nil {
 		srv.m.badRequests.Add(1)
 		httpError(w, http.StatusBadRequest, "bad JSON: "+err.Error())
-		return
+		return request{}, false
 	}
 	if req.User < 0 || req.User >= srv.in.NumUsers() {
 		srv.m.badRequests.Add(1)
 		httpError(w, http.StatusBadRequest, fmt.Sprintf("user %d outside [0,%d)", req.User, srv.in.NumUsers()))
-		return
+		return request{}, false
 	}
 	if !srv.owned(w, req.User) {
-		return
+		return request{}, false
 	}
 	if req.Bids != nil {
 		if err := srv.checkBids(req.Bids); err != nil {
 			srv.m.badRequests.Add(1)
 			httpError(w, http.StatusBadRequest, err.Error())
-			return
+			return request{}, false
 		}
 	}
 
@@ -693,7 +704,7 @@ func (srv *Server) handleBid(w http.ResponseWriter, r *http.Request) {
 		srv.m.conflicts.Add(1)
 		httpError(w, http.StatusConflict, fmt.Sprintf("user %d already %s", req.User,
 			map[uint8]string{stateQueued: "queued", stateDecided: "decided"}[st]))
-		return
+		return request{}, false
 	}
 	srv.state[req.User] = stateQueued
 	srv.stateMu.Unlock()
@@ -724,16 +735,22 @@ func (srv *Server) handleBid(w http.ResponseWriter, r *http.Request) {
 		if err == errQueueClosed {
 			srv.m.unavailable.Add(1)
 			httpError(w, http.StatusServiceUnavailable, "server closing")
-			return
+			return request{}, false
 		}
 		srv.m.rejected.Add(1)
 		w.Header().Set("Retry-After", strconv.Itoa(retryAfterSeconds(srv.cfg.RetryAfter)))
 		httpError(w, http.StatusTooManyRequests, "queue full")
-		return
+		return request{}, false
 	}
 	srv.m.arrivals.Add(1)
-	if !wait {
-		writeJSON(w, http.StatusAccepted, bidResponse{User: req.User, Queued: true})
+	return rq, true
+}
+
+// answerBid is the back half of an accepted bid: 202 for a wait:false
+// submission, otherwise park until the micro-batch decides and render it.
+func (srv *Server) answerBid(w http.ResponseWriter, rq request) {
+	if rq.reply == nil {
+		writeJSON(w, http.StatusAccepted, bidResponse{User: rq.user, Queued: true})
 		return
 	}
 	rep := <-rq.reply
@@ -743,11 +760,11 @@ func (srv *Server) handleBid(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	writeJSON(w, http.StatusOK, bidResponse{
-		User: req.User, Events: rep.events, Epoch: rep.epoch, WaitUS: rep.wait.Microseconds(),
+		User: rq.user, Events: rep.events, Epoch: rep.epoch, WaitUS: rep.wait.Microseconds(),
 	})
 }
 
-// rollbackQueued undoes handleBid's optimistic stateQueued claim after a
+// rollbackQueued undoes submitBid's optimistic stateQueued claim after a
 // failed enqueue — but only if the user is still in stateQueued. Between the
 // claim and the rollback the state lock is dropped, so a concurrent
 // transition (a racing duplicate submission that won the queue slot and got
