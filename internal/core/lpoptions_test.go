@@ -10,7 +10,7 @@ import (
 
 // TestOptionsLPKnobsPlumbed pins the Options.LP pass-through: invalid solver
 // knobs fail fast as *lp.OptionError from both LPPacking and NewPlanner, and
-// valid non-default knobs (legacy dual pricing, tight refactorization
+// valid non-default knobs (forced Devex pricing, tight refactorization
 // cadence) reach the solver without changing the certified LP optimum.
 func TestOptionsLPKnobsPlumbed(t *testing.T) {
 	in := tinyInstance()
@@ -29,7 +29,7 @@ func TestOptionsLPKnobsPlumbed(t *testing.T) {
 	}
 	defer ref.Close()
 	tuned, err := NewPlanner(in.Clone(), Options{Seed: 1, LP: lp.Revised{
-		Pricing: "devex", DualPricing: "maxinfeas", RefactorEvery: 4,
+		Pricing: "devex", RefactorEvery: 4,
 	}})
 	if err != nil {
 		t.Fatal(err)

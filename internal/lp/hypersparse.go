@@ -16,9 +16,9 @@ import "sort"
 //
 // Each DFS carries a step cap (HypersparseThreshold · m): if the reach
 // grows past it the sparse attempt aborts — cleaning up whatever it touched
-// — and the caller falls through to the dense (sequential or
-// level-scheduled) path. Since both paths compute the same bits, the
-// threshold moves work between kernels without ever moving a pivot.
+// — and the caller falls through to the dense sequential sweep. Since both
+// paths compute the same bits, the threshold moves work between kernels
+// without ever moving a pivot.
 
 // hyperReach is the reusable symbolic state: two epoch-stamped visited maps
 // (one per solve phase — the phases reach over different graphs and may
@@ -167,11 +167,11 @@ func (f *luFactors) solveBTHyper(h *hyperReach, c, out, work []float64, seeds []
 	if reachCap <= 0 || len(seeds) > reachCap {
 		return false
 	}
-	f.buildSchedule() // row-major mirrors double as the transposed reach graphs
+	f.buildRowGraphs()
 	h.reset(f.m)
 	// Phase Uᵀ: t[k] = (c_k − Σ_{s<k} U[s,k]·t[s]) / U[k,k], forward. A seed
 	// at step s influences exactly the steps holding s in their U column —
-	// U's row s, so the reach runs over the CSR mirror (edges to larger
+	// U's row s, so the reach runs over the row pattern (edges to larger
 	// steps).
 	ok := true
 	for _, p := range seeds {
@@ -248,4 +248,49 @@ func (f *luFactors) solveBTHyper(h *hyperReach, c, out, work []float64, seeds []
 		t[k] = 0
 	}
 	return true
+}
+
+// buildRowGraphs builds, once per factorization, the row-major nonzero
+// patterns of L and U and the step of every basis position: the transposed
+// solve's influence runs along factor rows, not the stored columns. Only the
+// patterns are kept — a reach is a set, sorted before the numeric sweep, so
+// neither values nor edge order can change a result.
+func (f *luFactors) buildRowGraphs() {
+	if f.rowsOK {
+		return
+	}
+	f.stepOf = resize32(f.stepOf, f.m)
+	for k := 0; k < f.m; k++ {
+		f.stepOf[f.colOrder[k]] = int32(k)
+	}
+	f.lRowPtr, f.lRowIdx = transposePattern(f.m, f.lPtr, f.lIdx, f.lRowPtr, f.lRowIdx)
+	f.uRowPtr, f.uRowIdx = transposePattern(f.m, f.uPtr, f.uIdx, f.uRowPtr, f.uRowIdx)
+	f.rowsOK = true
+}
+
+// transposePattern returns the row-major pattern of the m column-stored
+// index lists idx[ptr[k]:ptr[k+1]], reusing rowPtr and rowIdx. The scatter
+// advances rowPtr[s] to the end of row s; one shift restores the starts.
+func transposePattern(m int, ptr, idx, rowPtr, rowIdx []int32) ([]int32, []int32) {
+	rowPtr = resize32(rowPtr, m+1)
+	for i := range rowPtr {
+		rowPtr[i] = 0
+	}
+	for _, s := range idx {
+		rowPtr[s+1]++
+	}
+	for i := 0; i < m; i++ {
+		rowPtr[i+1] += rowPtr[i]
+	}
+	rowIdx = resize32(rowIdx, len(idx))
+	for k := 0; k < m; k++ {
+		for t := ptr[k]; t < ptr[k+1]; t++ {
+			s := idx[t]
+			rowIdx[rowPtr[s]] = int32(k)
+			rowPtr[s]++
+		}
+	}
+	copy(rowPtr[1:], rowPtr[:m])
+	rowPtr[0] = 0
+	return rowPtr, rowIdx
 }

@@ -231,3 +231,53 @@ func TestHypersparseThresholdInvariance(t *testing.T) {
 			sawHyper, sawDense)
 	}
 }
+
+// TestLUScheduleRebuiltAfterRefactorize guards the staleness contract of the
+// lazily built row graphs: factorize invalidates them, so a hypersparse
+// BTRAN after an in-place refactorization must match the fresh sequential
+// solve, not reach over the old factors' pattern.
+func TestLUScheduleRebuiltAfterRefactorize(t *testing.T) {
+	rng := xrand.New(11)
+	m := 40
+	var f *luFactors
+	for f == nil {
+		f, _ = luFactorize(m, randomBasisLike(rng, m))
+	}
+	h := &hyperReach{}
+	work := make([]float64, m)
+	c := make([]float64, m)
+	out := make([]float64, m)
+	c[3] = 1
+	f.solveBTHyper(h, c, out, work, []int32{3}, nil, m) // builds A's row graphs
+
+	// refactorize the same struct with a different matrix
+	for {
+		colsB := randomBasisLike(rng, m)
+		sp := make([]spCol, m)
+		for j := range colsB {
+			r32 := make([]int32, len(colsB[j].Rows))
+			for k, r := range colsB[j].Rows {
+				r32[k] = int32(r)
+			}
+			sp[j] = spCol{rows: r32, vals: colsB[j].Vals}
+		}
+		if f.factorize(m, sp) == nil {
+			break
+		}
+	}
+	for p := 0; p < m; p++ {
+		c := make([]float64, m)
+		c[p] = rng.Float64() + 0.5
+		want := make([]float64, m)
+		f.solveBT(c, want, work)
+		got := make([]float64, m)
+		if !f.solveBTHyper(h, c, got, work, []int32{int32(p)}, nil, m) {
+			t.Fatalf("seed %d: solveBTHyper aborted below an m-step cap", p)
+		}
+		for i := range want {
+			if canonBits(got[i]) != canonBits(want[i]) {
+				t.Fatalf("seed %d: row %d: got %v want %v", p, i, got[i], want[i])
+			}
+		}
+	}
+}

@@ -360,31 +360,72 @@ func TestRevisedDevexWorkerInvariance(t *testing.T) {
 		return sol
 	}
 	ref := solve(1)
-	check := func(label string, workers int, got *Solution) {
-		t.Helper()
+	for _, workers := range []int{2, 4, 7, runtime.GOMAXPROCS(0)} {
+		got := solve(workers)
 		if got.Objective != ref.Objective || got.Iterations != ref.Iterations {
-			t.Fatalf("%s workers=%d: objective/iterations %v/%d, want %v/%d",
-				label, workers, got.Objective, got.Iterations, ref.Objective, ref.Iterations)
+			t.Fatalf("workers=%d: objective/iterations %v/%d, want %v/%d",
+				workers, got.Objective, got.Iterations, ref.Objective, ref.Iterations)
 		}
 		if !reflect.DeepEqual(got.X, ref.X) || !reflect.DeepEqual(got.Y, ref.Y) {
-			t.Fatalf("%s workers=%d: solution vectors differ", label, workers)
+			t.Fatalf("workers=%d: solution vectors differ", workers)
 		}
 	}
-	for _, workers := range []int{2, 4, 7, runtime.GOMAXPROCS(0)} {
-		check("pooled-devex", workers, solve(workers))
-	}
+}
 
-	// Force the level-scheduled LU solves on this tiny basis as well (the
-	// default thresholds keep them sequential here) and require the same
-	// solutions: the sequential reference above sits on the other side of
-	// the parallel/sequential threshold boundary, so this pins both the
-	// worker invariance of the level solves and the boundary itself.
-	oldRows, oldRHS, oldGrain := luParallelMinRows, luParallelMinRHS, luLevelGrain
-	luParallelMinRows, luParallelMinRHS, luLevelGrain = 1, 1, 1
-	defer func() {
-		luParallelMinRows, luParallelMinRHS, luLevelGrain = oldRows, oldRHS, oldGrain
-	}()
-	for _, workers := range []int{1, 2, 4, 7, runtime.GOMAXPROCS(0)} {
-		check("level-lu", workers, solve(workers))
+func TestDevexAndDantzigAgreeOnPacking(t *testing.T) {
+	rng := xrand.New(12)
+	for trial := 0; trial < 15; trial++ {
+		p := randomPacking(rng, 5+rng.Intn(25), 3+rng.Intn(10), 5)
+		devex, err := (&Revised{Pricing: "devex"}).Solve(p)
+		if err != nil {
+			t.Fatalf("trial %d devex: %v", trial, err)
+		}
+		dantzig, err := (&Revised{Pricing: "dantzig"}).Solve(p)
+		if err != nil {
+			t.Fatalf("trial %d dantzig: %v", trial, err)
+		}
+		if diff := devex.Objective - dantzig.Objective; diff > 1e-6 || diff < -1e-6 {
+			t.Fatalf("trial %d: devex %v vs dantzig %v", trial, devex.Objective, dantzig.Objective)
+		}
+		if err := Verify(p, devex, 1e-5); err != nil {
+			t.Errorf("trial %d devex verify: %v", trial, err)
+		}
+	}
+}
+
+// DeduplicateColumns composed with a solve must preserve the optimum on
+// benchmark-shaped LPs that actually contain duplicates.
+func TestDeduplicateThenSolve(t *testing.T) {
+	rng := xrand.New(77)
+	p := randomPacking(rng, 20, 6, 4)
+	// inject exact duplicates of the first five columns with lower rewards
+	n0 := p.NumCols()
+	for j := 0; j < 5 && j < n0; j++ {
+		rows, vals := p.Col(j)
+		rowsCopy := make([]int, len(rows))
+		for k, r := range rows {
+			rowsCopy[k] = int(r)
+		}
+		p.AddColumn(p.C[j]*0.5, rowsCopy, vals)
+	}
+	red, repr := DeduplicateColumns(p)
+	if red.NumCols() >= p.NumCols() {
+		t.Fatalf("dedup removed nothing: %d -> %d", p.NumCols(), red.NumCols())
+	}
+	for j := p.NumCols() - 5; j < p.NumCols(); j++ {
+		if repr[j] == j {
+			t.Errorf("duplicate column %d kept itself (reward should lose to original)", j)
+		}
+	}
+	a, err := Solve(p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, err := Solve(red)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if diff := a.Objective - b.Objective; diff > 1e-6 || diff < -1e-6 {
+		t.Fatalf("dedup changed optimum: %v vs %v", a.Objective, b.Objective)
 	}
 }

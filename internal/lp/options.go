@@ -30,9 +30,6 @@ func (s *Revised) validate() error {
 	if s.PricingWindow < 0 {
 		return &OptionError{"PricingWindow", s.PricingWindow, "must be ≥ 0 (0 selects the default window)"}
 	}
-	if s.PricingCandidates < 0 {
-		return &OptionError{"PricingCandidates", s.PricingCandidates, "must be ≥ 0 (0 selects the auto window)"}
-	}
 	if s.RepairBudget < 0 {
 		return &OptionError{"RepairBudget", s.RepairBudget, "must be ≥ 0 (0 selects the delta-proportional budget)"}
 	}
@@ -50,16 +47,5 @@ func (s *Revised) validate() error {
 	default:
 		return &OptionError{"Pricing", s.Pricing, `must be "", "auto", "devex" or "dantzig"`}
 	}
-	switch s.DualPricing {
-	case "", "auto", "dse", "maxinfeas":
-	default:
-		return &OptionError{"DualPricing", s.DualPricing, `must be "", "auto", "dse" or "maxinfeas"`}
-	}
 	return nil
-}
-
-// dualDSE resolves the DualPricing knob; validate has already rejected
-// anything else.
-func (s *Revised) dualDSE() bool {
-	return s.DualPricing != "maxinfeas"
 }

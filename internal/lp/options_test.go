@@ -22,7 +22,6 @@ func TestRevisedOptionValidation(t *testing.T) {
 		{"negative_max_iter", Revised{MaxIter: -1}, "MaxIter"},
 		{"negative_refactor_every", Revised{RefactorEvery: -3}, "RefactorEvery"},
 		{"negative_pricing_window", Revised{PricingWindow: -64}, "PricingWindow"},
-		{"negative_pricing_candidates", Revised{PricingCandidates: -16}, "PricingCandidates"},
 		{"negative_repair_budget", Revised{RepairBudget: -1}, "RepairBudget"},
 		{"hypersparse_threshold_negative", Revised{HypersparseThreshold: -0.25}, "HypersparseThreshold"},
 		{"hypersparse_threshold_above_one", Revised{HypersparseThreshold: 1.5}, "HypersparseThreshold"},
@@ -30,7 +29,6 @@ func TestRevisedOptionValidation(t *testing.T) {
 		{"negative_parallel_threshold", Revised{ParallelThreshold: -1}, "ParallelThreshold"},
 		{"negative_workers", Revised{Workers: -2}, "Workers"},
 		{"unknown_pricing", Revised{Pricing: "steepest"}, "Pricing"},
-		{"unknown_dual_pricing", Revised{DualPricing: "devex"}, "DualPricing"},
 	}
 	for _, tc := range bad {
 		t.Run(tc.name, func(t *testing.T) {
@@ -57,11 +55,11 @@ func TestRevisedOptionValidation(t *testing.T) {
 
 	good := []Revised{
 		{}, // zero value: every knob at its default
-		{Pricing: "auto", DualPricing: "auto"},
-		{Pricing: "devex", DualPricing: "dse"},
-		{Pricing: "dantzig", DualPricing: "maxinfeas"},
+		{Pricing: "auto"},
+		{Pricing: "devex"},
+		{Pricing: "dantzig"},
 		{MaxIter: 100, RefactorEvery: 1, PricingWindow: 8, ParallelThreshold: 1, Workers: 2},
-		{PricingCandidates: 32, RepairBudget: 10, HypersparseThreshold: 0.5},
+		{RepairBudget: 10, HypersparseThreshold: 0.5},
 		{HypersparseThreshold: 1}, // boundary: every triangular solve hypersparse-eligible
 	}
 	for i, cfg := range good {

@@ -288,11 +288,9 @@ func TestResolveValidation(t *testing.T) {
 }
 
 // TestResolveWorkerInvariance pins that the warm path, like the cold one, is
-// bit-identical for every worker count (forced Devex so the pooled pricing
-// passes really run). The whole test also runs with the level-scheduled LU
-// solves and a tiny dual-pricing block width forced on, so the dual repair's
-// pooled ratio test must merge winners across many blocks identically for
-// every pool size, under both leaving rules.
+// bit-identical for every worker count (forced Devex), both at the default
+// parallel threshold — which keeps this small LP on one goroutine — and with
+// ParallelThreshold 1 forcing the pooled pricing passes to really run.
 func TestResolveWorkerInvariance(t *testing.T) {
 	rng := xrand.New(61)
 	p := randomPacking(rng, 200, 40, 6)
@@ -311,69 +309,59 @@ func TestResolveWorkerInvariance(t *testing.T) {
 		BoundChange{Row: 210, B: 0},
 		BoundChange{Row: 215, B: math.Max(0, p.B[215]-2)})
 
-	run := func(workers int, dual string) *Solution {
-		s := NewSolver(Revised{
-			Pricing: "devex", DualPricing: dual,
-			Workers: workers, ParallelThreshold: 1,
-		})
-		if _, err := s.Solve(p); err != nil {
-			t.Fatalf("workers=%d dual=%s: %v", workers, dual, err)
-		}
-		sol, err := s.Resolve(d)
-		if err != nil {
-			t.Fatalf("workers=%d dual=%s: %v", workers, dual, err)
-		}
-		s.Release()
-		return sol
-	}
-	suite := func(t *testing.T) {
-		for _, dual := range []string{"dse", "maxinfeas"} {
-			ref := run(1, dual)
+	suite := func(parallelThreshold int) func(t *testing.T) {
+		return func(t *testing.T) {
+			run := func(workers int) *Solution {
+				s := NewSolver(Revised{
+					Pricing: "devex", Workers: workers, ParallelThreshold: parallelThreshold,
+				})
+				if _, err := s.Solve(p); err != nil {
+					t.Fatalf("workers=%d: %v", workers, err)
+				}
+				sol, err := s.Resolve(d)
+				if err != nil {
+					t.Fatalf("workers=%d: %v", workers, err)
+				}
+				s.Release()
+				return sol
+			}
+			ref := run(1)
 			for _, workers := range []int{2, 4, 7} {
-				got := run(workers, dual)
+				got := run(workers)
 				if got.Objective != ref.Objective || got.Iterations != ref.Iterations ||
 					!reflect.DeepEqual(got.X, ref.X) || !reflect.DeepEqual(got.Y, ref.Y) {
-					t.Fatalf("workers=%d dual=%s: warm resolve differs from workers=1", workers, dual)
+					t.Fatalf("workers=%d: warm resolve differs from workers=1", workers)
 				}
 			}
 		}
 	}
-	t.Run("default_thresholds", suite)
-	t.Run("forced_parallel_kernels", func(t *testing.T) {
-		oldRows, oldRHS, oldGrain := luParallelMinRows, luParallelMinRHS, luLevelGrain
-		luParallelMinRows, luParallelMinRHS, luLevelGrain = 1, 1, 1
-		defer func() {
-			luParallelMinRows, luParallelMinRHS, luLevelGrain = oldRows, oldRHS, oldGrain
-		}()
-		suite(t)
-	})
+	t.Run("default_thresholds", suite(0))
+	t.Run("forced_parallel_kernels", suite(1))
 }
 
 // TestResolveRefactorEveryOne drives a warm-resolve chain at the degenerate
-// refactorization cadence — a fresh LU (and, under dse, a fresh steepest-
-// edge reference framework) after every single pivot — so the level
-// schedule's rebuild-after-factorize path and the repair's mid-loop reset
-// run constantly. Correctness must be unaffected.
+// refactorization cadence — a fresh LU (and a fresh steepest-edge reference
+// framework) after every single pivot — so the hypersparse row graphs'
+// rebuild-after-factorize path and the repair's mid-loop reset run
+// constantly. Correctness must be unaffected.
 func TestResolveRefactorEveryOne(t *testing.T) {
 	rng := xrand.New(53)
 	p := randomPacking(rng, 60, 15, 5)
-	for _, dual := range []string{"dse", "maxinfeas"} {
-		s := NewSolver(Revised{RefactorEvery: 1, Pricing: "devex", DualPricing: dual})
-		if _, err := s.Solve(p); err != nil {
-			t.Fatalf("dual=%s: %v", dual, err)
-		}
-		for round := 0; round < 4; round++ {
-			n := s.Problem().NumCols()
-			d := ProblemDelta{
-				SetB:       []BoundChange{{Row: 60 + rng.Intn(15), B: float64(rng.Intn(4))}},
-				RemoveCols: []int{rng.Intn(n)},
-			}
-			d.AddCols = []Column{{Rows: []int{rng.Intn(60), 60 + rng.Intn(15)}, Vals: []float64{1, 1}}}
-			d.AddC = []float64{rng.Float64()}
-			requireResolveMatchesCold(t, "refactor-every-1/"+dual, s, d, resolveTol)
-		}
-		s.Release()
+	s := NewSolver(Revised{RefactorEvery: 1, Pricing: "devex"})
+	if _, err := s.Solve(p); err != nil {
+		t.Fatal(err)
 	}
+	for round := 0; round < 4; round++ {
+		n := s.Problem().NumCols()
+		d := ProblemDelta{
+			SetB:       []BoundChange{{Row: 60 + rng.Intn(15), B: float64(rng.Intn(4))}},
+			RemoveCols: []int{rng.Intn(n)},
+		}
+		d.AddCols = []Column{{Rows: []int{rng.Intn(60), 60 + rng.Intn(15)}, Vals: []float64{1, 1}}}
+		d.AddC = []float64{rng.Float64()}
+		requireResolveMatchesCold(t, "refactor-every-1", s, d, resolveTol)
+	}
+	s.Release()
 }
 
 // FuzzResolve mutates a random packing LP through a persistent solver —
@@ -387,21 +375,23 @@ func FuzzResolve(f *testing.F) {
 	f.Fuzz(func(t *testing.T, seed int64, steps uint8) {
 		rng := xrand.New(seed)
 		p := randomPacking(rng, 3+rng.Intn(25), 2+rng.Intn(8), 4)
-		// Rotate the solver knobs through the fuzzed space too: legacy dual
-		// pricing, per-pivot refactorization, the pooled kernels, and the
-		// warm-resolve tuning surface (candidate window, repair budget,
-		// hypersparse threshold) — the optimum must be knob-invariant.
+		// Rotate the solver knobs through the fuzzed space too: forced Devex
+		// pricing, per-pivot refactorization, the pooled kernels, partial
+		// Dantzig with a tiny window, and the warm-resolve tuning surface
+		// (repair budget, hypersparse threshold) — the optimum must be
+		// knob-invariant.
 		var cfg Revised
 		switch rng.Intn(7) {
 		case 1:
-			cfg.DualPricing = "maxinfeas"
+			cfg.Pricing = "devex"
 		case 2:
 			cfg.RefactorEvery = 1
 		case 3:
 			cfg.Workers = 2
 			cfg.ParallelThreshold = 1
 		case 4:
-			cfg.PricingCandidates = 1 + rng.Intn(64)
+			cfg.Pricing = "dantzig"
+			cfg.PricingWindow = 1 + rng.Intn(64)
 		case 5:
 			cfg.RepairBudget = 1 + rng.Intn(32)
 		case 6:
@@ -410,7 +400,7 @@ func FuzzResolve(f *testing.F) {
 		// Degenerate knob values must be rejected up front with a typed
 		// *OptionError naming the knob — never a panic or a wrong answer.
 		for _, bad := range []Revised{
-			{PricingCandidates: -1 - rng.Intn(8)},
+			{RefactorEvery: -1 - rng.Intn(8)},
 			{RepairBudget: -1 - rng.Intn(8)},
 			{HypersparseThreshold: 1 + rng.Float64()},
 			{HypersparseThreshold: math.NaN()},

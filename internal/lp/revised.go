@@ -1,8 +1,6 @@
 package lp
 
 import (
-	"fmt"
-	"io"
 	"math"
 
 	"github.com/ebsn/igepa/internal/par"
@@ -35,31 +33,13 @@ type Revised struct {
 	// (discarding accumulated round-off); 0 means 128.
 	RefactorEvery int
 	// Pricing selects the pricing rule: "devex", "dantzig", or ""/"auto"
-	// (Devex up to DevexColumnLimit columns, Dantzig beyond).
+	// (Devex when m > DevexRowThreshold and n+m ≤ DevexColumnLimit,
+	// Dantzig otherwise).
 	Pricing string
-	// DualPricing selects the leaving-row rule for the warm-start dual
-	// repair phase: "dse" (dual steepest-edge — positional norms steer
-	// repair away from degenerate zigzags, usually far fewer pivots) or
-	// "maxinfeas" (most negative basic value, the classic Dantzig-style
-	// rule). ""/"auto" means "dse".
-	DualPricing string
 	// PricingWindow is the number of columns scanned per iteration under
 	// partial Dantzig pricing before falling back to a full pass.
 	// 0 means 4096.
 	PricingWindow int
-	// PricingCandidates switches the pricing passes (the dual repair's
-	// priceDual and the primal Devex scan) to a rotating candidate window of
-	// that many columns. The window deterministically rotates through the
-	// column range and widens ("refills", counted in PhaseTimers) whenever
-	// it holds no eligible candidate, so the knob trades scan cost per pivot
-	// against pivot quality — a windowed dual ratio test can overshoot the
-	// dual step and leave cleanup work to the primal finish. 0 (the default)
-	// keeps full ratio-test coverage and instead prices through the
-	// support-scatter pass (see priceDual), which is usually faster AND
-	// trajectory-exact; the knob exists for very wide problems where even
-	// the scatter's selection sweep hurts. Results never depend on Workers
-	// or on the hypersparse threshold, only on this knob's value.
-	PricingCandidates int
 	// RepairBudget bounds the dual-repair pivots per attempt before a
 	// partial-warm cutover (and, on the second exhaustion, the cold
 	// fallback). 0 means auto: proportional to the delta size,
@@ -81,12 +61,6 @@ type Revised struct {
 	// (devexParallelThreshold). Tests lower it to force the pooled code
 	// paths on small LPs.
 	ParallelThreshold int
-	// Trace, when non-nil, receives a progress line every TraceEvery
-	// pivots (objective, step size, degenerate share) — the diagnostic
-	// used to tune pricing on pathological instances.
-	Trace io.Writer
-	// TraceEvery sets the trace granularity; 0 means 5000.
-	TraceEvery int
 	// Timers, when non-nil, accumulates per-phase wall time (FTRAN, BTRAN,
 	// pricing, Devex update, refactorization) and pivot counts across every
 	// solve run with this config. Timing is sampled at the kernel leaves so
@@ -194,25 +168,23 @@ func solutionErr(sol *Solution) error {
 	return nil
 }
 
-// selectDevex resolves the pricing rule for an m×n problem.
-func (s *Revised) selectDevex(m, n int) (bool, error) {
+// selectDevex resolves the pricing rule for an m×n problem; validate has
+// already rejected unknown names.
+func (s *Revised) selectDevex(m, n int) bool {
 	switch s.Pricing {
 	case "devex":
-		return true, nil
+		return true
 	case "dantzig":
-		return false, nil
-	case "", "auto":
-		// Measured on the Table I workloads (see DESIGN.md): Dantzig wins
-		// below ~3000 rows (|U|=2000 defaults: 0.9s vs 2.5s) because the
-		// per-pivot Devex pass over all columns outweighs its iteration
-		// savings; beyond that the degenerate churn explodes under Dantzig
-		// (|U|=4000: 96k pivots vs 19k) and Devex wins several-fold. On
-		// very wide problems (Meetup: ~8·10⁵ columns) the O(n) update pass
-		// dominates everything, so Dantzig with a pricing window is used.
-		return m > DevexRowThreshold && n+m <= DevexColumnLimit, nil
-	default:
-		return false, fmt.Errorf("lp: unknown pricing rule %q", s.Pricing)
+		return false
 	}
+	// Auto. Measured on the Table I workloads (see DESIGN.md): Dantzig wins
+	// below ~3000 rows (|U|=2000 defaults: 0.9s vs 2.5s) because the
+	// per-pivot Devex pass over all columns outweighs its iteration savings;
+	// beyond that the degenerate churn explodes under Dantzig (|U|=4000: 96k
+	// pivots vs 19k) and Devex wins several-fold. On very wide problems
+	// (Meetup: ~8·10⁵ columns) the O(n) update pass dominates everything, so
+	// Dantzig with a pricing window is used.
+	return m > DevexRowThreshold && n+m <= DevexColumnLimit
 }
 
 // configure binds the config-derived per-solve state: the worker-pool bound
@@ -235,16 +207,6 @@ func (s *Revised) configure(st *revisedState) {
 		thr = defaultHypersparseThreshold
 	}
 	st.hyperCap = int(thr * float64(st.m))
-	// Candidate windows are strictly opt-in (PricingCandidates > 0). A
-	// windowed dual ratio test answers from a column subset, and the
-	// resulting overshot dual steps were measured to explode the primal
-	// cleanup after repair (U1000 capacity shrink: 0 → 4652 finish pivots);
-	// the default path instead keeps full ratio-test coverage and makes the
-	// scan cheap via the support-scatter pass (see priceDual).
-	st.dualWindow, st.primalWindow = 0, 0
-	if w := s.PricingCandidates; w > 0 {
-		st.dualWindow, st.primalWindow = w, w
-	}
 }
 
 // pivot runs the simplex loop from st's current basis, which must already be
@@ -266,10 +228,7 @@ func (s *Revised) pivot(st *revisedState, warm bool) (*Solution, error) {
 	if window <= 0 {
 		window = 4096
 	}
-	devex, err := s.selectDevex(m, n)
-	if err != nil {
-		return nil, err
-	}
+	devex := s.selectDevex(m, n)
 
 	s.configure(st)
 	if devex {
@@ -278,7 +237,6 @@ func (s *Revised) pivot(st *revisedState, warm bool) (*Solution, error) {
 
 	iters := 0
 	degenerate := 0
-	tinySteps := 0
 	bland := false
 	cursor := 0
 	for ; iters < maxIter; iters++ {
@@ -340,24 +298,6 @@ func (s *Revised) pivot(st *revisedState, warm bool) (*Solution, error) {
 			degenerate = 0
 			bland = false
 		}
-		if s.Trace != nil {
-			every := s.TraceEvery
-			if every <= 0 {
-				every = 5000
-			}
-			if theta < 1e-6 {
-				tinySteps++
-			}
-			if iters%every == 0 {
-				obj := 0.0
-				for i := range st.xB {
-					obj += st.cB[i] * st.xB[i]
-				}
-				fmt.Fprintf(s.Trace, "iter=%d obj=%.4f theta=%.3g tiny%%=%.1f bland=%v etas=%d\n",
-					iters, obj, theta, 100*float64(tinySteps)/float64(iters+1), bland, len(st.etas))
-			}
-		}
-
 		if devex {
 			st.updateDevex(q, r)
 		}
@@ -470,15 +410,6 @@ type revisedState struct {
 	betaSupport   []int32
 	betaSupportOK bool
 
-	// Candidate-list pricing state (configure): dualWindow/primalWindow are
-	// the rotating window widths in columns (0 = full scan); the cursors
-	// track each window's current start, advanced deterministically on
-	// refills so barren stretches rotate out of the hot scan.
-	dualWindow   int
-	primalWindow int
-	dualCursor   int
-	primalCursor int
-
 	timers *PhaseTimers // nil unless the config requests phase profiling
 
 	// refactors counts LU rebuilds on this state since it was acquired —
@@ -516,6 +447,14 @@ func resizeF(s []float64, n int) []float64 {
 func resizeI(s []int, n int) []int {
 	if cap(s) < n {
 		return make([]int, n)
+	}
+	return s[:n]
+}
+
+// resize32 is resizeF for int32 slices.
+func resize32(s []int32, n int) []int32 {
+	if cap(s) < n {
+		return make([]int32, n)
 	}
 	return s[:n]
 }
@@ -636,19 +575,6 @@ func (st *revisedState) refactorize() error {
 	return nil
 }
 
-// luParallelMinRows and luParallelMinRHS gate the level-scheduled triangular
-// solves: below luParallelMinRows steps the levels are too thin to amortize
-// handing chunks to the pool, and a right-hand side sparser than
-// luParallelMinRHS nonzeros keeps the sequential push solve, whose work is
-// bounded by the (small) reachable set rather than by m — the pull-form
-// level sweep always touches every factor nonzero. Package variables so the
-// invariance tests can force the parallel paths on tiny bases; the solver
-// never mutates them.
-var (
-	luParallelMinRows = 1024
-	luParallelMinRHS  = 192
-)
-
 // defaultHypersparseThreshold is the reach-cap density (fraction of m) when
 // Revised.HypersparseThreshold is zero. Warm-resolve FTRANs and repair-pivot
 // BTRANs on the benchmark bases reach a few dozen steps out of thousands;
@@ -657,11 +583,10 @@ var (
 const defaultHypersparseThreshold = 0.1
 
 // solveB routes d = B⁻¹a: a right-hand side sparse enough to fit the
-// hypersparse reach cap tries the symbolic-reach kernel first, then the
-// level-scheduled parallel kernel when the pool and the problem shape warrant
-// it, else the sequential solve. All paths are bit-identical by construction
-// (see solveBLevel and the hypersparse.go preamble), so crossing either
-// threshold never changes a pivot sequence.
+// hypersparse reach cap tries the symbolic-reach kernel first, else the
+// sequential solve. Both are bit-identical by construction (see the
+// hypersparse.go preamble), so crossing the threshold never changes a pivot
+// sequence.
 func (st *revisedState) solveB(rows []int32, vals []float64, out []float64) {
 	if len(rows) <= st.hyperCap {
 		if st.lu.solveBHyper(&st.hyper, rows, vals, out, st.work, st.hyperCap) {
@@ -669,22 +594,7 @@ func (st *revisedState) solveB(rows []int32, vals []float64, out []float64) {
 			return
 		}
 	}
-	if st.workers > 1 && st.m >= luParallelMinRows && len(rows) >= luParallelMinRHS {
-		st.lu.solveBLevel(rows, vals, out, st.work, st.workers)
-	} else {
-		st.lu.solveB(rows, vals, out, st.work)
-	}
-}
-
-// solveBT routes Bᵀy = c like solveB. No RHS-sparsity gate: the transposed
-// sequential solve already sweeps all m steps, so the level version does the
-// same work in parallel.
-func (st *revisedState) solveBT(c, out []float64) {
-	if st.workers > 1 && st.m >= luParallelMinRows {
-		st.lu.solveBTLevel(c, out, st.work, st.workers)
-	} else {
-		st.lu.solveBT(c, out, st.work)
-	}
+	st.lu.solveB(rows, vals, out, st.work)
 }
 
 // recomputeXB refreshes x_B = B⁻¹b and c_B through the existing
@@ -741,7 +651,7 @@ func (st *revisedState) btran() {
 	z := st.d // reuse as scratch; overwritten by the next ftran
 	copy(z, st.cB)
 	st.applyEtasT(z)
-	st.solveBT(z, st.y)
+	st.lu.solveBT(z, st.y, st.work)
 	st.timers.add(phBtran, t0)
 }
 
@@ -775,7 +685,7 @@ func (st *revisedState) btranUnit(r int) {
 			return
 		}
 	}
-	st.solveBT(z, st.beta)
+	st.lu.solveBT(z, st.beta, st.work)
 	for i := range z {
 		z[i] = 0
 	}
@@ -841,7 +751,6 @@ func (st *revisedState) reducedCost(q int) float64 {
 // preserving the pricing memory of the previous optimum.
 func (st *revisedState) initDevex(warm bool) {
 	total := st.n + st.m
-	st.primalCursor = 0
 	st.rvec = resizeF(st.rvec, total)
 	if !warm || len(st.weights) != total {
 		st.weights = resizeF(st.weights, total)
@@ -890,9 +799,6 @@ func (st *revisedState) priceDevex() int {
 	t0 := tick(st.timers)
 	defer st.timers.add(phPricing, t0)
 	total := st.n + st.m
-	if st.primalWindow > 0 && st.primalWindow < total {
-		return st.priceDevexWindow(total)
-	}
 	// Solve already forces workers to 1 below the parallel threshold.
 	if st.workers <= 1 {
 		best := -1
@@ -945,57 +851,6 @@ func (st *revisedState) priceDevex() int {
 		}
 	}
 	return best
-}
-
-// priceDevexWindow is the Devex scan over a rotating candidate window
-// (PricingCandidates > 0): the stored reduced costs are maintained for every
-// column by updateDevex, so restricting the argmax to st.primalWindow
-// consecutive columns starting at st.primalCursor stays exact with respect
-// to them — a narrower window trades scan time for possibly more pivots,
-// never for wrong ones. A window with no improving column extends one window
-// at a time (each a candidate refill) until a candidate appears or the whole
-// range certifies apparent optimality (-1, after which the pivot loop's
-// exact refresh re-checks as usual). Sequential and cursor-deterministic
-// like priceDualWindow.
-func (st *revisedState) priceDevexWindow(total int) int {
-	start := st.primalCursor
-	if start >= total {
-		start = 0
-	}
-	scanned := 0
-	chunkStart := start
-	for scanned < total {
-		n := st.primalWindow
-		if scanned+n > total {
-			n = total - scanned
-		}
-		best := -1
-		bestScore := 0.0
-		for k := 0; k < n; k++ {
-			j := chunkStart + k
-			if j >= total {
-				j -= total
-			}
-			r := st.rvec[j]
-			if r <= reducedTol {
-				continue
-			}
-			if score := r * r / st.weights[j]; score > bestScore {
-				best, bestScore = j, score
-			}
-		}
-		scanned += n
-		if best >= 0 {
-			st.primalCursor = chunkStart
-			return best
-		}
-		st.timers.candidateRefill()
-		chunkStart += n
-		if chunkStart >= total {
-			chunkStart -= total
-		}
-	}
-	return -1
 }
 
 // updateDevex performs the Forrest–Goldfarb update after choosing entering
@@ -1093,15 +948,14 @@ const repairStallFloor = 256
 // converges in a handful of pivots for a small delta — the reason warm
 // re-solves beat cold ones.
 //
-// The leaving rule is dual steepest-edge when dse is set: maximize
-// xB[r]²/w[r] where w[r] approximates ‖B⁻ᵀe_r‖², maintained by a
-// Forrest–Goldfarb-style update from the FTRAN column each pivot and reset
-// to the unit reference framework at entry and on mid-repair
-// refactorization. Normalizing by the row norm picks the row whose
-// infeasibility is large in the geometry of the dual step, not merely in
-// raw units — on degenerate bases the un-normalized most-negative rule
-// (dse == false, kept as the "maxinfeas" knob) repeatedly drains
-// near-parallel rows and needs far more pivots for large deltas.
+// The leaving rule is dual steepest-edge: maximize xB[r]²/w[r] where w[r]
+// approximates ‖B⁻ᵀe_r‖², maintained by a Forrest–Goldfarb-style update
+// from the FTRAN column each pivot and reset to the unit reference framework
+// at entry and on mid-repair refactorization. Normalizing by the row norm
+// picks the row whose infeasibility is large in the geometry of the dual
+// step, not merely in raw units — on degenerate bases the un-normalized
+// most-negative rule repeatedly drains near-parallel rows and needs far more
+// pivots for large deltas (DESIGN.md §11).
 //
 // The duals are maintained incrementally: one exact BTRAN at entry (and
 // after each refactorization), then y' = y + γβ per pivot with γ the priced
@@ -1122,18 +976,13 @@ const repairStallFloor = 256
 // Returns the pivot count and how the phase ended; on anything but repairOK
 // the caller falls back to a cold solve, so repair failure costs
 // correctness nothing.
-func (st *revisedState) dualRepair(budget, refactorEvery int, dse bool) (int, dualRepairResult) {
-	if dse {
-		st.dseW = resizeF(st.dseW, st.m)
-		for i := range st.dseW {
-			st.dseW[i] = 1
-		}
+func (st *revisedState) dualRepair(budget, refactorEvery int) (int, dualRepairResult) {
+	st.dseW = resizeF(st.dseW, st.m)
+	for i := range st.dseW {
+		st.dseW[i] = 1
 	}
 	st.btran() // exact duals for the incremental y and red updates below
-	if st.usesDualRed() {
-		st.refreshDualRed()
-	}
-	st.dualCursor = 0
+	st.refreshDualRed()
 	stallWindow := st.m / 2
 	if stallWindow < repairStallFloor {
 		stallWindow = repairStallFloor
@@ -1143,23 +992,14 @@ func (st *revisedState) dualRepair(budget, refactorEvery int, dse bool) (int, du
 	sinceImprove := 0
 	cutovers := 0
 	for pivots := 0; ; pivots++ {
-		// Leaving row. Both rules break ties on the lowest basis position
-		// (strict improvement required), so the choice is deterministic.
+		// Leaving row. Ties break on the lowest basis position (strict
+		// improvement required), so the choice is deterministic.
 		r := -1
-		if dse {
-			best := 0.0
-			for i, x := range st.xB {
-				if x < -warmFeasTol {
-					if score := x * x / st.dseW[i]; score > best {
-						best, r = score, i
-					}
-				}
-			}
-		} else {
-			worst := -warmFeasTol
-			for i, x := range st.xB {
-				if x < worst {
-					worst, r = x, i
+		best := 0.0
+		for i, x := range st.xB {
+			if x < -warmFeasTol {
+				if score := x * x / st.dseW[i]; score > best {
+					best, r = score, i
 				}
 			}
 		}
@@ -1188,13 +1028,9 @@ func (st *revisedState) dualRepair(budget, refactorEvery int, dse bool) (int, du
 				return pivots, repairSingular
 			}
 			st.btran()
-			if st.usesDualRed() {
-				st.refreshDualRed()
-			}
-			if dse {
-				for i := range st.dseW {
-					st.dseW[i] = 1
-				}
+			st.refreshDualRed()
+			for i := range st.dseW {
+				st.dseW[i] = 1
 			}
 			budgetLimit = pivots + budget
 			bestMass = math.Inf(1)
@@ -1216,34 +1052,32 @@ func (st *revisedState) dualRepair(budget, refactorEvery int, dse bool) (int, du
 			// pivot row disagrees with its priced α: bail out
 			return pivots, repairUnbounded
 		}
-		if dse {
-			// Forrest–Goldfarb-style steepest-edge update from the FTRAN
-			// column d = B⁻¹a_q, before the basis changes: position i's norm
-			// grows by its share of the pivot row, and the pivot row's norm
-			// rescales by 1/dr². The max() guards keep the approximation a
-			// valid upper-bound reference (weights never collapse below the
-			// framework), the standard safeguard for Devex-style updates.
-			// (The exact Forrest–Goldfarb update — true w_r = ‖β‖² plus a
-			// τ = B⁻¹β FTRAN — was measured here and LOST: from a
-			// unit-initialized reference it needed ~19% more pivots on the
-			// capacity-shrink repairs and paid an extra solve per pivot; the
-			// grow-only approximation's conservatism is what earns its keep.)
-			wr := st.dseW[r]
-			invDr := 1 / dr
-			for i, v := range st.d {
-				if v != 0 && i != r {
-					t := v * invDr
-					if w := t * t * wr; w > st.dseW[i] {
-						st.dseW[i] = w
-					}
+		// Forrest–Goldfarb-style steepest-edge update from the FTRAN column
+		// d = B⁻¹a_q, before the basis changes: position i's norm grows by
+		// its share of the pivot row, and the pivot row's norm rescales by
+		// 1/dr². The max() guards keep the approximation a valid upper-bound
+		// reference (weights never collapse below the framework), the
+		// standard safeguard for Devex-style updates. (The exact
+		// Forrest–Goldfarb update — true w_r = ‖β‖² plus a τ = B⁻¹β FTRAN —
+		// was measured here and LOST: from a unit-initialized reference it
+		// needed ~19% more pivots on the capacity-shrink repairs and paid an
+		// extra solve per pivot; the grow-only approximation's conservatism
+		// is what earns its keep.)
+		wr := st.dseW[r]
+		invDr := 1 / dr
+		for i, v := range st.d {
+			if v != 0 && i != r {
+				t := v * invDr
+				if w := t * t * wr; w > st.dseW[i] {
+					st.dseW[i] = w
 				}
 			}
-			wNew := wr * invDr * invDr
-			if wNew < 1 {
-				wNew = 1
-			}
-			st.dseW[r] = wNew
 		}
+		wNew := wr * invDr * invDr
+		if wNew < 1 {
+			wNew = 1
+		}
+		st.dseW[r] = wNew
 		theta := st.xB[r] / dr // xB[r] < 0, dr < 0 ⇒ θ > 0
 		// The update sweep folds the post-pivot infeasibility-mass
 		// accumulation (Σ max(0, −x_B), read by the stall detector below)
@@ -1269,8 +1103,7 @@ func (st *revisedState) dualRepair(budget, refactorEvery int, dse bool) (int, du
 		// the pricing pass produced (everything it did not visit has α = 0;
 		// basic slots pick up garbage nobody reads). Exact recompute happens
 		// at the next refactorization, so round-off cannot accumulate past
-		// one eta chain. Windowed pricing maintains nothing — it reprices on
-		// demand.
+		// one eta chain.
 		if gamma != 0 {
 			beta := st.beta
 			for i, v := range beta {
@@ -1278,16 +1111,14 @@ func (st *revisedState) dualRepair(budget, refactorEvery int, dse bool) (int, du
 					st.y[i] += gamma * v
 				}
 			}
-			if st.usesDualRed() {
-				if st.candDense {
-					red, al := st.dualRedVec, st.alphaVec
-					for j := range red {
-						red[j] -= gamma * al[j]
-					}
-				} else {
-					for _, j32 := range st.candList {
-						st.dualRedVec[j32] -= gamma * st.alphaVec[j32]
-					}
+			if st.candDense {
+				red, al := st.dualRedVec, st.alphaVec
+				for j := range red {
+					red[j] -= gamma * al[j]
+				}
+			} else {
+				for _, j32 := range st.candList {
+					st.dualRedVec[j32] -= gamma * st.alphaVec[j32]
 				}
 			}
 		}
@@ -1296,12 +1127,10 @@ func (st *revisedState) dualRepair(budget, refactorEvery int, dse bool) (int, du
 		st.basis[r] = q
 		st.posOf[q] = r
 		st.cB[r] = st.objCoef(q)
-		if st.usesDualRed() {
-			// the entering column is basic now (red exactly 0); the leaving
-			// one picks up the textbook post-pivot reduced cost −γ
-			st.dualRedVec[q] = 0
-			st.dualRedVec[leaving] = -gamma
-		}
+		// the entering column is basic now (red exactly 0); the leaving one
+		// picks up the textbook post-pivot reduced cost −γ
+		st.dualRedVec[q] = 0
+		st.dualRedVec[leaving] = -gamma
 		st.pushEta(r)
 		st.timers.repairPivotDone()
 		if mass < bestMass*(1-1e-6) {
@@ -1315,17 +1144,13 @@ func (st *revisedState) dualRepair(budget, refactorEvery int, dse bool) (int, du
 				return pivots, repairSingular
 			}
 			st.btran() // fresh exact duals for the next incremental stretch
-			if st.usesDualRed() {
-				st.refreshDualRed()
-			}
-			if dse {
-				// fresh reference framework: the norms tracked the old
-				// product-form basis representation (keeping the learned
-				// weights across the refactorization was measured and costs
-				// ~18% more pivots on the capacity-shrink repair)
-				for i := range st.dseW {
-					st.dseW[i] = 1
-				}
+			st.refreshDualRed()
+			// fresh reference framework: the norms tracked the old
+			// product-form basis representation (keeping the learned weights
+			// across the refactorization was measured and costs ~18% more
+			// pivots on the capacity-shrink repair)
+			for i := range st.dseW {
+				st.dseW[i] = 1
 			}
 		}
 	}
@@ -1376,9 +1201,6 @@ func (st *revisedState) priceDual() int {
 	t0 := tick(st.timers)
 	defer st.timers.add(phPricing, t0)
 	total := st.n + st.m
-	if st.dualWindow > 0 && st.dualWindow < total {
-		return st.priceDualWindow(total)
-	}
 	st.buildARows()
 	beta := st.beta
 	bnnz := 0
@@ -1584,14 +1406,6 @@ func (st *revisedState) buildARows() {
 	st.aRowsOK = true
 }
 
-// usesDualRed reports whether the dual pricing passes read the maintained
-// st.dualRedVec: full-coverage pricing (scatter or dense) does, the rotating
-// window computes reduced costs on demand instead — so windowed repairs skip
-// the O(n) exact refreshes entirely.
-func (st *revisedState) usesDualRed() bool {
-	return st.dualWindow == 0 || st.dualWindow >= st.n+st.m
-}
-
 // refreshDualRed recomputes the maintained dual reduced costs exactly from
 // the current duals: red_j = c_j − yᵀa_j for nonbasic columns (basic slots
 // are left as-is — they are never read, and the incremental updates scribble
@@ -1608,99 +1422,6 @@ func (st *revisedState) refreshDualRed() {
 		}
 	}
 	st.timers.add(phPricing, t0)
-}
-
-// priceDualWindow is priceDual over a rotating candidate window: the same
-// fused two-tier scan, restricted to st.dualWindow consecutive columns
-// starting at st.dualCursor. A window that yields a feasible-tier candidate
-// answers the ratio test from those columns alone — the primal finish after
-// repair restores whatever optimality the narrower view gave up, and any
-// out-of-window column whose reduced cost the shortened dual step turns
-// negative simply becomes a ratio-0 candidate when its window comes around.
-// On exhaustion (no feasible candidate in the window) the scan extends one
-// window at a time — each extension counted as a candidate refill — until a
-// candidate appears or the whole range has been covered, which is exactly
-// the full scan and certifies the relaxed-tier fallback the same way. The
-// cursor parks on the window that produced the winner, so productive
-// stretches stay hot and barren ones rotate out. Purely sequential, hence
-// trivially worker-count invariant; the cursor walk is a deterministic
-// function of the scan results.
-//
-// Like the scatter pass, the window computes each scanned column's α against
-// β directly and its reduced cost on demand against the maintained duals, so
-// every quantity it prices with is exact — narrowing the window trades pivot
-// quality (a shortened dual step), never pricing accuracy.
-func (st *revisedState) priceDualWindow(total int) int {
-	beta := st.beta
-	start := st.dualCursor
-	if start >= total {
-		start = 0
-	}
-	q, relax := -1, -1
-	var bestRatio, bestAlpha, bestRed float64
-	var relaxAlpha, relaxRed float64
-	scanned := 0
-	chunkStart := start
-	for scanned < total {
-		n := st.dualWindow
-		if scanned+n > total {
-			n = total - scanned
-		}
-		for k := 0; k < n; k++ {
-			j := chunkStart + k
-			if j >= total {
-				j -= total
-			}
-			if st.posOf[j] >= 0 {
-				continue
-			}
-			var alpha float64
-			if j < st.n {
-				for t := st.p.ColPtr[j]; t < st.p.ColPtr[j+1]; t++ {
-					alpha += beta[st.p.Rows[t]] * st.p.Vals[t]
-				}
-			} else {
-				alpha = beta[j-st.n]
-			}
-			if alpha >= -pivotTol {
-				continue
-			}
-			red := st.reducedCost(j)
-			if red > reducedTol {
-				if relax < 0 || alpha < relaxAlpha {
-					relax, relaxAlpha, relaxRed = j, alpha, red
-				}
-				continue
-			}
-			rc := red
-			if rc > 0 {
-				rc = 0 // boundary stragglers within tolerance: ratio 0
-			}
-			ratio := rc / alpha // ≥ 0
-			if q < 0 || ratio < bestRatio-pivotTol ||
-				(ratio <= bestRatio+pivotTol && alpha < bestAlpha) {
-				q, bestRatio, bestAlpha, bestRed = j, ratio, alpha, red
-			}
-		}
-		scanned += n
-		if q >= 0 {
-			st.dualCursor = chunkStart
-			st.dualGamma = bestRed / bestAlpha
-			return q
-		}
-		st.timers.candidateRefill()
-		chunkStart += n
-		if chunkStart >= total {
-			chunkStart -= total
-		}
-	}
-	if relax >= 0 {
-		// Full circle with no feasible-tier candidate: same certificate as
-		// the full scan's relaxed fallback.
-		st.dualGamma = relaxRed / relaxAlpha
-		return relax
-	}
-	return -1
 }
 
 // pricePartial scans a window of variables starting at cursor and returns

@@ -346,7 +346,7 @@ func (s *Solver) Resolve(d ProblemDelta) (*Solution, error) {
 			budget = flat
 		}
 	}
-	repairPivots, repair := st.dualRepair(budget, refactorEvery, s.Config.dualDSE())
+	repairPivots, repair := st.dualRepair(budget, refactorEvery)
 	switch repair {
 	case repairSingular:
 		s.stats.FallbackSingular++

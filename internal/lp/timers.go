@@ -22,8 +22,10 @@ type PhaseTimers struct {
 	// by the symbolic-reach kernels (hypersparse.go) instead of the dense
 	// sweeps — the coverage metric for the warm-resolve fast path.
 	HypersparseFtran, HypersparseBtran int64
-	// CandidateRefills counts pricing passes that exhausted their rotating
-	// candidate window and had to widen back toward a full scan.
+	// CandidateRefills stays only for the /metrics series and the loadgen
+	// column that read it.
+	//
+	// Deprecated: always 0; no pricing pass uses candidate windows.
 	CandidateRefills int64
 	// BudgetExhausted counts dual-repair attempts that ran out of their
 	// pivot budget; PartialWarmCutovers counts the keep-the-basis
@@ -102,12 +104,6 @@ func (tm *PhaseTimers) hypersparseFtran() {
 func (tm *PhaseTimers) hypersparseBtran() {
 	if tm != nil {
 		tm.HypersparseBtran++
-	}
-}
-
-func (tm *PhaseTimers) candidateRefill() {
-	if tm != nil {
-		tm.CandidateRefills++
 	}
 }
 

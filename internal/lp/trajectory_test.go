@@ -1,0 +1,121 @@
+package lp
+
+import (
+	"encoding/binary"
+	"hash/fnv"
+	"math"
+	"runtime"
+	"testing"
+
+	"github.com/ebsn/igepa/internal/xrand"
+)
+
+// trajectoryPin is the absolute fingerprint of one default-configuration
+// solve: the objective's bits, the pivot count and an FNV-1a hash over the
+// bits of X then Y (signed zeros collapsed, see canonBits).
+type trajectoryPin struct {
+	obj   uint64
+	iters int
+	hash  uint64
+}
+
+func pinOf(sol *Solution) trajectoryPin {
+	h := fnv.New64a()
+	var buf [8]byte
+	for _, vec := range [][]float64{sol.X, sol.Y} {
+		for _, v := range vec {
+			binary.LittleEndian.PutUint64(buf[:], canonBits(v))
+			h.Write(buf[:])
+		}
+	}
+	return trajectoryPin{obj: math.Float64bits(sol.Objective), iters: sol.Iterations, hash: h.Sum64()}
+}
+
+// TestDefaultTrajectoryPinned pins the default solve trajectory absolutely,
+// not relative to another configuration: a cold solve and a fixed warm
+// Resolve chain (a bid-style column churn, then a capacity shrink that sends
+// the dual repair to work) on two seeded m = 1080 packing LPs must reproduce
+// these exact bits at every worker count. ParallelThreshold 1 puts the pooled
+// pricing passes on the worker pool even at this size. Any change to a
+// kernel, a pricing rule or a tolerance that moves a single pivot shows up
+// here. amd64 only: other architectures may fuse multiply-adds and legally
+// round differently.
+func TestDefaultTrajectoryPinned(t *testing.T) {
+	if runtime.GOARCH != "amd64" {
+		t.Skipf("trajectory bits are pinned on amd64, not %s", runtime.GOARCH)
+	}
+	fixtures := []struct {
+		seed       int64
+		cold, warm trajectoryPin
+		warmPivots int
+	}{
+		{
+			seed:       1027,
+			cold:       trajectoryPin{obj: 0x406395f72f1924b4, iters: 506, hash: 0xbf86eca6e3675363},
+			warm:       trajectoryPin{obj: 0x4060756a1ca44821, iters: 0, hash: 0x4f68472e2f0b0767},
+			warmPivots: 116,
+		},
+		{
+			seed:       2053,
+			cold:       trajectoryPin{obj: 0x4064724a68243fc9, iters: 944, hash: 0xc1b40593e0449402},
+			warm:       trajectoryPin{obj: 0x4061289229c6e115, iters: 0, hash: 0x4c03dd2cd15fbadf},
+			warmPivots: 129,
+		},
+	}
+	for _, fx := range fixtures {
+		for _, workers := range []int{1, 2} {
+			rng := xrand.New(fx.seed)
+			const users, events = 1000, 80
+			p := randomPacking(rng, users, events, 6)
+			s := NewSolver(Revised{Workers: workers, ParallelThreshold: 1})
+			sol, err := s.Solve(p)
+			if err != nil {
+				t.Fatalf("seed=%d workers=%d: cold: %v", fx.seed, workers, err)
+			}
+			cold := pinOf(sol)
+
+			// Bid churn: drop a spread of nonbasic and basic columns (the
+			// latter force slack substitutions) and append fresh two-row
+			// columns.
+			var churn ProblemDelta
+			for j := 0; j < len(sol.X) && len(churn.RemoveCols) < 40; j += 7 {
+				churn.RemoveCols = append(churn.RemoveCols, j)
+			}
+			for j := 3; j < len(sol.X) && len(churn.RemoveCols) < 80; j++ {
+				if sol.X[j] > 0.5 {
+					churn.RemoveCols = append(churn.RemoveCols, j)
+					j += 40
+				}
+			}
+			for k := 0; k < 60; k++ {
+				churn.AddCols = append(churn.AddCols, Column{
+					Rows: []int{rng.Intn(users), users + rng.Intn(events)}, Vals: []float64{1, 1}})
+				churn.AddC = append(churn.AddC, rng.Float64())
+			}
+			if _, err := s.Resolve(churn); err != nil {
+				t.Fatalf("seed=%d workers=%d: churn: %v", fx.seed, workers, err)
+			}
+			// Capacity shrink on every fourth event row.
+			var shrink ProblemDelta
+			for v := 0; v < events; v += 4 {
+				row := users + v
+				shrink.SetB = append(shrink.SetB, BoundChange{Row: row, B: math.Floor(s.Problem().B[row] * 0.5)})
+			}
+			sol, err = s.Resolve(shrink)
+			if err != nil {
+				t.Fatalf("seed=%d workers=%d: shrink: %v", fx.seed, workers, err)
+			}
+			if err := Verify(s.Problem(), sol, 1e-6); err != nil {
+				t.Fatalf("seed=%d workers=%d: warm chain: %v", fx.seed, workers, err)
+			}
+			warm := pinOf(sol)
+			warmPivots := s.Stats().WarmPivots
+			s.Release()
+
+			if cold != fx.cold || warm != fx.warm || warmPivots != fx.warmPivots {
+				t.Errorf("seed=%d workers=%d: trajectory moved:\n got cold=%#v warm=%#v warmPivots=%d\nwant cold=%#v warm=%#v warmPivots=%d",
+					fx.seed, workers, cold, warm, warmPivots, fx.cold, fx.warm, fx.warmPivots)
+			}
+		}
+	}
+}

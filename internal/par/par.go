@@ -33,16 +33,6 @@ func Workers(n int) int {
 // workers <= 1, or when n fits a single chunk, fn runs inline on the calling
 // goroutine: small inputs pay zero synchronization.
 func Ranges(workers, n, grain int, fn func(lo, hi int)) {
-	RangesAt(workers, 0, n, grain, fn)
-}
-
-// RangesAt is Ranges over the half-open interval [base, end) instead of
-// [0, n): fn receives absolute positions. It exists so callers iterating a
-// segment of a larger index space (the level-scheduled triangular solves
-// walk one level's slice of a permutation array at a time) avoid an
-// offset-translating closure per segment.
-func RangesAt(workers, base, end, grain int, fn func(lo, hi int)) {
-	n := end - base
 	if n <= 0 {
 		return
 	}
@@ -54,7 +44,7 @@ func RangesAt(workers, base, end, grain int, fn func(lo, hi int)) {
 		workers = n / grain
 	}
 	if workers <= 1 {
-		fn(base, end)
+		fn(0, n)
 		return
 	}
 	var cursor atomic.Int64
@@ -72,26 +62,11 @@ func RangesAt(workers, base, end, grain int, fn func(lo, hi int)) {
 				if hi > n {
 					hi = n
 				}
-				fn(base+lo, base+hi)
+				fn(lo, hi)
 			}
 		}()
 	}
 	wg.Wait()
-}
-
-// ForLevels runs a level schedule: ptr[l]:ptr[l+1] delimits level l's slice
-// of some order array, levels run strictly in sequence (a barrier between
-// levels), and the positions within one level are processed on the pool via
-// RangesAt. Narrow levels run inline on the calling goroutine, so a deep,
-// thin schedule degenerates to the sequential loop plus bounds checks
-// rather than to goroutine churn. The determinism contract is the package's
-// usual one, per level: iterations of one level must be mutually
-// independent, may read anything written by earlier levels, and must write
-// only iteration-owned slots.
-func ForLevels(workers int, ptr []int32, grain int, fn func(lo, hi int)) {
-	for l := 0; l+1 < len(ptr); l++ {
-		RangesAt(workers, int(ptr[l]), int(ptr[l+1]), grain, fn)
-	}
 }
 
 // For runs fn(i) for every i in [0, n) on the bounded pool, chunked by

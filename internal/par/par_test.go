@@ -21,25 +21,29 @@ func TestForCoversEveryIndexOnce(t *testing.T) {
 
 func TestRangesChunksAreDisjointAndComplete(t *testing.T) {
 	const n = 10007
-	var total atomic.Int64
-	hits := make([]int32, n)
-	Ranges(4, n, 64, func(lo, hi int) {
-		if lo < 0 || hi > n || lo >= hi {
-			t.Errorf("bad chunk [%d,%d)", lo, hi)
+	for _, workers := range []int{1, 3, 4, 8} {
+		var total atomic.Int64
+		hits := make([]int32, n)
+		Ranges(workers, n, 64, func(lo, hi int) {
+			if lo < 0 || hi > n || lo >= hi {
+				t.Errorf("workers=%d: bad chunk [%d,%d)", workers, lo, hi)
+			}
+			for i := lo; i < hi; i++ {
+				atomic.AddInt32(&hits[i], 1)
+			}
+			total.Add(int64(hi - lo))
+		})
+		if total.Load() != n {
+			t.Fatalf("workers=%d: covered %d of %d iterations", workers, total.Load(), n)
 		}
-		for i := lo; i < hi; i++ {
-			atomic.AddInt32(&hits[i], 1)
+		for i, h := range hits {
+			if h != 1 {
+				t.Fatalf("workers=%d: index %d visited %d times", workers, i, h)
+			}
 		}
-		total.Add(int64(hi - lo))
-	})
-	if total.Load() != n {
-		t.Fatalf("covered %d of %d iterations", total.Load(), n)
 	}
-	for i, h := range hits {
-		if h != 1 {
-			t.Fatalf("index %d visited %d times", i, h)
-		}
-	}
+	Ranges(4, 0, 1, func(lo, hi int) { t.Error("empty range must not run") })
+	Ranges(4, -6, 1, func(lo, hi int) { t.Error("negative range must not run") })
 }
 
 func TestRangesInlineForSmallInputs(t *testing.T) {
@@ -62,72 +66,6 @@ func TestWorkersResolution(t *testing.T) {
 	}
 	if Workers(0) < 1 || Workers(-2) < 1 {
 		t.Error("auto worker count must be at least 1")
-	}
-}
-
-func TestRangesAtCoversWindowOnce(t *testing.T) {
-	const base, end = 100, 1207
-	for _, workers := range []int{1, 3, 8} {
-		hits := make([]int32, end)
-		RangesAt(workers, base, end, 16, func(lo, hi int) {
-			if lo < base || hi > end || lo >= hi {
-				t.Errorf("bad chunk [%d,%d) outside [%d,%d)", lo, hi, base, end)
-			}
-			for i := lo; i < hi; i++ {
-				atomic.AddInt32(&hits[i], 1)
-			}
-		})
-		for i, h := range hits {
-			want := int32(0)
-			if i >= base {
-				want = 1
-			}
-			if h != want {
-				t.Fatalf("workers=%d: index %d visited %d times, want %d", workers, i, h, want)
-			}
-		}
-	}
-	RangesAt(4, 7, 7, 1, func(lo, hi int) { t.Error("empty window must not run") })
-	RangesAt(4, 9, 3, 1, func(lo, hi int) { t.Error("inverted window must not run") })
-}
-
-func TestForLevelsRespectsLevelBarriers(t *testing.T) {
-	// Positions in level l read everything level l−1 wrote: if levels ever
-	// overlapped, some position would read a stale zero (and the race
-	// detector would flag the unsynchronized read). Expected values form a
-	// per-level recurrence, so both coverage and ordering are pinned.
-	ptr := []int32{0, 4, 5, 12, 20}
-	n := int(ptr[len(ptr)-1])
-	levelOf := make([]int, n)
-	for l := 0; l+1 < len(ptr); l++ {
-		for i := ptr[l]; i < ptr[l+1]; i++ {
-			levelOf[i] = l
-		}
-	}
-	for _, workers := range []int{1, 2, 8} {
-		out := make([]int64, n)
-		ForLevels(workers, ptr, 2, func(lo, hi int) {
-			for i := lo; i < hi; i++ {
-				v := int64(1)
-				if l := levelOf[i]; l > 0 {
-					for j := ptr[l-1]; j < ptr[l]; j++ {
-						v += out[j]
-					}
-				}
-				out[i] = v
-			}
-		})
-		wantAt := make([]int64, len(ptr)-1)
-		wantAt[0] = 1
-		for l := 1; l < len(wantAt); l++ {
-			wantAt[l] = 1 + int64(ptr[l]-ptr[l-1])*wantAt[l-1]
-		}
-		for i, v := range out {
-			if v != wantAt[levelOf[i]] {
-				t.Fatalf("workers=%d: position %d = %d, want %d (level %d)",
-					workers, i, v, wantAt[levelOf[i]], levelOf[i])
-			}
-		}
 	}
 }
 
