@@ -1,0 +1,206 @@
+// Package batchq is the bounded batching queue behind every serving loop:
+// the server's per-shard micro-batchers and replay dispatcher, and the
+// router's replay dispatcher. Any number of HTTP handlers push; exactly one
+// consumer pops whole batches.
+//
+// It exists instead of a channel because a batching loop needs what a
+// channel cannot give it: a flush deadline for a partial batch, an explicit
+// drain signal, a busy window that keeps the queue from looking idle while
+// a popped batch is still deciding, and a view of the queued items (the
+// lease renewer's demand predictor).
+package batchq
+
+import (
+	"errors"
+	"sync"
+	"time"
+)
+
+// Errors Push reports; the HTTP layers map them onto 429 (with Retry-After)
+// and 503.
+var (
+	ErrFull   = errors.New("batchq: queue full")
+	ErrClosed = errors.New("batchq: queue closed")
+)
+
+// Queue is a bounded FIFO of T with batch-at-a-time consumption.
+type Queue[T any] struct {
+	mu       sync.Mutex
+	nonIdle  *sync.Cond
+	items    []T
+	head     int
+	limit    int
+	enqueued func(*T) time.Time
+	closed   bool
+	// drainPending asks the consumer to flush the current partial batch; it
+	// is a flag, not a counter, so repeated drain calls cannot make future
+	// full batches flush early.
+	drainPending bool
+	// busy is true from PopBatch handing out a batch until the consumer's
+	// Finish — it closes the window in which the queue looks empty while
+	// decisions are still pending, which is what Idle (and so every drain
+	// barrier) keys on.
+	busy bool
+}
+
+// New returns a queue holding at most limit items. enqueued reports when an
+// item entered the queue — the clock of PopBatch's flush deadline. It runs
+// under the queue lock, so it must only read the item; it may be nil for a
+// queue only ever popped with wait == 0.
+func New[T any](limit int, enqueued func(*T) time.Time) *Queue[T] {
+	q := &Queue[T]{limit: limit, enqueued: enqueued}
+	q.nonIdle = sync.NewCond(&q.mu)
+	return q
+}
+
+// Push appends v; ErrFull signals backpressure, ErrClosed a closing queue.
+func (q *Queue[T]) Push(v T) error {
+	q.mu.Lock()
+	defer q.mu.Unlock()
+	if q.closed {
+		return ErrClosed
+	}
+	if len(q.items)-q.head >= q.limit {
+		return ErrFull
+	}
+	q.items = append(q.items, v)
+	q.nonIdle.Broadcast()
+	return nil
+}
+
+// PopBatch blocks until it can hand the consumer a batch, then returns up to
+// max items in FIFO order (appended to dst[:0]).
+//
+//   - A full batch (≥ max pending) returns immediately.
+//   - wait > 0 (live mode): a partial batch is returned once the oldest
+//     pending item has waited `wait` — the micro-batching deadline T.
+//   - wait == 0 (replay mode): a partial batch is returned only on an
+//     explicit Drain or on Close — batch-by-count, no deadlines.
+//
+// Returns nil after the queue is closed and emptied.
+func (q *Queue[T]) PopBatch(max int, wait time.Duration, dst []T) []T {
+	var timer *time.Timer
+	defer func() {
+		if timer != nil {
+			timer.Stop()
+		}
+	}()
+	q.mu.Lock()
+	defer q.mu.Unlock()
+	for {
+		n := len(q.items) - q.head
+		if n >= max {
+			return q.pop(max, dst)
+		}
+		if q.closed {
+			if n > 0 {
+				return q.pop(n, dst)
+			}
+			return nil
+		}
+		if q.drainPending {
+			q.drainPending = false
+			if n > 0 {
+				return q.pop(n, dst)
+			}
+			continue // drain of an empty queue: nothing to flush
+		}
+		if n > 0 && wait > 0 {
+			deadline := q.enqueued(&q.items[q.head]).Add(wait)
+			if !time.Now().Before(deadline) {
+				return q.pop(n, dst)
+			}
+			if timer == nil {
+				// The callback takes q.mu before broadcasting so the wakeup
+				// cannot fire in the window between this deadline check and
+				// the Wait below (sync.Cond keeps no memory of signals; an
+				// unserialized Broadcast there would be lost and the partial
+				// batch would miss its deadline).
+				timer = time.AfterFunc(time.Until(deadline), func() {
+					q.mu.Lock()
+					q.nonIdle.Broadcast()
+					q.mu.Unlock()
+				})
+			}
+		}
+		q.nonIdle.Wait()
+	}
+}
+
+// pop removes the first n items and compacts the backing array once the
+// consumed prefix dominates it, so a queue that never empties stays bounded;
+// the caller holds q.mu.
+func (q *Queue[T]) pop(n int, dst []T) []T {
+	dst = append(dst[:0], q.items[q.head:q.head+n]...)
+	q.head += n
+	q.busy = true
+	if q.head == len(q.items) {
+		q.items = q.items[:0]
+		q.head = 0
+	} else if q.head > 1024 && q.head*2 > len(q.items) {
+		q.items = append(q.items[:0:0], q.items[q.head:]...)
+		q.head = 0
+	}
+	return dst
+}
+
+// Finish marks the last popped batch fully processed (replies delivered).
+func (q *Queue[T]) Finish() {
+	q.mu.Lock()
+	q.busy = false
+	q.mu.Unlock()
+}
+
+// Depth returns the number of queued items.
+func (q *Queue[T]) Depth() int {
+	q.mu.Lock()
+	defer q.mu.Unlock()
+	return len(q.items) - q.head
+}
+
+// Idle reports an empty queue with no batch in flight.
+func (q *Queue[T]) Idle() bool {
+	q.mu.Lock()
+	defer q.mu.Unlock()
+	return len(q.items)-q.head == 0 && !q.busy
+}
+
+// Each calls fn on every queued item in FIFO order without removing it — the
+// renewal demand snapshot. fn runs under the queue lock, so it must only
+// read the item.
+func (q *Queue[T]) Each(fn func(*T)) {
+	q.mu.Lock()
+	defer q.mu.Unlock()
+	for i := q.head; i < len(q.items); i++ {
+		fn(&q.items[i])
+	}
+}
+
+// Drain asks the consumer to flush the current partial batch.
+func (q *Queue[T]) Drain() {
+	q.mu.Lock()
+	q.drainPending = true
+	q.nonIdle.Broadcast()
+	q.mu.Unlock()
+}
+
+// TakeAll removes and returns everything still queued — the shutdown
+// backstop. Only meaningful after Close and after the consumer has exited:
+// whatever is left is work no consumer will ever pop, and each waiting
+// submitter must be released.
+func (q *Queue[T]) TakeAll() []T {
+	q.mu.Lock()
+	defer q.mu.Unlock()
+	out := append([]T(nil), q.items[q.head:]...)
+	q.items = q.items[:0]
+	q.head = 0
+	return out
+}
+
+// Close wakes the consumer to flush whatever is pending and exit.
+func (q *Queue[T]) Close() {
+	q.mu.Lock()
+	q.closed = true
+	q.nonIdle.Broadcast()
+	q.mu.Unlock()
+}

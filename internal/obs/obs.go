@@ -120,15 +120,16 @@ func (f *family) sampleFor(labels []Label) (*sample, bool) {
 }
 
 // Counter is a monotonically increasing integer. Add/Inc are the normal
-// writers; Store exists for mirrored totals — counters whose source of
-// truth is an engine-internal cumulative counter read out at safe points
-// (lease renewals) rather than incremented in place. Mirrored values must
-// still be monotonic; Store never moves the value backwards.
+// writers (Add returns the new total, so a caller can act on the first
+// increment exactly once); Store exists for mirrored totals — counters whose
+// source of truth is an engine-internal cumulative counter read out at safe
+// points (lease renewals) rather than incremented in place. Mirrored values
+// must still be monotonic; Store never moves the value backwards.
 type Counter struct{ v atomic.Int64 }
 
-func (c *Counter) Inc()        { c.v.Add(1) }
-func (c *Counter) Add(n int64) { c.v.Add(n) }
-func (c *Counter) Load() int64 { return c.v.Load() }
+func (c *Counter) Inc()              { c.v.Add(1) }
+func (c *Counter) Add(n int64) int64 { return c.v.Add(n) }
+func (c *Counter) Load() int64       { return c.v.Load() }
 func (c *Counter) Store(n int64) {
 	for {
 		cur := c.v.Load()
@@ -185,6 +186,27 @@ func (h *Histogram) Count() uint64 {
 		n += h.counts[i].Load()
 	}
 	return n
+}
+
+// Quantile estimates the q-quantile as the upper bound of the first bucket
+// whose cumulative count reaches q × total — the rule igepa-loadgen applies
+// to a scraped exposition, so both report the same number for the same
+// histogram. An empty histogram reports 0, and a quantile that lands in the
+// +Inf bucket reports the last finite bound.
+func (h *Histogram) Quantile(q float64) float64 {
+	total := h.Count()
+	if total == 0 || len(h.bounds) == 0 {
+		return 0
+	}
+	want := q * float64(total)
+	var cum uint64
+	for i, ub := range h.bounds {
+		cum += h.counts[i].Load()
+		if float64(cum) >= want {
+			return ub
+		}
+	}
+	return h.bounds[len(h.bounds)-1]
 }
 
 // Counter registers (or returns the existing) counter series.
@@ -256,8 +278,9 @@ func ExpBuckets(start, factor float64, n int) []float64 {
 
 // LatencyBuckets is the tree-wide latency layout: 1µs … ~16s, factor 2.
 // 25 buckets keeps /metrics small while the factor-2 spacing bounds the
-// quantile estimation error to 2× — good enough for alerting; exact tails
-// stay on /statsz's reservoir percentiles.
+// quantile estimation error to 2× — good enough for alerting, and the
+// resolution of /statsz's percentiles, which Quantile reads off these
+// same histograms.
 func LatencyBuckets() []float64 { return ExpBuckets(1e-6, 2, 25) }
 
 // SizeBuckets is the byte-size layout: 64B … 2GiB, factor 4.

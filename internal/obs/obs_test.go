@@ -86,6 +86,38 @@ func TestHistogramBucketsCumulative(t *testing.T) {
 	}
 }
 
+// TestHistogramQuantile pins the bucket-bound rule on hand-built
+// distributions: the first bound whose cumulative count reaches q × total,
+// 0 when empty, the last finite bound when the quantile lands in +Inf.
+func TestHistogramQuantile(t *testing.T) {
+	bounds := []float64{1, 2, 4, 8}
+	for _, tc := range []struct {
+		name    string
+		samples []float64
+		q, want float64
+	}{
+		{"empty", nil, 0.5, 0},
+		{"single sample", []float64{3}, 0.5, 4},
+		{"single sample p99", []float64{3}, 0.99, 4},
+		{"le is inclusive", []float64{2}, 0.5, 2},
+		// 10 samples: 5 in (0,1], 4 in (1,2], 1 in (4,8].
+		{"median at the boundary", []float64{1, 1, 1, 1, 1, 2, 2, 2, 2, 7}, 0.5, 1},
+		{"just past the boundary", []float64{1, 1, 1, 1, 1, 2, 2, 2, 2, 7}, 0.51, 2},
+		{"p90", []float64{1, 1, 1, 1, 1, 2, 2, 2, 2, 7}, 0.90, 2},
+		{"p99 reaches the tail bucket", []float64{1, 1, 1, 1, 1, 2, 2, 2, 2, 7}, 0.99, 8},
+		{"+Inf reports the last finite bound", []float64{0.5, 100}, 0.99, 8},
+		{"all in +Inf", []float64{100, 200}, 0.5, 8},
+	} {
+		h := NewRegistry().Histogram("q_seconds", "Quantile fixture.", bounds)
+		for _, v := range tc.samples {
+			h.Observe(v)
+		}
+		if got := h.Quantile(tc.q); got != tc.want {
+			t.Errorf("%s: Quantile(%v) = %v, want %v", tc.name, tc.q, got, tc.want)
+		}
+	}
+}
+
 func TestRegistrationIdempotent(t *testing.T) {
 	r := NewRegistry()
 	a := r.Counter("x_total", "x")

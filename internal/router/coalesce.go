@@ -127,9 +127,9 @@ func (rt *Router) sendEnvelope(si int, ops []*op) {
 	var fail server.ClusterOpResult
 	switch e := err.(type) {
 	case nil:
-		rt.obs.observeOps(si, len(ops))
+		rt.obs.beOps[si].Add(int64(len(ops)))
 	case *statusError:
-		rt.obs.observeOps(si, len(ops))
+		rt.obs.beOps[si].Add(int64(len(ops)))
 		fail = errorResult(e.status, e.msg)
 		fail.RetryAfter = e.retryAfter
 	default:
@@ -151,7 +151,7 @@ func (rt *Router) sendEnvelope(si int, ops []*op) {
 func (rt *Router) proxy(w http.ResponseWriter, u int, path string, body []byte) int {
 	res := rt.submit(rt.ownerOf(u), path, body)
 	if res.Status == http.StatusMisdirectedRequest {
-		rt.m.misrouted.Add(1)
+		rt.obs.errs421.Inc()
 		if res = rt.submit(rt.ownerOf(u), path, body); res.Status == http.StatusMisdirectedRequest {
 			httpError(w, http.StatusMisdirectedRequest,
 				fmt.Sprintf("no backend owns user %d (routing table inconsistent)", u))

@@ -43,20 +43,20 @@ func (rt *Router) handleMigrate(w http.ResponseWriter, r *http.Request) {
 	}
 	var req MigrateRequest
 	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		httpError(w, http.StatusBadRequest, "bad JSON: "+err.Error())
+		rt.badRequest(w, "bad JSON: "+err.Error())
 		return
 	}
 	if req.From < 0 || req.From >= rt.s || req.To < 0 || req.To >= rt.s || req.From == req.To {
-		httpError(w, http.StatusBadRequest, fmt.Sprintf("bad shard pair %d -> %d for %d backends", req.From, req.To, rt.s))
+		rt.badRequest(w, fmt.Sprintf("bad shard pair %d -> %d for %d backends", req.From, req.To, rt.s))
 		return
 	}
 	if len(req.Users) == 0 {
-		httpError(w, http.StatusBadRequest, "no users to migrate")
+		rt.badRequest(w, "no users to migrate")
 		return
 	}
 	for _, u := range req.Users {
 		if u < 0 || u >= rt.in.NumUsers() {
-			httpError(w, http.StatusBadRequest, fmt.Sprintf("user %d outside [0,%d)", u, rt.in.NumUsers()))
+			rt.badRequest(w, fmt.Sprintf("user %d outside [0,%d)", u, rt.in.NumUsers()))
 			return
 		}
 		if rt.ownerOf(u) != req.From {
@@ -97,7 +97,7 @@ func (rt *Router) migrate(req *MigrateRequest) (int, error) {
 		return 0, &statusError{status: http.StatusServiceUnavailable,
 			msg: fmt.Sprintf("shard %d did not drain; retry", req.From)}
 	}
-	rt.obs.notePhase("drain")
+	rt.obs.migratePhases["drain"].Inc()
 
 	// 2. Export. Failures here are clean: nothing has moved yet.
 	var mig server.ClusterMigration
@@ -105,14 +105,14 @@ func (rt *Router) migrate(req *MigrateRequest) (int, error) {
 		server.ClusterExportRequest{Users: req.Users}, &mig); err != nil {
 		return 0, fmt.Errorf("export from shard %d: %w", req.From, err)
 	}
-	rt.obs.notePhase("export")
+	rt.obs.migratePhases["export"].Inc()
 
 	// 3. Adopt. From here on a failure strands the exported range: degrade.
 	if _, err := rt.postJSON(req.To, "/cluster/adopt", &mig, nil); err != nil {
 		rt.degrade(fmt.Sprintf("migration %d->%d lost %d exported users: %v", req.From, req.To, len(mig.Users), err))
 		return 0, fmt.Errorf("adopt on shard %d: %w", req.To, err)
 	}
-	rt.obs.notePhase("adopt")
+	rt.obs.migratePhases["adopt"].Inc()
 
 	// 4. Mirror in the coordinator and flip the routing table.
 	seats := make([]int, rt.in.NumEvents())
@@ -132,8 +132,9 @@ func (rt *Router) migrate(req *MigrateRequest) (int, error) {
 		rt.override[u] = req.To
 	}
 	rt.routeMu.Unlock()
-	rt.obs.notePhase("commit")
-	rt.obs.noteMigration(len(req.Users), moved)
+	rt.obs.migratePhases["commit"].Inc()
+	rt.obs.migratedUsers.Add(int64(len(req.Users)))
+	rt.obs.migratedSeats.Add(int64(moved))
 	rt.obs.mirrorCoord(rt.coord.Renewals(), rt.coord.MovedSeats())
 	return moved, nil
 }

@@ -1,8 +1,9 @@
 package router
 
-// The router's /metrics surface plus the cluster-wide fan-in: the front
-// tier exports its own counters (per-backend request/error/latency, renewal
-// rounds, migration phases, the degraded latch) at /metrics, and
+// The router's one counter set plus the cluster-wide fan-in: the front
+// tier keeps its own counters (arrivals and error codes, per-backend
+// request/error/latency, renewal rounds, migration phases, the degraded
+// latch) in one registry that /statsz reads and /metrics exports, and
 // /cluster/metrics scrapes every backend's /metrics and re-exports the
 // merged exposition with a shard label — one scrape target for the whole
 // deployment.
@@ -10,7 +11,7 @@ package router
 // The recording disciplines mirror internal/server's (DESIGN.md §12): the
 // proxy hot path records through atomics only; coordinator-owned counters
 // (renewal rounds, moved seats) are mirrored under renewMu at the points
-// that already hold it; everything else refreshes at scrape time.
+// that already hold it; everything else is read at scrape time.
 
 import (
 	"fmt"
@@ -24,7 +25,6 @@ import (
 )
 
 // routerObs bundles the registry and the handles the proxy paths touch.
-// A nil *routerObs (Config.DisableMetrics) makes every method a no-op.
 type routerObs struct {
 	reg *obs.Registry
 
@@ -95,7 +95,7 @@ func newRouterObs(rt *Router) *routerObs {
 		if rt.q == nil {
 			return 0
 		}
-		return float64(rt.q.depth())
+		return float64(rt.q.Depth())
 	})
 	reg.GaugeFunc("igepa_router_up_seconds", "Process uptime.", func() float64 {
 		return time.Since(rt.started).Seconds()
@@ -106,11 +106,8 @@ func newRouterObs(rt *Router) *routerObs {
 // observeBackend is the proxy hot path: one histogram observation and a
 // counter bump per round trip. d == 0 means no response arrived (transport
 // failure); failed additionally counts transport errors and 5xx answers.
-// Nil-safe and allocation-free.
+// Allocation-free.
 func (o *routerObs) observeBackend(si int, d time.Duration, failed bool) {
-	if o == nil || si < 0 || si >= len(o.beReqs) {
-		return
-	}
 	if d > 0 {
 		o.beReqs[si].Inc()
 		o.beLat[si].ObserveDuration(d)
@@ -120,63 +117,11 @@ func (o *routerObs) observeBackend(si int, d time.Duration, failed bool) {
 	}
 }
 
-// observeOps counts the n /v1 ops an answered envelope carried.
-func (o *routerObs) observeOps(si, n int) {
-	if o == nil || si < 0 || si >= len(o.beOps) {
-		return
-	}
-	o.beOps[si].Add(int64(n))
-}
-
-// notePhase counts a completed migration phase.
-func (o *routerObs) notePhase(ph string) {
-	if o == nil {
-		return
-	}
-	if c := o.migratePhases[ph]; c != nil {
-		c.Inc()
-	}
-}
-
-// noteMigration records a committed migration's size.
-func (o *routerObs) noteMigration(users, seats int) {
-	if o == nil {
-		return
-	}
-	o.migratedUsers.Add(int64(users))
-	o.migratedSeats.Add(int64(seats))
-}
-
-// observeRenew records one completed renewal round's wall time.
-func (o *routerObs) observeRenew(d time.Duration) {
-	if o == nil {
-		return
-	}
-	o.renewDur.ObserveDuration(d)
-}
-
 // mirrorCoord stores the coordinator-owned cumulative counters; the caller
 // holds renewMu (renewal rounds and migrations both do).
 func (o *routerObs) mirrorCoord(renewals, moved int) {
-	if o == nil {
-		return
-	}
 	o.renewRounds.Store(int64(renewals))
 	o.movedSeats.Store(int64(moved))
-}
-
-// refresh mirrors the atomic counter set at scrape time.
-func (o *routerObs) refresh(rt *Router) {
-	o.arrivals.Store(rt.m.arrivals.Load())
-	o.decided.Store(rt.m.decided.Load())
-	o.granted.Store(rt.m.granted.Load())
-	o.cancels.Store(rt.m.cancels.Load())
-	o.errs400.Store(rt.m.badRequests.Load())
-	o.errs409.Store(rt.m.conflicts.Load())
-	o.errs421.Store(rt.m.misrouted.Load())
-	o.errs429.Store(rt.m.rejected.Load())
-	o.renewAborts.Store(rt.m.renewErrors.Load())
-	o.epochs.Store(rt.m.epochs.Load())
 }
 
 // handleMetrics is GET /metrics: the router's own registry.
@@ -185,7 +130,6 @@ func (rt *Router) handleMetrics(w http.ResponseWriter, r *http.Request) {
 		httpError(w, http.StatusMethodNotAllowed, "GET only")
 		return
 	}
-	rt.obs.refresh(rt)
 	w.Header().Set("Content-Type", obs.ContentType)
 	rt.obs.reg.WritePrometheus(w)
 }

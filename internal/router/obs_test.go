@@ -2,9 +2,13 @@ package router
 
 import (
 	"bytes"
+	"errors"
+	"io"
 	"net/http"
 	"net/http/httptest"
+	"strings"
 	"testing"
+	"testing/iotest"
 
 	"github.com/ebsn/igepa/internal/obs"
 	"github.com/ebsn/igepa/internal/shard"
@@ -199,6 +203,38 @@ func TestClusterMetricsFanIn(t *testing.T) {
 	own := rawScrape(t, cl, "/metrics")
 	if v := mustSample(t, own, "igepa_router_scrape_errors_total", "igepa_router_scrape_errors_total", nil); v < 1 {
 		t.Errorf("igepa_router_scrape_errors_total = %v after a dead-backend scrape, want >= 1", v)
+	}
+}
+
+// TestRouterBadRequestsCounted pins that every 400 the router answers
+// itself is counted once, on /statsz and on /metrics alike: a body that
+// fails to read, a malformed body and a malformed migration.
+func TestRouterBadRequestsCounted(t *testing.T) {
+	cl := startCluster(t, testInstance(t, 5, 40, 8), 2, shard.Options{Batch: 16, Seed: 7}, Config{})
+	unreadable := func() io.Reader { return iotest.ErrReader(errors.New("connection reset")) }
+	malformed := func() io.Reader { return strings.NewReader("{") }
+	for i, tc := range []struct {
+		path string
+		body func() io.Reader
+	}{
+		{"/v1/bid", unreadable},
+		{"/v1/cancel", unreadable},
+		{"/v1/bid", malformed},
+		{"/v1/cancel", malformed},
+		{"/admin/migrate", malformed},
+	} {
+		rec := httptest.NewRecorder()
+		cl.rt.ServeHTTP(rec, httptest.NewRequest("POST", tc.path, tc.body()))
+		if rec.Code != http.StatusBadRequest {
+			t.Fatalf("case %d POST %s: %d, want 400", i, tc.path, rec.Code)
+		}
+		if got := cl.rt.Stats().BadRequests; got != int64(i+1) {
+			t.Fatalf("case %d POST %s: bad_request_400 = %d, want %d", i, tc.path, got, i+1)
+		}
+	}
+	fams := rawScrape(t, cl, "/metrics")
+	if v := mustSample(t, fams, "igepa_router_http_errors_total", "igepa_router_http_errors_total", map[string]string{"code": "400"}); v != 5 {
+		t.Errorf("igepa_router_http_errors_total{code=400} = %v, want 5", v)
 	}
 }
 

@@ -40,14 +40,14 @@ func (rt *Router) tryRenew() {
 		return
 	}
 	if err := rt.renewOnce(nil); err != nil {
-		rt.m.renewErrors.Add(1)
+		rt.obs.renewAborts.Inc()
 	}
 }
 
 // finishRenew records a completed round's wall time and mirrors the
 // coordinator counters; the caller holds renewMu.
 func (rt *Router) finishRenew(start time.Time) {
-	rt.obs.observeRenew(time.Since(start))
+	rt.obs.renewDur.ObserveDuration(time.Since(start))
 	rt.obs.mirrorCoord(rt.coord.Renewals(), rt.coord.MovedSeats())
 }
 

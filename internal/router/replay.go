@@ -7,6 +7,7 @@ import (
 	"sync"
 	"time"
 
+	"github.com/ebsn/igepa/internal/batchq"
 	"github.com/ebsn/igepa/internal/server"
 )
 
@@ -33,126 +34,6 @@ type rrep struct {
 	shutdown bool // router closed before deciding
 }
 
-// rqueue is the bounded global arrival buffer: FIFO push from the handlers,
-// popBatch from the single dispatcher. Strictly batch-by-count — partial
-// batches flush only on drain or close, like the server's replay queue.
-type rqueue struct {
-	mu           sync.Mutex
-	nonIdle      *sync.Cond
-	items        []rreq
-	head         int
-	limit        int
-	closed       bool
-	drainPending bool
-	busy         bool
-}
-
-func newRQueue(limit int) *rqueue {
-	q := &rqueue{limit: limit}
-	q.nonIdle = sync.NewCond(&q.mu)
-	return q
-}
-
-func (q *rqueue) push(r rreq) error {
-	q.mu.Lock()
-	defer q.mu.Unlock()
-	if q.closed {
-		return errClosed
-	}
-	if len(q.items)-q.head >= q.limit {
-		return errFull
-	}
-	q.items = append(q.items, r)
-	q.nonIdle.Broadcast()
-	return nil
-}
-
-// popBatch blocks until a full batch of max is pending (or a drain/close
-// flushes a partial one); returns nil once closed and emptied.
-func (q *rqueue) popBatch(max int, dst []rreq) []rreq {
-	q.mu.Lock()
-	defer q.mu.Unlock()
-	for {
-		n := len(q.items) - q.head
-		if n >= max {
-			return q.pop(max, dst)
-		}
-		if q.closed {
-			if n > 0 {
-				return q.pop(n, dst)
-			}
-			return nil
-		}
-		if q.drainPending {
-			q.drainPending = false
-			if n > 0 {
-				return q.pop(n, dst)
-			}
-			continue
-		}
-		q.nonIdle.Wait()
-	}
-}
-
-func (q *rqueue) pop(n int, dst []rreq) []rreq {
-	dst = append(dst[:0], q.items[q.head:q.head+n]...)
-	q.head += n
-	q.busy = true
-	if q.head == len(q.items) {
-		q.items = q.items[:0]
-		q.head = 0
-	}
-	return dst
-}
-
-func (q *rqueue) finish() {
-	q.mu.Lock()
-	q.busy = false
-	q.mu.Unlock()
-}
-
-func (q *rqueue) depth() int {
-	q.mu.Lock()
-	defer q.mu.Unlock()
-	return len(q.items) - q.head
-}
-
-func (q *rqueue) idle() bool {
-	q.mu.Lock()
-	defer q.mu.Unlock()
-	return len(q.items)-q.head == 0 && !q.busy
-}
-
-func (q *rqueue) drain() {
-	q.mu.Lock()
-	q.drainPending = true
-	q.nonIdle.Broadcast()
-	q.mu.Unlock()
-}
-
-// takeAll empties the queue after the dispatcher has exited — the shutdown
-// backstop that releases every still-parked submitter.
-func (q *rqueue) takeAll() []rreq {
-	q.mu.Lock()
-	defer q.mu.Unlock()
-	out := append([]rreq(nil), q.items[q.head:]...)
-	q.items = q.items[:0]
-	q.head = 0
-	return out
-}
-
-func (q *rqueue) close() {
-	q.mu.Lock()
-	q.closed = true
-	q.nonIdle.Broadcast()
-	q.mu.Unlock()
-}
-
-var (
-	errFull   = fmt.Errorf("router: queue full")
-	errClosed = fmt.Errorf("router: queue closed")
-)
-
 // replayBid is handleBid's replay-mode tail: duplicate-check against the
 // router's lifecycle view, enqueue, park until the batch decides.
 func (rt *Router) replayBid(w http.ResponseWriter, req *bidRequest) {
@@ -167,7 +48,7 @@ func (rt *Router) replayBid(w http.ResponseWriter, req *bidRequest) {
 	st := rt.state[req.User]
 	if st == stateQueued || st == stateDecided {
 		rt.stateMu.Unlock()
-		rt.m.conflicts.Add(1)
+		rt.obs.errs409.Inc()
 		httpError(w, http.StatusConflict, fmt.Sprintf("user %d already %s", req.User,
 			map[uint8]string{stateQueued: "queued", stateDecided: "decided"}[st]))
 		return
@@ -180,22 +61,22 @@ func (rt *Router) replayBid(w http.ResponseWriter, req *bidRequest) {
 	if wait {
 		rq.reply = make(chan rrep, 1)
 	}
-	if err := rt.q.push(rq); err != nil {
+	if err := rt.q.Push(rq); err != nil {
 		rt.stateMu.Lock()
 		if rt.state[req.User] == stateQueued {
 			rt.state[req.User] = st
 		}
 		rt.stateMu.Unlock()
-		if err == errClosed {
+		if err == batchq.ErrClosed {
 			httpError(w, http.StatusServiceUnavailable, "router closing")
 			return
 		}
-		rt.m.rejected.Add(1)
+		rt.obs.errs429.Inc()
 		w.Header().Set("Retry-After", strconv.Itoa(int((rt.cfg.RetryAfter+time.Second-1)/time.Second)))
 		httpError(w, http.StatusTooManyRequests, "queue full")
 		return
 	}
-	rt.m.arrivals.Add(1)
+	rt.obs.arrivals.Inc()
 	if !wait {
 		writeJSON(w, http.StatusAccepted, bidResponse{User: req.User, Queued: true})
 		return
@@ -218,7 +99,7 @@ func (rt *Router) dispatchLoop() {
 	buf := make([]rreq, 0, rt.b)
 	users := make([]int, 0, rt.b)
 	for {
-		batch := rt.q.popBatch(rt.b, buf)
+		batch := rt.q.PopBatch(rt.b, 0, buf)
 		if batch == nil {
 			return
 		}
@@ -242,25 +123,25 @@ func (rt *Router) dispatchLoop() {
 					batch[i].reply <- rrep{failed: true}
 				}
 			}
-			rt.q.finish()
+			rt.q.Finish()
 			continue
 		}
-		rt.m.epochs.Add(1)
+		rt.obs.epochs.Inc()
 		rt.stateMu.Lock()
 		for _, u := range users {
 			rt.state[u] = stateDecided
 		}
 		rt.stateMu.Unlock()
 		for i := range batch {
-			rt.m.decided.Add(1)
+			rt.obs.decided.Inc()
 			if len(decisions[i]) > 0 {
-				rt.m.granted.Add(1)
+				rt.obs.granted.Inc()
 			}
 			if batch[i].reply != nil {
 				batch[i].reply <- rrep{events: decisions[i], epoch: epoch}
 			}
 		}
-		rt.q.finish()
+		rt.q.Finish()
 	}
 }
 
@@ -274,9 +155,9 @@ func (rt *Router) dispatchBatch(users []int) ([][]int, int, error) {
 	if rt.degraded.Load() {
 		return nil, 0, fmt.Errorf("router degraded: %s", rt.degradedReason())
 	}
-	if rt.m.epochs.Load() > 0 {
+	if rt.obs.epochs.Load() > 0 {
 		if err := rt.renewOnce(users); err != nil {
-			rt.m.renewErrors.Add(1)
+			rt.obs.renewAborts.Inc()
 			return nil, 0, err
 		}
 	}
@@ -318,5 +199,5 @@ func (rt *Router) dispatchBatch(users []int) ([][]int, int, error) {
 			return nil, 0, fmt.Errorf("backend %d: %w", o, err)
 		}
 	}
-	return decisions, int(rt.m.epochs.Load()) + 1, nil
+	return decisions, int(rt.obs.epochs.Load()) + 1, nil
 }

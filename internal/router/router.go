@@ -34,6 +34,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"github.com/ebsn/igepa/internal/batchq"
 	"github.com/ebsn/igepa/internal/model"
 	"github.com/ebsn/igepa/internal/server"
 	"github.com/ebsn/igepa/internal/shard"
@@ -75,8 +76,9 @@ type Config struct {
 	QueueDepth int
 	// RetryAfter is the backpressure hint on 429 (0 = 1s).
 	RetryAfter time.Duration
-	// DisableMetrics turns off the obs registry and the /metrics and
-	// /cluster/metrics endpoints (benchmark baseline only).
+	// DisableMetrics leaves the /metrics and /cluster/metrics endpoints
+	// unmounted (benchmark baseline only). The registry behind them is
+	// always built: /statsz reads it.
 	DisableMetrics bool
 }
 
@@ -96,19 +98,6 @@ type backend struct {
 	base   string
 	client *http.Client
 	ops    *coalescer
-}
-
-type metrics struct {
-	arrivals    atomic.Int64
-	decided     atomic.Int64
-	granted     atomic.Int64
-	cancels     atomic.Int64
-	rejected    atomic.Int64
-	conflicts   atomic.Int64
-	badRequests atomic.Int64
-	misrouted   atomic.Int64 // 421s seen from backends (stale routing races)
-	renewErrors atomic.Int64 // aborted renewal rounds (safe: retried)
-	epochs      atomic.Int64 // replay batches dispatched
 }
 
 // Router is the front-tier process. Construct with New, verify the cluster
@@ -141,18 +130,16 @@ type Router struct {
 
 	// replay mode: the global arrival queue, its dispatcher, and the
 	// router-side user lifecycle (duplicate detection without a round-trip).
-	q       *rqueue
+	q       *batchq.Queue[rreq]
 	wg      sync.WaitGroup
 	stateMu sync.Mutex
 	state   []uint8
 
 	closed  atomic.Bool
 	started time.Time
-	m       metrics
 
-	// obs is the Prometheus-exposition registry behind /metrics and the
-	// /cluster/metrics fan-in (nil under Config.DisableMetrics; every
-	// method is a nil-safe no-op).
+	// obs is the router's counter set, behind /statsz, /metrics and the
+	// /cluster/metrics fan-in.
 	obs *routerObs
 }
 
@@ -211,9 +198,7 @@ func New(in *model.Instance, cfg Config) (*Router, error) {
 			ops: newCoalescer(),
 		})
 	}
-	if !cfg.DisableMetrics {
-		rt.obs = newRouterObs(rt)
-	}
+	rt.obs = newRouterObs(rt)
 	for si := range rt.backends {
 		rt.wg.Add(1)
 		go rt.sendLoop(si)
@@ -226,7 +211,7 @@ func New(in *model.Instance, cfg Config) (*Router, error) {
 				depth = 256
 			}
 		}
-		rt.q = newRQueue(depth)
+		rt.q = batchq.New[rreq](depth, nil) // replay batches by count: no deadline clock
 		rt.state = make([]uint8, in.NumUsers())
 		rt.wg.Add(1)
 		go rt.dispatchLoop()
@@ -240,7 +225,7 @@ func New(in *model.Instance, cfg Config) (*Router, error) {
 	rt.mux.HandleFunc("/healthz", rt.handleHealthz)
 	rt.mux.HandleFunc("/readyz", rt.handleReadyz)
 	rt.mux.HandleFunc("/statsz", rt.handleStatsz)
-	if rt.obs != nil {
+	if !cfg.DisableMetrics {
 		rt.mux.HandleFunc("/metrics", rt.handleMetrics)
 		rt.mux.HandleFunc("/cluster/metrics", rt.handleClusterMetrics)
 	}
@@ -264,14 +249,14 @@ func (rt *Router) Close() {
 		return
 	}
 	if rt.q != nil {
-		rt.q.close()
+		rt.q.Close()
 	}
 	for i := range rt.backends {
 		rt.backends[i].ops.close()
 	}
 	rt.wg.Wait()
 	if rt.q != nil {
-		for _, r := range rt.q.takeAll() {
+		for _, r := range rt.q.TakeAll() {
 			if r.reply != nil {
 				r.reply <- rrep{shutdown: true}
 			}
@@ -470,18 +455,16 @@ func (rt *Router) handleBid(w http.ResponseWriter, r *http.Request) {
 	}
 	body, err := io.ReadAll(r.Body)
 	if err != nil {
-		httpError(w, http.StatusBadRequest, err.Error())
+		rt.badRequest(w, err.Error())
 		return
 	}
 	var req bidRequest
 	if err := json.Unmarshal(body, &req); err != nil {
-		rt.m.badRequests.Add(1)
-		httpError(w, http.StatusBadRequest, "bad JSON: "+err.Error())
+		rt.badRequest(w, "bad JSON: "+err.Error())
 		return
 	}
 	if req.User < 0 || req.User >= rt.in.NumUsers() {
-		rt.m.badRequests.Add(1)
-		httpError(w, http.StatusBadRequest, fmt.Sprintf("user %d outside [0,%d)", req.User, rt.in.NumUsers()))
+		rt.badRequest(w, fmt.Sprintf("user %d outside [0,%d)", req.User, rt.in.NumUsers()))
 		return
 	}
 	if rt.cfg.Replay {
@@ -492,7 +475,7 @@ func (rt *Router) handleBid(w http.ResponseWriter, r *http.Request) {
 	// detection; the body travels verbatim.
 	status := rt.proxy(w, req.User, "/v1/bid", body)
 	if status == http.StatusOK || status == http.StatusAccepted {
-		rt.m.arrivals.Add(1)
+		rt.obs.arrivals.Inc()
 		if rt.sinceRenew.Add(1) >= int64(rt.b) {
 			go rt.tryRenew()
 		}
@@ -509,20 +492,18 @@ func (rt *Router) handleCancel(w http.ResponseWriter, r *http.Request) {
 	}
 	body, err := io.ReadAll(r.Body)
 	if err != nil {
-		httpError(w, http.StatusBadRequest, err.Error())
+		rt.badRequest(w, err.Error())
 		return
 	}
 	var req struct {
 		User int `json:"user"`
 	}
 	if err := json.Unmarshal(body, &req); err != nil {
-		rt.m.badRequests.Add(1)
-		httpError(w, http.StatusBadRequest, "bad JSON: "+err.Error())
+		rt.badRequest(w, "bad JSON: "+err.Error())
 		return
 	}
 	if req.User < 0 || req.User >= rt.in.NumUsers() {
-		rt.m.badRequests.Add(1)
-		httpError(w, http.StatusBadRequest, fmt.Sprintf("user %d outside [0,%d)", req.User, rt.in.NumUsers()))
+		rt.badRequest(w, fmt.Sprintf("user %d outside [0,%d)", req.User, rt.in.NumUsers()))
 		return
 	}
 	if rt.cfg.Replay {
@@ -532,13 +513,13 @@ func (rt *Router) handleCancel(w http.ResponseWriter, r *http.Request) {
 		st := rt.state[req.User]
 		rt.stateMu.Unlock()
 		if st != stateDecided {
-			rt.m.conflicts.Add(1)
+			rt.obs.errs409.Inc()
 			httpError(w, http.StatusConflict, fmt.Sprintf("user %d has no active assignment", req.User))
 			return
 		}
 	}
 	if rt.proxy(w, req.User, "/v1/cancel", body) == http.StatusOK {
-		rt.m.cancels.Add(1)
+		rt.obs.cancels.Inc()
 		if rt.cfg.Replay {
 			rt.stateMu.Lock()
 			rt.state[req.User] = stateCancelled
@@ -559,8 +540,7 @@ func (rt *Router) handleAssignment(w http.ResponseWriter, r *http.Request) {
 	}
 	u, err := strconv.Atoi(q)
 	if err != nil || u < 0 || u >= rt.in.NumUsers() {
-		rt.m.badRequests.Add(1)
-		httpError(w, http.StatusBadRequest, "bad user")
+		rt.badRequest(w, "bad user")
 		return
 	}
 	rt.proxy(w, u, "/v1/assignment?user="+strconv.Itoa(u), nil)
@@ -653,8 +633,7 @@ func (rt *Router) handleLoad(w http.ResponseWriter, r *http.Request) {
 	}
 	v, err := strconv.Atoi(q)
 	if err != nil || v < 0 || v >= nv {
-		rt.m.badRequests.Add(1)
-		httpError(w, http.StatusBadRequest, "bad event")
+		rt.badRequest(w, "bad event")
 		return
 	}
 	writeJSON(w, http.StatusOK, loadRow{Event: v, Load: totals[v], Capacity: rt.in.Events[v].Capacity})
@@ -800,16 +779,16 @@ func (rt *Router) Stats() Stats {
 		UptimeMS:       time.Since(rt.started).Milliseconds(),
 		Shards:         rt.s,
 		Batch:          rt.b,
-		Arrivals:       rt.m.arrivals.Load(),
-		Decided:        rt.m.decided.Load(),
-		Granted:        rt.m.granted.Load(),
-		Cancels:        rt.m.cancels.Load(),
-		Rejected:       rt.m.rejected.Load(),
-		Conflicts:      rt.m.conflicts.Load(),
-		BadRequests:    rt.m.badRequests.Load(),
-		Misrouted:      rt.m.misrouted.Load(),
-		RenewErrors:    rt.m.renewErrors.Load(),
-		Epochs:         rt.m.epochs.Load(),
+		Arrivals:       rt.obs.arrivals.Load(),
+		Decided:        rt.obs.decided.Load(),
+		Granted:        rt.obs.granted.Load(),
+		Cancels:        rt.obs.cancels.Load(),
+		Rejected:       rt.obs.errs429.Load(),
+		Conflicts:      rt.obs.errs409.Load(),
+		BadRequests:    rt.obs.errs400.Load(),
+		Misrouted:      rt.obs.errs421.Load(),
+		RenewErrors:    rt.obs.renewAborts.Load(),
+		Epochs:         rt.obs.epochs.Load(),
 		Degraded:       rt.degraded.Load(),
 		DegradedReason: rt.degradedReason(),
 		PerBackend:     make([]BackendStats, rt.s),
@@ -819,7 +798,7 @@ func (rt *Router) Stats() Stats {
 	st.MovedSeats = rt.coord.MovedSeats()
 	rt.renewMu.Unlock()
 	if rt.q != nil {
-		st.QueueDepth = rt.q.depth()
+		st.QueueDepth = rt.q.Depth()
 	}
 	var wg sync.WaitGroup
 	for si := 0; si < rt.s; si++ {
@@ -878,7 +857,7 @@ func (rt *Router) handleDrain(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, struct {
 		Drained bool  `json:"drained"`
 		Decided int64 `json:"decided"`
-	}{Drained: drained, Decided: rt.m.decided.Load()})
+	}{Drained: drained, Decided: rt.obs.decided.Load()})
 }
 
 // Drain blocks until the router's own replay queue is empty and idle (no-op
@@ -889,10 +868,10 @@ func (rt *Router) Drain(timeout time.Duration) bool {
 	}
 	deadline := time.Now().Add(timeout)
 	for {
-		if rt.q.idle() {
+		if rt.q.Idle() {
 			return true
 		}
-		rt.q.drain()
+		rt.q.Drain()
 		if time.Now().After(deadline) {
 			return false
 		}
@@ -913,6 +892,13 @@ func propagate(w http.ResponseWriter, err error) {
 		return
 	}
 	httpError(w, http.StatusBadGateway, err.Error())
+}
+
+// badRequest answers 400 and counts it; every 400 the router itself sends
+// goes through here, so /statsz's bad_request_400 misses none.
+func (rt *Router) badRequest(w http.ResponseWriter, msg string) {
+	rt.obs.errs400.Inc()
+	httpError(w, http.StatusBadRequest, msg)
 }
 
 func writeJSON(w http.ResponseWriter, code int, v any) {

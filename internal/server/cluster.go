@@ -213,10 +213,7 @@ func (srv *Server) handleClusterDemand(w http.ResponseWriter, r *http.Request) {
 		httpError(w, http.StatusConflict, "a lease renewal is already in progress")
 		return
 	}
-	var pending []int
-	for _, q := range srv.queues {
-		pending = q.pendingUsers(pending)
-	}
+	pending := srv.queuedUsers()
 	if pending == nil {
 		pending = []int{}
 	}
@@ -238,7 +235,7 @@ func (srv *Server) handleClusterLease(w http.ResponseWriter, r *http.Request) {
 	}
 	var req ClusterLeaseRequest
 	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		httpError(w, http.StatusBadRequest, "bad JSON: "+err.Error())
+		srv.badRequest(w, "bad JSON: "+err.Error())
 		return
 	}
 	g := &srv.gate
@@ -253,6 +250,7 @@ func (srv *Server) handleClusterLease(w http.ResponseWriter, r *http.Request) {
 		srv.walAppend(wal.Op{Kind: wal.OpLease, TMillis: nowMillis(), Budget: req.Budget})
 		srv.walCommit()
 	}
+	srv.obs.mirrorEngine(srv.eng, false)
 	renewals := srv.eng.Renewals()
 	g.release()
 	g.mu.Unlock()
@@ -289,17 +287,16 @@ func (srv *Server) handleClusterBatch(w http.ResponseWriter, r *http.Request) {
 	}
 	var req ClusterBatchRequest
 	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		httpError(w, http.StatusBadRequest, "bad JSON: "+err.Error())
+		srv.badRequest(w, "bad JSON: "+err.Error())
 		return
 	}
 	for _, u := range req.Users {
 		if u < 0 || u >= srv.in.NumUsers() {
-			srv.m.badRequests.Add(1)
-			httpError(w, http.StatusBadRequest, fmt.Sprintf("user %d outside [0,%d)", u, srv.in.NumUsers()))
+			srv.badRequest(w, fmt.Sprintf("user %d outside [0,%d)", u, srv.in.NumUsers()))
 			return
 		}
 		if !srv.eng.Owns(u) {
-			srv.m.misrouted.Add(1)
+			srv.obs.errs421.Inc()
 			httpError(w, http.StatusMisdirectedRequest, fmt.Sprintf("user %d is not owned by this shard", u))
 			return
 		}
@@ -311,7 +308,7 @@ func (srv *Server) handleClusterBatch(w http.ResponseWriter, r *http.Request) {
 	for _, u := range req.Users {
 		if st := srv.state[u]; st == stateDecided || st == stateQueued {
 			srv.stateMu.Unlock()
-			srv.m.conflicts.Add(1)
+			srv.obs.errs409.Inc()
 			httpError(w, http.StatusConflict, fmt.Sprintf("user %d already %s", u,
 				map[uint8]string{stateQueued: "queued", stateDecided: "decided"}[st]))
 			return
@@ -335,6 +332,7 @@ func (srv *Server) handleClusterBatch(w http.ResponseWriter, r *http.Request) {
 			decisions[i] = []int{}
 		}
 	}
+	srv.obs.mirrorEngine(srv.eng, true)
 	srv.unlockAll()
 
 	srv.stateMu.Lock()
@@ -342,18 +340,18 @@ func (srv *Server) handleClusterBatch(w http.ResponseWriter, r *http.Request) {
 		srv.state[u] = stateDecided
 	}
 	srv.stateMu.Unlock()
-	n := int64(len(req.Users))
-	srv.m.arrivals.Add(n)
-	srv.m.decided.Add(n)
+	n := len(req.Users)
+	srv.obs.arrivals.Add(int64(n))
+	srv.obs.decided.Add(int64(n))
 	for _, set := range decisions {
+		// every decision gets the batch's amortized planner time, so the
+		// decision histogram counts exactly what igepa_decided_total does
+		srv.obs.decide.ObserveDuration(elapsed / time.Duration(n))
 		if len(set) > 0 {
-			srv.m.granted.Add(1)
+			srv.obs.granted.Inc()
 		}
 	}
-	if n > 0 {
-		srv.m.decide.add(elapsed / time.Duration(n))
-	}
-	srv.batches.Add(1)
+	srv.obs.batches.Inc()
 	writeJSON(w, http.StatusOK, ClusterBatchResponse{Decisions: decisions, Epoch: epoch})
 }
 
@@ -373,7 +371,7 @@ func (srv *Server) handleClusterOps(w http.ResponseWriter, r *http.Request) {
 	}
 	var req ClusterOpsRequest
 	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		httpError(w, http.StatusBadRequest, "bad JSON: "+err.Error())
+		srv.badRequest(w, "bad JSON: "+err.Error())
 		return
 	}
 	n := len(req.Ops)
@@ -384,8 +382,7 @@ func (srv *Server) handleClusterOps(w http.ResponseWriter, r *http.Request) {
 	flush := false
 	for i := range req.Ops {
 		if hrs[i] = envelopeRequest(&req.Ops[i]); hrs[i] == nil {
-			srv.m.badRequests.Add(1)
-			httpError(&outs[i], http.StatusBadRequest, fmt.Sprintf("%q cannot ride in an envelope", req.Ops[i].Path))
+			srv.badRequest(&outs[i], fmt.Sprintf("%q cannot ride in an envelope", req.Ops[i].Path))
 		} else if hrs[i].URL.Path == "/v1/bid" {
 			bids[i], accepted[i] = srv.submitBid(&outs[i], hrs[i].Body)
 			flush = flush || accepted[i]
@@ -393,7 +390,7 @@ func (srv *Server) handleClusterOps(w http.ResponseWriter, r *http.Request) {
 	}
 	if flush {
 		for _, q := range srv.queues {
-			q.drain()
+			q.Drain()
 		}
 	}
 	for i, hr := range hrs {
@@ -479,14 +476,14 @@ func (srv *Server) handleClusterExport(w http.ResponseWriter, r *http.Request) {
 	}
 	var req ClusterExportRequest
 	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		httpError(w, http.StatusBadRequest, "bad JSON: "+err.Error())
+		srv.badRequest(w, "bad JSON: "+err.Error())
 		return
 	}
 	srv.stateMu.Lock()
 	for _, u := range req.Users {
 		if u >= 0 && u < srv.in.NumUsers() && srv.state[u] == stateQueued {
 			srv.stateMu.Unlock()
-			srv.m.conflicts.Add(1)
+			srv.obs.errs409.Inc()
 			httpError(w, http.StatusConflict, fmt.Sprintf("user %d still queued; drain before export", u))
 			return
 		}
@@ -527,11 +524,11 @@ func (srv *Server) handleClusterAdopt(w http.ResponseWriter, r *http.Request) {
 	}
 	var req ClusterMigration
 	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		httpError(w, http.StatusBadRequest, "bad JSON: "+err.Error())
+		srv.badRequest(w, "bad JSON: "+err.Error())
 		return
 	}
 	if len(req.Sets) != len(req.Users) || (req.States != nil && len(req.States) != len(req.Users)) {
-		httpError(w, http.StatusBadRequest, fmt.Sprintf(
+		srv.badRequest(w, fmt.Sprintf(
 			"migration with %d users, %d sets, %d states", len(req.Users), len(req.Sets), len(req.States)))
 		return
 	}

@@ -7,6 +7,7 @@ import (
 	"testing"
 	"time"
 
+	"github.com/ebsn/igepa/internal/batchq"
 	"github.com/ebsn/igepa/internal/model"
 	"github.com/ebsn/igepa/internal/shard"
 )
@@ -74,9 +75,9 @@ func TestCloseReleasesWaiters(t *testing.T) {
 	}
 	// Wait until all n are queued (accepted), then shut down.
 	deadline := time.Now().Add(5 * time.Second)
-	for srv.queues[0].depth() < n {
+	for srv.queues[0].Depth() < n {
 		if time.Now().After(deadline) {
-			t.Fatalf("only %d of %d submissions queued", srv.queues[0].depth(), n)
+			t.Fatalf("only %d of %d submissions queued", srv.queues[0].Depth(), n)
 		}
 		time.Sleep(time.Millisecond)
 	}
@@ -102,14 +103,17 @@ func TestCloseBackstopShutdownReply(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Retire the consumer cleanly, then plant a request behind its back —
-	// simulating the pop-to-reply window a dying consumer leaves.
-	srv.queues[0].close()
+	// Retire the consumer cleanly, then swap in a queue holding a request no
+	// consumer will ever pop — simulating the pop-to-reply window a dying
+	// consumer leaves.
+	srv.queues[0].Close()
 	srv.wg.Wait()
 	stranded := request{user: 3, enqueued: time.Now(), reply: make(chan reply, 1)}
-	srv.queues[0].mu.Lock()
-	srv.queues[0].items = append(srv.queues[0].items, stranded)
-	srv.queues[0].mu.Unlock()
+	orphan := batchq.New(8, enqueuedAt)
+	if err := orphan.Push(stranded); err != nil {
+		t.Fatal(err)
+	}
+	srv.queues[0] = orphan
 
 	srv.Close()
 	select {
@@ -380,28 +384,5 @@ func TestPromoteAlreadyLeader(t *testing.T) {
 	// the leader still serves after the refused promotes
 	if code := c.status("POST", "/v1/bid", bidRequest{User: 1}); code != http.StatusOK {
 		t.Fatalf("bid after refused promote: %d", code)
-	}
-}
-
-// TestQueueTakeAll unit-tests the shutdown backstop: takeAll empties the
-// queue and returns everything a consumer never popped.
-func TestQueueTakeAll(t *testing.T) {
-	q := newQueue(8)
-	for u := 0; u < 3; u++ {
-		if err := q.push(request{user: u, enqueued: time.Now()}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	q.popBatch(1, 0, nil) // consume one; two remain
-	q.finish()
-	got := q.takeAll()
-	if len(got) != 2 || got[0].user != 1 || got[1].user != 2 {
-		t.Fatalf("takeAll: %+v", got)
-	}
-	if q.depth() != 0 {
-		t.Fatalf("depth %d after takeAll", q.depth())
-	}
-	if got := q.takeAll(); len(got) != 0 {
-		t.Fatalf("second takeAll returned %+v", got)
 	}
 }

@@ -78,7 +78,7 @@ func (srv *Server) walCommit() {
 }
 
 func (srv *Server) noteWALError(err error) {
-	if srv.m.walErrors.Add(1) == 1 {
+	if srv.obs.walErrors.Add(1) == 1 {
 		log.Printf("server: WAL failed, rejecting writes: %v", err)
 	}
 }
@@ -86,7 +86,7 @@ func (srv *Server) noteWALError(err error) {
 // walBroken reports a sticky WAL failure: durability can no longer be
 // promised, so the write path answers 503 until the operator intervenes.
 func (srv *Server) walBroken() bool {
-	return srv.walWriter() != nil && srv.m.walErrors.Load() > 0
+	return srv.walWriter() != nil && srv.obs.walErrors.Load() > 0
 }
 
 // nowMillis stamps WAL records; purely informational (replay ignores it).
@@ -119,13 +119,10 @@ func (srv *Server) bootDurable() error {
 }
 
 func (srv *Server) walOptions() wal.Options {
-	o := wal.Options{Sync: srv.cfg.WALSync, SyncInterval: srv.cfg.WALSyncInterval}
-	if srv.obs != nil {
-		// The hook runs under the writer's mutex; a histogram observation
-		// is a few atomic ops, well inside that budget.
-		o.ObserveSync = srv.obs.observeFsync
-	}
-	return o
+	// The sync hook runs under the writer's mutex; a histogram observation
+	// is a few atomic ops, well inside that budget.
+	return wal.Options{Sync: srv.cfg.WALSync, SyncInterval: srv.cfg.WALSyncInterval,
+		ObserveSync: srv.obs.walFsync.ObserveDuration}
 }
 
 // restoreCheckpoint loads and installs the checkpoint, returning the WAL
@@ -195,7 +192,7 @@ func (srv *Server) applyOp(op wal.Op) error {
 		if _, ok := leaseError(err); ok {
 			// the live path counts lease violations and serves on; replay
 			// must reproduce, not diverge
-			srv.m.leaseErrors.Add(1)
+			srv.obs.leaseErrors.Inc()
 			return nil
 		}
 		return err
@@ -348,8 +345,8 @@ func (srv *Server) walStats() *WALStats {
 		Appends:   st.Appends,
 		Bytes:     st.Bytes,
 		Syncs:     st.Syncs,
-		Errors:    srv.m.walErrors.Load(),
-		Append:    srv.m.walAppend.snapshot(),
+		Errors:    srv.obs.walErrors.Load(),
+		Append:    percentiles(srv.obs.walCommit),
 		Recovered: rec.Records,
 		Truncated: rec.Dropped,
 	}

@@ -271,7 +271,7 @@ func TestWALFailureStopsWrites(t *testing.T) {
 	if code := c.status("POST", "/v1/bid", bidRequest{User: 0}); code != http.StatusOK {
 		t.Fatalf("bid before failure: %d", code)
 	}
-	srv.m.walErrors.Add(1) // what noteWALError does on the first I/O error
+	srv.obs.walErrors.Inc() // what noteWALError does on the first I/O error
 	if code := c.status("POST", "/v1/bid", bidRequest{User: 1}); code != http.StatusServiceUnavailable {
 		t.Fatalf("bid after WAL failure: %d, want 503", code)
 	}

@@ -143,7 +143,7 @@ func (f *follower) noteReadiness(last *bool) {
 	ready := f.stats().Ready
 	if ready != *last {
 		*last = ready
-		f.srv.obs.noteReadyFlip()
+		f.srv.obs.readyFlips.Inc()
 	}
 }
 

@@ -1,9 +1,12 @@
 package server
 
-// The server's /metrics surface: every counter the bespoke /statsz JSON
-// reports, re-exported as Prometheus text exposition via internal/obs,
-// plus the latency histograms, WAL fsync cost, follower lag and the LP
-// solver counters that previously never left the process.
+// The server's one counter set: an internal/obs registry holding every
+// counter and latency histogram the server keeps. /metrics exposes it as
+// Prometheus text exposition; /statsz is a JSON view over the same
+// handles (its p50/p99 are Histogram.Quantile reads), so the two surfaces
+// cannot disagree. The registry is always built — walErrors and
+// leaseErrors gate fail-stop and /healthz — and Config.DisableMetrics
+// only leaves /metrics unmounted.
 //
 // Three recording disciplines keep instrumentation from perturbing
 // serving:
@@ -26,6 +29,7 @@ package server
 
 import (
 	"fmt"
+	"math"
 	"net/http"
 	"time"
 
@@ -35,8 +39,6 @@ import (
 )
 
 // serverObs bundles the registry and the handles the serving loops touch.
-// A nil *serverObs (Config.DisableMetrics, benchmark baseline only) turns
-// every method into a cheap no-op.
 type serverObs struct {
 	reg *obs.Registry
 
@@ -184,12 +186,12 @@ func newServerObs(srv *Server) *serverObs {
 	for qi, q := range srv.queues {
 		q := q
 		reg.GaugeFunc("igepa_queue_depth", "Requests waiting in the shard queue.",
-			func() float64 { return float64(q.depth()) }, obs.L("shard", fmt.Sprint(qi)))
+			func() float64 { return float64(q.Depth()) }, obs.L("shard", fmt.Sprint(qi)))
 	}
 	reg.GaugeFunc("igepa_queue_occupancy", "Deepest queue as a fraction of the depth bound.", func() float64 {
 		max := 0
 		for _, q := range srv.queues {
-			if d := q.depth(); d > max {
+			if d := q.Depth(); d > max {
 				max = d
 			}
 		}
@@ -219,9 +221,9 @@ func newServerObs(srv *Server) *serverObs {
 	return o
 }
 
-// handleMetrics is GET /metrics: refresh the mirrored counters whose
-// sources are atomics or short-mutex state, then serve the exposition. No
-// shard lock is taken anywhere on this path.
+// handleMetrics is GET /metrics: refresh the counters whose sources live
+// outside the registry, then serve the exposition. No shard lock is taken
+// anywhere on this path.
 func (srv *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodGet {
 		httpError(w, http.StatusMethodNotAllowed, "GET only")
@@ -232,22 +234,9 @@ func (srv *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	srv.obs.reg.WritePrometheus(w)
 }
 
-// refresh mirrors scrape-safe counters: the bespoke atomic set (kept
-// authoritative for /statsz), WAL writer stats, follower records and the
-// slow-arrival count.
+// refresh mirrors the scrape-safe counters kept by other components: WAL
+// writer stats, follower records and the slow-arrival count.
 func (o *serverObs) refresh(srv *Server) {
-	o.arrivals.Store(srv.m.arrivals.Load())
-	o.decided.Store(srv.m.decided.Load())
-	o.granted.Store(srv.m.granted.Load())
-	o.cancels.Store(srv.m.cancels.Load())
-	o.errs400.Store(srv.m.badRequests.Load())
-	o.errs409.Store(srv.m.conflicts.Load())
-	o.errs421.Store(srv.m.misrouted.Load())
-	o.errs429.Store(srv.m.rejected.Load())
-	o.errs503.Store(srv.m.unavailable.Load())
-	o.leaseErrors.Store(srv.m.leaseErrors.Load())
-	o.walErrors.Store(srv.m.walErrors.Load())
-	o.batches.Store(srv.batches.Load())
 	o.slowArrivals.Store(srv.slow.Count())
 	if w := srv.walWriter(); w != nil {
 		st := w.Stats()
@@ -260,49 +249,25 @@ func (o *serverObs) refresh(srv *Server) {
 	}
 }
 
-// observeDecision is the hot-path sample: three histogram observations.
-// Nil-safe and allocation-free.
+// observeDecision is the hot-path sample: three histogram observations,
+// allocation-free.
 func (o *serverObs) observeDecision(wait, decide, total time.Duration) {
-	if o == nil {
-		return
-	}
 	o.queueWait.ObserveDuration(wait)
 	o.decide.ObserveDuration(decide)
 	o.total.ObserveDuration(total)
 }
 
-// observeWALCommit records the per-decision amortized append+commit cost.
-func (o *serverObs) observeWALCommit(d time.Duration) {
-	if o == nil {
-		return
-	}
-	o.walCommit.ObserveDuration(d)
-}
-
-// observeFsync feeds wal.Options.ObserveSync.
-func (o *serverObs) observeFsync(d time.Duration) {
-	if o == nil {
-		return
-	}
-	o.walFsync.ObserveDuration(d)
-}
-
-// noteReadyFlip counts a follower readiness transition.
-func (o *serverObs) noteReadyFlip() {
-	if o == nil {
-		return
-	}
-	o.readyFlips.Inc()
+// percentiles is a histogram's (p50, p99) in /statsz's currency.
+func percentiles(h *obs.Histogram) Percentiles {
+	micros := func(s float64) int64 { return int64(math.Round(s * 1e6)) }
+	return Percentiles{P50Micros: micros(h.Quantile(0.50)), P99Micros: micros(h.Quantile(0.99))}
 }
 
 // mirrorEngine stores the engine-owned cumulative counters. The caller
 // must hold the same exclusion RenewLeases requires; the serving layer
-// calls it from its renewal points (tryRenew, the replay dispatcher,
-// drain), never from a scrape.
+// calls it from its renewal points (tryRenew, the replay dispatcher, the
+// cluster batch and lease handlers, drain), never from a scrape.
 func (o *serverObs) mirrorEngine(eng *shard.Engine, replay bool) {
-	if o == nil {
-		return
-	}
 	o.renewals.Store(int64(eng.Renewals()))
 	o.movedSeats.Store(int64(eng.MovedSeats()))
 	if replay {

@@ -1,17 +1,6 @@
 package server
 
-import (
-	"errors"
-	"sync"
-	"time"
-)
-
-// Errors push reports to the HTTP layer, which maps them onto status codes
-// (429 with Retry-After for a full queue, 503 for a closing server).
-var (
-	errQueueFull   = errors.New("server: queue full")
-	errQueueClosed = errors.New("server: queue closed")
-)
+import "time"
 
 // request is one queued bid submission awaiting its micro-batch. events,
 // wait and decide are consumer-side scratch: the shard loop decides the
@@ -27,6 +16,9 @@ type request struct {
 	decide time.Duration
 }
 
+// enqueuedAt is the batchq deadline clock: a request's enqueue stamp.
+func enqueuedAt(r *request) time.Time { return r.enqueued }
+
 // reply is the decision delivered back to a waiting submitter. shutdown
 // marks the no-decision reply Close delivers to requests the consumers never
 // reached — the HTTP layer answers 503 instead of an assignment.
@@ -35,182 +27,4 @@ type reply struct {
 	epoch    int
 	wait     time.Duration // time spent queued before processing began
 	shutdown bool
-}
-
-// queue is the bounded arrival buffer feeding one micro-batching loop: FIFO
-// push from any number of HTTP handlers, popBatch from exactly one consumer.
-// It exists instead of a channel because the batching loop needs three
-// things channels cannot give it: flush-on-deadline for a partial batch, an
-// explicit drain signal, and a snapshot of the queued users (the lease
-// renewer's demand predictor).
-type queue struct {
-	mu      sync.Mutex
-	nonIdle *sync.Cond
-	items   []request
-	head    int
-	limit   int
-	closed  bool
-	// drainPending asks the consumer to flush the current partial batch; it
-	// is a flag, not a counter, so repeated drain calls cannot make future
-	// full batches flush early.
-	drainPending bool
-	// busy is true from popBatch handing out a batch until the consumer's
-	// finish() — it closes the window in which the queue looks empty while
-	// decisions are still pending, which is what Drain keys on.
-	busy bool
-}
-
-func newQueue(limit int) *queue {
-	q := &queue{limit: limit}
-	q.nonIdle = sync.NewCond(&q.mu)
-	return q
-}
-
-// push appends a request; errQueueFull signals backpressure to the caller.
-func (q *queue) push(r request) error {
-	q.mu.Lock()
-	defer q.mu.Unlock()
-	if q.closed {
-		return errQueueClosed
-	}
-	if len(q.items)-q.head >= q.limit {
-		return errQueueFull
-	}
-	q.items = append(q.items, r)
-	q.nonIdle.Broadcast()
-	return nil
-}
-
-// popBatch blocks until it can hand the consumer a batch, then returns up to
-// max requests in FIFO order (appended to dst[:0]).
-//
-//   - A full batch (≥ max pending) returns immediately.
-//   - wait > 0 (live mode): a partial batch is returned once the oldest
-//     pending request has waited `wait` — the micro-batching deadline T.
-//   - wait == 0 (replay mode): a partial batch is returned only on an
-//     explicit drain or on close — batch-by-count, no deadlines.
-//
-// Returns nil after the queue is closed and emptied.
-func (q *queue) popBatch(max int, wait time.Duration, dst []request) []request {
-	var timer *time.Timer
-	defer func() {
-		if timer != nil {
-			timer.Stop()
-		}
-	}()
-	q.mu.Lock()
-	defer q.mu.Unlock()
-	for {
-		n := len(q.items) - q.head
-		if n >= max {
-			return q.pop(max, dst)
-		}
-		if q.closed {
-			if n > 0 {
-				return q.pop(n, dst)
-			}
-			return nil
-		}
-		if q.drainPending {
-			q.drainPending = false
-			if n > 0 {
-				return q.pop(n, dst)
-			}
-			continue // drain of an empty queue: nothing to flush
-		}
-		if n > 0 && wait > 0 {
-			deadline := q.items[q.head].enqueued.Add(wait)
-			if !time.Now().Before(deadline) {
-				return q.pop(n, dst)
-			}
-			if timer == nil {
-				// The callback takes q.mu before broadcasting so the wakeup
-				// cannot fire in the window between this deadline check and
-				// the Wait below (sync.Cond keeps no memory of signals; an
-				// unserialized Broadcast there would be lost and the partial
-				// batch would miss its deadline).
-				timer = time.AfterFunc(time.Until(deadline), func() {
-					q.mu.Lock()
-					q.nonIdle.Broadcast()
-					q.mu.Unlock()
-				})
-			}
-		}
-		q.nonIdle.Wait()
-	}
-}
-
-// pop removes the first n requests; the caller holds q.mu.
-func (q *queue) pop(n int, dst []request) []request {
-	dst = append(dst[:0], q.items[q.head:q.head+n]...)
-	q.head += n
-	q.busy = true
-	if q.head == len(q.items) {
-		q.items = q.items[:0]
-		q.head = 0
-	} else if q.head > 1024 && q.head*2 > len(q.items) {
-		q.items = append(q.items[:0:0], q.items[q.head:]...)
-		q.head = 0
-	}
-	return dst
-}
-
-// finish marks the last popped batch fully processed (replies delivered).
-func (q *queue) finish() {
-	q.mu.Lock()
-	q.busy = false
-	q.mu.Unlock()
-}
-
-// depth returns the number of queued requests.
-func (q *queue) depth() int {
-	q.mu.Lock()
-	defer q.mu.Unlock()
-	return len(q.items) - q.head
-}
-
-// idle reports an empty queue with no batch in flight.
-func (q *queue) idle() bool {
-	q.mu.Lock()
-	defer q.mu.Unlock()
-	return len(q.items)-q.head == 0 && !q.busy
-}
-
-// pendingUsers appends the queued users to dst — the renewal demand snapshot.
-func (q *queue) pendingUsers(dst []int) []int {
-	q.mu.Lock()
-	defer q.mu.Unlock()
-	for _, r := range q.items[q.head:] {
-		dst = append(dst, r.user)
-	}
-	return dst
-}
-
-// drain asks the consumer to flush the current partial batch.
-func (q *queue) drain() {
-	q.mu.Lock()
-	q.drainPending = true
-	q.nonIdle.Broadcast()
-	q.mu.Unlock()
-}
-
-// takeAll removes and returns everything still queued — the shutdown
-// backstop. Only meaningful after close() and after the consumer has exited:
-// whatever is left is work no consumer will ever pop, and each waiting
-// submitter must be released with a shutdown reply.
-func (q *queue) takeAll() []request {
-	q.mu.Lock()
-	defer q.mu.Unlock()
-	out := append([]request(nil), q.items[q.head:]...)
-	q.items = q.items[:0]
-	q.head = 0
-	return out
-}
-
-// close wakes the consumer to flush whatever is pending and exit.
-func (q *queue) close() {
-	q.mu.Lock()
-	q.closed = true
-	q.nonIdle.Broadcast()
-	q.mu.Unlock()
 }

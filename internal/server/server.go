@@ -34,7 +34,8 @@
 //
 // /healthz reports liveness plus instance shape; /statsz reports arrival
 // counters, queue depths, p50/p99 latency (queue wait, decision, total)
-// and per-shard utility; POST /admin/drain
+// and per-shard utility, read off the same registry /metrics exports;
+// POST /admin/drain
 // flushes partial batches (the end-of-stream signal in replay mode).
 package server
 
@@ -49,6 +50,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"github.com/ebsn/igepa/internal/batchq"
 	"github.com/ebsn/igepa/internal/lp"
 	"github.com/ebsn/igepa/internal/model"
 	"github.com/ebsn/igepa/internal/obs"
@@ -120,11 +122,11 @@ type Config struct {
 	// LagBytes is the follower readiness bound (0 = DefaultLagBytes).
 	LagBytes int64
 
-	// DisableMetrics turns off the obs registry and the /metrics endpoint.
-	// It exists so the instrumentation-overhead benchmark (BENCH_obs.json)
-	// has an uninstrumented baseline; production servers keep the default
-	// (metrics on). Decisions are bit-identical either way — that is the
-	// no-perturbation contract, pinned by the replay-equivalence tests.
+	// DisableMetrics leaves the /metrics endpoint unmounted. The registry
+	// behind it is always built: /statsz reads it, and the WAL and lease
+	// error counters in it gate fail-stop and /healthz. Decisions are
+	// bit-identical either way — that is the no-perturbation contract,
+	// pinned by the replay-equivalence tests.
 	DisableMetrics bool
 	// SlowLog, when positive, logs every arrival whose end-to-end latency
 	// (queue wait + decision + amortized WAL commit) meets the threshold
@@ -155,7 +157,7 @@ type Server struct {
 	flush time.Duration
 
 	mux    *http.ServeMux
-	queues []*queue // live: one per shard; replay: queues[0] only
+	queues []*batchq.Queue[request] // live: one per shard; replay: queues[0] only
 
 	// shardMu[si] serializes all engine access touching shard si; whole-
 	// engine operations (renewal, replay dispatch, bid updates, snapshots)
@@ -164,9 +166,6 @@ type Server struct {
 	renewMu sync.Mutex
 	// sinceRenew counts arrivals since the last lease renewal (live mode).
 	sinceRenew atomic.Int64
-	// batches counts processed micro-batches (live mode's analogue of the
-	// engine's dispatched-batch epoch counter, which only replay advances).
-	batches atomic.Int64
 
 	stateMu sync.Mutex
 	state   []uint8
@@ -196,11 +195,10 @@ type Server struct {
 	closed  atomic.Bool
 	wg      sync.WaitGroup
 	started time.Time
-	m       metrics
 
-	// obs is the Prometheus-exposition registry behind /metrics (nil under
-	// Config.DisableMetrics); slow is the -slowlog structured logger (nil
-	// unless Config.SlowLog > 0). Both are nil-safe no-ops when off.
+	// obs is the server's counter set, behind both /statsz and /metrics;
+	// slow is the -slowlog structured logger (nil unless Config.SlowLog >
+	// 0, and then a nil-safe no-op).
 	// qlimit is the resolved per-queue depth bound. lastLP holds the LP
 	// snapshot at the previous renewal point (guarded by renewMu in live
 	// mode; replay's single dispatcher goroutine owns it there) so a slow
@@ -266,17 +264,14 @@ func New(in *model.Instance, cfg Config) (*Server, error) {
 		srv.slow = obs.NewSlowLog(cfg.SlowLog, out)
 	}
 
+	nq := s
 	if cfg.Replay {
-		srv.queues = []*queue{newQueue(depth)}
-	} else {
-		srv.queues = make([]*queue, s)
-		for si := 0; si < s; si++ {
-			srv.queues[si] = newQueue(depth)
-		}
+		nq = 1
 	}
-	if !cfg.DisableMetrics {
-		srv.obs = newServerObs(srv)
+	for qi := 0; qi < nq; qi++ {
+		srv.queues = append(srv.queues, batchq.New(depth, enqueuedAt))
 	}
+	srv.obs = newServerObs(srv)
 
 	// Durability boot, before any serving goroutine exists: a leader
 	// replays checkpoint + WAL into the engine and opens the log for
@@ -312,7 +307,7 @@ func New(in *model.Instance, cfg Config) (*Server, error) {
 	srv.mux.HandleFunc("/healthz", srv.handleHealthz)
 	srv.mux.HandleFunc("/readyz", srv.handleReadyz)
 	srv.mux.HandleFunc("/statsz", srv.handleStatsz)
-	if srv.obs != nil {
+	if !cfg.DisableMetrics {
 		srv.mux.HandleFunc("/metrics", srv.handleMetrics)
 	}
 	srv.mux.HandleFunc("/admin/drain", srv.handleDrain)
@@ -363,7 +358,7 @@ func (srv *Server) Close() {
 	// still arrives, gets a 409).
 	srv.abortFreeze()
 	for _, q := range srv.queues {
-		q.close()
+		q.Close()
 	}
 	srv.wg.Wait()
 	// Backstop for the waiter-leak class of shutdown races: the consumers
@@ -372,7 +367,7 @@ func (srv *Server) Close() {
 	// forever. Hand every leftover a shutdown reply; handleBid turns it
 	// into a 503.
 	for _, q := range srv.queues {
-		for _, r := range q.takeAll() {
+		for _, r := range q.TakeAll() {
 			if r.reply != nil {
 				r.reply <- reply{shutdown: true}
 			}
@@ -397,9 +392,9 @@ func (srv *Server) Drain(timeout time.Duration) bool {
 	for {
 		idle := true
 		for _, q := range srv.queues {
-			if !q.idle() {
+			if !q.Idle() {
 				idle = false
-				q.drain()
+				q.Drain()
 			}
 		}
 		if idle {
@@ -448,7 +443,7 @@ func (srv *Server) shardLoop(si int) {
 	defer srv.wg.Done()
 	buf := make([]request, 0, srv.micro)
 	for {
-		batch := srv.queues[si].popBatch(srv.micro, srv.flush, buf)
+		batch := srv.queues[si].PopBatch(srv.micro, srv.flush, buf)
 		if batch == nil {
 			return
 		}
@@ -478,16 +473,15 @@ func (srv *Server) shardLoop(si int) {
 			srv.walCommit()
 			walDur += time.Since(c0)
 			walShare = walDur / time.Duration(len(batch))
-			srv.m.walAppend.add(walShare)
-			srv.obs.observeWALCommit(walShare)
+			srv.obs.walCommit.ObserveDuration(walShare)
 		}
 		for i := range batch {
 			r := &batch[i]
 			srv.finishDecision(r, si, r.events, epoch, r.wait, r.decide, walShare)
 		}
 		srv.shardMu[si].Unlock()
-		srv.batches.Add(1)
-		srv.queues[si].finish()
+		srv.obs.batches.Inc()
+		srv.queues[si].Finish()
 		if srv.sinceRenew.Add(int64(len(batch))) >= int64(srv.b) &&
 			(srv.s > 1 || srv.eng.BoundEnabled()) {
 			srv.tryRenew()
@@ -506,10 +500,7 @@ func (srv *Server) tryRenew() {
 	}
 	defer srv.renewMu.Unlock()
 	srv.sinceRenew.Store(0)
-	var pending []int
-	for _, q := range srv.queues {
-		pending = q.pendingUsers(pending)
-	}
+	pending := srv.queuedUsers()
 	r0 := time.Now()
 	srv.lockAll()
 	var err error
@@ -534,7 +525,7 @@ func (srv *Server) tryRenew() {
 	}
 	srv.unlockAll()
 	if err != nil {
-		srv.m.leaseErrors.Add(1)
+		srv.obs.leaseErrors.Inc()
 	}
 	renewDur := time.Since(r0)
 	if srv.slow.Slow(renewDur) {
@@ -564,7 +555,7 @@ func (srv *Server) replayLoop() {
 	buf := make([]request, 0, srv.b)
 	users := make([]int, 0, srv.b)
 	for {
-		batch := srv.queues[0].popBatch(srv.b, 0, buf)
+		batch := srv.queues[0].PopBatch(srv.b, 0, buf)
 		if batch == nil {
 			return
 		}
@@ -576,7 +567,7 @@ func (srv *Server) replayLoop() {
 		srv.lockAll()
 		if srv.eng.Epochs() > 0 && srv.s > 1 {
 			if _, err := srv.eng.RenewLeases(users); err != nil {
-				srv.m.leaseErrors.Add(1)
+				srv.obs.leaseErrors.Inc()
 			}
 		}
 		t0 := time.Now()
@@ -590,8 +581,7 @@ func (srv *Server) replayLoop() {
 			srv.walAppend(wal.Op{Kind: wal.OpBatch, TMillis: nowMillis(), Users: users})
 			srv.walCommit()
 			walShare = time.Since(w0) / time.Duration(len(batch))
-			srv.m.walAppend.add(walShare)
-			srv.obs.observeWALCommit(walShare)
+			srv.obs.walCommit.ObserveDuration(walShare)
 		}
 		epoch := srv.eng.Epochs()
 		for i := range batch {
@@ -605,7 +595,7 @@ func (srv *Server) replayLoop() {
 		// shard lock — scrapes read the mirrors, never these locks.
 		srv.obs.mirrorEngine(srv.eng, true)
 		srv.unlockAll()
-		srv.queues[0].finish()
+		srv.queues[0].Finish()
 	}
 }
 
@@ -618,13 +608,10 @@ func (srv *Server) finishDecision(r *request, si int, events []int, epoch int, w
 	srv.stateMu.Lock()
 	srv.state[r.user] = stateDecided
 	srv.stateMu.Unlock()
-	srv.m.decided.Add(1)
+	srv.obs.decided.Inc()
 	if len(events) > 0 {
-		srv.m.granted.Add(1)
+		srv.obs.granted.Inc()
 	}
-	srv.m.queueWait.add(wait)
-	srv.m.decide.add(decide)
-	srv.m.total.add(wait + decide)
 	total := wait + decide + walShare
 	srv.obs.observeDecision(wait, decide, total)
 	if srv.slow.Slow(total) {
@@ -677,13 +664,11 @@ func (srv *Server) submitBid(w http.ResponseWriter, body io.Reader) (request, bo
 	}
 	var req bidRequest
 	if err := json.NewDecoder(body).Decode(&req); err != nil {
-		srv.m.badRequests.Add(1)
-		httpError(w, http.StatusBadRequest, "bad JSON: "+err.Error())
+		srv.badRequest(w, "bad JSON: "+err.Error())
 		return request{}, false
 	}
 	if req.User < 0 || req.User >= srv.in.NumUsers() {
-		srv.m.badRequests.Add(1)
-		httpError(w, http.StatusBadRequest, fmt.Sprintf("user %d outside [0,%d)", req.User, srv.in.NumUsers()))
+		srv.badRequest(w, fmt.Sprintf("user %d outside [0,%d)", req.User, srv.in.NumUsers()))
 		return request{}, false
 	}
 	if !srv.owned(w, req.User) {
@@ -691,8 +676,7 @@ func (srv *Server) submitBid(w http.ResponseWriter, body io.Reader) (request, bo
 	}
 	if req.Bids != nil {
 		if err := srv.checkBids(req.Bids); err != nil {
-			srv.m.badRequests.Add(1)
-			httpError(w, http.StatusBadRequest, err.Error())
+			srv.badRequest(w, err.Error())
 			return request{}, false
 		}
 	}
@@ -701,7 +685,7 @@ func (srv *Server) submitBid(w http.ResponseWriter, body io.Reader) (request, bo
 	st := srv.state[req.User]
 	if st == stateQueued || st == stateDecided {
 		srv.stateMu.Unlock()
-		srv.m.conflicts.Add(1)
+		srv.obs.errs409.Inc()
 		httpError(w, http.StatusConflict, fmt.Sprintf("user %d already %s", req.User,
 			map[uint8]string{stateQueued: "queued", stateDecided: "decided"}[st]))
 		return request{}, false
@@ -732,17 +716,17 @@ func (srv *Server) submitBid(w http.ResponseWriter, body io.Reader) (request, bo
 	}
 	if err != nil {
 		srv.rollbackQueued(req.User, st)
-		if err == errQueueClosed {
-			srv.m.unavailable.Add(1)
+		if err == batchq.ErrClosed {
+			srv.obs.errs503.Inc()
 			httpError(w, http.StatusServiceUnavailable, "server closing")
 			return request{}, false
 		}
-		srv.m.rejected.Add(1)
+		srv.obs.errs429.Inc()
 		w.Header().Set("Retry-After", strconv.Itoa(retryAfterSeconds(srv.cfg.RetryAfter)))
 		httpError(w, http.StatusTooManyRequests, "queue full")
 		return request{}, false
 	}
-	srv.m.arrivals.Add(1)
+	srv.obs.arrivals.Inc()
 	return rq, true
 }
 
@@ -755,7 +739,7 @@ func (srv *Server) answerBid(w http.ResponseWriter, rq request) {
 	}
 	rep := <-rq.reply
 	if rep.shutdown {
-		srv.m.unavailable.Add(1)
+		srv.obs.errs503.Inc()
 		httpError(w, http.StatusServiceUnavailable, "server closed before deciding")
 		return
 	}
@@ -783,7 +767,7 @@ func (srv *Server) rollbackQueued(u int, prev uint8) {
 // router its routing table is stale (mid-migration) and to re-resolve.
 func (srv *Server) owned(w http.ResponseWriter, u int) bool {
 	if srv.cluster && !srv.eng.Owns(u) {
-		srv.m.misrouted.Add(1)
+		srv.obs.errs421.Inc()
 		httpError(w, http.StatusMisdirectedRequest, fmt.Sprintf("user %d is not owned by this shard", u))
 		return false
 	}
@@ -795,24 +779,40 @@ func (srv *Server) owned(w http.ResponseWriter, u int) bool {
 // durable. Answers 503 and reports false when writes are off.
 func (srv *Server) writable(w http.ResponseWriter) bool {
 	if srv.follow.Load() {
-		srv.m.unavailable.Add(1)
+		srv.obs.errs503.Inc()
 		httpError(w, http.StatusServiceUnavailable, "read-only follower; POST /admin/promote to take over")
 		return false
 	}
 	if srv.walBroken() {
-		srv.m.unavailable.Add(1)
+		srv.obs.errs503.Inc()
 		httpError(w, http.StatusServiceUnavailable, "write-ahead log failed; not accepting writes")
 		return false
 	}
 	return true
 }
 
+// badRequest answers 400 and counts it; every 400 the server sends goes
+// through here, so /statsz's bad_request_400 misses none.
+func (srv *Server) badRequest(w http.ResponseWriter, msg string) {
+	srv.obs.errs400.Inc()
+	httpError(w, http.StatusBadRequest, msg)
+}
+
 // enqueue routes the request to the owning queue.
 func (srv *Server) enqueue(rq request) error {
 	if srv.cfg.Replay {
-		return srv.queues[0].push(rq)
+		return srv.queues[0].Push(rq)
 	}
-	return srv.queues[srv.eng.ShardOf(rq.user)].push(rq)
+	return srv.queues[srv.eng.ShardOf(rq.user)].Push(rq)
+}
+
+// queuedUsers snapshots every queued user — the renewal demand predictor.
+func (srv *Server) queuedUsers() []int {
+	var users []int
+	for _, q := range srv.queues {
+		q.Each(func(rq *request) { users = append(users, rq.user) })
+	}
+	return users
 }
 
 // checkBids validates a replacement bid set: event indices in range, no
@@ -863,13 +863,11 @@ func (srv *Server) handleCancel(w http.ResponseWriter, r *http.Request) {
 	}
 	var req cancelRequest
 	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		srv.m.badRequests.Add(1)
-		httpError(w, http.StatusBadRequest, "bad JSON: "+err.Error())
+		srv.badRequest(w, "bad JSON: "+err.Error())
 		return
 	}
 	if req.User < 0 || req.User >= srv.in.NumUsers() {
-		srv.m.badRequests.Add(1)
-		httpError(w, http.StatusBadRequest, fmt.Sprintf("user %d outside [0,%d)", req.User, srv.in.NumUsers()))
+		srv.badRequest(w, fmt.Sprintf("user %d outside [0,%d)", req.User, srv.in.NumUsers()))
 		return
 	}
 	if !srv.owned(w, req.User) {
@@ -878,7 +876,7 @@ func (srv *Server) handleCancel(w http.ResponseWriter, r *http.Request) {
 	srv.stateMu.Lock()
 	if srv.state[req.User] != stateDecided {
 		srv.stateMu.Unlock()
-		srv.m.conflicts.Add(1)
+		srv.obs.errs409.Inc()
 		httpError(w, http.StatusConflict, fmt.Sprintf("user %d has no active assignment", req.User))
 		return
 	}
@@ -893,7 +891,7 @@ func (srv *Server) handleCancel(w http.ResponseWriter, r *http.Request) {
 		srv.walCommit()
 	}
 	srv.shardMu[si].Unlock()
-	srv.m.cancels.Add(1)
+	srv.obs.cancels.Inc()
 	if freed == nil {
 		freed = []int{}
 	}
@@ -928,8 +926,7 @@ func (srv *Server) handleAssignment(w http.ResponseWriter, r *http.Request) {
 	}
 	u, err := strconv.Atoi(q)
 	if err != nil || u < 0 || u >= srv.in.NumUsers() {
-		srv.m.badRequests.Add(1)
-		httpError(w, http.StatusBadRequest, "bad user")
+		srv.badRequest(w, "bad user")
 		return
 	}
 	if !srv.owned(w, u) {
@@ -976,8 +973,7 @@ func (srv *Server) handleLoad(w http.ResponseWriter, r *http.Request) {
 	}
 	v, err := strconv.Atoi(q)
 	if err != nil || v < 0 || v >= srv.in.NumEvents() {
-		srv.m.badRequests.Add(1)
-		httpError(w, http.StatusBadRequest, "bad event")
+		srv.badRequest(w, "bad event")
 		return
 	}
 	writeJSON(w, http.StatusOK, loadResponse{Event: v, Load: srv.eng.EventLoad(v), Capacity: srv.in.Events[v].Capacity})
@@ -1008,7 +1004,7 @@ type healthResponse struct {
 // alive but not ready).
 func (srv *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 	status, code := "ok", http.StatusOK
-	if srv.m.leaseErrors.Load() > 0 {
+	if srv.obs.leaseErrors.Load() > 0 {
 		status, code = "degraded: lease invariant violated", http.StatusInternalServerError
 	}
 	if srv.walBroken() {
@@ -1076,6 +1072,10 @@ type Stats struct {
 	LeaseRenewals int    `json:"lease_renewals"`
 	MovedSeats    int    `json:"moved_seats"`
 
+	// Latency percentiles over the process lifetime, read off the
+	// igepa_*_seconds histograms: each is a bucket's upper bound, so the
+	// resolution is the factor-2 bucket layout's. Total includes the
+	// amortized WAL commit.
 	QueueWait Percentiles `json:"queue_wait"`
 	Decision  Percentiles `json:"decision"`
 	Total     Percentiles `json:"total"`
@@ -1103,6 +1103,12 @@ type Stats struct {
 	// the replica's lag/readiness view (nil on a leader).
 	WAL      *WALStats      `json:"wal,omitempty"`
 	Follower *FollowerStats `json:"follower,omitempty"`
+}
+
+// Percentiles is a (p50, p99) pair in microseconds, the /statsz currency.
+type Percentiles struct {
+	P50Micros int64 `json:"p50_us"`
+	P99Micros int64 `json:"p99_us"`
 }
 
 // BoundReport is the /statsz view of the live LP-bound tracker.
@@ -1187,21 +1193,21 @@ func (srv *Server) Stats() Stats {
 		Shards: srv.s, Batch: srv.b, MicroBatch: srv.micro,
 		FlushMicros: srv.flush.Microseconds(),
 		QueueLimit:  srv.qlimit,
-		Arrivals:    srv.m.arrivals.Load(),
-		Decided:     srv.m.decided.Load(),
-		Granted:     srv.m.granted.Load(),
-		Cancels:     srv.m.cancels.Load(),
-		Rejected:    srv.m.rejected.Load(),
-		Conflicts:   srv.m.conflicts.Load(),
-		BadRequests: srv.m.badRequests.Load(),
-		Misrouted:   srv.m.misrouted.Load(),
-		LeaseErrors: srv.m.leaseErrors.Load(),
-		QueueWait:   srv.m.queueWait.snapshot(),
-		Decision:    srv.m.decide.snapshot(),
-		Total:       srv.m.total.snapshot(),
+		Arrivals:    srv.obs.arrivals.Load(),
+		Decided:     srv.obs.decided.Load(),
+		Granted:     srv.obs.granted.Load(),
+		Cancels:     srv.obs.cancels.Load(),
+		Rejected:    srv.obs.errs429.Load(),
+		Conflicts:   srv.obs.errs409.Load(),
+		BadRequests: srv.obs.errs400.Load(),
+		Misrouted:   srv.obs.errs421.Load(),
+		LeaseErrors: srv.obs.leaseErrors.Load(),
+		QueueWait:   percentiles(srv.obs.queueWait),
+		Decision:    percentiles(srv.obs.decide),
+		Total:       percentiles(srv.obs.total),
 	}
 	for _, q := range srv.queues {
-		st.QueueDepth = append(st.QueueDepth, q.depth())
+		st.QueueDepth = append(st.QueueDepth, q.Depth())
 	}
 	srv.lockAll()
 	// replay counts global dispatched batches in the engine; live counts
@@ -1209,7 +1215,7 @@ func (srv *Server) Stats() Stats {
 	if srv.cfg.Replay {
 		st.Epochs = srv.eng.Epochs()
 	} else {
-		st.Epochs = int(srv.batches.Load())
+		st.Epochs = int(srv.obs.batches.Load())
 	}
 	st.LeaseRenewals = srv.eng.Renewals()
 	st.MovedSeats = srv.eng.MovedSeats()
@@ -1218,7 +1224,7 @@ func (srv *Server) Stats() Stats {
 	for si := 0; si < srv.s; si++ {
 		row := ShardStats{Arrivals: srv.eng.ArrivalsOn(si), Utility: srv.eng.ShardUtility(si)}
 		if !srv.cfg.Replay {
-			row.QueueDepth = srv.queues[si].depth()
+			row.QueueDepth = srv.queues[si].Depth()
 		}
 		st.PerShard = append(st.PerShard, row)
 		st.Utility += row.Utility
@@ -1264,7 +1270,7 @@ func (srv *Server) handleDrain(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	ok := srv.Drain(10 * time.Second)
-	writeJSON(w, http.StatusOK, drainResponse{Drained: ok, Decided: srv.m.decided.Load()})
+	writeJSON(w, http.StatusOK, drainResponse{Drained: ok, Decided: srv.obs.decided.Load()})
 }
 
 // --- helpers --------------------------------------------------------------

@@ -410,75 +410,6 @@ func TestConcurrentLiveTraffic(t *testing.T) {
 	}
 }
 
-// TestQueue unit-tests the bounded queue: batching, deadline flush, drain,
-// close and backpressure.
-func TestQueue(t *testing.T) {
-	q := newQueue(3)
-	mk := func(u int) request { return request{user: u, enqueued: time.Now()} }
-	if err := q.push(mk(0)); err != nil {
-		t.Fatal(err)
-	}
-	if err := q.push(mk(1)); err != nil {
-		t.Fatal(err)
-	}
-	if err := q.push(mk(2)); err != nil {
-		t.Fatal(err)
-	}
-	if err := q.push(mk(3)); err != errQueueFull {
-		t.Fatalf("overfull push: %v, want errQueueFull", err)
-	}
-	if d := q.depth(); d != 3 {
-		t.Fatalf("depth %d, want 3", d)
-	}
-	batch := q.popBatch(2, 0, nil)
-	if len(batch) != 2 || batch[0].user != 0 || batch[1].user != 1 {
-		t.Fatalf("popBatch: %v", batch)
-	}
-	q.finish()
-	if got := q.pendingUsers(nil); len(got) != 1 || got[0] != 2 {
-		t.Fatalf("pendingUsers: %v", got)
-	}
-
-	// deadline flush: a partial batch is released after ~wait
-	start := time.Now()
-	batch = q.popBatch(5, time.Millisecond, batch)
-	if len(batch) != 1 || batch[0].user != 2 {
-		t.Fatalf("deadline flush: %v", batch)
-	}
-	if time.Since(start) > time.Second {
-		t.Fatal("deadline flush waited far too long")
-	}
-	q.finish()
-
-	// drain flush from another goroutine
-	done := make(chan []request, 1)
-	go func() { done <- q.popBatch(5, 0, nil) }()
-	time.Sleep(time.Millisecond)
-	q.push(mk(9))
-	q.drain()
-	got := <-done
-	if len(got) != 1 || got[0].user != 9 {
-		t.Fatalf("drain flush: %v", got)
-	}
-	q.finish()
-	if !q.idle() {
-		t.Fatal("queue not idle after finish")
-	}
-
-	// close flushes the remainder then returns nil
-	q.push(mk(4))
-	q.close()
-	if got := q.popBatch(5, 0, nil); len(got) != 1 || got[0].user != 4 {
-		t.Fatalf("close flush: %v", got)
-	}
-	if got := q.popBatch(5, 0, nil); got != nil {
-		t.Fatalf("closed queue returned %v", got)
-	}
-	if err := q.push(mk(5)); err != errQueueClosed {
-		t.Fatalf("push after close: %v", err)
-	}
-}
-
 // TestLiveBoundThroughServer runs both dispatch modes with the live LP
 // bound enabled and checks /statsz reports it: replay updates per batch,
 // live updates at renewal points; decisions are never affected.
