@@ -25,8 +25,7 @@ func startTarget(t *testing.T) (*server.Server, *httptest.Server) {
 		t.Fatal(err)
 	}
 	srv, err := server.New(in, server.Config{
-		Shard:         shard.Options{Shards: 2, Batch: 16, Seed: 2, CacheSize: 256},
-		FlushInterval: 100 * time.Microsecond,
+		Shard: shard.Options{Shards: 2, Batch: 16, Seed: 2, CacheSize: 256},
 	})
 	if err != nil {
 		t.Fatal(err)

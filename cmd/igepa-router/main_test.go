@@ -218,7 +218,7 @@ func BenchmarkClusterHTTP(b *testing.B) {
 		bopt := opt
 		bopt.Shards = 1
 		bopt.ClusterShards, bopt.ClusterIndex = S, si
-		srv, err := server.New(in, server.Config{Shard: bopt, FlushInterval: 200 * time.Microsecond})
+		srv, err := server.New(in, server.Config{Shard: bopt})
 		if err != nil {
 			b.Fatal(err)
 		}

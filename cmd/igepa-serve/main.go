@@ -100,7 +100,6 @@ type config struct {
 
 	// -listen mode
 	listen     string
-	flush      time.Duration
 	queueDepth int
 	replay     bool
 	pprof      bool
@@ -136,7 +135,6 @@ func main() {
 	flag.Float64Var(&cfg.pace, "pace", 0, "wall-clock replay speed-up factor (1 = real time, 0 = as fast as possible)")
 	flag.IntVar(&cfg.cache, "cache", 0, "deprecated, ignored: the planners no longer cache admissible sets")
 	flag.StringVar(&cfg.listen, "listen", "", "host the HTTP serving layer on this address instead of the replay sweep")
-	flag.DurationVar(&cfg.flush, "flush", 0, "listen: micro-batch flush deadline (0 = default)")
 	flag.IntVar(&cfg.queueDepth, "queue", 0, "listen: bounded queue depth (0 = default)")
 	flag.BoolVar(&cfg.replay, "replay", false, "listen: deterministic replay dispatcher (batch-by-count, no deadlines)")
 	flag.BoolVar(&cfg.pprof, "pprof", false, "listen: expose net/http/pprof handlers under /debug/pprof/")
@@ -233,7 +231,6 @@ func serveListenerCtx(ctx context.Context, w *os.File, ln net.Listener, cfg conf
 			Lease: lease, CacheSize: cfg.cache, LiveBound: cfg.liveBound,
 		},
 		Replay:          cfg.replay,
-		FlushInterval:   cfg.flush,
 		QueueDepth:      cfg.queueDepth,
 		WALPath:         cfg.wal,
 		WALSync:         sync,

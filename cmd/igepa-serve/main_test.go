@@ -178,7 +178,6 @@ func TestListenServesHTTP(t *testing.T) {
 	cfg := config{
 		workload: "synthetic", events: 12, users: 50, seed: 6,
 		shards: []int{2}, planner: "greedy", cache: 64,
-		flush: 200 * time.Microsecond,
 	}
 	done := make(chan error, 1)
 	go func() { done <- serveListener(null, ln, cfg) }()
@@ -278,7 +277,7 @@ func TestListenDurableShutdownAndWarmBoot(t *testing.T) {
 	null := devNull(t)
 	cfg := config{
 		workload: "synthetic", events: 12, users: 50, seed: 6,
-		shards: []int{2}, planner: "greedy", flush: 200 * time.Microsecond,
+		shards: []int{2}, planner: "greedy",
 		wal:        filepath.Join(dir, "serve.wal"),
 		walSync:    "off",
 		checkpoint: filepath.Join(dir, "serve.ckpt"),
@@ -356,7 +355,7 @@ func TestListenFollowerThroughCommand(t *testing.T) {
 	null := devNull(t)
 	cfg := config{
 		workload: "synthetic", events: 12, users: 50, seed: 6,
-		shards: []int{2}, planner: "greedy", flush: 200 * time.Microsecond,
+		shards: []int{2}, planner: "greedy",
 		wal: filepath.Join(dir, "serve.wal"), walSync: "off",
 	}
 	lnL, err := net.Listen("tcp", "127.0.0.1:0")

@@ -55,7 +55,6 @@ type config struct {
 	workers  int
 	cache    int
 
-	flush      time.Duration
 	queueDepth int
 	freeze     time.Duration
 	pprof      bool
@@ -82,7 +81,6 @@ func main() {
 	flag.Float64Var(&cfg.guard, "guard", 0.25, "threshold planner: reserved capacity fraction")
 	flag.IntVar(&cfg.workers, "workers", 0, "worker-pool bound (0 = all cores; results identical)")
 	flag.IntVar(&cfg.cache, "cache", 0, "deprecated, ignored: the planners no longer cache admissible sets")
-	flag.DurationVar(&cfg.flush, "flush", 0, "micro-batch flush deadline (0 = default)")
 	flag.IntVar(&cfg.queueDepth, "queue", 0, "bounded queue depth (0 = default)")
 	flag.DurationVar(&cfg.freeze, "freeze-timeout", 0, "wire-renewal freeze watchdog (0 = default)")
 	flag.BoolVar(&cfg.pprof, "pprof", false, "expose net/http/pprof handlers under /debug/pprof/")
@@ -135,7 +133,6 @@ func serveListenerCtx(ctx context.Context, w *os.File, ln net.Listener, cfg conf
 			Planner: kind, Tau: cfg.tau, Guard: cfg.guard,
 			CacheSize: cfg.cache,
 		},
-		FlushInterval:   cfg.flush,
 		QueueDepth:      cfg.queueDepth,
 		FreezeTimeout:   cfg.freeze,
 		WALPath:         cfg.wal,

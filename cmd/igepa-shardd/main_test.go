@@ -50,7 +50,7 @@ func TestShardServesCluster(t *testing.T) {
 	cfg := config{
 		workload: "synthetic", events: 12, users: 60, seed: 6,
 		index: 0, cluster: 2, batch: 16, planner: "greedy",
-		flush: 200 * time.Microsecond, walSync: "interval",
+		walSync: "interval",
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	done := make(chan error, 1)

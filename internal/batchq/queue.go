@@ -4,16 +4,16 @@
 // consumer pops whole batches.
 //
 // It exists instead of a channel because a batching loop needs what a
-// channel cannot give it: a flush deadline for a partial batch, an explicit
-// drain signal, a busy window that keeps the queue from looking idle while
-// a popped batch is still deciding, and a view of the queued items (the
-// lease renewer's demand predictor).
+// channel cannot give it: batches that form while the consumer is busy, an
+// explicit drain signal, a producer hold that keeps a group of pushes in one
+// batch, a busy window that keeps the queue from looking idle while a popped
+// batch is still deciding, and a view of the queued items (the lease
+// renewer's demand predictor).
 package batchq
 
 import (
 	"errors"
 	"sync"
-	"time"
 )
 
 // Errors Push reports; the HTTP layers map them onto 429 (with Retry-After)
@@ -25,17 +25,19 @@ var (
 
 // Queue is a bounded FIFO of T with batch-at-a-time consumption.
 type Queue[T any] struct {
-	mu       sync.Mutex
-	nonIdle  *sync.Cond
-	items    []T
-	head     int
-	limit    int
-	enqueued func(*T) time.Time
-	closed   bool
+	mu      sync.Mutex
+	nonIdle *sync.Cond
+	items   []T
+	head    int
+	limit   int
+	closed  bool
 	// drainPending asks the consumer to flush the current partial batch; it
 	// is a flag, not a counter, so repeated drain calls cannot make future
 	// full batches flush early.
 	drainPending bool
+	// holds counts producers inside a Hold/Release pair; while it is
+	// positive no partial batch leaves the queue.
+	holds int
 	// busy is true from PopBatch handing out a batch until the consumer's
 	// Finish — it closes the window in which the queue looks empty while
 	// decisions are still pending, which is what Idle (and so every drain
@@ -43,12 +45,9 @@ type Queue[T any] struct {
 	busy bool
 }
 
-// New returns a queue holding at most limit items. enqueued reports when an
-// item entered the queue — the clock of PopBatch's flush deadline. It runs
-// under the queue lock, so it must only read the item; it may be nil for a
-// queue only ever popped with wait == 0.
-func New[T any](limit int, enqueued func(*T) time.Time) *Queue[T] {
-	q := &Queue[T]{limit: limit, enqueued: enqueued}
+// New returns a queue holding at most limit items.
+func New[T any](limit int) *Queue[T] {
+	q := &Queue[T]{limit: limit}
 	q.nonIdle = sync.NewCond(&q.mu)
 	return q
 }
@@ -72,19 +71,16 @@ func (q *Queue[T]) Push(v T) error {
 // max items in FIFO order (appended to dst[:0]).
 //
 //   - A full batch (≥ max pending) returns immediately.
-//   - wait > 0 (live mode): a partial batch is returned once the oldest
-//     pending item has waited `wait` — the micro-batching deadline T.
-//   - wait == 0 (replay mode): a partial batch is returned only on an
-//     explicit Drain or on Close — batch-by-count, no deadlines.
+//   - partial (live mode): whatever is pending returns as soon as there is
+//     one item — the consumer never waits for company, so a batch only forms
+//     while the consumer is busy with the previous one.
+//   - !partial (replay mode): a partial batch is returned only on an
+//     explicit Drain or on Close — batch-by-count.
 //
-// Returns nil after the queue is closed and emptied.
-func (q *Queue[T]) PopBatch(max int, wait time.Duration, dst []T) []T {
-	var timer *time.Timer
-	defer func() {
-		if timer != nil {
-			timer.Stop()
-		}
-	}()
+// While the queue is held (see Hold) no partial batch is returned, on drain
+// or otherwise; Close flushes regardless. Returns nil after the queue is
+// closed and emptied.
+func (q *Queue[T]) PopBatch(max int, partial bool, dst []T) []T {
 	q.mu.Lock()
 	defer q.mu.Unlock()
 	for {
@@ -98,30 +94,11 @@ func (q *Queue[T]) PopBatch(max int, wait time.Duration, dst []T) []T {
 			}
 			return nil
 		}
-		if q.drainPending {
+		if n == 0 {
+			q.drainPending = false // drain of an empty queue: nothing to flush
+		} else if q.holds == 0 && (partial || q.drainPending) {
 			q.drainPending = false
-			if n > 0 {
-				return q.pop(n, dst)
-			}
-			continue // drain of an empty queue: nothing to flush
-		}
-		if n > 0 && wait > 0 {
-			deadline := q.enqueued(&q.items[q.head]).Add(wait)
-			if !time.Now().Before(deadline) {
-				return q.pop(n, dst)
-			}
-			if timer == nil {
-				// The callback takes q.mu before broadcasting so the wakeup
-				// cannot fire in the window between this deadline check and
-				// the Wait below (sync.Cond keeps no memory of signals; an
-				// unserialized Broadcast there would be lost and the partial
-				// batch would miss its deadline).
-				timer = time.AfterFunc(time.Until(deadline), func() {
-					q.mu.Lock()
-					q.nonIdle.Broadcast()
-					q.mu.Unlock()
-				})
-			}
+			return q.pop(n, dst)
 		}
 		q.nonIdle.Wait()
 	}
@@ -148,6 +125,25 @@ func (q *Queue[T]) pop(n int, dst []T) []T {
 func (q *Queue[T]) Finish() {
 	q.mu.Lock()
 	q.busy = false
+	q.mu.Unlock()
+}
+
+// Hold keeps partial batches in the queue until the matching Release, so a
+// producer's run of pushes leaves as one batch (up to max) rather than being
+// split by a consumer that pops the first push alone. Holds nest.
+func (q *Queue[T]) Hold() {
+	q.mu.Lock()
+	q.holds++
+	q.mu.Unlock()
+}
+
+// Release ends one Hold and wakes the consumer once no hold remains.
+func (q *Queue[T]) Release() {
+	q.mu.Lock()
+	q.holds--
+	if q.holds == 0 {
+		q.nonIdle.Broadcast()
+	}
 	q.mu.Unlock()
 }
 

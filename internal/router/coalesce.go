@@ -13,11 +13,11 @@ import (
 // backend through that backend's coalescer. At most one POST /cluster/ops
 // envelope is in flight per backend; requests arriving meanwhile queue, and
 // when the envelope returns everything queued (up to envelopeMax ops) leaves
-// in the next one. The shard submits an envelope's bids and flushes them as
-// one micro-batch (server.handleClusterOps), so the envelope is also the
-// batching boundary. There is no timer and no knob: an idle backend gets a
-// one-op envelope at once, a busy one gets whatever piled up during one
-// round trip.
+// in the next one. The shard holds its queues while it submits an envelope's
+// bids, so they decide as one micro-batch (server.handleClusterOps): the
+// envelope is also the batching boundary. There is no timer and no knob: an
+// idle backend gets a one-op envelope at once, a busy one gets whatever
+// piled up during one round trip.
 //
 // Renewal, migration and the fan-outs never ride an envelope. They call
 // roundTrip directly; an HTTP/1.1 connection carries one exchange at a time

@@ -24,7 +24,7 @@ func startShards(t testing.TB, in *model.Instance, s int, opt shard.Options, wra
 	for si := 0; si < s; si++ {
 		bopt := opt
 		bopt.Shards, bopt.ClusterShards, bopt.ClusterIndex = 1, s, si
-		srv, err := server.New(in, server.Config{Shard: bopt, FlushInterval: 100 * time.Microsecond})
+		srv, err := server.New(in, server.Config{Shard: bopt})
 		if err != nil {
 			t.Fatal(err)
 		}

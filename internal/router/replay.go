@@ -99,7 +99,7 @@ func (rt *Router) dispatchLoop() {
 	buf := make([]rreq, 0, rt.b)
 	users := make([]int, 0, rt.b)
 	for {
-		batch := rt.q.PopBatch(rt.b, 0, buf)
+		batch := rt.q.PopBatch(rt.b, false, buf)
 		if batch == nil {
 			return
 		}

@@ -211,7 +211,7 @@ func New(in *model.Instance, cfg Config) (*Router, error) {
 				depth = 256
 			}
 		}
-		rt.q = batchq.New[rreq](depth, nil) // replay batches by count: no deadline clock
+		rt.q = batchq.New[rreq](depth)
 		rt.state = make([]uint8, in.NumUsers())
 		rt.wg.Add(1)
 		go rt.dispatchLoop()

@@ -54,7 +54,7 @@ func startCluster(t testing.TB, in *model.Instance, s int, opt shard.Options, rc
 		bopt.Shards = 1
 		bopt.ClusterShards = s
 		bopt.ClusterIndex = si
-		srv, err := server.New(in, server.Config{Shard: bopt, FlushInterval: 100 * time.Microsecond})
+		srv, err := server.New(in, server.Config{Shard: bopt})
 		if err != nil {
 			t.Fatal(err)
 		}

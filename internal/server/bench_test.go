@@ -29,9 +29,8 @@ import (
 func BenchmarkServeHTTP(b *testing.B) {
 	in := testInstance(b, 1, 400, 40)
 	srv, err := New(in, Config{
-		Shard:         shard.Options{Shards: 4, Batch: 32, Seed: 1, CacheSize: 4096},
-		FlushInterval: 200 * time.Microsecond,
-		MicroBatch:    8,
+		Shard:      shard.Options{Shards: 4, Batch: 32, Seed: 1, CacheSize: 4096},
+		MicroBatch: 8,
 	})
 	if err != nil {
 		b.Fatal(err)

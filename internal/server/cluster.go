@@ -357,13 +357,13 @@ func (srv *Server) handleClusterBatch(w http.ResponseWriter, r *http.Request) {
 
 // handleClusterOps is POST /cluster/ops — the router's coalesced live
 // traffic. Every bid is submitted first, through the submitBid a direct
-// /v1/bid runs; then the queues are flushed once, so the envelope's bids
-// form one micro-batch instead of waiting out FlushInterval; cancels and
-// reads run through their ordinary handlers while that batch decides; last,
-// each bid's decision is awaited. Each op is answered into its own
-// in-memory writer and returned verbatim. Only /v1/bid, /v1/cancel and
-// /v1/assignment?user= ride in an envelope: any other path is a per-op 400
-// that reaches no handler.
+// /v1/bid runs, with every queue held, so an idle shard loop cannot pop the
+// first bid alone: released together, the envelope's bids form one
+// micro-batch. Cancels and reads then run through their ordinary handlers
+// while that batch decides; last, each bid's decision is awaited. Each op is
+// answered into its own in-memory writer and returned verbatim. Only
+// /v1/bid, /v1/cancel and /v1/assignment?user= ride in an envelope: any
+// other path is a per-op 400 that reaches no handler.
 func (srv *Server) handleClusterOps(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodPost {
 		httpError(w, http.StatusMethodNotAllowed, "POST only")
@@ -379,19 +379,18 @@ func (srv *Server) handleClusterOps(w http.ResponseWriter, r *http.Request) {
 	outs := make([]opWriter, n)
 	bids := make([]request, n)
 	accepted := make([]bool, n)
-	flush := false
+	for _, q := range srv.queues {
+		q.Hold()
+	}
 	for i := range req.Ops {
 		if hrs[i] = envelopeRequest(&req.Ops[i]); hrs[i] == nil {
 			srv.badRequest(&outs[i], fmt.Sprintf("%q cannot ride in an envelope", req.Ops[i].Path))
 		} else if hrs[i].URL.Path == "/v1/bid" {
 			bids[i], accepted[i] = srv.submitBid(&outs[i], hrs[i].Body)
-			flush = flush || accepted[i]
 		}
 	}
-	if flush {
-		for _, q := range srv.queues {
-			q.Drain()
-		}
+	for _, q := range srv.queues {
+		q.Release()
 	}
 	for i, hr := range hrs {
 		switch {

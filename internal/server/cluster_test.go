@@ -109,7 +109,7 @@ func TestCloseBackstopShutdownReply(t *testing.T) {
 	srv.queues[0].Close()
 	srv.wg.Wait()
 	stranded := request{user: 3, enqueued: time.Now(), reply: make(chan reply, 1)}
-	orphan := batchq.New(8, enqueuedAt)
+	orphan := batchq.New[request](8)
 	if err := orphan.Push(stranded); err != nil {
 		t.Fatal(err)
 	}
@@ -158,8 +158,7 @@ func TestClusterShardSurface(t *testing.T) {
 	const width, index = 2, 0
 	seed := int64(7)
 	srv, c := startClusterShard(t, in, width, index, Config{
-		Shard:         shard.Options{Seed: seed, Batch: 16},
-		FlushInterval: 100 * time.Microsecond,
+		Shard: shard.Options{Seed: seed, Batch: 16},
 	})
 	owned, foreign := pickUsers(in, seed, width, index, 4)
 
@@ -265,7 +264,6 @@ func TestClusterFreezeWatchdog(t *testing.T) {
 	in := testInstance(t, 33, 40, 8)
 	srv, c := startClusterShard(t, in, 2, 0, Config{
 		Shard:         shard.Options{Seed: 7, Batch: 16},
-		FlushInterval: 100 * time.Microsecond,
 		FreezeTimeout: 30 * time.Millisecond,
 	})
 	var d ClusterDemandResponse
@@ -303,10 +301,10 @@ func TestClusterMigrationWire(t *testing.T) {
 	in := testInstance(t, 35, 60, 10)
 	seed := int64(7)
 	srv0, c0 := startClusterShard(t, in.Clone(), 2, 0, Config{
-		Shard: shard.Options{Seed: seed, Batch: 16}, FlushInterval: 100 * time.Microsecond,
+		Shard: shard.Options{Seed: seed, Batch: 16},
 	})
 	srv1, c1 := startClusterShard(t, in.Clone(), 2, 1, Config{
-		Shard: shard.Options{Seed: seed, Batch: 16}, FlushInterval: 100 * time.Microsecond,
+		Shard: shard.Options{Seed: seed, Batch: 16},
 	})
 	owned, _ := pickUsers(in, seed, 2, 0, 3)
 	mover := owned[0]
@@ -361,7 +359,7 @@ func TestClusterMigrationWire(t *testing.T) {
 func TestPromoteAlreadyLeader(t *testing.T) {
 	in := testInstance(t, 37, 30, 6)
 	srv, _, c := startServer(t, in, Config{
-		Shard: shard.Options{Shards: 2, Batch: 8, Seed: 1}, FlushInterval: 100 * time.Microsecond,
+		Shard: shard.Options{Shards: 2, Batch: 8, Seed: 1},
 	})
 	var wg sync.WaitGroup
 	codes := make([]int, 8)

@@ -111,9 +111,8 @@ func TestMetricsExposition(t *testing.T) {
 					Shard: shard.Options{
 						Shards: 2, Batch: 8, Seed: 7, Lease: shard.LeaseLP, LiveBound: true,
 					},
-					FlushInterval: 200 * time.Microsecond,
-					WALPath:       filepath.Join(t.TempDir(), "wal.log"),
-					WALSync:       wal.SyncAlways,
+					WALPath: filepath.Join(t.TempDir(), "wal.log"),
+					WALSync: wal.SyncAlways,
 				})
 				driveTraffic(t, c, 66, 10, false)
 				return srv, c
@@ -302,9 +301,8 @@ func TestClusterBadRequestsCounted(t *testing.T) {
 // /metrics exports, in microseconds.
 func TestStatszPercentilesFromHistograms(t *testing.T) {
 	srv, _, c := startServer(t, testInstance(t, 41, 66, 10), Config{
-		Shard:         shard.Options{Shards: 2, Batch: 8, Seed: 7},
-		FlushInterval: 200 * time.Microsecond,
-		WALPath:       filepath.Join(t.TempDir(), "wal.log"),
+		Shard:   shard.Options{Shards: 2, Batch: 8, Seed: 7},
+		WALPath: filepath.Join(t.TempDir(), "wal.log"),
 	})
 	driveTraffic(t, c, 66, 10, false)
 	if !srv.Drain(10 * time.Second) {
@@ -447,7 +445,6 @@ func TestStatszLPReport(t *testing.T) {
 		Shard: shard.Options{
 			Shards: 2, Batch: 8, Seed: 3, Lease: shard.LeaseLP, LiveBound: true,
 		},
-		FlushInterval: 200 * time.Microsecond,
 	})
 	driveTraffic(t, c, 66, 10, false)
 	if !srv.Drain(10 * time.Second) {
@@ -651,7 +648,6 @@ func BenchmarkArrivalPathObs(b *testing.B) {
 			in := testInstance(b, 1, 400, 40)
 			cfg := Config{
 				Shard:          shard.Options{Shards: 4, Batch: 32, Seed: 1, CacheSize: 4096},
-				FlushInterval:  50 * time.Microsecond,
 				MicroBatch:     1,
 				DisableMetrics: mode.disable,
 			}

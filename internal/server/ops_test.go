@@ -7,6 +7,7 @@ import (
 	"io"
 	"net/http"
 	"strconv"
+	"strings"
 	"testing"
 	"time"
 
@@ -64,10 +65,9 @@ func TestClusterOpsMixedEnvelope(t *testing.T) {
 	in := testInstance(t, 41, 60, 10)
 	seed := int64(7)
 	_, c := startClusterShard(t, in, 2, 0, Config{
-		Shard:         shard.Options{Seed: seed, Batch: 16},
-		FlushInterval: time.Hour,
-		MicroBatch:    8,
-		QueueDepth:    1,
+		Shard:      shard.Options{Seed: seed, Batch: 16},
+		MicroBatch: 8,
+		QueueDepth: 1,
 	})
 	owned, foreign := pickUsers(in, seed, 2, 0, 4)
 
@@ -79,7 +79,7 @@ func TestClusterOpsMixedEnvelope(t *testing.T) {
 
 	ops := []ClusterOp{
 		bidOp(owned[1], false), // 202: the one queue slot
-		bidOp(owned[2], true),  // 429: the queue is full until the flush
+		bidOp(owned[2], true),  // 429: the held queue is full until the release
 		bidOp(owned[0], true),  // 409: already decided
 		cancelOp(owned[3]),     // 409: nothing to cancel
 		readOp(owned[0]),       // 200
@@ -115,37 +115,46 @@ func TestClusterOpsMixedEnvelope(t *testing.T) {
 	}
 }
 
-// TestClusterOpsOneMicroBatch pins the envelope as the batching boundary:
-// its k bids decide in one micro-batch at once, though the flush timer would
-// not fire for an hour.
+// TestClusterOpsOneMicroBatch pins the envelope as the batching boundary.
+// The shard loop is idle whenever an envelope arrives, so without the hold
+// across the submit loop it would pop the first bid alone and split the
+// envelope; with it, each envelope's bids decide in exactly one micro-batch.
+// Each bid body carries 32 KiB of padding the decoder skips: submitting a
+// bid then takes long enough for the woken loop to reach the queue between
+// two bids, so a missing hold fails here on any multi-core run, not only by
+// scheduling luck.
 func TestClusterOpsOneMicroBatch(t *testing.T) {
-	in := testInstance(t, 43, 80, 10)
+	pad := strings.Repeat("x", 32<<10)
+	const envelopes, k = 20, 5
+	in := testInstance(t, 43, 400, 20)
 	seed := int64(7)
 	srv, c := startClusterShard(t, in, 2, 1, Config{
-		Shard:         shard.Options{Seed: seed, Batch: 16},
-		FlushInterval: time.Hour,
-		MicroBatch:    8,
+		Shard:      shard.Options{Seed: seed, Batch: 16},
+		MicroBatch: 8,
 	})
-	owned, _ := pickUsers(in, seed, 2, 1, 5)
-	var ops []ClusterOp
-	for _, u := range owned {
-		ops = append(ops, bidOp(u, true))
+	owned, _ := pickUsers(in, seed, 2, 1, envelopes*k)
+	if len(owned) < envelopes*k {
+		t.Fatalf("fixture owns %d users, want %d", len(owned), envelopes*k)
 	}
-	done := make(chan []ClusterOpResult, 1)
-	go func() { done <- c.envelope(ops...) }()
-	select {
-	case res := <-done:
-		for i, r := range res {
+	for e := 0; e < envelopes; e++ {
+		var ops []ClusterOp
+		for _, u := range owned[e*k : (e+1)*k] {
+			body := fmt.Sprintf(`{"user":%d,"pad":%q}`, u, pad)
+			ops = append(ops, ClusterOp{Path: "/v1/bid", Body: json.RawMessage(body)})
+		}
+		for i, r := range c.envelope(ops...) {
 			if r.Status != http.StatusOK {
-				t.Errorf("bid %d: HTTP %d %s", owned[i], r.Status, r.Body)
+				t.Fatalf("envelope %d, bid %d: HTTP %d %s", e, i, r.Status, r.Body)
 			}
 		}
-	case <-time.After(10 * time.Second):
-		srv.Drain(5 * time.Second) // release the parked bids so cleanup can finish
-		t.Fatal("envelope bids waited for the flush timer")
 	}
-	if st := srv.Stats(); st.Epochs != 1 || st.Decided != int64(len(owned)) {
-		t.Fatalf("%d bids decided in %d micro-batches (%d decided), want 1", len(owned), st.Epochs, st.Decided)
+	// The batch counter moves after the replies leave; let the loop finish.
+	if !srv.Drain(5 * time.Second) {
+		t.Fatal("shard loop did not go idle")
+	}
+	if st := srv.Stats(); st.Epochs != envelopes || st.Decided != envelopes*k {
+		t.Fatalf("%d envelopes of %d bids decided in %d micro-batches (%d decided), want one each",
+			envelopes, k, st.Epochs, st.Decided)
 	}
 }
 
@@ -156,8 +165,7 @@ func TestClusterOpsOneMicroBatch(t *testing.T) {
 func TestClusterOpsAllowList(t *testing.T) {
 	in := testInstance(t, 45, 40, 8)
 	srv, c := startClusterShard(t, in, 2, 0, Config{
-		Shard:         shard.Options{Seed: 7, Batch: 16},
-		FlushInterval: 100 * time.Microsecond,
+		Shard: shard.Options{Seed: 7, Batch: 16},
 	})
 	paths := []string{
 		"/cluster/demand", "/cluster/ops", "/admin/drain", "/v1/load",

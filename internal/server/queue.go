@@ -16,9 +16,6 @@ type request struct {
 	decide time.Duration
 }
 
-// enqueuedAt is the batchq deadline clock: a request's enqueue stamp.
-func enqueuedAt(r *request) time.Time { return r.enqueued }
-
 // reply is the decision delivered back to a waiting submitter. shutdown
 // marks the no-decision reply Close delivers to requests the consumers never
 // reached — the HTTP layer answers 503 instead of an assignment.

@@ -9,10 +9,11 @@
 //
 // POST /v1/bid routes the arriving user to their shard (the same
 // shard.ShardOf hash the offline layer uses) and enqueues the request on
-// that shard's bounded queue. A per-shard micro-batching loop coalesces
-// queued requests and flushes on batch size B or deadline T, whichever
-// comes first, feeding the engine's lease/planner machinery under a
-// per-shard lock. Queues are bounded: when one fills, the server answers
+// that shard's bounded queue. A per-shard loop decides whatever is queued,
+// up to MicroBatch, as soon as it is idle: a lone bid never waits for
+// company, and a batch only forms while the loop is busy with the previous
+// one. It feeds the engine's lease/planner machinery under a per-shard
+// lock. Queues are bounded: when one fills, the server answers
 // 429 with Retry-After instead of buffering without limit — backpressure
 // is explicit, never hidden in memory growth.
 //
@@ -61,8 +62,7 @@ import (
 
 // Defaults for Config zero values.
 const (
-	DefaultFlushInterval = 2 * time.Millisecond
-	DefaultRetryAfter    = 1 * time.Second
+	DefaultRetryAfter = 1 * time.Second
 	// DefaultFreezeTimeout bounds a wire-renewal freeze (cluster mode): if
 	// the router dies between /cluster/demand and /cluster/lease, the shard
 	// thaws itself after this long instead of serving frozen forever.
@@ -79,11 +79,13 @@ type Config struct {
 	// flush strictly every Shard.Batch arrivals (drain flushes the tail),
 	// bit-identical to shard.Serve on the same submission order.
 	Replay bool
-	// FlushInterval is T, the live micro-batching deadline: a partial batch
-	// waits at most this long for company. 0 means DefaultFlushInterval.
-	// Ignored in replay mode.
+	// FlushInterval is ignored.
+	//
+	// Deprecated: it was the deadline a partial live batch waited for
+	// company; a shard loop now decides whatever is queued as soon as it is
+	// idle.
 	FlushInterval time.Duration
-	// MicroBatch is the live per-shard flush size. 0 means
+	// MicroBatch caps one live per-shard batch. 0 means
 	// max(1, Shard.Batch/S): S shard loops flushing together roughly match
 	// one renewal period.
 	MicroBatch int
@@ -154,7 +156,6 @@ type Server struct {
 	eng   *shard.Engine
 	s, b  int
 	micro int
-	flush time.Duration
 
 	mux    *http.ServeMux
 	queues []*batchq.Queue[request] // live: one per shard; replay: queues[0] only
@@ -228,16 +229,12 @@ func New(in *model.Instance, cfg Config) (*Server, error) {
 	b := eng.Batch()
 	srv := &Server{
 		cfg: cfg, in: in, eng: eng, s: s, b: b,
-		flush:     cfg.FlushInterval,
 		micro:     cfg.MicroBatch,
 		shardMu:   make([]sync.Mutex, s),
 		state:     make([]uint8, in.NumUsers()),
 		overrides: make(map[int][]int),
 		started:   time.Now(),
 		cluster:   opt.ClusterShards > 0,
-	}
-	if srv.flush <= 0 {
-		srv.flush = DefaultFlushInterval
 	}
 	if srv.micro <= 0 {
 		srv.micro = b / s
@@ -269,7 +266,7 @@ func New(in *model.Instance, cfg Config) (*Server, error) {
 		nq = 1
 	}
 	for qi := 0; qi < nq; qi++ {
-		srv.queues = append(srv.queues, batchq.New(depth, enqueuedAt))
+		srv.queues = append(srv.queues, batchq.New[request](depth))
 	}
 	srv.obs = newServerObs(srv)
 
@@ -436,14 +433,16 @@ func (srv *Server) unlockAll() {
 
 // --- batching loops -------------------------------------------------------
 
-// shardLoop is the live-mode micro-batcher for shard si: pop up to micro
-// requests (flushing partial batches after the deadline), serve them under
-// the shard lock, reply, then give the coordinator a chance to renew leases.
+// shardLoop is the live-mode micro-batcher for shard si: pop whatever is
+// queued, up to micro requests, the moment it is idle, serve them under the
+// shard lock, reply, then give the coordinator a chance to renew leases.
+// Requests arriving while a batch decides (or commits to the WAL, which so
+// becomes a group commit) form the next batch.
 func (srv *Server) shardLoop(si int) {
 	defer srv.wg.Done()
 	buf := make([]request, 0, srv.micro)
 	for {
-		batch := srv.queues[si].PopBatch(srv.micro, srv.flush, buf)
+		batch := srv.queues[si].PopBatch(srv.micro, true, buf)
 		if batch == nil {
 			return
 		}
@@ -555,7 +554,7 @@ func (srv *Server) replayLoop() {
 	buf := make([]request, 0, srv.b)
 	users := make([]int, 0, srv.b)
 	for {
-		batch := srv.queues[0].PopBatch(srv.b, 0, buf)
+		batch := srv.queues[0].PopBatch(srv.b, false, buf)
 		if batch == nil {
 			return
 		}
@@ -1056,7 +1055,6 @@ type Stats struct {
 	Shards        int    `json:"shards"`
 	Batch         int    `json:"batch"`
 	MicroBatch    int    `json:"micro_batch"`
-	FlushMicros   int64  `json:"flush_us"`
 	QueueLimit    int    `json:"queue_limit"`
 	Arrivals      int64  `json:"arrivals"`
 	Decided       int64  `json:"decided"`
@@ -1191,7 +1189,6 @@ func (srv *Server) Stats() Stats {
 	st := Stats{
 		Mode: srv.modeName(), UptimeMS: time.Since(srv.started).Milliseconds(),
 		Shards: srv.s, Batch: srv.b, MicroBatch: srv.micro,
-		FlushMicros: srv.flush.Microseconds(),
 		QueueLimit:  srv.qlimit,
 		Arrivals:    srv.obs.arrivals.Load(),
 		Decided:     srv.obs.decided.Load(),

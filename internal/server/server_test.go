@@ -93,8 +93,7 @@ func startServer(t testing.TB, in *model.Instance, cfg Config) (*Server, *httpte
 func TestEndpointsSmoke(t *testing.T) {
 	in := testInstance(t, 3, 60, 12)
 	srv, _, c := startServer(t, in, Config{
-		Shard:         shard.Options{Shards: 4, Batch: 16, Seed: 7, CacheSize: 128},
-		FlushInterval: 200 * time.Microsecond,
+		Shard: shard.Options{Shards: 4, Batch: 16, Seed: 7, CacheSize: 128},
 	})
 
 	var h healthResponse
@@ -105,7 +104,7 @@ func TestEndpointsSmoke(t *testing.T) {
 		t.Fatalf("healthz payload: %+v", h)
 	}
 
-	// synchronous bid: decided within the flush deadline
+	// synchronous bid: decided at once by the idle shard loop
 	var bid bidResponse
 	if code := c.do("POST", "/v1/bid", bidRequest{User: 5}, &bid).StatusCode; code != http.StatusOK {
 		t.Fatalf("bid: %d", code)
@@ -303,8 +302,7 @@ func TestBackpressure429(t *testing.T) {
 func TestCacheHitsOverHTTP(t *testing.T) {
 	in := testInstance(t, 7, 50, 10)
 	srv, _, c := startServer(t, in, Config{
-		Shard:         shard.Options{Shards: 2, Batch: 8, Seed: 3, CacheSize: 256},
-		FlushInterval: 100 * time.Microsecond,
+		Shard: shard.Options{Shards: 2, Batch: 8, Seed: 3, CacheSize: 256},
 	})
 	for round := 0; round < 3; round++ {
 		for u := 0; u < 10; u++ {
@@ -331,8 +329,7 @@ func TestBidUpdate(t *testing.T) {
 	in := testInstance(t, 9, 40, 8)
 	// clone so the fixture instance is not shared with other tests
 	srv, _, c := startServer(t, in, Config{
-		Shard:         shard.Options{Shards: 2, Batch: 8, Seed: 3},
-		FlushInterval: 100 * time.Microsecond,
+		Shard: shard.Options{Shards: 2, Batch: 8, Seed: 3},
 	})
 	defer srv.Close()
 	newBids := []int{2, 5, 5, 0} // unsorted + duplicate: server normalizes
@@ -357,8 +354,7 @@ func TestBidUpdate(t *testing.T) {
 func TestConcurrentLiveTraffic(t *testing.T) {
 	in := testInstance(t, 13, 120, 15)
 	srv, _, _ := startServer(t, in, Config{
-		Shard:         shard.Options{Shards: 4, Batch: 16, Seed: 5, CacheSize: 128},
-		FlushInterval: 100 * time.Microsecond,
+		Shard: shard.Options{Shards: 4, Batch: 16, Seed: 5, CacheSize: 128},
 	})
 	// Drive the handler directly (httptest transport would throttle on 1 CPU).
 	var wg sync.WaitGroup
@@ -445,8 +441,7 @@ func TestLiveBoundThroughServer(t *testing.T) {
 
 	t.Run("live", func(t *testing.T) {
 		srv, _, c := startServer(t, in.Clone(), Config{
-			Shard:         shard.Options{Shards: 2, Batch: 8, Seed: 5, LiveBound: true},
-			FlushInterval: 200 * time.Microsecond,
+			Shard: shard.Options{Shards: 2, Batch: 8, Seed: 5, LiveBound: true},
 		})
 		for u := 0; u < 48; u++ {
 			req := bidRequest{User: u}
