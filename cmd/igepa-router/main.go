@@ -1,11 +1,14 @@
-// Command igepa-router fronts a cluster of cmd/igepa-shardd processes: it
-// speaks the same /v1 API as igepa-serve -listen, routes each request to the
-// shard owning the user, fans the admin surface (/v1/load, /statsz, /readyz,
-// /admin/drain) across the cluster, and drives the two-phase wire lease
-// renewals through a shard.Coordinator (see DESIGN.md §10).
+// Command igepa-router fronts a cluster of `igepa-serve -listen -cluster S
+// -index i` processes: it speaks the same /v1 API as igepa-serve -listen,
+// routes each request to the shard owning the user, fans the admin surface
+// (/v1/load, /statsz, /readyz, /admin/drain) across the cluster, and drives
+// the two-phase wire lease renewals through a shard.Coordinator (see
+// DESIGN.md §10).
 //
 // Usage:
 //
+//	igepa-serve -listen :9001 -cluster 2 -index 0 -seed 42 &
+//	igepa-serve -listen :9002 -cluster 2 -index 1 -seed 42 &
 //	igepa-router -listen :8080 -backends http://127.0.0.1:9001,http://127.0.0.1:9002 -seed 42
 //	igepa-router -listen :8080 -backends ...,... -replay     # deterministic dispatcher
 //
@@ -13,16 +16,15 @@
 // -events, -users, -seed and -batch; the router checks each backend's
 // /healthz at startup (retrying while the cluster assembles) and refuses to
 // serve over a mismatched deployment. POST /admin/migrate moves a user range
-// between backends at runtime.
+// between backends at runtime. SIGINT and SIGTERM shut down through
+// server.Run, draining the replay queue into the backends first.
 package main
 
 import (
 	"context"
-	"errors"
 	"flag"
 	"fmt"
 	"net"
-	"net/http"
 	"os"
 	"os/signal"
 	"strings"
@@ -31,6 +33,7 @@ import (
 
 	"github.com/ebsn/igepa"
 	"github.com/ebsn/igepa/internal/router"
+	"github.com/ebsn/igepa/internal/server"
 	"github.com/ebsn/igepa/internal/shard"
 )
 
@@ -81,8 +84,6 @@ func main() {
 	}
 }
 
-const shutdownGrace = 10 * time.Second
-
 func run(w *os.File, cfg config) error {
 	if len(cfg.backends) == 0 {
 		return fmt.Errorf("no -backends given")
@@ -101,7 +102,7 @@ func serveListenerCtx(ctx context.Context, w *os.File, ln net.Listener, cfg conf
 	if err != nil {
 		return err
 	}
-	lease, err := leasePolicy(cfg.lease)
+	lease, err := shard.ParseLeasePolicy(cfg.lease)
 	if err != nil {
 		return err
 	}
@@ -143,30 +144,12 @@ func serveListenerCtx(ctx context.Context, w *os.File, ln net.Listener, cfg conf
 	}
 	fmt.Fprintf(w, "igepa-router: %s mode on %s — |V|=%d |U|=%d S=%d backends=%s (/metrics; /cluster/metrics fans in every shard)\n",
 		mode, ln.Addr(), in.NumEvents(), in.NumUsers(), len(cfg.backends), strings.Join(cfg.backends, ","))
-	hs := &http.Server{Handler: rt}
-	served := make(chan struct{})
-	shutdownDone := make(chan struct{})
-	go func() {
-		defer close(shutdownDone)
-		select {
-		case <-ctx.Done():
-			fmt.Fprintf(w, "igepa-router: signal received, draining\n")
-			sctx, cancel := context.WithTimeout(context.Background(), shutdownGrace)
-			hs.Shutdown(sctx)
-			cancel()
-			if !rt.Drain(shutdownGrace) {
-				fmt.Fprintln(os.Stderr, "igepa-router: drain timed out; closing anyway")
-			}
-		case <-served:
+	return server.Run(ctx, ln, rt, func() {
+		fmt.Fprintf(w, "igepa-router: shutting down, draining\n")
+		if !rt.Drain(server.ShutdownGrace) {
+			fmt.Fprintln(os.Stderr, "igepa-router: drain timed out; closing anyway")
 		}
-	}()
-	err = hs.Serve(ln)
-	close(served)
-	<-shutdownDone
-	if err != nil && !errors.Is(err, http.ErrServerClosed) && !errors.Is(err, net.ErrClosed) {
-		return err
-	}
-	return nil
+	})
 }
 
 func makeInstance(cfg config) (*igepa.Instance, error) {
@@ -181,18 +164,5 @@ func makeInstance(cfg config) (*igepa.Instance, error) {
 		})
 	default:
 		return nil, fmt.Errorf("unknown workload %q (want meetup or synthetic)", cfg.workload)
-	}
-}
-
-func leasePolicy(name string) (shard.LeasePolicy, error) {
-	switch name {
-	case "", "demand":
-		return shard.LeaseDemand, nil
-	case "even":
-		return shard.LeaseEven, nil
-	case "lp":
-		return shard.LeaseLP, nil
-	default:
-		return 0, fmt.Errorf("unknown lease policy %q (want demand, even or lp)", name)
 	}
 }

@@ -2,6 +2,7 @@ package main
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -9,6 +10,7 @@ import (
 	"net"
 	"net/http"
 	"net/http/httptest"
+	"os"
 	"os/exec"
 	"path/filepath"
 	"sync/atomic"
@@ -63,20 +65,21 @@ func getJSON(hc *http.Client, url string, out any) (int, error) {
 }
 
 // TestMultiProcessClusterSmoke is the deployment-shaped acceptance test: it
-// builds the real igepa-shardd and igepa-router binaries, boots a cluster of
-// separate OS processes (router + 2 shards), replays an arrival order
-// through the public API, and pins the cluster's utility bit-identical to
-// the in-process ServeSharded run — and therefore trivially ≥ 99.6% of the
-// single-shard utility the acceptance bound asks for.
+// builds the real igepa-serve and igepa-router binaries, boots a cluster of
+// separate OS processes (router + 2 `igepa-serve -listen -cluster 2 -index i`
+// shards), replays an arrival order through the public API, and pins the
+// cluster's utility bit-identical to the in-process ServeSharded run — and
+// therefore trivially ≥ 99.6% of the single-shard utility the acceptance
+// bound asks for.
 func TestMultiProcessClusterSmoke(t *testing.T) {
 	if _, err := exec.LookPath("go"); err != nil {
 		t.Skip("go toolchain not on PATH")
 	}
 	dir := t.TempDir()
-	sharddBin := filepath.Join(dir, "igepa-shardd")
+	serveBin := filepath.Join(dir, "igepa-serve")
 	routerBin := filepath.Join(dir, "igepa-router")
 	for bin, pkg := range map[string]string{
-		sharddBin: "github.com/ebsn/igepa/cmd/igepa-shardd",
+		serveBin:  "github.com/ebsn/igepa/cmd/igepa-serve",
 		routerBin: "github.com/ebsn/igepa/cmd/igepa-router",
 	} {
 		out, err := exec.Command("go", "build", "-o", bin, pkg).CombinedOutput()
@@ -121,8 +124,8 @@ func TestMultiProcessClusterSmoke(t *testing.T) {
 			backendURLs += ","
 		}
 		backendURLs += "http://" + backendAddrs[i]
-		startProc(sharddBin, "-listen", backendAddrs[i],
-			"-index", fmt.Sprint(i), "-cluster", fmt.Sprint(S))
+		startProc(serveBin, "-listen", backendAddrs[i],
+			"-cluster", fmt.Sprint(S), "-index", fmt.Sprint(i))
 	}
 	routerAddr := freeAddr(t)
 	startProc(routerBin, "-listen", routerAddr, "-backends", backendURLs, "-replay")
@@ -200,6 +203,75 @@ func TestMultiProcessClusterSmoke(t *testing.T) {
 	if ratio := st.Utility / single.Utility; ratio < 0.996 {
 		t.Fatalf("cluster utility %g is %.4f of single-shard %g (acceptance floor 0.996)",
 			st.Utility, ratio, single.Utility)
+	}
+}
+
+// TestShutdownDrainsReplayTail drives the router's command path in replay
+// mode over two in-process cluster shards: a tail shorter than one batch is
+// still queued at the router when the signal arrives, and the shutdown path
+// must drain it into the backends before returning.
+func TestShutdownDrainsReplayTail(t *testing.T) {
+	cfg := config{
+		workload: "synthetic", events: 12, users: 60, seed: 5,
+		batch: 24, replay: true, checkWait: 10 * time.Second,
+	}
+	in, err := makeInstance(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const S = 2
+	var backends []*server.Server
+	for i := 0; i < S; i++ {
+		srv, err := server.New(in, server.Config{Shard: shard.Options{
+			Shards: 1, ClusterShards: S, ClusterIndex: i, Batch: cfg.batch, Seed: cfg.seed,
+		}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer srv.Close()
+		ts := httptest.NewServer(srv)
+		defer ts.Close()
+		backends = append(backends, srv)
+		cfg.backends = append(cfg.backends, ts.URL)
+	}
+
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	null, err := os.OpenFile(os.DevNull, os.O_WRONLY, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer null.Close()
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	done := make(chan error, 1)
+	go func() { done <- serveListenerCtx(ctx, null, ln, cfg) }()
+
+	base := "http://" + ln.Addr().String()
+	hc := &http.Client{Timeout: 10 * time.Second}
+	for u := 0; u < 5; u++ {
+		code, err := postJSON(hc, base+"/v1/bid", map[string]any{"user": u, "wait": false}, nil)
+		if err != nil || code != http.StatusAccepted {
+			t.Fatalf("submit user %d: %d %v", u, code, err)
+		}
+	}
+	cancel()
+	select {
+	case err := <-done:
+		if err != nil {
+			t.Fatalf("serveListenerCtx: %v", err)
+		}
+	case <-time.After(20 * time.Second):
+		t.Fatal("router did not shut down")
+	}
+	var decided int64
+	for _, srv := range backends {
+		decided += srv.Stats().Decided
+	}
+	if decided != 5 {
+		t.Fatalf("backends decided %d of the 5 queued bids on shutdown", decided)
 	}
 }
 

@@ -18,6 +18,7 @@
 //	igepa-serve -listen :8080 -replay    # deterministic replay dispatcher
 //	igepa-serve -listen :8080 -wal serve.wal -checkpoint serve.ckpt
 //	igepa-serve -listen :8081 -wal serve.wal -follow   # read replica
+//	igepa-serve -listen :9001 -cluster 2 -index 0      # shard 0 of 2 behind igepa-router
 //
 // With -wal every accepted operation is appended to a write-ahead log
 // before its reply and restarts warm-boot by replaying it (from the
@@ -25,9 +26,14 @@
 // policy (always / interval / off). With -follow the process is a read
 // replica tailing the leader's -wal: reads only, ready once caught up
 // within -lag-bytes, promoted via POST /admin/promote. SIGINT and SIGTERM
-// both shut the server down cleanly: stop accepting, drain every queued
-// decision into the log, checkpoint if configured, then exit — a container
-// stop is a clean shutdown, not a crash. See DESIGN.md §9.
+// both shut the server down cleanly (server.Run): stop accepting, drain
+// every queued decision into the log, checkpoint if configured, then exit —
+// a container stop is a clean shutdown, not a crash. See DESIGN.md §9.
+//
+// With -cluster S the process hosts cluster shard -index of an S-process
+// deployment behind cmd/igepa-router, which routes users by the shared hash
+// and drives lease renewals over /cluster/* (DESIGN.md §10). Every shard and
+// the router take the same -workload, -events, -users, -seed and -batch.
 //
 // The arrival stream is either a timestamped JSONL log written by
 // igepa-datagen -arrivals, or the built-in synthetic stream. Every row is
@@ -56,7 +62,6 @@ package main
 
 import (
 	"context"
-	"errors"
 	"flag"
 	"fmt"
 	"net"
@@ -94,7 +99,6 @@ type config struct {
 	rate      float64
 	liveBound bool
 	pace      float64
-	cache     int
 
 	arrivalsPartial bool
 
@@ -104,6 +108,8 @@ type config struct {
 	replay     bool
 	pprof      bool
 	slowlog    time.Duration
+	cluster    int
+	index      int
 
 	// durability (-listen mode)
 	wal             string
@@ -133,8 +139,9 @@ func main() {
 	flag.Float64Var(&cfg.rate, "rate", 1000, "synthetic stream: mean arrivals per second")
 	flag.BoolVar(&cfg.liveBound, "live-bound", false, "track the incremental LP bound across batches (warm re-solves)")
 	flag.Float64Var(&cfg.pace, "pace", 0, "wall-clock replay speed-up factor (1 = real time, 0 = as fast as possible)")
-	flag.IntVar(&cfg.cache, "cache", 0, "deprecated, ignored: the planners no longer cache admissible sets")
 	flag.StringVar(&cfg.listen, "listen", "", "host the HTTP serving layer on this address instead of the replay sweep")
+	flag.IntVar(&cfg.cluster, "cluster", 0, "listen: host one shard of an S-process cluster behind igepa-router (0 = standalone)")
+	flag.IntVar(&cfg.index, "index", 0, "listen: this process's shard index within the -cluster")
 	flag.IntVar(&cfg.queueDepth, "queue", 0, "listen: bounded queue depth (0 = default)")
 	flag.BoolVar(&cfg.replay, "replay", false, "listen: deterministic replay dispatcher (batch-by-count, no deadlines)")
 	flag.BoolVar(&cfg.pprof, "pprof", false, "listen: expose net/http/pprof handlers under /debug/pprof/")
@@ -174,10 +181,6 @@ func main() {
 	}
 }
 
-// shutdownGrace bounds each stage of a signal-driven shutdown: finishing
-// in-flight HTTP requests, then draining the queued decisions.
-const shutdownGrace = 10 * time.Second
-
 // listenAndServe hosts the HTTP serving subsystem until SIGINT or SIGTERM
 // (containers send SIGTERM; both take the same drain path).
 func listenAndServe(w *os.File, cfg config) error {
@@ -197,28 +200,27 @@ func serveListener(w *os.File, ln net.Listener, cfg config) error {
 }
 
 // serveListenerCtx is the -listen engine room. When ctx fires (SIGINT or
-// SIGTERM) it shuts down through the drain path: stop accepting and finish
-// in-flight requests (http.Server.Shutdown), drain every queued decision —
-// with a WAL, into the log — write a final checkpoint if one is configured,
-// then Close. A container stop is a clean shutdown, not a crash.
+// SIGTERM) server.Run stops accepting and finishes in-flight requests; then
+// every queued decision drains — with a WAL, into the log — and a leader
+// writes a final checkpoint if one is configured before Close. Invalid
+// -cluster combinations (-shards ≠ 1, -index out of range, -live-bound,
+// -replay) are the engine's and server's typed errors.
 func serveListenerCtx(ctx context.Context, w *os.File, ln net.Listener, cfg config) error {
 	in, err := makeInstance(cfg)
 	if err != nil {
 		return err
 	}
-	kind, err := plannerKind(cfg.planner)
+	kind, err := shard.ParsePlannerKind(cfg.planner)
 	if err != nil {
 		return err
 	}
-	lease, err := leasePolicy(cfg.lease)
+	lease, err := shard.ParseLeasePolicy(cfg.lease)
 	if err != nil {
 		return err
 	}
-	sync := wal.SyncInterval
-	if cfg.walSync != "" {
-		if sync, err = wal.ParseSyncPolicy(cfg.walSync); err != nil {
-			return err
-		}
+	sync, err := wal.ParseSyncPolicy(cfg.walSync)
+	if err != nil {
+		return err
 	}
 	if len(cfg.shards) != 1 {
 		return fmt.Errorf("-listen hosts one server: pass a single -shards value (default 1), got %v", cfg.shards)
@@ -226,9 +228,10 @@ func serveListenerCtx(ctx context.Context, w *os.File, ln net.Listener, cfg conf
 	s := cfg.shards[0]
 	srv, err := server.New(in, server.Config{
 		Shard: shard.Options{
-			Shards: s, Batch: cfg.batch, Workers: cfg.workers, Seed: cfg.seed,
+			Shards: s, ClusterShards: cfg.cluster, ClusterIndex: cfg.index,
+			Batch: cfg.batch, Workers: cfg.workers, Seed: cfg.seed,
 			Planner: kind, Tau: cfg.tau, Guard: cfg.guard,
-			Lease: lease, CacheSize: cfg.cache, LiveBound: cfg.liveBound,
+			Lease: lease, LiveBound: cfg.liveBound,
 		},
 		Replay:          cfg.replay,
 		QueueDepth:      cfg.queueDepth,
@@ -252,37 +255,23 @@ func serveListenerCtx(ctx context.Context, w *os.File, ln net.Listener, cfg conf
 	if cfg.follow {
 		role = " as read follower"
 	}
-	fmt.Fprintf(w, "igepa-serve: %s mode on %s%s — |V|=%d |U|=%d S=%d (POST /v1/bid, /v1/cancel; GET /v1/assignment, /v1/load, /healthz, /readyz, /statsz, /metrics)\n",
-		mode, ln.Addr(), role, in.NumEvents(), in.NumUsers(), s)
-	hs := &http.Server{Handler: withPprof(srv, cfg.pprof)}
-	served := make(chan struct{})
-	shutdownDone := make(chan struct{})
-	go func() {
-		defer close(shutdownDone)
-		select {
-		case <-ctx.Done():
-			fmt.Fprintf(w, "igepa-serve: signal received, draining\n")
-			sctx, cancel := context.WithTimeout(context.Background(), shutdownGrace)
-			hs.Shutdown(sctx)
-			cancel()
-			if !srv.Drain(shutdownGrace) {
-				fmt.Fprintln(os.Stderr, "igepa-serve: drain timed out; closing anyway")
-			}
-			if cfg.checkpoint != "" && !cfg.follow {
-				if err := srv.Checkpoint(); err != nil {
-					fmt.Fprintln(os.Stderr, "igepa-serve: checkpoint on shutdown:", err)
-				}
-			}
-		case <-served:
-		}
-	}()
-	err = hs.Serve(ln)
-	close(served)
-	<-shutdownDone
-	if err != nil && !errors.Is(err, http.ErrServerClosed) && !errors.Is(err, net.ErrClosed) {
-		return err
+	shape := fmt.Sprintf("S=%d", s)
+	if cfg.cluster > 0 {
+		shape = fmt.Sprintf("shard %d/%d", cfg.index, cfg.cluster)
 	}
-	return nil
+	fmt.Fprintf(w, "igepa-serve: %s mode on %s%s — |V|=%d |U|=%d %s (POST /v1/bid, /v1/cancel; GET /v1/assignment, /v1/load, /healthz, /readyz, /statsz, /metrics)\n",
+		mode, ln.Addr(), role, in.NumEvents(), in.NumUsers(), shape)
+	return server.Run(ctx, ln, withPprof(srv, cfg.pprof), func() {
+		fmt.Fprintf(w, "igepa-serve: shutting down, draining\n")
+		if !srv.Drain(server.ShutdownGrace) {
+			fmt.Fprintln(os.Stderr, "igepa-serve: drain timed out; closing anyway")
+		}
+		if cfg.checkpoint != "" && !cfg.follow {
+			if err := srv.Checkpoint(); err != nil {
+				fmt.Fprintln(os.Stderr, "igepa-serve: checkpoint on shutdown:", err)
+			}
+		}
+	})
 }
 
 // withPprof mounts the net/http/pprof handlers under /debug/pprof/ in front
@@ -320,11 +309,11 @@ func run(w *os.File, cfg config) error {
 	if err != nil {
 		return err
 	}
-	kind, err := plannerKind(cfg.planner)
+	kind, err := shard.ParsePlannerKind(cfg.planner)
 	if err != nil {
 		return err
 	}
-	lease, err := leasePolicy(cfg.lease)
+	lease, err := shard.ParseLeasePolicy(cfg.lease)
 	if err != nil {
 		return err
 	}
@@ -355,7 +344,7 @@ func run(w *os.File, cfg config) error {
 		return shard.Options{
 			Shards: s, Batch: cfg.batch, Workers: cfg.workers, Seed: cfg.seed,
 			Planner: kind, Tau: cfg.tau, Guard: cfg.guard,
-			Lease: lease, RecordLatency: true, CacheSize: cfg.cache,
+			Lease: lease, RecordLatency: true,
 		}
 	}
 	// The vs-single baseline is always a real S=1 run, whatever -shards says.
@@ -391,7 +380,7 @@ func run(w *os.File, cfg config) error {
 	}
 
 	if cfg.pace > 0 {
-		if err := pacedReplay(w, in, stream, cfg, kind, lease); err != nil {
+		if err := pacedReplay(w, in, stream, cfg, optFor); err != nil {
 			return fmt.Errorf("paced replay: %w", err)
 		}
 	}
@@ -408,7 +397,7 @@ func run(w *os.File, cfg config) error {
 // Decisions are identical to the unpaced sweep; what pacing adds is the
 // queueing delay every arrival spends waiting for its batch to assemble and
 // flush — the serving-time cost the throughput table cannot show.
-func pacedReplay(w *os.File, in *igepa.Instance, stream []workload.Arrival, cfg config, kind shard.PlannerKind, lease shard.LeasePolicy) error {
+func pacedReplay(w *os.File, in *igepa.Instance, stream []workload.Arrival, cfg config, optFor func(s int) shard.Options) error {
 	if len(stream) == 0 {
 		fmt.Fprintf(w, "\npaced replay: empty arrival stream, nothing to pace\n")
 		return nil
@@ -418,12 +407,7 @@ func pacedReplay(w *os.File, in *igepa.Instance, stream []workload.Arrival, cfg 
 	fmt.Fprintf(w, "%8s %10s %10s %10s %10s %10s %12.12s\n",
 		"shards", "queue-p50", "queue-p99", "decide-p50", "decide-p99", "total-p99", "utility")
 	for _, s := range cfg.shards {
-		opt := shard.Options{
-			Shards: s, Batch: cfg.batch, Workers: cfg.workers, Seed: cfg.seed,
-			Planner: kind, Tau: cfg.tau, Guard: cfg.guard,
-			Lease: lease, RecordLatency: true, CacheSize: cfg.cache,
-		}
-		res, qdelay, err := servePaced(in, stream, opt, cfg.pace)
+		res, qdelay, err := servePaced(in, stream, optFor(s), cfg.pace)
 		if err != nil {
 			return err
 		}
@@ -514,7 +498,7 @@ func latencyPercentiles(lat []time.Duration, order []int) (p50, p99 time.Duratio
 // the best total utility still reachable — the serving-time counterpart of
 // Lemma 1's offline bound.
 func liveBound(w *os.File, in *igepa.Instance, order []int, served *shard.Result, cfg config) error {
-	shadow := cloneInstance(in)
+	shadow := in.Clone() // consumed batch by batch; the serving input stays intact
 	p, err := igepa.NewPlanner(shadow, igepa.LPPackingOptions{Seed: cfg.seed, Workers: cfg.workers})
 	if err != nil {
 		return err
@@ -569,10 +553,6 @@ func liveBound(w *os.File, in *igepa.Instance, order []int, served *shard.Result
 	return nil
 }
 
-// cloneInstance deep-copies the mutable parts of the instance so the live
-// bound can consume it without touching the serving input.
-func cloneInstance(in *igepa.Instance) *igepa.Instance { return in.Clone() }
-
 // makeStream loads the JSONL arrival log, or generates the deterministic
 // synthetic stream (every user once, seeded order, exponential gaps).
 func makeStream(cfg config, numUsers int) ([]workload.Arrival, error) {
@@ -622,29 +602,5 @@ func makeInstance(cfg config) (*igepa.Instance, error) {
 		})
 	default:
 		return nil, fmt.Errorf("unknown workload %q (want meetup or synthetic)", cfg.workload)
-	}
-}
-
-func plannerKind(name string) (shard.PlannerKind, error) {
-	switch name {
-	case "greedy":
-		return shard.PlannerGreedy, nil
-	case "threshold":
-		return shard.PlannerThreshold, nil
-	default:
-		return 0, fmt.Errorf("unknown planner %q (want greedy or threshold)", name)
-	}
-}
-
-func leasePolicy(name string) (shard.LeasePolicy, error) {
-	switch name {
-	case "", "demand":
-		return shard.LeaseDemand, nil
-	case "even":
-		return shard.LeaseEven, nil
-	case "lp":
-		return shard.LeaseLP, nil
-	default:
-		return 0, fmt.Errorf("unknown lease policy %q (want demand, even or lp)", name)
 	}
 }

@@ -1,8 +1,10 @@
 package main
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"net"
 	"net/http"
@@ -121,14 +123,14 @@ func TestBadConfigRejected(t *testing.T) {
 	}
 }
 
-// TestRunPacedAndCached runs the sweep with wall-clock pacing (at a very
-// high speed-up so the test stays fast) and the admissible-set cache on.
-func TestRunPacedAndCached(t *testing.T) {
+// TestRunPaced runs the sweep with wall-clock pacing (at a very high
+// speed-up so the test stays fast).
+func TestRunPaced(t *testing.T) {
 	null := devNull(t)
 	cfg := config{
 		workload: "synthetic", events: 15, users: 80, seed: 4,
 		shards: []int{1, 2}, planner: "greedy", batch: 16,
-		pace: 1e6, rate: 2000, cache: 256,
+		pace: 1e6, rate: 2000,
 	}
 	if err := run(null, cfg); err != nil {
 		t.Fatal(err)
@@ -177,7 +179,7 @@ func TestListenServesHTTP(t *testing.T) {
 	null := devNull(t)
 	cfg := config{
 		workload: "synthetic", events: 12, users: 50, seed: 6,
-		shards: []int{2}, planner: "greedy", cache: 64,
+		shards: []int{2}, planner: "greedy",
 	}
 	done := make(chan error, 1)
 	go func() { done <- serveListener(null, ln, cfg) }()
@@ -234,6 +236,152 @@ func TestListenServesHTTP(t *testing.T) {
 		}
 	case <-time.After(5 * time.Second):
 		t.Fatal("serveListener did not exit after listener close")
+	}
+}
+
+func postJSON(t *testing.T, hc *http.Client, url string, body, out any) int {
+	t.Helper()
+	raw, _ := json.Marshal(body)
+	resp, err := hc.Post(url, "application/json", bytes.NewReader(raw))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	if out != nil && resp.StatusCode < 300 {
+		if err := json.NewDecoder(resp.Body).Decode(out); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return resp.StatusCode
+}
+
+// TestListenServesClusterShard boots -listen -cluster 2 -index 0 on a
+// loopback listener and exercises the ownership gate and the wire renewal
+// surface end to end, then shuts down cleanly on cancel.
+func TestListenServesClusterShard(t *testing.T) {
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := config{
+		workload: "synthetic", events: 12, users: 60, seed: 6,
+		shards: []int{1}, cluster: 2, index: 0, batch: 16, planner: "greedy",
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	done := make(chan error, 1)
+	go func() { done <- serveListenerCtx(ctx, devNull(t), ln, cfg) }()
+
+	base := "http://" + ln.Addr().String()
+	hc := &http.Client{Timeout: 5 * time.Second}
+
+	var health struct {
+		Status  string `json:"status"`
+		Cluster *struct {
+			Shards int `json:"shards"`
+			Index  int `json:"index"`
+		} `json:"cluster"`
+	}
+	deadline := time.Now().Add(10 * time.Second)
+	for {
+		resp, err := hc.Get(base + "/healthz")
+		if err == nil {
+			json.NewDecoder(resp.Body).Decode(&health)
+			resp.Body.Close()
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("server never came up: %v", err)
+		}
+		time.Sleep(10 * time.Millisecond)
+	}
+	if health.Status != "ok" || health.Cluster == nil || health.Cluster.Shards != 2 || health.Cluster.Index != 0 {
+		t.Fatalf("healthz: %+v", health)
+	}
+
+	// ownership gate straight through the command config
+	owned, foreign := -1, -1
+	for u := 0; u < cfg.users; u++ {
+		if shard.ShardOf(cfg.seed, u, cfg.cluster) == cfg.index {
+			if owned < 0 {
+				owned = u
+			}
+		} else if foreign < 0 {
+			foreign = u
+		}
+	}
+	if code := postJSON(t, hc, base+"/v1/bid", map[string]int{"user": owned}, nil); code != http.StatusOK {
+		t.Fatalf("owned bid: %d", code)
+	}
+	if code := postJSON(t, hc, base+"/v1/bid", map[string]int{"user": foreign}, nil); code != http.StatusMisdirectedRequest {
+		t.Fatalf("foreign bid: %d, want 421", code)
+	}
+
+	// one wire renewal round
+	var d struct {
+		Loads []int `json:"loads"`
+	}
+	if code := postJSON(t, hc, base+"/cluster/demand", struct{}{}, &d); code != http.StatusOK {
+		t.Fatalf("demand: %d", code)
+	}
+	if len(d.Loads) != cfg.events {
+		t.Fatalf("demand loads: %d, want %d", len(d.Loads), cfg.events)
+	}
+	var lr struct {
+		Renewals int `json:"renewals"`
+	}
+	if code := postJSON(t, hc, base+"/cluster/lease", map[string]any{"budget": d.Loads}, &lr); code != http.StatusOK {
+		t.Fatalf("lease: %d", code)
+	}
+	if lr.Renewals != 1 {
+		t.Fatalf("renewals: %d", lr.Renewals)
+	}
+
+	cancel()
+	select {
+	case err := <-done:
+		if err != nil {
+			t.Fatalf("clean shutdown: %v", err)
+		}
+	case <-time.After(15 * time.Second):
+		t.Fatal("server did not shut down")
+	}
+}
+
+// TestListenBadConfigRejected pins -listen flag validation through the
+// command path. The -cluster rows are the engine's and server's own typed
+// errors: the command adds no checks of its own.
+func TestListenBadConfigRejected(t *testing.T) {
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ln.Close()
+	ok := config{workload: "synthetic", events: 8, users: 20, shards: []int{1}, cluster: 2, planner: "greedy"}
+	for _, tc := range []struct {
+		name  string
+		edit  func(*config)
+		field string // the *shard.ConfigError field, when the error is one
+	}{
+		{"workload", func(c *config) { c.workload = "nope" }, ""},
+		{"planner", func(c *config) { c.planner = "nope" }, ""},
+		{"wal-sync", func(c *config) { c.walSync = "nope" }, ""},
+		{"index", func(c *config) { c.index = 5 }, "ClusterIndex"},
+		{"cluster+replay", func(c *config) { c.replay = true }, "Replay"},
+		{"cluster+shards", func(c *config) { c.shards = []int{4} }, "Shards"},
+		{"cluster+live-bound", func(c *config) { c.liveBound = true }, "LiveBound"},
+	} {
+		cfg := ok
+		tc.edit(&cfg)
+		ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+		err := serveListenerCtx(ctx, devNull(t), ln, cfg)
+		cancel()
+		var ce *shard.ConfigError
+		switch {
+		case err == nil:
+			t.Errorf("%s: bad config accepted", tc.name)
+		case tc.field != "" && (!errors.As(err, &ce) || ce.Field != tc.field):
+			t.Errorf("%s: got %v, want a *shard.ConfigError on %s", tc.name, err, tc.field)
+		}
 	}
 }
 

@@ -3,7 +3,7 @@ package obs
 // Exposition-format parsing: enough of the Prometheus text format (0.0.4)
 // to serve three consumers — the metrics-lint test step, igepa-loadgen's
 // end-of-run server-side summary, and the router's /cluster/metrics fan-in
-// (which re-labels and re-exports each shardd's scrape). Values are kept as
+// (which re-labels and re-exports each cluster shard's scrape). Values are kept as
 // raw strings so a parse→relabel→re-emit round trip never reformats a
 // float; the loadgen summary parses on demand.
 

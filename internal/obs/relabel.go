@@ -1,6 +1,6 @@
 package obs
 
-// Cluster fan-in: the router scrapes each shardd's /metrics and re-exports
+// Cluster fan-in: the router scrapes each shard's /metrics and re-exports
 // the union at /cluster/metrics with a shard="<index>" label, so one scrape
 // sees the whole cluster. Families with the same name across shards merge
 // under one HELP/TYPE header (emitting the header once per name is what

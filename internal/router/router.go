@@ -1,8 +1,8 @@
 // Package router is the front tier of the distributed serving deployment:
 // one stateless-ish process speaking the same /v1 API as internal/server,
-// routing each request to the cluster shard (cmd/igepa-shardd) that owns the
-// user and running the lease-renewal arithmetic that a single-process server
-// runs in-process (see DESIGN.md §10).
+// routing each request to the cluster shard (igepa-serve -listen -cluster S
+// -index i) that owns the user and running the lease-renewal arithmetic that
+// a single-process server runs in-process (see DESIGN.md §10).
 //
 // The deployment invariant mirrors the shard package's: a router over S
 // single-shard backends is the same machine as one S-shard server, cut along
@@ -101,7 +101,7 @@ type backend struct {
 }
 
 // Router is the front-tier process. Construct with New, verify the cluster
-// with CheckBackends, install Handler in an http.Server, Close when done.
+// with CheckBackends, serve it with server.Run, Close when done.
 type Router struct {
 	cfg      Config
 	in       *model.Instance

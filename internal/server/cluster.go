@@ -15,8 +15,8 @@ import (
 )
 
 // This file is the cluster-shard half of the wire renewal protocol (see
-// DESIGN.md §10). A shard process (cmd/igepa-shardd) exposes /cluster/*
-// endpoints to its router:
+// DESIGN.md §10). A shard process (igepa-serve -listen -cluster S -index i)
+// exposes /cluster/* endpoints to its router:
 //
 //	POST /cluster/demand  — phase 1 (prepare): freeze grants, report loads
 //	                        and queued demand

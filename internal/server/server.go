@@ -148,8 +148,8 @@ const (
 	stateCancelled
 )
 
-// Server is the HTTP serving layer. Construct with New, install Handler in
-// an http.Server (or httptest), and Close when done.
+// Server is the HTTP serving layer. Construct with New, serve it with Run
+// (or httptest), and Close when done.
 type Server struct {
 	cfg   Config
 	in    *model.Instance

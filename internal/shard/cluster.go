@@ -8,7 +8,7 @@ import (
 )
 
 // This file is the shard package's distributed-deployment surface: the
-// single-shard ("cluster") engine mode that cmd/igepa-shardd hosts, the
+// single-shard ("cluster") engine mode that igepa-serve -cluster hosts, the
 // Migration wire type that moves a user range (decisions + consumed seats)
 // between shards, and the Coordinator that runs the lease-renewal arithmetic
 // at the router tier.

@@ -99,6 +99,18 @@ func (k PlannerKind) String() string {
 	}
 }
 
+// ParsePlannerKind parses the -planner flag values, the String names.
+func ParsePlannerKind(s string) (PlannerKind, error) {
+	switch s {
+	case "greedy":
+		return PlannerGreedy, nil
+	case "threshold":
+		return PlannerThreshold, nil
+	default:
+		return 0, fmt.Errorf("unknown planner %q (want greedy or threshold)", s)
+	}
+}
+
 // LeasePolicy selects how the coordinator re-splits each event's free seat
 // pool at renewal time.
 type LeasePolicy int
@@ -127,6 +139,21 @@ func (l LeasePolicy) String() string {
 		return "lp"
 	default:
 		return fmt.Sprintf("LeasePolicy(%d)", int(l))
+	}
+}
+
+// ParseLeasePolicy parses the -lease flag values, the String names; ""
+// is LeaseDemand, the default.
+func ParseLeasePolicy(s string) (LeasePolicy, error) {
+	switch s {
+	case "", "demand":
+		return LeaseDemand, nil
+	case "even":
+		return LeaseEven, nil
+	case "lp":
+		return LeaseLP, nil
+	default:
+		return 0, fmt.Errorf("unknown lease policy %q (want demand, even or lp)", s)
 	}
 }
 

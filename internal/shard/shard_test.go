@@ -28,6 +28,34 @@ func arrivalOrder(seed int64, nu int) []int {
 	return xrand.New(seed).Perm(nu)
 }
 
+// TestParsePolicyNames pins the flag parsers against the String names: every
+// kind and policy round-trips, "" is the default lease, anything else errs.
+func TestParsePolicyNames(t *testing.T) {
+	for _, k := range []PlannerKind{PlannerGreedy, PlannerThreshold} {
+		if got, err := ParsePlannerKind(k.String()); err != nil || got != k {
+			t.Errorf("ParsePlannerKind(%q) = %v, %v", k.String(), got, err)
+		}
+	}
+	for _, l := range []LeasePolicy{LeaseDemand, LeaseEven, LeaseLP} {
+		if got, err := ParseLeasePolicy(l.String()); err != nil || got != l {
+			t.Errorf("ParseLeasePolicy(%q) = %v, %v", l.String(), got, err)
+		}
+	}
+	if got, err := ParseLeasePolicy(""); err != nil || got != LeaseDemand {
+		t.Errorf(`ParseLeasePolicy("") = %v, %v, want demand`, got, err)
+	}
+	for _, bad := range []string{"", "nope", "Greedy", "PlannerKind(7)"} {
+		if _, err := ParsePlannerKind(bad); err == nil {
+			t.Errorf("ParsePlannerKind(%q) accepted", bad)
+		}
+	}
+	for _, bad := range []string{"nope", "LP", "LeasePolicy(9)"} {
+		if _, err := ParseLeasePolicy(bad); err == nil {
+			t.Errorf("ParseLeasePolicy(%q) accepted", bad)
+		}
+	}
+}
+
 // TestSingleShardMatchesOnlineRun pins the degenerate case: one shard with
 // any batch size is exactly the unsharded online planner — the lease is the
 // full capacity table and renewals are no-ops.
