@@ -5,6 +5,7 @@ import (
 	"hash/fnv"
 	"math"
 	"runtime"
+	"sort"
 	"testing"
 
 	"github.com/ebsn/igepa/internal/xrand"
@@ -31,6 +32,65 @@ func pinOf(sol *Solution) trajectoryPin {
 	return trajectoryPin{obj: math.Float64bits(sol.Objective), iters: sol.Iterations, hash: h.Sum64()}
 }
 
+// trajectoryFixture is one pinned solve chain: the cold solve, the solution
+// after the warm Resolve chain, and the chain's total warm pivots.
+type trajectoryFixture struct {
+	seed       int64
+	cold, warm trajectoryPin
+	warmPivots int
+}
+
+// runTrajectoryChain solves p cold under cfg, then runs a fixed warm
+// Resolve chain on it — a bid-style column churn, then a capacity shrink
+// that sends the dual repair to work — and fingerprints both ends. p must
+// have users user rows followed by events event rows; rng draws the churn's
+// fresh columns.
+func runTrajectoryChain(t *testing.T, rng *xrand.RNG, p *Problem, cfg Revised, users, events int) (cold, warm trajectoryPin, warmPivots int) {
+	t.Helper()
+	s := NewSolver(cfg)
+	defer s.Release()
+	sol, err := s.Solve(p)
+	if err != nil {
+		t.Fatalf("cold: %v", err)
+	}
+	cold = pinOf(sol)
+
+	// Bid churn: drop a spread of nonbasic and basic columns (the latter
+	// force slack substitutions) and append fresh two-row columns.
+	var churn ProblemDelta
+	for j := 0; j < len(sol.X) && len(churn.RemoveCols) < 40; j += 7 {
+		churn.RemoveCols = append(churn.RemoveCols, j)
+	}
+	for j := 3; j < len(sol.X) && len(churn.RemoveCols) < 80; j++ {
+		if sol.X[j] > 0.5 {
+			churn.RemoveCols = append(churn.RemoveCols, j)
+			j += 40
+		}
+	}
+	for k := 0; k < 60; k++ {
+		churn.AddCols = append(churn.AddCols, Column{
+			Rows: []int{rng.Intn(users), users + rng.Intn(events)}, Vals: []float64{1, 1}})
+		churn.AddC = append(churn.AddC, rng.Float64())
+	}
+	if _, err := s.Resolve(churn); err != nil {
+		t.Fatalf("churn: %v", err)
+	}
+	// Capacity shrink on every fourth event row.
+	var shrink ProblemDelta
+	for v := 0; v < events; v += 4 {
+		row := users + v
+		shrink.SetB = append(shrink.SetB, BoundChange{Row: row, B: math.Floor(s.Problem().B[row] * 0.5)})
+	}
+	sol, err = s.Resolve(shrink)
+	if err != nil {
+		t.Fatalf("shrink: %v", err)
+	}
+	if err := Verify(s.Problem(), sol, 1e-6); err != nil {
+		t.Fatalf("warm chain: %v", err)
+	}
+	return cold, pinOf(sol), s.Stats().WarmPivots
+}
+
 // TestDefaultTrajectoryPinned pins the default solve trajectory absolutely,
 // not relative to another configuration: a cold solve and a fixed warm
 // Resolve chain (a bid-style column churn, then a capacity shrink that sends
@@ -44,11 +104,7 @@ func TestDefaultTrajectoryPinned(t *testing.T) {
 	if runtime.GOARCH != "amd64" {
 		t.Skipf("trajectory bits are pinned on amd64, not %s", runtime.GOARCH)
 	}
-	fixtures := []struct {
-		seed       int64
-		cold, warm trajectoryPin
-		warmPivots int
-	}{
+	fixtures := []trajectoryFixture{
 		{
 			seed:       1027,
 			cold:       trajectoryPin{obj: 0x406395f72f1924b4, iters: 506, hash: 0xbf86eca6e3675363},
@@ -67,51 +123,73 @@ func TestDefaultTrajectoryPinned(t *testing.T) {
 			rng := xrand.New(fx.seed)
 			const users, events = 1000, 80
 			p := randomPacking(rng, users, events, 6)
-			s := NewSolver(Revised{Workers: workers, ParallelThreshold: 1})
-			sol, err := s.Solve(p)
-			if err != nil {
-				t.Fatalf("seed=%d workers=%d: cold: %v", fx.seed, workers, err)
+			cold, warm, warmPivots := runTrajectoryChain(t, rng, p, Revised{Workers: workers, ParallelThreshold: 1}, users, events)
+			if cold != fx.cold || warm != fx.warm || warmPivots != fx.warmPivots {
+				t.Errorf("seed=%d workers=%d: trajectory moved:\n got cold=%#v warm=%#v warmPivots=%d\nwant cold=%#v warm=%#v warmPivots=%d",
+					fx.seed, workers, cold, warm, warmPivots, fx.cold, fx.warm, fx.warmPivots)
 			}
-			cold := pinOf(sol)
+		}
+	}
+}
 
-			// Bid churn: drop a spread of nonbasic and basic columns (the
-			// latter force slack substitutions) and append fresh two-row
-			// columns.
-			var churn ProblemDelta
-			for j := 0; j < len(sol.X) && len(churn.RemoveCols) < 40; j += 7 {
-				churn.RemoveCols = append(churn.RemoveCols, j)
-			}
-			for j := 3; j < len(sol.X) && len(churn.RemoveCols) < 80; j++ {
-				if sol.X[j] > 0.5 {
-					churn.RemoveCols = append(churn.RemoveCols, j)
-					j += 40
-				}
-			}
-			for k := 0; k < 60; k++ {
-				churn.AddCols = append(churn.AddCols, Column{
-					Rows: []int{rng.Intn(users), users + rng.Intn(events)}, Vals: []float64{1, 1}})
-				churn.AddC = append(churn.AddC, rng.Float64())
-			}
-			if _, err := s.Resolve(churn); err != nil {
-				t.Fatalf("seed=%d workers=%d: churn: %v", fx.seed, workers, err)
-			}
-			// Capacity shrink on every fourth event row.
-			var shrink ProblemDelta
-			for v := 0; v < events; v += 4 {
-				row := users + v
-				shrink.SetB = append(shrink.SetB, BoundChange{Row: row, B: math.Floor(s.Problem().B[row] * 0.5)})
-			}
-			sol, err = s.Resolve(shrink)
-			if err != nil {
-				t.Fatalf("seed=%d workers=%d: shrink: %v", fx.seed, workers, err)
-			}
-			if err := Verify(s.Problem(), sol, 1e-6); err != nil {
-				t.Fatalf("seed=%d workers=%d: warm chain: %v", fx.seed, workers, err)
-			}
-			warm := pinOf(sol)
-			warmPivots := s.Stats().WarmPivots
-			s.Release()
+// ascendingRows returns a copy of p whose columns list their rows in
+// ascending order — the order every LP the planning pipeline builds uses,
+// and the one under which the Devex pivot row is bit-identical whichever
+// way it is accumulated. randomPacking draws event rows in random order.
+func ascendingRows(p *Problem) *Problem {
+	q := &Problem{NumRows: p.NumRows, B: append([]float64(nil), p.B...)}
+	type entry struct {
+		r int32
+		v float64
+	}
+	var col []entry
+	for j := 0; j < p.NumCols(); j++ {
+		rows, vals := p.Col(j)
+		col = col[:0]
+		for k, r := range rows {
+			col = append(col, entry{r, vals[k]})
+		}
+		sort.Slice(col, func(a, b int) bool { return col[a].r < col[b].r })
+		rs, vs := make([]int32, len(col)), make([]float64, len(col))
+		for k, e := range col {
+			rs[k], vs[k] = e.r, e.v
+		}
+		q.addColumn32(p.C[j], rs, vs)
+	}
+	return q
+}
 
+// TestDevexTrajectoryPinned is TestDefaultTrajectoryPinned under forced
+// Devex pricing: the default configuration auto-selects Dantzig at
+// m = 1080, so without this pin no Devex pivot — its pivot-row update, its
+// reference weights, its pricing scan — is fixed anywhere. Both the cold
+// solve and the warm chain's primal finish price by Devex, at every worker
+// count, with the pooled passes forced on by ParallelThreshold 1.
+func TestDevexTrajectoryPinned(t *testing.T) {
+	if runtime.GOARCH != "amd64" {
+		t.Skipf("trajectory bits are pinned on amd64, not %s", runtime.GOARCH)
+	}
+	fixtures := []trajectoryFixture{
+		{
+			seed:       4099,
+			cold:       trajectoryPin{obj: 0x4065f736747aef6a, iters: 566, hash: 0xa40927c362260cc6},
+			warm:       trajectoryPin{obj: 0x40620b3b948b25ba, iters: 0, hash: 0x4426f8abb3bacaf5},
+			warmPivots: 130,
+		},
+		{
+			seed:       8209,
+			cold:       trajectoryPin{obj: 0x406716dae01e4873, iters: 575, hash: 0xe5fb437e2e64307b},
+			warm:       trajectoryPin{obj: 0x40633f0481c99bfc, iters: 0, hash: 0xbf4ed9aee0cc819f},
+			warmPivots: 113,
+		},
+	}
+	for _, fx := range fixtures {
+		for _, workers := range []int{1, 2} {
+			rng := xrand.New(fx.seed)
+			const users, events = 1000, 80
+			p := ascendingRows(randomPacking(rng, users, events, 6))
+			cfg := Revised{Pricing: "devex", Workers: workers, ParallelThreshold: 1}
+			cold, warm, warmPivots := runTrajectoryChain(t, rng, p, cfg, users, events)
 			if cold != fx.cold || warm != fx.warm || warmPivots != fx.warmPivots {
 				t.Errorf("seed=%d workers=%d: trajectory moved:\n got cold=%#v warm=%#v warmPivots=%d\nwant cold=%#v warm=%#v warmPivots=%d",
 					fx.seed, workers, cold, warm, warmPivots, fx.cold, fx.warm, fx.warmPivots)
