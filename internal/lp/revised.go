@@ -19,13 +19,18 @@ import (
 // pricing zigzags — measured on the |U|=4000 Table I workload, Dantzig took
 // ~96k pivots with 55k re-entries of previously basic columns; Devex cuts
 // both dramatically. Dantzig with a partial pricing window remains available
-// and is auto-selected for very wide problems, where the per-pivot O(n)
-// Devex update pass costs more than it saves.
+// and is auto-selected below DevexRowThreshold rows and beyond
+// DevexColumnLimit columns (see selectDevex).
 //
-// The Devex update and pricing passes — the dominant cost at paper scale —
-// run on a bounded worker pool over column ranges. Every column's update is
-// arithmetically independent, so the solve is bit-identical for every
-// worker count and GOMAXPROCS setting.
+// A Devex pivot costs what its pivot row touches. A sparse pivot row is
+// scattered through a row-major mirror of A and updates only the columns it
+// reaches; pricing keeps the best candidate of every fixed block of columns
+// and rescans only the blocks an update wrote. A dense pivot row falls back
+// to a dot product per column. The dense update pass, the reduced-cost
+// refresh and large block rescans run on a bounded worker pool. Every
+// column's update is arithmetically independent and the block maxima fold
+// in column order, so the solve is bit-identical for every worker count and
+// GOMAXPROCS setting.
 type Revised struct {
 	// MaxIter bounds the number of pivots; 0 means 20000 + 200·(m+n).
 	MaxIter int
@@ -57,9 +62,12 @@ type Revised struct {
 	// do not depend on it.
 	Workers int
 	// ParallelThreshold overrides the variable count (n+m) at which the
-	// Devex passes move onto the worker pool; 0 means the package default
-	// (devexParallelThreshold). Tests lower it to force the pooled code
-	// paths on small LPs.
+	// pooled Devex passes — the reduced-cost refresh, the dense-pivot-row
+	// update and the rescan of many dirty pricing blocks — move onto the
+	// worker pool; 0 means the package default (devexParallelThreshold).
+	// The sparse-pivot-row update and the dual-repair pricing stay
+	// sequential. Tests lower it to force the pooled code paths on small
+	// LPs.
 	ParallelThreshold int
 	// Timers, when non-nil, accumulates per-phase wall time (FTRAN, BTRAN,
 	// pricing, Devex update, refactorization) and pivot counts across every
@@ -82,10 +90,10 @@ type Revised struct {
 }
 
 // DevexColumnLimit is the problem width beyond which auto pricing falls back
-// from Devex to partial Dantzig: the Devex update pass touches every
-// nonbasic column once per pivot, which dominates on very wide LPs (e.g.
-// the Meetup workload's ~10⁶ columns) that Dantzig already solves in few
-// iterations.
+// from Devex to partial Dantzig: each refactorization re-prices every column
+// for Devex, and so does every pivot whose row is dense, which dominates on
+// very wide LPs (e.g. the Meetup workload's ~10⁶ columns) that Dantzig
+// already solves in few iterations.
 const DevexColumnLimit = 300_000
 
 // DevexRowThreshold is the row count above which auto pricing prefers Devex
@@ -99,6 +107,14 @@ const devexParallelThreshold = 16384
 
 // devexGrain is the minimum column-range chunk handed to a pricing worker.
 const devexGrain = 4096
+
+// devexBlock is the width, in variables, of one Devex pricing block: the
+// unit whose best candidate priceDevex caches and whose rescan an update
+// triggers by writing any variable in it.
+const devexBlock = 256
+
+// blockDirty marks a pricing block whose cached best is stale.
+const blockDirty = -2
 
 // perturbScale is the relative magnitude of the anti-degeneracy
 // perturbation.
@@ -177,13 +193,15 @@ func (s *Revised) selectDevex(m, n int) bool {
 	case "dantzig":
 		return false
 	}
-	// Auto. Measured on the Table I workloads (see DESIGN.md): Dantzig wins
-	// below ~3000 rows (|U|=2000 defaults: 0.9s vs 2.5s) because the
-	// per-pivot Devex pass over all columns outweighs its iteration savings;
-	// beyond that the degenerate churn explodes under Dantzig (|U|=4000: 96k
-	// pivots vs 19k) and Devex wins several-fold. On very wide problems
-	// (Meetup: ~8·10⁵ columns) the O(n) update pass dominates everything, so
-	// Dantzig with a pricing window is used.
+	// Auto. The row threshold was measured on the Table I workloads with a
+	// Devex update that priced every column on every pivot (DESIGN.md §3):
+	// Dantzig won below ~3000 rows (|U|=2000 defaults: 0.9s vs 2.5s); beyond
+	// that the degenerate churn explodes under Dantzig (|U|=4000: 96k pivots
+	// vs 19k) and Devex wins several-fold. The row-scatter update moves that
+	// crossover; DESIGN.md §3 records the re-measurement the threshold waits
+	// on. On very wide problems (Meetup: ~8·10⁵ columns) the re-pricing of
+	// every column at each refactorization dominates, so Dantzig with a
+	// pricing window is used.
 	return m > DevexRowThreshold && n+m <= DevexColumnLimit
 }
 
@@ -363,9 +381,13 @@ type revisedState struct {
 	weights []float64
 	scratch []float64 // second zeroed work vector (btranUnit)
 
-	// chunk-argmax scratch for the parallel pricing pass
-	chunkBest  []int
-	chunkScore []float64
+	// Devex pricing cache, one entry per devexBlock variables: the block's
+	// first strict maximum of r²/w (index, score; -1 and 0 when it has no
+	// candidate), or blockDirty when a write since the last pricing left it
+	// stale. dirtyBlocks lists the stale blocks in marking order.
+	blockBest   []int32
+	blockScore  []float64
+	dirtyBlocks []int32
 
 	// dual-repair state: steepest-edge row norms (positional, reset to the
 	// unit reference framework at repair entry and on mid-repair
@@ -375,9 +397,10 @@ type revisedState struct {
 	// read), refreshed exactly from the duals at repair entry and at every
 	// refactorization and updated incrementally (red' = red − γ·α) per pivot
 	// in between. alphaVec accumulates the pivot row α: in sparse mode over
-	// the candidate column set candList (epoch-stamped via candStamp, so no
-	// O(n) clearing between pivots), in dense mode (candDense, chosen by β's
-	// nonzero count alone) over every column after a plain clear.
+	// the candidate column set candList (scatterPivotRow, epoch-stamped via
+	// candStamp, so no O(n) clearing between pivots), in dense mode
+	// (candDense, chosen by β's nonzero count alone) over every column after
+	// a plain clear. The sparse Devex update reuses the same scatter.
 	dseW       []float64
 	dualRedVec []float64
 	alphaVec   []float64
@@ -387,7 +410,7 @@ type revisedState struct {
 	candDense  bool
 
 	// Row-major mirror of the structural matrix A (row → (column, value)),
-	// built lazily by buildARows for the scatter pricing pass and
+	// built lazily by buildARows for the pivot-row scatter and
 	// invalidated whenever the column structure changes (rebind, structural
 	// deltas). Within a row, columns ascend.
 	aRowPtr, aRowIdx []int32
@@ -787,67 +810,79 @@ func (st *revisedState) refreshReducedCosts() {
 			}
 		}
 	})
+	st.markAllDirty()
 	st.timers.add(phPricing, t0)
+}
+
+// markAllDirty sizes the pricing-block cache for the current variable count
+// and marks every block stale: the write pattern of a pass over all
+// variables (refreshReducedCosts, a dense-pivot-row update).
+func (st *revisedState) markAllDirty() {
+	nb := (st.n + st.m + devexBlock - 1) / devexBlock
+	st.blockBest = resize32(st.blockBest, nb)
+	st.blockScore = resizeF(st.blockScore, nb)
+	st.dirtyBlocks = st.dirtyBlocks[:0]
+	for b := 0; b < nb; b++ {
+		st.blockBest[b] = blockDirty
+		st.dirtyBlocks = append(st.dirtyBlocks, int32(b))
+	}
+}
+
+// markDirty marks the pricing block holding variable j stale after a write
+// to its reduced cost or weight.
+func (st *revisedState) markDirty(j int) {
+	b := j / devexBlock
+	if st.blockBest[b] != blockDirty {
+		st.blockBest[b] = blockDirty
+		st.dirtyBlocks = append(st.dirtyBlocks, int32(b))
+	}
+}
+
+// scanBlock recomputes block b's cached best: the first strict maximum of
+// r²/weight over its variables with positive reduced cost.
+func (st *revisedState) scanBlock(b int) {
+	lo := b * devexBlock
+	hi := min(lo+devexBlock, st.n+st.m)
+	best := -1
+	bestScore := 0.0
+	for j := lo; j < hi; j++ {
+		r := st.rvec[j]
+		if r <= reducedTol {
+			continue
+		}
+		if score := r * r / st.weights[j]; score > bestScore {
+			best, bestScore = j, score
+		}
+	}
+	st.blockBest[b], st.blockScore[b] = int32(best), bestScore
 }
 
 // priceDevex selects the entering variable maximizing r²/weight over
 // variables with positive reduced cost, per the stored (incrementally
-// updated) reduced costs. The scan is chunked over the worker pool; the
-// chunk results combine to exactly the sequential first-strict-maximum, so
-// the selected column does not depend on the worker count.
+// updated) reduced costs. It rescans only the blocks written since the last
+// call — on the worker pool when they span at least two pool grains — and
+// folds the cached block maxima in block order. A block's first strict
+// maximum, folded in order with a strict comparison, is exactly the flat
+// first strict maximum over all variables, so the selected column does not
+// depend on which blocks were stale or on the worker count.
 func (st *revisedState) priceDevex() int {
 	t0 := tick(st.timers)
 	defer st.timers.add(phPricing, t0)
-	total := st.n + st.m
-	// Solve already forces workers to 1 below the parallel threshold.
-	if st.workers <= 1 {
-		best := -1
-		bestScore := 0.0
-		for j, r := range st.rvec {
-			if r <= reducedTol {
-				continue
-			}
-			if score := r * r / st.weights[j]; score > bestScore {
-				best, bestScore = j, score
-			}
+	dirty := st.dirtyBlocks
+	const grain = devexGrain / devexBlock
+	if st.workers > 1 && len(dirty) >= 2*grain {
+		par.For(st.workers, len(dirty), grain, func(k int) { st.scanBlock(int(dirty[k])) })
+	} else {
+		for _, b := range dirty {
+			st.scanBlock(int(b))
 		}
-		return best
 	}
-	nChunks := st.workers * 4
-	chunk := (total + nChunks - 1) / nChunks
-	if chunk < devexGrain {
-		chunk = devexGrain
-		nChunks = (total + chunk - 1) / chunk
-	}
-	if cap(st.chunkBest) < nChunks {
-		st.chunkBest = make([]int, nChunks)
-		st.chunkScore = make([]float64, nChunks)
-	}
-	chunkBest := st.chunkBest[:nChunks]
-	chunkScore := st.chunkScore[:nChunks]
-	par.For(st.workers, nChunks, 1, func(c int) {
-		lo, hi := c*chunk, (c+1)*chunk
-		if hi > total {
-			hi = total
-		}
-		best := -1
-		bestScore := 0.0
-		for j := lo; j < hi; j++ {
-			r := st.rvec[j]
-			if r <= reducedTol {
-				continue
-			}
-			if score := r * r / st.weights[j]; score > bestScore {
-				best, bestScore = j, score
-			}
-		}
-		chunkBest[c], chunkScore[c] = best, bestScore
-	})
+	st.dirtyBlocks = dirty[:0]
 	best := -1
 	bestScore := 0.0
-	for c := 0; c < nChunks; c++ {
-		if chunkBest[c] >= 0 && chunkScore[c] > bestScore {
-			best, bestScore = chunkBest[c], chunkScore[c]
+	for b, score := range st.blockScore {
+		if score > bestScore {
+			best, bestScore = int(st.blockBest[b]), score
 		}
 	}
 	return best
@@ -855,13 +890,19 @@ func (st *revisedState) priceDevex() int {
 
 // updateDevex performs the Forrest–Goldfarb update after choosing entering
 // variable q and leaving basic position r: it computes the pivot row
-// α = (B⁻¹)ᵣA, folds it into the stored reduced costs, and grows the
-// reference weights. Must be called before the basis is modified. The
-// per-column pass — the dominant per-pivot cost at paper scale — is chunked
-// over the worker pool; each column's arithmetic is self-contained, so the
-// result is identical for every worker count.
+// α = (B⁻¹)ᵣA, folds it into the stored reduced costs, grows the reference
+// weights, and marks the pricing blocks it wrote. Must be called before the
+// basis is modified.
+//
+// The update costs what the pivot row touches. A sparse β (nnz(β)·8 ≤ m,
+// the rule priceDual uses too) takes the row scatter, scatterPivotRow, and
+// visits only the variables it returns. A dense β takes the column pass, a
+// dot product per column chunked over the worker pool, and marks every
+// block. The two give bit-identical α on ascending-row columns, and each
+// variable's arithmetic is self-contained, so the result is identical for
+// every worker count.
 func (st *revisedState) updateDevex(q, r int) {
-	st.btranUnit(r) // times itself as phBtran; the column pass below is phUpdate
+	st.btranUnit(r) // times itself as phBtran; the pass below is phUpdate
 	t0 := tick(st.timers)
 	defer st.timers.add(phUpdate, t0)
 	alphaQ := st.d[r] // pivot element
@@ -875,33 +916,45 @@ func (st *revisedState) updateDevex(q, r int) {
 	if wLeave < 1 {
 		wLeave = 1
 	}
-	beta := st.beta
 	invAlphaQ := 1 / alphaQ
-	colPtr, rowIdx, vals := st.p.ColPtr, st.p.Rows, st.p.Vals
-	par.Ranges(st.workers, st.n+st.m, devexGrain, func(lo, hi int) {
-		for j := lo; j < hi; j++ {
+	if st.betaSparse() {
+		st.timers.rowPricedUpdate()
+		cand := st.scatterPivotRow()
+		alphaVec := st.alphaVec
+		for _, j32 := range cand {
+			j := int(j32)
 			if st.posOf[j] >= 0 || j == q {
 				continue
 			}
-			var alpha float64
-			if j < st.n {
-				for k := colPtr[j]; k < colPtr[j+1]; k++ {
-					alpha += beta[rowIdx[k]] * vals[k]
-				}
-			} else {
-				// slack: α_j is just the β entry of the slack's row
-				alpha = beta[j-st.n]
-			}
-			if alpha == 0 {
-				continue
-			}
-			st.rvec[j] -= ratio * alpha
-			t := alpha * invAlphaQ
-			if w := t * t * wq; w > st.weights[j] {
-				st.weights[j] = w
+			if alpha := alphaVec[j]; alpha != 0 {
+				st.devexFold(j, alpha, ratio, invAlphaQ, wq)
+				st.markDirty(j)
 			}
 		}
-	})
+	} else {
+		beta := st.beta
+		colPtr, rowIdx, vals := st.p.ColPtr, st.p.Rows, st.p.Vals
+		par.Ranges(st.workers, st.n+st.m, devexGrain, func(lo, hi int) {
+			for j := lo; j < hi; j++ {
+				if st.posOf[j] >= 0 || j == q {
+					continue
+				}
+				var alpha float64
+				if j < st.n {
+					for k := colPtr[j]; k < colPtr[j+1]; k++ {
+						alpha += beta[rowIdx[k]] * vals[k]
+					}
+				} else {
+					// slack: α_j is just the β entry of the slack's row
+					alpha = beta[j-st.n]
+				}
+				if alpha != 0 {
+					st.devexFold(j, alpha, ratio, invAlphaQ, wq)
+				}
+			}
+		})
+		st.markAllDirty()
+	}
 	// entering becomes basic; leaving picks up the textbook post-pivot
 	// reduced cost and weight.
 	st.rvec[q] = 0
@@ -909,6 +962,18 @@ func (st *revisedState) updateDevex(q, r int) {
 	leaving := st.basis[r]
 	st.rvec[leaving] = -ratio
 	st.weights[leaving] = wLeave
+	st.markDirty(q)
+	st.markDirty(leaving)
+}
+
+// devexFold folds nonbasic variable j's pivot-row entry alpha into its
+// reduced cost and reference weight.
+func (st *revisedState) devexFold(j int, alpha, ratio, invAlphaQ, wq float64) {
+	st.rvec[j] -= ratio * alpha
+	t := alpha * invAlphaQ
+	if w := t * t * wq; w > st.weights[j] {
+		st.weights[j] = w
+	}
 }
 
 // --- Dantzig pricing ------------------------------------------------------
@@ -1162,8 +1227,7 @@ func (st *revisedState) dualRepair(budget, refactorEvery int) (int, dualRepairRe
 // tolerance band broken toward the steepest α.
 //
 // The pass exploits that only columns intersecting β's row support can have
-// α_j ≠ 0: it scatters α through the row-major mirror of A — for each row r
-// with β_r ≠ 0 (ascending), α_j += β_r·A[r,j] over the row — instead of a
+// α_j ≠ 0: it computes α with the row scatter (scatterPivotRow) instead of a
 // dot product per column, so its cost is proportional to the nonzeros of
 // β's rows rather than to all of A, and columns the pivot row cannot touch
 // are never visited at all. Reduced costs come from the maintained
@@ -1171,13 +1235,11 @@ func (st *revisedState) dualRepair(budget, refactorEvery int) (int, dualRepairRe
 // updated per pivot from the same α values this pass produces), which
 // eliminates the second dot product per column the fused scan used to pay
 // (measured: computing them on demand per candidate was ~40% slower — the
-// short column dots chase pointers, the maintained read streams). The
-// candidate list is epoch-stamped, so the scratch needs no O(n) clearing
-// between pivots; when β is dense the whole pass switches to sequential
-// full-range sweeps instead (priceDualDense). The pass is sequential —
-// worker-count invariance is structural — and β is bit-identical whichever
-// triangular kernel produced it, so the hypersparse threshold cannot move a
-// pivot.
+// short column dots chase pointers, the maintained read streams). When β is
+// dense the whole pass switches to sequential full-range sweeps instead
+// (priceDualDense). The pass is sequential — worker-count invariance is
+// structural — and β is bit-identical whichever triangular kernel produced
+// it, so the hypersparse threshold cannot move a pivot.
 //
 // Candidates split into two tiers. Columns whose reduced cost is within the
 // dual-feasibility tolerance (red ≤ reducedTol, negatives and boundary
@@ -1200,47 +1262,12 @@ func (st *revisedState) dualRepair(budget, refactorEvery int) (int, dualRepairRe
 func (st *revisedState) priceDual() int {
 	t0 := tick(st.timers)
 	defer st.timers.add(phPricing, t0)
-	total := st.n + st.m
-	st.buildARows()
-	beta := st.beta
-	bnnz := 0
-	for _, v := range beta {
-		if v != 0 {
-			bnnz++
-		}
-	}
-	// Mode pick: past ~1/8 density the epoch-stamp bookkeeping costs more
-	// than clearing and sweeping the full column range with purely
-	// sequential accesses. β is bit-identical whichever triangular kernel
-	// produced it, so the mode — like everything downstream of it — cannot
-	// depend on the hypersparse threshold or the worker count.
-	if bnnz*8 > st.m {
-		return st.priceDualDense(total)
+	if !st.betaSparse() {
+		return st.priceDualDense(st.n + st.m)
 	}
 	st.candDense = false
-	epoch := st.beginCandidates(total)
-	alphaVec, stamp := st.alphaVec, st.candStamp
-	cand := st.candList[:0]
-	for r := 0; r < st.m; r++ {
-		br := beta[r]
-		if br == 0 {
-			continue
-		}
-		for t := st.aRowPtr[r]; t < st.aRowPtr[r+1]; t++ {
-			j := st.aRowIdx[t]
-			if stamp[j] != epoch {
-				stamp[j] = epoch
-				alphaVec[j] = 0
-				cand = append(cand, j)
-			}
-			alphaVec[j] += br * st.aRowVal[t]
-		}
-		sj := int32(st.n + r) // the row's slack: α is β_r itself
-		stamp[sj] = epoch
-		alphaVec[sj] = br
-		cand = append(cand, sj)
-	}
-	st.candList = cand
+	cand := st.scatterPivotRow()
+	alphaVec := st.alphaVec
 	q, relax := -1, -1
 	var bestRatio, bestAlpha, bestRed float64
 	var relaxAlpha, relaxRed float64
@@ -1290,6 +1317,7 @@ func (st *revisedState) priceDual() int {
 // start as the stamped pass, so the two modes produce bit-identical α — the
 // mode flips per pivot on β's density without ever moving a result.
 func (st *revisedState) priceDualDense(total int) int {
+	st.buildARows()
 	st.beginCandidates(total) // sizing only; the epoch goes unused
 	st.candDense = true
 	alphaVec := st.alphaVec
@@ -1347,6 +1375,66 @@ func (st *revisedState) priceDualDense(total int) int {
 	return q
 }
 
+// betaSparse reports whether the pivot row β = st.beta is sparse enough,
+// nnz(β)·8 ≤ m, for the row scatter (scatterPivotRow) to beat a pass over
+// every column. Past ~1/8 density the scatter's epoch-stamp bookkeeping
+// costs more than a full sweep with purely sequential accesses. β is
+// bit-identical whichever triangular kernel produced it, so the choice —
+// like everything downstream of it — cannot depend on the hypersparse
+// threshold or the worker count.
+func (st *revisedState) betaSparse() bool {
+	nnz := 0
+	for _, v := range st.beta {
+		if v != 0 {
+			nnz++
+		}
+	}
+	return nnz*8 <= st.m
+}
+
+// scatterPivotRow computes the pivot row α_j = βᵀa_j (β = st.beta) of every
+// variable β's row support can reach, through the row-major mirror of A:
+// for each row r with β_r ≠ 0, in ascending order, α_j += β_r·A[r,j] over
+// the row, and the row's slack gets α = β_r. It returns the reached
+// variables; their α is in st.alphaVec, and every other variable has α = 0.
+// The list and the values are epoch-stamped (beginCandidates), so no O(n)
+// clearing happens between pivots, and both stay valid until the next call.
+// The cost is proportional to the nonzeros of β's rows, not to all of A.
+//
+// Contract: when every column lists its rows in ascending order, each α_j
+// adds the same nonzero products in the same order, from the same zero, as
+// the column dot product Σ_k β[rows_k]·vals_k — whose β_r = 0 terms add a
+// zero that leaves any such sum unchanged — so the two are bit-identical.
+// Every LP the planning pipeline builds lists its rows in ascending order.
+// On columns that do not, α may differ from the dot product in the last
+// bits, and a Devex solve may take a different, equally valid pivot path.
+func (st *revisedState) scatterPivotRow() []int32 {
+	st.buildARows()
+	epoch := st.beginCandidates(st.n + st.m)
+	alphaVec, stamp := st.alphaVec, st.candStamp
+	cand := st.candList[:0]
+	for r, br := range st.beta {
+		if br == 0 {
+			continue
+		}
+		for t := st.aRowPtr[r]; t < st.aRowPtr[r+1]; t++ {
+			j := st.aRowIdx[t]
+			if stamp[j] != epoch {
+				stamp[j] = epoch
+				alphaVec[j] = 0
+				cand = append(cand, j)
+			}
+			alphaVec[j] += br * st.aRowVal[t]
+		}
+		sj := int32(st.n + r) // the row's slack: α is β_r itself
+		stamp[sj] = epoch
+		alphaVec[sj] = br
+		cand = append(cand, sj)
+	}
+	st.candList = cand
+	return cand
+}
+
 // beginCandidates sizes the epoch-stamped candidate scratch for a pricing
 // pass over total columns and opens a fresh epoch, so the previous pivot's
 // α values and candidate stamps expire without any O(n) clearing.
@@ -1369,7 +1457,7 @@ func (st *revisedState) beginCandidates(total int) int32 {
 }
 
 // buildARows constructs (or reuses) the row-major mirror of the structural
-// matrix for the scatter pricing pass. One counting pass plus one scatter
+// matrix for the pivot-row scatter. One counting pass plus one scatter
 // pass over the nonzeros; columns come out ascending within each row because
 // the scatter visits them in ascending order. Invalidated by rebind and by
 // structural deltas (column removal/addition) — bounds and objective deltas

@@ -7,9 +7,9 @@ import "time"
 // (B⁻¹a, including the eta sweep), Btran the transposed solves (duals and
 // pivot rows, including btranUnit), Pricing every entering/leaving scan
 // (Devex, partial Dantzig, Bland and the dual-repair ratio test), Update the
-// Devex reference-weight column pass, and Factor the LU (re)factorizations
-// plus their xB refresh. Pivots counts primal pivots, RepairPivots the dual
-// pivots of warm-start repair.
+// Devex reduced-cost and reference-weight update, and Factor the LU
+// (re)factorizations plus their xB refresh. Pivots counts primal pivots,
+// RepairPivots the dual pivots of warm-start repair.
 //
 // Attach one via Revised.Timers; it keeps accumulating across solves until
 // Reset. Not synchronized — drive one solve at a time per struct. A nil
@@ -22,6 +22,11 @@ type PhaseTimers struct {
 	// by the symbolic-reach kernels (hypersparse.go) instead of the dense
 	// sweeps — the coverage metric for the warm-resolve fast path.
 	HypersparseFtran, HypersparseBtran int64
+	// RowPricedUpdates counts Devex updates whose pivot row was sparse
+	// enough for the row scatter, so they touched only the columns the row
+	// reaches; the rest paid a pass over every column. Its share of Pivots
+	// (on a Devex solve) is what the sparse update's gain depends on.
+	RowPricedUpdates int64
 	// CandidateRefills stays only for the /metrics series and the loadgen
 	// column that read it.
 	//
@@ -104,6 +109,12 @@ func (tm *PhaseTimers) hypersparseFtran() {
 func (tm *PhaseTimers) hypersparseBtran() {
 	if tm != nil {
 		tm.HypersparseBtran++
+	}
+}
+
+func (tm *PhaseTimers) rowPricedUpdate() {
+	if tm != nil {
+		tm.RowPricedUpdates++
 	}
 }
 

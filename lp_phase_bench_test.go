@@ -26,6 +26,10 @@ func reportPhases(b *testing.B, tm *lp.PhaseTimers, n int) {
 	metric("update", tm.Update)
 	metric("factor", tm.Factor)
 	b.ReportMetric(float64(tm.Pivots)/float64(n), "pivots/op")
+	// Devex updates served by the sparse pivot-row scatter; the rest paid
+	// a pass over every column. Its share of pivots/op is the sparsity the
+	// Devex update's speed depends on.
+	b.ReportMetric(float64(tm.RowPricedUpdates)/float64(n), "row-priced/op")
 	if tm.RepairPivots > 0 {
 		b.ReportMetric(float64(tm.RepairPivots)/float64(n), "repair-pivots/op")
 	}
