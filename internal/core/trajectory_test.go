@@ -12,6 +12,20 @@ import (
 	"github.com/ebsn/igepa/internal/workload"
 )
 
+// solutionHash is an FNV-1a hash over the bits of X then Y, with signed
+// zeros collapsed.
+func solutionHash(sol *lp.Solution) uint64 {
+	h := fnv.New64a()
+	var buf [8]byte
+	for _, vec := range [][]float64{sol.X, sol.Y} {
+		for _, v := range vec {
+			binary.LittleEndian.PutUint64(buf[:], math.Float64bits(v+0))
+			h.Write(buf[:])
+		}
+	}
+	return h.Sum64()
+}
+
 // TestPlanTallDevexTrajectoryPinned pins, absolutely, the cold default solve
 // of one plan_tall-scale Devex-class LP: the benchmark's 2850-user, 200-event
 // instance (m = 3050, past lp.DevexRowThreshold, so auto pricing is Devex).
@@ -42,21 +56,55 @@ func TestPlanTallDevexTrajectoryPinned(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	h := fnv.New64a()
-	var buf [8]byte
-	for _, vec := range [][]float64{sol.X, sol.Y} {
-		for _, v := range vec {
-			binary.LittleEndian.PutUint64(buf[:], math.Float64bits(v+0))
-			h.Write(buf[:])
-		}
-	}
 	const (
 		wantIters = 3887
 		wantObj   = 0x40aa2969d0730611
 		wantHash  = 0x6fc191d868e123d0
 	)
-	if obj := math.Float64bits(sol.Objective); sol.Iterations != wantIters || obj != wantObj || h.Sum64() != wantHash {
+	if obj, h := math.Float64bits(sol.Objective), solutionHash(sol); sol.Iterations != wantIters || obj != wantObj || h != wantHash {
 		t.Errorf("trajectory moved: got iters=%d obj=%#x hash=%#x, want iters=%d obj=%#x hash=%#x",
-			sol.Iterations, obj, h.Sum64(), wantIters, uint64(wantObj), uint64(wantHash))
+			sol.Iterations, obj, h, wantIters, uint64(wantObj), uint64(wantHash))
+	}
+}
+
+// meetupPinLP builds the benchmark LP of a small Meetup instance: 400 users
+// and the default 190 events, m = 590.
+func meetupPinLP(t *testing.T) *lp.Problem {
+	t.Helper()
+	in, err := workload.Meetup(workload.MeetupConfig{Seed: 1, NumUsers: 400})
+	if err != nil {
+		t.Fatal(err)
+	}
+	sets, _ := enumerateAll(in, conflict.FromFunc(in.NumEvents(), in.Conflicts), 0, 0)
+	prob, _ := BuildBenchmarkLP(in, sets)
+	return prob
+}
+
+// TestMeetupTrajectoryPinned pins, absolutely, the default solve of a
+// Meetup-shaped benchmark LP. At m = 590 lp.SolveConfig takes the revised
+// simplex with Dantzig pricing, so this fixes the pricing scan, the FTRAN of
+// BuildBenchmarkLP's columns and the certificate on the paper's own workload
+// family: the pivot count, the objective's bits and the X/Y hash must not
+// move. amd64 only.
+func TestMeetupTrajectoryPinned(t *testing.T) {
+	if runtime.GOARCH != "amd64" {
+		t.Skipf("trajectory bits are pinned on amd64, not %s", runtime.GOARCH)
+	}
+	prob := meetupPinLP(t)
+	sol, err := lp.SolveConfig(prob, lp.Revised{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := lp.Verify(prob, sol, 1e-6); err != nil {
+		t.Fatal(err)
+	}
+	const (
+		wantIters = 585
+		wantObj   = 0x408c3a97b9fbaabb
+		wantHash  = 0x4a9d77c3850593e0
+	)
+	if obj, h := math.Float64bits(sol.Objective), solutionHash(sol); sol.Iterations != wantIters || obj != wantObj || h != wantHash {
+		t.Errorf("trajectory moved: got iters=%d obj=%#x hash=%#x, want iters=%d obj=%#x hash=%#x",
+			sol.Iterations, obj, h, wantIters, uint64(wantObj), uint64(wantHash))
 	}
 }

@@ -2,6 +2,8 @@ package shard
 
 import (
 	"fmt"
+	"math"
+	"runtime"
 	"testing"
 
 	"github.com/ebsn/igepa/internal/core"
@@ -450,5 +452,32 @@ func TestZeroCapacityEventsNeverAssigned(t *testing.T) {
 				t.Errorf("S=%d: zero-capacity event %d has %d attendees", s, v, load[v])
 			}
 		}
+	}
+}
+
+// TestLeaseLPPinned pins, absolutely, a LeaseLP replay: the split LP is
+// cold-solved once and re-solved warm at every renewal, so the utility's
+// bits, the renewal count and the moved seats fix its whole solve chain.
+// amd64 only.
+func TestLeaseLPPinned(t *testing.T) {
+	if runtime.GOARCH != "amd64" {
+		t.Skipf("lease-LP bits are pinned on amd64, not %s", runtime.GOARCH)
+	}
+	in := testInstance(t, 29, 200, 30)
+	res, err := Serve(in, arrivalOrder(5, in.NumUsers()), Options{Shards: 4, Batch: 16, Seed: 7, Lease: LeaseLP, Workers: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	const (
+		wantUtility  = 0x40522e879b99c8ef
+		wantRenewals = 12
+		wantMoved    = 127
+		wantWarm     = 11
+	)
+	if u := math.Float64bits(res.Utility); u != wantUtility || res.LeaseRenewals != wantRenewals ||
+		res.MovedSeats != wantMoved || res.LeaseSolves.WarmSolves != wantWarm {
+		t.Errorf("lease LP replay moved: got utility=%#x renewals=%d moved=%d warm=%d, want %#x/%d/%d/%d",
+			u, res.LeaseRenewals, res.MovedSeats, res.LeaseSolves.WarmSolves,
+			uint64(wantUtility), wantRenewals, wantMoved, wantWarm)
 	}
 }
