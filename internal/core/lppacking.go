@@ -293,10 +293,6 @@ func BuildBenchmarkLP(in *model.Instance, sets [][]admissible.Set) (*lp.Problem,
 			owner = append(owner, [2]int{u, si})
 		}
 	}
-	p.Vals = p.Vals[:nnz]
-	for k := range p.Vals {
-		p.Vals[k] = 1
-	}
 	return p, owner
 }
 

@@ -81,7 +81,6 @@ type Planner struct {
 	changed   []bool   // user membership of the current delta
 	users     []int    // sorted, deduplicated delta users
 	ownerNext [][2]int // double buffer for the owner rebuild
-	ones      []float64
 	rowBuf    []int
 	lpd       lp.ProblemDelta
 
@@ -333,9 +332,8 @@ func setsEqual(a, b *admissible.Set) bool {
 // basis, which is what lets the solver's fast finish price just the delta.
 // The surviving columns keep their relative order (lp.ProblemDelta's
 // contract) with their owner entries rewritten to the new set indices. All
-// delta storage (row lists, the all-ones coefficient vector, the owner
-// double buffer) is planner-owned scratch; lp.Solver copies columns on
-// application.
+// delta storage (row lists, the owner double buffer) is planner-owned
+// scratch; lp.Solver copies columns on application.
 func (p *Planner) rebuildColumns(users []int, oldSets [][]admissible.Set) {
 	nu := p.in.NumUsers()
 	if cap(p.changed) < nu {
@@ -406,21 +404,15 @@ func (p *Planner) rebuildColumns(users []int, oldSets [][]admissible.Set) {
 		}
 	}
 
-	maxH, rows := 0, 0
+	rows := 0
 	for _, u := range users {
 		nd := p.newDone[p.newOff[u] : int(p.newOff[u])+len(p.sets[u])]
 		for si, s := range p.sets[u] {
-			if nd[si] {
-				continue
-			}
-			h := len(s.Events) + 1
-			rows += h
-			if h > maxH {
-				maxH = h
+			if !nd[si] {
+				rows += len(s.Events) + 1
 			}
 		}
 	}
-	p.ones = onesInto(p.ones, maxH)
 	if cap(p.rowBuf) < rows {
 		p.rowBuf = make([]int, 0, rows)
 	}
@@ -437,7 +429,7 @@ func (p *Planner) rebuildColumns(users []int, oldSets [][]admissible.Set) {
 				p.rowBuf = append(p.rowBuf, nu+v)
 			}
 			col := p.rowBuf[lo:len(p.rowBuf):len(p.rowBuf)]
-			p.lpd.AddCols = append(p.lpd.AddCols, lp.Column{Rows: col, Vals: p.ones[:len(col)]})
+			p.lpd.AddCols = append(p.lpd.AddCols, lp.Column{Rows: col})
 			p.lpd.AddC = append(p.lpd.AddC, s.Weight)
 			newOwner = append(newOwner, [2]int{u, si})
 		}
@@ -488,19 +480,6 @@ func (p *Planner) alpha() float64 {
 func (p *Planner) Round() (*Result, error) {
 	return finish(p.in, p.conf, p.sets, p.owner, p.solver.Problem(), p.sol,
 		p.alpha(), p.opt, xrand.New(p.opt.Seed), p.truncCount)
-}
-
-// onesInto grows (if needed) and returns a shared all-ones coefficient
-// slice of capacity ≥ n; callers slice it per column instead of allocating.
-func onesInto(buf []float64, n int) []float64 {
-	if cap(buf) < n {
-		buf = make([]float64, n)
-		for i := range buf {
-			buf[i] = 1
-		}
-		return buf
-	}
-	return buf[:cap(buf)]
 }
 
 // dedupeSorted compacts consecutive duplicates in a sorted slice.

@@ -7,8 +7,10 @@ import (
 	"runtime"
 	"testing"
 
+	"github.com/ebsn/igepa/internal/admissible"
 	"github.com/ebsn/igepa/internal/conflict"
 	"github.com/ebsn/igepa/internal/lp"
+	"github.com/ebsn/igepa/internal/model"
 	"github.com/ebsn/igepa/internal/workload"
 )
 
@@ -45,7 +47,7 @@ func TestPlanTallDevexTrajectoryPinned(t *testing.T) {
 	sets, _ := enumerateAll(in, conflict.FromFunc(in.NumEvents(), in.Conflicts), 0, 0)
 	prob, _ := BuildBenchmarkLP(in, sets)
 	for j := 0; j < prob.NumCols(); j++ {
-		rows, _ := prob.Col(j)
+		rows := prob.Col(j)
 		for k := 1; k < len(rows); k++ {
 			if rows[k] <= rows[k-1] {
 				t.Fatalf("column %d lists rows %v, not ascending", j, rows)
@@ -67,17 +69,16 @@ func TestPlanTallDevexTrajectoryPinned(t *testing.T) {
 	}
 }
 
-// meetupPinLP builds the benchmark LP of a small Meetup instance: 400 users
-// and the default 190 events, m = 590.
-func meetupPinLP(t *testing.T) *lp.Problem {
+// meetupPin is a small Meetup instance, 400 users and the default 190
+// events (m = 590), with its admissible sets.
+func meetupPin(t *testing.T) (*model.Instance, [][]admissible.Set) {
 	t.Helper()
 	in, err := workload.Meetup(workload.MeetupConfig{Seed: 1, NumUsers: 400})
 	if err != nil {
 		t.Fatal(err)
 	}
 	sets, _ := enumerateAll(in, conflict.FromFunc(in.NumEvents(), in.Conflicts), 0, 0)
-	prob, _ := BuildBenchmarkLP(in, sets)
-	return prob
+	return in, sets
 }
 
 // TestMeetupTrajectoryPinned pins, absolutely, the default solve of a
@@ -90,7 +91,7 @@ func TestMeetupTrajectoryPinned(t *testing.T) {
 	if runtime.GOARCH != "amd64" {
 		t.Skipf("trajectory bits are pinned on amd64, not %s", runtime.GOARCH)
 	}
-	prob := meetupPinLP(t)
+	prob, _ := BuildBenchmarkLP(meetupPin(t))
 	sol, err := lp.SolveConfig(prob, lp.Revised{})
 	if err != nil {
 		t.Fatal(err)
@@ -106,5 +107,30 @@ func TestMeetupTrajectoryPinned(t *testing.T) {
 	if obj, h := math.Float64bits(sol.Objective), solutionHash(sol); sol.Iterations != wantIters || obj != wantObj || h != wantHash {
 		t.Errorf("trajectory moved: got iters=%d obj=%#x hash=%#x, want iters=%d obj=%#x hash=%#x",
 			sol.Iterations, obj, h, wantIters, uint64(wantObj), uint64(wantHash))
+	}
+}
+
+// TestBenchmarkLPFootprint guards the LP's memory layout: building the
+// benchmark LP of the Meetup pin instance allocates at most 4 bytes per
+// nonzero (Rows, int32) plus 32 bytes per column (ColPtr, C and the
+// two-int owner entry) plus O(m) (B and size-class rounding). An array
+// that stores 8 bytes per nonzero again, such as a coefficient per entry,
+// fails it. The delta of runtime.MemStats.TotalAlloc is taken around a
+// build on this goroutine alone.
+func TestBenchmarkLPFootprint(t *testing.T) {
+	in, sets := meetupPin(t)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	prob, owner := BuildBenchmarkLP(in, sets)
+	runtime.ReadMemStats(&after)
+	n, nnz, m := prob.NumCols(), prob.NNZ(), prob.NumRows
+	if len(owner) != n {
+		t.Fatalf("%d owner entries for %d columns", len(owner), n)
+	}
+	got := after.TotalAlloc - before.TotalAlloc
+	limit := uint64(4*nnz + 32*n + 64*m + 256<<10)
+	t.Logf("BuildBenchmarkLP: %d bytes for n=%d nnz=%d m=%d (limit %d)", got, n, nnz, m, limit)
+	if got > limit {
+		t.Errorf("BuildBenchmarkLP allocated %d bytes, want ≤ 4·nnz + 32·n + O(m) = %d", got, limit)
 	}
 }

@@ -11,10 +11,10 @@ import (
 // identical columns out, with a well-formed ColPtr.
 func TestCSCRoundTrip(t *testing.T) {
 	cols := []Column{
-		{Rows: []int{0, 2}, Vals: []float64{1, 3}},
-		{},                                   // empty column
-		{Rows: []int{1}, Vals: []float64{7}}, // singleton
-		{Rows: []int{2, 0, 1}, Vals: []float64{4, 5, 6}},
+		{Rows: []int{0, 2}},
+		{},                     // empty column
+		{Rows: []int{1}},       // singleton
+		{Rows: []int{2, 0, 1}}, // kept in the listed order
 	}
 	c := []float64{1, 2, 3, 4}
 	p := NewProblem(3, []float64{1, 1, 1}, c, cols)
@@ -25,14 +25,13 @@ func TestCSCRoundTrip(t *testing.T) {
 		t.Fatalf("shape %d cols / %d nnz, want %d / 6", p.NumCols(), p.NNZ(), len(cols))
 	}
 	for j, col := range cols {
-		rows, vals := p.Col(j)
+		rows := p.Col(j)
 		if len(rows) != len(col.Rows) {
 			t.Fatalf("column %d has %d nonzeros, want %d", j, len(rows), len(col.Rows))
 		}
 		for k := range rows {
-			if int(rows[k]) != col.Rows[k] || vals[k] != col.Vals[k] {
-				t.Fatalf("column %d entry %d: (%d,%v) want (%d,%v)",
-					j, k, rows[k], vals[k], col.Rows[k], col.Vals[k])
+			if int(rows[k]) != col.Rows[k] {
+				t.Fatalf("column %d entry %d: row %d want %d", j, k, rows[k], col.Rows[k])
 			}
 		}
 		if p.C[j] != c[j] {
@@ -55,19 +54,18 @@ func TestCSCIncrementalBuild(t *testing.T) {
 		if j == 2 {
 			got.Reserve(n, want.NNZ())
 		}
-		rows32, vals := want.Col(j)
+		rows32 := want.Col(j)
 		rows := make([]int, len(rows32))
 		for k, r := range rows32 {
 			rows[k] = int(r)
 		}
-		got.AddColumn(want.C[j], rows, vals)
+		got.AddColumn(want.C[j], rows)
 	}
 	if err := got.Check(); err != nil {
 		t.Fatal(err)
 	}
 	if !reflect.DeepEqual(got.ColPtr, want.ColPtr) ||
 		!reflect.DeepEqual(got.Rows, want.Rows) ||
-		!reflect.DeepEqual(got.Vals, want.Vals) ||
 		!reflect.DeepEqual(got.C, want.C) {
 		t.Fatal("incremental build diverged from original CSC arrays")
 	}
@@ -83,13 +81,4 @@ func TestCSCIncrementalBuild(t *testing.T) {
 	if a.Objective != b.Objective {
 		t.Fatalf("objectives differ: %v vs %v", a.Objective, b.Objective)
 	}
-}
-
-func TestAddColumnPanicsOnMismatch(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("mismatched rows/vals accepted")
-		}
-	}()
-	(&Problem{NumRows: 1}).AddColumn(1, []int{0}, nil)
 }

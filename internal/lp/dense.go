@@ -37,9 +37,8 @@ func (s *Dense) Solve(p *Problem) (*Solution, error) {
 		t[i] = make([]float64, width)
 	}
 	for j := 0; j < n; j++ {
-		rows, vals := p.Col(j)
-		for k, r := range rows {
-			t[r][j] += vals[k]
+		for _, r := range p.Col(j) {
+			t[r][j] = 1
 		}
 	}
 	for i := 0; i < m; i++ {

@@ -14,9 +14,8 @@ func dotAlpha(st *revisedState, j int) float64 {
 		return st.beta[j-st.n]
 	}
 	var alpha float64
-	rows, vals := st.p.Col(j)
-	for k, r := range rows {
-		alpha += st.beta[r] * vals[k]
+	for _, r := range st.p.Col(j) {
+		alpha += st.beta[r]
 	}
 	return alpha
 }

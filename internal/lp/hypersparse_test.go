@@ -18,15 +18,15 @@ func canonBits(v float64) uint64 {
 // randomBasis builds a random nonsingular lower-bandish sparse basis: a
 // permuted identity diagonal plus a few random off-diagonal entries per
 // column, the shape triangular solves meet in practice.
-func randomBasis(rng *xrand.RNG, m int) []Column {
-	cols := make([]Column, m)
+func randomBasis(rng *xrand.RNG, m int) []spCol {
+	cols := make([]spCol, m)
 	perm := rng.Perm(m)
 	for j := 0; j < m; j++ {
-		rows := []int{perm[j]}
+		rows := []int32{int32(perm[j])}
 		vals := []float64{1 + rng.Float64()}
 		for k := 0; k < rng.Intn(3); k++ {
-			r := rng.Intn(m)
-			if r == perm[j] {
+			r := int32(rng.Intn(m))
+			if r == rows[0] {
 				continue
 			}
 			dup := false
@@ -41,7 +41,7 @@ func randomBasis(rng *xrand.RNG, m int) []Column {
 				vals = append(vals, 0.25*(rng.Float64()-0.5))
 			}
 		}
-		cols[j] = Column{Rows: rows, Vals: vals}
+		cols[j] = spCol{rows: rows, vals: vals}
 	}
 	return cols
 }
@@ -178,7 +178,7 @@ func TestHypersparseThresholdInvariance(t *testing.T) {
 	}
 	for k := 0; k < 10; k++ {
 		d.AddCols = append(d.AddCols, Column{
-			Rows: []int{rng.Intn(200), 200 + rng.Intn(40)}, Vals: []float64{1, 1}})
+			Rows: []int{rng.Intn(200), 200 + rng.Intn(40)}})
 		d.AddC = append(d.AddC, rng.Float64())
 	}
 	d.SetB = append(d.SetB,
@@ -250,20 +250,9 @@ func TestLUScheduleRebuiltAfterRefactorize(t *testing.T) {
 	c[3] = 1
 	f.solveBTHyper(h, c, out, work, []int32{3}, nil, m) // builds A's row graphs
 
-	// refactorize the same struct with a different matrix
-	for {
-		colsB := randomBasisLike(rng, m)
-		sp := make([]spCol, m)
-		for j := range colsB {
-			r32 := make([]int32, len(colsB[j].Rows))
-			for k, r := range colsB[j].Rows {
-				r32[k] = int32(r)
-			}
-			sp[j] = spCol{rows: r32, vals: colsB[j].Vals}
-		}
-		if f.factorize(m, sp) == nil {
-			break
-		}
+	// refactorize the same struct with a different matrix, redrawing until
+	// the draw is nonsingular
+	for f.factorize(m, randomBasisLike(rng, m)) != nil {
 	}
 	for p := 0; p < m; p++ {
 		c := make([]float64, m)

@@ -5,10 +5,11 @@
 //
 //	max  cᵀx   subject to   Ax ≤ b,  x ≥ 0,  b ≥ 0
 //
-// which is exactly the shape of the IGEPA benchmark LP (1)-(4): user rows
-// (Σ_S x_{u,S} ≤ 1) and event rows (Σ x ≤ cv) with 0/1 coefficients. The
-// explicit upper bounds x ≤ 1 of (4) are implied by the user rows, so they
-// are not represented.
+// with A a 0/1 matrix, which is exactly the shape of the IGEPA benchmark LP
+// (1)-(4): user rows (Σ_S x_{u,S} ≤ 1) and event rows (Σ x ≤ cv). A Problem
+// therefore stores only where its ones are (see Problem); no coefficient is
+// stored. The explicit upper bounds x ≤ 1 of (4) are implied by the user
+// rows, so they are not represented.
 //
 // Two solvers are provided:
 //
@@ -32,30 +33,33 @@ import (
 	"math"
 )
 
-// Column is one sparse column in assembly form: Rows[i] holds the row index
-// of the i-th nonzero and Vals[i] its coefficient. Problems no longer store
-// columns this way (see Problem); Column remains the convenience currency of
-// NewProblem, the LU kernel's tests and hand-written fixtures.
+// Column is one 0/1 column in assembly form: Rows lists the rows where the
+// column has coefficient 1, under Problem's row-order contract. Problems do
+// not store columns this way (see Problem); Column is the currency of
+// NewProblem, ProblemDelta.AddCols and hand-written fixtures.
 type Column struct {
 	Rows []int
-	Vals []float64
 }
 
-// Problem is a packing-form LP: max cᵀx s.t. Ax ≤ b, x ≥ 0 with b ≥ 0.
+// Problem is a packing-form LP: max cᵀx s.t. Ax ≤ b, x ≥ 0 with b ≥ 0, and
+// A a 0/1 matrix.
 //
-// The constraint matrix A is stored in flat compressed-sparse-column (CSC)
-// form: column j occupies Rows[ColPtr[j]:ColPtr[j+1]] / Vals[...]. Compared
-// with the former per-column slice-pair layout this collapses the millions
-// of tiny allocations of a Meetup-scale build into three slices, and keeps
-// the simplex pricing pass walking one contiguous array.
+// A is stored in flat compressed-sparse-column (CSC) form with no values:
+// column j has coefficient 1 in rows Rows[ColPtr[j]:ColPtr[j+1]] and 0
+// elsewhere, 4 bytes per nonzero. The row-order contract:
+//   - a column should list its rows in ascending order: every LP the
+//     planning pipeline builds does, and under that order the solver's
+//     pivot-row scatter is bit-identical to a column dot product (see
+//     scatterPivotRow);
+//   - a column must list each row at most once: a 0/1 column either
+//     crosses a row or does not, so Check rejects a repeat.
 type Problem struct {
 	NumRows int       // m, number of constraints
 	C       []float64 // objective coefficients, len n
 	B       []float64 // right-hand side, len m, non-negative
 
-	ColPtr []int     // len n+1 (nil ⇔ no columns); ColPtr[0] == 0
-	Rows   []int32   // row indices of nonzeros, column-major
-	Vals   []float64 // coefficients, aligned with Rows
+	ColPtr []int   // len n+1 (nil ⇔ no columns); ColPtr[0] == 0
+	Rows   []int32 // row indices of the unit entries, column-major
 }
 
 // NumCols returns n, the number of structural variables.
@@ -69,11 +73,10 @@ func (p *Problem) NumCols() int {
 // NNZ returns the number of stored nonzeros.
 func (p *Problem) NNZ() int { return len(p.Rows) }
 
-// Col returns column j as (row indices, values) views into the shared CSC
-// arrays. Callers must not modify the returned slices.
-func (p *Problem) Col(j int) ([]int32, []float64) {
-	lo, hi := p.ColPtr[j], p.ColPtr[j+1]
-	return p.Rows[lo:hi], p.Vals[lo:hi]
+// Col returns the rows where column j has coefficient 1, as a view into the
+// shared CSC array. Callers must not modify the returned slice.
+func (p *Problem) Col(j int) []int32 {
+	return p.Rows[p.ColPtr[j]:p.ColPtr[j+1]]
 }
 
 // Reserve grows the column storage to hold at least cols columns and nnz
@@ -90,11 +93,6 @@ func (p *Problem) Reserve(cols, nnz int) {
 		copy(r, p.Rows)
 		p.Rows = r
 	}
-	if cap(p.Vals) < nnz {
-		v := make([]float64, len(p.Vals), nnz)
-		copy(v, p.Vals)
-		p.Vals = v
-	}
 	if cap(p.C) < cols {
 		c := make([]float64, len(p.C), cols)
 		copy(c, p.C)
@@ -102,30 +100,25 @@ func (p *Problem) Reserve(cols, nnz int) {
 	}
 }
 
-// AddColumn appends one column with objective coefficient c. rows and vals
-// are copied into the flat storage.
-func (p *Problem) AddColumn(c float64, rows []int, vals []float64) {
-	if len(rows) != len(vals) {
-		panic("lp: AddColumn with mismatched rows/vals")
-	}
+// AddColumn appends one column with objective coefficient c and unit
+// entries in rows, which are copied into the flat storage.
+func (p *Problem) AddColumn(c float64, rows []int) {
 	if len(p.ColPtr) == 0 {
 		p.ColPtr = append(p.ColPtr, 0)
 	}
 	for _, r := range rows {
 		p.Rows = append(p.Rows, int32(r))
 	}
-	p.Vals = append(p.Vals, vals...)
 	p.ColPtr = append(p.ColPtr, len(p.Rows))
 	p.C = append(p.C, c)
 }
 
 // addColumn32 is AddColumn for int32 row indices (CSC-to-CSC copies).
-func (p *Problem) addColumn32(c float64, rows []int32, vals []float64) {
+func (p *Problem) addColumn32(c float64, rows []int32) {
 	if len(p.ColPtr) == 0 {
 		p.ColPtr = append(p.ColPtr, 0)
 	}
 	p.Rows = append(p.Rows, rows...)
-	p.Vals = append(p.Vals, vals...)
 	p.ColPtr = append(p.ColPtr, len(p.Rows))
 	p.C = append(p.C, c)
 }
@@ -140,22 +133,31 @@ func NewProblem(numRows int, b []float64, c []float64, cols []Column) *Problem {
 	}
 	p.Reserve(len(cols), nnz)
 	for j := range cols {
-		p.AddColumn(c[j], cols[j].Rows, cols[j].Vals)
+		p.AddColumn(c[j], cols[j].Rows)
 	}
 	return p
 }
 
+// DuplicateRowError reports a column that lists a row more than once, which
+// a 0/1 column cannot mean. Col indexes the problem's columns when Check
+// reports it, and ProblemDelta.AddCols when Solver.Resolve does.
+type DuplicateRowError struct {
+	Col, Row int
+}
+
+func (e *DuplicateRowError) Error() string {
+	return fmt.Sprintf("lp: column %d lists row %d twice", e.Col, e.Row)
+}
+
 // Check validates the problem shape: a well-formed ColPtr, matching lengths,
-// row indices in range, b ≥ 0 and all data finite.
+// row indices in range and listed at most once per column, b ≥ 0 and all
+// data finite.
 func (p *Problem) Check() error {
 	if len(p.C) != p.NumCols() {
 		return fmt.Errorf("lp: %d objective coefficients for %d columns", len(p.C), p.NumCols())
 	}
 	if len(p.B) != p.NumRows {
 		return fmt.Errorf("lp: %d rhs entries for %d rows", len(p.B), p.NumRows)
-	}
-	if len(p.Rows) != len(p.Vals) {
-		return fmt.Errorf("lp: %d row indices for %d values", len(p.Rows), len(p.Vals))
 	}
 	if len(p.ColPtr) > 0 {
 		if p.ColPtr[0] != 0 {
@@ -180,12 +182,16 @@ func (p *Problem) Check() error {
 			return fmt.Errorf("lp: non-finite rhs b[%d]", i)
 		}
 	}
-	for k, r := range p.Rows {
-		if r < 0 || int(r) >= p.NumRows {
-			return fmt.Errorf("lp: nonzero %d references row %d of %d", k, r, p.NumRows)
-		}
-		if math.IsNaN(p.Vals[k]) || math.IsInf(p.Vals[k], 0) {
-			return fmt.Errorf("lp: non-finite coefficient at nonzero %d", k)
+	seen := make([]int, p.NumRows) // seen[r] = 1 + the last column listing r
+	for j := 0; j < p.NumCols(); j++ {
+		for _, r := range p.Col(j) {
+			if r < 0 || int(r) >= p.NumRows {
+				return fmt.Errorf("lp: column %d references row %d of %d", j, r, p.NumRows)
+			}
+			if seen[r] == j+1 {
+				return &DuplicateRowError{Col: j, Row: int(r)}
+			}
+			seen[r] = j + 1
 		}
 	}
 	for j, c := range p.C {
@@ -304,9 +310,8 @@ func Verify(p *Problem, sol *Solution, tol float64) error {
 			return fmt.Errorf("lp: x[%d] = %v negative", j, x)
 		}
 		obj += p.C[j] * x
-		rows, vals := p.Col(j)
-		for k, r := range rows {
-			ax[r] += vals[k] * x
+		for _, r := range p.Col(j) {
+			ax[r] += x
 		}
 	}
 	for i := 0; i < p.NumRows; i++ {
@@ -319,9 +324,8 @@ func Verify(p *Problem, sol *Solution, tol float64) error {
 	}
 	for j := 0; j < p.NumCols(); j++ {
 		red := p.C[j]
-		rows, vals := p.Col(j)
-		for k, r := range rows {
-			red -= sol.Y[r] * vals[k]
+		for _, r := range p.Col(j) {
+			red -= sol.Y[r]
 		}
 		if red > tol*(1+math.Abs(p.C[j])) {
 			return fmt.Errorf("lp: column %d has positive reduced cost %v", j, red)

@@ -1,6 +1,7 @@
 package lp
 
 import (
+	"errors"
 	"math"
 	"reflect"
 	"runtime"
@@ -45,19 +46,23 @@ func solveBoth(t *testing.T, p *Problem, wantObj float64) {
 	}
 }
 
-func TestNoPerturbExact(t *testing.T) {
-	// max 3x + 2y s.t. x + y <= 4, x + 3y <= 6 → obj 12 exactly
-	p := NewProblem(2, []float64{4, 6}, []float64{3, 2}, []Column{
-		{Rows: []int{0, 1}, Vals: []float64{1, 1}},
-		{Rows: []int{0, 1}, Vals: []float64{1, 3}},
+// knownLP1 is max 3x + 2y s.t. x + y ≤ 4, x ≤ 3: optimum x=3, y=1, obj 11.
+func knownLP1() *Problem {
+	return NewProblem(2, []float64{4, 3}, []float64{3, 2}, []Column{
+		{Rows: []int{0, 1}},
+		{Rows: []int{0}},
 	})
+}
+
+func TestNoPerturbExact(t *testing.T) {
+	p := knownLP1()
 	for _, pr := range []string{"devex", "dantzig"} {
 		sol, err := (&Revised{NoPerturb: true, Pricing: pr}).Solve(p)
 		if err != nil {
 			t.Fatalf("%s: %v", pr, err)
 		}
-		if math.Abs(sol.Objective-12) > 1e-9 {
-			t.Errorf("%s: objective %v, want exactly 12", pr, sol.Objective)
+		if math.Abs(sol.Objective-11) > 1e-9 {
+			t.Errorf("%s: objective %v, want exactly 11", pr, sol.Objective)
 		}
 	}
 	if _, err := (&Revised{Pricing: "bogus"}).Solve(p); err == nil {
@@ -66,21 +71,18 @@ func TestNoPerturbExact(t *testing.T) {
 }
 
 func TestKnownLP1(t *testing.T) {
-	// max 3x + 2y s.t. x + y <= 4, x + 3y <= 6  → x=4, y=0, obj 12
-	p := NewProblem(2, []float64{4, 6}, []float64{3, 2}, []Column{
-		{Rows: []int{0, 1}, Vals: []float64{1, 1}},
-		{Rows: []int{0, 1}, Vals: []float64{1, 3}},
-	})
-	solveBoth(t, p, 12)
+	solveBoth(t, knownLP1(), 11)
 }
 
 func TestKnownLP2Fractional(t *testing.T) {
-	// max x + y s.t. 2x + y <= 4, x + 2y <= 4 → x=y=4/3, obj 8/3
-	p := NewProblem(2, []float64{4, 4}, []float64{1, 1}, []Column{
-		{Rows: []int{0, 1}, Vals: []float64{2, 1}},
-		{Rows: []int{0, 1}, Vals: []float64{1, 2}},
+	// The odd cycle: three columns, each crossing two of three unit rows.
+	// max a + b + c s.t. a + c ≤ 1, a + b ≤ 1, b + c ≤ 1 → a=b=c=1/2, obj 3/2
+	p := NewProblem(3, []float64{1, 1, 1}, []float64{1, 1, 1}, []Column{
+		{Rows: []int{0, 1}},
+		{Rows: []int{1, 2}},
+		{Rows: []int{0, 2}},
 	})
-	solveBoth(t, p, 8.0/3.0)
+	solveBoth(t, p, 1.5)
 }
 
 func TestAssignmentLP(t *testing.T) {
@@ -89,10 +91,10 @@ func TestAssignmentLP(t *testing.T) {
 	// optimal integral: u0→e0, u1→e1 → 1.6
 	// rows 0,1 users; 2,3 events
 	p := NewProblem(4, []float64{1, 1, 1, 1}, []float64{0.9, 0.1, 0.8, 0.7}, []Column{
-		{Rows: []int{0, 2}, Vals: []float64{1, 1}},
-		{Rows: []int{0, 3}, Vals: []float64{1, 1}},
-		{Rows: []int{1, 2}, Vals: []float64{1, 1}},
-		{Rows: []int{1, 3}, Vals: []float64{1, 1}},
+		{Rows: []int{0, 2}},
+		{Rows: []int{0, 3}},
+		{Rows: []int{1, 2}},
+		{Rows: []int{1, 3}},
 	})
 	solveBoth(t, p, 1.6)
 }
@@ -100,21 +102,21 @@ func TestAssignmentLP(t *testing.T) {
 func TestZeroRHSDegenerate(t *testing.T) {
 	// capacity-zero row forces x = 0 in spite of positive reward
 	p := NewProblem(1, []float64{0}, []float64{5},
-		[]Column{{Rows: []int{0}, Vals: []float64{1}}})
+		[]Column{{Rows: []int{0}}})
 	solveBoth(t, p, 0)
 }
 
 func TestAllNegativeObjective(t *testing.T) {
 	p := NewProblem(1, []float64{5}, []float64{-1, -2}, []Column{
-		{Rows: []int{0}, Vals: []float64{1}},
-		{Rows: []int{0}, Vals: []float64{1}},
+		{Rows: []int{0}},
+		{Rows: []int{0}},
 	})
 	solveBoth(t, p, 0)
 }
 
 func TestUnbounded(t *testing.T) {
 	// x has positive reward and no binding constraint coefficient
-	p := NewProblem(1, []float64{1}, []float64{1}, []Column{{Rows: nil, Vals: nil}})
+	p := NewProblem(1, []float64{1}, []float64{1}, []Column{{}})
 	for name, s := range bothSolvers() {
 		_, err := s.Solve(p)
 		if err != ErrUnbounded {
@@ -140,22 +142,39 @@ func TestEmptyProblems(t *testing.T) {
 }
 
 func TestCheckRejectsMalformed(t *testing.T) {
-	one := []Column{{Rows: []int{0}, Vals: []float64{1}}}
+	one := []Column{{Rows: []int{0}}}
 	cases := []*Problem{
 		{NumRows: 1, C: []float64{1}, B: []float64{1}},  // objective without columns
 		{NumRows: 1, B: []float64{1, 2}},                // wrong B length
 		NewProblem(1, []float64{-1}, []float64{1}, one), // negative rhs
 		NewProblem(1, []float64{1}, []float64{1},
-			[]Column{{Rows: []int{5}, Vals: []float64{1}}}), // row out of range
+			[]Column{{Rows: []int{5}}}), // row out of range
 		{NumRows: 1, C: []float64{1}, B: []float64{1},
-			ColPtr: []int{0, 1}, Rows: []int32{0}, Vals: nil}, // rows/vals mismatch
-		{NumRows: 1, C: []float64{1}, B: []float64{1},
-			ColPtr: []int{0, 2}, Rows: []int32{0}, Vals: []float64{1}}, // ColPtr overruns storage
+			ColPtr: []int{0, 2}, Rows: []int32{0}}, // ColPtr overruns storage
 		{NumRows: 1, C: []float64{1, 1}, B: []float64{1},
-			ColPtr: []int{0, 1, 0}, Rows: []int32{0}, Vals: []float64{1}}, // ColPtr not monotone
+			ColPtr: []int{0, 1, 0}, Rows: []int32{0}}, // ColPtr not monotone
 		{NumRows: 1, B: []float64{1},
-			Rows: []int32{0}, Vals: []float64{1}}, // nonzeros without ColPtr
+			Rows: []int32{0}}, // nonzeros without ColPtr
 		NewProblem(1, []float64{1}, []float64{math.NaN()}, []Column{{}}), // NaN objective
+	}
+	// A column that lists a row twice has no 0/1 meaning: rejected with a
+	// *DuplicateRowError naming the column and the row, wherever the repeat
+	// sits in the column.
+	dups := []struct {
+		p        *Problem
+		col, row int
+	}{
+		{NewProblem(2, []float64{1, 1}, []float64{1}, []Column{{Rows: []int{1, 1}}}), 0, 1},
+		{NewProblem(3, []float64{1, 1, 1}, []float64{1, 1}, []Column{{Rows: []int{0, 2}}, {Rows: []int{0, 1, 2, 0}}}), 1, 0},
+		{&Problem{NumRows: 2, C: []float64{1, 1}, B: []float64{1, 1},
+			ColPtr: []int{0, 1, 3}, Rows: []int32{0, 1, 1}}, 1, 1},
+	}
+	for _, d := range dups {
+		var de *DuplicateRowError
+		if err := d.p.Check(); !errors.As(err, &de) || de.Col != d.col || de.Row != d.row {
+			t.Errorf("duplicate row %d in column %d: Check err = %v", d.row, d.col, err)
+		}
+		cases = append(cases, d.p)
 	}
 	for i, p := range cases {
 		if err := p.Check(); err == nil {
@@ -165,11 +184,15 @@ func TestCheckRejectsMalformed(t *testing.T) {
 			t.Errorf("case %d: Solve accepted malformed problem", i)
 		}
 	}
+	// The same row in different columns is every packing LP's shape.
+	if err := NewProblem(2, []float64{1, 1}, []float64{1, 1}, []Column{{Rows: []int{0, 1}}, {Rows: []int{0, 1}}}).Check(); err != nil {
+		t.Errorf("row shared by two columns rejected: %v", err)
+	}
 }
 
 func TestVerifyCatchesLies(t *testing.T) {
 	p := NewProblem(1, []float64{2}, []float64{1},
-		[]Column{{Rows: []int{0}, Vals: []float64{1}}})
+		[]Column{{Rows: []int{0}}})
 	sol, err := Solve(p)
 	if err != nil {
 		t.Fatal(err)
@@ -204,7 +227,6 @@ func randomPacking(rng *xrand.RNG, g, k, colsPerGroup int) *Problem {
 		nc := 1 + rng.Intn(colsPerGroup)
 		for c := 0; c < nc; c++ {
 			rows := []int{grp}
-			vals := []float64{1}
 			picks := 1 + rng.Intn(3)
 			used := map[int]bool{}
 			for e := 0; e < picks; e++ {
@@ -212,10 +234,9 @@ func randomPacking(rng *xrand.RNG, g, k, colsPerGroup int) *Problem {
 				if !used[r] {
 					used[r] = true
 					rows = append(rows, r)
-					vals = append(vals, 1)
 				}
 			}
-			p.AddColumn(rng.Float64(), rows, vals)
+			p.AddColumn(rng.Float64(), rows)
 		}
 	}
 	return p
@@ -248,8 +269,9 @@ func TestDenseRevisedAgreeOnRandomPacking(t *testing.T) {
 	}
 }
 
-// Dense-valued random LPs (not 0/1) exercise general pivoting.
-func TestDenseRevisedAgreeOnGeneralLPs(t *testing.T) {
+// Random 0/1 patterns with fractional bounds, not in benchmark shape,
+// exercise general pivoting.
+func TestDenseRevisedAgreeOnRandomPatterns(t *testing.T) {
 	rng := xrand.New(777)
 	for trial := 0; trial < 30; trial++ {
 		m := 2 + rng.Intn(12)
@@ -260,18 +282,15 @@ func TestDenseRevisedAgreeOnGeneralLPs(t *testing.T) {
 		}
 		for j := 0; j < n; j++ {
 			var rows []int
-			var vals []float64
 			for r := 0; r < m; r++ {
 				if rng.Bool(0.5) {
 					rows = append(rows, r)
-					vals = append(vals, rng.Float64()*3) // non-negative keeps it bounded
 				}
 			}
 			if len(rows) == 0 { // ensure boundedness
 				rows = append(rows, rng.Intn(m))
-				vals = append(vals, 1)
 			}
-			p.AddColumn(rng.Float64()*2-0.5, rows, vals)
+			p.AddColumn(rng.Float64()*2-0.5, rows)
 		}
 		dsol, err := (&Dense{}).Solve(p)
 		if err != nil {
@@ -401,12 +420,12 @@ func TestDeduplicateThenSolve(t *testing.T) {
 	// inject exact duplicates of the first five columns with lower rewards
 	n0 := p.NumCols()
 	for j := 0; j < 5 && j < n0; j++ {
-		rows, vals := p.Col(j)
+		rows := p.Col(j)
 		rowsCopy := make([]int, len(rows))
 		for k, r := range rows {
 			rowsCopy[k] = int(r)
 		}
-		p.AddColumn(p.C[j]*0.5, rowsCopy, vals)
+		p.AddColumn(p.C[j]*0.5, rowsCopy)
 	}
 	red, repr := DeduplicateColumns(p)
 	if red.NumCols() >= p.NumCols() {

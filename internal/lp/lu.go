@@ -6,8 +6,10 @@ import (
 	"sort"
 )
 
-// spCol is one sparse column handed to the LU kernel — typically a view into
-// the Problem's CSC arrays or into the solver's slack storage, never a copy.
+// spCol is one sparse column handed to the LU kernel. The kernel is general:
+// the solver hands it views of a basis column's rows (into the Problem's CSC
+// array or the slack row sequence) paired with its shared all-ones vector,
+// never a copy, and its tests hand it general matrices.
 type spCol struct {
 	rows []int32
 	vals []float64
@@ -93,25 +95,6 @@ func (h *stepHeap) pop() int {
 		i = sm
 	}
 	return top
-}
-
-// luFactorize computes a fresh factorization of the m×m matrix whose columns
-// are cols (assembly-form convenience used by the tests; the solver reuses
-// one luFactors via factorize).
-func luFactorize(m int, cols []Column) (*luFactors, error) {
-	sp := make([]spCol, len(cols))
-	for i := range cols {
-		rows := make([]int32, len(cols[i].Rows))
-		for k, r := range cols[i].Rows {
-			rows[k] = int32(r)
-		}
-		sp[i] = spCol{rows: rows, vals: cols[i].Vals}
-	}
-	f := &luFactors{}
-	if err := f.factorize(m, sp); err != nil {
-		return nil, err
-	}
-	return f, nil
 }
 
 // resize (re)shapes the persistent arrays for an m×m factorization and

@@ -7,34 +7,47 @@ import (
 	"github.com/ebsn/igepa/internal/xrand"
 )
 
+// The LU kernel is general: its factors hold general values, so these tests
+// hand it general matrices as spCol values directly.
+
+// luFactorize computes a fresh factorization of the m×m matrix whose columns
+// are cols.
+func luFactorize(m int, cols []spCol) (*luFactors, error) {
+	f := &luFactors{}
+	if err := f.factorize(m, cols); err != nil {
+		return nil, err
+	}
+	return f, nil
+}
+
 // multiply computes B·x for a column-sparse matrix.
-func multiply(m int, cols []Column, x []float64) []float64 {
+func multiply(m int, cols []spCol, x []float64) []float64 {
 	out := make([]float64, m)
 	for j, col := range cols {
 		if x[j] == 0 {
 			continue
 		}
-		for k, r := range col.Rows {
-			out[r] += col.Vals[k] * x[j]
+		for k, r := range col.rows {
+			out[r] += col.vals[k] * x[j]
 		}
 	}
 	return out
 }
 
 // multiplyT computes Bᵀ·y.
-func multiplyT(cols []Column, y []float64) []float64 {
+func multiplyT(cols []spCol, y []float64) []float64 {
 	out := make([]float64, len(cols))
 	for j, col := range cols {
 		s := 0.0
-		for k, r := range col.Rows {
-			s += col.Vals[k] * y[r]
+		for k, r := range col.rows {
+			s += col.vals[k] * y[r]
 		}
 		out[j] = s
 	}
 	return out
 }
 
-func checkSolve(t *testing.T, m int, cols []Column, rhsRows []int, rhsVals []float64) {
+func checkSolve(t *testing.T, m int, cols []spCol, rhsRows []int, rhsVals []float64) {
 	t.Helper()
 	f, err := luFactorize(m, cols)
 	if err != nil {
@@ -65,7 +78,7 @@ func checkSolve(t *testing.T, m int, cols []Column, rhsRows []int, rhsVals []flo
 	}
 }
 
-func checkSolveT(t *testing.T, m int, cols []Column, c []float64) {
+func checkSolveT(t *testing.T, m int, cols []spCol, c []float64) {
 	t.Helper()
 	f, err := luFactorize(m, cols)
 	if err != nil {
@@ -84,9 +97,9 @@ func checkSolveT(t *testing.T, m int, cols []Column, c []float64) {
 
 func TestLUIdentity(t *testing.T) {
 	m := 5
-	cols := make([]Column, m)
+	cols := make([]spCol, m)
 	for i := range cols {
-		cols[i] = Column{Rows: []int{i}, Vals: []float64{1}}
+		cols[i] = spCol{rows: []int32{int32(i)}, vals: []float64{1}}
 	}
 	checkSolve(t, m, cols, []int{0, 3}, []float64{2, -7})
 	checkSolveT(t, m, cols, []float64{1, 2, 3, 4, 5})
@@ -95,9 +108,9 @@ func TestLUIdentity(t *testing.T) {
 func TestLUPermutation(t *testing.T) {
 	// column j has a single 1 in row (j+2) mod m
 	m := 6
-	cols := make([]Column, m)
+	cols := make([]spCol, m)
 	for j := range cols {
-		cols[j] = Column{Rows: []int{(j + 2) % m}, Vals: []float64{3}}
+		cols[j] = spCol{rows: []int32{int32((j + 2) % m)}, vals: []float64{3}}
 	}
 	checkSolve(t, m, cols, []int{1, 4}, []float64{1, 1})
 	checkSolveT(t, m, cols, []float64{5, 0, -2, 1, 0, 9})
@@ -108,10 +121,10 @@ func TestLUDenseSmall(t *testing.T) {
 	// [ 2 1 0 ]
 	// [ 1 3 1 ]
 	// [ 0 1 4 ]
-	cols := []Column{
-		{Rows: []int{0, 1}, Vals: []float64{2, 1}},
-		{Rows: []int{0, 1, 2}, Vals: []float64{1, 3, 1}},
-		{Rows: []int{1, 2}, Vals: []float64{1, 4}},
+	cols := []spCol{
+		{rows: []int32{0, 1}, vals: []float64{2, 1}},
+		{rows: []int32{0, 1, 2}, vals: []float64{1, 3, 1}},
+		{rows: []int32{1, 2}, vals: []float64{1, 4}},
 	}
 	checkSolve(t, 3, cols, []int{0, 1, 2}, []float64{1, 2, 3})
 	checkSolveT(t, 3, cols, []float64{-1, 0.5, 2})
@@ -119,22 +132,22 @@ func TestLUDenseSmall(t *testing.T) {
 
 func TestLUSingular(t *testing.T) {
 	// two identical columns
-	cols := []Column{
-		{Rows: []int{0, 1}, Vals: []float64{1, 1}},
-		{Rows: []int{0, 1}, Vals: []float64{1, 1}},
+	cols := []spCol{
+		{rows: []int32{0, 1}, vals: []float64{1, 1}},
+		{rows: []int32{0, 1}, vals: []float64{1, 1}},
 	}
 	if _, err := luFactorize(2, cols); err == nil {
 		t.Fatal("singular matrix not detected")
 	}
 	// zero column
-	cols = []Column{{Rows: []int{0}, Vals: []float64{1}}, {}}
+	cols = []spCol{{rows: []int32{0}, vals: []float64{1}}, {}}
 	if _, err := luFactorize(2, cols); err == nil {
 		t.Fatal("zero column not detected")
 	}
 }
 
 func TestLUWrongShape(t *testing.T) {
-	if _, err := luFactorize(3, make([]Column, 2)); err == nil {
+	if _, err := luFactorize(3, make([]spCol, 2)); err == nil {
 		t.Fatal("shape mismatch not detected")
 	}
 }
@@ -142,12 +155,12 @@ func TestLUWrongShape(t *testing.T) {
 // randomBasisLike builds a random nonsingular sparse matrix shaped like a
 // simplex basis: a mix of unit (slack) columns and short structural columns
 // with an identity backbone to guarantee nonsingularity is likely.
-func randomBasisLike(rng *xrand.RNG, m int) []Column {
-	cols := make([]Column, m)
+func randomBasisLike(rng *xrand.RNG, m int) []spCol {
+	cols := make([]spCol, m)
 	perm := rng.Perm(m)
 	for j := 0; j < m; j++ {
 		if rng.Bool(0.4) {
-			cols[j] = Column{Rows: []int{perm[j]}, Vals: []float64{1 + rng.Float64()}}
+			cols[j] = spCol{rows: []int32{int32(perm[j])}, vals: []float64{1 + rng.Float64()}}
 			continue
 		}
 		rows := map[int]float64{perm[j]: 1.5 + rng.Float64()} // diagonal anchor
@@ -155,10 +168,10 @@ func randomBasisLike(rng *xrand.RNG, m int) []Column {
 		for e := 0; e < extra; e++ {
 			rows[rng.Intn(m)] = rng.Float64()*2 - 1
 		}
-		col := Column{}
+		var col spCol
 		for r, v := range rows {
-			col.Rows = append(col.Rows, r)
-			col.Vals = append(col.Vals, v)
+			col.rows = append(col.rows, int32(r))
+			col.vals = append(col.vals, v)
 		}
 		cols[j] = col
 	}

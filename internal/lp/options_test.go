@@ -12,7 +12,7 @@ import (
 // must pass.
 func TestRevisedOptionValidation(t *testing.T) {
 	tiny := NewProblem(1, []float64{1}, []float64{1},
-		[]Column{{Rows: []int{0}, Vals: []float64{1}}})
+		[]Column{{Rows: []int{0}}})
 
 	bad := []struct {
 		name string

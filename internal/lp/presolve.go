@@ -43,10 +43,10 @@ type PresolveStats struct {
 //  1. columns touching a row with b_i = 0 are fixed to 0 and removed;
 //  2. "bounding" rows — those with b_i ≤ 1 — are kept whenever any column
 //     still crosses them (they are the source of the implied per-column
-//     upper bounds u_j = min_k b_k/a_kj, so dropping them could unbound
+//     upper bounds u_j = min_k b_k, so dropping them could unbound
 //     the problem); empty rows are always dropped;
 //  3. a non-bounding row is dropped when even every crossing column at its
-//     implied bound cannot violate it: Σ_j a_ij·u_j ≤ b_i, with u_j taken
+//     implied bound cannot violate it: Σ_j u_j ≤ b_i, with u_j taken
 //     over bounding rows only (∞, hence undroppable, if a column crosses
 //     no bounding row).
 //
@@ -64,9 +64,8 @@ func Reduce(p *Problem) (*Presolved, PresolveStats, error) {
 	var forced []int
 	for j := 0; j < n; j++ {
 		keepCol[j] = true
-		rows, vals := p.Col(j)
-		for k, r := range rows {
-			if p.B[r] == 0 && vals[k] > 0 {
+		for _, r := range p.Col(j) {
+			if p.B[r] == 0 {
 				keepCol[j] = false
 				forced = append(forced, j)
 				break
@@ -74,7 +73,8 @@ func Reduce(p *Problem) (*Presolved, PresolveStats, error) {
 		}
 	}
 
-	// Implied upper bounds from bounding rows (b ≤ 1) that will be kept.
+	// Implied upper bounds u_j = min b_k over the bounding rows (b ≤ 1) that
+	// will be kept.
 	const inf = math.MaxFloat64
 	ubound := make([]float64, n)
 	for j := range ubound {
@@ -85,13 +85,10 @@ func Reduce(p *Problem) (*Presolved, PresolveStats, error) {
 		if !keepCol[j] {
 			continue
 		}
-		rows, vals := p.Col(j)
-		for k, r := range rows {
+		for _, r := range p.Col(j) {
 			hasCols[r] = true
-			if p.B[r] <= 1 && vals[k] > 0 {
-				if u := p.B[r] / vals[k]; u < ubound[j] {
-					ubound[j] = u
-				}
+			if p.B[r] <= 1 && p.B[r] < ubound[j] {
+				ubound[j] = p.B[r]
 			}
 		}
 	}
@@ -105,15 +102,14 @@ func Reduce(p *Problem) (*Presolved, PresolveStats, error) {
 		if !keepCol[j] {
 			continue
 		}
-		rows, vals := p.Col(j)
-		for k, r := range rows {
+		for _, r := range p.Col(j) {
 			if p.B[r] <= 1 {
 				continue // bounding rows are handled by hasCols
 			}
 			if ubound[j] == inf {
 				unbounded[r] = true
 			} else {
-				mass[r] += vals[k] * ubound[j]
+				mass[r] += ubound[j]
 			}
 		}
 	}
@@ -158,11 +154,9 @@ func Reduce(p *Problem) (*Presolved, PresolveStats, error) {
 		if !keepCol[j] {
 			continue
 		}
-		rows, vals := p.Col(j)
-		for k, r := range rows {
+		for _, r := range p.Col(j) {
 			if nr := newRow[r]; nr >= 0 {
 				red.Rows = append(red.Rows, nr)
-				red.Vals = append(red.Vals, vals[k])
 			}
 		}
 		red.ColPtr = append(red.ColPtr, len(red.Rows))
@@ -195,17 +189,17 @@ func (ps *Presolved) Unreduce(sol *Solution) *Solution {
 		y[ps.rowMap[i]] = v
 	}
 	for _, j := range ps.forcedZero {
-		rows, vals := ps.orig.Col(j)
+		rows := ps.orig.Col(j)
 		red := ps.orig.C[j]
-		for k, r := range rows {
-			red -= y[r] * vals[k]
+		for _, r := range rows {
+			red -= y[r]
 		}
 		if red <= 0 {
 			continue
 		}
-		for k, r := range rows {
-			if ps.orig.B[r] == 0 && vals[k] > 0 {
-				y[r] += red / vals[k]
+		for _, r := range rows {
+			if ps.orig.B[r] == 0 {
+				y[r] += red
 				break
 			}
 		}
@@ -238,7 +232,7 @@ func SolveReduced(p *Problem, s Backend) (*Solution, PresolveStats, error) {
 	return ps.Unreduce(sol), stats, nil
 }
 
-// DeduplicateColumns folds exact duplicate columns (same rows, same values)
+// DeduplicateColumns folds exact duplicate columns (the same set of rows)
 // keeping only the highest-objective representative of each class — for a
 // maximization packing LP a dominated duplicate can never be needed
 // strictly, because any mass on it can move to the representative without
@@ -250,8 +244,7 @@ func DeduplicateColumns(p *Problem) (*Problem, []int) {
 	best := map[string]int{} // signature -> original column with max c
 	sigOf := make([]string, n)
 	for j := 0; j < n; j++ {
-		rows, vals := p.Col(j)
-		sigOf[j] = columnSignature(rows, vals)
+		sigOf[j] = columnSignature(p.Col(j))
 		if k, ok := best[sigOf[j]]; !ok || p.C[j] > p.C[k] {
 			best[sigOf[j]] = j
 		}
@@ -272,29 +265,18 @@ func DeduplicateColumns(p *Problem) (*Problem, []int) {
 	}
 	out.Reserve(len(kept), nnz)
 	for _, j := range kept {
-		rows, vals := p.Col(j)
-		out.addColumn32(p.C[j], rows, vals)
+		out.addColumn32(p.C[j], p.Col(j))
 	}
 	return out, repr
 }
 
-// columnSignature canonically encodes a column's sparsity pattern and
-// values.
-func columnSignature(rows []int32, vals []float64) string {
-	type entry struct {
-		r int32
-		v float64
-	}
-	es := make([]entry, len(rows))
-	for i := range rows {
-		es[i] = entry{rows[i], vals[i]}
-	}
-	sort.Slice(es, func(a, b int) bool { return es[a].r < es[b].r })
-	buf := make([]byte, 0, len(es)*12)
-	for _, e := range es {
-		buf = appendInt(buf, int(e.r))
-		buf = append(buf, ':')
-		buf = appendFloat(buf, e.v)
+// columnSignature canonically encodes a column's set of rows.
+func columnSignature(rows []int32) string {
+	rs := append([]int32(nil), rows...)
+	sort.Slice(rs, func(a, b int) bool { return rs[a] < rs[b] })
+	buf := make([]byte, 0, len(rs)*4)
+	for _, r := range rs {
+		buf = appendInt(buf, int(r))
 		buf = append(buf, ';')
 	}
 	return string(buf)
@@ -312,15 +294,4 @@ func appendInt(b []byte, v int) []byte {
 		v /= 10
 	}
 	return append(b, tmp[i:]...)
-}
-
-func appendFloat(b []byte, v float64) []byte {
-	// exact bit pattern: duplicates must match exactly to fold
-	u := math.Float64bits(v)
-	var tmp [16]byte
-	for i := 15; i >= 0; i-- {
-		tmp[i] = "0123456789abcdef"[u&0xf]
-		u >>= 4
-	}
-	return append(b, tmp[:]...)
 }

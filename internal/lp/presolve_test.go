@@ -11,8 +11,8 @@ func TestReduceDropsLooseRows(t *testing.T) {
 	// Two "user" rows (b=1) and two "event" rows: row 2 has capacity 10 but
 	// mass only 2 (undroppable rows must bind-able); row 3 has capacity 1.
 	p := NewProblem(4, []float64{1, 1, 10, 1}, []float64{1, 1}, []Column{
-		{Rows: []int{0, 2}, Vals: []float64{1, 1}},
-		{Rows: []int{1, 2, 3}, Vals: []float64{1, 1, 1}},
+		{Rows: []int{0, 2}},
+		{Rows: []int{1, 2, 3}},
 	})
 	ps, stats, err := Reduce(p)
 	if err != nil {
@@ -47,8 +47,8 @@ func TestReduceDropsLooseRows(t *testing.T) {
 
 func TestReduceForcesZeroCapacityColumns(t *testing.T) {
 	p := NewProblem(2, []float64{0, 1}, []float64{5, 1}, []Column{
-		{Rows: []int{0}, Vals: []float64{1}}, // through the b=0 row
-		{Rows: []int{1}, Vals: []float64{1}},
+		{Rows: []int{0}}, // through the b=0 row
+		{Rows: []int{1}},
 	})
 	ps, stats, err := Reduce(p)
 	if err != nil {
@@ -96,7 +96,7 @@ func TestReducePreservesOptimum(t *testing.T) {
 
 func TestReduceRejectsMalformed(t *testing.T) {
 	bad := NewProblem(1, []float64{-1}, []float64{1},
-		[]Column{{Rows: []int{0}, Vals: []float64{1}}})
+		[]Column{{Rows: []int{0}}})
 	if _, _, err := Reduce(bad); err == nil {
 		t.Fatal("malformed problem accepted")
 	}
@@ -104,10 +104,10 @@ func TestReduceRejectsMalformed(t *testing.T) {
 
 func TestDeduplicateColumns(t *testing.T) {
 	p := NewProblem(2, []float64{2, 2}, []float64{1, 3, 2, 3}, []Column{
-		{Rows: []int{0}, Vals: []float64{1}},       // dup class A, c=1
-		{Rows: []int{0}, Vals: []float64{1}},       // dup class A, c=3 (representative)
-		{Rows: []int{1, 0}, Vals: []float64{1, 1}}, // class B (order-insensitive)
-		{Rows: []int{0, 1}, Vals: []float64{1, 1}}, // class B, c=3 (representative)
+		{Rows: []int{0}},    // dup class A, c=1
+		{Rows: []int{0}},    // dup class A, c=3 (representative)
+		{Rows: []int{1, 0}}, // class B (order-insensitive)
+		{Rows: []int{0, 1}}, // class B, c=3 (representative)
 	})
 	red, repr := DeduplicateColumns(p)
 	if red.NumCols() != 2 {
@@ -133,29 +133,18 @@ func TestDeduplicateColumns(t *testing.T) {
 	}
 }
 
-func TestDeduplicateKeepsDistinctValues(t *testing.T) {
-	// same pattern, different coefficient values → NOT duplicates
-	p := NewProblem(1, []float64{2}, []float64{1, 1}, []Column{
-		{Rows: []int{0}, Vals: []float64{1}},
-		{Rows: []int{0}, Vals: []float64{2}},
-	})
-	red, _ := DeduplicateColumns(p)
-	if red.NumCols() != 2 {
-		t.Fatalf("distinct-valued columns folded: %d", red.NumCols())
-	}
-}
-
 func TestColumnSignatureHelpers(t *testing.T) {
 	if string(appendInt(nil, 0)) != "0" || string(appendInt(nil, 1234)) != "1234" {
 		t.Error("appendInt broken")
 	}
-	a := columnSignature([]int32{2, 0}, []float64{3, 1})
-	b := columnSignature([]int32{0, 2}, []float64{1, 3})
+	a := columnSignature([]int32{2, 0})
+	b := columnSignature([]int32{0, 2})
 	if a != b {
 		t.Error("signature not order-insensitive")
 	}
-	c := columnSignature([]int32{0, 2}, []float64{1, 4})
-	if a == c {
-		t.Error("signature collision on different values")
+	for _, other := range [][]int32{{0}, {0, 2, 3}, {20}, {0, 1}} {
+		if columnSignature(other) == a {
+			t.Errorf("signature collision between rows %v and [0 2]", other)
+		}
 	}
 }

@@ -17,7 +17,6 @@ func cloneProblem(p *Problem) *Problem {
 		C:       append([]float64(nil), p.C...),
 		ColPtr:  append([]int(nil), p.ColPtr...),
 		Rows:    append([]int32(nil), p.Rows...),
-		Vals:    append([]float64(nil), p.Vals...),
 	}
 }
 
@@ -40,15 +39,15 @@ func applyDeltaRef(p *Problem, d ProblemDelta) *Problem {
 		if removed[j] {
 			continue
 		}
-		rows32, vals := p.Col(j)
+		rows32 := p.Col(j)
 		rows := make([]int, len(rows32))
 		for i, r := range rows32 {
 			rows[i] = int(r)
 		}
-		out.AddColumn(c[j], rows, vals)
+		out.AddColumn(c[j], rows)
 	}
 	for k := range d.AddCols {
-		out.AddColumn(d.AddC[k], d.AddCols[k].Rows, d.AddCols[k].Vals)
+		out.AddColumn(d.AddC[k], d.AddCols[k].Rows)
 	}
 	return out
 }
@@ -64,8 +63,7 @@ func requireResolveMatchesCold(t *testing.T, label string, s *Solver, d ProblemD
 		t.Fatalf("%s: Resolve: %v", label, err)
 	}
 	if !reflect.DeepEqual(s.Problem().B, ref.B) || !reflect.DeepEqual(s.Problem().C, ref.C) ||
-		!reflect.DeepEqual(s.Problem().Rows, ref.Rows) || !reflect.DeepEqual(s.Problem().Vals, ref.Vals) ||
-		!reflect.DeepEqual(s.Problem().ColPtr, ref.ColPtr) {
+		!reflect.DeepEqual(s.Problem().Rows, ref.Rows) || !reflect.DeepEqual(s.Problem().ColPtr, ref.ColPtr) {
 		t.Fatalf("%s: in-place delta application diverged from reference", label)
 	}
 	cold, err := (&Revised{NoPerturb: s.Config.NoPerturb, Pricing: s.Config.Pricing}).Solve(ref)
@@ -161,7 +159,7 @@ func TestResolveColumnChurn(t *testing.T) {
 	for k := 0; k < 6; k++ {
 		grp := rng.Intn(50)
 		ev := 50 + rng.Intn(15)
-		d.AddCols = append(d.AddCols, Column{Rows: []int{grp, ev}, Vals: []float64{1, 1}})
+		d.AddCols = append(d.AddCols, Column{Rows: []int{grp, ev}})
 		d.AddC = append(d.AddC, rng.Float64())
 	}
 	requireResolveMatchesCold(t, "column-churn", s, d, resolveTol)
@@ -174,7 +172,7 @@ func TestResolveColumnChurn(t *testing.T) {
 		n := s.Problem().NumCols()
 		d = ProblemDelta{RemoveCols: []int{rng.Intn(n)}}
 		grp := rng.Intn(50)
-		d.AddCols = []Column{{Rows: []int{grp, 50 + rng.Intn(15)}, Vals: []float64{1, 1}}}
+		d.AddCols = []Column{{Rows: []int{grp, 50 + rng.Intn(15)}}}
 		d.AddC = []float64{rng.Float64()}
 		requireResolveMatchesCold(t, "chained", s, d, resolveTol)
 	}
@@ -205,7 +203,7 @@ func TestResolveObjectiveChanges(t *testing.T) {
 func TestResolveDualRepairOnShrink(t *testing.T) {
 	// max x s.t. x ≤ 2 (row 0), x ≤ 3 (row 1): optimum x = 2, slack1 = 1.
 	p := NewProblem(2, []float64{2, 3}, []float64{1}, []Column{
-		{Rows: []int{0, 1}, Vals: []float64{1, 1}},
+		{Rows: []int{0, 1}},
 	})
 	s := NewSolver(Revised{NoPerturb: true})
 	if _, err := s.Solve(p); err != nil {
@@ -255,7 +253,7 @@ func TestResolveValidation(t *testing.T) {
 		t.Errorf("Resolve before Solve: err = %v, want ErrNoProblem", err)
 	}
 	p := NewProblem(1, []float64{2}, []float64{1},
-		[]Column{{Rows: []int{0}, Vals: []float64{1}}})
+		[]Column{{Rows: []int{0}}})
 	if _, err := s.Solve(p); err != nil {
 		t.Fatal(err)
 	}
@@ -266,9 +264,15 @@ func TestResolveValidation(t *testing.T) {
 		{SetC: []ObjChange{{Col: 3, C: 1}}},
 		{SetC: []ObjChange{{Col: 0, C: math.Inf(1)}}},
 		{RemoveCols: []int{9}},
-		{AddCols: []Column{{Rows: []int{0}, Vals: []float64{1}}}}, // missing AddC
-		{AddCols: []Column{{Rows: []int{7}, Vals: []float64{1}}}, AddC: []float64{1}},
-		{AddCols: []Column{{Rows: []int{0}, Vals: []float64{math.NaN()}}}, AddC: []float64{1}},
+		{AddCols: []Column{{Rows: []int{0}}}}, // missing AddC
+		{AddCols: []Column{{Rows: []int{7}}}, AddC: []float64{1}},
+	}
+	// A column listing a row twice is rejected with the typed error, naming
+	// the AddCols index and the row, after a well-formed column.
+	dup := ProblemDelta{AddCols: []Column{{Rows: []int{0}}, {Rows: []int{0, 0}}}, AddC: []float64{1, 1}}
+	var de *DuplicateRowError
+	if _, err := s.Resolve(dup); !errors.As(err, &de) || de.Col != 1 || de.Row != 0 {
+		t.Errorf("duplicate-row delta: err = %v, want *DuplicateRowError{Col: 1, Row: 0}", err)
 	}
 	for i, d := range bad {
 		if _, err := s.Resolve(d); err == nil {
@@ -300,7 +304,7 @@ func TestResolveWorkerInvariance(t *testing.T) {
 	}
 	for k := 0; k < 10; k++ {
 		d.AddCols = append(d.AddCols, Column{
-			Rows: []int{rng.Intn(200), 200 + rng.Intn(40)}, Vals: []float64{1, 1}})
+			Rows: []int{rng.Intn(200), 200 + rng.Intn(40)}})
 		d.AddC = append(d.AddC, rng.Float64())
 	}
 	d.SetB = append(d.SetB, BoundChange{Row: 205, B: p.B[205] + 1})
@@ -357,7 +361,7 @@ func TestResolveRefactorEveryOne(t *testing.T) {
 			SetB:       []BoundChange{{Row: 60 + rng.Intn(15), B: float64(rng.Intn(4))}},
 			RemoveCols: []int{rng.Intn(n)},
 		}
-		d.AddCols = []Column{{Rows: []int{rng.Intn(60), 60 + rng.Intn(15)}, Vals: []float64{1, 1}}}
+		d.AddCols = []Column{{Rows: []int{rng.Intn(60), 60 + rng.Intn(15)}}}
 		d.AddC = []float64{rng.Float64()}
 		requireResolveMatchesCold(t, "refactor-every-1", s, d, resolveTol)
 	}
@@ -367,11 +371,14 @@ func TestResolveRefactorEveryOne(t *testing.T) {
 // FuzzResolve mutates a random packing LP through a persistent solver —
 // removing and adding columns, shrinking and growing bounds, rescaling
 // objectives — and asserts after every step that Resolve's optimum matches a
-// cold solve of the same mutated problem and certifies via Verify.
+// cold solve of the same mutated problem and certifies via Verify. Some
+// steps instead send a delta whose column lists a row twice, which must be
+// rejected with a *DuplicateRowError and leave the solver usable.
 func FuzzResolve(f *testing.F) {
 	f.Add(int64(1), uint8(3))
 	f.Add(int64(42), uint8(7))
 	f.Add(int64(-77), uint8(12))
+	f.Add(int64(207), uint8(4)) // its first delta lists a row twice (case 4)
 	f.Fuzz(func(t *testing.T, seed int64, steps uint8) {
 		rng := xrand.New(seed)
 		p := randomPacking(rng, 3+rng.Intn(25), 2+rng.Intn(8), 4)
@@ -427,7 +434,7 @@ func FuzzResolve(f *testing.F) {
 			cur := s.Problem()
 			n := cur.NumCols()
 			var d ProblemDelta
-			switch rng.Intn(4) {
+			switch rng.Intn(5) {
 			case 0: // shrink/grow a capacity row
 				if m > g {
 					row := g + rng.Intn(m-g)
@@ -441,22 +448,37 @@ func FuzzResolve(f *testing.F) {
 			case 2: // add up to 3 random columns
 				for k := 0; k < 1+rng.Intn(3); k++ {
 					rows := []int{}
-					vals := []float64{}
 					if g > 0 {
 						rows = append(rows, rng.Intn(g))
-						vals = append(vals, 1)
 					}
 					if m > g {
 						rows = append(rows, g+rng.Intn(m-g))
-						vals = append(vals, 1)
 					}
-					d.AddCols = append(d.AddCols, Column{Rows: rows, Vals: vals})
+					d.AddCols = append(d.AddCols, Column{Rows: rows})
 					d.AddC = append(d.AddC, rng.Float64())
 				}
 			case 3: // rescale an objective coefficient
 				if n > 0 {
 					d.SetC = append(d.SetC, ObjChange{Col: rng.Intn(n), C: rng.Float64() * 3})
 				}
+			case 4: // a column listing a row twice, behind a bound change
+				// Rejected whole with the typed error: the problem stays
+				// as it was and the solver stays usable for the next step.
+				r := rng.Intn(m)
+				bad := ProblemDelta{
+					SetB:    []BoundChange{{Row: r, B: cur.B[r] + 1}},
+					AddCols: []Column{{Rows: []int{r, r}}},
+					AddC:    []float64{rng.Float64()},
+				}
+				before := cloneProblem(cur)
+				var de *DuplicateRowError
+				if _, err := s.Resolve(bad); !errors.As(err, &de) || de.Col != 0 || de.Row != r {
+					t.Fatalf("step %d: duplicate-row delta: err = %v", step, err)
+				}
+				if !reflect.DeepEqual(cloneProblem(s.Problem()), before) {
+					t.Fatalf("step %d: rejected delta changed the problem", step)
+				}
+				continue
 			}
 			if d.Empty() {
 				continue
@@ -513,7 +535,7 @@ func TestResolveChangedColumns(t *testing.T) {
 				d.SetB = append(d.SetB, BoundChange{Row: rng.Intn(s.Problem().NumRows), B: float64(rng.Intn(5))})
 			}
 			if rng.Bool(0.4) {
-				d.AddCols = append(d.AddCols, Column{Rows: []int{rng.Intn(s.Problem().NumRows)}, Vals: []float64{1}})
+				d.AddCols = append(d.AddCols, Column{Rows: []int{rng.Intn(s.Problem().NumRows)}})
 				d.AddC = append(d.AddC, rng.Float64())
 			}
 			sol, err = s.Resolve(d)

@@ -409,12 +409,11 @@ type revisedState struct {
 	candList   []int32
 	candDense  bool
 
-	// Row-major mirror of the structural matrix A (row → (column, value)),
-	// built lazily by buildARows for the pivot-row scatter and
+	// Row-major mirror of the structural matrix A (row → columns with a 1
+	// there), built lazily by buildARows for the pivot-row scatter and
 	// invalidated whenever the column structure changes (rebind, structural
 	// deltas). Within a row, columns ascend.
 	aRowPtr, aRowIdx []int32
-	aRowVal          []float64
 	aRowCur          []int32
 	aRowsOK          bool
 	// dualGamma is the dual step length γ = red_q/α_q of the last priceDual
@@ -441,8 +440,11 @@ type revisedState struct {
 	// count.
 	refactors int64
 
-	rowSeq []int32   // rowSeq[i] = i: slack column indices and full-rhs rows
-	ones   []float64 // all ones: slack column values
+	rowSeq []int32 // rowSeq[i] = i: slack column indices and full-rhs rows
+	// ones is all ones, len m: the values of every column handed to the LU
+	// kernel, slack or structural. A column lists each row at most once, so
+	// no column is longer than m.
+	ones []float64
 
 	// xOut, yOut back the returned Solution's X and Y. They are reused
 	// across solves on the same state, so a persistent Solver's steady-state
@@ -557,11 +559,13 @@ func (st *revisedState) objCoef(v int) float64 {
 }
 
 // columnOf returns the sparse constraint column of variable v as views —
-// into the problem's CSC arrays for a structural column, into the state's
-// slack storage for a unit slack column. Never a copy.
+// its rows into the problem's CSC array for a structural column or into
+// rowSeq for a unit slack column, its values into the shared all-ones
+// vector. Never a copy.
 func (st *revisedState) columnOf(v int) ([]int32, []float64) {
 	if v < st.n {
-		return st.p.Col(v)
+		rows := st.p.Col(v)
+		return rows, st.ones[:len(rows)]
 	}
 	i := v - st.n
 	return st.rowSeq[i : i+1], st.ones[i : i+1]
@@ -755,9 +759,8 @@ func (st *revisedState) pushEta(r int) {
 func (st *revisedState) reducedCost(q int) float64 {
 	if q < st.n {
 		red := st.p.C[q]
-		lo, hi := st.p.ColPtr[q], st.p.ColPtr[q+1]
-		for k := lo; k < hi; k++ {
-			red -= st.y[st.p.Rows[k]] * st.p.Vals[k]
+		for _, r := range st.p.Col(q) {
+			red -= st.y[r]
 		}
 		return red
 	}
@@ -933,7 +936,6 @@ func (st *revisedState) updateDevex(q, r int) {
 		}
 	} else {
 		beta := st.beta
-		colPtr, rowIdx, vals := st.p.ColPtr, st.p.Rows, st.p.Vals
 		par.Ranges(st.workers, st.n+st.m, devexGrain, func(lo, hi int) {
 			for j := lo; j < hi; j++ {
 				if st.posOf[j] >= 0 || j == q {
@@ -941,8 +943,8 @@ func (st *revisedState) updateDevex(q, r int) {
 				}
 				var alpha float64
 				if j < st.n {
-					for k := colPtr[j]; k < colPtr[j+1]; k++ {
-						alpha += beta[rowIdx[k]] * vals[k]
+					for _, r := range st.p.Col(j) {
+						alpha += beta[r]
 					}
 				} else {
 					// slack: α_j is just the β entry of the slack's row
@@ -1330,11 +1332,8 @@ func (st *revisedState) priceDualDense(total int) int {
 		if br == 0 {
 			continue
 		}
-		lo, hi := st.aRowPtr[r], st.aRowPtr[r+1]
-		idx := st.aRowIdx[lo:hi]
-		val := st.aRowVal[lo:hi]
-		for i, j := range idx {
-			alphaVec[j] += br * val[i]
+		for _, j := range st.aRowIdx[st.aRowPtr[r]:st.aRowPtr[r+1]] {
+			alphaVec[j] += br
 		}
 		alphaVec[st.n+r] = br // the row's slack
 	}
@@ -1394,17 +1393,17 @@ func (st *revisedState) betaSparse() bool {
 
 // scatterPivotRow computes the pivot row α_j = βᵀa_j (β = st.beta) of every
 // variable β's row support can reach, through the row-major mirror of A:
-// for each row r with β_r ≠ 0, in ascending order, α_j += β_r·A[r,j] over
-// the row, and the row's slack gets α = β_r. It returns the reached
+// for each row r with β_r ≠ 0, in ascending order, α_j += β_r for every
+// column j with a 1 in row r, and the row's slack gets α = β_r. It returns the reached
 // variables; their α is in st.alphaVec, and every other variable has α = 0.
 // The list and the values are epoch-stamped (beginCandidates), so no O(n)
 // clearing happens between pivots, and both stay valid until the next call.
 // The cost is proportional to the nonzeros of β's rows, not to all of A.
 //
 // Contract: when every column lists its rows in ascending order, each α_j
-// adds the same nonzero products in the same order, from the same zero, as
-// the column dot product Σ_k β[rows_k]·vals_k — whose β_r = 0 terms add a
-// zero that leaves any such sum unchanged — so the two are bit-identical.
+// adds the same nonzero terms in the same order, from the same zero, as the
+// column dot product Σ_k β[rows_k] — whose β_r = 0 terms add a zero that
+// leaves any such sum unchanged — so the two are bit-identical.
 // Every LP the planning pipeline builds lists its rows in ascending order.
 // On columns that do not, α may differ from the dot product in the last
 // bits, and a Devex solve may take a different, equally valid pivot path.
@@ -1417,14 +1416,13 @@ func (st *revisedState) scatterPivotRow() []int32 {
 		if br == 0 {
 			continue
 		}
-		for t := st.aRowPtr[r]; t < st.aRowPtr[r+1]; t++ {
-			j := st.aRowIdx[t]
+		for _, j := range st.aRowIdx[st.aRowPtr[r]:st.aRowPtr[r+1]] {
 			if stamp[j] != epoch {
 				stamp[j] = epoch
 				alphaVec[j] = 0
 				cand = append(cand, j)
 			}
-			alphaVec[j] += br * st.aRowVal[t]
+			alphaVec[j] += br
 		}
 		sj := int32(st.n + r) // the row's slack: α is β_r itself
 		stamp[sj] = epoch
@@ -1461,7 +1459,7 @@ func (st *revisedState) beginCandidates(total int) int32 {
 // pass over the nonzeros; columns come out ascending within each row because
 // the scatter visits them in ascending order. Invalidated by rebind and by
 // structural deltas (column removal/addition) — bounds and objective deltas
-// leave the pattern and values untouched.
+// leave the pattern untouched.
 func (st *revisedState) buildARows() {
 	if st.aRowsOK {
 		return
@@ -1481,14 +1479,10 @@ func (st *revisedState) buildARows() {
 		st.aRowCur[i] = st.aRowPtr[i]
 	}
 	st.aRowIdx = resize32(st.aRowIdx, nnz)
-	st.aRowVal = resizeF(st.aRowVal, nnz)
 	for j := 0; j < st.n; j++ {
-		for t := p.ColPtr[j]; t < p.ColPtr[j+1]; t++ {
-			r := p.Rows[t]
-			slot := st.aRowCur[r]
+		for _, r := range p.Col(j) {
+			st.aRowIdx[st.aRowCur[r]] = int32(j)
 			st.aRowCur[r]++
-			st.aRowIdx[slot] = int32(j)
-			st.aRowVal[slot] = p.Vals[t]
 		}
 	}
 	st.aRowsOK = true

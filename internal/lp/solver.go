@@ -48,6 +48,8 @@ type Solver struct {
 	colMap    []int
 	slackUsed []bool
 	wScratch  []float64
+	rowSeen   []int // checkDelta's per-row stamp: the epoch that last listed the row
+	seenEpoch int
 
 	// changed-column tracking (TrackChangedColumns)
 	trackChanged bool
@@ -466,7 +468,6 @@ func (s *Solver) copyProblem(p *Problem) {
 	dst.C = append(dst.C[:0], p.C...)
 	dst.ColPtr = append(dst.ColPtr[:0], p.ColPtr...)
 	dst.Rows = append(dst.Rows[:0], p.Rows...)
-	dst.Vals = append(dst.Vals[:0], p.Vals...)
 }
 
 // checkDelta validates the delta against the current problem shape.
@@ -496,18 +497,19 @@ func (s *Solver) checkDelta(d *ProblemDelta, oldN int) error {
 	if len(d.AddCols) != len(d.AddC) {
 		return fmt.Errorf("lp: %d added columns with %d objective coefficients", len(d.AddCols), len(d.AddC))
 	}
+	if len(s.rowSeen) != m {
+		s.rowSeen = make([]int, m)
+	}
 	for k := range d.AddCols {
-		col := &d.AddCols[k]
-		if len(col.Rows) != len(col.Vals) {
-			return fmt.Errorf("lp: added column %d has mismatched rows/vals", k)
-		}
-		for i, r := range col.Rows {
+		s.seenEpoch++
+		for _, r := range d.AddCols[k].Rows {
 			if r < 0 || r >= m {
 				return fmt.Errorf("lp: added column %d references row %d of %d", k, r, m)
 			}
-			if math.IsNaN(col.Vals[i]) || math.IsInf(col.Vals[i], 0) {
-				return fmt.Errorf("lp: non-finite value in added column %d", k)
+			if s.rowSeen[r] == s.seenEpoch {
+				return &DuplicateRowError{Col: k, Row: r}
 			}
+			s.rowSeen[r] = s.seenEpoch
 		}
 		if math.IsNaN(d.AddC[k]) || math.IsInf(d.AddC[k], 0) {
 			return fmt.Errorf("lp: non-finite objective for added column %d", k)
@@ -552,8 +554,7 @@ func (s *Solver) substituteRemovedBasics(d *ProblemDelta, oldN int) (swaps int, 
 			continue
 		}
 		entered := false
-		rows, _ := s.prob.Col(v)
-		for _, r32 := range rows {
+		for _, r32 := range s.prob.Col(v) {
 			q := oldN + int(r32)
 			if st.posOf[q] >= 0 {
 				continue // that row's slack is already basic
@@ -616,7 +617,6 @@ func (s *Solver) applyDelta(d *ProblemDelta, oldN int) {
 			lo, hi := p.ColPtr[j], p.ColPtr[j+1]
 			if nz != lo {
 				copy(p.Rows[nz:nz+hi-lo], p.Rows[lo:hi])
-				copy(p.Vals[nz:nz+hi-lo], p.Vals[lo:hi])
 			}
 			nz += hi - lo
 			p.C[w] = p.C[j]
@@ -627,10 +627,9 @@ func (s *Solver) applyDelta(d *ProblemDelta, oldN int) {
 		p.ColPtr = p.ColPtr[:w+1]
 		p.C = p.C[:w]
 		p.Rows = p.Rows[:nz]
-		p.Vals = p.Vals[:nz]
 	}
 	for k := range d.AddCols {
-		p.AddColumn(d.AddC[k], d.AddCols[k].Rows, d.AddCols[k].Vals)
+		p.AddColumn(d.AddC[k], d.AddCols[k].Rows)
 	}
 }
 

@@ -69,7 +69,7 @@ func runTrajectoryChain(t *testing.T, rng *xrand.RNG, p *Problem, cfg Revised, u
 	}
 	for k := 0; k < 60; k++ {
 		churn.AddCols = append(churn.AddCols, Column{
-			Rows: []int{rng.Intn(users), users + rng.Intn(events)}, Vals: []float64{1, 1}})
+			Rows: []int{rng.Intn(users), users + rng.Intn(events)}})
 		churn.AddC = append(churn.AddC, rng.Float64())
 	}
 	if _, err := s.Resolve(churn); err != nil {
@@ -138,23 +138,10 @@ func TestDefaultTrajectoryPinned(t *testing.T) {
 // way it is accumulated. randomPacking draws event rows in random order.
 func ascendingRows(p *Problem) *Problem {
 	q := &Problem{NumRows: p.NumRows, B: append([]float64(nil), p.B...)}
-	type entry struct {
-		r int32
-		v float64
-	}
-	var col []entry
 	for j := 0; j < p.NumCols(); j++ {
-		rows, vals := p.Col(j)
-		col = col[:0]
-		for k, r := range rows {
-			col = append(col, entry{r, vals[k]})
-		}
-		sort.Slice(col, func(a, b int) bool { return col[a].r < col[b].r })
-		rs, vs := make([]int32, len(col)), make([]float64, len(col))
-		for k, e := range col {
-			rs[k], vs[k] = e.r, e.v
-		}
-		q.addColumn32(p.C[j], rs, vs)
+		rs := append([]int32(nil), p.Col(j)...)
+		sort.Slice(rs, func(a, b int) bool { return rs[a] < rs[b] })
+		q.addColumn32(p.C[j], rs)
 	}
 	return q
 }

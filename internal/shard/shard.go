@@ -556,7 +556,7 @@ func (r *leaseRenewer) buildSplitLP(pool []int) *lp.Problem {
 			if r.demand[i] > 0 {
 				c = r.value[i] / float64(r.demand[i])
 			}
-			p.AddColumn(c, []int{v, nv + si, nv + s + i}, []float64{1, 1, 1})
+			p.AddColumn(c, []int{v, nv + si, nv + s + i})
 		}
 	}
 	return p

@@ -51,11 +51,7 @@ func setColumns(u, numUsers int, sets []admissible.Set, d *lp.ProblemDelta) {
 		for _, v := range s.Events {
 			rows = append(rows, numUsers+v)
 		}
-		vals := make([]float64, len(rows))
-		for i := range vals {
-			vals[i] = 1
-		}
-		d.AddCols = append(d.AddCols, lp.Column{Rows: rows, Vals: vals})
+		d.AddCols = append(d.AddCols, lp.Column{Rows: rows})
 		d.AddC = append(d.AddC, s.Weight)
 	}
 }
