@@ -12,6 +12,7 @@ import (
 	"github.com/ebsn/igepa/internal/lp"
 	"github.com/ebsn/igepa/internal/model"
 	"github.com/ebsn/igepa/internal/workload"
+	"github.com/ebsn/igepa/internal/xrand"
 )
 
 // solutionHash is an FNV-1a hash over the bits of X then Y, with signed
@@ -107,6 +108,103 @@ func TestMeetupTrajectoryPinned(t *testing.T) {
 	if obj, h := math.Float64bits(sol.Objective), solutionHash(sol); sol.Iterations != wantIters || obj != wantObj || h != wantHash {
 		t.Errorf("trajectory moved: got iters=%d obj=%#x hash=%#x, want iters=%d obj=%#x hash=%#x",
 			sol.Iterations, obj, h, wantIters, uint64(wantObj), uint64(wantHash))
+	}
+}
+
+// TestChurnTrajectoryPinned pins, absolutely, a stream of warm re-solves on
+// the Dantzig-class LP of a replan_churn-scale instance: 2000 users and 200
+// events, so m = 2200 sits below lp.DevexRowThreshold. A seeded stream of 102
+// updates in replan_churn's mix drives Planner.Update through the warm
+// Solver.Resolve path: dual repair, fast finishes and the warm Dantzig pivot
+// loop. Each block of 51 updates holds 40 single-user bid toggles, 10
+// capacity edits of 5 events and one batch toggling 5% of the users; every
+// toggle flips between the generated value and one edit away from it. An
+// FNV-1a chain over every solution's solutionHash and the final warm-pivot,
+// fast-finish and refactorization counts must not move. amd64 only.
+func TestChurnTrajectoryPinned(t *testing.T) {
+	if runtime.GOARCH != "amd64" {
+		t.Skipf("trajectory bits are pinned on amd64, not %s", runtime.GOARCH)
+	}
+	in, err := workload.Synthetic(workload.SyntheticConfig{Seed: 1_000_003, NumUsers: 2000, NumEvents: 200, MaxEventCap: 100})
+	if err != nil {
+		t.Fatal(err)
+	}
+	p, err := NewPlanner(in, Options{Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer p.Close()
+
+	nu, nv := in.NumUsers(), in.NumEvents()
+	origBids := make([][]int, nu)
+	for u := range in.Users {
+		origBids[u] = in.Users[u].Bids
+	}
+	origCap := make([]int, nv)
+	for v := range in.Events {
+		origCap[v] = in.Events[v].Capacity
+	}
+	dropped, lowered := make([]bool, nu), make([]bool, nv)
+	toggleUser := func(u int) {
+		orig := origBids[u]
+		if dropped[u] {
+			in.Users[u].Bids = orig
+		} else {
+			in.Users[u].Bids = orig[: len(orig)-1 : len(orig)-1]
+		}
+		dropped[u] = !dropped[u]
+	}
+	toggleEvent := func(v int) {
+		switch {
+		case lowered[v]:
+			in.Events[v].Capacity = origCap[v]
+		case origCap[v] > 1:
+			in.Events[v].Capacity = origCap[v] - 1
+		default:
+			in.Events[v].Capacity = origCap[v] + 1
+		}
+		lowered[v] = !lowered[v]
+	}
+
+	rng := xrand.New(1)
+	chain := fnv.New64a()
+	var buf [8]byte
+	for j := 0; j < 2*51; j++ {
+		var d Delta
+		switch {
+		case j%51 == 50:
+			d.Users = rng.Perm(nu)[:nu/20]
+			for _, u := range d.Users {
+				toggleUser(u)
+			}
+		case j%5 == 4:
+			d.Events = rng.Perm(nv)[:5]
+			for _, v := range d.Events {
+				toggleEvent(v)
+			}
+		default:
+			u := rng.Intn(nu)
+			toggleUser(u)
+			d.Users = []int{u}
+		}
+		if _, err := p.Update(d); err != nil {
+			t.Fatalf("update %d: %v", j, err)
+		}
+		binary.LittleEndian.PutUint64(buf[:], solutionHash(p.sol))
+		chain.Write(buf[:])
+	}
+	const (
+		wantChain        = 0x3d512a7f31f44fff
+		wantWarmPivots   = 305
+		wantFastFinishes = 57
+		wantRefactors    = 22
+	)
+	st := p.Stats()
+	if h := chain.Sum64(); h != wantChain || st.WarmPivots != wantWarmPivots ||
+		st.FastFinishes != wantFastFinishes || st.Refactorizations != wantRefactors {
+		t.Errorf("trajectory moved: got chain=%#x warm pivots=%d fast finishes=%d refactorizations=%d, want chain=%#x warm pivots=%d fast finishes=%d refactorizations=%d",
+			h, st.WarmPivots, st.FastFinishes, st.Refactorizations,
+			uint64(wantChain), wantWarmPivots, wantFastFinishes, wantRefactors)
 	}
 }
 
