@@ -368,12 +368,76 @@ func TestResolveRefactorEveryOne(t *testing.T) {
 	s.Release()
 }
 
+// requireRedCacheExact syncs the solver's reduced-cost cache to the current
+// duals and requires every entry to equal a fresh reducedCost bit for bit. A
+// stale entry only steers pricing to another optimal vertex, which no
+// objective comparison sees.
+func requireRedCacheExact(t *testing.T, step int, s *Solver) {
+	t.Helper()
+	st := s.st
+	if st == nil || st.p == nil {
+		return
+	}
+	st.syncRed()
+	for j := 0; j < st.n+st.m; j++ {
+		if got, want := st.redC[j], st.reducedCost(j); math.Float64bits(got) != math.Float64bits(want) {
+			t.Fatalf("step %d: cached reduced cost of variable %d is %v, want %v", step, j, got, want)
+		}
+	}
+}
+
+// TestRedDirtyQueueBounded re-solves a stream of SetC deltas that each end in
+// the fast finish, so the reduced-cost cache is never synced between them.
+// The dirty queue must stay within n + m entries, and the cache must still
+// be exact afterwards.
+func TestRedDirtyQueueBounded(t *testing.T) {
+	p := randomPacking(xrand.New(61), 40, 10, 4)
+	s := NewSolver(Revised{})
+	defer s.Release()
+	if _, err := s.Solve(p); err != nil {
+		t.Fatal(err)
+	}
+	nonbasic := func() int {
+		for j := 0; j < s.st.n; j++ {
+			if s.st.posOf[j] < 0 {
+				return j
+			}
+		}
+		t.Fatal("no nonbasic structural column")
+		return -1
+	}
+	// An improving objective change pivots, which builds the cache.
+	if _, err := s.Resolve(ProblemDelta{SetC: []ObjChange{{Col: nonbasic(), C: 10}}}); err != nil {
+		t.Fatal(err)
+	}
+	if !s.st.redOK {
+		t.Fatal("a pivoting warm re-solve left the reduced-cost cache unbuilt")
+	}
+	j := nonbasic()
+	limit := s.st.n + s.st.m
+	for step := 0; step < 3*limit; step++ {
+		before := s.Stats().FastFinishes
+		if _, err := s.Resolve(ProblemDelta{SetC: []ObjChange{{Col: j, C: 0}}}); err != nil {
+			t.Fatalf("step %d: %v", step, err)
+		}
+		if s.Stats().FastFinishes != before+1 {
+			t.Fatalf("step %d: a non-improving objective change did not fast-finish", step)
+		}
+		if got := len(s.st.redDirty); got > limit {
+			t.Fatalf("step %d: %d queued columns, more than n + m = %d", step, got, limit)
+		}
+	}
+	requireRedCacheExact(t, 3*limit, s)
+}
+
 // FuzzResolve mutates a random packing LP through a persistent solver —
 // removing and adding columns, shrinking and growing bounds, rescaling
 // objectives — and asserts after every step that Resolve's optimum matches a
-// cold solve of the same mutated problem and certifies via Verify. Some
-// steps instead send a delta whose column lists a row twice, which must be
-// rejected with a *DuplicateRowError and leave the solver usable.
+// cold solve of the same mutated problem and certifies via Verify, and that
+// the reduced-cost cache holds exactly the reduced costs of the current
+// duals. Some steps instead send a delta whose column lists a row twice,
+// which must be rejected with a *DuplicateRowError and leave the solver
+// usable.
 func FuzzResolve(f *testing.F) {
 	f.Add(int64(1), uint8(3))
 	f.Add(int64(42), uint8(7))
@@ -488,6 +552,7 @@ func FuzzResolve(f *testing.F) {
 			if err != nil {
 				t.Fatalf("step %d: Resolve: %v", step, err)
 			}
+			requireRedCacheExact(t, step, s)
 			cold, err := (&Revised{}).Solve(ref)
 			if err != nil {
 				t.Fatalf("step %d: cold: %v", step, err)

@@ -231,7 +231,8 @@ func (s *Revised) configure(st *revisedState) {
 // factorized and primal feasible. With warm == false the Devex reference
 // framework is reset (the cold, all-slack start); with warm == true any
 // reference weights carried in st.weights survive, so a re-solve keeps the
-// pricing memory of the previous optimum.
+// pricing memory of the previous optimum, and Dantzig and Bland pricing read
+// the reduced-cost cache (syncRed) instead of recomputing every column.
 func (s *Revised) pivot(st *revisedState, warm bool) (*Solution, error) {
 	m, n := st.m, st.n
 	maxIter := s.MaxIter
@@ -262,7 +263,7 @@ func (s *Revised) pivot(st *revisedState, warm bool) (*Solution, error) {
 		switch {
 		case bland:
 			st.btran()
-			q = st.priceBland()
+			q = st.priceBland(warm)
 		case devex:
 			q = st.priceDevex()
 			if q < 0 {
@@ -273,10 +274,11 @@ func (s *Revised) pivot(st *revisedState, warm bool) (*Solution, error) {
 			}
 		default:
 			st.btran()
-			q, cursor = st.pricePartial(cursor, window)
+			q, cursor = st.pricePartial(cursor, window, warm)
 		}
 		if q < 0 {
-			st.btran()
+			// y is exact: every branch above ends with duals computed from
+			// the current basis (Devex through refreshReducedCosts' btran).
 			return st.extract(iters), nil
 		}
 
@@ -393,12 +395,13 @@ type revisedState struct {
 	// unit reference framework at repair entry and on mid-repair
 	// refactorization), the maintained dual reduced costs, and the
 	// support-scatter pricing scratch. dualRedVec holds red_j = c_j − yᵀa_j
-	// for every nonbasic column (basic slots hold don't-care garbage, never
-	// read), refreshed exactly from the duals at repair entry and at every
-	// refactorization and updated incrementally (red' = red − γ·α) per pivot
-	// in between. alphaVec accumulates the pivot row α: in sparse mode over
-	// the candidate column set candList (scatterPivotRow, epoch-stamped via
-	// candStamp, so no O(n) clearing between pivots), in dense mode
+	// for every nonbasic column (basic slots hold don't-care values, never
+	// read), refreshed exactly from the duals — a copy of the synced redC —
+	// at the repair's first pivot and at every refactorization, and updated
+	// incrementally (red' = red − γ·α) per pivot in between. alphaVec
+	// accumulates the pivot row α: in sparse mode over the candidate column
+	// set candList (scatterPivotRow, epoch-stamped via candStamp, so no O(n)
+	// clearing between pivots; syncRed reuses the stamps), in dense mode
 	// (candDense, chosen by β's nonzero count alone) over every column after
 	// a plain clear. The sparse Devex update reuses the same scatter.
 	dseW       []float64
@@ -416,6 +419,18 @@ type revisedState struct {
 	aRowPtr, aRowIdx []int32
 	aRowCur          []int32
 	aRowsOK          bool
+
+	// Reduced-cost cache of the warm path: redC[j] = c_j − yᵀa_j for every
+	// variable, basic, nonbasic and slack, computed against the duals yRef,
+	// and valid while redOK. redDirty lists columns whose c_j changed since
+	// (Solver.Resolve queues SetC targets and appended columns). syncRed
+	// brings the cache to the current y. rebind invalidates it, so cold
+	// solves never build or read it.
+	redC     []float64
+	yRef     []float64
+	redDirty []int32
+	redOK    bool
+
 	// dualGamma is the dual step length γ = red_q/α_q of the last priceDual
 	// winner, used for the incremental dual update y' = y + γβ.
 	dualGamma float64
@@ -495,6 +510,8 @@ func (st *revisedState) rebind(p *Problem, perturb bool) {
 	st.workers = 1
 	st.betaSupportOK = false
 	st.aRowsOK = false
+	st.redOK = false
+	st.redDirty = st.redDirty[:0]
 	st.loadRHS(perturb)
 	st.basis = resizeI(st.basis, m)
 	st.posOf = resizeI(st.posOf, n+m)
@@ -1024,11 +1041,14 @@ const repairStallFloor = 256
 // most-negative rule repeatedly drains near-parallel rows and needs far more
 // pivots for large deltas (DESIGN.md §11).
 //
-// The duals are maintained incrementally: one exact BTRAN at entry (and
-// after each refactorization), then y' = y + γβ per pivot with γ the priced
-// dual step and β the already-computed BTRAN'd pivot row — the per-pivot
-// dense Bᵀy = c_B solve this replaces was a third of the repair's wall time
-// on the capacity-shrink workloads.
+// The duals are maintained incrementally: one exact BTRAN once the first
+// leaving-row scan finds a primal-infeasible row (and after each
+// refactorization), then y' = y + γβ per pivot with γ the priced dual step
+// and β the already-computed BTRAN'd pivot row — the per-pivot dense
+// Bᵀy = c_B solve this replaces was a third of the repair's wall time on the
+// capacity-shrink workloads. A patched basis that is already feasible pays
+// neither that BTRAN nor the reduced-cost refresh: nothing here reads y
+// before the first pivot, and the primal finish computes its own duals.
 //
 // budget bounds the pivots per attempt, and a stall detector watches the
 // primal infeasibility mass Σ max(0, −x_B): if no new minimum appears over
@@ -1048,8 +1068,7 @@ func (st *revisedState) dualRepair(budget, refactorEvery int) (int, dualRepairRe
 	for i := range st.dseW {
 		st.dseW[i] = 1
 	}
-	st.btran() // exact duals for the incremental y and red updates below
-	st.refreshDualRed()
+	primed := false
 	stallWindow := st.m / 2
 	if stallWindow < repairStallFloor {
 		stallWindow = repairStallFloor
@@ -1079,6 +1098,11 @@ func (st *revisedState) dualRepair(budget, refactorEvery int) (int, dualRepairRe
 				}
 			}
 			return pivots, repairOK
+		}
+		if !primed {
+			st.btran() // exact duals for the incremental y and red updates below
+			st.refreshDualRed()
+			primed = true
 		}
 		if pivots >= budgetLimit || sinceImprove >= stallWindow {
 			if pivots >= budgetLimit {
@@ -1233,15 +1257,16 @@ func (st *revisedState) dualRepair(budget, refactorEvery int) (int, dualRepairRe
 // dot product per column, so its cost is proportional to the nonzeros of
 // β's rows rather than to all of A, and columns the pivot row cannot touch
 // are never visited at all. Reduced costs come from the maintained
-// st.dualRedVec (exact-refreshed at repair entry and every refactorization,
-// updated per pivot from the same α values this pass produces), which
-// eliminates the second dot product per column the fused scan used to pay
-// (measured: computing them on demand per candidate was ~40% slower — the
-// short column dots chase pointers, the maintained read streams). When β is
-// dense the whole pass switches to sequential full-range sweeps instead
-// (priceDualDense). The pass is sequential — worker-count invariance is
-// structural — and β is bit-identical whichever triangular kernel produced
-// it, so the hypersparse threshold cannot move a pivot.
+// st.dualRedVec (exact-refreshed at the repair's first pivot and every
+// refactorization, updated per pivot from the same α values this pass
+// produces), which eliminates the second dot product per column the fused
+// scan used to pay (measured: computing them on demand per candidate was
+// ~40% slower — the short column dots chase pointers, the maintained read
+// streams). When β is dense the whole pass switches to sequential
+// full-range sweeps instead (priceDualDense). The pass is sequential —
+// worker-count invariance is structural — and β is bit-identical whichever
+// triangular kernel produced it, so the hypersparse threshold cannot move a
+// pivot.
 //
 // Candidates split into two tiers. Columns whose reduced cost is within the
 // dual-feasibility tolerance (red ≤ reducedTol, negatives and boundary
@@ -1488,37 +1513,90 @@ func (st *revisedState) buildARows() {
 	st.aRowsOK = true
 }
 
-// refreshDualRed recomputes the maintained dual reduced costs exactly from
-// the current duals: red_j = c_j − yᵀa_j for nonbasic columns (basic slots
-// are left as-is — they are never read, and the incremental updates scribble
-// on them freely). Called whenever the duals themselves are recomputed
-// exactly (repair entry, refactorizations), so the incremental red updates
-// never drift further than one eta chain.
+// refreshDualRed sets the maintained dual reduced costs exactly from the
+// current duals, red_j = c_j − yᵀa_j, by copying the synced reduced-cost
+// cache. Basic slots get values that are never read; the incremental
+// updates scribble on them freely. Called whenever the duals themselves are
+// recomputed exactly (the repair's first pivot, refactorizations), so the
+// incremental red updates never drift further than one eta chain.
 func (st *revisedState) refreshDualRed() {
 	t0 := tick(st.timers)
+	st.syncRed()
+	st.dualRedVec = resizeF(st.dualRedVec, st.n+st.m)
+	copy(st.dualRedVec, st.redC)
+	st.timers.add(phPricing, t0)
+}
+
+// syncRed brings the reduced-cost cache to the current duals. An invalid
+// cache takes a full pass over every variable. A valid one recomputes only
+// what an input of reducedCost changed under: every column on a row whose
+// y differs from yRef bit for bit (found through the row mirror), that
+// row's slack, and every column queued in redDirty. The candidate epoch
+// stamps recompute each column once per sync. reducedCost(j) is a pure
+// function of c_j and of y on j's rows, summed in a fixed order, so every
+// entry afterwards equals a fresh reducedCost(j) bit for bit, and pricing
+// from the cache picks exactly what pricing from scratch would. Callers
+// time it under their pricing phase.
+func (st *revisedState) syncRed() {
 	total := st.n + st.m
-	st.dualRedVec = resizeF(st.dualRedVec, total)
-	for j := 0; j < total; j++ {
-		if st.posOf[j] < 0 {
-			st.dualRedVec[j] = st.reducedCost(j)
+	if !st.redOK {
+		st.redC = resizeF(st.redC, total)
+		for j := 0; j < total; j++ {
+			st.redC[j] = st.reducedCost(j)
+		}
+		st.yRef = append(st.yRef[:0], st.y...)
+		st.redDirty = st.redDirty[:0]
+		st.redOK = true
+		return
+	}
+	epoch := st.beginCandidates(total)
+	stamp, red := st.candStamp, st.redC
+	for r, yr := range st.y {
+		if math.Float64bits(yr) == math.Float64bits(st.yRef[r]) {
+			continue
+		}
+		st.yRef[r] = yr
+		st.buildARows()
+		for _, j := range st.aRowIdx[st.aRowPtr[r]:st.aRowPtr[r+1]] {
+			if stamp[j] != epoch {
+				stamp[j] = epoch
+				red[j] = st.reducedCost(int(j))
+			}
+		}
+		red[st.n+r] = st.reducedCost(st.n + r)
+	}
+	for _, j := range st.redDirty {
+		if stamp[j] != epoch {
+			stamp[j] = epoch
+			red[j] = st.reducedCost(int(j))
 		}
 	}
-	st.timers.add(phPricing, t0)
+	st.redDirty = st.redDirty[:0]
 }
 
 // pricePartial scans a window of variables starting at cursor and returns
 // the best improving one; if the window has none it widens to a full pass,
-// which also certifies optimality (return -1).
-func (st *revisedState) pricePartial(cursor, window int) (q, next int) {
+// which also certifies optimality (return -1). A warm pivot (cached) reads
+// the synced reduced-cost cache; a cold one computes each reduced cost.
+func (st *revisedState) pricePartial(cursor, window int, cached bool) (q, next int) {
 	t0 := tick(st.timers)
 	defer st.timers.add(phPricing, t0)
+	if cached {
+		st.syncRed()
+	}
 	total := st.n + st.m
 	best, bestRed := -1, reducedTol
 	scanned := 0
 	i := cursor
 	for scanned < total {
 		if st.posOf[i] < 0 {
-			if red := st.reducedCost(i); red > bestRed {
+			var red float64
+			if cached {
+				red = st.redC[i]
+			} else {
+				red = st.reducedCost(i)
+			}
+			if red > bestRed {
 				best, bestRed = i, red
 			}
 		}
@@ -1535,15 +1613,25 @@ func (st *revisedState) pricePartial(cursor, window int) (q, next int) {
 }
 
 // priceBland returns the lowest-index variable with positive reduced cost
-// (used during anti-cycling episodes).
-func (st *revisedState) priceBland() int {
+// (used during anti-cycling episodes), read from the synced cache when
+// cached, as in pricePartial.
+func (st *revisedState) priceBland(cached bool) int {
 	t0 := tick(st.timers)
 	defer st.timers.add(phPricing, t0)
+	if cached {
+		st.syncRed()
+	}
 	for q := 0; q < st.n+st.m; q++ {
 		if st.posOf[q] >= 0 {
 			continue
 		}
-		if st.reducedCost(q) > reducedTol {
+		var red float64
+		if cached {
+			red = st.redC[q]
+		} else {
+			red = st.reducedCost(q)
+		}
+		if red > reducedTol {
 			return q
 		}
 	}

@@ -276,6 +276,9 @@ func (s *Solver) Resolve(d ProblemDelta) (*Solution, error) {
 		return nil, err
 	}
 
+	if len(d.RemoveCols) > 0 {
+		s.markRemoved(d.RemoveCols, oldN)
+	}
 	warm := s.warmOK && s.st != nil && s.prob.NumRows > 0
 	basisSwaps := 0
 	cBasic := false
@@ -315,6 +318,7 @@ func (s *Solver) Resolve(d ProblemDelta) (*Solution, error) {
 	// does the same later, but dual repair's solves and pricing pass run
 	// first and must see the configured pool, not the previous solve's.
 	s.Config.configure(st)
+	s.remapRed(&d, oldN, newN)
 
 	refactorEvery := s.Config.RefactorEvery
 	if refactorEvery <= 0 {
@@ -538,17 +542,6 @@ func (s *Solver) substituteRemovedBasics(d *ProblemDelta, oldN int) (swaps int, 
 	if len(d.RemoveCols) == 0 {
 		return 0, true
 	}
-	if cap(s.removed) < oldN {
-		s.removed = make([]bool, oldN)
-	} else {
-		s.removed = s.removed[:oldN]
-		for i := range s.removed {
-			s.removed[i] = false
-		}
-	}
-	for _, j := range d.RemoveCols {
-		s.removed[j] = true
-	}
 	for i, v := range st.basis {
 		if v >= oldN || !s.removed[v] {
 			continue
@@ -580,9 +573,25 @@ func (s *Solver) substituteRemovedBasics(d *ProblemDelta, oldN int) (swaps int, 
 	return swaps, true
 }
 
+// markRemoved fills s.removed, the pre-delta removal mask that both
+// substituteRemovedBasics and applyDelta read.
+func (s *Solver) markRemoved(cols []int, oldN int) {
+	if cap(s.removed) < oldN {
+		s.removed = make([]bool, oldN)
+	} else {
+		s.removed = s.removed[:oldN]
+		for i := range s.removed {
+			s.removed[i] = false
+		}
+	}
+	for _, j := range cols {
+		s.removed[j] = true
+	}
+}
+
 // applyDelta mutates the owned problem: bounds, objective coefficients,
 // column compaction (filling s.colMap with the old→new index map, -1 for
-// removed), then appended columns.
+// removed, from the mask markRemoved filled), then appended columns.
 func (s *Solver) applyDelta(d *ProblemDelta, oldN int) {
 	p := s.prob
 	for _, bc := range d.SetB {
@@ -597,17 +606,6 @@ func (s *Solver) applyDelta(d *ProblemDelta, oldN int) {
 			s.colMap[j] = j
 		}
 	} else {
-		if cap(s.removed) < oldN {
-			s.removed = make([]bool, oldN)
-		} else {
-			s.removed = s.removed[:oldN]
-			for i := range s.removed {
-				s.removed[i] = false
-			}
-		}
-		for _, j := range d.RemoveCols {
-			s.removed[j] = true
-		}
 		w, nz := 0, 0
 		for j := 0; j < oldN; j++ {
 			if s.removed[j] {
@@ -670,6 +668,62 @@ func (s *Solver) remapState(oldN, newN int) {
 			w[newN+i] = st.weights[oldN+i]
 		}
 		st.weights, s.wScratch = w, st.weights
+	}
+}
+
+// remapRed carries the state's reduced-cost cache across the delta. After a
+// structural delta the entries and the dirty queue move with their variables
+// through colMap (one O(n + m) pass, in place) and removed columns drop
+// out. Every column whose c_j is new — SetC targets and appended columns —
+// is queued dirty for the next syncRed. Bound changes touch no input of a
+// reduced cost, so a SetB-only delta leaves the cache exactly as valid as it
+// was. Timed as pricing, like the syncs it feeds.
+func (s *Solver) remapRed(d *ProblemDelta, oldN, newN int) {
+	st := s.st
+	if !st.redOK {
+		return
+	}
+	t0 := tick(st.timers)
+	defer st.timers.add(phPricing, t0)
+	if len(d.RemoveCols) > 0 || len(d.AddCols) > 0 {
+		// colMap ascends with colMap[j] ≤ j, so a forward pass compacts the
+		// structural entries in place below the slack block, and copy moves
+		// that block whether or not the ranges overlap.
+		red := st.redC
+		for j := 0; j < oldN; j++ {
+			if nj := s.colMap[j]; nj >= 0 {
+				red[nj] = red[j]
+			}
+		}
+		if total := newN + st.m; cap(red) < total {
+			red = append(red, make([]float64, total-len(red))...)
+		} else {
+			red = red[:total]
+		}
+		copy(red[newN:], red[oldN:oldN+st.m])
+		st.redC = red
+		dirty := st.redDirty[:0]
+		for _, j := range st.redDirty {
+			if nj := s.colMap[j]; nj >= 0 {
+				dirty = append(dirty, int32(nj))
+			}
+		}
+		st.redDirty = dirty
+	}
+	for _, oc := range d.SetC {
+		if nj := s.colMap[oc.Col]; nj >= 0 {
+			st.redDirty = append(st.redDirty, int32(nj))
+		}
+	}
+	for nj := newN - len(d.AddCols); nj < newN; nj++ {
+		st.redDirty = append(st.redDirty, int32(nj))
+	}
+	// Re-solves that end in the fast finish never sync, and repeated SetC on
+	// one column queues it again each time: past n + m entries the queue
+	// costs more than the full pass that replaces it.
+	if len(st.redDirty) > newN+st.m {
+		st.redOK = false
+		st.redDirty = st.redDirty[:0]
 	}
 }
 
