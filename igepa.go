@@ -71,8 +71,8 @@ func ComputeStats(in *Instance) InstanceStats { return model.ComputeStats(in) }
 
 // LP-packing (the paper's contribution).
 type (
-	// LPPackingOptions configures the LP-packing solver (α, seed, LP
-	// solver, repair order, extensions).
+	// LPPackingOptions configures the LP-packing solver (α, seed, worker
+	// bound, revised-simplex knobs, repair order, extensions).
 	LPPackingOptions = core.Options
 	// LPPackingResult carries the arrangement plus solver diagnostics,
 	// including the certified LP upper bound on the optimum.
@@ -114,8 +114,7 @@ type (
 )
 
 // NewPlanner builds the incremental pipeline on the instance and solves the
-// benchmark LP cold. Options.Presolve and Options.Solver must be unset (the
-// planner drives its own persistent solver).
+// benchmark LP cold with its own persistent warm-starting solver.
 func NewPlanner(in *Instance, opt LPPackingOptions) (*Planner, error) {
 	return core.NewPlanner(in, opt)
 }

@@ -3,27 +3,39 @@ package core
 import (
 	"testing"
 
+	"github.com/ebsn/igepa/internal/conflict"
 	"github.com/ebsn/igepa/internal/lp"
 	"github.com/ebsn/igepa/internal/model"
+	"github.com/ebsn/igepa/internal/xrand"
 )
 
-// fractionalSolver is a stub LP solver returning a fixed fractional
-// solution. On the generated workloads the benchmark LP solves integrally,
-// so the sampling-collision → repair path of Algorithm 1 never fires there;
-// this fixture forces the fractional regime the ¼-approximation guarantee
-// was designed for and checks the rounding machinery end to end.
-type fractionalSolver struct {
-	x []float64
-}
-
-func (f *fractionalSolver) Solve(p *lp.Problem) (*lp.Solution, error) {
-	x := make([]float64, p.NumCols())
-	copy(x, f.x)
+// fractionalRounding builds in's benchmark LP, fabricates the LP solution
+// x for it, and returns the tail of Algorithm 1 — sampling, repair, scoring
+// (finish) — run on that solution for a given seed. On the generated
+// workloads the benchmark LP solves integrally, so the sampling-collision →
+// repair path never fires there; this fixture forces the fractional regime
+// the ¼-approximation guarantee was designed for.
+func fractionalRounding(t *testing.T, in *model.Instance, x []float64, alpha float64) func(seed int64) *Result {
+	t.Helper()
+	in.Weights()
+	conf := conflict.FromFunc(in.NumEvents(), in.Conflicts)
+	sets, truncated := enumerateAll(in, conf, 0, 1)
+	prob, owner := BuildBenchmarkLP(in, sets)
+	if prob.NumCols() != len(x) {
+		t.Fatalf("benchmark LP has %d columns, fabricated solution %d", prob.NumCols(), len(x))
+	}
 	obj := 0.0
 	for j := range x {
-		obj += p.C[j] * x[j]
+		obj += prob.C[j] * x[j]
 	}
-	return &lp.Solution{Status: lp.Optimal, X: x, Y: make([]float64, p.NumRows), Objective: obj}, nil
+	sol := &lp.Solution{Status: lp.Optimal, X: x, Y: make([]float64, prob.NumRows), Objective: obj}
+	return func(seed int64) *Result {
+		res, err := finish(in, conf, sets, owner, prob, sol, Options{Alpha: alpha, Seed: seed}, xrand.New(seed), truncated)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res
+	}
 }
 
 // contendedInstance: one event of capacity 1, three users who each bid only
@@ -46,15 +58,12 @@ func TestFractionalLPSamplingCollisionsAreRepaired(t *testing.T) {
 	in := contendedInstance()
 	// fractional optimum: each user gets the event with probability 1/2;
 	// expected load 1.5 > capacity 1, so realized collisions are frequent.
-	solver := &fractionalSolver{x: []float64{0.5, 0.5, 0.5}}
+	round := fractionalRounding(t, in, []float64{0.5, 0.5, 0.5}, 1)
 
 	sawDrop := false
 	sawAssign := false
 	for seed := int64(0); seed < 64; seed++ {
-		res, err := LPPacking(in, Options{Seed: seed, Solver: solver})
-		if err != nil {
-			t.Fatal(err)
-		}
+		res := round(seed)
 		if err := model.Validate(in, res.Arrangement); err != nil {
 			t.Fatalf("seed %d: infeasible after repair: %v", seed, err)
 		}
@@ -70,6 +79,14 @@ func TestFractionalLPSamplingCollisionsAreRepaired(t *testing.T) {
 		if res.SampledPairs < res.Arrangement.Size() {
 			t.Fatalf("seed %d: sampled %d < assigned %d", seed, res.SampledPairs, res.Arrangement.Size())
 		}
+		// Repair drops only the overflow: an oversubscribed event ends
+		// full, and every sampled pair is either kept or counted dropped.
+		if want := min(res.SampledPairs, 1); res.Arrangement.Size() != want {
+			t.Fatalf("seed %d: sampled %d pairs, repair kept %d, want %d", seed, res.SampledPairs, res.Arrangement.Size(), want)
+		}
+		if res.RepairDropped != res.SampledPairs-res.Arrangement.Size() {
+			t.Fatalf("seed %d: dropped %d, want sampled %d - kept %d", seed, res.RepairDropped, res.SampledPairs, res.Arrangement.Size())
+		}
 	}
 	if !sawDrop {
 		t.Error("64 seeds never produced a sampling collision (P ≈ 1 - (1/2)^64·...)")
@@ -83,15 +100,11 @@ func TestFractionalLPAlphaHalfRespectsTheorem(t *testing.T) {
 	// With α = 1/2 each user samples with probability 1/4; the expected
 	// realized utility must stay within [OPT/4, OPT] — Theorem 2's regime.
 	in := contendedInstance()
-	solver := &fractionalSolver{x: []float64{0.5, 0.5, 0.5}}
+	round := fractionalRounding(t, in, []float64{0.5, 0.5, 0.5}, 0.5)
 	const trials = 4000
 	total := 0.0
 	for seed := int64(0); seed < trials; seed++ {
-		res, err := LPPacking(in, Options{Alpha: 0.5, Seed: seed, Solver: solver})
-		if err != nil {
-			t.Fatal(err)
-		}
-		total += res.Utility
+		total += round(seed).Utility
 	}
 	mean := total / trials
 	// OPT = 1 (one user attends). Theorem floor = 0.25.
@@ -107,12 +120,9 @@ func TestSubDistributionOverflowIsRescaled(t *testing.T) {
 	// A (buggy or loosely-toleranced) LP might return Σx > 1 for a user;
 	// sampling must renormalize rather than panic or over-assign.
 	in := contendedInstance()
-	solver := &fractionalSolver{x: []float64{0.7, 0.7, 0.7}}
+	round := fractionalRounding(t, in, []float64{0.7, 0.7, 0.7}, 1)
 	for seed := int64(0); seed < 32; seed++ {
-		res, err := LPPacking(in, Options{Seed: seed, Solver: solver})
-		if err != nil {
-			t.Fatal(err)
-		}
+		res := round(seed)
 		if err := model.Validate(in, res.Arrangement); err != nil {
 			t.Fatal(err)
 		}

@@ -97,7 +97,7 @@ func (p *Planner) rebuildInc() {
 	st := p.inc
 	st.ensure(nu, nv)
 	p.buildColMap()
-	copy(st.chosen, SampleSets(nu, p.sets, p.owner, p.sol.X, p.alpha(), p.opt.Seed, p.opt.Workers))
+	copy(st.chosen, SampleSets(nu, p.sets, p.owner, p.sol.X, p.opt.Alpha, p.opt.Seed, p.opt.Workers))
 
 	st.sampledPairs = 0
 	for v := 0; v < nv; v++ {
@@ -198,7 +198,7 @@ func (p *Planner) updateIncremental(users, events []int) *Result {
 		st.newChosen = make([]int, len(st.resample))
 	}
 	st.newChosen = st.newChosen[:len(st.resample)]
-	alpha, x, seed := p.alpha(), p.sol.X, p.opt.Seed
+	alpha, x, seed := p.opt.Alpha, p.sol.X, p.opt.Seed
 	par.For(par.Workers(p.opt.Workers), len(st.resample), 8, func(i int) {
 		u := st.resample[i]
 		w := st.probs[st.probOff[i]:st.probOff[i+1]]

@@ -69,9 +69,6 @@ type Options struct {
 	Alpha float64
 	// Seed drives the sampling (and RepairRandom) randomness.
 	Seed int64
-	// Solver overrides the LP solving backend; nil selects automatically by
-	// size.
-	Solver lp.Backend
 	// MaxSetsPerUser caps admissible-set enumeration per user
 	// (see internal/admissible); 0 means the package default.
 	MaxSetsPerUser int
@@ -80,28 +77,31 @@ type Options struct {
 	// GreedyFill, if set, adds a post-repair greedy fill-in of leftover
 	// capacity (extension; not part of Algorithm 1).
 	GreedyFill bool
-	// Presolve, if set, shrinks the benchmark LP before the solve:
-	// duplicate columns are folded onto their best representative
-	// (lp.DeduplicateColumns) and never-binding rows plus forced-zero
-	// columns removed (lp.Reduce), then the solution is mapped back to the
-	// original column space. The reductions preserve the optimal objective
-	// exactly, so the LP bound and the sampling distributions are
-	// unchanged up to solver round-off and degenerate alternate optima.
-	Presolve bool
 	// Workers bounds the worker pool of the per-user stages (admissible-set
 	// enumeration and rounding-sample draws) and is forwarded to the LP
-	// solver's pricing pool when the solver is auto-selected; 0 means
-	// GOMAXPROCS. Results are bit-identical for every value: per-user
-	// randomness comes from xrand.NewStream(Seed, u), never from a shared
-	// stream, and all parallel writes go to caller-owned per-user slots.
+	// solver's pricing pool; 0 means GOMAXPROCS. Results are bit-identical
+	// for every value: per-user randomness comes from
+	// xrand.NewStream(Seed, u), never from a shared stream, and all parallel
+	// writes go to caller-owned per-user slots.
 	Workers int
 	// LP carries the revised-simplex tuning knobs (pricing rules, cadence,
 	// parallel thresholds, phase timers) for every solver this package
-	// creates: the auto-selected LPPacking backend and the incremental
+	// creates: LPPacking's one-shot lp.SolveConfig and the incremental
 	// Planner's persistent solver. The zero value keeps all defaults, and
-	// LP.Workers == 0 inherits Options.Workers, so existing callers are
-	// unaffected. Ignored when Options.Solver overrides the backend.
+	// LP.Workers == 0 inherits Options.Workers.
 	LP lp.Revised
+}
+
+// resolveAlpha maps Alpha 0 to 1 and rejects every value outside (0,1],
+// NaN included, so the rounding stages read opt.Alpha directly.
+func (opt *Options) resolveAlpha() error {
+	if opt.Alpha == 0 {
+		opt.Alpha = 1
+	}
+	if !(opt.Alpha > 0 && opt.Alpha <= 1) {
+		return fmt.Errorf("core: alpha = %v outside (0,1]", opt.Alpha)
+	}
+	return nil
 }
 
 // lpConfig resolves the solver configuration: the LP knobs with the
@@ -131,11 +131,6 @@ type Result struct {
 	SampledPairs   int // event-user pairs before repair
 	RepairDropped  int // pairs removed by the capacity repair
 	FilledPairs    int // pairs added by GreedyFill (0 unless enabled)
-
-	// Presolve diagnostics (all 0 unless Options.Presolve).
-	PresolveFoldedCols  int // duplicate columns folded
-	PresolveDroppedRows int // never-binding rows removed
-	PresolveForcedCols  int // columns fixed to zero by empty rows
 }
 
 // LPPacking runs Algorithm 1 on the instance.
@@ -143,12 +138,8 @@ func LPPacking(in *model.Instance, opt Options) (*Result, error) {
 	if err := in.Check(); err != nil {
 		return nil, err
 	}
-	alpha := opt.Alpha
-	if alpha == 0 {
-		alpha = 1
-	}
-	if alpha < 0 || alpha > 1 {
-		return nil, fmt.Errorf("core: alpha = %v outside (0,1]", alpha)
+	if err := opt.resolveAlpha(); err != nil {
+		return nil, err
 	}
 	rng := xrand.New(opt.Seed)
 	workers := par.Workers(opt.Workers)
@@ -161,82 +152,11 @@ func LPPacking(in *model.Instance, opt Options) (*Result, error) {
 	sets, truncated := enumerateAll(in, conf, opt.MaxSetsPerUser, workers)
 	prob, owner := BuildBenchmarkLP(in, sets)
 
-	var sol *lp.Solution
-	var pre presolveInfo
-	var err error
-	if opt.Presolve {
-		sol, pre, err = solvePresolved(prob, opt)
-	} else if opt.Solver == nil {
-		sol, err = lp.SolveConfig(prob, opt.lpConfig())
-	} else {
-		sol, err = opt.Solver.Solve(prob)
-	}
+	sol, err := lp.SolveConfig(prob, opt.lpConfig())
 	if err != nil {
 		return nil, fmt.Errorf("core: benchmark LP: %w", err)
 	}
-	res, err := finish(in, conf, sets, owner, prob, sol, alpha, opt, rng, truncated)
-	if err != nil {
-		return nil, err
-	}
-	res.PresolveFoldedCols = pre.foldedCols
-	res.PresolveDroppedRows = pre.droppedRows
-	res.PresolveForcedCols = pre.forcedCols
-	return res, nil
-}
-
-// presolveInfo carries what the presolve chain removed.
-type presolveInfo struct {
-	foldedCols  int
-	droppedRows int
-	forcedCols  int
-}
-
-// solvePresolved runs the presolve chain — fold duplicate columns, remove
-// never-binding rows and forced-zero columns, solve the reduced LP — and
-// maps the solution back to the original column space: folded duplicates
-// and forced columns get 0 (their mass sits on the representative, which
-// belongs to the same user because every column crosses its user's row, so
-// the per-user sampling distributions stay valid).
-func solvePresolved(prob *lp.Problem, opt Options) (*lp.Solution, presolveInfo, error) {
-	dedup, repr := lp.DeduplicateColumns(prob)
-	ps, stats, err := lp.Reduce(dedup)
-	if err != nil {
-		return nil, presolveInfo{}, err
-	}
-	info := presolveInfo{
-		foldedCols:  prob.NumCols() - dedup.NumCols(),
-		droppedRows: stats.DroppedRows,
-		forcedCols:  stats.ForcedColumns,
-	}
-	var sol *lp.Solution
-	if opt.Solver == nil {
-		sol, err = lp.SolveConfig(ps.Problem, opt.lpConfig())
-	} else {
-		sol, err = opt.Solver.Solve(ps.Problem)
-	}
-	if err != nil {
-		return nil, info, err
-	}
-	sol = ps.Unreduce(sol) // dedup column space, original row space
-
-	// Expand from the deduplicated column space to the original one.
-	// DeduplicateColumns keeps the representatives (repr[j] == j) in
-	// ascending order, so dedup column k is original column kept[k].
-	x := make([]float64, prob.NumCols())
-	k := 0
-	for j, r := range repr {
-		if r == j {
-			x[j] = sol.X[k]
-			k++
-		}
-	}
-	return &lp.Solution{
-		Status:     sol.Status,
-		X:          x,
-		Y:          sol.Y,
-		Objective:  sol.Objective,
-		Iterations: sol.Iterations,
-	}, info, nil
+	return finish(in, conf, sets, owner, prob, sol, opt, rng, truncated)
 }
 
 // enumerateAll computes Au for every user on the bounded worker pool. It
@@ -297,13 +217,13 @@ func BuildBenchmarkLP(in *model.Instance, sets [][]admissible.Set) (*lp.Problem,
 }
 
 // finish performs sampling, repair and (optionally) fill, and assembles the
-// Result.
+// Result. opt.Alpha must already be resolved (resolveAlpha).
 func finish(in *model.Instance, conf *conflict.Matrix, sets [][]admissible.Set,
-	owner [][2]int, prob *lp.Problem, sol *lp.Solution, alpha float64,
+	owner [][2]int, prob *lp.Problem, sol *lp.Solution,
 	opt Options, rng *xrand.RNG, truncated int) (*Result, error) {
 
 	// Per-user sampling distributions α·x*_{u,S}.
-	chosen := SampleSets(in.NumUsers(), sets, owner, sol.X, alpha, opt.Seed, opt.Workers)
+	chosen := SampleSets(in.NumUsers(), sets, owner, sol.X, opt.Alpha, opt.Seed, opt.Workers)
 
 	arr, dropped := Repair(in, sets, chosen, opt.Repair, rng)
 

@@ -141,6 +141,9 @@ func TestLPPackingAlphaValidation(t *testing.T) {
 	if _, err := LPPacking(in, Options{Alpha: -0.1}); err == nil {
 		t.Error("alpha < 0 accepted")
 	}
+	if _, err := LPPacking(in, Options{Alpha: math.NaN()}); err == nil {
+		t.Error("alpha = NaN accepted")
+	}
 	if _, err := LPPacking(in, Options{Alpha: 0.5, Seed: 3}); err != nil {
 		t.Errorf("alpha = 0.5 rejected: %v", err)
 	}

@@ -75,7 +75,7 @@ func TestLPPackingDevexWorkerInvariance(t *testing.T) {
 		res, err := LPPacking(in, Options{
 			Seed:    7,
 			Workers: workers,
-			Solver: &lp.Revised{
+			LP: lp.Revised{
 				Pricing:           "devex",
 				Workers:           workers,
 				ParallelThreshold: 1,

@@ -108,23 +108,14 @@ type Planner struct {
 }
 
 // NewPlanner builds the pipeline state for the instance, solves the
-// benchmark LP cold, and returns a Planner ready for Update calls.
-// Options.Presolve and Options.Solver are incompatible with incremental
-// operation (presolve re-maps the column space under the solver's feet, and
-// the persistent solver is the revised simplex by construction); setting
-// either is an error.
+// benchmark LP cold with a persistent revised-simplex lp.Solver, and returns
+// a Planner ready for Update calls.
 func NewPlanner(in *model.Instance, opt Options) (*Planner, error) {
-	if opt.Presolve {
-		return nil, fmt.Errorf("core: incremental planner does not support Presolve")
-	}
-	if opt.Solver != nil {
-		return nil, fmt.Errorf("core: incremental planner drives its own persistent solver; Options.Solver must be nil")
-	}
 	if err := in.Check(); err != nil {
 		return nil, err
 	}
-	if alpha := opt.Alpha; alpha != 0 && (alpha < 0 || alpha > 1) {
-		return nil, fmt.Errorf("core: alpha = %v outside (0,1]", alpha)
+	if err := opt.resolveAlpha(); err != nil {
+		return nil, err
 	}
 	in.Weights()
 	p := &Planner{
@@ -463,14 +454,6 @@ func resizeI32(buf []int32, n int) []int32 {
 	return buf[:n]
 }
 
-// alpha returns the effective sampling rate.
-func (p *Planner) alpha() float64 {
-	if p.opt.Alpha == 0 {
-		return 1
-	}
-	return p.opt.Alpha
-}
-
 // Round samples, repairs and scores an arrangement from the current LP
 // solution from scratch — the tail of Algorithm 1 over the incremental
 // state. It is deterministic given Options.Seed, so calling it twice
@@ -479,7 +462,7 @@ func (p *Planner) alpha() float64 {
 // oracle the equivalence tests pin Update against.
 func (p *Planner) Round() (*Result, error) {
 	return finish(p.in, p.conf, p.sets, p.owner, p.solver.Problem(), p.sol,
-		p.alpha(), p.opt, xrand.New(p.opt.Seed), p.truncCount)
+		p.opt, xrand.New(p.opt.Seed), p.truncCount)
 }
 
 // dedupeSorted compacts consecutive duplicates in a sorted slice.

@@ -95,6 +95,7 @@ func TestPlannerMatchesLPPacking(t *testing.T) {
 	}{
 		{"synthetic", parallelTestInstance(t)},
 		{"meetup", meetupTestInstance(t)},
+		{"synthetic-closed", closedEventsInstance(t)},
 	} {
 		opt := Options{Seed: 42}
 		p, err := NewPlanner(tc.in, opt)
@@ -120,6 +121,19 @@ func TestPlannerMatchesLPPacking(t *testing.T) {
 		if res.Utility != want.Utility {
 			t.Errorf("%s: planner utility %v, LPPacking %v", tc.name, res.Utility, want.Utility)
 		}
+		// Zero-capacity rows are the ones the anti-degeneracy perturbation
+		// must leave hard: the solution certifies against the unperturbed LP
+		// and nobody is seated at a closed event.
+		if err := lp.Verify(p.solver.Problem(), p.sol, 1e-6); err != nil {
+			t.Errorf("%s: planner LP solution fails certification: %v", tc.name, err)
+		}
+		for u, set := range res.Arrangement.Sets {
+			for _, v := range set {
+				if tc.in.Events[v].Capacity == 0 {
+					t.Errorf("%s: user %d seated at closed event %d", tc.name, u, v)
+				}
+			}
+		}
 		// Round is deterministic: a second call changes nothing.
 		again, err := p.Round()
 		if err != nil {
@@ -130,6 +144,17 @@ func TestPlannerMatchesLPPacking(t *testing.T) {
 		}
 		p.Close()
 	}
+}
+
+// closedEventsInstance is parallelTestInstance with every fourth event
+// closed (Capacity 0), so the benchmark LP carries b = 0 rows.
+func closedEventsInstance(t *testing.T) *model.Instance {
+	t.Helper()
+	in := parallelTestInstance(t)
+	for v := 0; v < in.NumEvents(); v += 4 {
+		in.Events[v].Capacity = 0
+	}
+	return in
 }
 
 func meetupTestInstance(t *testing.T) *model.Instance {
@@ -232,14 +257,11 @@ func TestPlannerGOMAXPROCSInvariance(t *testing.T) {
 
 func TestPlannerRejectsBadOptions(t *testing.T) {
 	in := parallelTestInstance(t)
-	if _, err := NewPlanner(in, Options{Presolve: true}); err == nil {
-		t.Error("Presolve accepted by incremental planner")
-	}
-	if _, err := NewPlanner(in, Options{Solver: &lp.Dense{}}); err == nil {
-		t.Error("explicit Solver accepted by incremental planner")
-	}
 	if _, err := NewPlanner(in, Options{Alpha: 2}); err == nil {
 		t.Error("alpha > 1 accepted")
+	}
+	if _, err := NewPlanner(in, Options{Alpha: math.NaN()}); err == nil {
+		t.Error("alpha = NaN accepted")
 	}
 	p, err := NewPlanner(in, Options{})
 	if err != nil {

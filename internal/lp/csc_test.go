@@ -70,11 +70,11 @@ func TestCSCIncrementalBuild(t *testing.T) {
 		t.Fatal("incremental build diverged from original CSC arrays")
 	}
 	// and both solve to the same optimum
-	a, err := Solve(want)
+	a, err := SolveConfig(want, Revised{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := Solve(got)
+	b, err := SolveConfig(got, Revised{})
 	if err != nil {
 		t.Fatal(err)
 	}

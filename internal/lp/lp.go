@@ -237,14 +237,6 @@ type Solution struct {
 	Iterations int       // simplex pivots performed
 }
 
-// Backend is a one-shot LP algorithm: it solves a packing-form problem from
-// scratch. Dense and Revised implement it. The stateful, warm-starting
-// counterpart is Solver (solver.go), which owns its basis and factorization
-// across solves and re-optimizes from the previous optimum via Resolve.
-type Backend interface {
-	Solve(p *Problem) (*Solution, error)
-}
-
 // ErrUnbounded is returned when the LP is unbounded. (The IGEPA benchmark LP
 // is always bounded; seeing this indicates a malformed problem.)
 var ErrUnbounded = errors.New("lp: problem is unbounded")
@@ -252,29 +244,15 @@ var ErrUnbounded = errors.New("lp: problem is unbounded")
 // ErrIterLimit is returned when the pivot budget is exhausted.
 var ErrIterLimit = errors.New("lp: iteration limit reached")
 
-// denseRowLimit is the size up to which the default Solve uses the dense
-// tableau; larger problems use the revised simplex.
+// denseRowLimit is the size up to which SolveConfig uses the dense tableau;
+// larger problems use the revised simplex.
 const denseRowLimit = 400
 
-// Solve solves p with an automatically chosen solver: the dense tableau for
-// small problems and the sparse revised simplex otherwise.
-func Solve(p *Problem) (*Solution, error) {
-	return SolveWorkers(p, 0)
-}
-
-// SolveWorkers is Solve with an explicit worker-pool bound for the revised
-// solver's pricing passes (0 means GOMAXPROCS; results do not depend on
-// it). The solver-selection rule lives only here, so every caller — with or
-// without a worker preference — picks the same solver for the same problem.
-func SolveWorkers(p *Problem, workers int) (*Solution, error) {
-	return SolveConfig(p, Revised{Workers: workers})
-}
-
-// SolveConfig is Solve with the full set of revised-simplex tuning knobs,
-// for callers that thread a solver configuration through their own options
-// (internal/core, internal/shard). The dense-tableau shortcut for small
-// problems still applies — cfg only shapes the revised solver — so the
-// selection rule stays in one place.
+// SolveConfig solves p from scratch with an automatically chosen solver: the
+// dense tableau for small problems and the sparse revised simplex, shaped by
+// cfg, otherwise. It is the package's one-shot entry point and the only home
+// of the selection rule, so every caller picks the same solver for the same
+// problem. The stateful, warm-starting counterpart is Solver (solver.go).
 func SolveConfig(p *Problem, cfg Revised) (*Solution, error) {
 	if p.NumRows <= denseRowLimit && p.NumCols() <= 4*denseRowLimit {
 		if err := cfg.validate(); err != nil {

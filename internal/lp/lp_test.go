@@ -11,23 +11,23 @@ import (
 )
 
 // solvers under test; both must agree on every problem.
-func bothSolvers() map[string]Backend {
-	return map[string]Backend{
-		"dense":   &Dense{},
-		"revised": &Revised{},
+func bothSolvers() map[string]func(*Problem) (*Solution, error) {
+	return map[string]func(*Problem) (*Solution, error){
+		"dense":   (&Dense{}).Solve,
+		"revised": (&Revised{}).Solve,
 		// small refactor interval exercises the refactorization path hard
-		"revised-refactor2": &Revised{RefactorEvery: 2},
+		"revised-refactor2": (&Revised{RefactorEvery: 2}).Solve,
 		// tiny pricing window exercises partial-pricing wraparound
-		"revised-window1": &Revised{Pricing: "dantzig", PricingWindow: 1},
-		"revised-devex":   &Revised{Pricing: "devex"},
-		"revised-dantzig": &Revised{Pricing: "dantzig"},
+		"revised-window1": (&Revised{Pricing: "dantzig", PricingWindow: 1}).Solve,
+		"revised-devex":   (&Revised{Pricing: "devex"}).Solve,
+		"revised-dantzig": (&Revised{Pricing: "dantzig"}).Solve,
 	}
 }
 
 func solveBoth(t *testing.T, p *Problem, wantObj float64) {
 	t.Helper()
-	for name, s := range bothSolvers() {
-		sol, err := s.Solve(p)
+	for name, solve := range bothSolvers() {
+		sol, err := solve(p)
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
@@ -117,8 +117,8 @@ func TestAllNegativeObjective(t *testing.T) {
 func TestUnbounded(t *testing.T) {
 	// x has positive reward and no binding constraint coefficient
 	p := NewProblem(1, []float64{1}, []float64{1}, []Column{{}})
-	for name, s := range bothSolvers() {
-		_, err := s.Solve(p)
+	for name, solve := range bothSolvers() {
+		_, err := solve(p)
 		if err != ErrUnbounded {
 			t.Errorf("%s: err = %v, want ErrUnbounded", name, err)
 		}
@@ -180,8 +180,8 @@ func TestCheckRejectsMalformed(t *testing.T) {
 		if err := p.Check(); err == nil {
 			t.Errorf("case %d: malformed problem accepted", i)
 		}
-		if _, err := Solve(p); err == nil {
-			t.Errorf("case %d: Solve accepted malformed problem", i)
+		if _, err := SolveConfig(p, Revised{}); err == nil {
+			t.Errorf("case %d: SolveConfig accepted malformed problem", i)
 		}
 	}
 	// The same row in different columns is every packing LP's shape.
@@ -193,7 +193,7 @@ func TestCheckRejectsMalformed(t *testing.T) {
 func TestVerifyCatchesLies(t *testing.T) {
 	p := NewProblem(1, []float64{2}, []float64{1},
 		[]Column{{Rows: []int{0}}})
-	sol, err := Solve(p)
+	sol, err := SolveConfig(p, Revised{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -312,7 +312,7 @@ func TestDenseRevisedAgreeOnRandomPatterns(t *testing.T) {
 func TestAutoSolveSelects(t *testing.T) {
 	rng := xrand.New(5)
 	p := randomPacking(rng, 10, 5, 3)
-	sol, err := Solve(p)
+	sol, err := SolveConfig(p, Revised{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -409,42 +409,5 @@ func TestDevexAndDantzigAgreeOnPacking(t *testing.T) {
 		if err := Verify(p, devex, 1e-5); err != nil {
 			t.Errorf("trial %d devex verify: %v", trial, err)
 		}
-	}
-}
-
-// DeduplicateColumns composed with a solve must preserve the optimum on
-// benchmark-shaped LPs that actually contain duplicates.
-func TestDeduplicateThenSolve(t *testing.T) {
-	rng := xrand.New(77)
-	p := randomPacking(rng, 20, 6, 4)
-	// inject exact duplicates of the first five columns with lower rewards
-	n0 := p.NumCols()
-	for j := 0; j < 5 && j < n0; j++ {
-		rows := p.Col(j)
-		rowsCopy := make([]int, len(rows))
-		for k, r := range rows {
-			rowsCopy[k] = int(r)
-		}
-		p.AddColumn(p.C[j]*0.5, rowsCopy)
-	}
-	red, repr := DeduplicateColumns(p)
-	if red.NumCols() >= p.NumCols() {
-		t.Fatalf("dedup removed nothing: %d -> %d", p.NumCols(), red.NumCols())
-	}
-	for j := p.NumCols() - 5; j < p.NumCols(); j++ {
-		if repr[j] == j {
-			t.Errorf("duplicate column %d kept itself (reward should lose to original)", j)
-		}
-	}
-	a, err := Solve(p)
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := Solve(red)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if diff := a.Objective - b.Objective; diff > 1e-6 || diff < -1e-6 {
-		t.Fatalf("dedup changed optimum: %v vs %v", a.Objective, b.Objective)
 	}
 }

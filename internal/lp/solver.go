@@ -7,7 +7,7 @@ import (
 )
 
 // Solver is a persistent, warm-starting LP solver. Unlike the one-shot
-// Backends (Dense, Revised), a Solver owns its simplex state — basis, LU
+// solvers (Dense, Revised), a Solver owns its simplex state — basis, LU
 // factors, eta arena, Devex reference weights and every scratch vector —
 // across solves:
 //
@@ -726,8 +726,3 @@ func (s *Solver) remapRed(d *ProblemDelta, oldN, newN int) {
 		st.redDirty = st.redDirty[:0]
 	}
 }
-
-// A *Solver satisfies Backend, so it can be plugged anywhere a one-shot
-// solver is expected (e.g. core.Options.Solver) while still pooling its
-// state arena across calls.
-var _ Backend = (*Solver)(nil)
