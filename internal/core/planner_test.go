@@ -97,52 +97,55 @@ func TestPlannerMatchesLPPacking(t *testing.T) {
 		{"meetup", meetupTestInstance(t)},
 		{"synthetic-closed", closedEventsInstance(t)},
 	} {
-		opt := Options{Seed: 42}
-		p, err := NewPlanner(tc.in, opt)
-		if err != nil {
-			t.Fatal(err)
-		}
-		res, err := p.Round()
-		if err != nil {
-			t.Fatal(err)
-		}
-		// LPPacking auto-selects the same revised solver at this size, from
-		// the same cold start: the pipelines must agree bit-for-bit.
-		want, err := LPPacking(tc.in, opt)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if res.LPObjective != want.LPObjective {
-			t.Errorf("%s: planner LP objective %v, LPPacking %v", tc.name, res.LPObjective, want.LPObjective)
-		}
-		if !reflect.DeepEqual(res.Arrangement.Sets, want.Arrangement.Sets) {
-			t.Errorf("%s: planner arrangement differs from LPPacking", tc.name)
-		}
-		if res.Utility != want.Utility {
-			t.Errorf("%s: planner utility %v, LPPacking %v", tc.name, res.Utility, want.Utility)
-		}
-		// Zero-capacity rows are the ones the anti-degeneracy perturbation
-		// must leave hard: the solution certifies against the unperturbed LP
-		// and nobody is seated at a closed event.
-		if err := lp.Verify(p.solver.Problem(), p.sol, 1e-6); err != nil {
-			t.Errorf("%s: planner LP solution fails certification: %v", tc.name, err)
-		}
-		for u, set := range res.Arrangement.Sets {
-			for _, v := range set {
-				if tc.in.Events[v].Capacity == 0 {
-					t.Errorf("%s: user %d seated at closed event %d", tc.name, u, v)
+		tc := tc
+		t.Run(tc.name, func(t *testing.T) {
+			opt := Options{Seed: 42}
+			p, err := NewPlanner(tc.in, opt)
+			if err != nil {
+				t.Fatal(err)
+			}
+			res, err := p.Round()
+			if err != nil {
+				t.Fatal(err)
+			}
+			// LPPacking auto-selects the same revised solver at this size, from
+			// the same cold start: the pipelines must agree bit-for-bit.
+			want, err := LPPacking(tc.in, opt)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if res.LPObjective != want.LPObjective {
+				t.Errorf("%s: planner LP objective %v, LPPacking %v", tc.name, res.LPObjective, want.LPObjective)
+			}
+			if !reflect.DeepEqual(res.Arrangement.Sets, want.Arrangement.Sets) {
+				t.Errorf("%s: planner arrangement differs from LPPacking", tc.name)
+			}
+			if res.Utility != want.Utility {
+				t.Errorf("%s: planner utility %v, LPPacking %v", tc.name, res.Utility, want.Utility)
+			}
+			// Zero-capacity rows are the ones the anti-degeneracy perturbation
+			// must leave hard: the solution certifies against the unperturbed LP
+			// and nobody is seated at a closed event.
+			if err := lp.Verify(p.solver.Problem(), p.sol, 1e-6); err != nil {
+				t.Errorf("%s: planner LP solution fails certification: %v", tc.name, err)
+			}
+			for u, set := range res.Arrangement.Sets {
+				for _, v := range set {
+					if tc.in.Events[v].Capacity == 0 {
+						t.Errorf("%s: user %d seated at closed event %d", tc.name, u, v)
+					}
 				}
 			}
-		}
-		// Round is deterministic: a second call changes nothing.
-		again, err := p.Round()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !reflect.DeepEqual(res.Arrangement.Sets, again.Arrangement.Sets) {
-			t.Errorf("%s: Round not deterministic", tc.name)
-		}
-		p.Close()
+			// Round is deterministic: a second call changes nothing.
+			again, err := p.Round()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(res.Arrangement.Sets, again.Arrangement.Sets) {
+				t.Errorf("%s: Round not deterministic", tc.name)
+			}
+			p.Close()
+		})
 	}
 }
 
