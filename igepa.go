@@ -75,7 +75,8 @@ type (
 	// bound, revised-simplex knobs, repair order, extensions).
 	LPPackingOptions = core.Options
 	// LPPackingResult carries the arrangement plus solver diagnostics,
-	// including the certified LP upper bound on the optimum.
+	// including the LP objective, which bounds the optimum only when no
+	// user's admissible sets were truncated (TruncatedUsers == 0).
 	LPPackingResult = core.Result
 	// RepairOrder selects the capacity-repair scan order.
 	RepairOrder = core.RepairOrder

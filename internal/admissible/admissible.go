@@ -11,7 +11,8 @@
 package admissible
 
 import (
-	"sort"
+	"cmp"
+	"slices"
 
 	"github.com/ebsn/igepa/internal/bitset"
 	"github.com/ebsn/igepa/internal/conflict"
@@ -35,8 +36,11 @@ type Config struct {
 
 // DefaultMaxSetsPerUser bounds the per-user LP column count. The paper
 // assumes "a user will not bid for too many events, so the number of
-// admissible event sets will be reasonable"; the cap is a guard rail for
-// adversarial inputs, not something the reference workloads hit.
+// admissible event sets will be reasonable", but the cap does bite on the
+// paper-scale workload: plan_wide's Meetup instance truncates 83 of its
+// 2,811 users, and those 83 own 1,661,200 of the LP's 3,570,714 columns.
+// An LP built from truncated families is a restriction of the benchmark LP,
+// so its optimum bounds the integral optimum only when no user truncates.
 const DefaultMaxSetsPerUser = 20000
 
 // Result is the enumeration outcome for one user.
@@ -50,145 +54,155 @@ type Result struct {
 // bids must be the user's bid set (duplicates ignored); cap is cu; conflicts
 // is the event-conflict matrix; weight(v) returns w(u,v) ≥ 0 for this user.
 // Enumeration is exhaustive DFS over bids ordered by descending weight, so
-// when the cap bites, the retained sets are the heavy ones.
+// when the cap bites, the retained sets are the heavy ones. It is a Walker
+// whose sink copies every set out.
 func Enumerate(bids []int, cap int, conflicts *conflict.Matrix, weight func(v int) float64, cfg Config) Result {
-	maxSets := cfg.MaxSetsPerUser
-	if maxSets == 0 {
-		maxSets = DefaultMaxSetsPerUser
-	}
-	if cap <= 0 || len(bids) == 0 {
-		return Result{}
-	}
-
-	// Candidate order: descending weight, stable on event id so the
-	// enumeration (and therefore the LP column order) is deterministic.
-	cands := append([]int(nil), bids...)
-	sort.Ints(cands)
-	cands = dedupe(cands)
-	sort.SliceStable(cands, func(i, j int) bool {
-		return weight(cands[i]) > weight(cands[j])
+	var w Walker
+	var sets []Set
+	truncated := w.Walk(bids, cap, conflicts, weight, cfg, func(events []int, weight float64) {
+		sets = append(sets, Set{Events: append([]int(nil), events...), Weight: weight})
 	})
-
-	e := &enumerator{
-		cands:     cands,
-		cap:       cap,
-		conflicts: conflicts,
-		weight:    weight,
-		maxSets:   maxSets,
-		blocked:   bitset.New(conflicts.Len()),
-	}
-	e.cur = make([]int, 0, cap)
-	e.dfs(0, 0)
-
-	// Guarantee all singletons survive truncation: they are the fallback
-	// mass the rounding step needs for every biddable event.
-	if e.truncated {
-		have := make(map[int]bool, len(e.sets))
-		for _, s := range e.sets {
-			if len(s.Events) == 1 {
-				have[s.Events[0]] = true
-			}
-		}
-		for _, v := range cands {
-			if !have[v] {
-				e.sets = append(e.sets, Set{Events: []int{v}, Weight: weight(v)})
-			}
-		}
-	}
-	for i := range e.sets {
-		sort.Ints(e.sets[i].Events)
-	}
-	return Result{Sets: e.sets, Truncated: e.truncated}
+	return Result{Sets: sets, Truncated: truncated}
 }
 
-type enumerator struct {
-	cands     []int
+// Walker is the enumeration DFS with a sink: it hands each admissible set
+// to a callback instead of storing it, so a caller that needs a set only
+// once (the LP build writes it straight into a column) keeps no copy. The
+// zero value is ready to use; a Walker keeps its scratch between walks, so
+// a steady-state walk allocates nothing. It is not safe for concurrent use.
+type Walker struct {
+	cands     []candidate // deduplicated bids, heaviest first
 	cap       int
 	conflicts *conflict.Matrix
-	weight    func(v int) float64
 	maxSets   int
+	emit      func(events []int, weight float64)
 
-	cur       []int
+	set       []int // events of the current set, ascending
 	curWeight float64
-	blocked   *bitset.Set // events conflicting with anything in cur
+	blocked   *bitset.Set // events conflicting with anything in set
 	blockedBy []int       // stack of blocked events, unwound on backtrack
-	sets      []Set
+	sets      int         // sets emitted
+	singles   int         // singletons emitted, a prefix of cands
 	truncated bool
+}
+
+// Walk enumerates the user's admissible sets, in Enumerate's order, and
+// calls emit once per set. Arguments are Enumerate's. events is ascending
+// and is the Walker's scratch, valid only during the call; weight is
+// w(u,S) exactly as Enumerate's Set.Weight. Walk reports whether
+// cfg.MaxSetsPerUser cut the enumeration short.
+func (w *Walker) Walk(bids []int, cap int, conflicts *conflict.Matrix, weight func(v int) float64, cfg Config, emit func(events []int, weight float64)) bool {
+	w.maxSets = cfg.MaxSetsPerUser
+	if w.maxSets == 0 {
+		w.maxSets = DefaultMaxSetsPerUser
+	}
+	if cap <= 0 || len(bids) == 0 {
+		return false
+	}
+
+	w.cands = orderCandidates(w.cands, bids, weight)
+	if w.blocked == nil || w.blocked.Len() != conflicts.Len() {
+		w.blocked = bitset.New(conflicts.Len())
+	}
+	w.cap, w.conflicts, w.emit = cap, conflicts, emit
+	w.set, w.curWeight = slices.Grow(w.set[:0], min(cap, len(w.cands))), 0
+	w.sets, w.singles, w.truncated = 0, 0, false
+	w.dfs(0, 0)
+
+	// Guarantee all singletons survive truncation: they are the fallback
+	// mass the rounding step needs for every biddable event. At depth 0
+	// nothing is blocked, so the DFS emitted the singletons of a prefix of
+	// the candidates; the rest follow in candidate order.
+	if w.truncated {
+		for _, c := range w.cands[w.singles:] {
+			w.set = append(w.set[:0], c.event)
+			emit(w.set, c.weight)
+		}
+	}
+	w.emit, w.conflicts = nil, nil
+	return w.truncated
+}
+
+// orderCandidates writes the deduplicated bids into dst[:0] in enumeration
+// order: descending weight, ties by ascending event id, so the enumeration
+// (and therefore the LP column order) is deterministic. Duplicates carry
+// equal weights, so they end up adjacent.
+func orderCandidates(dst []candidate, bids []int, weight func(v int) float64) []candidate {
+	dst = slices.Grow(dst[:0], len(bids))
+	for _, v := range bids {
+		dst = append(dst, candidate{v, weight(v)})
+	}
+	slices.SortFunc(dst, func(a, b candidate) int {
+		if a.weight != b.weight {
+			return cmp.Compare(b.weight, a.weight)
+		}
+		return cmp.Compare(a.event, b.event)
+	})
+	return slices.CompactFunc(dst, func(a, b candidate) bool { return a.event == b.event })
 }
 
 // dfs extends the current set with candidates from index i onward.
 // include-first order emits heavy supersets before exploring alternatives.
-func (e *enumerator) dfs(i int, depth int) {
-	if e.truncated {
+func (w *Walker) dfs(i int, depth int) {
+	if w.truncated {
 		return
 	}
-	for ; i < len(e.cands); i++ {
-		v := e.cands[i]
-		if e.blocked.Contains(v) {
+	for ; i < len(w.cands); i++ {
+		c := w.cands[i]
+		if w.blocked.Contains(c.event) {
 			continue
 		}
-		e.cur = append(e.cur, v)
-		e.curWeight += e.weight(v)
-		e.sets = append(e.sets, Set{
-			Events: append([]int(nil), e.cur...),
-			Weight: e.curWeight,
-		})
-		if e.maxSets > 0 && len(e.sets) >= e.maxSets {
-			e.truncated = true
+		at := w.insert(c.event)
+		w.curWeight += c.weight
+		w.emit(w.set, w.curWeight)
+		w.sets++
+		if depth == 0 {
+			w.singles++
 		}
-		if depth+1 < e.cap && !e.truncated {
+		if w.maxSets > 0 && w.sets >= w.maxSets {
+			w.truncated = true
+		}
+		if depth+1 < w.cap && !w.truncated {
 			// block v's conflict row for the deeper levels
-			row := e.conflicts.Row(v)
-			mark := len(e.blockedBy)
-			e.blockRow(row)
-			e.dfs(i+1, depth+1)
-			e.unblock(mark)
+			mark := len(w.blockedBy)
+			w.blockRow(w.conflicts.Row(c.event))
+			w.dfs(i+1, depth+1)
+			w.unblock(mark)
 		}
-		e.curWeight -= e.weight(v)
-		e.cur = e.cur[:len(e.cur)-1]
-		if e.truncated {
+		w.curWeight -= c.weight
+		w.set = slices.Delete(w.set, at, at+1)
+		if w.truncated {
 			return
 		}
 	}
 }
 
+// insert adds v to the ascending current set and returns its position.
+func (w *Walker) insert(v int) int {
+	at := len(w.set)
+	for at > 0 && w.set[at-1] > v {
+		at--
+	}
+	w.set = slices.Insert(w.set, at, v)
+	return at
+}
+
 // blockRow marks all events in row as blocked, pushing the newly blocked
 // ones onto the shared backtrack stack (one reusable slice for the whole
 // enumeration instead of one allocation per DFS node).
-func (e *enumerator) blockRow(row *bitset.Set) {
-	row.ForEach(func(w int) {
-		if !e.blocked.Contains(w) {
-			e.blocked.Add(w)
-			e.blockedBy = append(e.blockedBy, w)
+func (w *Walker) blockRow(row *bitset.Set) {
+	row.ForEach(func(v int) {
+		if !w.blocked.Contains(v) {
+			w.blocked.Add(v)
+			w.blockedBy = append(w.blockedBy, v)
 		}
 	})
 }
 
 // unblock unwinds the backtrack stack to mark.
-func (e *enumerator) unblock(mark int) {
-	for _, w := range e.blockedBy[mark:] {
-		e.blocked.Remove(w)
+func (w *Walker) unblock(mark int) {
+	for _, v := range w.blockedBy[mark:] {
+		w.blocked.Remove(v)
 	}
-	e.blockedBy = e.blockedBy[:mark]
-}
-
-func dedupe(sorted []int) []int {
-	out := sorted[:0]
-	for i, v := range sorted {
-		if i == 0 || v != sorted[i-1] {
-			out = append(out, v)
-		}
-	}
-	return out
-}
-
-// CountAll returns the total number of admissible sets across users without
-// materializing them (used by instance statistics and capacity planning).
-func CountAll(allBids [][]int, caps []int, conflicts *conflict.Matrix) int {
-	total := 0
-	for u, bids := range allBids {
-		r := Enumerate(bids, caps[u], conflicts, func(int) float64 { return 0 }, Config{MaxSetsPerUser: -1})
-		total += len(r.Sets)
-	}
-	return total
+	w.blockedBy = w.blockedBy[:mark]
 }

@@ -2,6 +2,7 @@ package admissible
 
 import (
 	"math"
+	"reflect"
 	"testing"
 	"testing/quick"
 
@@ -225,12 +226,74 @@ func key(s []int) string {
 	return string(b)
 }
 
-func TestCountAll(t *testing.T) {
-	m := conflict.NewMatrix(3)
-	total := CountAll([][]int{{0, 1}, {2}}, []int{2, 1}, m)
-	// user 0: {0},{1},{0,1} = 3; user 1: {2} = 1
-	if total != 4 {
-		t.Fatalf("CountAll = %d, want 4", total)
+// counter is a counting sink: sets and nonzeros (one user row plus one row
+// per event) of the LP columns the sets become.
+type counter struct{ sets, nnz int }
+
+func (c *counter) emit(events []int, _ float64) {
+	c.sets++
+	c.nnz += len(events) + 1
+}
+
+// TestWalkerCountsEnumerate checks that a counting walk reports exactly the
+// sets Enumerate returns and their nonzeros, truncated walks included, and
+// that a Walker reused across users emits Enumerate's sets in order.
+func TestWalkerCountsEnumerate(t *testing.T) {
+	rng := xrand.New(11)
+	m := conflict.Random(40, 0.3, rng)
+	var w Walker
+	var c counter
+	var got []Set
+	keep := func(events []int, weight float64) {
+		got = append(got, Set{Events: append([]int(nil), events...), Weight: weight})
+	}
+	truncatedSeen := false
+	for trial := 0; trial < 200; trial++ {
+		bids := rng.Perm(40)[:1+rng.Intn(14)]
+		cap := 1 + rng.Intn(5)
+		cfg := Config{MaxSetsPerUser: []int{-1, 0, 1, 5, 40}[trial%5]}
+		weight := func(v int) float64 { return xrand.HashFloat(int64(trial), 3, v) }
+		want := Enumerate(bids, cap, m, weight, cfg)
+		nnz := 0
+		for _, s := range want.Sets {
+			nnz += len(s.Events) + 1
+		}
+
+		c = counter{}
+		if tr := w.Walk(bids, cap, m, weight, cfg, c.emit); tr != want.Truncated {
+			t.Fatalf("trial %d: counting walk truncated=%v, Enumerate %v", trial, tr, want.Truncated)
+		}
+		if c.sets != len(want.Sets) || c.nnz != nnz {
+			t.Fatalf("trial %d: counted %d sets %d nonzeros, Enumerate %d sets %d nonzeros",
+				trial, c.sets, c.nnz, len(want.Sets), nnz)
+		}
+		truncatedSeen = truncatedSeen || want.Truncated
+
+		got = got[:0]
+		w.Walk(bids, cap, m, weight, cfg, keep)
+		if !reflect.DeepEqual(got, want.Sets) && !(len(got) == 0 && len(want.Sets) == 0) {
+			t.Fatalf("trial %d: walk emitted %v, Enumerate %v", trial, got, want.Sets)
+		}
+	}
+	if !truncatedSeen {
+		t.Fatal("no trial truncated")
+	}
+}
+
+// TestWalkerSteadyStateAllocs: once a Walker's scratch has grown, a counting
+// walk allocates nothing, truncated or not.
+func TestWalkerSteadyStateAllocs(t *testing.T) {
+	m := conflict.Random(200, 0.3, xrand.New(3))
+	bids := []int{3, 17, 42, 77, 104, 150, 180, 199, 12, 64}
+	var w Walker
+	var c counter
+	emit := c.emit
+	for _, maxSets := range []int{0, 7} {
+		cfg := Config{MaxSetsPerUser: maxSets}
+		w.Walk(bids, 4, m, unitWeight, cfg, emit)
+		if allocs := testing.AllocsPerRun(50, func() { w.Walk(bids, 4, m, unitWeight, cfg, emit) }); allocs != 0 {
+			t.Errorf("MaxSetsPerUser %d: %v allocations per counting walk, want 0", maxSets, allocs)
+		}
 	}
 }
 

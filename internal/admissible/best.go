@@ -1,7 +1,6 @@
 package admissible
 
 import (
-	"cmp"
 	"slices"
 
 	"github.com/ebsn/igepa/internal/conflict"
@@ -59,21 +58,7 @@ func (s *Searcher) Best(bids []int, cap int, conflicts *conflict.Matrix, weight 
 		s.budget = DefaultMaxSetsPerUser
 	}
 
-	// Enumerate's candidate order: a stable sort by descending weight of
-	// the ascending, deduplicated bids. Duplicates carry equal weights, so
-	// they end up adjacent here too.
-	s.cands = s.cands[:0]
-	for _, v := range bids {
-		s.cands = append(s.cands, candidate{v, weight(v)})
-	}
-	slices.SortFunc(s.cands, func(a, b candidate) int {
-		if a.weight != b.weight {
-			return cmp.Compare(b.weight, a.weight)
-		}
-		return cmp.Compare(a.event, b.event)
-	})
-	s.cands = slices.CompactFunc(s.cands, func(a, b candidate) bool { return a.event == b.event })
-
+	s.cands = orderCandidates(s.cands, bids, weight)
 	s.conflicts, s.cap = conflicts, cap
 	s.cur = s.cur[:0]
 	s.best, s.bestWeight = s.best[:0], 0

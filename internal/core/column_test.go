@@ -1,16 +1,37 @@
 package core
 
 import (
+	"fmt"
 	"math"
+	"reflect"
 	"runtime"
+	"slices"
 	"testing"
 
 	"github.com/ebsn/igepa/internal/admissible"
 	"github.com/ebsn/igepa/internal/conflict"
 	"github.com/ebsn/igepa/internal/lp"
 	"github.com/ebsn/igepa/internal/model"
+	"github.com/ebsn/igepa/internal/par"
 	"github.com/ebsn/igepa/internal/workload"
+	"github.com/ebsn/igepa/internal/xrand"
 )
+
+// enumerateAll computes Au for every user, the way the Planner does. It
+// returns per-user admissible sets and the number of users whose
+// enumeration was truncated.
+func enumerateAll(in *model.Instance, conf *conflict.Matrix, maxSets, workers int) ([][]admissible.Set, int) {
+	sets := make([][]admissible.Set, in.NumUsers())
+	trunc := make([]bool, in.NumUsers())
+	enumerateInto(in, conf, sets, trunc, nil, maxSets, par.Workers(workers))
+	truncated := 0
+	for _, t := range trunc {
+		if t {
+			truncated++
+		}
+	}
+	return sets, truncated
+}
 
 // tallDantzigInstance is plan_tall's Dantzig-class instance: 2400 users and
 // 200 events, m = 2600 below lp.DevexRowThreshold.
@@ -137,5 +158,175 @@ func TestLPPackingPinned(t *testing.T) {
 					c.utility, c.objective, c.pairs, c.dropped, c.truncated, c.columns)
 			}
 		})
+	}
+}
+
+// requireSameLP requires two LPs to be equal bit for bit: rows, B, C,
+// ColPtr and Rows.
+func requireSameLP(t *testing.T, got, want *lp.Problem) {
+	t.Helper()
+	sameBits := func(a, b []float64) bool {
+		return slices.EqualFunc(a, b, func(x, y float64) bool { return math.Float64bits(x) == math.Float64bits(y) })
+	}
+	switch {
+	case got.NumRows != want.NumRows:
+		t.Fatalf("%d rows, want %d", got.NumRows, want.NumRows)
+	case !sameBits(got.B, want.B):
+		t.Fatalf("B = %v, want %v", got.B, want.B)
+	case !sameBits(got.C, want.C):
+		t.Fatalf("C differs (%d columns, want %d)", len(got.C), len(want.C))
+	case !slices.Equal(got.ColPtr, want.ColPtr):
+		t.Fatalf("ColPtr differs (%d entries, want %d)", len(got.ColPtr), len(want.ColPtr))
+	case !slices.Equal(got.Rows, want.Rows):
+		t.Fatalf("Rows differ (%d nonzeros, want %d)", len(got.Rows), len(want.Rows))
+	}
+}
+
+// requireColumnBuild requires enumerateLP to build BuildBenchmarkLP's LP
+// over Enumerate's sets, with each user's columns at its own range and the
+// same truncation count.
+func requireColumnBuild(t *testing.T, in *model.Instance, maxSets, workers int) {
+	t.Helper()
+	in.Weights()
+	conf := conflict.FromFunc(in.NumEvents(), in.Conflicts)
+	sets, wantTrunc := enumerateAll(in, conf, maxSets, 1)
+	want, _ := BuildBenchmarkLP(in, sets)
+	got, colStart, trunc := enumerateLP(in, conf, maxSets, workers)
+	requireSameLP(t, got, want)
+	if trunc != wantTrunc {
+		t.Fatalf("%d truncated users, want %d", trunc, wantTrunc)
+	}
+	for u, us := range sets {
+		if colStart[u+1]-colStart[u] != len(us) {
+			t.Fatalf("user %d owns columns [%d,%d), want %d sets", u, colStart[u], colStart[u+1], len(us))
+		}
+	}
+}
+
+// TestEnumerateLPMatchesBuildBenchmarkLP runs the column-native build on
+// the pin instances, once truncating nearly every user.
+func TestEnumerateLPMatchesBuildBenchmarkLP(t *testing.T) {
+	requireColumnBuild(t, meetupInstance(t), 0, 2)
+	requireColumnBuild(t, tallDantzigInstance(t), 7, 4)
+}
+
+// FuzzColumnBuild: on small random instances and caps, truncating ones
+// included, the count-then-fill LP equals BuildBenchmarkLP over Enumerate's
+// sets bit for bit, at every worker count.
+func FuzzColumnBuild(f *testing.F) {
+	f.Add(int64(1), 0, uint8(1))
+	f.Add(int64(7), 3, uint8(2))
+	f.Add(int64(42), 1, uint8(3))
+	f.Add(int64(5), -1, uint8(0))
+	f.Fuzz(func(t *testing.T, seed int64, maxSets int, workers uint8) {
+		requireColumnBuild(t, randomInstance(seed), maxSets%12, 1+int(workers%4))
+	})
+}
+
+// TestLPPackingMatchesStagedPipeline: LPPacking equals the staged pipeline
+// of exported stages the benchmark re-enacts — BuildBenchmarkLP over
+// Enumerate's sets, lp.SolveConfig, SampleSets, Repair, the optional fill
+// and Normalize — in utility bits and in sampled, dropped and filled pairs,
+// over α, repair orders, fill, truncation and worker counts, on plan_tall's
+// Dantzig-class instance and a Table I default instance.
+func TestLPPackingMatchesStagedPipeline(t *testing.T) {
+	instances := []struct {
+		name string
+		in   func(t *testing.T) *model.Instance
+	}{
+		{"tall-dantzig", tallDantzigInstance},
+		{"table-i", func(t *testing.T) *model.Instance {
+			in, err := workload.Synthetic(workload.SyntheticConfig{Seed: 1})
+			if err != nil {
+				t.Fatal(err)
+			}
+			return in
+		}},
+	}
+	orders := []RepairOrder{RepairByIndex, RepairRandom, RepairByWeightAsc}
+	for _, ic := range instances {
+		for m, maxSets := range []int{0, 7} {
+			in := ic.in(t)
+			in.Weights()
+			conf := conflict.FromFunc(in.NumEvents(), in.Conflicts)
+			sets, _ := enumerateAll(in, conf, maxSets, 0)
+			prob, owner := BuildBenchmarkLP(in, sets)
+			sol, err := lp.SolveConfig(prob, lp.Revised{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			// Each (α, order) pair runs once per instance, half of them
+			// truncated; fill and the worker count alternate.
+			for k, order := range orders {
+				{
+					alpha := []float64{1, 0.5}[(k+m)%2]
+					opt := Options{Alpha: alpha, Seed: int64(3 + k), MaxSetsPerUser: maxSets, Repair: order,
+						GreedyFill: (k+m)%2 == 0, Workers: 1 + 3*(k%2)}
+					name := fmt.Sprintf("%s/max%d/alpha%v/%v/fill=%v/w%d", ic.name, maxSets, alpha, order, opt.GreedyFill, opt.Workers)
+					t.Run(name, func(t *testing.T) {
+						res, err := LPPacking(in, opt)
+						if err != nil {
+							t.Fatal(err)
+						}
+						chosen := SampleSets(in.NumUsers(), sets, owner, sol.X, alpha, opt.Seed, opt.Workers)
+						pairs := 0
+						for u, c := range chosen {
+							if c >= 0 {
+								pairs += len(sets[u][c].Events)
+							}
+						}
+						arr, dropped := Repair(in, sets, chosen, order, xrand.New(opt.Seed))
+						filled := 0
+						if opt.GreedyFill {
+							filled = greedyFill(in, conf, arr)
+						}
+						arr.Normalize()
+						u := model.Utility(in, arr)
+						if math.Float64bits(u) != math.Float64bits(res.Utility) || pairs != res.SampledPairs ||
+							dropped != res.RepairDropped || filled != res.FilledPairs {
+							t.Errorf("LPPacking utility=%v pairs=%d dropped=%d filled=%d, staged utility=%v pairs=%d dropped=%d filled=%d",
+								res.Utility, res.SampledPairs, res.RepairDropped, res.FilledPairs, u, pairs, dropped, filled)
+						}
+					})
+				}
+			}
+		}
+	}
+}
+
+// TestColumnRoundingMatchesSetRounding drives the rounding kernels where
+// repair bites: on small random instances every user spreads its LP mass
+// evenly over its sets, and the column path (LPPacking's tail) must equal
+// the set path (SampleSets, then Repair) for every α and repair order.
+func TestColumnRoundingMatchesSetRounding(t *testing.T) {
+	sawDrop := false
+	for seed := int64(0); seed < 40; seed++ {
+		in := randomInstance(seed)
+		in.Weights()
+		conf := conflict.FromFunc(in.NumEvents(), in.Conflicts)
+		sets, trunc := enumerateAll(in, conf, 0, 1)
+		prob, owner := BuildBenchmarkLP(in, sets)
+		_, colStart, _ := enumerateLP(in, conf, 0, 1)
+		x := make([]float64, prob.NumCols())
+		for j, ow := range owner {
+			x[j] = 1 / float64(len(sets[ow[0]]))
+		}
+		sol := &lp.Solution{Status: lp.Optimal, X: x, Y: make([]float64, prob.NumRows)}
+		for _, alpha := range []float64{1, 0.5} {
+			for _, order := range []RepairOrder{RepairByIndex, RepairRandom, RepairByWeightAsc} {
+				opt := Options{Alpha: alpha, Seed: seed, Repair: order, Workers: 2}
+				got := roundColumns(in, conf, prob, colStart, sol, opt, trunc)
+				chosen := SampleSets(in.NumUsers(), sets, owner, x, alpha, seed, 1)
+				want := finish(in, conf, setPicks(sets, chosen), prob, sol, opt, xrand.New(seed), trunc)
+				if !reflect.DeepEqual(got.Arrangement, want.Arrangement) || got.SampledPairs != want.SampledPairs ||
+					got.RepairDropped != want.RepairDropped || math.Float64bits(got.Utility) != math.Float64bits(want.Utility) {
+					t.Fatalf("seed %d α=%v %v: column path %+v, set path %+v", seed, alpha, order, got, want)
+				}
+				sawDrop = sawDrop || got.RepairDropped > 0
+			}
+		}
+	}
+	if !sawDrop {
+		t.Fatal("no repair dropped a pair")
 	}
 }

@@ -6,12 +6,11 @@ import (
 	"github.com/ebsn/igepa/internal/conflict"
 	"github.com/ebsn/igepa/internal/lp"
 	"github.com/ebsn/igepa/internal/model"
-	"github.com/ebsn/igepa/internal/xrand"
 )
 
 // fractionalRounding builds in's benchmark LP, fabricates the LP solution
 // x for it, and returns the tail of Algorithm 1 — sampling, repair, scoring
-// (finish) — run on that solution for a given seed. On the generated
+// (roundColumns) — run on that solution for a given seed. On the generated
 // workloads the benchmark LP solves integrally, so the sampling-collision →
 // repair path never fires there; this fixture forces the fractional regime
 // the ¼-approximation guarantee was designed for.
@@ -19,8 +18,7 @@ func fractionalRounding(t *testing.T, in *model.Instance, x []float64, alpha flo
 	t.Helper()
 	in.Weights()
 	conf := conflict.FromFunc(in.NumEvents(), in.Conflicts)
-	sets, truncated := enumerateAll(in, conf, 0, 1)
-	prob, owner := BuildBenchmarkLP(in, sets)
+	prob, colStart, truncated := enumerateLP(in, conf, 0, 1)
 	if prob.NumCols() != len(x) {
 		t.Fatalf("benchmark LP has %d columns, fabricated solution %d", prob.NumCols(), len(x))
 	}
@@ -30,11 +28,7 @@ func fractionalRounding(t *testing.T, in *model.Instance, x []float64, alpha flo
 	}
 	sol := &lp.Solution{Status: lp.Optimal, X: x, Y: make([]float64, prob.NumRows), Objective: obj}
 	return func(seed int64) *Result {
-		res, err := finish(in, conf, sets, owner, prob, sol, Options{Alpha: alpha, Seed: seed}, xrand.New(seed), truncated)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return res
+		return roundColumns(in, conf, prob, colStart, sol, Options{Alpha: alpha, Seed: seed}, truncated)
 	}
 }
 

@@ -36,7 +36,6 @@ import (
 
 	"github.com/ebsn/igepa/internal/model"
 	"github.com/ebsn/igepa/internal/par"
-	"github.com/ebsn/igepa/internal/xrand"
 )
 
 // incState is the Planner's persistent rounding state: the current draws,
@@ -206,12 +205,7 @@ func (p *Planner) updateIncremental(users, events []int) *Result {
 		for k := range w {
 			w[k] = clampProb(alpha * x[cols[k]])
 		}
-		if len(w) == 0 {
-			st.newChosen[i] = -1
-			return
-		}
-		normalizeSubDistribution(w)
-		st.newChosen[i] = xrand.NewStream(seed, uint64(u)).Categorical(w)
+		st.newChosen[i] = draw(w, seed, u)
 	})
 
 	// Apply the draw diffs to the sampler lists, dirtying touched events.

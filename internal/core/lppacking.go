@@ -3,12 +3,13 @@
 //
 // The pipeline is:
 //
-//  1. enumerate admissible event sets Au for every user (internal/admissible);
-//  2. build and solve the benchmark LP (1)-(4) over variables x_{u,S}
-//     (internal/lp) — its optimum upper-bounds the integral optimum
-//     (Lemma 1), so solver statistics expose it as a certificate;
+//  1. enumerate admissible event sets Au for every user (internal/admissible)
+//     straight into the columns of the benchmark LP (1)-(4) over variables
+//     x_{u,S}: a column is its set, so no set is stored;
+//  2. solve the LP (internal/lp) — with untruncated families its optimum
+//     upper-bounds the integral optimum (Lemma 1);
 //  3. for each user sample one admissible set S with probability α·x*_{u,S}
-//     (no set with the remaining probability);
+//     from the user's column range (no set with the remaining probability);
 //  4. repair event-capacity violations by scanning sampled sets and dropping
 //     events whose capacity is exceeded (lines 4-7 of Algorithm 1);
 //  5. optionally greedy-fill leftover capacity (an extension, off by
@@ -25,6 +26,7 @@ package core
 
 import (
 	"fmt"
+	"sync"
 
 	"github.com/ebsn/igepa/internal/admissible"
 	"github.com/ebsn/igepa/internal/conflict"
@@ -120,9 +122,12 @@ type Result struct {
 	Arrangement *model.Arrangement
 	Utility     float64
 
-	// LPObjective is the benchmark-LP optimum — a certified upper bound on
-	// the optimal integral utility (Lemma 1). Utility/LPObjective therefore
-	// lower-bounds the realized approximation factor.
+	// LPObjective is the optimum of the LP that was solved. It bounds the
+	// optimal integral utility from above (Lemma 1) only when
+	// TruncatedUsers == 0: a truncated user's LP lacks some of its
+	// admissible sets, so the LP is a restriction of the benchmark LP and
+	// its optimum can fall below OPT. Only then does Utility/LPObjective
+	// lower-bound the realized approximation factor.
 	LPObjective  float64
 	LPIterations int
 	LPColumns    int
@@ -141,49 +146,124 @@ func LPPacking(in *model.Instance, opt Options) (*Result, error) {
 	if err := opt.resolveAlpha(); err != nil {
 		return nil, err
 	}
-	rng := xrand.New(opt.Seed)
-	workers := par.Workers(opt.Workers)
 
 	// Build the shared weight cache before any parallel stage so the lazy
 	// initialization never races; every later stage reads it lock-free.
 	in.Weights()
 
 	conf := conflict.FromFunc(in.NumEvents(), in.Conflicts)
-	sets, truncated := enumerateAll(in, conf, opt.MaxSetsPerUser, workers)
-	prob, owner := BuildBenchmarkLP(in, sets)
+	prob, colStart, truncated := enumerateLP(in, conf, opt.MaxSetsPerUser, par.Workers(opt.Workers))
 
 	sol, err := lp.SolveConfig(prob, opt.lpConfig())
 	if err != nil {
 		return nil, fmt.Errorf("core: benchmark LP: %w", err)
 	}
-	return finish(in, conf, sets, owner, prob, sol, opt, rng, truncated)
+	return roundColumns(in, conf, prob, colStart, sol, opt, truncated), nil
 }
 
-// enumerateAll computes Au for every user on the bounded worker pool. It
-// returns per-user admissible sets and the number of users whose enumeration
-// was truncated. Each user's enumeration is independent and writes only its
-// own slot, so the result does not depend on the worker count.
-func enumerateAll(in *model.Instance, conf *conflict.Matrix, maxSets, workers int) ([][]admissible.Set, int) {
-	sets := make([][]admissible.Set, in.NumUsers())
-	trunc := make([]bool, in.NumUsers())
-	enumerateInto(in, conf, sets, trunc, nil, maxSets, workers)
+// roundColumns is the tail of Algorithm 1 on enumerateLP's LP: each user
+// draws from its own column range, and repair reads the drawn columns.
+func roundColumns(in *model.Instance, conf *conflict.Matrix, prob *lp.Problem, colStart []int,
+	sol *lp.Solution, opt Options, truncated int) *Result {
+	chosen := sampleRanges(colStart, sol.X, opt.Alpha, opt.Seed, opt.Workers)
+	pk := columnPicks(prob, colStart, chosen, in.NumUsers())
+	return finish(in, conf, pk, prob, sol, opt, xrand.New(opt.Seed), truncated)
+}
+
+// walkers pools the enumeration scratch of the LP build's workers.
+var walkers = sync.Pool{New: func() any { return new(admissible.Walker) }}
+
+// enumerateLP builds the benchmark LP straight from the admissible-set DFS,
+// keeping no set: a counting walk per user sizes the user's columns and
+// nonzeros, a prefix sum places every user's block in arrays allocated at
+// their exact size, and a second walk writes each set into its column. The
+// LP equals BuildBenchmarkLP over Enumerate's sets bit for bit, and user u's
+// columns are [colStart[u], colStart[u+1]), in set order. It also returns
+// the number of truncated users. Both passes run on the bounded worker pool
+// and write only their users' slots, so the LP does not depend on the
+// worker count.
+func enumerateLP(in *model.Instance, conf *conflict.Matrix, maxSets, workers int) (*lp.Problem, []int, int) {
+	nu := in.NumUsers()
+	wc := in.Weights()
+	cfg := admissible.Config{MaxSetsPerUser: maxSets}
+	walk := func(wk *admissible.Walker, u int, emit func([]int, float64)) bool {
+		usr := &in.Users[u]
+		return wk.Walk(usr.Bids, usr.Capacity, conf, func(v int) float64 { return wc.Of(u, v) }, cfg, emit)
+	}
+
+	// Count: colStart[u+1] and nzStart[u+1] take user u's totals, then the
+	// prefix sum turns them into offsets.
+	colStart, nzStart := make([]int, nu+1), make([]int, nu+1)
+	trunc := make([]bool, nu)
+	par.Ranges(workers, nu, 16, func(lo, hi int) {
+		wk := walkers.Get().(*admissible.Walker)
+		c := &columnCounter{}
+		emit := c.emit
+		for u := lo; u < hi; u++ {
+			*c = columnCounter{}
+			trunc[u] = walk(wk, u, emit)
+			colStart[u+1], nzStart[u+1] = c.cols, c.nnz
+		}
+		walkers.Put(wk)
+	})
 	truncated := 0
-	for _, t := range trunc {
-		if t {
+	for u := 0; u < nu; u++ {
+		colStart[u+1] += colStart[u]
+		nzStart[u+1] += nzStart[u]
+		if trunc[u] {
 			truncated++
 		}
 	}
-	return sets, truncated
+
+	// Fill: every user writes its own block.
+	p := newBenchmarkLP(in)
+	n := colStart[nu]
+	p.C, p.ColPtr, p.Rows = make([]float64, n), make([]int, n+1), make([]int32, nzStart[nu])
+	par.Ranges(workers, nu, 16, func(lo, hi int) {
+		wk := walkers.Get().(*admissible.Walker)
+		cw := &columnWriter{p: p, nu: int32(nu)}
+		emit := cw.emit
+		for u := lo; u < hi; u++ {
+			cw.user, cw.col, cw.nz = int32(u), colStart[u], nzStart[u]
+			walk(wk, u, emit)
+		}
+		walkers.Put(wk)
+	})
+	return p, colStart, truncated
 }
 
-// BuildBenchmarkLP assembles LP (1)-(4): one column per (user, admissible
-// set), a ≤1 row per user and a ≤cv row per event. owner[j] identifies the
-// user and set index of column j. The column count and nonzero count are
-// known exactly from the enumeration, so the flat CSC arrays are sized in
-// one pass and filled in the next — a Meetup-scale build is a handful of
-// allocations instead of two per column. Exported for white-box testing and
-// for the ablation benchmarks.
-func BuildBenchmarkLP(in *model.Instance, sets [][]admissible.Set) (*lp.Problem, [][2]int) {
+// columnCounter is the counting sink of enumerateLP's first pass.
+type columnCounter struct{ cols, nnz int }
+
+func (c *columnCounter) emit(events []int, _ float64) {
+	c.cols++
+	c.nnz += len(events) + 1
+}
+
+// columnWriter turns sets into columns, the filling sink of enumerateLP's
+// second pass: set S of user u becomes column col, with u's row followed by
+// S's event rows, and cost w(u,S).
+type columnWriter struct {
+	p        *lp.Problem
+	user, nu int32
+	col, nz  int
+}
+
+func (cw *columnWriter) emit(events []int, weight float64) {
+	rows := cw.p.Rows[cw.nz : cw.nz+len(events)+1]
+	rows[0] = cw.user
+	for k, v := range events {
+		rows[k+1] = cw.nu + int32(v)
+	}
+	cw.nz += len(rows)
+	cw.p.C[cw.col] = weight
+	cw.col++
+	cw.p.ColPtr[cw.col] = cw.nz
+}
+
+// newBenchmarkLP returns LP (1)-(4) without columns: a ≤1 row per user and a
+// ≤cv row per event.
+func newBenchmarkLP(in *model.Instance) *lp.Problem {
 	nu, nv := in.NumUsers(), in.NumEvents()
 	p := &lp.Problem{NumRows: nu + nv, B: make([]float64, nu+nv)}
 	for u := 0; u < nu; u++ {
@@ -192,6 +272,17 @@ func BuildBenchmarkLP(in *model.Instance, sets [][]admissible.Set) (*lp.Problem,
 	for v := 0; v < nv; v++ {
 		p.B[nu+v] = float64(in.Events[v].Capacity)
 	}
+	return p
+}
+
+// BuildBenchmarkLP assembles LP (1)-(4) from stored admissible sets: one
+// column per (user, admissible set), a ≤1 row per user and a ≤cv row per
+// event. owner[j] identifies the user and set index of column j. The
+// incremental Planner builds its LP here; LPPacking builds the same LP from
+// the enumeration without storing the sets (enumerateLP). Exported for the
+// benchmark's staged re-enactment and the ablation benchmarks.
+func BuildBenchmarkLP(in *model.Instance, sets [][]admissible.Set) (*lp.Problem, [][2]int) {
+	p := newBenchmarkLP(in)
 	ncols, nnz := 0, 0
 	for _, us := range sets {
 		ncols += len(us)
@@ -199,33 +290,25 @@ func BuildBenchmarkLP(in *model.Instance, sets [][]admissible.Set) (*lp.Problem,
 			nnz += len(s.Events) + 1
 		}
 	}
-	p.Reserve(ncols, nnz)
-	p.ColPtr = append(p.ColPtr, 0)
+	p.C, p.ColPtr, p.Rows = make([]float64, ncols), make([]int, ncols+1), make([]int32, nnz)
+	cw := &columnWriter{p: p, nu: int32(in.NumUsers())}
 	owner := make([][2]int, 0, ncols)
 	for u, us := range sets {
+		cw.user = int32(u)
 		for si, s := range us {
-			p.Rows = append(p.Rows, int32(u))
-			for _, v := range s.Events {
-				p.Rows = append(p.Rows, int32(nu+v))
-			}
-			p.ColPtr = append(p.ColPtr, len(p.Rows))
-			p.C = append(p.C, s.Weight)
+			cw.emit(s.Events, s.Weight)
 			owner = append(owner, [2]int{u, si})
 		}
 	}
 	return p, owner
 }
 
-// finish performs sampling, repair and (optionally) fill, and assembles the
+// finish repairs the drawn sets, optionally fills, and assembles the
 // Result. opt.Alpha must already be resolved (resolveAlpha).
-func finish(in *model.Instance, conf *conflict.Matrix, sets [][]admissible.Set,
-	owner [][2]int, prob *lp.Problem, sol *lp.Solution,
-	opt Options, rng *xrand.RNG, truncated int) (*Result, error) {
+func finish(in *model.Instance, conf *conflict.Matrix, pk *picks, prob *lp.Problem, sol *lp.Solution,
+	opt Options, rng *xrand.RNG, truncated int) *Result {
 
-	// Per-user sampling distributions α·x*_{u,S}.
-	chosen := SampleSets(in.NumUsers(), sets, owner, sol.X, opt.Alpha, opt.Seed, opt.Workers)
-
-	arr, dropped := Repair(in, sets, chosen, opt.Repair, rng)
+	arr, dropped := repair(in, pk, opt.Repair, rng)
 
 	filled := 0
 	if opt.GreedyFill {
@@ -233,57 +316,65 @@ func finish(in *model.Instance, conf *conflict.Matrix, sets [][]admissible.Set,
 	}
 	arr.Normalize()
 
-	res := &Result{
+	return &Result{
 		Arrangement:    arr,
 		Utility:        model.Utility(in, arr),
 		LPObjective:    sol.Objective,
 		LPIterations:   sol.Iterations,
 		LPColumns:      prob.NumCols(),
 		TruncatedUsers: truncated,
-		SampledPairs:   pairsOf(sets, chosen),
+		SampledPairs:   len(pk.events),
 		RepairDropped:  dropped,
 		FilledPairs:    filled,
 	}
-	return res, nil
-}
-
-func pairsOf(sets [][]admissible.Set, chosen []int) int {
-	n := 0
-	for u, s := range chosen {
-		if s >= 0 {
-			n += len(sets[u][s].Events)
-		}
-	}
-	return n
 }
 
 // SampleSets draws, for each user, the index of the sampled admissible set
-// (or -1 for none) with probabilities α·x*. User u draws from the dedicated
-// deterministic stream xrand.NewStream(seed, u), so the draws parallelize
-// over the bounded pool (workers = 0 means GOMAXPROCS) with bit-identical
-// results for every worker count. Exported for the rounding unit tests.
+// (or -1 for none) with probabilities α·x*, where owner maps LP column j to
+// its (user, set index). It gathers x into set order and runs the draw
+// kernel LPPacking runs on its LP's column ranges. Exported for the
+// benchmark's staged re-enactment and the rounding unit tests.
 func SampleSets(numUsers int, sets [][]admissible.Set, owner [][2]int, x []float64, alpha float64, seed int64, workers int) []int {
-	// Gather the per-user probability vectors in set order, as slices of one
-	// flat backing array.
 	off := make([]int, numUsers+1)
 	for u := 0; u < numUsers; u++ {
 		off[u+1] = off[u] + len(sets[u])
 	}
-	probs := make([]float64, off[numUsers])
+	xs := make([]float64, off[numUsers])
 	for j, ow := range owner {
-		probs[off[ow[0]]+ow[1]] = clampProb(alpha * x[j])
+		xs[off[ow[0]]+ow[1]] = x[j]
 	}
-	chosen := make([]int, numUsers)
-	par.For(workers, numUsers, 64, func(u int) {
-		w := probs[off[u]:off[u+1]]
-		if len(w) == 0 {
-			chosen[u] = -1
-			return
+	return sampleRanges(off, xs, alpha, seed, workers)
+}
+
+// sampleRanges is the draw kernel: user u's sets have LP values
+// x[off[u]:off[u+1]], in set order, and it draws an index into that range
+// (or -1 for none) with probabilities α·x. User u draws from the dedicated
+// deterministic stream xrand.NewStream(seed, u), so the draws parallelize
+// over the bounded pool (workers = 0 means GOMAXPROCS) with bit-identical
+// results for every worker count.
+func sampleRanges(off []int, x []float64, alpha float64, seed int64, workers int) []int {
+	chosen := make([]int, len(off)-1)
+	par.Ranges(workers, len(chosen), 64, func(lo, hi int) {
+		var w []float64
+		for u := lo; u < hi; u++ {
+			w = w[:0]
+			for _, xj := range x[off[u]:off[u+1]] {
+				w = append(w, clampProb(alpha*xj))
+			}
+			chosen[u] = draw(w, seed, u)
 		}
-		normalizeSubDistribution(w)
-		chosen[u] = xrand.NewStream(seed, uint64(u)).Categorical(w)
 	})
 	return chosen
+}
+
+// draw samples user u's set index from w, the clamped α·x* of its sets in
+// set order (normalized in place), or -1 for none.
+func draw(w []float64, seed int64, u int) int {
+	if len(w) == 0 {
+		return -1
+	}
+	normalizeSubDistribution(w)
+	return xrand.NewStream(seed, uint64(u)).Categorical(w)
 }
 
 func clampProb(p float64) float64 {
@@ -311,20 +402,62 @@ func normalizeSubDistribution(w []float64) {
 	}
 }
 
+// picks is the sampled arrangement before repair: user u drew the set of
+// weight weight[u] whose events, ascending, are events[off[u]:off[u+1]]; an
+// empty range means no set.
+type picks struct {
+	off    []int
+	events []int
+	weight []float64
+}
+
+// columnPicks reads each user's drawn set from its LP column: the column's
+// rows past the user row, minus |U|, and its cost.
+func columnPicks(prob *lp.Problem, colStart, chosen []int, nu int) *picks {
+	pk := &picks{off: make([]int, nu+1), weight: make([]float64, nu)}
+	for u, c := range chosen {
+		if c >= 0 {
+			j := colStart[u] + c
+			for _, r := range prob.Col(j)[1:] {
+				pk.events = append(pk.events, int(r)-nu)
+			}
+			pk.weight[u] = prob.C[j]
+		}
+		pk.off[u+1] = len(pk.events)
+	}
+	return pk
+}
+
+// setPicks reads each user's drawn set from its stored admissible sets.
+func setPicks(sets [][]admissible.Set, chosen []int) *picks {
+	pk := &picks{off: make([]int, len(chosen)+1), weight: make([]float64, len(chosen))}
+	for u, c := range chosen {
+		if c >= 0 {
+			pk.events = append(pk.events, sets[u][c].Events...)
+			pk.weight[u] = sets[u][c].Weight
+		}
+		pk.off[u+1] = len(pk.events)
+	}
+	return pk
+}
+
 // Repair implements lines 4-7 of Algorithm 1: given each user's sampled set,
 // drop events whose capacity the combined assignment would violate. The scan
 // order over users is configurable; within a user events are scanned in the
 // sampled set's stored order. Returns the arrangement and the number of
-// dropped pairs. Exported for the rounding unit tests and ablations.
+// dropped pairs. It runs the repair kernel LPPacking runs on its LP's
+// columns. Exported for the benchmark's staged re-enactment, the rounding
+// unit tests and ablations.
 func Repair(in *model.Instance, sets [][]admissible.Set, chosen []int, order RepairOrder, rng *xrand.RNG) (*model.Arrangement, int) {
+	return repair(in, setPicks(sets, chosen), order, rng)
+}
+
+// repair is the repair kernel behind Repair and LPPacking.
+func repair(in *model.Instance, pk *picks, order RepairOrder, rng *xrand.RNG) (*model.Arrangement, int) {
 	nu := in.NumUsers()
 	load := make([]int, in.NumEvents())
-	for u := 0; u < nu; u++ {
-		if s := chosen[u]; s >= 0 {
-			for _, v := range sets[u][s].Events {
-				load[v]++
-			}
-		}
+	for _, v := range pk.events {
+		load[v]++
 	}
 
 	scan := make([]int, nu)
@@ -335,24 +468,18 @@ func Repair(in *model.Instance, sets [][]admissible.Set, chosen []int, order Rep
 	case RepairRandom:
 		rng.Shuffle(nu, func(i, j int) { scan[i], scan[j] = scan[j], scan[i] })
 	case RepairByWeightAsc:
-		w := make([]float64, nu)
-		for u := range w {
-			if s := chosen[u]; s >= 0 {
-				w[u] = sets[u][s].Weight
-			}
-		}
-		sortByWeight(scan, w)
+		sortByWeight(scan, pk.weight)
 	}
 
 	arr := model.NewArrangement(nu)
 	dropped := 0
 	for _, u := range scan {
-		s := chosen[u]
-		if s < 0 {
+		events := pk.events[pk.off[u]:pk.off[u+1]]
+		if len(events) == 0 {
 			continue
 		}
 		var kept []int
-		for _, v := range sets[u][s].Events {
+		for _, v := range events {
 			if load[v] > in.Events[v].Capacity {
 				load[v]--
 				dropped++

@@ -160,7 +160,8 @@ func (p *Planner) Close() {
 func (p *Planner) Stats() lp.SolverStats { return p.solver.Stats() }
 
 // Objective returns the current benchmark-LP optimum — the live upper bound
-// on the optimal utility of the current instance.
+// on the optimal utility of the current instance when no user's admissible
+// sets are truncated (see Result.LPObjective).
 func (p *Planner) Objective() float64 { return p.sol.Objective }
 
 // Update re-syncs the Planner with the instance after the caller's mutation
@@ -461,8 +462,9 @@ func resizeI32(buf []int32, n int) []int32 {
 // the maintained incremental rounding state, which is what makes it the
 // oracle the equivalence tests pin Update against.
 func (p *Planner) Round() (*Result, error) {
-	return finish(p.in, p.conf, p.sets, p.owner, p.solver.Problem(), p.sol,
-		p.opt, xrand.New(p.opt.Seed), p.truncCount)
+	chosen := SampleSets(p.in.NumUsers(), p.sets, p.owner, p.sol.X, p.opt.Alpha, p.opt.Seed, p.opt.Workers)
+	return finish(p.in, p.conf, setPicks(p.sets, chosen), p.solver.Problem(), p.sol,
+		p.opt, xrand.New(p.opt.Seed), p.truncCount), nil
 }
 
 // dedupeSorted compacts consecutive duplicates in a sorted slice.

@@ -232,3 +232,39 @@ func TestBenchmarkLPFootprint(t *testing.T) {
 		t.Errorf("BuildBenchmarkLP allocated %d bytes, want ≤ 4·nnz + 32·n + O(m) = %d", got, limit)
 	}
 }
+
+// TestEnumerateLPFootprint guards the column-native build's memory: on the
+// Meetup pin instance enumerateLP allocates at most 4 bytes per nonzero
+// (Rows) plus 16 bytes per column (ColPtr and C) plus O(m) for B plus O(|U|)
+// for the per-user offsets, so it stores no admissible set and allocates
+// nothing per set. The whole LPPacking run stays under a malloc-count bound
+// far below one per column. Both are deltas of runtime.MemStats around
+// calls on this goroutine with one worker.
+func TestEnumerateLPFootprint(t *testing.T) {
+	in := meetupInstance(t)
+	in.Weights()
+	conf := conflict.FromFunc(in.NumEvents(), in.Conflicts)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	prob, _, _ := enumerateLP(in, conf, 0, 1)
+	runtime.ReadMemStats(&after)
+	n, nnz, m, nu := prob.NumCols(), prob.NNZ(), prob.NumRows, in.NumUsers()
+	got := after.TotalAlloc - before.TotalAlloc
+	limit := uint64(4*nnz + 16*n + 64*m + 64*nu + 256<<10)
+	t.Logf("enumerateLP: %d bytes in %d mallocs for n=%d nnz=%d m=%d (limit %d)", got, after.Mallocs-before.Mallocs, n, nnz, m, limit)
+	if got > limit {
+		t.Errorf("enumerateLP allocated %d bytes, want ≤ 4·nnz + 16·n + O(m) + O(|U|) = %d", got, limit)
+	}
+
+	runtime.ReadMemStats(&before)
+	if _, err := LPPacking(in, Options{Seed: 1, Workers: 1}); err != nil {
+		t.Fatal(err)
+	}
+	runtime.ReadMemStats(&after)
+	mallocs := after.Mallocs - before.Mallocs
+	t.Logf("LPPacking: %d bytes in %d mallocs", after.TotalAlloc-before.TotalAlloc, mallocs)
+	const maxMallocs = 20_000
+	if mallocs > maxMallocs {
+		t.Errorf("LPPacking made %d mallocs for %d columns, want ≤ %d", mallocs, n, maxMallocs)
+	}
+}
