@@ -166,7 +166,7 @@ func LPPacking(in *model.Instance, opt Options) (*Result, error) {
 func roundColumns(in *model.Instance, conf *conflict.Matrix, prob *lp.Problem, colStart []int,
 	sol *lp.Solution, opt Options, truncated int) *Result {
 	chosen := sampleRanges(colStart, sol.X, opt.Alpha, opt.Seed, opt.Workers)
-	pk := columnPicks(prob, colStart, chosen, in.NumUsers())
+	pk := columnPicks(prob, colStart, chosen)
 	return finish(in, conf, pk, prob, sol, opt, xrand.New(opt.Seed), truncated)
 }
 
@@ -413,7 +413,8 @@ type picks struct {
 
 // columnPicks reads each user's drawn set from its LP column: the column's
 // rows past the user row, minus |U|, and its cost.
-func columnPicks(prob *lp.Problem, colStart, chosen []int, nu int) *picks {
+func columnPicks(prob *lp.Problem, colStart, chosen []int) *picks {
+	nu := len(chosen)
 	pk := &picks{off: make([]int, nu+1), weight: make([]float64, nu)}
 	for u, c := range chosen {
 		if c >= 0 {
