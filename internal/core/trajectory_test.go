@@ -135,6 +135,39 @@ func TestChurnTrajectoryPinned(t *testing.T) {
 	}
 	defer p.Close()
 
+	next := churnStream(in)
+	chain := fnv.New64a()
+	var buf [8]byte
+	for j := 0; j < 2*51; j++ {
+		d := next(j)
+		if _, err := p.Update(d); err != nil {
+			t.Fatalf("update %d: %v", j, err)
+		}
+		binary.LittleEndian.PutUint64(buf[:], solutionHash(p.sol))
+		chain.Write(buf[:])
+	}
+	const (
+		wantChain        = 0x3d512a7f31f44fff
+		wantWarmPivots   = 305
+		wantFastFinishes = 57
+		wantRefactors    = 22
+	)
+	st := p.Stats()
+	if h := chain.Sum64(); h != wantChain || st.WarmPivots != wantWarmPivots ||
+		st.FastFinishes != wantFastFinishes || st.Refactorizations != wantRefactors {
+		t.Errorf("trajectory moved: got chain=%#x warm pivots=%d fast finishes=%d refactorizations=%d, want chain=%#x warm pivots=%d fast finishes=%d refactorizations=%d",
+			h, st.WarmPivots, st.FastFinishes, st.Refactorizations,
+			uint64(wantChain), wantWarmPivots, wantFastFinishes, wantRefactors)
+	}
+}
+
+// churnStream returns TestChurnTrajectoryPinned's update stream on in: next(j)
+// mutates in for update j and returns its delta. Update j%51 == 50 toggles
+// 5% of the users, every fifth other update edits the capacity of 5 events
+// and the rest toggle one user's last bid. Every toggle flips between the
+// generated value and one edit away from it; the draws come from
+// xrand.New(1).
+func churnStream(in *model.Instance) func(j int) Delta {
 	nu, nv := in.NumUsers(), in.NumEvents()
 	origBids := make([][]int, nu)
 	for u := range in.Users {
@@ -165,11 +198,8 @@ func TestChurnTrajectoryPinned(t *testing.T) {
 		}
 		lowered[v] = !lowered[v]
 	}
-
 	rng := xrand.New(1)
-	chain := fnv.New64a()
-	var buf [8]byte
-	for j := 0; j < 2*51; j++ {
+	return func(j int) Delta {
 		var d Delta
 		switch {
 		case j%51 == 50:
@@ -187,24 +217,76 @@ func TestChurnTrajectoryPinned(t *testing.T) {
 			toggleUser(u)
 			d.Users = []int{u}
 		}
-		if _, err := p.Update(d); err != nil {
-			t.Fatalf("update %d: %v", j, err)
-		}
-		binary.LittleEndian.PutUint64(buf[:], solutionHash(p.sol))
-		chain.Write(buf[:])
+		return d
 	}
-	const (
-		wantChain        = 0x3d512a7f31f44fff
-		wantWarmPivots   = 305
-		wantFastFinishes = 57
-		wantRefactors    = 22
-	)
-	st := p.Stats()
-	if h := chain.Sum64(); h != wantChain || st.WarmPivots != wantWarmPivots ||
-		st.FastFinishes != wantFastFinishes || st.Refactorizations != wantRefactors {
-		t.Errorf("trajectory moved: got chain=%#x warm pivots=%d fast finishes=%d refactorizations=%d, want chain=%#x warm pivots=%d fast finishes=%d refactorizations=%d",
-			h, st.WarmPivots, st.FastFinishes, st.Refactorizations,
-			uint64(wantChain), wantWarmPivots, wantFastFinishes, wantRefactors)
+}
+
+// TestPlannerRoundingPinned pins, absolutely, the rounding half of
+// Planner.Update on churnStream's 102 updates. After every update an FNV-1a
+// chain takes the Result's utility bits, sampled, dropped and filled pairs,
+// LP column count and truncated users; every tenth update it also takes
+// Round's utility bits. The first planner runs TestChurnTrajectoryPinned's
+// instance under the default options, so Update takes the incremental
+// rounding; the second, smaller one uses RepairRandom with GreedyFill, so
+// every Update re-rounds in full and fills, and its α and set cap make
+// repair drop pairs and truncate users. The third runs the second's
+// instance, α and cap through the incremental rounding. amd64 only.
+func TestPlannerRoundingPinned(t *testing.T) {
+	if runtime.GOARCH != "amd64" {
+		t.Skipf("trajectory bits are pinned on amd64, not %s", runtime.GOARCH)
+	}
+	cases := []struct {
+		name string
+		cfg  workload.SyntheticConfig
+		opt  Options
+		want uint64
+	}{
+		{"incremental", workload.SyntheticConfig{Seed: 1_000_003, NumUsers: 2000, NumEvents: 200, MaxEventCap: 100},
+			Options{Seed: 1}, 0xc7df8769bb35f567},
+		{"random-fill", workload.SyntheticConfig{Seed: 2, NumUsers: 600, NumEvents: 60},
+			Options{Seed: 2, Alpha: 0.9, MaxSetsPerUser: 8, Repair: RepairRandom, GreedyFill: true}, 0x00ba6d1d35b4f934},
+		{"incremental-truncated", workload.SyntheticConfig{Seed: 2, NumUsers: 600, NumEvents: 60},
+			Options{Seed: 2, Alpha: 0.9, MaxSetsPerUser: 8}, 0xb88f2c54f60bba27},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			in, err := workload.Synthetic(c.cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			p, err := NewPlanner(in, c.opt)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer p.Close()
+			next := churnStream(in)
+			chain := fnv.New64a()
+			fold := func(vs ...uint64) {
+				var buf [8]byte
+				for _, v := range vs {
+					binary.LittleEndian.PutUint64(buf[:], v)
+					chain.Write(buf[:])
+				}
+			}
+			for j := 0; j < 2*51; j++ {
+				res, err := p.Update(next(j))
+				if err != nil {
+					t.Fatalf("update %d: %v", j, err)
+				}
+				fold(math.Float64bits(res.Utility), uint64(res.SampledPairs), uint64(res.RepairDropped),
+					uint64(res.FilledPairs), uint64(res.LPColumns), uint64(res.TruncatedUsers))
+				if j%10 == 9 {
+					full, err := p.Round()
+					if err != nil {
+						t.Fatal(err)
+					}
+					fold(math.Float64bits(full.Utility))
+				}
+			}
+			if h := chain.Sum64(); h != c.want {
+				t.Errorf("rounding moved: got chain=%#x, want %#x", h, c.want)
+			}
+		})
 	}
 }
 
