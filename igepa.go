@@ -95,12 +95,13 @@ func LPPacking(in *Instance, opt LPPackingOptions) (*LPPackingResult, error) {
 }
 
 // Incremental planning (serving extension): a Planner keeps the LP-packing
-// pipeline's state alive between solves — admissible sets, the benchmark LP,
-// a persistent warm-starting simplex basis, and (under the default repair
-// order) the sampled-and-repaired arrangement itself with its utility
-// accumulator — so a stream of small instance changes (bids arriving or
-// expiring, capacities shrinking as seats are granted) costs work
-// proportional to the delta instead of a from-scratch run. Given the same
+// pipeline's state alive between solves — the benchmark LP, whose columns
+// are the admissible sets, each user's list of its columns, a persistent
+// warm-starting simplex basis, and (under the default repair order) the
+// sampled-and-repaired arrangement itself with its utility accumulator — so
+// a stream of small instance changes (bids arriving or expiring, capacities
+// shrinking as seats are granted) costs work proportional to the delta
+// instead of a from-scratch run. Given the same
 // seed, Update's incremental rounding is bit-identical to a full re-round
 // (Planner.Round, retained as the oracle); an empty delta short-circuits to
 // the cached result.

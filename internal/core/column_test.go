@@ -17,20 +17,20 @@ import (
 	"github.com/ebsn/igepa/internal/xrand"
 )
 
-// enumerateAll computes Au for every user, the way the Planner does. It
-// returns per-user admissible sets and the number of users whose
-// enumeration was truncated.
+// enumerateAll computes Au for every user with admissible.Enumerate on the
+// bounded worker pool. It returns per-user admissible sets and the number of
+// users whose enumeration was truncated.
 func enumerateAll(in *model.Instance, conf *conflict.Matrix, maxSets, workers int) ([][]admissible.Set, int) {
+	wc := in.Weights()
 	sets := make([][]admissible.Set, in.NumUsers())
 	trunc := make([]bool, in.NumUsers())
-	enumerateInto(in, conf, sets, trunc, nil, maxSets, par.Workers(workers))
-	truncated := 0
-	for _, t := range trunc {
-		if t {
-			truncated++
-		}
-	}
-	return sets, truncated
+	par.For(par.Workers(workers), in.NumUsers(), 16, func(u int) {
+		usr := &in.Users[u]
+		r := admissible.Enumerate(usr.Bids, usr.Capacity, conf, func(v int) float64 { return wc.Of(u, v) },
+			admissible.Config{MaxSetsPerUser: maxSets})
+		sets[u], trunc[u] = r.Sets, r.Truncated
+	})
+	return sets, countTrue(trunc)
 }
 
 // tallDantzigInstance is plan_tall's Dantzig-class instance: 2400 users and
@@ -51,35 +51,41 @@ func meetupInstance(t *testing.T) *model.Instance {
 	return in
 }
 
-// requireColumnsAreSets decodes every column of prob back into (user,
-// events, weight) and requires it to equal the admissible sets it was built
-// from, bit for bit: the columns run user by user, each user's in set
-// order, the first row is the user's, the rest are the set's event rows in
+// requireColumnIsSet decodes column j of prob back into (user, events,
+// weight) and requires it to equal user u's admissible set s bit for bit:
+// the first row is the user's, the rest are the set's event rows in
 // ascending order, and C is the set's weight.
+func requireColumnIsSet(t *testing.T, prob *lp.Problem, nu, j, u int, s admissible.Set) {
+	t.Helper()
+	rows := prob.Col(j)
+	if int(rows[0]) != u {
+		t.Fatalf("column %d: user row %d, want %d", j, rows[0], u)
+	}
+	if len(rows)-1 != len(s.Events) {
+		t.Fatalf("column %d: %d event rows, want %d", j, len(rows)-1, len(s.Events))
+	}
+	for k, r := range rows[1:] {
+		if int(r)-nu != s.Events[k] {
+			t.Fatalf("column %d: event row %d decodes to %d, want %d", j, r, int(r)-nu, s.Events[k])
+		}
+	}
+	if math.Float64bits(prob.C[j]) != math.Float64bits(s.Weight) {
+		t.Fatalf("column %d: cost %v, want weight %v", j, prob.C[j], s.Weight)
+	}
+}
+
+// requireColumnsAreSets requires the columns of prob to be the admissible
+// sets it was built from, user by user, each user's in set order
+// (requireColumnIsSet).
 func requireColumnsAreSets(t *testing.T, in *model.Instance, sets [][]admissible.Set, prob *lp.Problem) {
 	t.Helper()
-	nu := in.NumUsers()
 	j := 0
 	for u, us := range sets {
 		for si, s := range us {
 			if j >= prob.NumCols() {
 				t.Fatalf("LP ends at column %d before user %d set %d", j, u, si)
 			}
-			rows := prob.Col(j)
-			if int(rows[0]) != u {
-				t.Fatalf("column %d: user row %d, want %d", j, rows[0], u)
-			}
-			if len(rows)-1 != len(s.Events) {
-				t.Fatalf("column %d: %d event rows, want %d", j, len(rows)-1, len(s.Events))
-			}
-			for k, r := range rows[1:] {
-				if int(r)-nu != s.Events[k] {
-					t.Fatalf("column %d: event row %d decodes to %d, want %d", j, r, int(r)-nu, s.Events[k])
-				}
-			}
-			if math.Float64bits(prob.C[j]) != math.Float64bits(s.Weight) {
-				t.Fatalf("column %d: cost %v, want weight %v", j, prob.C[j], s.Weight)
-			}
+			requireColumnIsSet(t, prob, in.NumUsers(), j, u, s)
 			j++
 		}
 	}
@@ -193,8 +199,8 @@ func requireColumnBuild(t *testing.T, in *model.Instance, maxSets, workers int) 
 	want, _ := BuildBenchmarkLP(in, sets)
 	got, colStart, trunc := enumerateLP(in, conf, maxSets, workers)
 	requireSameLP(t, got, want)
-	if trunc != wantTrunc {
-		t.Fatalf("%d truncated users, want %d", trunc, wantTrunc)
+	if countTrue(trunc) != wantTrunc {
+		t.Fatalf("%d truncated users, want %d", countTrue(trunc), wantTrunc)
 	}
 	for u, us := range sets {
 		if colStart[u+1]-colStart[u] != len(us) {

@@ -28,7 +28,7 @@ func fractionalRounding(t *testing.T, in *model.Instance, x []float64, alpha flo
 	}
 	sol := &lp.Solution{Status: lp.Optimal, X: x, Y: make([]float64, prob.NumRows), Objective: obj}
 	return func(seed int64) *Result {
-		return roundColumns(in, conf, prob, colStart, sol, Options{Alpha: alpha, Seed: seed}, truncated)
+		return roundColumns(in, conf, prob, colStart, sol, Options{Alpha: alpha, Seed: seed}, countTrue(truncated))
 	}
 }
 

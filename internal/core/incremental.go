@@ -43,8 +43,7 @@ import (
 // maintained post-repair arrangement and its utility accumulator, plus all
 // the scratch the delta walk reuses.
 type incState struct {
-	chosen    []int              // per user: sampled set index, -1 none
-	sampled   [][]int            // per user: owned copy of the sampled set's events
+	sampled   [][]int            // per user: events of the sampled set, if any
 	samplers  [][]int            // per event: users sampling it, ascending
 	droppedOf []int              // per event: pairs currently dropped by repair
 	arr       *model.Arrangement // maintained post-repair arrangement (owned)
@@ -56,6 +55,7 @@ type incState struct {
 	res Result // assembled in place; Update returns &res
 
 	// scratch
+	ev        []int // events of a re-drawn user's new set
 	probs     []float64
 	probOff   []int
 	newChosen []int
@@ -69,8 +69,7 @@ type incState struct {
 
 // ensure sizes the state for nu users and nv events.
 func (st *incState) ensure(nu, nv int) {
-	if len(st.chosen) != nu {
-		st.chosen = make([]int, nu)
+	if len(st.sampled) != nu {
 		st.sampled = make([][]int, nu)
 		st.userMark = make([]bool, nu)
 		st.accMark = make([]bool, nu)
@@ -95,19 +94,19 @@ func (p *Planner) rebuildInc() {
 	}
 	st := p.inc
 	st.ensure(nu, nv)
-	p.buildColMap()
-	copy(st.chosen, SampleSets(nu, p.sets, p.owner, p.sol.X, p.opt.Alpha, p.opt.Seed, p.opt.Workers))
+	prob := p.solver.Problem()
+	drawn := p.drawColumns()
 
 	st.sampledPairs = 0
 	for v := 0; v < nv; v++ {
 		st.samplers[v] = st.samplers[v][:0]
 	}
 	for u := 0; u < nu; u++ {
-		var ev []int
-		if c := st.chosen[u]; c >= 0 {
-			ev = p.sets[u][c].Events
+		ev := st.sampled[u][:0]
+		if j := drawn[u]; j >= 0 {
+			ev = appendEvents(ev, prob, j, nu)
 		}
-		st.sampled[u] = append(st.sampled[u][:0], ev...)
+		st.sampled[u] = ev
 		st.sampledPairs += len(ev)
 		for _, v := range ev {
 			st.samplers[v] = append(st.samplers[v], u) // u ascending: sorted
@@ -158,17 +157,14 @@ func (p *Planner) updateIncremental(users, events []int) *Result {
 		p.rebuildInc()
 		return p.assembleResult()
 	}
-	st := p.inc
-	if len(users) > 0 {
-		p.buildColMap()
-	}
+	st, prob, nu := p.inc, p.solver.Problem(), p.in.NumUsers()
 
 	// Users to re-draw: owners of moved columns plus the delta users (their
 	// columns were replaced; a user left without columns must still re-draw
 	// to the empty choice).
 	st.resample = st.resample[:0]
 	for _, j := range cols {
-		if u := p.owner[j][0]; !st.userMark[u] {
+		if u := int(prob.Col(j)[0]); !st.userMark[u] {
 			st.userMark[u] = true
 			st.resample = append(st.resample, u)
 		}
@@ -185,8 +181,7 @@ func (p *Planner) updateIncremental(users, events []int) *Result {
 	// the same users: per-user streams, same clamp/normalize arithmetic.
 	st.probOff = append(st.probOff[:0], 0)
 	for _, u := range st.resample {
-		nsets := int(p.colOff[u+1] - p.colOff[u])
-		st.probOff = append(st.probOff, st.probOff[len(st.probOff)-1]+nsets)
+		st.probOff = append(st.probOff, st.probOff[len(st.probOff)-1]+len(p.cols[u]))
 	}
 	need := st.probOff[len(st.probOff)-1]
 	if cap(st.probs) < need {
@@ -201,9 +196,8 @@ func (p *Planner) updateIncremental(users, events []int) *Result {
 	par.For(par.Workers(p.opt.Workers), len(st.resample), 8, func(i int) {
 		u := st.resample[i]
 		w := st.probs[st.probOff[i]:st.probOff[i+1]]
-		cols := p.colIdx[p.colOff[u]:p.colOff[u+1]]
-		for k := range w {
-			w[k] = clampProb(alpha * x[cols[k]])
+		for k, j := range p.cols[u] {
+			w[k] = clampProb(alpha * x[j])
 		}
 		st.newChosen[i] = draw(w, seed, u)
 	})
@@ -212,12 +206,11 @@ func (p *Planner) updateIncremental(users, events []int) *Result {
 	st.dirtyEv = st.dirtyEv[:0]
 	for i, u := range st.resample {
 		st.userMark[u] = false
-		c := st.newChosen[i]
-		var ev []int
-		if c >= 0 {
-			ev = p.sets[u][c].Events
+		ev := st.ev[:0]
+		if c := st.newChosen[i]; c >= 0 {
+			ev = appendEvents(ev, prob, int(p.cols[u][c]), nu)
 		}
-		st.chosen[u] = c
+		st.ev = ev
 		if slices.Equal(st.sampled[u], ev) {
 			continue
 		}

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"testing"
 
 	"github.com/ebsn/igepa/internal/lp"
@@ -307,6 +308,7 @@ func FuzzIncrementalRound(f *testing.F) {
 			if err := model.Validate(in, res.Arrangement); err != nil {
 				t.Fatalf("step %d: infeasible arrangement: %v", step, err)
 			}
+			requirePlannerColumns(t, fmt.Sprintf("step %d", step), p)
 		}
 	})
 }

@@ -158,19 +158,24 @@ func LPPacking(in *model.Instance, opt Options) (*Result, error) {
 	if err != nil {
 		return nil, fmt.Errorf("core: benchmark LP: %w", err)
 	}
-	return roundColumns(in, conf, prob, colStart, sol, opt, truncated), nil
+	return roundColumns(in, conf, prob, colStart, sol, opt, countTrue(truncated)), nil
 }
 
 // roundColumns is the tail of Algorithm 1 on enumerateLP's LP: each user
 // draws from its own column range, and repair reads the drawn columns.
 func roundColumns(in *model.Instance, conf *conflict.Matrix, prob *lp.Problem, colStart []int,
 	sol *lp.Solution, opt Options, truncated int) *Result {
-	chosen := sampleRanges(colStart, sol.X, opt.Alpha, opt.Seed, opt.Workers)
-	pk := columnPicks(prob, colStart, chosen)
-	return finish(in, conf, pk, prob, sol, opt, xrand.New(opt.Seed), truncated)
+	drawn := sampleRanges(colStart, sol.X, opt.Alpha, opt.Seed, opt.Workers)
+	for u, c := range drawn {
+		if c >= 0 {
+			drawn[u] = colStart[u] + c
+		}
+	}
+	return finish(in, conf, columnPicks(prob, drawn), prob, sol, opt, xrand.New(opt.Seed), truncated)
 }
 
-// walkers pools the enumeration scratch of the LP build's workers.
+// walkers pools the enumeration scratch of the LP build's workers and of
+// the Planner's re-enumeration of changed users.
 var walkers = sync.Pool{New: func() any { return new(admissible.Walker) }}
 
 // enumerateLP builds the benchmark LP straight from the admissible-set DFS,
@@ -179,10 +184,10 @@ var walkers = sync.Pool{New: func() any { return new(admissible.Walker) }}
 // their exact size, and a second walk writes each set into its column. The
 // LP equals BuildBenchmarkLP over Enumerate's sets bit for bit, and user u's
 // columns are [colStart[u], colStart[u+1]), in set order. It also returns
-// the number of truncated users. Both passes run on the bounded worker pool
-// and write only their users' slots, so the LP does not depend on the
-// worker count.
-func enumerateLP(in *model.Instance, conf *conflict.Matrix, maxSets, workers int) (*lp.Problem, []int, int) {
+// which users' enumerations were truncated. Both passes run on the bounded
+// worker pool and write only their users' slots, so the LP does not depend
+// on the worker count.
+func enumerateLP(in *model.Instance, conf *conflict.Matrix, maxSets, workers int) (*lp.Problem, []int, []bool) {
 	nu := in.NumUsers()
 	wc := in.Weights()
 	cfg := admissible.Config{MaxSetsPerUser: maxSets}
@@ -206,13 +211,9 @@ func enumerateLP(in *model.Instance, conf *conflict.Matrix, maxSets, workers int
 		}
 		walkers.Put(wk)
 	})
-	truncated := 0
 	for u := 0; u < nu; u++ {
 		colStart[u+1] += colStart[u]
 		nzStart[u+1] += nzStart[u]
-		if trunc[u] {
-			truncated++
-		}
 	}
 
 	// Fill: every user writes its own block.
@@ -229,7 +230,18 @@ func enumerateLP(in *model.Instance, conf *conflict.Matrix, maxSets, workers int
 		}
 		walkers.Put(wk)
 	})
-	return p, colStart, truncated
+	return p, colStart, trunc
+}
+
+// countTrue counts the set flags.
+func countTrue(flags []bool) int {
+	n := 0
+	for _, f := range flags {
+		if f {
+			n++
+		}
+	}
+	return n
 }
 
 // columnCounter is the counting sink of enumerateLP's first pass.
@@ -277,10 +289,10 @@ func newBenchmarkLP(in *model.Instance) *lp.Problem {
 
 // BuildBenchmarkLP assembles LP (1)-(4) from stored admissible sets: one
 // column per (user, admissible set), a ≤1 row per user and a ≤cv row per
-// event. owner[j] identifies the user and set index of column j. The
-// incremental Planner builds its LP here; LPPacking builds the same LP from
-// the enumeration without storing the sets (enumerateLP). Exported for the
-// benchmark's staged re-enactment and the ablation benchmarks.
+// event. owner[j] identifies the user and set index of column j. LPPacking
+// and the Planner build the same LP from the enumeration without storing
+// the sets (enumerateLP). Exported for the benchmark's staged re-enactment
+// and the ablation benchmarks.
 func BuildBenchmarkLP(in *model.Instance, sets [][]admissible.Set) (*lp.Problem, [][2]int) {
 	p := newBenchmarkLP(in)
 	ncols, nnz := 0, 0
@@ -411,22 +423,29 @@ type picks struct {
 	weight []float64
 }
 
-// columnPicks reads each user's drawn set from its LP column: the column's
-// rows past the user row, minus |U|, and its cost.
-func columnPicks(prob *lp.Problem, colStart, chosen []int) *picks {
-	nu := len(chosen)
+// columnPicks reads each user's drawn set from its LP column: drawn[u] is
+// the column user u drew, or -1 for none, and the set is the column's
+// events (appendEvents) with its cost as weight.
+func columnPicks(prob *lp.Problem, drawn []int) *picks {
+	nu := len(drawn)
 	pk := &picks{off: make([]int, nu+1), weight: make([]float64, nu)}
-	for u, c := range chosen {
-		if c >= 0 {
-			j := colStart[u] + c
-			for _, r := range prob.Col(j)[1:] {
-				pk.events = append(pk.events, int(r)-nu)
-			}
+	for u, j := range drawn {
+		if j >= 0 {
+			pk.events = appendEvents(pk.events, prob, j, nu)
 			pk.weight[u] = prob.C[j]
 		}
 		pk.off[u+1] = len(pk.events)
 	}
 	return pk
+}
+
+// appendEvents appends the events of the set behind LP column j to dst:
+// the column's rows past the user row, minus |U| = nu.
+func appendEvents(dst []int, prob *lp.Problem, j, nu int) []int {
+	for _, r := range prob.Col(j)[1:] {
+		dst = append(dst, int(r)-nu)
+	}
+	return dst
 }
 
 // setPicks reads each user's drawn set from its stored admissible sets.

@@ -33,12 +33,17 @@ type Delta struct {
 func (d *Delta) Empty() bool { return len(d.Users) == 0 && len(d.Events) == 0 }
 
 // Planner is the incremental mode of LPPacking: it owns a persistent
-// warm-starting LP solver (lp.Solver), the enumeration state behind the
-// benchmark LP, and — under the default repair order — the sampled and
+// warm-starting LP solver (lp.Solver) holding the benchmark LP, each user's
+// list of LP columns, and — under the default repair order — the sampled and
 // repaired arrangement itself, so a stream of small instance deltas costs
 // work proportional to the delta instead of a from-scratch pipeline run.
 // The serving stack uses it to keep a live LP bound (and arrangement) while
 // bids arrive and capacities shrink.
+//
+// An LP column is its admissible set, so the Planner stores no set: user
+// u's k-th admissible set is column cols[u][k] of the solver's problem,
+// whose first row is u's, whose other rows are the set's events offset by
+// |U|, and whose cost is the set's weight.
 //
 // The caller mutates the instance in place (Users[u].Bids, Users[u].Capacity,
 // Events[v].Capacity), then calls Update naming what changed. Derived caches
@@ -66,10 +71,9 @@ type Planner struct {
 	opt  Options
 	conf *conflict.Matrix
 
-	sets       [][]admissible.Set
+	cols       [][]int32 // per user: its LP columns, in set order
 	truncated  []bool
-	truncCount int      // maintained incrementally across re-enumerations
-	owner      [][2]int // column -> (user, set index), aligned with the LP
+	truncCount int // maintained incrementally across re-enumerations
 
 	solver *lp.Solver
 	sol    *lp.Solution
@@ -78,38 +82,16 @@ type Planner struct {
 	lastRes *Result   // most recent Update result (empty-delta short-circuit)
 
 	// scratch reused across Updates so the steady state allocates ~nothing
-	changed   []bool   // user membership of the current delta
-	users     []int    // sorted, deduplicated delta users
-	ownerNext [][2]int // double buffer for the owner rebuild
-	rowBuf    []int
-	lpd       lp.ProblemDelta
-
-	// set-diff scratch: matching a changed user's old admissible sets to
-	// their re-enumerated ones, so surviving sets keep their LP columns (a
-	// bid arrival becomes pure column additions — no basis churn, and the
-	// solver's fast finish prices only the new columns)
-	oldSets  [][]admissible.Set
-	oldOff   []int32 // per changed user: offset into matchOld
-	newOff   []int32 // per changed user: offset into newDone
-	matchOld []int32 // old set index -> new set index, -1 removed
-	newDone  []bool  // new set already matched (no column append)
-
-	// colOff/colIdx map (user, set index) -> LP column: colIdx[colOff[u]+si]
-	// is set si's column, rebuilt from the owner map after column churn.
-	// The incremental sampler reads x through it.
-	colOff []int32
-	colIdx []int32
-
-	// fullRound forces the pre-incremental path — full cache rebuild, full
-	// instance validation, from-scratch re-round per Update. It is the
-	// baseline leg of BenchmarkPlannerUpdate and not reachable through
-	// Options.
-	fullRound bool
+	users  []int   // sorted, deduplicated delta users
+	walked setBuf  // a changed user's re-enumerated sets
+	newCol []int32 // the changed user's new column list, before the remap
+	rowBuf []int
+	lpd    lp.ProblemDelta
 }
 
-// NewPlanner builds the pipeline state for the instance, solves the
-// benchmark LP cold with a persistent revised-simplex lp.Solver, and returns
-// a Planner ready for Update calls.
+// NewPlanner builds the benchmark LP straight from the admissible-set
+// enumeration, solves it cold with a persistent revised-simplex lp.Solver,
+// and returns a Planner ready for Update calls.
 func NewPlanner(in *model.Instance, opt Options) (*Planner, error) {
 	if err := in.Check(); err != nil {
 		return nil, err
@@ -119,27 +101,26 @@ func NewPlanner(in *model.Instance, opt Options) (*Planner, error) {
 	}
 	in.Weights()
 	p := &Planner{
-		in:        in,
-		opt:       opt,
-		conf:      conflict.FromFunc(in.NumEvents(), in.Conflicts),
-		truncated: make([]bool, in.NumUsers()),
-		solver:    lp.NewSolver(opt.lpConfig()),
+		in:     in,
+		opt:    opt,
+		conf:   conflict.FromFunc(in.NumEvents(), in.Conflicts),
+		solver: lp.NewSolver(opt.lpConfig()),
 	}
 	if opt.Repair == RepairByIndex {
 		// the incremental rounding path re-samples exactly the users whose
 		// LP column mass moved between solves
 		p.solver.TrackChangedColumns(true)
 	}
-	workers := par.Workers(opt.Workers)
-	p.sets = make([][]admissible.Set, in.NumUsers())
-	enumerateInto(in, p.conf, p.sets, p.truncated, nil, opt.MaxSetsPerUser, workers)
-	for _, t := range p.truncated {
-		if t {
-			p.truncCount++
-		}
+	prob, colStart, truncated := enumerateLP(in, p.conf, opt.MaxSetsPerUser, par.Workers(opt.Workers))
+	p.truncated, p.truncCount = truncated, countTrue(truncated)
+	flat := make([]int32, prob.NumCols())
+	for j := range flat {
+		flat[j] = int32(j)
 	}
-	prob, owner := BuildBenchmarkLP(in, p.sets)
-	p.owner = owner
+	p.cols = make([][]int32, in.NumUsers())
+	for u := range p.cols {
+		p.cols[u] = flat[colStart[u]:colStart[u+1]:colStart[u+1]]
+	}
 	sol, err := p.solver.Solve(prob)
 	if err != nil {
 		return nil, fmt.Errorf("core: benchmark LP: %w", err)
@@ -188,35 +169,24 @@ func (p *Planner) Update(d Delta) (*Result, error) {
 			return nil, fmt.Errorf("core: delta names unknown event %d", v)
 		}
 	}
-	if d.Empty() && !p.fullRound {
+	if d.Empty() {
 		return p.cachedResult()
 	}
 
 	users := p.sortedUsers(d.Users)
-	if p.fullRound {
-		if len(users) > 0 {
-			// Bids changed: drop the CSR weight cache and bidder lists
-			// wholesale (the pre-incremental behavior).
-			in.Invalidate()
-		}
-		if err := in.Check(); err != nil {
-			return nil, fmt.Errorf("core: instance invalid after mutation: %w", err)
-		}
-	} else {
-		// Validate before patching: the delta-scoped Invalidate indexes
-		// caches by the mutated bids, so bad input must be rejected while
-		// the snapshots are still untouched.
-		if err := in.CheckUsers(users); err != nil {
-			p.lastRes = nil
-			return nil, fmt.Errorf("core: instance invalid after mutation: %w", err)
-		}
-		if err := in.CheckEvents(d.Events); err != nil {
-			p.lastRes = nil
-			return nil, fmt.Errorf("core: instance invalid after mutation: %w", err)
-		}
-		if len(users) > 0 {
-			in.Invalidate(users...)
-		}
+	// Validate before patching: the delta-scoped Invalidate indexes caches
+	// by the mutated bids, so bad input must be rejected while the snapshots
+	// are still untouched.
+	if err := in.CheckUsers(users); err != nil {
+		p.lastRes = nil
+		return nil, fmt.Errorf("core: instance invalid after mutation: %w", err)
+	}
+	if err := in.CheckEvents(d.Events); err != nil {
+		p.lastRes = nil
+		return nil, fmt.Errorf("core: instance invalid after mutation: %w", err)
+	}
+	if len(users) > 0 {
+		in.Invalidate(users...)
 	}
 	in.Weights()
 
@@ -226,12 +196,7 @@ func (p *Planner) Update(d Delta) (*Result, error) {
 	p.lpd.AddCols = p.lpd.AddCols[:0]
 	p.lpd.AddC = p.lpd.AddC[:0]
 	if len(users) > 0 {
-		p.oldSets = p.oldSets[:0]
-		for _, u := range users {
-			p.oldSets = append(p.oldSets, p.sets[u])
-		}
-		p.reenumerate(users)
-		p.rebuildColumns(users, p.oldSets)
+		p.rebuildColumns(users)
 	}
 	for _, v := range d.Events {
 		p.lpd.SetB = append(p.lpd.SetB, lp.BoundChange{Row: nu + v, B: float64(in.Events[v].Capacity)})
@@ -244,7 +209,7 @@ func (p *Planner) Update(d Delta) (*Result, error) {
 	}
 	p.sol = sol
 
-	if p.fullRound || p.opt.Repair != RepairByIndex {
+	if p.opt.Repair != RepairByIndex {
 		res, err := p.Round()
 		if err != nil {
 			return nil, err
@@ -282,25 +247,9 @@ func (p *Planner) cachedResult() (*Result, error) {
 // sorted and deduplicated.
 func (p *Planner) sortedUsers(us []int) []int {
 	p.users = append(p.users[:0], us...)
-	sort.Ints(p.users)
-	p.users = dedupeSorted(p.users)
+	slices.Sort(p.users)
+	p.users = slices.Compact(p.users)
 	return p.users
-}
-
-// reenumerate re-derives the changed users' admissible sets, keeping the
-// truncated-user count current without rescanning every flag.
-func (p *Planner) reenumerate(users []int) {
-	for _, u := range users {
-		if p.truncated[u] {
-			p.truncCount--
-		}
-	}
-	enumerateInto(p.in, p.conf, p.sets, p.truncated, users, p.opt.MaxSetsPerUser, par.Workers(p.opt.Workers))
-	for _, u := range users {
-		if p.truncated[u] {
-			p.truncCount++
-		}
-	}
 }
 
 // matchLimit bounds the per-user O(|old|·|new|) set matching; past it the
@@ -308,151 +257,133 @@ func (p *Planner) reenumerate(users []int) {
 // still correct — matching only saves work.
 const matchLimit = 4096
 
-// setsEqual reports whether two admissible sets are the same LP column:
-// identical event lists and bit-identical weight (weights of surviving bids
-// re-derive bit-equal from the patched cache, so a set untouched by the
-// delta always matches).
-func setsEqual(a, b *admissible.Set) bool {
-	return a.Weight == b.Weight && slices.Equal(a.Events, b.Events)
+// setBuf holds one user's re-enumerated admissible sets: set k has events
+// ev[off[k]:off[k+1]] and weight w[k].
+type setBuf struct {
+	ev  []int
+	off []int
+	w   []float64
 }
 
-// rebuildColumns re-syncs the changed users' LP columns with their
-// re-enumerated admissible sets — by diff, not wholesale replacement: each
-// user's old sets are matched (order-preserving) against the new ones, and
-// only vanished sets' columns are removed, only genuinely new sets'
-// appended. A pure bid arrival therefore adds columns without touching the
-// basis, which is what lets the solver's fast finish price just the delta.
-// The surviving columns keep their relative order (lp.ProblemDelta's
-// contract) with their owner entries rewritten to the new set indices. All
-// delta storage (row lists, the owner double buffer) is planner-owned
-// scratch; lp.Solver copies columns on application.
-func (p *Planner) rebuildColumns(users []int, oldSets [][]admissible.Set) {
-	nu := p.in.NumUsers()
-	if cap(p.changed) < nu {
-		p.changed = make([]bool, nu)
-	} else {
-		p.changed = p.changed[:nu]
-		for i := range p.changed {
-			p.changed[i] = false
-		}
-	}
+func (b *setBuf) emit(events []int, weight float64) {
+	b.ev = append(b.ev, events...)
+	b.off = append(b.off, len(b.ev))
+	b.w = append(b.w, weight)
+}
+
+// rebuildColumns re-enumerates the changed users and re-syncs their LP
+// columns by diff, not wholesale replacement: each user's old columns,
+// read back from the LP, are matched (order-preserving) against the new
+// sets, and only vanished sets' columns are removed, only genuinely new
+// sets' appended. A pure bid arrival therefore adds columns without
+// touching the basis, which is what lets the solver's fast finish price
+// just the delta. It fills the delta's RemoveCols (ascending) and AddCols
+// (user then set order) and rewrites the column lists to the post-delta
+// indexing: surviving columns keep their relative order and added ones are
+// appended (lp.ProblemDelta's contract). lp.Solver copies added columns on
+// application, so their row lists are planner scratch.
+func (p *Planner) rebuildColumns(users []int) {
+	in, prob := p.in, p.solver.Problem()
+	nu := in.NumUsers()
+	wc := in.Weights()
+	cfg := admissible.Config{MaxSetsPerUser: p.opt.MaxSetsPerUser}
+	wk := walkers.Get().(*admissible.Walker)
+	defer walkers.Put(wk)
+	b := &p.walked
+	emit := b.emit
+	p.rowBuf = p.rowBuf[:0]
 	for _, u := range users {
-		p.changed[u] = true
+		b.ev, b.off, b.w = b.ev[:0], append(b.off[:0], 0), b.w[:0]
+		usr := &in.Users[u]
+		if p.truncated[u] {
+			p.truncCount--
+		}
+		p.truncated[u] = wk.Walk(usr.Bids, usr.Capacity, p.conf, func(v int) float64 { return wc.Of(u, v) }, cfg, emit)
+		if p.truncated[u] {
+			p.truncCount++
+		}
+
+		// Match each old column to the first equal new set past the
+		// previous match; newCol[k] is set k's surviving column, or -1.
+		old, n := p.cols[u], len(b.w)
+		p.newCol = slices.Grow(p.newCol[:0], n)[:n]
+		for k := range p.newCol {
+			p.newCol[k] = -1
+		}
+		next, match := 0, len(old)*n <= matchLimit
+		for _, j := range old {
+			matched := false
+			for k := next; match && k < n; k++ {
+				if b.isColumn(prob, int(j), k, nu) {
+					p.newCol[k], next, matched = j, k+1, true
+					break
+				}
+			}
+			if !matched {
+				p.lpd.RemoveCols = append(p.lpd.RemoveCols, int(j))
+			}
+		}
+		// New sets become appended columns; ^a marks the a-th addition
+		// until the remap below knows how many columns survive.
+		for k, j := range p.newCol {
+			if j >= 0 {
+				continue
+			}
+			p.newCol[k] = ^int32(len(p.lpd.AddCols))
+			lo := len(p.rowBuf)
+			p.rowBuf = append(p.rowBuf, u)
+			for _, v := range b.ev[b.off[k]:b.off[k+1]] {
+				p.rowBuf = append(p.rowBuf, nu+v)
+			}
+			p.lpd.AddCols = append(p.lpd.AddCols, lp.Column{Rows: p.rowBuf[lo:len(p.rowBuf):len(p.rowBuf)]})
+			p.lpd.AddC = append(p.lpd.AddC, b.w[k])
+		}
+		if cap(old) < n {
+			old = make([]int32, n)
+		}
+		p.cols[u] = append(old[:0], p.newCol...)
 	}
 
-	// Per-user offsets into the flat match arenas.
-	oldTot, newTot := 0, 0
-	p.oldOff = resizeI32(p.oldOff, nu)
-	p.newOff = resizeI32(p.newOff, nu)
-	for i, u := range users {
-		p.oldOff[u] = int32(oldTot)
-		oldTot += len(oldSets[i])
-		p.newOff[u] = int32(newTot)
-		newTot += len(p.sets[u])
-	}
-	p.matchOld = resizeI32(p.matchOld, oldTot)
-	if cap(p.newDone) < newTot {
-		p.newDone = make([]bool, newTot)
-	}
-	p.newDone = p.newDone[:newTot]
-	for i := range p.newDone {
-		p.newDone[i] = false
-	}
-	for i, u := range users {
-		o, n := oldSets[i], p.sets[u]
-		mo := p.matchOld[p.oldOff[u] : int(p.oldOff[u])+len(o)]
-		nd := p.newDone[p.newOff[u] : int(p.newOff[u])+len(n)]
-		if len(o)*len(n) > matchLimit {
-			for k := range mo {
-				mo[k] = -1
-			}
-			continue
-		}
-		j := 0
-		for k := range o {
-			mo[k] = -1
-			for jj := j; jj < len(n); jj++ {
-				if setsEqual(&o[k], &n[jj]) {
-					mo[k] = int32(jj)
-					nd[jj] = true
-					j = jj + 1
-					break
+	// Remap to the post-delta indexing: a surviving column moves down by
+	// the number of removed columns below it, and the a-th addition lands
+	// at survivors + a.
+	rm := p.lpd.RemoveCols
+	slices.Sort(rm)
+	if len(rm) > 0 {
+		first := int32(rm[0])
+		for _, cs := range p.cols {
+			for k, j := range cs {
+				if j > first {
+					cs[k] = j - int32(sort.SearchInts(rm, int(j)))
 				}
 			}
 		}
 	}
-
-	newOwner := p.ownerNext[:0]
-	for j, ow := range p.owner {
-		u := ow[0]
-		if !p.changed[u] {
-			newOwner = append(newOwner, ow)
-			continue
-		}
-		if m := p.matchOld[int(p.oldOff[u])+ow[1]]; m >= 0 {
-			newOwner = append(newOwner, [2]int{u, int(m)})
-		} else {
-			p.lpd.RemoveCols = append(p.lpd.RemoveCols, j)
-		}
-	}
-
-	rows := 0
+	survivors := int32(prob.NumCols() - len(rm))
 	for _, u := range users {
-		nd := p.newDone[p.newOff[u] : int(p.newOff[u])+len(p.sets[u])]
-		for si, s := range p.sets[u] {
-			if !nd[si] {
-				rows += len(s.Events) + 1
+		for k, j := range p.cols[u] {
+			if j < 0 {
+				p.cols[u][k] = survivors + ^j
 			}
 		}
-	}
-	if cap(p.rowBuf) < rows {
-		p.rowBuf = make([]int, 0, rows)
-	}
-	p.rowBuf = p.rowBuf[:0]
-	for _, u := range users {
-		nd := p.newDone[p.newOff[u] : int(p.newOff[u])+len(p.sets[u])]
-		for si, s := range p.sets[u] {
-			if nd[si] {
-				continue
-			}
-			lo := len(p.rowBuf)
-			p.rowBuf = append(p.rowBuf, u)
-			for _, v := range s.Events {
-				p.rowBuf = append(p.rowBuf, nu+v)
-			}
-			col := p.rowBuf[lo:len(p.rowBuf):len(p.rowBuf)]
-			p.lpd.AddCols = append(p.lpd.AddCols, lp.Column{Rows: col})
-			p.lpd.AddC = append(p.lpd.AddC, s.Weight)
-			newOwner = append(newOwner, [2]int{u, si})
-		}
-	}
-	p.ownerNext = p.owner[:0]
-	p.owner = newOwner
-}
-
-// buildColMap refreshes the (user, set index) -> column map from the owner
-// map.
-func (p *Planner) buildColMap() {
-	nu := p.in.NumUsers()
-	p.colOff = resizeI32(p.colOff, nu+1)
-	total := 0
-	for u := 0; u < nu; u++ {
-		p.colOff[u] = int32(total)
-		total += len(p.sets[u])
-	}
-	p.colOff[nu] = int32(total)
-	p.colIdx = resizeI32(p.colIdx, total)
-	for j, ow := range p.owner {
-		p.colIdx[int(p.colOff[ow[0]])+ow[1]] = int32(j)
 	}
 }
 
-// resizeI32 returns buf with length n, reusing capacity.
-func resizeI32(buf []int32, n int) []int32 {
-	if cap(buf) < n {
-		return make([]int32, n)
+// isColumn reports whether LP column j is set k of the buffer: the same
+// event rows and the same weight. A surviving bid's weight re-derives
+// bit-equal from the patched cache, so a set the delta left alone matches
+// its old column.
+func (b *setBuf) isColumn(prob *lp.Problem, j, k, nu int) bool {
+	rows, ev := prob.Col(j)[1:], b.ev[b.off[k]:b.off[k+1]]
+	if prob.C[j] != b.w[k] || len(rows) != len(ev) {
+		return false
 	}
-	return buf[:n]
+	for i, v := range ev {
+		if int(rows[i]) != nu+v {
+			return false
+		}
+	}
+	return true
 }
 
 // Round samples, repairs and scores an arrangement from the current LP
@@ -462,38 +393,32 @@ func resizeI32(buf []int32, n int) []int32 {
 // the maintained incremental rounding state, which is what makes it the
 // oracle the equivalence tests pin Update against.
 func (p *Planner) Round() (*Result, error) {
-	chosen := SampleSets(p.in.NumUsers(), p.sets, p.owner, p.sol.X, p.opt.Alpha, p.opt.Seed, p.opt.Workers)
-	return finish(p.in, p.conf, setPicks(p.sets, chosen), p.solver.Problem(), p.sol,
+	prob := p.solver.Problem()
+	return finish(p.in, p.conf, columnPicks(prob, p.drawColumns()), prob, p.sol,
 		p.opt, xrand.New(p.opt.Seed), p.truncCount), nil
 }
 
-// dedupeSorted compacts consecutive duplicates in a sorted slice.
-func dedupeSorted(s []int) []int {
-	out := s[:0]
-	for i, v := range s {
-		if i == 0 || v != s[i-1] {
-			out = append(out, v)
+// drawColumns draws every user's set from the current LP solution: it
+// gathers x through the column lists into set order, runs the draw kernel
+// LPPacking runs on its column ranges, and returns the column each user
+// drew, or -1 for none.
+func (p *Planner) drawColumns() []int {
+	nu := len(p.cols)
+	off := make([]int, nu+1)
+	for u, cs := range p.cols {
+		off[u+1] = off[u] + len(cs)
+	}
+	xs := make([]float64, off[nu])
+	for u, cs := range p.cols {
+		for k, j := range cs {
+			xs[off[u]+k] = p.sol.X[j]
 		}
 	}
-	return out
-}
-
-// enumerateInto (re-)enumerates admissible sets for the given users (nil
-// means every user) on the bounded worker pool, writing each user's sets and
-// truncation flag into the caller's slots.
-func enumerateInto(in *model.Instance, conf *conflict.Matrix, sets [][]admissible.Set,
-	trunc []bool, users []int, maxSets, workers int) {
-	wc := in.Weights()
-	body := func(u int) {
-		usr := &in.Users[u]
-		w := func(v int) float64 { return wc.Of(u, v) }
-		r := admissible.Enumerate(usr.Bids, usr.Capacity, conf, w, admissible.Config{MaxSetsPerUser: maxSets})
-		sets[u] = r.Sets
-		trunc[u] = r.Truncated
+	drawn := sampleRanges(off, xs, p.opt.Alpha, p.opt.Seed, p.opt.Workers)
+	for u, c := range drawn {
+		if c >= 0 {
+			drawn[u] = int(p.cols[u][c])
+		}
 	}
-	if users == nil {
-		par.For(workers, in.NumUsers(), 16, body)
-		return
-	}
-	par.For(workers, len(users), 16, func(i int) { body(users[i]) })
+	return drawn
 }

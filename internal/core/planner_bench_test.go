@@ -1,18 +1,10 @@
 package core
 
-// BenchmarkPlannerUpdate is the acceptance point of the incremental
-// rounding: end-to-end Planner.Update cost (delta cache sync + validation +
-// warm LP re-solve + rounding + scoring) on the |U|=500 Table I point, for
-// a single-user bid delta and a 5%-of-users batch delta. The "full" legs
-// run the pre-incremental planner path — full cache rebuild, full instance
-// Check, from-scratch re-round per call — as the in-repo baseline; the
-// "incremental" legs are the shipping path. Note the "full" legs still ride
-// this PR's LP-level wins (factor reuse, fast finish), so their ratio
-// understates the true gain: the PR-4 HEAD code measured on the identical
-// toggle fixture (same machine, benchtime 30x) ran the single-user delta at
-// 860µs / 657KB / 1629 allocs per op vs the incremental path's 125µs /
-// 1.9KB / 34 allocs — ≥5× end-to-end and ≥10× fewer allocs, the acceptance
-// targets. CI emits the current numbers as the BENCH_update.json artifact.
+// BenchmarkPlannerUpdate measures end-to-end Planner.Update cost (delta
+// cache sync + validation + re-enumeration and column diff + warm LP
+// re-solve + incremental rounding + scoring) on the |U|=500 Table I point,
+// for a single-user bid delta and a 5%-of-users batch delta. CI emits the
+// numbers as the BENCH_update.json artifact.
 
 import (
 	"testing"
@@ -65,7 +57,7 @@ func buildPlannerBench(tb testing.TB, every int) (*model.Instance, []benchToggle
 	return in, toggles, users
 }
 
-func benchmarkPlannerUpdate(b *testing.B, every int, full bool) {
+func benchmarkPlannerUpdate(b *testing.B, every int) {
 	base, toggles, users := buildPlannerBench(b, every)
 	in := base.Clone()
 	p, err := NewPlanner(in, Options{Seed: 42})
@@ -73,7 +65,6 @@ func benchmarkPlannerUpdate(b *testing.B, every int, full bool) {
 		b.Fatal(err)
 	}
 	defer p.Close()
-	p.fullRound = full
 
 	state := 0
 	step := func() error {
@@ -107,9 +98,7 @@ func benchmarkPlannerUpdate(b *testing.B, every int, full bool) {
 
 func BenchmarkPlannerUpdate(b *testing.B) {
 	// every=10000 > |U| keeps only the first eligible user: a 1-user delta.
-	b.Run("full/single-user", func(b *testing.B) { benchmarkPlannerUpdate(b, 10000, true) })
-	b.Run("incremental/single-user", func(b *testing.B) { benchmarkPlannerUpdate(b, 10000, false) })
+	b.Run("incremental/single-user", func(b *testing.B) { benchmarkPlannerUpdate(b, 10000) })
 	// every=20 toggles 5% of the 500 users per Update.
-	b.Run("full/batch-5pct", func(b *testing.B) { benchmarkPlannerUpdate(b, 20, true) })
-	b.Run("incremental/batch-5pct", func(b *testing.B) { benchmarkPlannerUpdate(b, 20, false) })
+	b.Run("incremental/batch-5pct", func(b *testing.B) { benchmarkPlannerUpdate(b, 20) })
 }

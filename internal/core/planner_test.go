@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"math"
 	"reflect"
 	"runtime"
@@ -60,6 +61,38 @@ func mutateInstance(in *model.Instance, rng *xrand.RNG) Delta {
 	return d
 }
 
+// requirePlannerColumns decodes every user's column list from the solver's
+// problem and requires it to be admissible.Enumerate on the current
+// instance: the same sets in the same order, each column decoding to its
+// set's events and weight bits (requireColumnIsSet). Every LP column sits in
+// exactly one list, and the truncated-user count is current.
+func requirePlannerColumns(t *testing.T, label string, p *Planner) {
+	t.Helper()
+	prob := p.solver.Problem()
+	sets, truncated := enumerateAll(p.in, p.conf, p.opt.MaxSetsPerUser, 1)
+	if p.truncCount != truncated {
+		t.Fatalf("%s: planner counts %d truncated users, Enumerate %d", label, p.truncCount, truncated)
+	}
+	listed := make([]bool, prob.NumCols())
+	for u, cs := range p.cols {
+		if len(cs) != len(sets[u]) {
+			t.Fatalf("%s: user %d lists %d columns, Enumerate gives %d sets", label, u, len(cs), len(sets[u]))
+		}
+		for k, j := range cs {
+			if j < 0 || int(j) >= len(listed) || listed[j] {
+				t.Fatalf("%s: user %d set %d is column %d: out of range or already listed", label, u, k, j)
+			}
+			listed[j] = true
+			requireColumnIsSet(t, prob, p.in.NumUsers(), int(j), u, sets[u][k])
+		}
+	}
+	for j, ok := range listed {
+		if !ok {
+			t.Fatalf("%s: column %d is in no user's list", label, j)
+		}
+	}
+}
+
 // requireUpdateMatchesColdRebuild runs one Update and cross-checks it
 // against a from-scratch Planner on the identical mutated instance: both
 // must certify their LP solutions and agree on the optimum.
@@ -75,6 +108,7 @@ func requireUpdateMatchesColdRebuild(t *testing.T, label string, p *Planner, d D
 	if err := model.Validate(p.in, res.Arrangement); err != nil {
 		t.Fatalf("%s: rounded arrangement infeasible: %v", label, err)
 	}
+	requirePlannerColumns(t, label, p)
 	cold, err := NewPlanner(p.in, p.opt)
 	if err != nil {
 		t.Fatalf("%s: cold rebuild: %v", label, err)
@@ -318,6 +352,7 @@ func FuzzPlannerUpdate(f *testing.F) {
 			if err := model.Validate(in, res.Arrangement); err != nil {
 				t.Fatalf("step %d: infeasible arrangement: %v", step, err)
 			}
+			requirePlannerColumns(t, fmt.Sprintf("step %d", step), p)
 			cold, err := NewPlanner(in, p.opt)
 			if err != nil {
 				t.Fatal(err)

@@ -189,7 +189,7 @@ func TestHypersparseThresholdInvariance(t *testing.T) {
 		tm := &PhaseTimers{}
 		s := NewSolver(Revised{HypersparseThreshold: thr, Timers: tm})
 		defer s.Release()
-		if _, err := s.Solve(p); err != nil {
+		if _, err := s.Solve(cloneProblem(p)); err != nil {
 			t.Fatalf("thr=%v: %v", thr, err)
 		}
 		sol, err := s.Resolve(d)

@@ -10,6 +10,8 @@ import (
 )
 
 // cloneProblem deep-copies a problem (reference semantics for the tests).
+// A test that reads a problem after handing it to Solver.Solve, which adopts
+// it and edits it in place on every Resolve, hands the solver a clone.
 func cloneProblem(p *Problem) *Problem {
 	return &Problem{
 		NumRows: p.NumRows,
@@ -93,7 +95,7 @@ func TestSolverColdMatchesRevised(t *testing.T) {
 	for trial := 0; trial < 10; trial++ {
 		p := randomPacking(rng, 5+rng.Intn(30), 3+rng.Intn(10), 5)
 		s := NewSolver(Revised{})
-		got, err := s.Solve(p)
+		got, err := s.Solve(cloneProblem(p))
 		if err != nil {
 			t.Fatalf("trial %d: %v", trial, err)
 		}
@@ -110,11 +112,43 @@ func TestSolverColdMatchesRevised(t *testing.T) {
 	}
 }
 
+// TestSolverAdoptsProblem pins Solve's ownership transfer: the Solver keeps
+// the problem it is given, not a copy, and Resolve edits that problem in
+// place.
+func TestSolverAdoptsProblem(t *testing.T) {
+	p := randomPacking(xrand.New(5), 20, 6, 4)
+	s := NewSolver(Revised{})
+	defer s.Release()
+	if _, err := s.Solve(p); err != nil {
+		t.Fatal(err)
+	}
+	if s.Problem() != p {
+		t.Fatal("Solve installed a copy of the problem, not the problem itself")
+	}
+	n := p.NumCols()
+	d := ProblemDelta{
+		SetB:       []BoundChange{{Row: 21, B: p.B[21] + 3}},
+		RemoveCols: []int{0},
+		AddCols:    []Column{{Rows: []int{2, 23}}},
+		AddC:       []float64{0.5},
+	}
+	want := applyDeltaRef(cloneProblem(p), d)
+	if _, err := s.Resolve(d); err != nil {
+		t.Fatal(err)
+	}
+	if s.Problem() != p {
+		t.Fatal("Resolve replaced the adopted problem")
+	}
+	if p.NumCols() != n || !reflect.DeepEqual(cloneProblem(p), want) {
+		t.Fatal("Resolve did not apply the delta to the adopted problem in place")
+	}
+}
+
 func TestResolveBoundChanges(t *testing.T) {
 	rng := xrand.New(17)
 	p := randomPacking(rng, 40, 12, 5)
 	s := NewSolver(Revised{})
-	if _, err := s.Solve(p); err != nil {
+	if _, err := s.Solve(cloneProblem(p)); err != nil {
 		t.Fatal(err)
 	}
 	// grow some capacities (keeps the old basis feasible: ideal warm case)
@@ -183,7 +217,7 @@ func TestResolveObjectiveChanges(t *testing.T) {
 	rng := xrand.New(43)
 	p := randomPacking(rng, 30, 10, 4)
 	s := NewSolver(Revised{})
-	if _, err := s.Solve(p); err != nil {
+	if _, err := s.Solve(cloneProblem(p)); err != nil {
 		t.Fatal(err)
 	}
 	var d ProblemDelta
@@ -319,7 +353,7 @@ func TestResolveWorkerInvariance(t *testing.T) {
 				s := NewSolver(Revised{
 					Pricing: "devex", Workers: workers, ParallelThreshold: parallelThreshold,
 				})
-				if _, err := s.Solve(p); err != nil {
+				if _, err := s.Solve(cloneProblem(p)); err != nil {
 					t.Fatalf("workers=%d: %v", workers, err)
 				}
 				sol, err := s.Resolve(d)

@@ -16,14 +16,18 @@ import (
 //	sol, err = s.Resolve(delta)     // warm re-solve from the previous basis
 //	s.Release()                     // return the state arena to the pool
 //
+// Solve takes ownership of the problem it is given: the Solver keeps it as
+// its current problem without copying it, and every Resolve edits it in
+// place. A caller that needs the problem unchanged passes Solve a copy.
+//
 // Resolve applies a ProblemDelta (columns added/removed, bounds or objective
-// coefficients changed) to the Solver's owned copy of the problem and
-// re-optimizes from the previous optimal basis instead of the all-slack
-// start. Removed basic columns are replaced by free row slacks; if the
-// patched basis turns out numerically singular or primal infeasible, Resolve
-// falls back to a cold solve automatically, so it is never less correct than
-// solving from scratch — only (usually much) faster. Stats reports how often
-// each path ran.
+// coefficients changed) to the Solver's problem and re-optimizes from the
+// previous optimal basis instead of the all-slack start. Removed basic
+// columns are replaced by free row slacks; if the patched basis turns out
+// numerically singular or primal infeasible, Resolve falls back to a cold
+// solve automatically, so it is never less correct than solving from
+// scratch — only (usually much) faster. Stats reports how often each path
+// ran.
 //
 // The underlying state lives in a sync.Pool arena keyed by the row
 // dimension, so short-lived Solvers in a high-QPS serving loop recycle the
@@ -38,7 +42,7 @@ type Solver struct {
 	// bound, iteration limits). The zero value uses the package defaults.
 	Config Revised
 
-	prob   *Problem // owned working copy of the current problem
+	prob   *Problem // the current problem, owned since Solve
 	st     *revisedState
 	warmOK bool // previous solve ended Optimal with st.basis valid for prob
 	stats  SolverStats
@@ -228,14 +232,16 @@ func (s *Solver) diffChanged(oldN int, x []float64) {
 	s.changedAll = false
 }
 
-// Problem returns the Solver's owned copy of the current (post-delta)
-// problem. Callers must treat it as read-only; mutate it only through
-// Resolve.
+// Problem returns the Solver's current (post-delta) problem: the one Solve
+// was given, as every Resolve since has edited it. Callers must treat it as
+// read-only; mutate it only through Resolve.
 func (s *Solver) Problem() *Problem { return s.prob }
 
-// Solve installs a copy of p as the Solver's current problem and solves it
-// cold (all-slack basis). The state arena is acquired from the dimension
-// pool on first use and reused afterwards.
+// Solve takes ownership of p, installs it as the Solver's current problem
+// and solves it cold (all-slack basis). p is not copied: later Resolve calls
+// edit it in place, so the caller must not mutate it, and must not rely on
+// it staying unchanged, after handing it over. The state arena is acquired
+// from the dimension pool on first use and reused afterwards.
 func (s *Solver) Solve(p *Problem) (*Solution, error) {
 	if err := s.Config.validate(); err != nil {
 		return nil, err
@@ -243,7 +249,7 @@ func (s *Solver) Solve(p *Problem) (*Solution, error) {
 	if err := p.Check(); err != nil {
 		return nil, err
 	}
-	s.copyProblem(p)
+	s.prob = p
 	return s.cold()
 }
 
@@ -460,20 +466,6 @@ func (s *Solver) finish(sol *Solution, err error) (*Solution, error) {
 	return sol, err
 }
 
-// copyProblem deep-copies p into the Solver's owned problem, reusing backing
-// arrays.
-func (s *Solver) copyProblem(p *Problem) {
-	if s.prob == nil {
-		s.prob = &Problem{}
-	}
-	dst := s.prob
-	dst.NumRows = p.NumRows
-	dst.B = append(dst.B[:0], p.B...)
-	dst.C = append(dst.C[:0], p.C...)
-	dst.ColPtr = append(dst.ColPtr[:0], p.ColPtr...)
-	dst.Rows = append(dst.Rows[:0], p.Rows...)
-}
-
 // checkDelta validates the delta against the current problem shape.
 func (s *Solver) checkDelta(d *ProblemDelta, oldN int) error {
 	m := s.prob.NumRows
@@ -589,7 +581,7 @@ func (s *Solver) markRemoved(cols []int, oldN int) {
 	}
 }
 
-// applyDelta mutates the owned problem: bounds, objective coefficients,
+// applyDelta mutates the current problem: bounds, objective coefficients,
 // column compaction (filling s.colMap with the old→new index map, -1 for
 // removed, from the mask markRemoved filled), then appended columns.
 func (s *Solver) applyDelta(d *ProblemDelta, oldN int) {

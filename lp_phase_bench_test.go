@@ -70,7 +70,7 @@ func BenchmarkLPPhases(b *testing.B) {
 				tm := &lp.PhaseTimers{}
 				s := lp.NewSolver(lp.Revised{Timers: tm})
 				defer s.Release()
-				if _, err := s.Solve(f.probA); err != nil {
+				if _, err := s.Solve(cloneLP(f.probA)); err != nil {
 					b.Fatal(err)
 				}
 				// prime the toggle so the timed loop only sees tail deltas
@@ -110,7 +110,7 @@ func BenchmarkLPPhases(b *testing.B) {
 				tm := &lp.PhaseTimers{}
 				s := lp.NewSolver(lp.Revised{Timers: tm})
 				defer s.Release()
-				if _, err := s.Solve(f.probA); err != nil {
+				if _, err := s.Solve(cloneLP(f.probA)); err != nil {
 					b.Fatal(err)
 				}
 				// prime the toggle so the timed loop alternates steady-state
@@ -215,7 +215,7 @@ func BenchmarkDualRepairPricing(b *testing.B) {
 		tm := &lp.PhaseTimers{}
 		s := lp.NewSolver(lp.Revised{Timers: tm})
 		defer s.Release()
-		if _, err := s.Solve(f.probA); err != nil {
+		if _, err := s.Solve(cloneLP(f.probA)); err != nil {
 			b.Fatal(err)
 		}
 		tm.Reset()

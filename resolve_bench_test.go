@@ -56,6 +56,19 @@ func setColumns(u, numUsers int, sets []admissible.Set, d *lp.ProblemDelta) {
 	}
 }
 
+// cloneLP deep-copies p. lp.Solver.Solve adopts the problem it is given and
+// every Resolve edits it in place, so a fixture problem that is solved more
+// than once, or read after the solve, goes to the solver as a clone.
+func cloneLP(p *lp.Problem) *lp.Problem {
+	return &lp.Problem{
+		NumRows: p.NumRows,
+		B:       append([]float64(nil), p.B...),
+		C:       append([]float64(nil), p.C...),
+		ColPtr:  append([]int(nil), p.ColPtr...),
+		Rows:    append([]int32(nil), p.Rows...),
+	}
+}
+
 func buildWarmFixture(tb testing.TB) *warmFixture {
 	return buildWarmFixtureAt(tb, 500, 100, 20)
 }
@@ -190,7 +203,7 @@ func BenchmarkWarmResolve(b *testing.B) {
 	b.Run("warm", func(b *testing.B) {
 		s := lp.NewSolver(lp.Revised{})
 		defer s.Release()
-		if _, err := s.Solve(f.probA); err != nil {
+		if _, err := s.Solve(cloneLP(f.probA)); err != nil {
 			b.Fatal(err)
 		}
 		// prime the toggle so the timed loop only sees tail deltas
