@@ -161,6 +161,60 @@ func TestChurnTrajectoryPinned(t *testing.T) {
 	}
 }
 
+// plannerHash is solutionHash of the planner's current LP solution.
+func plannerHash(p *Planner) uint64 { return solutionHash(p.sol) }
+
+// TestChurnCompactionPinned pins, absolutely, a long run of churnStream on
+// TestChurnTrajectoryPinned's instance: 16 blocks of 51 updates, long enough
+// for the column removals to pile up many times over. After every update an
+// FNV-1a chain takes plannerHash, the Result's utility bits, its LP column
+// count and its sampled pairs; the final warm-pivot, fast-finish and
+// refactorization counts must not move either. amd64 only.
+func TestChurnCompactionPinned(t *testing.T) {
+	if runtime.GOARCH != "amd64" {
+		t.Skipf("trajectory bits are pinned on amd64, not %s", runtime.GOARCH)
+	}
+	in, err := workload.Synthetic(workload.SyntheticConfig{Seed: 1_000_003, NumUsers: 2000, NumEvents: 200, MaxEventCap: 100})
+	if err != nil {
+		t.Fatal(err)
+	}
+	p, err := NewPlanner(in, Options{Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer p.Close()
+
+	next := churnStream(in)
+	chain := fnv.New64a()
+	fold := func(vs ...uint64) {
+		var buf [8]byte
+		for _, v := range vs {
+			binary.LittleEndian.PutUint64(buf[:], v)
+			chain.Write(buf[:])
+		}
+	}
+	for j := 0; j < 16*51; j++ {
+		res, err := p.Update(next(j))
+		if err != nil {
+			t.Fatalf("update %d: %v", j, err)
+		}
+		fold(plannerHash(p), math.Float64bits(res.Utility), uint64(res.LPColumns), uint64(res.SampledPairs))
+	}
+	const (
+		wantChain        = 0xd76e12a00287de18
+		wantWarmPivots   = 2528
+		wantFastFinishes = 429
+		wantRefactors    = 44
+	)
+	st := p.Stats()
+	if h := chain.Sum64(); h != wantChain || st.WarmPivots != wantWarmPivots ||
+		st.FastFinishes != wantFastFinishes || st.Refactorizations != wantRefactors {
+		t.Errorf("trajectory moved: got chain=%#x warm pivots=%d fast finishes=%d refactorizations=%d, want chain=%#x warm pivots=%d fast finishes=%d refactorizations=%d",
+			h, st.WarmPivots, st.FastFinishes, st.Refactorizations,
+			uint64(wantChain), wantWarmPivots, wantFastFinishes, wantRefactors)
+	}
+}
+
 // churnStream returns TestChurnTrajectoryPinned's update stream on in: next(j)
 // mutates in for update j and returns its delta. Update j%51 == 50 toggles
 // 5% of the users, every fifth other update edits the capacity of 5 events
