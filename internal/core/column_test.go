@@ -323,7 +323,7 @@ func TestColumnRoundingMatchesSetRounding(t *testing.T) {
 				opt := Options{Alpha: alpha, Seed: seed, Repair: order, Workers: 2}
 				got := roundColumns(in, conf, prob, colStart, sol, opt, trunc)
 				chosen := SampleSets(in.NumUsers(), sets, owner, x, alpha, seed, 1)
-				want := finish(in, conf, setPicks(sets, chosen), prob, sol, opt, xrand.New(seed), trunc)
+				want := finish(in, conf, setPicks(sets, chosen), prob.NumCols(), sol, opt, xrand.New(seed), trunc)
 				if !reflect.DeepEqual(got.Arrangement, want.Arrangement) || got.SampledPairs != want.SampledPairs ||
 					got.RepairDropped != want.RepairDropped || math.Float64bits(got.Utility) != math.Float64bits(want.Utility) {
 					t.Fatalf("seed %d α=%v %v: column path %+v, set path %+v", seed, alpha, order, got, want)

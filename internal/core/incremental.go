@@ -286,7 +286,7 @@ func (p *Planner) assembleResult() *Result {
 		Utility:        st.acc.Total(),
 		LPObjective:    p.sol.Objective,
 		LPIterations:   p.sol.Iterations,
-		LPColumns:      p.solver.Problem().NumCols(),
+		LPColumns:      p.solver.LiveColumns(),
 		TruncatedUsers: p.truncCount,
 		SampledPairs:   st.sampledPairs,
 		RepairDropped:  st.dropped,

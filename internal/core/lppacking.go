@@ -171,7 +171,7 @@ func roundColumns(in *model.Instance, conf *conflict.Matrix, prob *lp.Problem, c
 			drawn[u] = colStart[u] + c
 		}
 	}
-	return finish(in, conf, columnPicks(prob, drawn), prob, sol, opt, xrand.New(opt.Seed), truncated)
+	return finish(in, conf, columnPicks(prob, drawn), prob.NumCols(), sol, opt, xrand.New(opt.Seed), truncated)
 }
 
 // walkers pools the enumeration scratch of the LP build's workers and of
@@ -317,7 +317,7 @@ func BuildBenchmarkLP(in *model.Instance, sets [][]admissible.Set) (*lp.Problem,
 
 // finish repairs the drawn sets, optionally fills, and assembles the
 // Result. opt.Alpha must already be resolved (resolveAlpha).
-func finish(in *model.Instance, conf *conflict.Matrix, pk *picks, prob *lp.Problem, sol *lp.Solution,
+func finish(in *model.Instance, conf *conflict.Matrix, pk *picks, columns int, sol *lp.Solution,
 	opt Options, rng *xrand.RNG, truncated int) *Result {
 
 	arr, dropped := repair(in, pk, opt.Repair, rng)
@@ -333,7 +333,7 @@ func finish(in *model.Instance, conf *conflict.Matrix, pk *picks, prob *lp.Probl
 		Utility:        model.Utility(in, arr),
 		LPObjective:    sol.Objective,
 		LPIterations:   sol.Iterations,
-		LPColumns:      prob.NumCols(),
+		LPColumns:      columns,
 		TruncatedUsers: truncated,
 		SampledPairs:   len(pk.events),
 		RepairDropped:  dropped,

@@ -3,7 +3,6 @@ package core
 import (
 	"fmt"
 	"slices"
-	"sort"
 
 	"github.com/ebsn/igepa/internal/admissible"
 	"github.com/ebsn/igepa/internal/conflict"
@@ -41,9 +40,11 @@ func (d *Delta) Empty() bool { return len(d.Users) == 0 && len(d.Events) == 0 }
 // bids arrive and capacities shrink.
 //
 // An LP column is its admissible set, so the Planner stores no set: user
-// u's k-th admissible set is column cols[u][k] of the solver's problem,
-// whose first row is u's, whose other rows are the set's events offset by
-// |U|, and whose cost is the set's weight.
+// u's k-th admissible set is slot cols[u][k] of the solver's problem, whose
+// first row is u's, whose other rows are the set's events offset by |U|,
+// and whose cost is the set's weight. Slots are stable (lp.Solver): a
+// column keeps its slot until a compaction renumbers them all, so an Update
+// rewrites only its delta users' lists.
 //
 // The caller mutates the instance in place (Users[u].Bids, Users[u].Capacity,
 // Events[v].Capacity), then calls Update naming what changed. Derived caches
@@ -71,7 +72,7 @@ type Planner struct {
 	opt  Options
 	conf *conflict.Matrix
 
-	cols       [][]int32 // per user: its LP columns, in set order
+	cols       [][]int32 // per user: its LP column slots, in set order
 	truncated  []bool
 	truncCount int // maintained incrementally across re-enumerations
 
@@ -84,7 +85,7 @@ type Planner struct {
 	// scratch reused across Updates so the steady state allocates ~nothing
 	users  []int   // sorted, deduplicated delta users
 	walked setBuf  // a changed user's re-enumerated sets
-	newCol []int32 // the changed user's new column list, before the remap
+	newCol []int32 // the changed user's new column list
 	rowBuf []int
 	lpd    lp.ProblemDelta
 }
@@ -203,6 +204,13 @@ func (p *Planner) Update(d Delta) (*Result, error) {
 	}
 
 	sol, err := p.solver.Resolve(p.lpd)
+	if r := p.solver.Renumbering(); r != nil {
+		for _, cs := range p.cols {
+			for k, j := range cs {
+				cs[k] = r[j]
+			}
+		}
+	}
 	if err != nil {
 		p.lastRes = nil
 		return nil, fmt.Errorf("core: benchmark LP re-solve: %w", err)
@@ -277,11 +285,12 @@ func (b *setBuf) emit(events []int, weight float64) {
 // sets, and only vanished sets' columns are removed, only genuinely new
 // sets' appended. A pure bid arrival therefore adds columns without
 // touching the basis, which is what lets the solver's fast finish price
-// just the delta. It fills the delta's RemoveCols (ascending) and AddCols
-// (user then set order) and rewrites the column lists to the post-delta
-// indexing: surviving columns keep their relative order and added ones are
-// appended (lp.ProblemDelta's contract). lp.Solver copies added columns on
-// application, so their row lists are planner scratch.
+// just the delta. It fills the delta's RemoveCols and AddCols (user then set
+// order) and rewrites the changed users' lists in post-delta slots:
+// surviving columns keep theirs, and the a-th added column takes slot
+// NumCols() + a (lp.ProblemDelta's contract). Every other list is left
+// alone. lp.Solver copies added columns on application, so their row lists
+// are planner scratch.
 func (p *Planner) rebuildColumns(users []int) {
 	in, prob := p.in, p.solver.Problem()
 	nu := in.NumUsers()
@@ -323,13 +332,12 @@ func (p *Planner) rebuildColumns(users []int) {
 				p.lpd.RemoveCols = append(p.lpd.RemoveCols, int(j))
 			}
 		}
-		// New sets become appended columns; ^a marks the a-th addition
-		// until the remap below knows how many columns survive.
+		// New sets become appended columns.
 		for k, j := range p.newCol {
 			if j >= 0 {
 				continue
 			}
-			p.newCol[k] = ^int32(len(p.lpd.AddCols))
+			p.newCol[k] = int32(prob.NumCols() + len(p.lpd.AddCols))
 			lo := len(p.rowBuf)
 			p.rowBuf = append(p.rowBuf, u)
 			for _, v := range b.ev[b.off[k]:b.off[k+1]] {
@@ -342,30 +350,6 @@ func (p *Planner) rebuildColumns(users []int) {
 			old = make([]int32, n)
 		}
 		p.cols[u] = append(old[:0], p.newCol...)
-	}
-
-	// Remap to the post-delta indexing: a surviving column moves down by
-	// the number of removed columns below it, and the a-th addition lands
-	// at survivors + a.
-	rm := p.lpd.RemoveCols
-	slices.Sort(rm)
-	if len(rm) > 0 {
-		first := int32(rm[0])
-		for _, cs := range p.cols {
-			for k, j := range cs {
-				if j > first {
-					cs[k] = j - int32(sort.SearchInts(rm, int(j)))
-				}
-			}
-		}
-	}
-	survivors := int32(prob.NumCols() - len(rm))
-	for _, u := range users {
-		for k, j := range p.cols[u] {
-			if j < 0 {
-				p.cols[u][k] = survivors + ^j
-			}
-		}
 	}
 }
 
@@ -394,7 +378,7 @@ func (b *setBuf) isColumn(prob *lp.Problem, j, k, nu int) bool {
 // oracle the equivalence tests pin Update against.
 func (p *Planner) Round() (*Result, error) {
 	prob := p.solver.Problem()
-	return finish(p.in, p.conf, columnPicks(prob, p.drawColumns()), prob, p.sol,
+	return finish(p.in, p.conf, columnPicks(prob, p.drawColumns()), p.solver.LiveColumns(), p.sol,
 		p.opt, xrand.New(p.opt.Seed), p.truncCount), nil
 }
 

@@ -3,8 +3,10 @@ package core
 // BenchmarkPlannerUpdate measures end-to-end Planner.Update cost (delta
 // cache sync + validation + re-enumeration and column diff + warm LP
 // re-solve + incremental rounding + scoring) on the |U|=500 Table I point,
-// for a single-user bid delta and a 5%-of-users batch delta. CI emits the
-// numbers as the BENCH_update.json artifact.
+// for a single-user bid delta and a 5%-of-users batch delta, and on the
+// |U|=4000 Table I point for a single-user delta, which shows how the cost
+// of a one-user update grows with the LP's width. CI emits the numbers as
+// the BENCH_update.json artifact.
 
 import (
 	"testing"
@@ -22,9 +24,9 @@ type benchToggle struct {
 	alt  [2][]int
 }
 
-func buildPlannerBench(tb testing.TB, every int) (*model.Instance, []benchToggle, []int) {
+func buildPlannerBench(tb testing.TB, cfg workload.SyntheticConfig, every int) (*model.Instance, []benchToggle, []int) {
 	tb.Helper()
-	in, err := workload.Synthetic(workload.SyntheticConfig{Seed: 1, NumUsers: 500, NumEvents: 100})
+	in, err := workload.Synthetic(cfg)
 	if err != nil {
 		tb.Fatal(err)
 	}
@@ -57,8 +59,8 @@ func buildPlannerBench(tb testing.TB, every int) (*model.Instance, []benchToggle
 	return in, toggles, users
 }
 
-func benchmarkPlannerUpdate(b *testing.B, every int) {
-	base, toggles, users := buildPlannerBench(b, every)
+func benchmarkPlannerUpdate(b *testing.B, cfg workload.SyntheticConfig, every int) {
+	base, toggles, users := buildPlannerBench(b, cfg, every)
 	in := base.Clone()
 	p, err := NewPlanner(in, Options{Seed: 42})
 	if err != nil {
@@ -97,8 +99,13 @@ func benchmarkPlannerUpdate(b *testing.B, every int) {
 }
 
 func BenchmarkPlannerUpdate(b *testing.B) {
+	u500 := workload.SyntheticConfig{Seed: 1, NumUsers: 500, NumEvents: 100}
 	// every=10000 > |U| keeps only the first eligible user: a 1-user delta.
-	b.Run("incremental/single-user", func(b *testing.B) { benchmarkPlannerUpdate(b, 10000) })
+	b.Run("incremental/single-user", func(b *testing.B) { benchmarkPlannerUpdate(b, u500, 10000) })
 	// every=20 toggles 5% of the 500 users per Update.
-	b.Run("incremental/batch-5pct", func(b *testing.B) { benchmarkPlannerUpdate(b, 20) })
+	b.Run("incremental/batch-5pct", func(b *testing.B) { benchmarkPlannerUpdate(b, u500, 20) })
+	// Table I at |U| = 4000 (its default 200 events), one user per Update.
+	b.Run("incremental/single-user-U4000", func(b *testing.B) {
+		benchmarkPlannerUpdate(b, workload.SyntheticConfig{Seed: 1, NumUsers: 4000}, 10000)
+	})
 }

@@ -64,8 +64,9 @@ func mutateInstance(in *model.Instance, rng *xrand.RNG) Delta {
 // requirePlannerColumns decodes every user's column list from the solver's
 // problem and requires it to be admissible.Enumerate on the current
 // instance: the same sets in the same order, each column decoding to its
-// set's events and weight bits (requireColumnIsSet). Every LP column sits in
-// exactly one list, and the truncated-user count is current.
+// set's events and weight bits (requireColumnIsSet). Every live slot sits in
+// exactly one list, no tombstone is in any, and the truncated-user count is
+// current.
 func requirePlannerColumns(t *testing.T, label string, p *Planner) {
 	t.Helper()
 	prob := p.solver.Problem()
@@ -82,12 +83,15 @@ func requirePlannerColumns(t *testing.T, label string, p *Planner) {
 			if j < 0 || int(j) >= len(listed) || listed[j] {
 				t.Fatalf("%s: user %d set %d is column %d: out of range or already listed", label, u, k, j)
 			}
+			if !p.solver.Live(int(j)) {
+				t.Fatalf("%s: user %d set %d is column %d, a tombstone", label, u, k, j)
+			}
 			listed[j] = true
 			requireColumnIsSet(t, prob, p.in.NumUsers(), int(j), u, sets[u][k])
 		}
 	}
 	for j, ok := range listed {
-		if !ok {
+		if !ok && p.solver.Live(j) {
 			t.Fatalf("%s: column %d is in no user's list", label, j)
 		}
 	}

@@ -15,16 +15,24 @@ import (
 	"github.com/ebsn/igepa/internal/xrand"
 )
 
-// solutionHash is an FNV-1a hash over the bits of X then Y, with signed
-// zeros collapsed.
-func solutionHash(sol *lp.Solution) uint64 {
+// solutionHash is an FNV-1a hash over the bits of X's live slots then Y,
+// with signed zeros collapsed. live reports whether a slot is live; nil
+// means every slot is, and a solution without tombstones hashes the same
+// either way.
+func solutionHash(sol *lp.Solution, live func(j int) bool) uint64 {
 	h := fnv.New64a()
 	var buf [8]byte
-	for _, vec := range [][]float64{sol.X, sol.Y} {
-		for _, v := range vec {
-			binary.LittleEndian.PutUint64(buf[:], math.Float64bits(v+0))
-			h.Write(buf[:])
+	put := func(v float64) {
+		binary.LittleEndian.PutUint64(buf[:], math.Float64bits(v+0))
+		h.Write(buf[:])
+	}
+	for j, v := range sol.X {
+		if live == nil || live(j) {
+			put(v)
 		}
+	}
+	for _, v := range sol.Y {
+		put(v)
 	}
 	return h.Sum64()
 }
@@ -64,7 +72,7 @@ func TestPlanTallDevexTrajectoryPinned(t *testing.T) {
 		wantObj   = 0x40aa2969d0730611
 		wantHash  = 0x6fc191d868e123d0
 	)
-	if obj, h := math.Float64bits(sol.Objective), solutionHash(sol); sol.Iterations != wantIters || obj != wantObj || h != wantHash {
+	if obj, h := math.Float64bits(sol.Objective), solutionHash(sol, nil); sol.Iterations != wantIters || obj != wantObj || h != wantHash {
 		t.Errorf("trajectory moved: got iters=%d obj=%#x hash=%#x, want iters=%d obj=%#x hash=%#x",
 			sol.Iterations, obj, h, wantIters, uint64(wantObj), uint64(wantHash))
 	}
@@ -105,7 +113,7 @@ func TestMeetupTrajectoryPinned(t *testing.T) {
 		wantObj   = 0x408c3a97b9fbaabb
 		wantHash  = 0x4a9d77c3850593e0
 	)
-	if obj, h := math.Float64bits(sol.Objective), solutionHash(sol); sol.Iterations != wantIters || obj != wantObj || h != wantHash {
+	if obj, h := math.Float64bits(sol.Objective), solutionHash(sol, nil); sol.Iterations != wantIters || obj != wantObj || h != wantHash {
 		t.Errorf("trajectory moved: got iters=%d obj=%#x hash=%#x, want iters=%d obj=%#x hash=%#x",
 			sol.Iterations, obj, h, wantIters, uint64(wantObj), uint64(wantHash))
 	}
@@ -143,7 +151,7 @@ func TestChurnTrajectoryPinned(t *testing.T) {
 		if _, err := p.Update(d); err != nil {
 			t.Fatalf("update %d: %v", j, err)
 		}
-		binary.LittleEndian.PutUint64(buf[:], solutionHash(p.sol))
+		binary.LittleEndian.PutUint64(buf[:], plannerHash(p))
 		chain.Write(buf[:])
 	}
 	const (
@@ -161,15 +169,17 @@ func TestChurnTrajectoryPinned(t *testing.T) {
 	}
 }
 
-// plannerHash is solutionHash of the planner's current LP solution.
-func plannerHash(p *Planner) uint64 { return solutionHash(p.sol) }
+// plannerHash is solutionHash of the planner's current LP solution, over
+// the live slots of its problem.
+func plannerHash(p *Planner) uint64 { return solutionHash(p.sol, p.solver.Live) }
 
 // TestChurnCompactionPinned pins, absolutely, a long run of churnStream on
 // TestChurnTrajectoryPinned's instance: 16 blocks of 51 updates, long enough
-// for the column removals to pile up many times over. After every update an
-// FNV-1a chain takes plannerHash, the Result's utility bits, its LP column
-// count and its sampled pairs; the final warm-pivot, fast-finish and
-// refactorization counts must not move either. amd64 only.
+// for the solver's tombstones to cross its compaction threshold at least
+// twice. After every update an FNV-1a chain takes plannerHash, the Result's
+// utility bits, its LP column count and its sampled pairs; the final
+// warm-pivot, fast-finish and refactorization counts must not move either.
+// amd64 only.
 func TestChurnCompactionPinned(t *testing.T) {
 	if runtime.GOARCH != "amd64" {
 		t.Skipf("trajectory bits are pinned on amd64, not %s", runtime.GOARCH)
@@ -212,6 +222,9 @@ func TestChurnCompactionPinned(t *testing.T) {
 		t.Errorf("trajectory moved: got chain=%#x warm pivots=%d fast finishes=%d refactorizations=%d, want chain=%#x warm pivots=%d fast finishes=%d refactorizations=%d",
 			h, st.WarmPivots, st.FastFinishes, st.Refactorizations,
 			uint64(wantChain), wantWarmPivots, wantFastFinishes, wantRefactors)
+	}
+	if st.Compactions < 2 || st.ColdSolves != 1 {
+		t.Errorf("%d compactions and %d cold solves, want ≥ 2 compactions on the warm path alone", st.Compactions, st.ColdSolves)
 	}
 }
 

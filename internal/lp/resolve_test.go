@@ -2,8 +2,10 @@ package lp
 
 import (
 	"errors"
+	"fmt"
 	"math"
 	"reflect"
+	"slices"
 	"testing"
 
 	"github.com/ebsn/igepa/internal/xrand"
@@ -22,31 +24,20 @@ func cloneProblem(p *Problem) *Problem {
 	}
 }
 
-// applyDeltaRef applies d to p by independent brute force — the reference
-// the Solver's in-place delta application is checked against.
+// applyDeltaRef applies d to p by independent brute force under the slot
+// rule — a removed column keeps its slot and rows at cost 0, added columns
+// are appended — the reference the Solver's in-place delta application is
+// checked against.
 func applyDeltaRef(p *Problem, d ProblemDelta) *Problem {
-	out := &Problem{NumRows: p.NumRows, B: append([]float64(nil), p.B...)}
+	out := cloneProblem(p)
 	for _, bc := range d.SetB {
 		out.B[bc.Row] = bc.B
 	}
-	c := append([]float64(nil), p.C...)
 	for _, oc := range d.SetC {
-		c[oc.Col] = oc.C
+		out.C[oc.Col] = oc.C
 	}
-	removed := make(map[int]bool, len(d.RemoveCols))
 	for _, j := range d.RemoveCols {
-		removed[j] = true
-	}
-	for j := 0; j < p.NumCols(); j++ {
-		if removed[j] {
-			continue
-		}
-		rows32 := p.Col(j)
-		rows := make([]int, len(rows32))
-		for i, r := range rows32 {
-			rows[i] = int(r)
-		}
-		out.AddColumn(c[j], rows)
+		out.C[j] = 0
 	}
 	for k := range d.AddCols {
 		out.AddColumn(d.AddC[k], d.AddCols[k].Rows)
@@ -54,19 +45,100 @@ func applyDeltaRef(p *Problem, d ProblemDelta) *Problem {
 	return out
 }
 
+// liveMask returns which slots of the solver's problem are live.
+func liveMask(s *Solver) []bool {
+	live := make([]bool, s.Problem().NumCols())
+	for j := range live {
+		live[j] = s.Live(j)
+	}
+	return live
+}
+
+// liveSlots lists the live slots of the solver's problem, ascending.
+func liveSlots(s *Solver) []int {
+	var out []int
+	for j, ok := range liveMask(s) {
+		if ok {
+			out = append(out, j)
+		}
+	}
+	return out
+}
+
+// resolveRef runs s.Resolve(d) and requires the slot rule of its delta
+// application. ref is applyDeltaRef of the problem before the call. Without
+// a compaction the solver's problem must equal ref, and its tombstones must
+// be exactly the earlier ones plus d's removals, so every survivor kept its
+// slot and column. After one, Renumbering must drop exactly those and
+// number the rest in order, and the problem must equal ref without them.
+// It returns the solution and the reference in the solver's numbering.
+func resolveRef(t *testing.T, label string, s *Solver, d ProblemDelta) (*Solution, *Problem, error) {
+	t.Helper()
+	ref := applyDeltaRef(s.Problem(), d)
+	dead := liveMask(s)
+	for j := range dead {
+		dead[j] = !dead[j]
+	}
+	for _, j := range d.RemoveCols {
+		dead[j] = true
+	}
+	for range d.AddCols {
+		dead = append(dead, false)
+	}
+	sol, err := s.Resolve(d)
+	if err != nil {
+		return sol, ref, err
+	}
+	if r := s.Renumbering(); r != nil {
+		if len(r) != ref.NumCols() {
+			t.Fatalf("%s: renumbering covers %d slots, want %d", label, len(r), ref.NumCols())
+		}
+		want := &Problem{NumRows: ref.NumRows, B: ref.B, ColPtr: []int{0}}
+		for j := range r {
+			if (r[j] < 0) != dead[j] || (r[j] >= 0 && int(r[j]) != want.NumCols()) {
+				t.Fatalf("%s: renumbering sends slot %d (tombstone: %v) to %d with %d kept before it", label, j, dead[j], r[j], want.NumCols())
+			}
+			if r[j] >= 0 {
+				want.addColumn32(ref.C[j], ref.Col(j))
+			}
+		}
+		ref = want
+		dead = make([]bool, ref.NumCols())
+	}
+	got := s.Problem()
+	if !slices.Equal(got.B, ref.B) || !slices.Equal(got.C, ref.C) ||
+		!slices.Equal(got.Rows, ref.Rows) || !slices.Equal(got.ColPtr, ref.ColPtr) {
+		t.Fatalf("%s: in-place delta application diverged from reference", label)
+	}
+	for j, isDead := range dead {
+		if s.Live(j) == isDead {
+			t.Fatalf("%s: slot %d live=%v, want tombstone=%v", label, j, s.Live(j), isDead)
+		}
+	}
+	if s.LiveColumns() != ref.NumCols()-countTrue(dead) {
+		t.Fatalf("%s: %d live columns, want %d", label, s.LiveColumns(), ref.NumCols()-countTrue(dead))
+	}
+	return sol, ref, nil
+}
+
+func countTrue(bs []bool) int {
+	n := 0
+	for _, b := range bs {
+		if b {
+			n++
+		}
+	}
+	return n
+}
+
 // requireResolveMatchesCold applies d through the persistent solver and
 // cross-checks against a cold solve of the independently mutated problem:
 // same problem data, certified optimality on both, and matching objectives.
 func requireResolveMatchesCold(t *testing.T, label string, s *Solver, d ProblemDelta, tol float64) (*Solution, *Solution) {
 	t.Helper()
-	ref := applyDeltaRef(s.Problem(), d)
-	warm, err := s.Resolve(d)
+	warm, ref, err := resolveRef(t, label, s, d)
 	if err != nil {
 		t.Fatalf("%s: Resolve: %v", label, err)
-	}
-	if !reflect.DeepEqual(s.Problem().B, ref.B) || !reflect.DeepEqual(s.Problem().C, ref.C) ||
-		!reflect.DeepEqual(s.Problem().Rows, ref.Rows) || !reflect.DeepEqual(s.Problem().ColPtr, ref.ColPtr) {
-		t.Fatalf("%s: in-place delta application diverged from reference", label)
 	}
 	cold, err := (&Revised{NoPerturb: s.Config.NoPerturb, Pricing: s.Config.Pricing}).Solve(ref)
 	if err != nil {
@@ -132,14 +204,13 @@ func TestSolverAdoptsProblem(t *testing.T) {
 		AddCols:    []Column{{Rows: []int{2, 23}}},
 		AddC:       []float64{0.5},
 	}
-	want := applyDeltaRef(cloneProblem(p), d)
-	if _, err := s.Resolve(d); err != nil {
+	if _, _, err := resolveRef(t, "adopted", s, d); err != nil {
 		t.Fatal(err)
 	}
 	if s.Problem() != p {
 		t.Fatal("Resolve replaced the adopted problem")
 	}
-	if p.NumCols() != n || !reflect.DeepEqual(cloneProblem(p), want) {
+	if s.LiveColumns() != n {
 		t.Fatal("Resolve did not apply the delta to the adopted problem in place")
 	}
 }
@@ -203,8 +274,8 @@ func TestResolveColumnChurn(t *testing.T) {
 
 	// chained deltas keep working (warm-on-warm)
 	for round := 0; round < 5; round++ {
-		n := s.Problem().NumCols()
-		d = ProblemDelta{RemoveCols: []int{rng.Intn(n)}}
+		live := liveSlots(s)
+		d = ProblemDelta{RemoveCols: []int{live[rng.Intn(len(live))]}}
 		grp := rng.Intn(50)
 		d.AddCols = []Column{{Rows: []int{grp, 50 + rng.Intn(15)}}}
 		d.AddC = []float64{rng.Float64()}
@@ -323,6 +394,42 @@ func TestResolveValidation(t *testing.T) {
 	if _, err := s.Solve(p); err != nil {
 		t.Errorf("Solve after Release: %v", err)
 	}
+
+	// A slot removed by an earlier delta is a tombstone: naming it again in
+	// RemoveCols or SetC is rejected with the typed error, while duplicates
+	// within one delta are still tolerated.
+	var cols []Column
+	var c []float64
+	for k := 0; k < 16; k++ {
+		cols = append(cols, Column{Rows: []int{k % 4}})
+		c = append(c, float64(1+k%3))
+	}
+	ts := NewSolver(Revised{})
+	defer ts.Release()
+	if _, err := ts.Solve(NewProblem(4, []float64{1, 1, 1, 1}, c, cols)); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := ts.Resolve(ProblemDelta{RemoveCols: []int{3, 3}, SetC: []ObjChange{{Col: 3, C: 5}}}); err != nil {
+		t.Fatalf("duplicate removal within one delta: %v", err)
+	}
+	if ts.Live(3) || ts.Renumbering() != nil {
+		t.Fatal("a warm removal of 1 of 16 columns did not leave a tombstone in its slot")
+	}
+	for i, d := range []ProblemDelta{
+		{RemoveCols: []int{3}},
+		{SetC: []ObjChange{{Col: 3, C: 1}}},
+		{RemoveCols: []int{5, 3}},
+		{SetB: []BoundChange{{Row: 0, B: 2}}, SetC: []ObjChange{{Col: 4, C: 1}, {Col: 3, C: 1}}},
+	} {
+		before := cloneProblem(ts.Problem())
+		var te *TombstoneError
+		if _, err := ts.Resolve(d); !errors.As(err, &te) || te.Col != 3 {
+			t.Errorf("tombstone delta %d: err = %v, want *TombstoneError{Col: 3}", i, err)
+		}
+		if !reflect.DeepEqual(cloneProblem(ts.Problem()), before) || ts.Live(3) || !ts.Live(5) {
+			t.Errorf("tombstone delta %d: the rejected delta changed the problem", i)
+		}
+	}
 }
 
 // TestResolveWorkerInvariance pins that the warm path, like the cold one, is
@@ -390,10 +497,10 @@ func TestResolveRefactorEveryOne(t *testing.T) {
 		t.Fatal(err)
 	}
 	for round := 0; round < 4; round++ {
-		n := s.Problem().NumCols()
+		live := liveSlots(s)
 		d := ProblemDelta{
 			SetB:       []BoundChange{{Row: 60 + rng.Intn(15), B: float64(rng.Intn(4))}},
-			RemoveCols: []int{rng.Intn(n)},
+			RemoveCols: []int{live[rng.Intn(len(live))]},
 		}
 		d.AddCols = []Column{{Rows: []int{rng.Intn(60), 60 + rng.Intn(15)}}}
 		d.AddC = []float64{rng.Float64()}
@@ -464,147 +571,182 @@ func TestRedDirtyQueueBounded(t *testing.T) {
 	requireRedCacheExact(t, 3*limit, s)
 }
 
+// requireTombstonesInert requires every tombstone of the solver's problem
+// to be nonbasic with x = 0 in sol, its last solution.
+func requireTombstonesInert(t *testing.T, step int, s *Solver, sol *Solution) {
+	t.Helper()
+	for j := range sol.X {
+		if s.Live(j) {
+			continue
+		}
+		if s.st.posOf[j] != deadSlot || sol.X[j] != 0 {
+			t.Fatalf("step %d: tombstone %d has basis position %d and x = %v", step, j, s.st.posOf[j], sol.X[j])
+		}
+	}
+}
+
+// fuzzTombstoneSeed is a FuzzResolve seed whose 15 steps remove columns
+// often enough to run compactions, and fall back to a cold solve once.
+const fuzzTombstoneSeed = 8810
+
 // FuzzResolve mutates a random packing LP through a persistent solver —
 // removing and adding columns, shrinking and growing bounds, rescaling
-// objectives — and asserts after every step that Resolve's optimum matches a
-// cold solve of the same mutated problem and certifies via Verify, and that
-// the reduced-cost cache holds exactly the reduced costs of the current
-// duals. Some steps instead send a delta whose column lists a row twice,
-// which must be rejected with a *DuplicateRowError and leave the solver
-// usable.
+// objectives — and asserts after every step that Resolve applied the delta
+// under the slot rule (resolveRef: survivors keep their slot and column
+// until a compaction renumbers them), that its optimum matches a cold solve
+// of the same mutated problem and certifies via Verify, that every
+// tombstone is nonbasic at x = 0, and that the reduced-cost cache holds
+// exactly the reduced costs of the current duals. Some steps instead send a
+// delta whose column lists a row twice, which must be rejected with a
+// *DuplicateRowError and leave the solver usable.
 func FuzzResolve(f *testing.F) {
 	f.Add(int64(1), uint8(3))
 	f.Add(int64(42), uint8(7))
 	f.Add(int64(-77), uint8(12))
-	f.Add(int64(207), uint8(4)) // its first delta lists a row twice (case 4)
-	f.Fuzz(func(t *testing.T, seed int64, steps uint8) {
-		rng := xrand.New(seed)
-		p := randomPacking(rng, 3+rng.Intn(25), 2+rng.Intn(8), 4)
-		// Rotate the solver knobs through the fuzzed space too: forced Devex
-		// pricing, per-pivot refactorization, the pooled kernels, partial
-		// Dantzig with a tiny window, and the warm-resolve tuning surface
-		// (repair budget, hypersparse threshold) — the optimum must be
-		// knob-invariant.
-		var cfg Revised
-		switch rng.Intn(7) {
-		case 1:
-			cfg.Pricing = "devex"
-		case 2:
-			cfg.RefactorEvery = 1
-		case 3:
-			cfg.Workers = 2
-			cfg.ParallelThreshold = 1
-		case 4:
-			cfg.Pricing = "dantzig"
-			cfg.PricingWindow = 1 + rng.Intn(64)
-		case 5:
-			cfg.RepairBudget = 1 + rng.Intn(32)
-		case 6:
-			cfg.HypersparseThreshold = rng.Float64()
+	f.Add(int64(207), uint8(4))                // its first delta lists a row twice (case 4)
+	f.Add(int64(fuzzTombstoneSeed), uint8(15)) // removal-heavy: compactions and a cold fallback
+	f.Fuzz(func(t *testing.T, seed int64, steps uint8) { fuzzResolveSteps(t, seed, steps) })
+}
+
+// TestFuzzResolveTombstoneSeed requires fuzzTombstoneSeed to do what its
+// comment says: at least two compactions and a cold solve after the first.
+func TestFuzzResolveTombstoneSeed(t *testing.T) {
+	st := fuzzResolveSteps(t, fuzzTombstoneSeed, 15)
+	if st.Compactions < 2 || st.ColdSolves < 2 {
+		t.Errorf("seed %d ran %d compactions and %d cold solves, want ≥ 2 of each", fuzzTombstoneSeed, st.Compactions, st.ColdSolves)
+	}
+}
+
+// fuzzResolveSteps is FuzzResolve's body. It returns the solver's stats.
+func fuzzResolveSteps(t *testing.T, seed int64, steps uint8) SolverStats {
+	rng := xrand.New(seed)
+	p := randomPacking(rng, 3+rng.Intn(25), 2+rng.Intn(8), 4)
+	// Rotate the solver knobs through the fuzzed space too: forced Devex
+	// pricing, per-pivot refactorization, the pooled kernels, partial
+	// Dantzig with a tiny window, and the warm-resolve tuning surface
+	// (repair budget, hypersparse threshold) — the optimum must be
+	// knob-invariant.
+	var cfg Revised
+	switch rng.Intn(7) {
+	case 1:
+		cfg.Pricing = "devex"
+	case 2:
+		cfg.RefactorEvery = 1
+	case 3:
+		cfg.Workers = 2
+		cfg.ParallelThreshold = 1
+	case 4:
+		cfg.Pricing = "dantzig"
+		cfg.PricingWindow = 1 + rng.Intn(64)
+	case 5:
+		cfg.RepairBudget = 1 + rng.Intn(32)
+	case 6:
+		cfg.HypersparseThreshold = rng.Float64()
+	}
+	// Degenerate knob values must be rejected up front with a typed
+	// *OptionError naming the knob — never a panic or a wrong answer.
+	for _, bad := range []Revised{
+		{RefactorEvery: -1 - rng.Intn(8)},
+		{RepairBudget: -1 - rng.Intn(8)},
+		{HypersparseThreshold: 1 + rng.Float64()},
+		{HypersparseThreshold: math.NaN()},
+	} {
+		var oe *OptionError
+		if _, err := bad.Solve(p); !errors.As(err, &oe) || oe.Option == "" {
+			t.Fatalf("degenerate config %+v: err = %v, want *OptionError", bad, err)
 		}
-		// Degenerate knob values must be rejected up front with a typed
-		// *OptionError naming the knob — never a panic or a wrong answer.
-		for _, bad := range []Revised{
-			{RefactorEvery: -1 - rng.Intn(8)},
-			{RepairBudget: -1 - rng.Intn(8)},
-			{HypersparseThreshold: 1 + rng.Float64()},
-			{HypersparseThreshold: math.NaN()},
-		} {
-			var oe *OptionError
-			if _, err := bad.Solve(p); !errors.As(err, &oe) || oe.Option == "" {
-				t.Fatalf("degenerate config %+v: err = %v, want *OptionError", bad, err)
+	}
+	s := NewSolver(cfg)
+	if _, err := s.Solve(p); err != nil {
+		t.Fatal(err)
+	}
+	defer s.Release()
+	g := 0 // group count unknown here; rows 0..? — recover from B
+	for i, b := range s.Problem().B {
+		if b != 1 {
+			break
+		}
+		g = i + 1
+	}
+	m := s.Problem().NumRows
+	for step := 0; step < int(steps%16); step++ {
+		cur := s.Problem()
+		live := liveSlots(s)
+		var d ProblemDelta
+		switch rng.Intn(5) {
+		case 0: // shrink/grow a capacity row
+			if m > g {
+				row := g + rng.Intn(m-g)
+				nb := float64(rng.Intn(5))
+				d.SetB = append(d.SetB, BoundChange{Row: row, B: nb})
 			}
-		}
-		s := NewSolver(cfg)
-		if _, err := s.Solve(p); err != nil {
-			t.Fatal(err)
-		}
-		defer s.Release()
-		g := 0 // group count unknown here; rows 0..? — recover from B
-		for i, b := range s.Problem().B {
-			if b != 1 {
-				break
+		case 1: // remove up to 3 random live columns
+			for k := 0; k < 1+rng.Intn(3) && len(live) > 1; k++ {
+				d.RemoveCols = append(d.RemoveCols, live[rng.Intn(len(live))])
 			}
-			g = i + 1
-		}
-		m := s.Problem().NumRows
-		for step := 0; step < int(steps%16); step++ {
-			cur := s.Problem()
-			n := cur.NumCols()
-			var d ProblemDelta
-			switch rng.Intn(5) {
-			case 0: // shrink/grow a capacity row
+		case 2: // add up to 3 random columns
+			for k := 0; k < 1+rng.Intn(3); k++ {
+				rows := []int{}
+				if g > 0 {
+					rows = append(rows, rng.Intn(g))
+				}
 				if m > g {
-					row := g + rng.Intn(m-g)
-					nb := float64(rng.Intn(5))
-					d.SetB = append(d.SetB, BoundChange{Row: row, B: nb})
+					rows = append(rows, g+rng.Intn(m-g))
 				}
-			case 1: // remove up to 3 random columns
-				for k := 0; k < 1+rng.Intn(3) && n > 1; k++ {
-					d.RemoveCols = append(d.RemoveCols, rng.Intn(n))
-				}
-			case 2: // add up to 3 random columns
-				for k := 0; k < 1+rng.Intn(3); k++ {
-					rows := []int{}
-					if g > 0 {
-						rows = append(rows, rng.Intn(g))
-					}
-					if m > g {
-						rows = append(rows, g+rng.Intn(m-g))
-					}
-					d.AddCols = append(d.AddCols, Column{Rows: rows})
-					d.AddC = append(d.AddC, rng.Float64())
-				}
-			case 3: // rescale an objective coefficient
-				if n > 0 {
-					d.SetC = append(d.SetC, ObjChange{Col: rng.Intn(n), C: rng.Float64() * 3})
-				}
-			case 4: // a column listing a row twice, behind a bound change
-				// Rejected whole with the typed error: the problem stays
-				// as it was and the solver stays usable for the next step.
-				r := rng.Intn(m)
-				bad := ProblemDelta{
-					SetB:    []BoundChange{{Row: r, B: cur.B[r] + 1}},
-					AddCols: []Column{{Rows: []int{r, r}}},
-					AddC:    []float64{rng.Float64()},
-				}
-				before := cloneProblem(cur)
-				var de *DuplicateRowError
-				if _, err := s.Resolve(bad); !errors.As(err, &de) || de.Col != 0 || de.Row != r {
-					t.Fatalf("step %d: duplicate-row delta: err = %v", step, err)
-				}
-				if !reflect.DeepEqual(cloneProblem(s.Problem()), before) {
-					t.Fatalf("step %d: rejected delta changed the problem", step)
-				}
-				continue
+				d.AddCols = append(d.AddCols, Column{Rows: rows})
+				d.AddC = append(d.AddC, rng.Float64())
 			}
-			if d.Empty() {
-				continue
+		case 3: // rescale an objective coefficient
+			if len(live) > 0 {
+				d.SetC = append(d.SetC, ObjChange{Col: live[rng.Intn(len(live))], C: rng.Float64() * 3})
 			}
-			ref := applyDeltaRef(cur, d)
-			warm, err := s.Resolve(d)
-			if err != nil {
-				t.Fatalf("step %d: Resolve: %v", step, err)
+		case 4: // a column listing a row twice, behind a bound change
+			// Rejected whole with the typed error: the problem stays
+			// as it was and the solver stays usable for the next step.
+			r := rng.Intn(m)
+			bad := ProblemDelta{
+				SetB:    []BoundChange{{Row: r, B: cur.B[r] + 1}},
+				AddCols: []Column{{Rows: []int{r, r}}},
+				AddC:    []float64{rng.Float64()},
 			}
-			requireRedCacheExact(t, step, s)
-			cold, err := (&Revised{}).Solve(ref)
-			if err != nil {
-				t.Fatalf("step %d: cold: %v", step, err)
+			before := cloneProblem(cur)
+			var de *DuplicateRowError
+			if _, err := s.Resolve(bad); !errors.As(err, &de) || de.Col != 0 || de.Row != r {
+				t.Fatalf("step %d: duplicate-row delta: err = %v", step, err)
 			}
-			if math.Abs(warm.Objective-cold.Objective) > 1e-8*(1+math.Abs(cold.Objective)) {
-				t.Fatalf("step %d: warm %v vs cold %v", step, warm.Objective, cold.Objective)
+			if !reflect.DeepEqual(cloneProblem(s.Problem()), before) {
+				t.Fatalf("step %d: rejected delta changed the problem", step)
 			}
-			if err := Verify(ref, warm, 1e-6); err != nil {
-				t.Fatalf("step %d: warm certificate: %v", step, err)
-			}
+			continue
 		}
-	})
+		if d.Empty() {
+			continue
+		}
+		warm, ref, err := resolveRef(t, fmt.Sprintf("step %d", step), s, d)
+		if err != nil {
+			t.Fatalf("step %d: Resolve: %v", step, err)
+		}
+		requireTombstonesInert(t, step, s, warm)
+		requireRedCacheExact(t, step, s)
+		cold, err := (&Revised{}).Solve(ref)
+		if err != nil {
+			t.Fatalf("step %d: cold: %v", step, err)
+		}
+		if math.Abs(warm.Objective-cold.Objective) > 1e-8*(1+math.Abs(cold.Objective)) {
+			t.Fatalf("step %d: warm %v vs cold %v", step, warm.Objective, cold.Objective)
+		}
+		if err := Verify(ref, warm, 1e-6); err != nil {
+			t.Fatalf("step %d: warm certificate: %v", step, err)
+		}
+	}
+	return s.Stats()
 }
 
 // TestResolveChangedColumns verifies the changed-column tracker against
-// brute force: after each warm Resolve, a column is reported changed if and
-// only if its primal value differs from the previous solution's (mapped
-// across the delta's removals), and every appended column is reported.
+// brute force: after each warm Resolve, a surviving column is reported
+// changed if and only if its primal value differs from the previous
+// solution's in the same slot (or in the slot a compaction moved it to),
+// every appended column is reported, no tombstone is, and the list ascends.
 func TestResolveChangedColumns(t *testing.T) {
 	rng := xrand.New(321)
 	for trial := 0; trial < 20; trial++ {
@@ -621,11 +763,13 @@ func TestResolveChangedColumns(t *testing.T) {
 		for step := 0; step < 4; step++ {
 			n := s.Problem().NumCols()
 			prev := append([]float64(nil), sol.X...)
+			wasLive := liveMask(s)
+			live := liveSlots(s)
 			var d ProblemDelta
 			removed := make(map[int]bool)
 			if rng.Bool(0.5) {
 				for k := 0; k < 1+rng.Intn(3); k++ {
-					j := rng.Intn(n)
+					j := live[rng.Intn(len(live))]
 					d.RemoveCols = append(d.RemoveCols, j)
 					removed[j] = true
 				}
@@ -645,26 +789,37 @@ func TestResolveChangedColumns(t *testing.T) {
 			if all {
 				continue // cold fallback: every column treated as changed
 			}
-			// Reconstruct the old→new map by the documented compaction rule:
-			// survivors keep their relative order.
+			// A survivor keeps its slot; only a compaction moves it, and
+			// Renumbering says where.
+			r := s.Renumbering()
+			slot := func(j int) int {
+				if r == nil {
+					return j
+				}
+				return int(r[j])
+			}
 			changed := make(map[int]bool, len(cols))
-			for _, c := range cols {
+			for i, c := range cols {
+				if i > 0 && c <= cols[i-1] {
+					t.Fatalf("trial %d step %d: changed columns %v do not ascend", trial, step, cols)
+				}
 				changed[c] = true
 			}
-			surv := 0
 			for j := 0; j < n; j++ {
-				if removed[j] {
+				nj := slot(j)
+				if removed[j] || !wasLive[j] {
+					if nj >= 0 && changed[nj] {
+						t.Fatalf("trial %d step %d: tombstone %d reported changed", trial, step, j)
+					}
 					continue
 				}
-				nj := surv
-				surv++
 				if moved := prev[j] != sol.X[nj]; moved != changed[nj] {
 					t.Fatalf("trial %d step %d: column %d->%d moved=%v, reported=%v",
 						trial, step, j, nj, moved, changed[nj])
 				}
 			}
-			for nj := surv; nj < len(sol.X); nj++ {
-				if !changed[nj] {
+			for k := range d.AddCols {
+				if nj := slot(n + k); !changed[nj] {
 					t.Fatalf("trial %d step %d: appended column %d not reported changed", trial, step, nj)
 				}
 			}

@@ -2,6 +2,8 @@ package lp
 
 import (
 	"math"
+	"math/bits"
+	"slices"
 
 	"github.com/ebsn/igepa/internal/par"
 )
@@ -32,7 +34,8 @@ import (
 // in column order, so the solve is bit-identical for every worker count and
 // GOMAXPROCS setting.
 type Revised struct {
-	// MaxIter bounds the number of pivots; 0 means 20000 + 200·(m+n).
+	// MaxIter bounds the number of pivots; 0 means 20000 + 200·(m+n), n
+	// counting live columns only (Solver tombstones do not count).
 	MaxIter int
 	// RefactorEvery rebuilds the LU factorization after this many pivots
 	// (discarding accumulated round-off); 0 means 128.
@@ -42,7 +45,8 @@ type Revised struct {
 	// Dantzig otherwise).
 	Pricing string
 	// PricingWindow is the number of columns scanned per iteration under
-	// partial Dantzig pricing before falling back to a full pass.
+	// partial Dantzig pricing before falling back to a full pass. Only live
+	// variables count: a Solver's tombstones are skipped, not scanned.
 	// 0 means 4096.
 	PricingWindow int
 	// RepairBudget bounds the dual-repair pivots per attempt before a
@@ -92,8 +96,8 @@ type Revised struct {
 // DevexColumnLimit is the problem width beyond which auto pricing falls back
 // from Devex to partial Dantzig: each refactorization re-prices every column
 // for Devex, and so does every pivot whose row is dense, which dominates on
-// very wide LPs (e.g. the Meetup workload's ~10⁶ columns) that Dantzig
-// already solves in few iterations.
+// very wide LPs (e.g. the paper-scale Meetup workload's 3,570,714 columns)
+// that Dantzig already solves in few iterations.
 const DevexColumnLimit = 300_000
 
 // DevexRowThreshold is the row count above which auto pricing prefers Devex
@@ -184,8 +188,8 @@ func solutionErr(sol *Solution) error {
 	return nil
 }
 
-// selectDevex resolves the pricing rule for an m×n problem; validate has
-// already rejected unknown names.
+// selectDevex resolves the pricing rule for an m×n problem, n counting live
+// columns only; validate has already rejected unknown names.
 func (s *Revised) selectDevex(m, n int) bool {
 	switch s.Pricing {
 	case "devex":
@@ -199,9 +203,9 @@ func (s *Revised) selectDevex(m, n int) bool {
 	// that the degenerate churn explodes under Dantzig (|U|=4000: 96k pivots
 	// vs 19k) and Devex wins several-fold. The row-scatter update moves that
 	// crossover; DESIGN.md §3 records the re-measurement the threshold waits
-	// on. On very wide problems (Meetup: ~8·10⁵ columns) the re-pricing of
-	// every column at each refactorization dominates, so Dantzig with a
-	// pricing window is used.
+	// on. On very wide problems (paper-scale Meetup: 3,570,714 columns) the
+	// re-pricing of every column at each refactorization dominates, so
+	// Dantzig with a pricing window is used.
 	return m > DevexRowThreshold && n+m <= DevexColumnLimit
 }
 
@@ -217,7 +221,7 @@ func (s *Revised) configure(st *revisedState) {
 	if parallelThreshold <= 0 {
 		parallelThreshold = devexParallelThreshold
 	}
-	if st.workers > 1 && st.n+st.m < parallelThreshold {
+	if st.workers > 1 && st.live()+st.m < parallelThreshold {
 		st.workers = 1
 	}
 	thr := s.HypersparseThreshold
@@ -234,7 +238,7 @@ func (s *Revised) configure(st *revisedState) {
 // pricing memory of the previous optimum, and Dantzig and Bland pricing read
 // the reduced-cost cache (syncRed) instead of recomputing every column.
 func (s *Revised) pivot(st *revisedState, warm bool) (*Solution, error) {
-	m, n := st.m, st.n
+	m, n := st.m, st.live()
 	maxIter := s.MaxIter
 	if maxIter <= 0 {
 		maxIter = 20000 + 200*(m+n)
@@ -356,12 +360,13 @@ func (s *Revised) pivot(st *revisedState, warm bool) (*Solution, error) {
 // loop above reads top-down without a dozen captured locals.
 type revisedState struct {
 	p       *Problem
-	m, n    int
+	m, n    int // rows and structural slots; slack i is variable n+i
+	dead    int // tombstoned slots among the n (see Solver)
 	workers int
 	b       []float64 // right-hand side, possibly perturbed
 
 	basis []int     // basis position -> variable index
-	posOf []int     // variable index -> basis position or -1
+	posOf []int     // variable index -> basis position, -1 (nonbasic) or deadSlot
 	xB    []float64 // values of basic variables
 	cB    []float64 // objective coefficients of basic variables
 
@@ -413,11 +418,14 @@ type revisedState struct {
 	candDense  bool
 
 	// Row-major mirror of the structural matrix A (row → columns with a 1
-	// there), built lazily by buildARows for the pivot-row scatter and
-	// invalidated whenever the column structure changes (rebind, structural
-	// deltas). Within a row, columns ascend.
+	// there), built lazily by buildARows for the pivot-row scatter: row r is
+	// aRowIdx[aRowPtr[r]:aRowPtr[r+1]] over the slots the build saw, then
+	// aTail[r], the columns Solver.Resolve appended since (appendARows).
+	// Tombstones stay listed, so readers skip them. Within a row, columns
+	// ascend. rebind and compaction invalidate it.
 	aRowPtr, aRowIdx []int32
 	aRowCur          []int32
+	aTail            [][]int32
 	aRowsOK          bool
 
 	// Reduced-cost cache of the warm path: redC[j] = c_j − yᵀa_j for every
@@ -464,9 +472,22 @@ type revisedState struct {
 	// xOut, yOut back the returned Solution's X and Y. They are reused
 	// across solves on the same state, so a persistent Solver's steady-state
 	// Resolve allocates nothing but the Solution header; see the aliasing
-	// contract on Solver.
+	// contract on Solver. xSet lists, ascending, the basic structurals the
+	// last extract wrote to xOut; while xSetOK every other entry of xOut is
+	// zero, so the next extract clears just those. xMark is extract's bitmap
+	// scratch, all zero between calls.
 	xOut, yOut []float64
+	xSet       []int32
+	xSetOK     bool
+	xMark      []uint64
 }
+
+// deadSlot marks a tombstone in posOf: a removed column whose slot a Solver
+// keeps until compaction. It is never basic, never priced and never counted.
+const deadSlot = -2
+
+// live returns the number of live structural columns.
+func (st *revisedState) live() int { return st.n - st.dead }
 
 func newRevisedState(p *Problem, perturb bool) *revisedState {
 	st := &revisedState{lu: &luFactors{}}
@@ -499,6 +520,36 @@ func resize32(s []int32, n int) []int32 {
 	return s[:n]
 }
 
+// reserve grows a's capacity to at least n entries, keeping its length and
+// contents. A warm Solver's slot count grows until a compaction, which runs
+// once tombstones pass 1/compactDivisor of the slots, so the new capacity
+// leaves that much room and the array settles after one growth. An array
+// never allocated (nil) stays nil.
+func reserve[T any](a []T, n int) []T {
+	if a == nil || cap(a) >= n {
+		return a
+	}
+	b := make([]T, len(a), n+n/compactDivisor)
+	copy(b, a)
+	return b
+}
+
+// reserveSlots makes room for total variables in every per-variable array
+// the next solve sizes exactly (resizeF, beginCandidates, extract). A warm
+// Solver's slot count grows with every appended column until a compaction,
+// and without the headroom each of those would reallocate on every delta.
+func (st *revisedState) reserveSlots(total int) {
+	st.rvec = reserve(st.rvec, total)
+	st.dualRedVec = reserve(st.dualRedVec, total)
+	st.alphaVec = reserve(st.alphaVec, total)
+	st.candStamp = reserve(st.candStamp, total)
+	st.xOut = reserve(st.xOut, total)
+	st.xMark = reserve(st.xMark, (total+63)/64)
+	nb := (total + devexBlock - 1) / devexBlock
+	st.blockBest = reserve(st.blockBest, nb)
+	st.blockScore = reserve(st.blockScore, nb)
+}
+
 // rebind points the state at problem p and resets it to the all-slack basis,
 // reusing every backing array whose capacity suffices — the cold-start path
 // of a pooled or persistent solver allocates nothing in steady state. The
@@ -506,8 +557,9 @@ func resize32(s []int32, n int) []int32 {
 // place and never calls rebind.
 func (st *revisedState) rebind(p *Problem, perturb bool) {
 	m, n := p.NumRows, p.NumCols()
-	st.p, st.m, st.n = p, m, n
+	st.p, st.m, st.n, st.dead = p, m, n, 0
 	st.workers = 1
+	st.xSetOK = false
 	st.betaSupportOK = false
 	st.aRowsOK = false
 	st.redOK = false
@@ -790,8 +842,8 @@ func (st *revisedState) reducedCost(q int) float64 {
 // variable, plus reference weights. A cold start (warm == false) zeroes the
 // weights so refreshReducedCosts resets them to the unit reference framework
 // — bit-identical to a fresh state. A warm start keeps whatever weights the
-// caller carried over (Solver.Resolve remaps the previous solve's weights),
-// preserving the pricing memory of the previous optimum.
+// caller carried over (Solver.Resolve carries the previous solve's weights
+// across the delta), preserving the pricing memory of the previous optimum.
 func (st *revisedState) initDevex(warm bool) {
 	total := st.n + st.m
 	st.rvec = resizeF(st.rvec, total)
@@ -805,9 +857,12 @@ func (st *revisedState) initDevex(warm bool) {
 }
 
 // refreshReducedCosts recomputes st.rvec exactly from the current duals.
+// Basic variables and tombstones get 0, so neither is ever a candidate.
 // The Devex reference weights are reset only when they have grown extreme
 // (a fresh reference framework); resetting them on every refactorization
-// would degrade Devex to Dantzig.
+// would degrade Devex to Dantzig. A tombstone's weight is 0 from its
+// removal to the next reset and 1 after, never above a live weight, so the
+// maximum is the one over live variables.
 func (st *revisedState) refreshReducedCosts() {
 	st.btran()
 	maxW := 0.0
@@ -820,7 +875,7 @@ func (st *revisedState) refreshReducedCosts() {
 	t0 := tick(st.timers)
 	par.Ranges(st.workers, st.n+st.m, devexGrain, func(lo, hi int) {
 		for j := lo; j < hi; j++ {
-			if st.posOf[j] >= 0 {
+			if st.posOf[j] != -1 {
 				st.rvec[j] = 0
 			} else {
 				st.rvec[j] = st.reducedCost(j)
@@ -943,7 +998,7 @@ func (st *revisedState) updateDevex(q, r int) {
 		alphaVec := st.alphaVec
 		for _, j32 := range cand {
 			j := int(j32)
-			if st.posOf[j] >= 0 || j == q {
+			if st.posOf[j] != -1 || j == q {
 				continue
 			}
 			if alpha := alphaVec[j]; alpha != 0 {
@@ -955,7 +1010,7 @@ func (st *revisedState) updateDevex(q, r int) {
 		beta := st.beta
 		par.Ranges(st.workers, st.n+st.m, devexGrain, func(lo, hi int) {
 			for j := lo; j < hi; j++ {
-				if st.posOf[j] >= 0 || j == q {
+				if st.posOf[j] != -1 || j == q {
 					continue
 				}
 				var alpha float64
@@ -1300,7 +1355,7 @@ func (st *revisedState) priceDual() int {
 	var relaxAlpha, relaxRed float64
 	for _, j32 := range cand {
 		j := int(j32)
-		if st.posOf[j] >= 0 {
+		if st.posOf[j] != -1 {
 			continue
 		}
 		alpha := alphaVec[j]
@@ -1357,8 +1412,10 @@ func (st *revisedState) priceDualDense(total int) int {
 		if br == 0 {
 			continue
 		}
-		for _, j := range st.aRowIdx[st.aRowPtr[r]:st.aRowPtr[r+1]] {
-			alphaVec[j] += br
+		for _, part := range st.aRow(r) {
+			for _, j := range part {
+				alphaVec[j] += br
+			}
 		}
 		alphaVec[st.n+r] = br // the row's slack
 	}
@@ -1370,7 +1427,7 @@ func (st *revisedState) priceDualDense(total int) int {
 		if alpha >= -pivotTol {
 			continue
 		}
-		if st.posOf[j] >= 0 {
+		if st.posOf[j] != -1 {
 			continue
 		}
 		red := st.dualRedVec[j]
@@ -1441,13 +1498,15 @@ func (st *revisedState) scatterPivotRow() []int32 {
 		if br == 0 {
 			continue
 		}
-		for _, j := range st.aRowIdx[st.aRowPtr[r]:st.aRowPtr[r+1]] {
-			if stamp[j] != epoch {
-				stamp[j] = epoch
-				alphaVec[j] = 0
-				cand = append(cand, j)
+		for _, part := range st.aRow(r) {
+			for _, j := range part {
+				if stamp[j] != epoch {
+					stamp[j] = epoch
+					alphaVec[j] = 0
+					cand = append(cand, j)
+				}
+				alphaVec[j] += br
 			}
-			alphaVec[j] += br
 		}
 		sj := int32(st.n + r) // the row's slack: α is β_r itself
 		stamp[sj] = epoch
@@ -1482,9 +1541,9 @@ func (st *revisedState) beginCandidates(total int) int32 {
 // buildARows constructs (or reuses) the row-major mirror of the structural
 // matrix for the pivot-row scatter. One counting pass plus one scatter
 // pass over the nonzeros; columns come out ascending within each row because
-// the scatter visits them in ascending order. Invalidated by rebind and by
-// structural deltas (column removal/addition) — bounds and objective deltas
-// leave the pattern untouched.
+// the scatter visits them in ascending order. Invalidated by rebind and
+// compaction; bounds and objective deltas leave the pattern untouched, and
+// appended columns are patched in by appendARows.
 func (st *revisedState) buildARows() {
 	if st.aRowsOK {
 		return
@@ -1510,7 +1569,38 @@ func (st *revisedState) buildARows() {
 			st.aRowCur[r]++
 		}
 	}
+	if len(st.aTail) != st.m {
+		st.aTail = nil // appendARows allocates it for this m
+	}
+	for r := range st.aTail {
+		st.aTail[r] = st.aTail[r][:0]
+	}
 	st.aRowsOK = true
+}
+
+// aRow returns row r of the row mirror, ascending in two parts, tombstones
+// included: the columns the build saw, then those appended since.
+func (st *revisedState) aRow(r int) [2][]int32 {
+	var tail []int32
+	if st.aTail != nil {
+		tail = st.aTail[r]
+	}
+	return [2][]int32{st.aRowIdx[st.aRowPtr[r]:st.aRowPtr[r+1]], tail}
+}
+
+// appendARows patches column j, the highest slot so far, into a built row
+// mirror: it goes to the end of each of its rows, which keeps them
+// ascending, at O(1) amortized per entry.
+func (st *revisedState) appendARows(j int) {
+	if !st.aRowsOK {
+		return
+	}
+	if st.aTail == nil {
+		st.aTail = make([][]int32, st.m)
+	}
+	for _, r := range st.p.Col(j) {
+		st.aTail[r] = append(st.aTail[r], int32(j))
+	}
 }
 
 // refreshDualRed sets the maintained dual reduced costs exactly from the
@@ -1557,10 +1647,12 @@ func (st *revisedState) syncRed() {
 		}
 		st.yRef[r] = yr
 		st.buildARows()
-		for _, j := range st.aRowIdx[st.aRowPtr[r]:st.aRowPtr[r+1]] {
-			if stamp[j] != epoch {
-				stamp[j] = epoch
-				red[j] = st.reducedCost(int(j))
+		for _, part := range st.aRow(r) {
+			for _, j := range part {
+				if stamp[j] != epoch {
+					stamp[j] = epoch
+					red[j] = st.reducedCost(int(j))
+				}
 			}
 		}
 		red[st.n+r] = st.reducedCost(st.n + r)
@@ -1578,11 +1670,17 @@ func (st *revisedState) syncRed() {
 // the best improving one; if the window has none it widens to a full pass,
 // which also certifies optimality (return -1). A warm pivot (cached) reads
 // the synced reduced-cost cache; a cold one computes each reduced cost.
+// Tombstones are skipped and not counted against the window, so the scan
+// visits the live variables in the order, and stops where, it would on the
+// compacted problem. A solve without tombstones takes the plain loop.
 func (st *revisedState) pricePartial(cursor, window int, cached bool) (q, next int) {
 	t0 := tick(st.timers)
 	defer st.timers.add(phPricing, t0)
 	if cached {
 		st.syncRed()
+	}
+	if st.dead > 0 {
+		return st.pricePartialLive(cursor, window)
 	}
 	total := st.n + st.m
 	best, bestRed := -1, reducedTol
@@ -1612,6 +1710,33 @@ func (st *revisedState) pricePartial(cursor, window int, cached bool) (q, next i
 	return best, i
 }
 
+// pricePartialLive is pricePartial's cached scan over a problem with
+// tombstones. Tombstones only exist between warm re-solves, so it always
+// reads the synced cache.
+func (st *revisedState) pricePartialLive(cursor, window int) (q, next int) {
+	total := st.n + st.m
+	live := total - st.dead
+	best, bestRed := -1, reducedTol
+	scanned := 0
+	i := cursor
+	for scanned < live {
+		if pos := st.posOf[i]; pos != deadSlot {
+			if pos < 0 && st.redC[i] > bestRed {
+				best, bestRed = i, st.redC[i]
+			}
+			scanned++
+		}
+		i++
+		if i == total {
+			i = 0
+		}
+		if scanned >= window && best >= 0 {
+			return best, i
+		}
+	}
+	return best, i
+}
+
 // priceBland returns the lowest-index variable with positive reduced cost
 // (used during anti-cycling episodes), read from the synced cache when
 // cached, as in pricePartial.
@@ -1622,7 +1747,7 @@ func (st *revisedState) priceBland(cached bool) int {
 		st.syncRed()
 	}
 	for q := 0; q < st.n+st.m; q++ {
-		if st.posOf[q] >= 0 {
+		if st.posOf[q] != -1 {
 			continue
 		}
 		var red float64
@@ -1640,12 +1765,32 @@ func (st *revisedState) priceBland(cached bool) int {
 
 // extract assembles the optimal solution from the final basis. X and Y are
 // views into state-owned buffers, reused by the next solve on this state.
+// It costs O(m + n/64), not O(n): only the entries the previous extract
+// wrote are cleared, and the basic structurals are visited in ascending slot
+// order through a bitmap. The objective sums their terms in that order,
+// which is bit-equal to summing cⱼxⱼ over every column, because each
+// nonbasic term is a signed zero and adding one changes no sum.
 func (st *revisedState) extract(iters int) *Solution {
-	st.xOut = resizeF(st.xOut, st.n)
 	x := st.xOut
-	for i := range x {
-		x[i] = 0
+	if st.xSetOK && cap(x) >= st.n {
+		for _, j := range st.xSet {
+			x[j] = 0
+		}
+		if old := len(x); old < st.n {
+			x = x[:st.n]
+			clear(x[old:])
+		}
+	} else {
+		x = resizeF(x, st.n)
+		clear(x)
 	}
+	st.xOut = x
+	words := (st.n + 63) / 64
+	if cap(st.xMark) < words {
+		st.xMark = make([]uint64, words)
+	}
+	mark := st.xMark[:words]
+	st.xSet = slices.Grow(st.xSet[:0], st.m)
 	for i, v := range st.basis {
 		if v < st.n {
 			val := st.xB[i]
@@ -1653,12 +1798,20 @@ func (st *revisedState) extract(iters int) *Solution {
 				val = 0
 			}
 			x[v] = val
+			mark[v>>6] |= 1 << (v & 63)
 		}
 	}
 	obj := 0.0
-	for j, c := range st.p.C {
-		obj += c * x[j]
+	for w, bitsW := range mark {
+		for bitsW != 0 {
+			j := w<<6 | bits.TrailingZeros64(bitsW)
+			bitsW &= bitsW - 1
+			st.xSet = append(st.xSet, int32(j))
+			obj += st.p.C[j] * x[j]
+		}
+		mark[w] = 0
 	}
+	st.xSetOK = true
 	st.yOut = resizeF(st.yOut, st.m)
 	y := st.yOut
 	copy(y, st.y)

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 )
 
 // Solver is a persistent, warm-starting LP solver. Unlike the one-shot
@@ -29,6 +30,18 @@ import (
 // scratch — only (usually much) faster. Stats reports how often each path
 // ran.
 //
+// Columns live in stable slots, so a small delta costs what it touches, not
+// O(n). A column removed by a warm Resolve becomes a tombstone: its slot
+// keeps its rows, its cost becomes 0 and its value stays 0, so Verify still
+// certifies Problem(), but it is never priced, never basic and never
+// counted (LiveColumns, Live). Added columns are always appended after the
+// highest slot and never reuse one, so the live columns keep the relative
+// order a compacted problem would give them, and every pricing rule sees
+// them in that order. Once tombstones pass a fixed share of the slots, and
+// before any cold solve, one compaction renumbers the live slots
+// monotonically and drops the tombstones; Renumbering reports that map, the
+// one place callers learn of it.
+//
 // The underlying state lives in a sync.Pool arena keyed by the row
 // dimension, so short-lived Solvers in a high-QPS serving loop recycle the
 // factorization workspace instead of reallocating it per request. To keep
@@ -47,19 +60,26 @@ type Solver struct {
 	warmOK bool // previous solve ended Optimal with st.basis valid for prob
 	stats  SolverStats
 
+	// newOf is the renumbering of the last compaction: old slot → new slot,
+	// or -1 for a dropped tombstone. renumbered reports whether the last
+	// Solve or Resolve ran one.
+	newOf      []int32
+	renumbered bool
+
 	// scratch reused across Resolve calls
-	removed   []bool
-	colMap    []int
-	slackUsed []bool
-	wScratch  []float64
+	subPos    []int
 	rowSeen   []int // checkDelta's per-row stamp: the epoch that last listed the row
 	seenEpoch int
 
-	// changed-column tracking (TrackChangedColumns)
+	// changed-column tracking (TrackChangedColumns): the basic structurals
+	// of the previous solution, ascending, and their values. Every other
+	// column was 0.
 	trackChanged bool
-	prevX        []float64 // previous solution's primal values
-	changedCols  []int     // post-delta indices whose x moved in the last solve
-	changedAll   bool      // treat every column as changed (cold solve, error)
+	prevOK       bool // prevSlots/prevVals describe the previous solution
+	prevSlots    []int32
+	prevVals     []float64
+	changedCols  []int // slots whose x moved in the last solve
+	changedAll   bool  // treat every column as changed (cold solve, error)
 }
 
 // SolverStats counts how a Solver's solves were served.
@@ -106,6 +126,10 @@ type SolverStats struct {
 	// accumulated since the last refactorization. A point-in-time depth,
 	// not a counter: it shows how far the basis has drifted from its LU.
 	EtaLen int
+	// Compactions counts the renumberings that dropped tombstones: when
+	// they passed their share of the slots, and before cold solves of a
+	// problem that had removed columns.
+	Compactions int
 }
 
 // NewSolver returns a persistent solver with the given revised-simplex
@@ -121,28 +145,29 @@ type BoundChange struct {
 	B   float64
 }
 
-// ObjChange sets column Col's objective coefficient to C. Col refers to the
-// pre-delta column indexing.
+// ObjChange sets column Col's objective coefficient to C. Col is a live
+// slot of the pre-delta problem.
 type ObjChange struct {
 	Col int
 	C   float64
 }
 
 // ProblemDelta is a small change to the Solver's current problem. It is
-// applied in one step: bounds and objective coefficients first (pre-delta
-// indices), then column removals, then additions. The row dimension never
-// changes. After application, surviving columns keep their relative order
-// and added columns are appended in order — the contract incremental callers
-// (core.Planner) rely on to track their own column maps without a return
-// channel.
+// applied in one step: bounds and objective coefficients first, then column
+// removals, then additions, all naming pre-delta slots. The row dimension
+// never changes. A removed column's slot becomes a tombstone and every other
+// column keeps its slot; added columns take the next slots after the
+// highest one, in order (NumCols() + k for AddCols[k]). A compaction
+// (Solver.Renumbering) is the only thing that moves a slot, so incremental
+// callers (core.Planner) keep their column lists in slots and remap them
+// only when it runs.
 type ProblemDelta struct {
 	// SetB changes right-hand-side bounds (capacities).
 	SetB []BoundChange
-	// SetC changes objective coefficients of surviving columns; changes to
+	// SetC changes objective coefficients of live columns; changes to
 	// columns also listed in RemoveCols are ignored.
 	SetC []ObjChange
-	// RemoveCols lists pre-delta column indices to delete. Duplicates are
-	// tolerated.
+	// RemoveCols lists live slots to delete. Duplicates are tolerated.
 	RemoveCols []int
 	// AddCols are appended after removal; AddC holds their objective
 	// coefficients, aligned with AddCols.
@@ -158,6 +183,16 @@ func (d *ProblemDelta) Empty() bool {
 // ErrNoProblem is returned by Resolve before any successful Solve.
 var ErrNoProblem = errors.New("lp: Resolve called before Solve installed a problem")
 
+// TombstoneError reports a delta whose RemoveCols or SetC names a slot an
+// earlier delta already removed.
+type TombstoneError struct {
+	Col int
+}
+
+func (e *TombstoneError) Error() string {
+	return fmt.Sprintf("lp: delta names column %d, which an earlier delta removed", e.Col)
+}
+
 // Stats returns the solve-path counters accumulated so far, plus a
 // point-in-time snapshot of the state's refactorization count and
 // eta-chain depth. Not safe concurrently with Solve/Resolve — read it from
@@ -172,22 +207,26 @@ func (s *Solver) Stats() SolverStats {
 }
 
 // TrackChangedColumns enables changed-column tracking: after every solve
-// the Solver snapshots the primal values and, on the next warm Resolve,
-// records exactly which post-delta columns' values differ from the previous
-// solution (mapped across removals and additions). Incremental callers use
-// the set to re-derive only the state that depends on moved columns — the
-// rounding layer's delta-scoped resampling. Tracking costs one O(n) copy
-// and one O(n) compare per solve and nothing else.
+// the Solver records the basic structurals and their values and, on the
+// next warm Resolve, reports exactly which slots' values differ from the
+// previous solution. Incremental callers use the set to re-derive only the
+// state that depends on moved columns — the rounding layer's delta-scoped
+// resampling. Only a basic column can be nonzero, so tracking costs
+// O(m + |Δ|) per solve: the slots basic before or after it, plus the
+// appended ones.
 func (s *Solver) TrackChangedColumns(on bool) {
 	s.trackChanged = on
 	s.changedAll = true
+	s.prevOK = false
 }
 
-// ChangedColumns reports the columns whose primal value changed in the last
-// solve. all=true means every column must be treated as changed — a cold
-// solve (including Resolve fallbacks), a solve error, or tracking having
-// just been enabled — and cols is nil in that case. The slice is
-// solver-owned and valid until the next Solve/Resolve.
+// ChangedColumns reports, ascending, the slots whose primal value changed in
+// the last solve: live slots whose value moved, then every appended slot.
+// Tombstones are never listed. all=true means every column must be treated
+// as changed — a cold solve (including Resolve fallbacks), a solve error, or
+// tracking having just been enabled — and cols is nil in that case. The
+// slots are post-compaction ones when the solve renumbered (Renumbering).
+// The slice is solver-owned and valid until the next Solve/Resolve.
 func (s *Solver) ChangedColumns() (cols []int, all bool) {
 	if s.changedAll {
 		return nil, true
@@ -195,47 +234,103 @@ func (s *Solver) ChangedColumns() (cols []int, all bool) {
 	return s.changedCols, false
 }
 
-// snapshotX records the solution's primal values as the baseline for the
-// next diff.
+// snapshotX records the solution's basic structurals and their values as the
+// baseline for the next diff.
 func (s *Solver) snapshotX(sol *Solution) {
-	if !s.trackChanged || sol == nil {
+	if !s.trackChanged {
 		return
 	}
-	s.prevX = append(s.prevX[:0], sol.X...)
+	s.prevOK = sol != nil && sol.Status == Optimal
+	if !s.prevOK {
+		return
+	}
+	s.prevSlots, s.prevVals = s.prevSlots[:0], s.prevVals[:0]
+	if s.prob.NumRows == 0 {
+		return // trivialSolution's x = 0, with no state behind it
+	}
+	for _, j := range s.st.xSet {
+		s.prevSlots = append(s.prevSlots, j)
+		s.prevVals = append(s.prevVals, sol.X[j])
+	}
 }
 
-// diffChanged computes the changed-column set of a warm re-solve: surviving
-// columns (via the old→new colMap filled by applyDelta) whose value moved,
-// plus every appended column. colMap is monotone on survivors, so the
-// result is ascending.
-func (s *Solver) diffChanged(oldN int, x []float64) {
-	if len(s.prevX) != oldN {
+// diffChanged computes the changed-column set of a warm re-solve whose delta
+// appended the last added slots. Only a slot that was basic before (the
+// snapshot) or is basic now (xSet) can have moved; the two lists are
+// ascending, so one merge yields the surviving slots whose value differs,
+// in order, and the appended slots follow.
+func (s *Solver) diffChanged(added int, x []float64) {
+	if !s.prevOK {
 		// No trustworthy baseline (tracking enabled mid-stream).
 		s.changedAll = true
 		return
 	}
+	st := s.st
+	first := len(x) - added
+	prev, cur := s.prevSlots, st.xSet
 	s.changedCols = s.changedCols[:0]
-	surv := 0
-	for j := 0; j < oldN; j++ {
-		nj := s.colMap[j]
-		if nj < 0 {
-			continue
+	for a, b := 0, 0; a < len(prev) || b < len(cur); {
+		var j int
+		old := 0.0
+		switch {
+		case b == len(cur) || (a < len(prev) && prev[a] < cur[b]):
+			j, old = int(prev[a]), s.prevVals[a]
+			a++
+		case a == len(prev) || cur[b] < prev[a]:
+			j = int(cur[b])
+			b++
+		default:
+			j, old = int(cur[b]), s.prevVals[a]
+			a++
+			b++
 		}
-		surv++
-		if s.prevX[j] != x[nj] {
-			s.changedCols = append(s.changedCols, nj)
+		if j < first && st.posOf[j] != deadSlot && old != x[j] {
+			s.changedCols = append(s.changedCols, j)
 		}
 	}
-	for nj := surv; nj < len(x); nj++ {
-		s.changedCols = append(s.changedCols, nj)
+	for j := first; j < len(x); j++ {
+		s.changedCols = append(s.changedCols, j)
 	}
 	s.changedAll = false
 }
 
 // Problem returns the Solver's current (post-delta) problem: the one Solve
-// was given, as every Resolve since has edited it. Callers must treat it as
-// read-only; mutate it only through Resolve.
+// was given, as every Resolve since has edited it, tombstones included (each
+// a zero-cost column with its rows; Live tells them apart). Callers must
+// treat it as read-only; mutate it only through Resolve.
 func (s *Solver) Problem() *Problem { return s.prob }
+
+// LiveColumns returns the number of live columns of Problem(): its slots
+// minus its tombstones.
+func (s *Solver) LiveColumns() int {
+	if s.prob == nil {
+		return 0
+	}
+	return s.prob.NumCols() - s.dead()
+}
+
+// Live reports whether slot j of Problem() holds a live column rather than
+// a tombstone.
+func (s *Solver) Live(j int) bool {
+	if s.prob == nil || j < 0 || j >= s.prob.NumCols() {
+		return false
+	}
+	return !s.isDead(j)
+}
+
+// Renumbering returns the compaction the last Solve or Resolve ran, or nil
+// if it kept every slot: old slot j is now slot r[j], and r[j] < 0 marks a
+// dropped tombstone. It covers the slots the delta appended, and it is
+// monotone on the live slots. This is the only way a slot moves, so a
+// caller that keeps column lists in slots remaps them exactly when it is
+// non-nil — also after a Resolve that returned an error, if the delta was
+// applied. The slice is solver-owned and valid until the next Solve/Resolve.
+func (s *Solver) Renumbering() []int32 {
+	if !s.renumbered {
+		return nil
+	}
+	return s.newOf
+}
 
 // Solve takes ownership of p, installs it as the Solver's current problem
 // and solves it cold (all-slack basis). p is not copied: later Resolve calls
@@ -250,7 +345,11 @@ func (s *Solver) Solve(p *Problem) (*Solution, error) {
 		return nil, err
 	}
 	s.prob = p
-	return s.cold()
+	if s.st != nil {
+		s.st.dead = 0 // the state stays bound to the old problem until cold rebinds it
+	}
+	s.renumbered = false
+	return s.cold(nil)
 }
 
 // Release returns the simplex state to the dimension-keyed arena pool and
@@ -263,6 +362,13 @@ func (s *Solver) Release() {
 	s.prob = nil
 	s.warmOK = false
 }
+
+// compactDivisor sets the tombstone share that triggers a compaction on the
+// warm path: more than 1/compactDivisor of the slots. Compaction is O(n), so
+// a small delta pays for it once every ~n/compactDivisor removals, while
+// the pricing scans and the per-slot arrays carry at most that share of
+// dead slots.
+const compactDivisor = 16
 
 // Resolve applies the delta to the current problem and re-optimizes. It
 // warm-starts from the previous basis whenever that basis is still
@@ -277,19 +383,16 @@ func (s *Solver) Resolve(d ProblemDelta) (*Solution, error) {
 		return nil, err
 	}
 	s.changedAll = true // cleared only by a successful warm diff
-	oldN := s.prob.NumCols()
-	if err := s.checkDelta(&d, oldN); err != nil {
+	s.renumbered = false
+	if err := s.checkDelta(&d); err != nil {
 		return nil, err
 	}
 
-	if len(d.RemoveCols) > 0 {
-		s.markRemoved(d.RemoveCols, oldN)
-	}
 	warm := s.warmOK && s.st != nil && s.prob.NumRows > 0
 	basisSwaps := 0
 	cBasic := false
 	if warm {
-		basisSwaps, warm = s.substituteRemovedBasics(&d, oldN)
+		basisSwaps, warm = s.substituteRemovedBasics(&d)
 		if !warm {
 			s.stats.FallbackError++
 		}
@@ -308,23 +411,23 @@ func (s *Solver) Resolve(d ProblemDelta) (*Solution, error) {
 	// applyDelta preserves the CSC invariants by construction, so the
 	// patched problem needs no O(nnz) re-validation here — full Check on
 	// every small delta would dominate the serving hot path.
-	s.applyDelta(&d, oldN)
-	if s.st != nil && (len(d.RemoveCols) > 0 || len(d.AddCols) > 0) {
-		s.st.aRowsOK = false // column structure changed under the row mirror
-	}
+	oldN := s.prob.NumCols()
+	s.applyDelta(&d)
 	if !warm {
-		return s.cold()
+		return s.cold(d.RemoveCols)
 	}
 
 	st := s.st
-	newN := s.prob.NumCols()
-	s.remapState(oldN, newN)
+	s.patchState(&d, oldN)
+	if st.dead*compactDivisor > st.n {
+		s.compact(nil)
+		s.remapState()
+	}
 	st.loadRHS(!s.Config.NoPerturb)
 	// Bind the worker pool and timer sink before the repair phase: pivot()
 	// does the same later, but dual repair's solves and pricing pass run
 	// first and must see the configured pool, not the previous solve's.
 	s.Config.configure(st)
-	s.remapRed(&d, oldN, newN)
 
 	refactorEvery := s.Config.RefactorEvery
 	if refactorEvery <= 0 {
@@ -338,7 +441,7 @@ func (s *Solver) Resolve(d ProblemDelta) (*Solution, error) {
 	if len(st.etas) >= refactorEvery {
 		if err := st.refactorize(); err != nil {
 			s.stats.FallbackSingular++
-			return s.cold()
+			return s.cold(nil)
 		}
 	} else {
 		st.recomputeXB()
@@ -362,15 +465,15 @@ func (s *Solver) Resolve(d ProblemDelta) (*Solution, error) {
 	switch repair {
 	case repairSingular:
 		s.stats.FallbackSingular++
-		return s.cold()
+		return s.cold(nil)
 	case repairStalled:
 		s.stats.FallbackInfeasible++
 		s.stats.FallbackRepairStall++
-		return s.cold()
+		return s.cold(nil)
 	case repairUnbounded:
 		s.stats.FallbackInfeasible++
 		s.stats.FallbackBoundInfeasible++
-		return s.cold()
+		return s.cold(nil)
 	}
 	s.stats.WarmSolves++
 	s.stats.WarmPivots += repairPivots
@@ -381,28 +484,40 @@ func (s *Solver) Resolve(d ProblemDelta) (*Solution, error) {
 		// a changed c) can break the certificate: price exactly those, and
 		// if none improves, the solution is optimal without a single pivot
 		// or full pricing pass.
-		if sol, done := s.fastFinish(&d, oldN); done {
+		if sol, done := s.fastFinish(&d); done {
 			s.stats.FastFinishes++
-			return s.finishWarm(sol, nil, oldN)
+			return s.finishWarm(sol, nil, len(d.AddCols))
 		}
 	}
 	sol, err := s.Config.pivot(st, true)
 	if sol != nil {
 		s.stats.WarmPivots += sol.Iterations
 	}
-	return s.finishWarm(sol, err, oldN)
+	return s.finishWarm(sol, err, len(d.AddCols))
+}
+
+// slotOf returns the current slot of pre-delta slot j, or -1 if j is a
+// tombstone.
+func (s *Solver) slotOf(j int) int {
+	if s.renumbered {
+		return int(s.newOf[j])
+	}
+	if s.st.posOf[j] == deadSlot {
+		return -1
+	}
+	return j
 }
 
 // fastFinish prices just the delta's columns under the (unchanged) duals;
 // if none is improving, it extracts the optimal solution directly. done is
 // false when some delta column improves and the full pivot loop must run.
-func (s *Solver) fastFinish(d *ProblemDelta, oldN int) (*Solution, bool) {
+func (s *Solver) fastFinish(d *ProblemDelta) (*Solution, bool) {
 	st := s.st
 	st.btran()
 	newN := s.prob.NumCols()
 	for _, oc := range d.SetC {
-		nj := s.colMap[oc.Col]
-		if nj >= 0 && st.posOf[nj] < 0 && st.reducedCost(nj) > reducedTol {
+		nj := s.slotOf(oc.Col)
+		if nj >= 0 && st.posOf[nj] == -1 && st.reducedCost(nj) > reducedTol {
 			return nil, false
 		}
 	}
@@ -416,10 +531,10 @@ func (s *Solver) fastFinish(d *ProblemDelta, oldN int) (*Solution, bool) {
 
 // finishWarm is the warm path's epilogue: record warm-start validity, then
 // feed the changed-column tracker.
-func (s *Solver) finishWarm(sol *Solution, err error, oldN int) (*Solution, error) {
+func (s *Solver) finishWarm(sol *Solution, err error, added int) (*Solution, error) {
 	sol, err = s.finish(sol, err)
 	if s.trackChanged && err == nil && sol != nil && sol.Status == Optimal {
-		s.diffChanged(oldN, sol.X)
+		s.diffChanged(added, sol.X)
 		s.snapshotX(sol)
 	}
 	return sol, err
@@ -438,8 +553,13 @@ const pivotSubstTol = 1e-7
 const warmFeasTol = 1e-9
 
 // cold solves the current problem from the all-slack basis on the (pooled)
-// state arena.
-func (s *Solver) cold() (*Solution, error) {
+// state arena. removed lists slots the pending delta removed without
+// tombstoning them; they and every tombstone are compacted away first, so a
+// cold solve always sees a problem without tombstones.
+func (s *Solver) cold(removed []int) (*Solution, error) {
+	if s.dead() > 0 || len(removed) > 0 {
+		s.compact(removed)
+	}
 	s.stats.ColdSolves++
 	s.changedAll = true
 	if sol, done := trivialSolution(s.prob); done {
@@ -466,9 +586,24 @@ func (s *Solver) finish(sol *Solution, err error) (*Solution, error) {
 	return sol, err
 }
 
+// dead returns the number of tombstones in the problem. While it is
+// positive, the state is bound to the problem and marks each of them
+// deadSlot in posOf.
+func (s *Solver) dead() int {
+	if s.st == nil {
+		return 0
+	}
+	return s.st.dead
+}
+
+// isDead reports whether slot j is a tombstone.
+func (s *Solver) isDead(j int) bool {
+	return s.dead() > 0 && s.st.posOf[j] == deadSlot
+}
+
 // checkDelta validates the delta against the current problem shape.
-func (s *Solver) checkDelta(d *ProblemDelta, oldN int) error {
-	m := s.prob.NumRows
+func (s *Solver) checkDelta(d *ProblemDelta) error {
+	m, n := s.prob.NumRows, s.prob.NumCols()
 	for _, bc := range d.SetB {
 		if bc.Row < 0 || bc.Row >= m {
 			return fmt.Errorf("lp: delta bound on row %d of %d", bc.Row, m)
@@ -478,16 +613,22 @@ func (s *Solver) checkDelta(d *ProblemDelta, oldN int) error {
 		}
 	}
 	for _, oc := range d.SetC {
-		if oc.Col < 0 || oc.Col >= oldN {
-			return fmt.Errorf("lp: delta objective on column %d of %d", oc.Col, oldN)
+		if oc.Col < 0 || oc.Col >= n {
+			return fmt.Errorf("lp: delta objective on column %d of %d", oc.Col, n)
+		}
+		if s.isDead(oc.Col) {
+			return &TombstoneError{Col: oc.Col}
 		}
 		if math.IsNaN(oc.C) || math.IsInf(oc.C, 0) {
 			return fmt.Errorf("lp: non-finite delta objective c[%d]", oc.Col)
 		}
 	}
 	for _, j := range d.RemoveCols {
-		if j < 0 || j >= oldN {
-			return fmt.Errorf("lp: delta removes column %d of %d", j, oldN)
+		if j < 0 || j >= n {
+			return fmt.Errorf("lp: delta removes column %d of %d", j, n)
+		}
+		if s.isDead(j) {
+			return &TombstoneError{Col: j}
 		}
 	}
 	if len(d.AddCols) != len(d.AddC) {
@@ -519,25 +660,27 @@ func (s *Solver) checkDelta(d *ProblemDelta, oldN int) error {
 // product-form update: the entering slack is the first of the column's own
 // rows whose FTRAN'd pivot element is comfortably nonzero, so the patched
 // basis is nonsingular by construction (the failure of naive substitution,
-// which picks a slack blind and routinely lands on a zero pivot). Basic
-// values are left stale — the post-delta x_B refresh recomputes them and
-// dualRepair absorbs any infeasibility the swap introduced. Runs before the
-// delta mutates the column storage, while the removed columns' row lists
-// are still readable; variable indices stay in the pre-delta space and
-// remapState translates them after compaction. Reports the number of swaps
+// which picks a slack blind and routinely lands on a zero pivot). The
+// removed basics are visited in ascending basis position. Basic values are
+// left stale — the post-delta x_B refresh recomputes them and dualRepair
+// absorbs any infeasibility the swap introduced. Reports the number of swaps
 // performed (zero means the basis, and so the duals, survived the delta
 // untouched — what qualifies the re-solve for the fast finish) and ok=false
 // when some removed basic column has no usable entering slack — then the
 // warm start is abandoned.
-func (s *Solver) substituteRemovedBasics(d *ProblemDelta, oldN int) (swaps int, ok bool) {
+func (s *Solver) substituteRemovedBasics(d *ProblemDelta) (swaps int, ok bool) {
 	st := s.st
-	if len(d.RemoveCols) == 0 {
-		return 0, true
-	}
-	for i, v := range st.basis {
-		if v >= oldN || !s.removed[v] {
-			continue
+	oldN := s.prob.NumCols()
+	s.subPos = s.subPos[:0]
+	for _, j := range d.RemoveCols {
+		if i := st.posOf[j]; i >= 0 {
+			s.subPos = append(s.subPos, i)
 		}
+	}
+	slices.Sort(s.subPos)
+	s.subPos = slices.Compact(s.subPos)
+	for _, i := range s.subPos {
+		v := st.basis[i]
 		entered := false
 		for _, r32 := range s.prob.Col(v) {
 			q := oldN + int(r32)
@@ -565,26 +708,10 @@ func (s *Solver) substituteRemovedBasics(d *ProblemDelta, oldN int) (swaps int, 
 	return swaps, true
 }
 
-// markRemoved fills s.removed, the pre-delta removal mask that both
-// substituteRemovedBasics and applyDelta read.
-func (s *Solver) markRemoved(cols []int, oldN int) {
-	if cap(s.removed) < oldN {
-		s.removed = make([]bool, oldN)
-	} else {
-		s.removed = s.removed[:oldN]
-		for i := range s.removed {
-			s.removed[i] = false
-		}
-	}
-	for _, j := range cols {
-		s.removed[j] = true
-	}
-}
-
-// applyDelta mutates the current problem: bounds, objective coefficients,
-// column compaction (filling s.colMap with the old→new index map, -1 for
-// removed, from the mask markRemoved filled), then appended columns.
-func (s *Solver) applyDelta(d *ProblemDelta, oldN int) {
+// applyDelta mutates the current problem in place: bounds, objective
+// coefficients, a zero cost for every removed column (its slot and rows
+// stay), then appended columns.
+func (s *Solver) applyDelta(d *ProblemDelta) {
 	p := s.prob
 	for _, bc := range d.SetB {
 		p.B[bc.Row] = bc.B
@@ -592,53 +719,172 @@ func (s *Solver) applyDelta(d *ProblemDelta, oldN int) {
 	for _, oc := range d.SetC {
 		p.C[oc.Col] = oc.C
 	}
-	s.colMap = resizeI(s.colMap, oldN)
-	if len(d.RemoveCols) == 0 {
-		for j := range s.colMap {
-			s.colMap[j] = j
+	for _, j := range d.RemoveCols {
+		p.C[j] = 0
+	}
+	if len(d.AddCols) > 0 {
+		n, nnz := p.NumCols()+len(d.AddCols), len(p.Rows)
+		for k := range d.AddCols {
+			nnz += len(d.AddCols[k].Rows)
 		}
-	} else {
-		w, nz := 0, 0
-		for j := 0; j < oldN; j++ {
-			if s.removed[j] {
-				s.colMap[j] = -1
-				continue
-			}
-			lo, hi := p.ColPtr[j], p.ColPtr[j+1]
-			if nz != lo {
-				copy(p.Rows[nz:nz+hi-lo], p.Rows[lo:hi])
-			}
-			nz += hi - lo
-			p.C[w] = p.C[j]
-			s.colMap[j] = w
-			w++
-			p.ColPtr[w] = nz
+		if cap(p.C) < n || cap(p.Rows) < nnz {
+			// Room for the slots the tombstones will hold (see reserve).
+			p.Reserve(n+n/compactDivisor, nnz+nnz/compactDivisor)
 		}
-		p.ColPtr = p.ColPtr[:w+1]
-		p.C = p.C[:w]
-		p.Rows = p.Rows[:nz]
 	}
 	for k := range d.AddCols {
 		p.AddColumn(d.AddC[k], d.AddCols[k].Rows)
 	}
 }
 
-// remapState translates the persistent state from the pre-delta variable
-// space (oldN structurals) to the post-delta one (newN): basis entries,
-// posOf, and the Devex reference weights (surviving columns keep their
-// weight, added columns start at the unit reference, slacks shift).
-func (s *Solver) remapState(oldN, newN int) {
+// patchState carries the warm state across an applied delta in O(m + |Δ|):
+// it tombstones the removed slots, shifts the slack block of every
+// per-variable array past the appended slots (added columns start nonbasic
+// at the unit Devex reference), patches the row mirror, and queues every
+// column whose c_j is new — SetC targets, tombstones and appended columns —
+// for the reduced-cost cache's next sync. Bound changes touch no input of a
+// reduced cost, so a SetB-only delta leaves the cache exactly as valid as it
+// was.
+func (s *Solver) patchState(d *ProblemDelta, oldN int) {
 	st := s.st
 	m := st.m
+	newN := s.prob.NumCols()
+	devexW := len(st.weights) == oldN+m
+	for _, j := range d.RemoveCols {
+		if st.posOf[j] == deadSlot {
+			continue // listed twice
+		}
+		st.posOf[j] = deadSlot
+		if devexW {
+			st.weights[j] = 0
+		}
+		st.dead++
+	}
+	if added := newN - oldN; added > 0 {
+		for i, v := range st.basis {
+			if v >= oldN {
+				st.basis[i] = v + added
+			}
+		}
+		st.posOf = growSlots(st.posOf, oldN, newN, m, -1)
+		if devexW {
+			st.weights = growSlots(st.weights, oldN, newN, m, 1)
+		}
+		st.n = newN
+		st.reserveSlots(newN + m)
+		for j := oldN; j < newN; j++ {
+			st.appendARows(j)
+		}
+	}
+	if !st.redOK {
+		return
+	}
+	t0 := tick(st.timers)
+	defer st.timers.add(phPricing, t0)
+	if newN > oldN {
+		st.redC = growSlots(st.redC, oldN, newN, m, 0)
+	}
+	for _, oc := range d.SetC {
+		st.redDirty = append(st.redDirty, int32(oc.Col))
+	}
+	for _, j := range d.RemoveCols {
+		st.redDirty = append(st.redDirty, int32(j))
+	}
+	for j := oldN; j < newN; j++ {
+		st.redDirty = append(st.redDirty, int32(j))
+	}
+	// Re-solves that end in the fast finish never sync, and repeated SetC on
+	// one column queues it again each time: past n + m entries the queue
+	// costs more than the full pass that replaces it.
+	if len(st.redDirty) > newN+m {
+		st.redOK = false
+		st.redDirty = st.redDirty[:0]
+	}
+}
+
+// growSlots resizes a per-variable array from oldN+m to newN+m entries for
+// newN-oldN appended slots: the m slack entries move up behind them, and
+// the appended entries are set to fill. Amortized O(m + appended).
+func growSlots[T any](a []T, oldN, newN, m int, fill T) []T {
+	a = reserve(a, newN+m)[:newN+m]
+	copy(a[newN:], a[oldN:oldN+m])
+	for j := oldN; j < newN; j++ {
+		a[j] = fill
+	}
+	return a
+}
+
+// compact drops every tombstone, plus the slots in removed (a delta applied
+// without tombstoning), from the problem: one monotone renumbering of the
+// surviving slots, recorded in newOf for Renumbering. The warm path follows
+// it with remapState; a cold solve rebinds the state instead.
+func (s *Solver) compact(removed []int) {
+	p := s.prob
+	n := p.NumCols()
+	newOf := resize32(s.newOf, n)
+	for j := range newOf {
+		newOf[j] = 0
+		if s.isDead(j) {
+			newOf[j] = -1
+		}
+	}
+	for _, j := range removed {
+		newOf[j] = -1
+	}
+	w, nz := 0, 0
+	for j := 0; j < n; j++ {
+		if newOf[j] < 0 {
+			continue
+		}
+		lo, hi := p.ColPtr[j], p.ColPtr[j+1]
+		if nz != lo {
+			copy(p.Rows[nz:nz+hi-lo], p.Rows[lo:hi])
+		}
+		nz += hi - lo
+		p.C[w] = p.C[j]
+		newOf[j] = int32(w)
+		w++
+		p.ColPtr[w] = nz
+	}
+	p.ColPtr = p.ColPtr[:w+1]
+	p.C = p.C[:w]
+	p.Rows = p.Rows[:nz]
+	s.newOf = newOf
+	s.renumbered = true
+	s.stats.Compactions++
+	if s.trackChanged && s.prevOK {
+		k := 0
+		for i, j := range s.prevSlots {
+			if nj := newOf[j]; nj >= 0 {
+				s.prevSlots[k], s.prevVals[k] = nj, s.prevVals[i]
+				k++
+			}
+		}
+		s.prevSlots, s.prevVals = s.prevSlots[:k], s.prevVals[:k]
+	}
+	if s.st != nil {
+		s.st.dead = 0
+	}
+}
+
+// remapState carries the warm state through the compaction just run: basis
+// entries, posOf, the Devex reference weights and the reduced-cost cache
+// with its dirty queue move with their variables through newOf, and the
+// slack block moves down behind the surviving columns. The row mirror and
+// the solution buffer are rebuilt on next use.
+func (s *Solver) remapState() {
+	st := s.st
+	m := st.m
+	oldN, newN := st.n, s.prob.NumCols()
+	newOf := s.newOf
 	for i, v := range st.basis {
 		if v < oldN {
-			st.basis[i] = s.colMap[v] // ≥ 0: removed basics were substituted
+			st.basis[i] = int(newOf[v]) // ≥ 0: tombstones are never basic
 		} else {
 			st.basis[i] = newN + (v - oldN)
 		}
 	}
-	st.n = newN
-	st.posOf = resizeI(st.posOf, newN+m)
+	st.posOf = st.posOf[:newN+m]
 	for i := range st.posOf {
 		st.posOf[i] = -1
 	}
@@ -646,75 +892,33 @@ func (s *Solver) remapState(oldN, newN int) {
 		st.posOf[v] = i
 	}
 	if len(st.weights) == oldN+m {
-		s.wScratch = resizeF(s.wScratch, newN+m)
-		w := s.wScratch
-		for j := 0; j < newN+m; j++ {
-			w[j] = 1
-		}
-		for j := 0; j < oldN; j++ {
-			if nj := s.colMap[j]; nj >= 0 {
-				w[nj] = st.weights[j]
-			}
-		}
-		for i := 0; i < m; i++ {
-			w[newN+i] = st.weights[oldN+i]
-		}
-		st.weights, s.wScratch = w, st.weights
+		st.weights = compactSlots(st.weights, newOf, oldN, newN, m)
 	}
-}
-
-// remapRed carries the state's reduced-cost cache across the delta. After a
-// structural delta the entries and the dirty queue move with their variables
-// through colMap (one O(n + m) pass, in place) and removed columns drop
-// out. Every column whose c_j is new — SetC targets and appended columns —
-// is queued dirty for the next syncRed. Bound changes touch no input of a
-// reduced cost, so a SetB-only delta leaves the cache exactly as valid as it
-// was. Timed as pricing, like the syncs it feeds.
-func (s *Solver) remapRed(d *ProblemDelta, oldN, newN int) {
-	st := s.st
-	if !st.redOK {
-		return
-	}
-	t0 := tick(st.timers)
-	defer st.timers.add(phPricing, t0)
-	if len(d.RemoveCols) > 0 || len(d.AddCols) > 0 {
-		// colMap ascends with colMap[j] ≤ j, so a forward pass compacts the
-		// structural entries in place below the slack block, and copy moves
-		// that block whether or not the ranges overlap.
-		red := st.redC
-		for j := 0; j < oldN; j++ {
-			if nj := s.colMap[j]; nj >= 0 {
-				red[nj] = red[j]
-			}
-		}
-		if total := newN + st.m; cap(red) < total {
-			red = append(red, make([]float64, total-len(red))...)
-		} else {
-			red = red[:total]
-		}
-		copy(red[newN:], red[oldN:oldN+st.m])
-		st.redC = red
+	if st.redOK {
+		st.redC = compactSlots(st.redC, newOf, oldN, newN, m)
 		dirty := st.redDirty[:0]
 		for _, j := range st.redDirty {
-			if nj := s.colMap[j]; nj >= 0 {
-				dirty = append(dirty, int32(nj))
+			if nj := newOf[j]; nj >= 0 {
+				dirty = append(dirty, nj)
 			}
 		}
 		st.redDirty = dirty
 	}
-	for _, oc := range d.SetC {
-		if nj := s.colMap[oc.Col]; nj >= 0 {
-			st.redDirty = append(st.redDirty, int32(nj))
+	st.n = newN
+	st.aRowsOK = false
+	st.xSetOK = false
+}
+
+// compactSlots moves a per-variable array through a compaction in place:
+// surviving structural entries to their new slots (newOf ascends with
+// newOf[j] ≤ j, so a forward pass never overwrites an unread entry), then
+// the m slack entries down behind them.
+func compactSlots[T any](a []T, newOf []int32, oldN, newN, m int) []T {
+	for j := 0; j < oldN; j++ {
+		if nj := newOf[j]; nj >= 0 {
+			a[nj] = a[j]
 		}
 	}
-	for nj := newN - len(d.AddCols); nj < newN; nj++ {
-		st.redDirty = append(st.redDirty, int32(nj))
-	}
-	// Re-solves that end in the fast finish never sync, and repeated SetC on
-	// one column queues it again each time: past n + m entries the queue
-	// costs more than the full pass that replaces it.
-	if len(st.redDirty) > newN+st.m {
-		st.redOK = false
-		st.redDirty = st.redDirty[:0]
-	}
+	copy(a[newN:], a[oldN:oldN+m])
+	return a[:newN+m]
 }

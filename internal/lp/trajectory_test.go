@@ -13,21 +13,29 @@ import (
 
 // trajectoryPin is the absolute fingerprint of one default-configuration
 // solve: the objective's bits, the pivot count and an FNV-1a hash over the
-// bits of X then Y (signed zeros collapsed, see canonBits).
+// bits of X's live slots then Y (signed zeros collapsed, see canonBits).
 type trajectoryPin struct {
 	obj   uint64
 	iters int
 	hash  uint64
 }
 
-func pinOf(sol *Solution) trajectoryPin {
+// pinOf fingerprints sol, the last solution of s. Tombstones are left out of
+// the hash, so a solution without them hashes every entry of X.
+func pinOf(sol *Solution, s *Solver) trajectoryPin {
 	h := fnv.New64a()
 	var buf [8]byte
-	for _, vec := range [][]float64{sol.X, sol.Y} {
-		for _, v := range vec {
-			binary.LittleEndian.PutUint64(buf[:], canonBits(v))
-			h.Write(buf[:])
+	put := func(v float64) {
+		binary.LittleEndian.PutUint64(buf[:], canonBits(v))
+		h.Write(buf[:])
+	}
+	for j, v := range sol.X {
+		if s.Live(j) {
+			put(v)
 		}
+	}
+	for _, v := range sol.Y {
+		put(v)
 	}
 	return trajectoryPin{obj: math.Float64bits(sol.Objective), iters: sol.Iterations, hash: h.Sum64()}
 }
@@ -53,7 +61,7 @@ func runTrajectoryChain(t *testing.T, rng *xrand.RNG, p *Problem, cfg Revised, u
 	if err != nil {
 		t.Fatalf("cold: %v", err)
 	}
-	cold = pinOf(sol)
+	cold = pinOf(sol, s)
 
 	// Bid churn: drop a spread of nonbasic and basic columns (the latter
 	// force slack substitutions) and append fresh two-row columns.
@@ -88,7 +96,7 @@ func runTrajectoryChain(t *testing.T, rng *xrand.RNG, p *Problem, cfg Revised, u
 	if err := Verify(s.Problem(), sol, 1e-6); err != nil {
 		t.Fatalf("warm chain: %v", err)
 	}
-	return cold, pinOf(sol), s.Stats().WarmPivots
+	return cold, pinOf(sol, s), s.Stats().WarmPivots
 }
 
 // TestDefaultTrajectoryPinned pins the default solve trajectory absolutely,

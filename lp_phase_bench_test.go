@@ -83,11 +83,7 @@ func BenchmarkLPPhases(b *testing.B) {
 				b.ReportAllocs()
 				b.ResetTimer()
 				for i := 0; i < b.N; i++ {
-					d := f.dTailToB
-					if toA {
-						d = f.dTailToA
-					}
-					if _, err := s.Resolve(d); err != nil {
+					if _, err := s.Resolve(f.tailDelta(s, toA)); err != nil {
 						b.Fatal(err)
 					}
 					toA = !toA

@@ -39,8 +39,26 @@ type warmFixture struct {
 	probA *lp.Problem // original instance's benchmark LP
 
 	dFirstToB lp.ProblemDelta // A (original column order) -> B
-	dTailToA  lp.ProblemDelta // B (changed users at the tail) -> A
-	dTailToB  lp.ProblemDelta // A (changed users at the tail) -> B
+	dTailToA  lp.ProblemDelta // B (changed users at the tail) -> A, less RemoveCols
+	dTailToB  lp.ProblemDelta // A (changed users at the tail) -> B, less RemoveCols
+	kA, kB    int             // the changed users' column counts in A and B
+}
+
+// tailDelta returns the next toggle's delta on s: to state A if toA, else
+// to B. The previous toggle appended the changed users' columns, so they
+// hold the last slots of s's problem, and the delta removes those slots —
+// computed per toggle, because the slot count grows by the tombstones each
+// toggle leaves until a compaction drops them.
+func (f *warmFixture) tailDelta(s *lp.Solver, toA bool) lp.ProblemDelta {
+	d, k := f.dTailToB, f.kA
+	if toA {
+		d, k = f.dTailToA, f.kB
+	}
+	n := s.Problem().NumCols()
+	for j := n - k; j < n; j++ {
+		d.RemoveCols = append(d.RemoveCols, j)
+	}
+	return d
 }
 
 // setColumns converts one user's admissible sets to LP delta columns.
@@ -103,7 +121,6 @@ func buildWarmFixtureAt(tb testing.TB, users, events, stride int) *warmFixture {
 	setsB := enumerateSets(inB)
 
 	probA, ownerA := core.BuildBenchmarkLP(in, setsA)
-	f := &warmFixture{probA: probA}
 
 	isChanged := make([]bool, nu)
 	for _, u := range changed {
@@ -114,6 +131,7 @@ func buildWarmFixtureAt(tb testing.TB, users, events, stride int) *warmFixture {
 		kA += len(setsA[u])
 		kB += len(setsB[u])
 	}
+	f := &warmFixture{probA: probA, kA: kA, kB: kB}
 	for j, ow := range ownerA {
 		if isChanged[ow[0]] {
 			f.dFirstToB.RemoveCols = append(f.dFirstToB.RemoveCols, j)
@@ -122,19 +140,14 @@ func buildWarmFixtureAt(tb testing.TB, users, events, stride int) *warmFixture {
 	for _, u := range changed {
 		setColumns(u, nu, setsB[u], &f.dFirstToB)
 	}
-	// After any toggle the changed users' columns sit at the tail
-	// (lp.ProblemDelta appends), so later deltas remove a fixed tail range.
-	n := probA.NumCols()
-	nB := n - kA + kB
-	for j := nB - kB; j < nB; j++ {
-		f.dTailToA.RemoveCols = append(f.dTailToA.RemoveCols, j)
-	}
+	// After any toggle the changed users' columns sit in the last slots
+	// (lp.ProblemDelta appends), so later deltas remove a tail range, which
+	// tailDelta fills in per toggle; RemoveCols only reserves room for it.
+	f.dTailToA.RemoveCols = make([]int, 0, kB)
 	for _, u := range changed {
 		setColumns(u, nu, setsA[u], &f.dTailToA)
 	}
-	for j := n - kA; j < n; j++ {
-		f.dTailToB.RemoveCols = append(f.dTailToB.RemoveCols, j)
-	}
+	f.dTailToB.RemoveCols = make([]int, 0, kA)
 	for _, u := range changed {
 		setColumns(u, nu, setsB[u], &f.dTailToB)
 	}
@@ -214,11 +227,7 @@ func BenchmarkWarmResolve(b *testing.B) {
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			d := f.dTailToB
-			if toA {
-				d = f.dTailToA
-			}
-			if _, err := s.Resolve(d); err != nil {
+			if _, err := s.Resolve(f.tailDelta(s, toA)); err != nil {
 				b.Fatal(err)
 			}
 			toA = !toA
