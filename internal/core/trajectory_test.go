@@ -127,7 +127,7 @@ func TestMeetupTrajectoryPinned(t *testing.T) {
 // loop. Each block of 51 updates holds 40 single-user bid toggles, 10
 // capacity edits of 5 events and one batch toggling 5% of the users; every
 // toggle flips between the generated value and one edit away from it. An
-// FNV-1a chain over every solution's solutionHash and the final warm-pivot,
+// FNV-1a chain over every solution's plannerHash and the final warm-pivot,
 // fast-finish and refactorization counts must not move. amd64 only.
 func TestChurnTrajectoryPinned(t *testing.T) {
 	if runtime.GOARCH != "amd64" {
