@@ -259,7 +259,7 @@ func (f *luFactors) buildRowGraphs() {
 	if f.rowsOK {
 		return
 	}
-	f.stepOf = resize32(f.stepOf, f.m)
+	f.stepOf = resize(f.stepOf, f.m)
 	for k := 0; k < f.m; k++ {
 		f.stepOf[f.colOrder[k]] = int32(k)
 	}
@@ -272,7 +272,7 @@ func (f *luFactors) buildRowGraphs() {
 // index lists idx[ptr[k]:ptr[k+1]], reusing rowPtr and rowIdx. The scatter
 // advances rowPtr[s] to the end of row s; one shift restores the starts.
 func transposePattern(m int, ptr, idx, rowPtr, rowIdx []int32) ([]int32, []int32) {
-	rowPtr = resize32(rowPtr, m+1)
+	rowPtr = resize(rowPtr, m+1)
 	for i := range rowPtr {
 		rowPtr[i] = 0
 	}
@@ -282,7 +282,7 @@ func transposePattern(m int, ptr, idx, rowPtr, rowIdx []int32) ([]int32, []int32
 	for i := 0; i < m; i++ {
 		rowPtr[i+1] += rowPtr[i]
 	}
-	rowIdx = resize32(rowIdx, len(idx))
+	rowIdx = resize(rowIdx, len(idx))
 	for k := 0; k < m; k++ {
 		for t := ptr[k]; t < ptr[k+1]; t++ {
 			s := idx[t]

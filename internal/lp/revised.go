@@ -495,59 +495,16 @@ func newRevisedState(p *Problem, perturb bool) *revisedState {
 	return st
 }
 
-// resizeF reslices s to length n, allocating only when the capacity is too
-// small. Contents are unspecified; callers overwrite what they read.
-func resizeF(s []float64, n int) []float64 {
+// resize reslices s to length n, allocating only when the capacity is too
+// small. It grows through slices.Grow, whose amortized growth lets a warm
+// Solver's per-slot arrays follow its appended columns (see growSlots)
+// without reallocating on every delta; a first allocation is exact. Contents
+// are unspecified; callers overwrite what they read.
+func resize[T any](s []T, n int) []T {
 	if cap(s) < n {
-		return make([]float64, n)
+		s = slices.Grow(s[:0], n)
 	}
 	return s[:n]
-}
-
-// resizeI is resizeF for int slices.
-func resizeI(s []int, n int) []int {
-	if cap(s) < n {
-		return make([]int, n)
-	}
-	return s[:n]
-}
-
-// resize32 is resizeF for int32 slices.
-func resize32(s []int32, n int) []int32 {
-	if cap(s) < n {
-		return make([]int32, n)
-	}
-	return s[:n]
-}
-
-// reserve grows a's capacity to at least n entries, keeping its length and
-// contents. A warm Solver's slot count grows until a compaction, which runs
-// once tombstones pass 1/compactDivisor of the slots, so the new capacity
-// leaves that much room and the array settles after one growth. An array
-// never allocated (nil) stays nil.
-func reserve[T any](a []T, n int) []T {
-	if a == nil || cap(a) >= n {
-		return a
-	}
-	b := make([]T, len(a), n+n/compactDivisor)
-	copy(b, a)
-	return b
-}
-
-// reserveSlots makes room for total variables in every per-variable array
-// the next solve sizes exactly (resizeF, beginCandidates, extract). A warm
-// Solver's slot count grows with every appended column until a compaction,
-// and without the headroom each of those would reallocate on every delta.
-func (st *revisedState) reserveSlots(total int) {
-	st.rvec = reserve(st.rvec, total)
-	st.dualRedVec = reserve(st.dualRedVec, total)
-	st.alphaVec = reserve(st.alphaVec, total)
-	st.candStamp = reserve(st.candStamp, total)
-	st.xOut = reserve(st.xOut, total)
-	st.xMark = reserve(st.xMark, (total+63)/64)
-	nb := (total + devexBlock - 1) / devexBlock
-	st.blockBest = reserve(st.blockBest, nb)
-	st.blockScore = reserve(st.blockScore, nb)
 }
 
 // rebind points the state at problem p and resets it to the all-slack basis,
@@ -565,24 +522,24 @@ func (st *revisedState) rebind(p *Problem, perturb bool) {
 	st.redOK = false
 	st.redDirty = st.redDirty[:0]
 	st.loadRHS(perturb)
-	st.basis = resizeI(st.basis, m)
-	st.posOf = resizeI(st.posOf, n+m)
-	st.xB = resizeF(st.xB, m)
-	st.cB = resizeF(st.cB, m)
-	st.y = resizeF(st.y, m)
-	st.d = resizeF(st.d, m)
-	st.work = resizeF(st.work, m)
+	st.basis = resize(st.basis, m)
+	st.posOf = resize(st.posOf, n+m)
+	st.xB = resize(st.xB, m)
+	st.cB = resize(st.cB, m)
+	st.y = resize(st.y, m)
+	st.d = resize(st.d, m)
+	st.work = resize(st.work, m)
 	for i := range st.work {
 		st.work[i] = 0 // the LU solves require (and preserve) zeroed scratch
 	}
 	if st.scratch != nil {
-		st.scratch = resizeF(st.scratch, m)
+		st.scratch = resize(st.scratch, m)
 		for i := range st.scratch {
 			st.scratch[i] = 0
 		}
 	}
 	if st.beta != nil {
-		st.beta = resizeF(st.beta, m)
+		st.beta = resize(st.beta, m)
 	}
 	st.rowSeq = st.rowSeq[:0]
 	st.ones = st.ones[:0]
@@ -609,7 +566,7 @@ func (st *revisedState) rebind(p *Problem, perturb bool) {
 // on (row, bound), so a warm re-solve after a bound delta works on exactly
 // the rhs a cold solve of the changed problem would see.
 func (st *revisedState) loadRHS(perturb bool) {
-	st.b = resizeF(st.b, st.m)
+	st.b = resize(st.b, st.m)
 	copy(st.b, st.p.B)
 	if perturb {
 		for i := range st.b {
@@ -846,9 +803,9 @@ func (st *revisedState) reducedCost(q int) float64 {
 // across the delta), preserving the pricing memory of the previous optimum.
 func (st *revisedState) initDevex(warm bool) {
 	total := st.n + st.m
-	st.rvec = resizeF(st.rvec, total)
+	st.rvec = resize(st.rvec, total)
 	if !warm || len(st.weights) != total {
-		st.weights = resizeF(st.weights, total)
+		st.weights = resize(st.weights, total)
 		for i := range st.weights {
 			st.weights[i] = 0
 		}
@@ -894,8 +851,8 @@ func (st *revisedState) refreshReducedCosts() {
 // variables (refreshReducedCosts, a dense-pivot-row update).
 func (st *revisedState) markAllDirty() {
 	nb := (st.n + st.m + devexBlock - 1) / devexBlock
-	st.blockBest = resize32(st.blockBest, nb)
-	st.blockScore = resizeF(st.blockScore, nb)
+	st.blockBest = resize(st.blockBest, nb)
+	st.blockScore = resize(st.blockScore, nb)
 	st.dirtyBlocks = st.dirtyBlocks[:0]
 	for b := 0; b < nb; b++ {
 		st.blockBest[b] = blockDirty
@@ -1119,7 +1076,7 @@ const repairStallFloor = 256
 // the caller falls back to a cold solve, so repair failure costs
 // correctness nothing.
 func (st *revisedState) dualRepair(budget, refactorEvery int) (int, dualRepairResult) {
-	st.dseW = resizeF(st.dseW, st.m)
+	st.dseW = resize(st.dseW, st.m)
 	for i := range st.dseW {
 		st.dseW[i] = 1
 	}
@@ -1521,12 +1478,12 @@ func (st *revisedState) scatterPivotRow() []int32 {
 // pass over total columns and opens a fresh epoch, so the previous pivot's
 // α values and candidate stamps expire without any O(n) clearing.
 func (st *revisedState) beginCandidates(total int) int32 {
-	if cap(st.alphaVec) < total {
-		st.alphaVec = make([]float64, total)
-		st.candStamp = make([]int32, total)
+	if cap(st.candStamp) < total {
+		st.candStamp = resize(st.candStamp, total)
+		clear(st.candStamp)
 		st.candEpoch = 0
 	}
-	st.alphaVec = st.alphaVec[:total]
+	st.alphaVec = resize(st.alphaVec, total)
 	st.candStamp = st.candStamp[:total]
 	st.candEpoch++
 	if st.candEpoch == 0 { // wrapped: stale stamps could collide
@@ -1550,19 +1507,19 @@ func (st *revisedState) buildARows() {
 	}
 	p := st.p
 	nnz := len(p.Rows)
-	st.aRowPtr = resize32(st.aRowPtr, st.m+1)
+	st.aRowPtr = resize(st.aRowPtr, st.m+1)
 	for i := range st.aRowPtr {
 		st.aRowPtr[i] = 0
 	}
 	for _, r := range p.Rows {
 		st.aRowPtr[r+1]++
 	}
-	st.aRowCur = resize32(st.aRowCur, st.m)
+	st.aRowCur = resize(st.aRowCur, st.m)
 	for i := 0; i < st.m; i++ {
 		st.aRowPtr[i+1] += st.aRowPtr[i]
 		st.aRowCur[i] = st.aRowPtr[i]
 	}
-	st.aRowIdx = resize32(st.aRowIdx, nnz)
+	st.aRowIdx = resize(st.aRowIdx, nnz)
 	for j := 0; j < st.n; j++ {
 		for _, r := range p.Col(j) {
 			st.aRowIdx[st.aRowCur[r]] = int32(j)
@@ -1612,7 +1569,7 @@ func (st *revisedState) appendARows(j int) {
 func (st *revisedState) refreshDualRed() {
 	t0 := tick(st.timers)
 	st.syncRed()
-	st.dualRedVec = resizeF(st.dualRedVec, st.n+st.m)
+	st.dualRedVec = resize(st.dualRedVec, st.n+st.m)
 	copy(st.dualRedVec, st.redC)
 	st.timers.add(phPricing, t0)
 }
@@ -1630,7 +1587,7 @@ func (st *revisedState) refreshDualRed() {
 func (st *revisedState) syncRed() {
 	total := st.n + st.m
 	if !st.redOK {
-		st.redC = resizeF(st.redC, total)
+		st.redC = resize(st.redC, total)
 		for j := 0; j < total; j++ {
 			st.redC[j] = st.reducedCost(j)
 		}
@@ -1670,50 +1627,15 @@ func (st *revisedState) syncRed() {
 // the best improving one; if the window has none it widens to a full pass,
 // which also certifies optimality (return -1). A warm pivot (cached) reads
 // the synced reduced-cost cache; a cold one computes each reduced cost.
-// Tombstones are skipped and not counted against the window, so the scan
-// visits the live variables in the order, and stops where, it would on the
-// compacted problem. A solve without tombstones takes the plain loop.
+// Tombstones are skipped and not counted against the window or the pass, so
+// the scan visits the live variables in the order, and stops where, it
+// would on the compacted problem.
 func (st *revisedState) pricePartial(cursor, window int, cached bool) (q, next int) {
 	t0 := tick(st.timers)
 	defer st.timers.add(phPricing, t0)
 	if cached {
 		st.syncRed()
 	}
-	if st.dead > 0 {
-		return st.pricePartialLive(cursor, window)
-	}
-	total := st.n + st.m
-	best, bestRed := -1, reducedTol
-	scanned := 0
-	i := cursor
-	for scanned < total {
-		if st.posOf[i] < 0 {
-			var red float64
-			if cached {
-				red = st.redC[i]
-			} else {
-				red = st.reducedCost(i)
-			}
-			if red > bestRed {
-				best, bestRed = i, red
-			}
-		}
-		scanned++
-		i++
-		if i == total {
-			i = 0
-		}
-		if scanned >= window && best >= 0 {
-			return best, i
-		}
-	}
-	return best, i
-}
-
-// pricePartialLive is pricePartial's cached scan over a problem with
-// tombstones. Tombstones only exist between warm re-solves, so it always
-// reads the synced cache.
-func (st *revisedState) pricePartialLive(cursor, window int) (q, next int) {
 	total := st.n + st.m
 	live := total - st.dead
 	best, bestRed := -1, reducedTol
@@ -1721,8 +1643,16 @@ func (st *revisedState) pricePartialLive(cursor, window int) (q, next int) {
 	i := cursor
 	for scanned < live {
 		if pos := st.posOf[i]; pos != deadSlot {
-			if pos < 0 && st.redC[i] > bestRed {
-				best, bestRed = i, st.redC[i]
+			if pos < 0 {
+				var red float64
+				if cached {
+					red = st.redC[i]
+				} else {
+					red = st.reducedCost(i)
+				}
+				if red > bestRed {
+					best, bestRed = i, red
+				}
 			}
 			scanned++
 		}
@@ -1781,13 +1711,14 @@ func (st *revisedState) extract(iters int) *Solution {
 			clear(x[old:])
 		}
 	} else {
-		x = resizeF(x, st.n)
+		x = resize(x, st.n)
 		clear(x)
 	}
 	st.xOut = x
 	words := (st.n + 63) / 64
 	if cap(st.xMark) < words {
-		st.xMark = make([]uint64, words)
+		st.xMark = resize(st.xMark, words)
+		clear(st.xMark)
 	}
 	mark := st.xMark[:words]
 	st.xSet = slices.Grow(st.xSet[:0], st.m)
@@ -1812,7 +1743,7 @@ func (st *revisedState) extract(iters int) *Solution {
 		mark[w] = 0
 	}
 	st.xSetOK = true
-	st.yOut = resizeF(st.yOut, st.m)
+	st.yOut = resize(st.yOut, st.m)
 	y := st.yOut
 	copy(y, st.y)
 	for i := range y {
