@@ -82,7 +82,14 @@ func TestPlanTallDevexTrajectoryPinned(t *testing.T) {
 // events (m = 590), with its admissible sets.
 func meetupPin(t *testing.T) (*model.Instance, [][]admissible.Set) {
 	t.Helper()
-	in, err := workload.Meetup(workload.MeetupConfig{Seed: 1, NumUsers: 400})
+	return meetupSets(t, 400)
+}
+
+// meetupSets is the seed-1 Meetup instance with users users and the default
+// 190 events, with its admissible sets.
+func meetupSets(t *testing.T, users int) (*model.Instance, [][]admissible.Set) {
+	t.Helper()
+	in, err := workload.Meetup(workload.MeetupConfig{Seed: 1, NumUsers: users})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -90,32 +97,44 @@ func meetupPin(t *testing.T) (*model.Instance, [][]admissible.Set) {
 	return in, sets
 }
 
-// TestMeetupTrajectoryPinned pins, absolutely, the default solve of a
-// Meetup-shaped benchmark LP. At m = 590 lp.SolveConfig takes the revised
-// simplex with Dantzig pricing, so this fixes the pricing scan, the FTRAN of
-// BuildBenchmarkLP's columns and the certificate on the paper's own workload
-// family: the pivot count, the objective's bits and the X/Y hash must not
-// move. amd64 only.
+// TestMeetupTrajectoryPinned pins, absolutely, the default solve of
+// Meetup-shaped benchmark LPs. Both rows sit below lp.DevexRowThreshold, so
+// lp.SolveConfig takes the revised simplex with partial Dantzig pricing, and
+// this fixes the pricing scan, the FTRAN of BuildBenchmarkLP's columns and
+// the certificate on the paper's own workload family: the pivot count, the
+// objective's bits and the X/Y hash must not move. The 1000-user row
+// (1,459,460 columns, m = 1190) is wide enough that the scan's cursor wraps
+// many full passes. amd64 only.
 func TestMeetupTrajectoryPinned(t *testing.T) {
 	if runtime.GOARCH != "amd64" {
 		t.Skipf("trajectory bits are pinned on amd64, not %s", runtime.GOARCH)
 	}
-	prob, _ := BuildBenchmarkLP(meetupPin(t))
-	sol, err := lp.SolveConfig(prob, lp.Revised{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := lp.Verify(prob, sol, 1e-6); err != nil {
-		t.Fatal(err)
-	}
-	const (
-		wantIters = 585
-		wantObj   = 0x408c3a97b9fbaabb
-		wantHash  = 0x4a9d77c3850593e0
-	)
-	if obj, h := math.Float64bits(sol.Objective), solutionHash(sol, nil); sol.Iterations != wantIters || obj != wantObj || h != wantHash {
-		t.Errorf("trajectory moved: got iters=%d obj=%#x hash=%#x, want iters=%d obj=%#x hash=%#x",
-			sol.Iterations, obj, h, wantIters, uint64(wantObj), uint64(wantHash))
+	for _, tc := range []struct {
+		users     int
+		wantCols  int
+		wantIters int
+		wantObj   uint64
+		wantHash  uint64
+	}{
+		{400, 0, 585, 0x408c3a97b9fbaabb, 0x4a9d77c3850593e0},
+		{1000, 1_459_460, 1859, 0x40a0ac2f3c2ddfdf, 0xa29153eeccfd6e85},
+	} {
+		in, sets := meetupSets(t, tc.users)
+		prob, _ := BuildBenchmarkLP(in, sets)
+		if tc.wantCols != 0 && prob.NumCols() != tc.wantCols {
+			t.Fatalf("Meetup-%d: %d columns, want %d", tc.users, prob.NumCols(), tc.wantCols)
+		}
+		sol, err := lp.SolveConfig(prob, lp.Revised{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := lp.Verify(prob, sol, 1e-6); err != nil {
+			t.Fatal(err)
+		}
+		if obj, h := math.Float64bits(sol.Objective), solutionHash(sol, nil); sol.Iterations != tc.wantIters || obj != tc.wantObj || h != tc.wantHash {
+			t.Errorf("Meetup-%d trajectory moved: got iters=%d obj=%#x hash=%#x, want iters=%d obj=%#x hash=%#x",
+				tc.users, sol.Iterations, obj, h, tc.wantIters, tc.wantObj, tc.wantHash)
+		}
 	}
 }
 
