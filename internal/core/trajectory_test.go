@@ -104,27 +104,32 @@ func meetupSets(t *testing.T, users int) (*model.Instance, [][]admissible.Set) {
 // the certificate on the paper's own workload family: the pivot count, the
 // objective's bits and the X/Y hash must not move. The 1000-user row
 // (1,459,460 columns, m = 1190) is wide enough that the scan's cursor wraps
-// many full passes. amd64 only.
+// many full passes. The variables the scan reads and those its block bounds
+// let it skip (lp.PhaseTimers.PricedVars, SkippedVars) are pinned too: their
+// sum is what the plain scan reads. amd64 only.
 func TestMeetupTrajectoryPinned(t *testing.T) {
 	if runtime.GOARCH != "amd64" {
 		t.Skipf("trajectory bits are pinned on amd64, not %s", runtime.GOARCH)
 	}
 	for _, tc := range []struct {
-		users     int
-		wantCols  int
-		wantIters int
-		wantObj   uint64
-		wantHash  uint64
+		users       int
+		wantCols    int
+		wantIters   int
+		wantObj     uint64
+		wantHash    uint64
+		wantPriced  int64
+		wantSkipped int64
 	}{
-		{400, 0, 585, 0x408c3a97b9fbaabb, 0x4a9d77c3850593e0},
-		{1000, 1_459_460, 1859, 0x40a0ac2f3c2ddfdf, 0xa29153eeccfd6e85},
+		{400, 0, 585, 0x408c3a97b9fbaabb, 0x4a9d77c3850593e0, 1_035_009, 11_006_464},
+		{1000, 1_459_460, 1859, 0x40a0ac2f3c2ddfdf, 0xa29153eeccfd6e85, 3_364_572, 49_771_392},
 	} {
 		in, sets := meetupSets(t, tc.users)
 		prob, _ := BuildBenchmarkLP(in, sets)
 		if tc.wantCols != 0 && prob.NumCols() != tc.wantCols {
 			t.Fatalf("Meetup-%d: %d columns, want %d", tc.users, prob.NumCols(), tc.wantCols)
 		}
-		sol, err := lp.SolveConfig(prob, lp.Revised{})
+		var tm lp.PhaseTimers
+		sol, err := lp.SolveConfig(prob, lp.Revised{Timers: &tm})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -134,6 +139,10 @@ func TestMeetupTrajectoryPinned(t *testing.T) {
 		if obj, h := math.Float64bits(sol.Objective), solutionHash(sol, nil); sol.Iterations != tc.wantIters || obj != tc.wantObj || h != tc.wantHash {
 			t.Errorf("Meetup-%d trajectory moved: got iters=%d obj=%#x hash=%#x, want iters=%d obj=%#x hash=%#x",
 				tc.users, sol.Iterations, obj, h, tc.wantIters, tc.wantObj, tc.wantHash)
+		}
+		if tm.PricedVars != tc.wantPriced || tm.SkippedVars != tc.wantSkipped {
+			t.Errorf("Meetup-%d pricing scan: read %d and skipped %d variables, want %d and %d",
+				tc.users, tm.PricedVars, tm.SkippedVars, tc.wantPriced, tc.wantSkipped)
 		}
 	}
 }

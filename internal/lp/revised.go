@@ -15,14 +15,23 @@ import (
 // This is the production path for paper-scale benchmark LPs, where the dense
 // tableau would be prohibitively large.
 //
-// Pricing is Devex (Forrest–Goldfarb reference weights) with incrementally
-// updated reduced costs by default. The benchmark LP at large |U| is a
-// heavily degenerate transportation-like program on which textbook Dantzig
-// pricing zigzags — measured on the |U|=4000 Table I workload, Dantzig took
-// ~96k pivots with 55k re-entries of previously basic columns; Devex cuts
-// both dramatically. Dantzig with a partial pricing window remains available
-// and is auto-selected below DevexRowThreshold rows and beyond
-// DevexColumnLimit columns (see selectDevex).
+// Pricing is partial Dantzig or Devex (Forrest–Goldfarb reference weights
+// with incrementally updated reduced costs). Auto mode takes Devex only
+// above DevexRowThreshold rows and within DevexColumnLimit columns (see
+// selectDevex), so every benchmark LP prices by partial Dantzig except the
+// Devex class of plan_tall (3050 rows). Above the threshold the benchmark LP
+// is a heavily degenerate transportation-like program on which textbook
+// Dantzig pricing zigzags — measured on the |U|=4000 Table I workload,
+// Dantzig took ~96k pivots with 55k re-entries of previously basic columns;
+// Devex cuts both dramatically.
+//
+// A cold partial-Dantzig scan keeps a dual bound per block of consecutive
+// variables (priceBounds) and counts a block as scanned without reading its
+// columns when the bound proves none of them improving. It returns exactly
+// what reading every column would, so pivots do not move. A block keeps a
+// bound only where its columns share few rows, as on Meetup LPs, whose
+// blocks hold one or two users' sets; on the synthetic LPs no block does,
+// and the scan is the plain one.
 //
 // A Devex pivot costs what its pivot row touches. A sparse pivot row is
 // scattered through a row-major mirror of A and updates only the columns it
@@ -254,8 +263,12 @@ func (s *Revised) pivot(st *revisedState, warm bool) (*Solution, error) {
 	devex := s.selectDevex(m, n)
 
 	s.configure(st)
-	if devex {
+	var bounds *priceBounds
+	switch {
+	case devex:
 		st.initDevex(warm)
+	case !warm && st.dead == 0:
+		bounds = newPriceBounds(st)
 	}
 
 	iters := 0
@@ -278,7 +291,11 @@ func (s *Revised) pivot(st *revisedState, warm bool) (*Solution, error) {
 			}
 		default:
 			st.btran()
-			q, cursor = st.pricePartial(cursor, window, warm)
+			from := cursor
+			q, cursor = st.pricePartial(cursor, window, warm, bounds)
+			if pricingHook != nil {
+				pricingHook(st, bounds, from, window, q, cursor)
+			}
 		}
 		if q < 0 {
 			// y is exact: every branch above ends with duals computed from
@@ -338,6 +355,7 @@ func (s *Revised) pivot(st *revisedState, warm bool) (*Solution, error) {
 		st.xB[r] = theta
 		leaving := st.basis[r]
 		st.posOf[leaving] = -1
+		bounds.invalidate(leaving)
 		st.basis[r] = q
 		st.posOf[q] = r
 		st.cB[r] = st.objCoef(q)
@@ -1626,13 +1644,17 @@ func (st *revisedState) syncRed() {
 // pricePartial scans a window of variables starting at cursor and returns
 // the best improving one; if the window has none it widens to a full pass,
 // which also certifies optimality (return -1). A warm pivot (cached) reads
-// the synced reduced-cost cache; a cold one computes each reduced cost.
-// Tombstones are skipped and not counted against the window or the pass, so
-// the scan visits the live variables in the order, and stops where, it
-// would on the compacted problem.
-func (st *revisedState) pricePartial(cursor, window int, cached bool) (q, next int) {
+// the synced reduced-cost cache; a cold one computes each reduced cost, or,
+// given the cold solve's block summaries bounds, runs priceBounded, which
+// returns the same (q, next). Tombstones are skipped and not counted against
+// the window or the pass, so the scan visits the live variables in the
+// order, and stops where, it would on the compacted problem.
+func (st *revisedState) pricePartial(cursor, window int, cached bool, bounds *priceBounds) (q, next int) {
 	t0 := tick(st.timers)
 	defer st.timers.add(phPricing, t0)
+	if bounds != nil {
+		return st.priceBounded(cursor, window, bounds)
+	}
 	if cached {
 		st.syncRed()
 	}
@@ -1661,9 +1683,233 @@ func (st *revisedState) pricePartial(cursor, window int, cached bool) (q, next i
 			i = 0
 		}
 		if scanned >= window && best >= 0 {
-			return best, i
+			break
 		}
 	}
+	st.timers.scanned(scanned, 0)
+	return best, i
+}
+
+// pricingHook, when set, runs after every partial Dantzig pricing call of
+// the pivot loop with the call's arguments and results. Tests use it to
+// check each call against the plain scan; it is nil otherwise.
+var pricingHook func(st *revisedState, bounds *priceBounds, cursor, window, q, next int)
+
+// boundBlock is the width, in variables, of one bounded-pricing block.
+const boundBlock = 128
+
+// boundShape is the least ratio of a block's nonzeros to its row union at
+// which the block keeps a bound. Checking the bound reads the union, while
+// scanning the block reads every nonzero, so below this ratio a bound that
+// rarely skips would cost a visible share of the scan it tries to save.
+// Meetup LPs' blocks, 128 sets of one or two users, sit at 70–90; the
+// synthetic plan_tall LPs' blocks, ~12 users each, at 4–8.
+const boundShape = 16
+
+// unitRoundoff is u = 2⁻⁵³, the relative rounding error of one float64
+// operation under round-to-nearest.
+const unitRoundoff = 0x1p-53
+
+// priceBounds lets a cold partial-Dantzig scan count a block of boundBlock
+// consecutive variables as scanned without reading its columns, when a dual
+// bound proves that no variable in it is improving (DESIGN.md §3). A block's
+// summary is taken at its last full evaluation by the scan: maxRed, the
+// largest reduced cost among its nonbasic variables then, and yEval, the
+// duals of its row union then. Each column lists a row at most once, so
+// every variable j of block b that is nonbasic now and was nonbasic then has
+//
+//	red_j(y) ≤ maxRed_b + Σ_{r∈R_b} max(0, yEval_r − y_r),
+//
+// and a variable that was basic then must leave the basis to be nonbasic
+// now, which invalidates the block. The summaries live for one cold solve:
+// pivot builds them and drops them on return, and cold solves have no
+// tombstones.
+type priceBounds struct {
+	// per block: whether it passed the shape rule, and its summary's maxRed:
+	// +Inf before the first full evaluation and after a variable left the
+	// basis, −Inf when it had no nonbasic variable
+	use    []bool
+	maxRed []float64
+	// rows[rowLo[b]:rowLo[b+1]] is block b's row union, in order of first
+	// appearance, and yEval holds their duals at the summary
+	rowLo []int32
+	rows  []int32
+	yEval []float64
+	// cAbs is max |c_j| over the problem, a rounding-margin input
+	cAbs float64
+}
+
+// newPriceBounds builds the block row unions for st's problem and returns
+// nil when no block passes the shape rule. A block's union build stops as
+// soon as it outgrows the rule, so a rejected block costs a few of its
+// columns. A block of slacks alone, whose union is as large as its
+// nonzeros, never passes, so a problem without columns gets nil at once.
+func newPriceBounds(st *revisedState) *priceBounds {
+	if st.n == 0 {
+		return nil
+	}
+	total := st.n + st.m
+	nb := (total + boundBlock - 1) / boundBlock
+	pb := &priceBounds{
+		use:    make([]bool, nb),
+		maxRed: make([]float64, nb),
+		rowLo:  make([]int32, nb+1),
+	}
+	stamp := make([]int32, st.m) // stamp[r] == b+1: r is in block b's union
+	used := false
+	for b := 0; b < nb; b++ {
+		pb.maxRed[b] = math.Inf(1)
+		lo, hi := b*boundBlock, min((b+1)*boundBlock, total)
+		sLo, sHi := min(lo, st.n), min(hi, st.n) // structural part
+		nnz := st.p.ColPtr[sHi] - st.p.ColPtr[sLo] + max(0, hi-max(lo, st.n))
+		limit := len(pb.rows) + nnz/boundShape
+		tag := int32(b + 1)
+		ok := true
+		for _, r := range st.p.Rows[st.p.ColPtr[sLo]:st.p.ColPtr[sHi]] {
+			if stamp[r] != tag {
+				stamp[r] = tag
+				pb.rows = append(pb.rows, r)
+				if ok = len(pb.rows) <= limit; !ok {
+					break
+				}
+			}
+		}
+		for r := max(lo, st.n) - st.n; ok && r < hi-st.n; r++ { // slack rows
+			if stamp[r] != tag {
+				stamp[r] = tag
+				pb.rows = append(pb.rows, int32(r))
+				ok = len(pb.rows) <= limit
+			}
+		}
+		if ok {
+			used = true
+			pb.use[b] = true
+		} else {
+			pb.rows = pb.rows[:pb.rowLo[b]]
+		}
+		pb.rowLo[b+1] = int32(len(pb.rows))
+	}
+	if !used {
+		return nil
+	}
+	pb.yEval = make([]float64, len(pb.rows))
+	for _, c := range st.p.C {
+		pb.cAbs = max(pb.cAbs, math.Abs(c))
+	}
+	return pb
+}
+
+// invalidate drops the summary of the block holding variable v, which just
+// left the basis. Valid on a nil receiver.
+func (pb *priceBounds) invalidate(v int) {
+	if pb != nil {
+		pb.maxRed[v/boundBlock] = math.Inf(1)
+	}
+}
+
+// record stores block b's summary after a full evaluation under duals y.
+func (pb *priceBounds) record(b int, maxRed float64, y []float64) {
+	if !pb.use[b] {
+		return
+	}
+	pb.maxRed[b] = maxRed
+	lo, hi := pb.rowLo[b], pb.rowLo[b+1]
+	ye := pb.yEval[lo:hi]
+	for k, r := range pb.rows[lo:hi] {
+		ye[k] = y[r]
+	}
+}
+
+// skips reports whether block b's bound proves, under duals y, that every
+// nonbasic variable in it has a computed reduced cost ≤ reducedTol, so the
+// plain scan would read the block and change nothing. The margin covers the
+// rounding of both reduced costs and of the bound itself (DESIGN.md §3).
+func (pb *priceBounds) skips(b int, y []float64) bool {
+	if !pb.use[b] {
+		return false
+	}
+	mr := pb.maxRed[b]
+	if mr > reducedTol {
+		return false // +Inf included: no valid summary
+	}
+	if math.IsInf(mr, -1) {
+		return true // every variable was basic and none has left since
+	}
+	lo, hi := pb.rowLo[b], pb.rowLo[b+1]
+	ye := pb.yEval[lo:hi]
+	var delta, yAbs float64
+	for k, r := range pb.rows[lo:hi] {
+		e, n := ye[k], y[r]
+		if d := e - n; d > 0 {
+			delta += d
+			if mr+delta > reducedTol {
+				return false
+			}
+		}
+		yAbs = max(yAbs, math.Abs(e), math.Abs(n))
+	}
+	// a column lists each row at most once, all of them in the union, so
+	// the union's size bounds every column's length
+	k := float64(hi - lo)
+	t := mr + delta
+	margin := 8 * unitRoundoff * (math.Abs(t) + (k+1)*delta + k*(pb.cAbs+k*yAbs))
+	return t+margin <= reducedTol
+}
+
+// priceBounded is the cold pricePartial over block summaries: it returns
+// the plain scan's (q, next) on every call. A scan that reaches a block at
+// its first variable with the whole block left in the pass counts it as
+// scanned without reading it when the block's bound proves it non-improving
+// and the scan cannot stop inside it — no candidate yet, or the window
+// closes no earlier than the block's end. Every other stretch is scanned
+// variable by variable exactly as the plain scan does, and a block scanned
+// whole refreshes its summary.
+func (st *revisedState) priceBounded(cursor, window int, pb *priceBounds) (q, next int) {
+	total := st.n + st.m // a cold solve has no tombstones
+	best, bestRed := -1, reducedTol
+	scanned, skipped := 0, 0
+	i := cursor
+	for scanned < total {
+		b := i / boundBlock
+		lo := b * boundBlock
+		hi := min(lo+boundBlock, total)
+		whole := i == lo && scanned+hi-lo <= total
+		if whole && (best < 0 || scanned+hi-lo <= window) && pb.skips(b, st.y) {
+			scanned += hi - lo
+			skipped += hi - lo
+			i = hi
+		} else {
+			end := min(hi, i+total-scanned)
+			blockMax := math.Inf(-1)
+			for j := i; j < end; j++ {
+				if st.posOf[j] < 0 {
+					red := st.reducedCost(j)
+					if red > blockMax {
+						blockMax = red
+					}
+					if red > bestRed {
+						best, bestRed = j, red
+					}
+				}
+				scanned++
+				if scanned >= window && best >= 0 && j+1 < end {
+					st.timers.scanned(scanned-skipped, skipped)
+					return best, j + 1
+				}
+			}
+			if whole {
+				pb.record(b, blockMax, st.y)
+			}
+			i = end
+		}
+		if i == total {
+			i = 0
+		}
+		if scanned >= window && best >= 0 {
+			break
+		}
+	}
+	st.timers.scanned(scanned-skipped, skipped)
 	return best, i
 }
 

@@ -32,6 +32,12 @@ type PhaseTimers struct {
 	//
 	// Deprecated: always 0; no pricing pass uses candidate windows.
 	CandidateRefills int64
+	// PricedVars counts the variables the partial Dantzig scan read, warm or
+	// cold; SkippedVars those a cold scan counted as scanned without reading
+	// them, because a block's dual bound proved them non-improving. Their
+	// sum is what the plain scan reads, so SkippedVars over the sum is the
+	// bound's skip share.
+	PricedVars, SkippedVars int64
 	// BudgetExhausted counts dual-repair attempts that ran out of their
 	// pivot budget; PartialWarmCutovers counts the keep-the-basis
 	// refactorize-and-retry recoveries those (and stalls) triggered.
@@ -127,5 +133,12 @@ func (tm *PhaseTimers) budgetExhausted() {
 func (tm *PhaseTimers) partialWarmCutover() {
 	if tm != nil {
 		tm.PartialWarmCutovers++
+	}
+}
+
+func (tm *PhaseTimers) scanned(priced, skipped int) {
+	if tm != nil {
+		tm.PricedVars += int64(priced)
+		tm.SkippedVars += int64(skipped)
 	}
 }
