@@ -217,3 +217,31 @@ func TestBoundedPricingNoColumns(t *testing.T) {
 		t.Fatalf("got status %v, objective %v, %d pivots; want optimal 0 in 0", sol.Status, sol.Objective, sol.Iterations)
 	}
 }
+
+// TestPricingCountersAllocateNothing checks that the partial Dantzig scan,
+// plain and bounded, counts PricedVars and SkippedVars into attached phase
+// timers without allocating.
+func TestPricingCountersAllocateNothing(t *testing.T) {
+	p := blockedPacking(xrand.New(3), 1)
+	st := newRevisedState(p, true)
+	if err := st.refactorize(); err != nil {
+		t.Fatal(err)
+	}
+	st.btran()
+	bounds := newPriceBounds(st)
+	if bounds == nil {
+		t.Fatal("no block kept a bound")
+	}
+	var tm PhaseTimers
+	st.timers = &tm
+	total := st.n + st.m
+	for _, pb := range []*priceBounds{nil, bounds} {
+		before := tm.PricedVars + tm.SkippedVars
+		if allocs := testing.AllocsPerRun(20, func() { st.pricePartial(0, total, false, pb) }); allocs != 0 {
+			t.Errorf("bounded=%v: %v allocations per pricing call", pb != nil, allocs)
+		}
+		if tm.PricedVars+tm.SkippedVars == before {
+			t.Errorf("bounded=%v: pricing counted no variable", pb != nil)
+		}
+	}
+}

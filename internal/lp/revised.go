@@ -268,7 +268,9 @@ func (s *Revised) pivot(st *revisedState, warm bool) (*Solution, error) {
 	case devex:
 		st.initDevex(warm)
 	case !warm && st.dead == 0:
+		t0 := tick(st.timers)
 		bounds = newPriceBounds(st)
+		st.timers.add(phPricing, t0)
 	}
 
 	iters := 0

@@ -6,7 +6,8 @@ import "time"
 // kernel leaves so the phases are disjoint: Ftran covers the forward solves
 // (B⁻¹a, including the eta sweep), Btran the transposed solves (duals and
 // pivot rows, including btranUnit), Pricing every entering/leaving scan
-// (Devex, partial Dantzig, Bland and the dual-repair ratio test), Update the
+// (Devex, partial Dantzig, Bland and the dual-repair ratio test) and the
+// block summaries of a cold partial-Dantzig solve, Update the
 // Devex reduced-cost and reference-weight update, and Factor the LU
 // (re)factorizations plus their xB refresh. Pivots counts primal pivots,
 // RepairPivots the dual pivots of warm-start repair.
