@@ -277,10 +277,9 @@ func metricsSummary(w io.Writer, hc *http.Client, addr string, before map[string
 				delta("igepa_lp_fallbacks_total", label("reason", "bound_infeasible")),
 				delta("igepa_lp_fallbacks_total", label("reason", "error")))
 		}
-		fmt.Fprintf(w, "  lp kernels: %.0f hypersparse ftran · %.0f hypersparse btran · %.0f candidate refills · %.0f budget exhaustions · %.0f cutovers\n",
+		fmt.Fprintf(w, "  lp kernels: %.0f hypersparse ftran · %.0f hypersparse btran · %.0f budget exhaustions · %.0f cutovers\n",
 			delta("igepa_lp_hypersparse_solves_total", label("kernel", "ftran")),
 			delta("igepa_lp_hypersparse_solves_total", label("kernel", "btran")),
-			delta("igepa_lp_candidate_refills_total", nil),
 			delta("igepa_lp_repair_budget_exhausted_total", nil),
 			delta("igepa_lp_partial_warm_cutovers_total", nil))
 	}

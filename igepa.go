@@ -72,7 +72,7 @@ func ComputeStats(in *Instance) InstanceStats { return model.ComputeStats(in) }
 // LP-packing (the paper's contribution).
 type (
 	// LPPackingOptions configures the LP-packing solver (α, seed, worker
-	// bound, revised-simplex knobs, repair order, extensions).
+	// bound, LP phase timers, repair order, extensions).
 	LPPackingOptions = core.Options
 	// LPPackingResult carries the arrangement plus solver diagnostics,
 	// including the LP objective, which bounds the optimum only when no

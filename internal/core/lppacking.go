@@ -81,33 +81,32 @@ type Options struct {
 	GreedyFill bool
 	// Workers bounds the worker pool of the per-user stages (admissible-set
 	// enumeration and rounding-sample draws) and is forwarded to the LP
-	// solver's pricing pool; 0 means GOMAXPROCS. Results are bit-identical
-	// for every value: per-user randomness comes from
-	// xrand.NewStream(Seed, u), never from a shared stream, and all parallel
-	// writes go to caller-owned per-user slots.
+	// solver's pricing pool; 0 means GOMAXPROCS, and a negative value is an
+	// error. Results are bit-identical for every value: per-user randomness
+	// comes from xrand.NewStream(Seed, u), never from a shared stream, and
+	// all parallel writes go to caller-owned per-user slots.
 	Workers int
-	// LP carries the revised-simplex tuning knobs (pricing rules, cadence,
-	// parallel thresholds, phase timers) for every solver this package
-	// creates: LPPacking's one-shot lp.SolveConfig and the incremental
-	// Planner's persistent solver. The zero value keeps all defaults, and
-	// LP.Workers == 0 inherits Options.Workers.
+	// LP configures the solvers of LPPacking and the Planner; LP.Workers == 0
+	// inherits Workers.
 	LP lp.Revised
 }
 
-// resolveAlpha maps Alpha 0 to 1 and rejects every value outside (0,1],
-// NaN included, so the rounding stages read opt.Alpha directly.
-func (opt *Options) resolveAlpha() error {
+// resolve maps Alpha 0 to 1 and rejects an Alpha outside (0,1], NaN
+// included, or a negative Workers, so the later stages read both directly.
+func (opt *Options) resolve() error {
 	if opt.Alpha == 0 {
 		opt.Alpha = 1
 	}
 	if !(opt.Alpha > 0 && opt.Alpha <= 1) {
 		return fmt.Errorf("core: alpha = %v outside (0,1]", opt.Alpha)
 	}
+	if opt.Workers < 0 {
+		return fmt.Errorf("core: Options.Workers = %d is negative", opt.Workers)
+	}
 	return nil
 }
 
-// lpConfig resolves the solver configuration: the LP knobs with the
-// top-level Workers bound as the pool default.
+// lpConfig is LP with Workers as its worker bound's default.
 func (opt *Options) lpConfig() lp.Revised {
 	cfg := opt.LP
 	if cfg.Workers == 0 {
@@ -143,7 +142,7 @@ func LPPacking(in *model.Instance, opt Options) (*Result, error) {
 	if err := in.Check(); err != nil {
 		return nil, err
 	}
-	if err := opt.resolveAlpha(); err != nil {
+	if err := opt.resolve(); err != nil {
 		return nil, err
 	}
 
@@ -316,7 +315,7 @@ func BuildBenchmarkLP(in *model.Instance, sets [][]admissible.Set) (*lp.Problem,
 }
 
 // finish repairs the drawn sets, optionally fills, and assembles the
-// Result. opt.Alpha must already be resolved (resolveAlpha).
+// Result. opt must already be resolved (Options.resolve).
 func finish(in *model.Instance, conf *conflict.Matrix, pk *picks, columns int, sol *lp.Solution,
 	opt Options, rng *xrand.RNG, truncated int) *Result {
 

@@ -5,16 +5,13 @@ import (
 	"runtime"
 	"testing"
 
-	"github.com/ebsn/igepa/internal/lp"
 	"github.com/ebsn/igepa/internal/model"
 	"github.com/ebsn/igepa/internal/workload"
 )
 
 // parallelTestInstance is the fixture for the worker-invariance tests:
 // large enough that enumeration and sampling fan out over many pool chunks,
-// small enough to keep the tests fast. Its LP (n+m ≈ 9400) sits below the
-// revised solver's default Devex parallel threshold, so the Devex pool is
-// exercised by forcing ParallelThreshold (see the Devex test below).
+// small enough to keep the tests fast.
 func parallelTestInstance(t *testing.T) *model.Instance {
 	t.Helper()
 	in, err := workload.Synthetic(workload.SyntheticConfig{
@@ -61,34 +58,6 @@ func TestLPPackingWorkerCountInvariance(t *testing.T) {
 			t.Fatal(err)
 		}
 		sameResult(t, "workers="+string(rune('0'+workers)), ref, got)
-	}
-}
-
-// The Devex pricing pool must not change the solve: force Devex pricing
-// (the auto rule would pick Dantzig at this row count) with
-// ParallelThreshold 1 so the pooled update/price/refresh passes genuinely
-// run on this LP, and compare solver worker counts, including pools wider
-// than the chunk count.
-func TestLPPackingDevexWorkerInvariance(t *testing.T) {
-	in := parallelTestInstance(t)
-	run := func(workers int) *Result {
-		res, err := LPPacking(in, Options{
-			Seed:    7,
-			Workers: workers,
-			LP: lp.Revised{
-				Pricing:           "devex",
-				Workers:           workers,
-				ParallelThreshold: 1,
-			},
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		return res
-	}
-	ref := run(1)
-	for _, workers := range []int{2, 5} {
-		sameResult(t, "devex workers", ref, run(workers))
 	}
 }
 

@@ -97,7 +97,7 @@ func NewPlanner(in *model.Instance, opt Options) (*Planner, error) {
 	if err := in.Check(); err != nil {
 		return nil, err
 	}
-	if err := opt.resolveAlpha(); err != nil {
+	if err := opt.resolve(); err != nil {
 		return nil, err
 	}
 	in.Weights()

@@ -153,17 +153,17 @@ func FuzzBoundedPricing(f *testing.F) {
 		rng := xrand.New(seed)
 		p := blockedPacking(rng, []float64{0, 0.3, 0.7, 1}[knobs%4])
 		windows := []int{0, 1, boundBlock - 1, boundBlock, boundBlock + 1, 200, 1 + rng.Intn(2*(p.NumCols()+p.NumRows))}
-		cfg := Revised{
-			Pricing:       "dantzig",
-			PricingWindow: windows[int(knobs/4)%len(windows)],
-			RefactorEvery: []int{0, 8, 33}[rng.Intn(3)],
-			NoPerturb:     rng.Bool(0.25),
-		}
+		cfg := Revised{tuning: tuning{
+			pricing:       pricingDantzig,
+			pricingWindow: windows[int(knobs/4)%len(windows)],
+			refactorEvery: []int{0, 8, 33}[rng.Intn(3)],
+			noPerturb:     rng.Bool(0.25),
+		}}
 		done := CheckPricing(xrand.New(seed ^ 0x0b0d))
 		sol, err := cfg.Solve(p)
 		_, calls, mismatch := done()
 		if mismatch != nil {
-			t.Fatalf("n=%d m=%d window=%d: %v", p.NumCols(), p.NumRows, cfg.PricingWindow, mismatch)
+			t.Fatalf("n=%d m=%d window=%d: %v", p.NumCols(), p.NumRows, cfg.tuning.pricingWindow, mismatch)
 		}
 		if err != nil {
 			t.Fatal(err)

@@ -109,7 +109,7 @@ func FuzzDevexPivotRow(f *testing.F) {
 			if err := st.refactorize(); err != nil {
 				t.Fatal(err)
 			}
-			(&Revised{Workers: workers, ParallelThreshold: 1}).configure(st)
+			(&Revised{Workers: workers, tuning: tuning{parallelThreshold: 1}}).configure(st)
 			st.initDevex(false)
 			st.beta = make([]float64, st.m)
 			price := func(when string) {

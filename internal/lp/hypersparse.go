@@ -14,7 +14,7 @@ import "sort"
 // solveB/solveBT (unreached positions may carry the opposite zero sign,
 // which no consumer distinguishes; the kernel tests canonicalize).
 //
-// Each DFS carries a step cap (HypersparseThreshold · m): if the reach
+// Each DFS carries a step cap (hypersparseThreshold · m): if the reach
 // grows past it the sparse attempt aborts — cleaning up whatever it touched
 // — and the caller falls through to the dense sequential sweep. Since both
 // paths compute the same bits, the threshold moves work between kernels

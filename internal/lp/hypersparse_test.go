@@ -165,7 +165,7 @@ func TestHypersparseSolveMatchesDense(t *testing.T) {
 }
 
 // TestHypersparseThresholdInvariance pins the determinism contract: the
-// HypersparseThreshold knob moves triangular solves between the symbolic-
+// hypersparseThreshold knob moves triangular solves between the symbolic-
 // reach kernels and the dense sweeps, but the solution — every bit of X, Y
 // and the pivot trajectory — must not move. Counters prove both regimes
 // actually ran.
@@ -187,7 +187,7 @@ func TestHypersparseThresholdInvariance(t *testing.T) {
 
 	run := func(thr float64) (*Solution, PhaseTimers) {
 		tm := &PhaseTimers{}
-		s := NewSolver(Revised{HypersparseThreshold: thr, Timers: tm})
+		s := NewSolver(Revised{Timers: tm, tuning: tuning{hypersparseThreshold: thr}})
 		defer s.Release()
 		if _, err := s.Solve(cloneProblem(p)); err != nil {
 			t.Fatalf("thr=%v: %v", thr, err)

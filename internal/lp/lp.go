@@ -256,7 +256,7 @@ const denseRowLimit = 400
 func SolveConfig(p *Problem, cfg Revised) (*Solution, error) {
 	if p.NumRows <= denseRowLimit && p.NumCols() <= 4*denseRowLimit {
 		if err := cfg.validate(); err != nil {
-			return nil, err // knobs are checked even when the dense path runs
+			return nil, err // checked even when the dense path runs
 		}
 		return (&Dense{}).Solve(p)
 	}

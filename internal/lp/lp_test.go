@@ -16,11 +16,11 @@ func bothSolvers() map[string]func(*Problem) (*Solution, error) {
 		"dense":   (&Dense{}).Solve,
 		"revised": (&Revised{}).Solve,
 		// small refactor interval exercises the refactorization path hard
-		"revised-refactor2": (&Revised{RefactorEvery: 2}).Solve,
+		"revised-refactor2": (&Revised{tuning: tuning{refactorEvery: 2}}).Solve,
 		// tiny pricing window exercises partial-pricing wraparound
-		"revised-window1": (&Revised{Pricing: "dantzig", PricingWindow: 1}).Solve,
-		"revised-devex":   (&Revised{Pricing: "devex"}).Solve,
-		"revised-dantzig": (&Revised{Pricing: "dantzig"}).Solve,
+		"revised-window1": (&Revised{tuning: tuning{pricing: pricingDantzig, pricingWindow: 1}}).Solve,
+		"revised-devex":   (&Revised{tuning: tuning{pricing: pricingDevex}}).Solve,
+		"revised-dantzig": (&Revised{tuning: tuning{pricing: pricingDantzig}}).Solve,
 	}
 }
 
@@ -56,17 +56,14 @@ func knownLP1() *Problem {
 
 func TestNoPerturbExact(t *testing.T) {
 	p := knownLP1()
-	for _, pr := range []string{"devex", "dantzig"} {
-		sol, err := (&Revised{NoPerturb: true, Pricing: pr}).Solve(p)
+	for _, pr := range []pricingRule{pricingDevex, pricingDantzig} {
+		sol, err := (&Revised{tuning: tuning{noPerturb: true, pricing: pr}}).Solve(p)
 		if err != nil {
-			t.Fatalf("%s: %v", pr, err)
+			t.Fatalf("pricing %d: %v", pr, err)
 		}
 		if math.Abs(sol.Objective-11) > 1e-9 {
-			t.Errorf("%s: objective %v, want exactly 11", pr, sol.Objective)
+			t.Errorf("pricing %d: objective %v, want exactly 11", pr, sol.Objective)
 		}
-	}
-	if _, err := (&Revised{Pricing: "bogus"}).Solve(p); err == nil {
-		t.Error("unknown pricing rule accepted")
 	}
 }
 
@@ -253,7 +250,7 @@ func TestDenseRevisedAgreeOnRandomPacking(t *testing.T) {
 		if err != nil {
 			t.Fatalf("trial %d dense: %v", trial, err)
 		}
-		rsol, err := (&Revised{RefactorEvery: 8}).Solve(p)
+		rsol, err := (&Revised{tuning: tuning{refactorEvery: 8}}).Solve(p)
 		if err != nil {
 			t.Fatalf("trial %d revised: %v", trial, err)
 		}
@@ -296,7 +293,7 @@ func TestDenseRevisedAgreeOnRandomPatterns(t *testing.T) {
 		if err != nil {
 			t.Fatalf("trial %d dense: %v", trial, err)
 		}
-		rsol, err := (&Revised{RefactorEvery: 4, PricingWindow: 3}).Solve(p)
+		rsol, err := (&Revised{tuning: tuning{refactorEvery: 4, pricingWindow: 3}}).Solve(p)
 		if err != nil {
 			t.Fatalf("trial %d revised: %v", trial, err)
 		}
@@ -335,7 +332,7 @@ func TestIterLimit(t *testing.T) {
 	if err != ErrIterLimit {
 		t.Errorf("dense: err = %v, want ErrIterLimit", err)
 	}
-	_, err = (&Revised{MaxIter: 1}).Solve(p)
+	_, err = (&Revised{tuning: tuning{maxIter: 1}}).Solve(p)
 	if err != ErrIterLimit {
 		t.Errorf("revised: err = %v, want ErrIterLimit", err)
 	}
@@ -366,13 +363,13 @@ func BenchmarkDenseMediumPacking(b *testing.B) {
 }
 
 // The pooled Devex passes must reproduce the sequential solve bit-for-bit:
-// same pivots, same primal solution, same objective. ParallelThreshold 1
+// same pivots, same primal solution, same objective. parallelThreshold 1
 // forces the worker-pool code paths even on this small LP.
 func TestRevisedDevexWorkerInvariance(t *testing.T) {
 	rng := xrand.New(31)
 	p := randomPacking(rng, 300, 60, 6)
 	solve := func(workers int) *Solution {
-		sol, err := (&Revised{Pricing: "devex", Workers: workers, ParallelThreshold: 1}).Solve(p)
+		sol, err := (&Revised{Workers: workers, tuning: tuning{pricing: pricingDevex, parallelThreshold: 1}}).Solve(p)
 		if err != nil {
 			t.Fatalf("workers=%d: %v", workers, err)
 		}
@@ -395,11 +392,11 @@ func TestDevexAndDantzigAgreeOnPacking(t *testing.T) {
 	rng := xrand.New(12)
 	for trial := 0; trial < 15; trial++ {
 		p := randomPacking(rng, 5+rng.Intn(25), 3+rng.Intn(10), 5)
-		devex, err := (&Revised{Pricing: "devex"}).Solve(p)
+		devex, err := (&Revised{tuning: tuning{pricing: pricingDevex}}).Solve(p)
 		if err != nil {
 			t.Fatalf("trial %d devex: %v", trial, err)
 		}
-		dantzig, err := (&Revised{Pricing: "dantzig"}).Solve(p)
+		dantzig, err := (&Revised{tuning: tuning{pricing: pricingDantzig}}).Solve(p)
 		if err != nil {
 			t.Fatalf("trial %d dantzig: %v", trial, err)
 		}

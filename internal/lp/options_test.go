@@ -2,14 +2,13 @@ package lp
 
 import (
 	"errors"
-	"math"
+	"reflect"
 	"testing"
 )
 
-// TestRevisedOptionValidation is the regression table for validate: every
-// knob with a value outside its domain must fail fast with an *OptionError
-// naming that knob, and the zero value (plus every documented rule name)
-// must pass.
+// TestRevisedOptionValidation is the regression table for validate: a field
+// with a value outside its domain must fail fast with an *OptionError naming
+// that field, and the zero value must pass.
 func TestRevisedOptionValidation(t *testing.T) {
 	tiny := NewProblem(1, []float64{1}, []float64{1},
 		[]Column{{Rows: []int{0}}})
@@ -19,16 +18,7 @@ func TestRevisedOptionValidation(t *testing.T) {
 		cfg  Revised
 		opt  string // expected OptionError.Option
 	}{
-		{"negative_max_iter", Revised{MaxIter: -1}, "MaxIter"},
-		{"negative_refactor_every", Revised{RefactorEvery: -3}, "RefactorEvery"},
-		{"negative_pricing_window", Revised{PricingWindow: -64}, "PricingWindow"},
-		{"negative_repair_budget", Revised{RepairBudget: -1}, "RepairBudget"},
-		{"hypersparse_threshold_negative", Revised{HypersparseThreshold: -0.25}, "HypersparseThreshold"},
-		{"hypersparse_threshold_above_one", Revised{HypersparseThreshold: 1.5}, "HypersparseThreshold"},
-		{"hypersparse_threshold_nan", Revised{HypersparseThreshold: math.NaN()}, "HypersparseThreshold"},
-		{"negative_parallel_threshold", Revised{ParallelThreshold: -1}, "ParallelThreshold"},
 		{"negative_workers", Revised{Workers: -2}, "Workers"},
-		{"unknown_pricing", Revised{Pricing: "steepest"}, "Pricing"},
 	}
 	for _, tc := range bad {
 		t.Run(tc.name, func(t *testing.T) {
@@ -54,13 +44,8 @@ func TestRevisedOptionValidation(t *testing.T) {
 	}
 
 	good := []Revised{
-		{}, // zero value: every knob at its default
-		{Pricing: "auto"},
-		{Pricing: "devex"},
-		{Pricing: "dantzig"},
-		{MaxIter: 100, RefactorEvery: 1, PricingWindow: 8, ParallelThreshold: 1, Workers: 2},
-		{RepairBudget: 10, HypersparseThreshold: 0.5},
-		{HypersparseThreshold: 1}, // boundary: every triangular solve hypersparse-eligible
+		{}, // zero value: every setting at its default
+		{Workers: 2},
 	}
 	for i, cfg := range good {
 		if _, err := cfg.Solve(tiny); err != nil {
@@ -74,18 +59,39 @@ func TestRevisedOptionValidation(t *testing.T) {
 	if _, err := s.Solve(tiny); err != nil {
 		t.Fatal(err)
 	}
-	s.Config.RefactorEvery = -1
+	s.cfg.Workers = -1
 	_, err := s.Resolve(ProblemDelta{SetB: []BoundChange{{Row: 0, B: 2}}})
 	var oe *OptionError
-	if !errors.As(err, &oe) || oe.Option != "RefactorEvery" {
-		t.Fatalf("Resolve with corrupted config: err = %v, want OptionError on RefactorEvery", err)
+	if !errors.As(err, &oe) || oe.Option != "Workers" {
+		t.Fatalf("Resolve with corrupted config: err = %v, want OptionError on Workers", err)
 	}
 	if got := s.Problem().B[0]; got != 1 {
 		t.Fatalf("rejected Resolve mutated the problem: B[0] = %v, want 1", got)
 	}
-	s.Config.RefactorEvery = 0
+	s.cfg.Workers = 0
 	if _, err := s.Resolve(ProblemDelta{SetB: []BoundChange{{Row: 0, B: 2}}}); err != nil {
 		t.Fatalf("Resolve after repairing config: %v", err)
 	}
 	s.Release()
+}
+
+// TestRevisedSurface pins the solver's public configuration surface: a
+// caller sets the worker bound and the phase-timer sink and nothing else,
+// and a Solver is configured only through NewSolver.
+func TestRevisedSurface(t *testing.T) {
+	exported := func(t reflect.Type) []string {
+		var names []string
+		for _, f := range reflect.VisibleFields(t) {
+			if f.IsExported() {
+				names = append(names, f.Name)
+			}
+		}
+		return names
+	}
+	if got, want := exported(reflect.TypeOf((*Revised)(nil)).Elem()), []string{"Workers", "Timers"}; !reflect.DeepEqual(got, want) {
+		t.Errorf("Revised exports %v, want %v", got, want)
+	}
+	if got := exported(reflect.TypeOf((*Solver)(nil)).Elem()); len(got) != 0 {
+		t.Errorf("Solver exports %v, want no fields", got)
+	}
 }

@@ -140,7 +140,7 @@ func requireResolveMatchesCold(t *testing.T, label string, s *Solver, d ProblemD
 	if err != nil {
 		t.Fatalf("%s: Resolve: %v", label, err)
 	}
-	cold, err := (&Revised{NoPerturb: s.Config.NoPerturb, Pricing: s.Config.Pricing}).Solve(ref)
+	cold, err := (&Revised{tuning: tuning{noPerturb: s.cfg.tuning.noPerturb, pricing: s.cfg.tuning.pricing}}).Solve(ref)
 	if err != nil {
 		t.Fatalf("%s: cold solve: %v", label, err)
 	}
@@ -310,7 +310,7 @@ func TestResolveDualRepairOnShrink(t *testing.T) {
 	p := NewProblem(2, []float64{2, 3}, []float64{1}, []Column{
 		{Rows: []int{0, 1}},
 	})
-	s := NewSolver(Revised{NoPerturb: true})
+	s := NewSolver(Revised{tuning: tuning{noPerturb: true}})
 	if _, err := s.Solve(p); err != nil {
 		t.Fatal(err)
 	}
@@ -334,11 +334,11 @@ func TestResolveDualRepairOnShrink(t *testing.T) {
 func TestResolveAfterFailedSolveGoesCold(t *testing.T) {
 	rng := xrand.New(97)
 	p := randomPacking(rng, 20, 8, 4)
-	s := NewSolver(Revised{MaxIter: 1})
+	s := NewSolver(Revised{tuning: tuning{maxIter: 1}})
 	if _, err := s.Solve(p); err != ErrIterLimit {
 		t.Fatalf("err = %v, want ErrIterLimit", err)
 	}
-	s.Config.MaxIter = 0 // restore the default budget
+	s.cfg.tuning.maxIter = 0 // restore the default budget
 	sol, err := s.Resolve(ProblemDelta{SetC: []ObjChange{{Col: 0, C: 2}}})
 	if err != nil {
 		t.Fatal(err)
@@ -435,7 +435,7 @@ func TestResolveValidation(t *testing.T) {
 // TestResolveWorkerInvariance pins that the warm path, like the cold one, is
 // bit-identical for every worker count (forced Devex), both at the default
 // parallel threshold — which keeps this small LP on one goroutine — and with
-// ParallelThreshold 1 forcing the pooled pricing passes to really run.
+// parallelThreshold 1 forcing the pooled pricing passes to really run.
 func TestResolveWorkerInvariance(t *testing.T) {
 	rng := xrand.New(61)
 	p := randomPacking(rng, 200, 40, 6)
@@ -457,9 +457,9 @@ func TestResolveWorkerInvariance(t *testing.T) {
 	suite := func(parallelThreshold int) func(t *testing.T) {
 		return func(t *testing.T) {
 			run := func(workers int) *Solution {
-				s := NewSolver(Revised{
-					Pricing: "devex", Workers: workers, ParallelThreshold: parallelThreshold,
-				})
+				s := NewSolver(Revised{Workers: workers, tuning: tuning{
+					pricing: pricingDevex, parallelThreshold: parallelThreshold,
+				}})
 				if _, err := s.Solve(cloneProblem(p)); err != nil {
 					t.Fatalf("workers=%d: %v", workers, err)
 				}
@@ -492,7 +492,7 @@ func TestResolveWorkerInvariance(t *testing.T) {
 func TestResolveRefactorEveryOne(t *testing.T) {
 	rng := xrand.New(53)
 	p := randomPacking(rng, 60, 15, 5)
-	s := NewSolver(Revised{RefactorEvery: 1, Pricing: "devex"})
+	s := NewSolver(Revised{tuning: tuning{refactorEvery: 1, pricing: pricingDevex}})
 	if _, err := s.Solve(p); err != nil {
 		t.Fatal(err)
 	}
@@ -631,33 +631,25 @@ func fuzzResolveSteps(t *testing.T, seed int64, steps uint8) SolverStats {
 	var cfg Revised
 	switch rng.Intn(7) {
 	case 1:
-		cfg.Pricing = "devex"
+		cfg.tuning.pricing = pricingDevex
 	case 2:
-		cfg.RefactorEvery = 1
+		cfg.tuning.refactorEvery = 1
 	case 3:
 		cfg.Workers = 2
-		cfg.ParallelThreshold = 1
+		cfg.tuning.parallelThreshold = 1
 	case 4:
-		cfg.Pricing = "dantzig"
-		cfg.PricingWindow = 1 + rng.Intn(64)
+		cfg.tuning.pricing = pricingDantzig
+		cfg.tuning.pricingWindow = 1 + rng.Intn(64)
 	case 5:
-		cfg.RepairBudget = 1 + rng.Intn(32)
+		cfg.tuning.repairBudget = 1 + rng.Intn(32)
 	case 6:
-		cfg.HypersparseThreshold = rng.Float64()
+		cfg.tuning.hypersparseThreshold = rng.Float64()
 	}
-	// Degenerate knob values must be rejected up front with a typed
-	// *OptionError naming the knob — never a panic or a wrong answer.
-	for _, bad := range []Revised{
-		{RefactorEvery: -1 - rng.Intn(8)},
-		{RepairBudget: -1 - rng.Intn(8)},
-		{HypersparseThreshold: 1 + rng.Float64()},
-		{HypersparseThreshold: math.NaN()},
-	} {
-		var oe *OptionError
-		if _, err := bad.Solve(p); !errors.As(err, &oe) || oe.Option == "" {
-			t.Fatalf("degenerate config %+v: err = %v, want *OptionError", bad, err)
-		}
-	}
+	// Skip three draws so every seed, fuzzTombstoneSeed included, keeps the
+	// problem and delta stream recorded for it.
+	rng.Intn(8)
+	rng.Intn(8)
+	rng.Float64()
 	s := NewSolver(cfg)
 	if _, err := s.Solve(p); err != nil {
 		t.Fatal(err)

@@ -51,9 +51,7 @@ import (
 // survives the solver). Callers that need older solutions must copy.
 // A Solver is not safe for concurrent use.
 type Solver struct {
-	// Config carries the revised-simplex options (pricing rule, worker
-	// bound, iteration limits). The zero value uses the package defaults.
-	Config Revised
+	cfg Revised // set once, by NewSolver
 
 	prob   *Problem // the current problem, owned since Solve
 	st     *revisedState
@@ -135,7 +133,7 @@ type SolverStats struct {
 // NewSolver returns a persistent solver with the given revised-simplex
 // configuration.
 func NewSolver(cfg Revised) *Solver {
-	return &Solver{Config: cfg}
+	return &Solver{cfg: cfg}
 }
 
 // BoundChange sets row Row's right-hand side to B (the packing form still
@@ -338,7 +336,7 @@ func (s *Solver) Renumbering() []int32 {
 // it staying unchanged, after handing it over. The state arena is acquired
 // from the dimension pool on first use and reused afterwards.
 func (s *Solver) Solve(p *Problem) (*Solution, error) {
-	if err := s.Config.validate(); err != nil {
+	if err := s.cfg.validate(); err != nil {
 		return nil, err
 	}
 	if err := p.Check(); err != nil {
@@ -382,7 +380,7 @@ func (s *Solver) Resolve(d ProblemDelta) (*Solution, error) {
 	if s.prob == nil {
 		return nil, ErrNoProblem
 	}
-	if err := s.Config.validate(); err != nil {
+	if err := s.cfg.validate(); err != nil {
 		return nil, err
 	}
 	s.changedAll = true // cleared only by a successful warm diff
@@ -426,22 +424,17 @@ func (s *Solver) Resolve(d ProblemDelta) (*Solution, error) {
 		s.compact(nil)
 		s.remapState()
 	}
-	st.loadRHS(!s.Config.NoPerturb)
+	st.loadRHS(!s.cfg.tuning.noPerturb)
 	// Bind the worker pool and timer sink before the repair phase: pivot()
 	// does the same later, but dual repair's solves and pricing pass run
 	// first and must see the configured pool, not the previous solve's.
-	s.Config.configure(st)
-
-	refactorEvery := s.Config.RefactorEvery
-	if refactorEvery <= 0 {
-		refactorEvery = 128
-	}
+	t := s.cfg.configure(st)
 	// The previous factorization plus the eta file still represent the
 	// patched basis (every removal swap was a product-form update), so a
 	// small-delta re-solve reuses them and just refreshes x_B/c_B under the
 	// new bounds and objective. The LU is rebuilt only to shed a long eta
 	// chain — the same hygiene schedule the pivot loops use.
-	if len(st.etas) >= refactorEvery {
+	if len(st.etas) >= t.refactorEvery {
 		if err := st.refactorize(); err != nil {
 			s.stats.FallbackSingular++
 			return s.cold(nil)
@@ -456,15 +449,15 @@ func (s *Solver) Resolve(d ProblemDelta) (*Solution, error) {
 	// should cut over early — capped at the old flat bound for bulk deltas.
 	// If the repair still fails after its partial-warm cutover, solve cold:
 	// correctness never depends on the warm path.
-	budget := s.Config.RepairBudget
-	if budget == 0 {
+	budget := t.repairBudget
+	if budget <= 0 {
 		deltaSize := len(d.SetB) + len(d.SetC) + len(d.RemoveCols) + len(d.AddCols)
 		budget = 64 + 32*deltaSize
 		if flat := 4*st.m + 16; budget > flat {
 			budget = flat
 		}
 	}
-	repairPivots, repair := st.dualRepair(budget, refactorEvery)
+	repairPivots, repair := st.dualRepair(budget, t.refactorEvery)
 	switch repair {
 	case repairSingular:
 		s.stats.FallbackSingular++
@@ -492,7 +485,7 @@ func (s *Solver) Resolve(d ProblemDelta) (*Solution, error) {
 			return s.finishWarm(sol, nil, len(d.AddCols))
 		}
 	}
-	sol, err := s.Config.pivot(st, true)
+	sol, err := s.cfg.pivot(st, true)
 	if sol != nil {
 		s.stats.WarmPivots += sol.Iterations
 	}
@@ -573,12 +566,12 @@ func (s *Solver) cold(removed []int) (*Solution, error) {
 	if s.st == nil {
 		s.st = acquireState(s.prob.NumRows)
 	}
-	s.st.rebind(s.prob, !s.Config.NoPerturb)
+	s.st.rebind(s.prob, !s.cfg.tuning.noPerturb)
 	if err := s.st.refactorize(); err != nil {
 		s.warmOK = false
 		return nil, err
 	}
-	sol, err := s.finish(s.Config.pivot(s.st, false))
+	sol, err := s.finish(s.cfg.pivot(s.st, false))
 	s.snapshotX(sol)
 	return sol, err
 }

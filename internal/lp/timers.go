@@ -28,11 +28,6 @@ type PhaseTimers struct {
 	// reaches; the rest paid a pass over every column. Its share of Pivots
 	// (on a Devex solve) is what the sparse update's gain depends on.
 	RowPricedUpdates int64
-	// CandidateRefills stays only for the /metrics series and the loadgen
-	// column that read it.
-	//
-	// Deprecated: always 0; no pricing pass uses candidate windows.
-	CandidateRefills int64
 	// PricedVars counts the variables the partial Dantzig scan read, warm or
 	// cold; SkippedVars those a cold scan counted as scanned without reading
 	// them, because a block's dual bound proved them non-improving. Their

@@ -103,7 +103,7 @@ func runTrajectoryChain(t *testing.T, rng *xrand.RNG, p *Problem, cfg Revised, u
 // not relative to another configuration: a cold solve and a fixed warm
 // Resolve chain (a bid-style column churn, then a capacity shrink that sends
 // the dual repair to work) on two seeded m = 1080 packing LPs must reproduce
-// these exact bits at every worker count. ParallelThreshold 1 puts the pooled
+// these exact bits at every worker count. parallelThreshold 1 puts the pooled
 // pricing passes on the worker pool even at this size. Any change to a
 // kernel, a pricing rule or a tolerance that moves a single pivot shows up
 // here. amd64 only: other architectures may fuse multiply-adds and legally
@@ -131,7 +131,7 @@ func TestDefaultTrajectoryPinned(t *testing.T) {
 			rng := xrand.New(fx.seed)
 			const users, events = 1000, 80
 			p := randomPacking(rng, users, events, 6)
-			cold, warm, warmPivots := runTrajectoryChain(t, rng, p, Revised{Workers: workers, ParallelThreshold: 1}, users, events)
+			cold, warm, warmPivots := runTrajectoryChain(t, rng, p, Revised{Workers: workers, tuning: tuning{parallelThreshold: 1}}, users, events)
 			if cold != fx.cold || warm != fx.warm || warmPivots != fx.warmPivots {
 				t.Errorf("seed=%d workers=%d: trajectory moved:\n got cold=%#v warm=%#v warmPivots=%d\nwant cold=%#v warm=%#v warmPivots=%d",
 					fx.seed, workers, cold, warm, warmPivots, fx.cold, fx.warm, fx.warmPivots)
@@ -159,7 +159,7 @@ func ascendingRows(p *Problem) *Problem {
 // m = 1080, so without this pin no Devex pivot — its pivot-row update, its
 // reference weights, its pricing scan — is fixed anywhere. Both the cold
 // solve and the warm chain's primal finish price by Devex, at every worker
-// count, with the pooled passes forced on by ParallelThreshold 1.
+// count, with the pooled passes forced on by parallelThreshold 1.
 func TestDevexTrajectoryPinned(t *testing.T) {
 	if runtime.GOARCH != "amd64" {
 		t.Skipf("trajectory bits are pinned on amd64, not %s", runtime.GOARCH)
@@ -183,7 +183,7 @@ func TestDevexTrajectoryPinned(t *testing.T) {
 			rng := xrand.New(fx.seed)
 			const users, events = 1000, 80
 			p := ascendingRows(randomPacking(rng, users, events, 6))
-			cfg := Revised{Pricing: "devex", Workers: workers, ParallelThreshold: 1}
+			cfg := Revised{Workers: workers, tuning: tuning{pricing: pricingDevex, parallelThreshold: 1}}
 			cold, warm, warmPivots := runTrajectoryChain(t, rng, p, cfg, users, events)
 			if cold != fx.cold || warm != fx.warm || warmPivots != fx.warmPivots {
 				t.Errorf("seed=%d workers=%d: trajectory moved:\n got cold=%#v warm=%#v warmPivots=%d\nwant cold=%#v warm=%#v warmPivots=%d",

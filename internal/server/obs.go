@@ -77,7 +77,7 @@ type solverObs struct {
 	refactorizations              *obs.Counter
 	etaLen                        *obs.Gauge
 	hyperFtran, hyperBtran        *obs.Counter
-	candRefills, budgetExhausted  *obs.Counter
+	budgetExhausted               *obs.Counter
 	warmCutovers                  *obs.Counter
 	ftran, btran, pricing, update *obs.Counter
 	factor                        *obs.Counter
@@ -102,7 +102,6 @@ func newSolverObs(reg *obs.Registry, name string) solverObs {
 		etaLen:           reg.Gauge("igepa_lp_eta_chain_length", "Product-form updates since the last refactorization.", l),
 		hyperFtran:       reg.Counter("igepa_lp_hypersparse_solves_total", "Triangular solves served by the symbolic-reach kernels.", l, obs.L("kernel", "ftran")),
 		hyperBtran:       reg.Counter("igepa_lp_hypersparse_solves_total", "Triangular solves served by the symbolic-reach kernels.", l, obs.L("kernel", "btran")),
-		candRefills:      reg.Counter("igepa_lp_candidate_refills_total", "Pricing passes that exhausted their rotating candidate window.", l),
 		budgetExhausted:  reg.Counter("igepa_lp_repair_budget_exhausted_total", "Dual repairs that ran out of their pivot budget.", l),
 		warmCutovers:     reg.Counter("igepa_lp_partial_warm_cutovers_total", "Keep-the-basis refactorize-and-retry recoveries after a repair stall.", l),
 		ftran:            reg.Counter("igepa_lp_phase_ns_total", "Cumulative LP phase time in nanoseconds.", l, obs.L("phase", "ftran")),
@@ -128,7 +127,6 @@ func (so *solverObs) mirror(st lp.SolverStats, t lp.PhaseTimers) {
 	so.etaLen.Set(float64(st.EtaLen))
 	so.hyperFtran.Store(t.HypersparseFtran)
 	so.hyperBtran.Store(t.HypersparseBtran)
-	so.candRefills.Store(t.CandidateRefills)
 	so.budgetExhausted.Store(t.BudgetExhausted)
 	so.warmCutovers.Store(t.PartialWarmCutovers)
 	so.ftran.Store(t.Ftran.Nanoseconds())

@@ -1139,7 +1139,6 @@ type SolverReport struct {
 
 	HypersparseFtran    int64 `json:"hypersparse_ftran"`
 	HypersparseBtran    int64 `json:"hypersparse_btran"`
-	CandidateRefills    int64 `json:"candidate_refills"`
 	BudgetExhausted     int64 `json:"budget_exhausted"`
 	PartialWarmCutovers int64 `json:"partial_warm_cutovers"`
 
@@ -1165,7 +1164,6 @@ func solverReport(st lp.SolverStats, t lp.PhaseTimers) SolverReport {
 		EtaChainLength:          st.EtaLen,
 		HypersparseFtran:        t.HypersparseFtran,
 		HypersparseBtran:        t.HypersparseBtran,
-		CandidateRefills:        t.CandidateRefills,
 		BudgetExhausted:         t.BudgetExhausted,
 		PartialWarmCutovers:     t.PartialWarmCutovers,
 		FtranNS:                 t.Ftran.Nanoseconds(),

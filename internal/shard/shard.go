@@ -209,17 +209,14 @@ type Options struct {
 	// Result.Bound and behind Engine.LiveBound/BoundStats. Costs one warm
 	// LP re-solve plus a delta-scoped re-round per batch.
 	LiveBound bool
-	// LP carries the revised-simplex tuning knobs for the solvers this
-	// engine creates: the LeaseLP split solver and the LiveBound planner's
-	// persistent solver. The zero value keeps the defaults, and LP.Workers
-	// == 0 inherits Options.Workers — existing callers see bit-identical
-	// behavior. Invalid knobs surface as *lp.OptionError from the first
-	// solve they would configure.
+	// LP configures the LP solvers this engine creates, the LeaseLP split
+	// solver and the LiveBound planner's: its worker bound, which defaults
+	// to Workers, and its phase-timer sink. A negative LP.Workers surfaces
+	// as *lp.OptionError from the first solve.
 	LP lp.Revised
 }
 
-// lpConfig resolves the engine's LP solver configuration: the LP knobs with
-// the engine's Workers bound as the pool default.
+// lpConfig is LP with Workers as its worker bound's default.
 func (o *Options) lpConfig() lp.Revised {
 	cfg := o.LP
 	if cfg.Workers == 0 {
