@@ -65,7 +65,7 @@ func main() {
 	flag.IntVar(&cfg.users, "users", 600, "number of users (0 = workload default)")
 	flag.Int64Var(&cfg.seed, "seed", 1, "seed for instance and user→shard hash (must match the backends)")
 	flag.IntVar(&cfg.batch, "batch", 0, "arrivals between lease renewals (0 = default; must match the backends)")
-	flag.StringVar(&cfg.lease, "lease", "demand", "lease renewal policy: demand, even or lp")
+	flag.StringVar(&cfg.lease, "lease", "demand", "lease renewal policy: demand or lp")
 	flag.BoolVar(&cfg.replay, "replay", false, "deterministic replay dispatcher (batch-by-count, bit-identical to ServeSharded)")
 	flag.DurationVar(&cfg.timeout, "timeout", 0, "per-backend HTTP call timeout (0 = default)")
 	flag.IntVar(&cfg.retries, "retries", 0, "transport-error retries per backend call (0 = default)")

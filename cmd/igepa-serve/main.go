@@ -48,16 +48,17 @@
 // batch's dispatch — on top of the decision latency. Pacing changes when
 // decisions happen, never what they are.
 //
-// With -live-bound the command also exercises the incremental planner
-// (igepa.NewPlanner / Planner.Update): after each batch it removes the served
-// users and the consumed seats from a shadow instance and warm re-solves the
-// benchmark LP, reporting how the remaining-opportunity bound decays, how
-// many re-solves the persistent solver served warm (and how many finished
-// fast — delta-priced, zero pivots), and the planner-update p50/p99 latency
-// separately from the decision tails, so the bound's upkeep cost is visible
-// next to the serving numbers. With -listen, -live-bound switches the
-// engine-owned tracker on instead (shard.Options.LiveBound) and /statsz
-// reports the remaining bound plus update latency percentiles.
+// With -live-bound the single-shard baseline run keeps the engine's live LP
+// bound (shard.Options.LiveBound): after each batch the engine's incremental
+// planner drops the served users and the consumed seats from a shadow
+// instance and warm re-solves the benchmark LP. The report shows how the
+// remaining-opportunity bound decays, how many re-solves the persistent
+// solver served warm (and how many finished fast — delta-priced, zero
+// pivots), and the planner-update p50/p99 latency separately from the
+// decision tails, so the bound's upkeep cost is visible next to the serving
+// numbers. With -listen, -live-bound switches the same tracker on for the
+// served engine and /statsz reports the remaining bound plus update latency
+// percentiles.
 package main
 
 import (
@@ -134,7 +135,7 @@ func main() {
 	flag.Float64Var(&cfg.guard, "guard", 0.25, "threshold planner: reserved capacity fraction")
 	flag.IntVar(&cfg.workers, "workers", 0, "worker-pool bound (0 = all cores; results identical)")
 	flag.BoolVar(&cfg.lpBound, "lp", true, "also solve the offline LP bound for comparison")
-	flag.StringVar(&cfg.lease, "lease", "demand", "lease renewal policy: demand, even or lp")
+	flag.StringVar(&cfg.lease, "lease", "demand", "lease renewal policy: demand or lp")
 	flag.StringVar(&cfg.arrivals, "arrivals", "", "replay arrivals from this JSONL log (igepa-datagen -arrivals)")
 	flag.Float64Var(&cfg.rate, "rate", 1000, "synthetic stream: mean arrivals per second")
 	flag.BoolVar(&cfg.liveBound, "live-bound", false, "track the incremental LP bound across batches (warm re-solves)")
@@ -191,12 +192,6 @@ func listenAndServe(w *os.File, cfg config) error {
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
 	return serveListenerCtx(ctx, w, ln, cfg)
-}
-
-// serveListener runs the HTTP server on an existing listener; it returns
-// cleanly when the listener closes (tests drive it this way).
-func serveListener(w *os.File, ln net.Listener, cfg config) error {
-	return serveListenerCtx(context.Background(), w, ln, cfg)
 }
 
 // serveListenerCtx is the -listen engine room. When ctx fires (SIGINT or
@@ -347,8 +342,11 @@ func run(w *os.File, cfg config) error {
 			Lease: lease, RecordLatency: true,
 		}
 	}
-	// The vs-single baseline is always a real S=1 run, whatever -shards says.
-	base, err := shard.Serve(in, order, optFor(1))
+	// The vs-single baseline is always a real S=1 run, whatever -shards says;
+	// it also carries the live bound, which leaves decisions unchanged.
+	baseOpt := optFor(1)
+	baseOpt.LiveBound = cfg.liveBound
+	base, err := shard.Serve(in, order, baseOpt)
 	if err != nil {
 		return err
 	}
@@ -385,7 +383,7 @@ func run(w *os.File, cfg config) error {
 		}
 	}
 	if cfg.liveBound {
-		if err := liveBound(w, in, order, base, cfg); err != nil {
+		if err := liveBound(w, in, order, base); err != nil {
 			return fmt.Errorf("live bound: %w", err)
 		}
 	}
@@ -491,63 +489,39 @@ func latencyPercentiles(lat []time.Duration, order []int) (p50, p99 time.Duratio
 	return durationPercentiles(samples)
 }
 
-// liveBound replays the batch schedule against the incremental planner: a
-// shadow copy of the instance loses each batch's served users and consumed
-// seats, and the benchmark LP is warm re-solved after every batch. The
+// liveBound prints the served run's live LP bound after each batch: the
 // committed utility plus the remaining LP optimum is a live upper bound on
 // the best total utility still reachable — the serving-time counterpart of
 // Lemma 1's offline bound.
-func liveBound(w *os.File, in *igepa.Instance, order []int, served *shard.Result, cfg config) error {
-	shadow := in.Clone() // consumed batch by batch; the serving input stays intact
-	p, err := igepa.NewPlanner(shadow, igepa.LPPackingOptions{Seed: cfg.seed, Workers: cfg.workers})
-	if err != nil {
-		return err
+func liveBound(w *os.File, in *igepa.Instance, order []int, served *shard.Result) error {
+	b := served.Bound
+	if b.Errors > 0 {
+		return fmt.Errorf("%d of %d planner updates failed", b.Errors, b.Errors+b.Updates)
 	}
-	defer p.Close()
-
-	batch := cfg.batch
-	if batch <= 0 {
-		batch = shard.DefaultBatch
-	}
-	committedArr := igepa.Arrangement{Sets: make([][]int, in.NumUsers())}
-	fmt.Fprintf(w, "\nlive bound (batch=%d): committed + remaining LP after each batch\n", batch)
+	fmt.Fprintf(w, "\nlive bound (batch=%d): committed + remaining LP after each batch\n", served.Batch)
 	fmt.Fprintf(w, "%8s %8s %12s %14s %12s %10s\n", "epoch", "served", "committed", "remaining-LP", "total-bound", "update")
-
-	var updateLat []time.Duration
-	totalServed := 0
-	for start, epoch := 0, 1; start < len(order); start, epoch = start+batch, epoch+1 {
-		end := min(start+batch, len(order))
-		var delta igepa.PlannerDelta
-		usedSeats := map[int]int{}
-		for _, u := range order[start:end] {
+	// One update per batch, of which the tracker keeps only the most recent:
+	// Trace[i] follows epoch first+i+1.
+	first := served.Epochs - len(b.Trace)
+	committedArr := igepa.Arrangement{Sets: make([][]int, in.NumUsers())}
+	for epoch := 1; epoch <= served.Epochs; epoch++ {
+		end := min(epoch*served.Batch, len(order))
+		for _, u := range order[(epoch-1)*served.Batch : end] {
 			committedArr.Sets[u] = served.Arrangement.Sets[u]
-			for _, v := range served.Arrangement.Sets[u] {
-				usedSeats[v]++
-			}
-			shadow.Users[u].Bids = nil // decided: out of the remaining problem
-			delta.Users = append(delta.Users, u)
 		}
-		for v, n := range usedSeats {
-			shadow.Events[v].Capacity -= n
-			delta.Events = append(delta.Events, v)
+		if epoch <= first {
+			continue
 		}
-		t0 := time.Now()
-		res, err := p.Update(delta)
-		took := time.Since(t0)
-		if err != nil {
-			return err
-		}
-		updateLat = append(updateLat, took)
-		totalServed += end - start
 		committed := igepa.Utility(in, &committedArr)
+		remaining := b.Trace[epoch-first-1]
 		fmt.Fprintf(w, "%8d %8d %12.4f %14.4f %12.4f %10s\n",
-			epoch, totalServed, committed, res.LPObjective, committed+res.LPObjective,
-			took.Round(time.Microsecond))
+			epoch, end, committed, remaining, committed+remaining,
+			b.UpdateLatencies[epoch-first-1].Round(time.Microsecond))
 	}
-	st := p.Stats()
+	st := b.Solver
 	fmt.Fprintf(w, "incremental solver: %d warm re-solves (%d fast-finished), %d cold (fallbacks: %d singular, %d infeasible), %d warm pivots\n",
 		st.WarmSolves, st.FastFinishes, st.ColdSolves, st.FallbackSingular, st.FallbackInfeasible, st.WarmPivots)
-	up50, up99 := durationPercentiles(updateLat)
+	up50, up99 := durationPercentiles(b.UpdateLatencies)
 	fmt.Fprintf(w, "planner update latency: p50 %s p99 %s (decision latency tails are in the sweep table above)\n",
 		up50.Round(time.Microsecond), up99.Round(time.Microsecond))
 	return nil

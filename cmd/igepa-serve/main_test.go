@@ -18,6 +18,12 @@ import (
 	"github.com/ebsn/igepa/internal/workload"
 )
 
+// serveListener runs the HTTP server on an existing listener until the
+// listener closes.
+func serveListener(w *os.File, ln net.Listener, cfg config) error {
+	return serveListenerCtx(context.Background(), w, ln, cfg)
+}
+
 func devNull(t *testing.T) *os.File {
 	t.Helper()
 	null, err := os.OpenFile(os.DevNull, os.O_WRONLY, 0)
@@ -47,7 +53,7 @@ func TestRunSmoke(t *testing.T) {
 
 func TestRunLeasePoliciesAndLiveBound(t *testing.T) {
 	null := devNull(t)
-	for _, lease := range []string{"demand", "even", "lp"} {
+	for _, lease := range []string{"demand", "lp"} {
 		cfg := config{
 			workload: "synthetic", events: 15, users: 90, seed: 2,
 			shards: []int{2, 4}, planner: "greedy", lease: lease, batch: 16,
@@ -118,8 +124,13 @@ func TestBadConfigRejected(t *testing.T) {
 	if err := run(null, config{workload: "synthetic", users: 10, events: 5, planner: "nope", shards: []int{1}}); err == nil {
 		t.Error("unknown planner accepted")
 	}
-	if err := run(null, config{workload: "synthetic", users: 10, events: 5, planner: "greedy", lease: "nope", shards: []int{1}}); err == nil {
-		t.Error("unknown lease policy accepted")
+	for _, lease := range []string{"nope", "even"} {
+		err := run(null, config{workload: "synthetic", users: 10, events: 5, planner: "greedy", lease: lease, shards: []int{1}})
+		if err == nil {
+			t.Errorf("lease policy %q accepted", lease)
+		} else if msg := err.Error(); !strings.Contains(msg, "demand") || !strings.Contains(msg, "lp") {
+			t.Errorf("lease policy %q: error %q does not name the policies", lease, msg)
+		}
 	}
 }
 
@@ -385,35 +396,115 @@ func TestListenBadConfigRejected(t *testing.T) {
 	}
 }
 
-// TestLiveBoundReportsUpdateLatency pins the -live-bound report format: the
-// planner-update p50/p99 line and the fast-finish counter are printed
-// separately from the decision-latency table.
-func TestLiveBoundReportsUpdateLatency(t *testing.T) {
+// output returns what write wrote to its file.
+func output(t *testing.T, write func(w *os.File) error) string {
+	t.Helper()
 	path := filepath.Join(t.TempDir(), "out.txt")
 	f, err := os.Create(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfg := config{
-		workload: "synthetic", events: 12, users: 60, seed: 4,
-		shards: []int{2}, planner: "greedy", batch: 16, liveBound: true,
-	}
-	if err := run(f, cfg); err != nil {
+	defer f.Close()
+	if err := write(f); err != nil {
 		t.Fatal(err)
 	}
-	f.Close()
 	out, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
 	}
+	return string(out)
+}
+
+// liveBoundRows parses the -live-bound table: per row the epoch, served,
+// committed, remaining-LP and total-bound columns.
+func liveBoundRows(t *testing.T, out string) [][5]float64 {
+	t.Helper()
+	_, table, ok := strings.Cut(out, "total-bound")
+	if !ok {
+		t.Fatalf("no live-bound table:\n%s", out)
+	}
+	var rows [][5]float64
+	for _, line := range strings.Split(table, "\n")[1:] {
+		f := strings.Fields(line)
+		if len(f) != 6 {
+			break
+		}
+		var row [5]float64
+		for c := range row {
+			if _, err := fmt.Sscan(f[c], &row[c]); err != nil {
+				t.Fatalf("bad live-bound row %q: %v", line, err)
+			}
+		}
+		rows = append(rows, row)
+	}
+	return rows
+}
+
+// TestLiveBoundReportsUpdateLatency checks the -live-bound report: one row
+// per epoch, every row's total bound at least the final utility, nothing
+// left for the remaining LP once every user has arrived, and the
+// planner-update p50/p99 line and fast-finish counter printed separately
+// from the decision-latency table.
+func TestLiveBoundReportsUpdateLatency(t *testing.T) {
+	const users, batch = 60, 16
+	cfg := config{
+		workload: "synthetic", events: 12, users: users, seed: 4,
+		shards: []int{2}, planner: "greedy", batch: batch, liveBound: true,
+	}
+	out := output(t, func(w *os.File) error { return run(w, cfg) })
 	for _, want := range []string{
 		"planner update latency: p50 ",
 		"fast-finished",
 		"remaining-LP",
 	} {
-		if !strings.Contains(string(out), want) {
+		if !strings.Contains(out, want) {
 			t.Errorf("live-bound output missing %q:\n%s", want, out)
 		}
+	}
+	rows := liveBoundRows(t, out)
+	if want := (users + batch - 1) / batch; len(rows) != want {
+		t.Fatalf("%d live-bound rows, want one per epoch (%d):\n%s", len(rows), want, out)
+	}
+	last := rows[len(rows)-1]
+	final := last[2]
+	for i, r := range rows {
+		if r[0] != float64(i+1) || r[1] != float64(min((i+1)*batch, users)) {
+			t.Errorf("row %d: epoch %v served %v", i, r[0], r[1])
+		}
+		// the columns print to 1e-4, so allow one unit of that rounding
+		if r[4] < final-1e-4 {
+			t.Errorf("epoch %v: total bound %.4f below the final utility %.4f", r[0], r[4], final)
+		}
+	}
+	if last[3] != 0 {
+		t.Errorf("remaining LP %.4f after the last batch, want 0", last[3])
+	}
+}
+
+// TestLiveBoundAlignsWindowedTrace checks that a trace the tracker has cut
+// to its most recent updates is printed against the last epochs.
+func TestLiveBoundAlignsWindowedTrace(t *testing.T) {
+	in, err := makeInstance(config{workload: "synthetic", events: 12, users: 60, seed: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	order := workload.ArrivalOrder(workload.SyntheticArrivals(4, in.NumUsers(), 1000))
+	res, err := shard.Serve(in, order, shard.Options{Shards: 1, Batch: 16, Seed: 4, LiveBound: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rows := func(r *shard.Result) [][5]float64 {
+		return liveBoundRows(t, output(t, func(w *os.File) error { return liveBound(w, in, order, r) }))
+	}
+	full := rows(res)
+	cut := *res.Bound
+	cut.Trace = cut.Trace[2:]
+	cut.UpdateLatencies = cut.UpdateLatencies[2:]
+	windowed := *res
+	windowed.Bound = &cut
+	got := rows(&windowed)
+	if len(full) != 4 || len(got) != 2 || got[0] != full[2] || got[1] != full[3] {
+		t.Fatalf("windowed trace printed as %v, want the last two of %v", got, full)
 	}
 }
 

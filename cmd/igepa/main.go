@@ -55,7 +55,7 @@ func run(inPath string, synthetic, meetup bool, alg string, seed int64, outPath 
 			return err
 		}
 		arr = res.Arrangement
-		fmt.Printf("lp objective (upper bound on OPT): %.4f\n", res.LPObjective)
+		fmt.Println(lpObjectiveLine(res))
 		fmt.Printf("lp columns: %d, pivots: %d, truncated users: %d\n",
 			res.LPColumns, res.LPIterations, res.TruncatedUsers)
 		fmt.Printf("sampled pairs: %d, repair dropped: %d\n", res.SampledPairs, res.RepairDropped)
@@ -87,6 +87,17 @@ func run(inPath string, synthetic, meetup bool, alg string, seed int64, outPath 
 		fmt.Printf("arrangement written to %s\n", outPath)
 	}
 	return nil
+}
+
+// lpObjectiveLine reports the LP objective, calling it an upper bound on OPT
+// only when no user's admissible sets were truncated: a truncated LP lacks
+// columns the optimum may use.
+func lpObjectiveLine(res *igepa.LPPackingResult) string {
+	if res.TruncatedUsers == 0 {
+		return fmt.Sprintf("lp objective (upper bound on OPT): %.4f", res.LPObjective)
+	}
+	return fmt.Sprintf("lp objective (not an upper bound on OPT: %d users' admissible sets truncated): %.4f",
+		res.TruncatedUsers, res.LPObjective)
 }
 
 func loadOrGenerate(inPath string, synthetic, meetup bool, seed int64) (*igepa.Instance, error) {

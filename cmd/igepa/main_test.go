@@ -3,6 +3,7 @@ package main
 import (
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"github.com/ebsn/igepa"
@@ -80,5 +81,31 @@ func TestLoadOrGenerateSelectors(t *testing.T) {
 	in, err := loadOrGenerate("", true, false, 1)
 	if err != nil || in.NumUsers() != 2000 {
 		t.Errorf("synthetic: %v users=%d", err, in.NumUsers())
+	}
+}
+
+// TestLPObjectiveLineNamesTruncation checks that the LP objective is called
+// an upper bound on OPT only when no user's admissible sets were truncated.
+func TestLPObjectiveLineNamesTruncation(t *testing.T) {
+	in, err := igepa.Meetup(igepa.MeetupConfig{Seed: 1, NumUsers: 400})
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := igepa.LPPacking(in, igepa.LPPackingOptions{Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.TruncatedUsers != 11 {
+		t.Fatalf("%d truncated users, want the fixture's 11", res.TruncatedUsers)
+	}
+	line := lpObjectiveLine(res)
+	if strings.Contains(line, "(upper bound") || !strings.Contains(line, "not an upper bound") ||
+		!strings.Contains(line, "11 users") {
+		t.Errorf("truncated LP reported as %q", line)
+	}
+	full := *res
+	full.TruncatedUsers = 0
+	if line := lpObjectiveLine(&full); !strings.Contains(line, "(upper bound on OPT)") {
+		t.Errorf("untruncated LP reported as %q", line)
 	}
 }

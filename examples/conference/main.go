@@ -96,7 +96,11 @@ func main() {
 		log.Fatal(err)
 	}
 
-	fmt.Printf("conference plan (utility %.3f, LP bound %.3f)\n\n", res.Utility, res.LPObjective)
+	bound := "LP upper bound"
+	if res.TruncatedUsers > 0 {
+		bound = fmt.Sprintf("LP objective, not an upper bound: %d users' admissible sets truncated", res.TruncatedUsers)
+	}
+	fmt.Printf("conference plan (utility %.3f, %s: %.3f)\n\n", res.Utility, bound, res.LPObjective)
 	for u, sessions := range res.Arrangement.Sets {
 		fmt.Printf("attendee %2d (deg %d): ", u, degree[u])
 		if len(sessions) == 0 {

@@ -67,9 +67,11 @@ func main() {
 	for _, r := range rows {
 		fmt.Printf("%-12s %-11.2f %v\n", r.name, r.util, r.dur.Round(time.Millisecond))
 	}
-	fmt.Printf("\nLP upper bound on OPT: %.2f (LP-packing reaches %.1f%%)\n",
-		res.LPObjective, 100*res.Utility/res.LPObjective)
-	if res.TruncatedUsers > 0 {
-		fmt.Printf("admissible sets truncated for %d heavy users (cap 2000/user)\n", res.TruncatedUsers)
+	if res.TruncatedUsers == 0 {
+		fmt.Printf("\nLP upper bound on OPT: %.2f (LP-packing reaches %.1f%%)\n",
+			res.LPObjective, 100*res.Utility/res.LPObjective)
+	} else {
+		fmt.Printf("\nLP objective: %.2f, not an upper bound on OPT: admissible sets truncated for %d heavy users (cap 2000/user)\n",
+			res.LPObjective, res.TruncatedUsers)
 	}
 }

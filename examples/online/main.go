@@ -1,8 +1,8 @@
 // Online: users register on the platform one at a time and must be answered
 // immediately — the online variant of IGEPA. This example measures the
 // price of onlineness: the online greedy and threshold policies against the
-// offline LP-packing value and the LP upper bound, over several random
-// arrival orders.
+// offline LP-packing value and the LP objective (an upper bound unless
+// admissible sets were truncated), over several random arrival orders.
 package main
 
 import (
@@ -26,7 +26,11 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	fmt.Printf("offline LP-packing: %.2f (LP upper bound %.2f)\n\n", offline.Utility, offline.LPObjective)
+	bound := "LP upper bound"
+	if offline.TruncatedUsers > 0 {
+		bound = fmt.Sprintf("LP objective, not an upper bound: %d users' admissible sets truncated", offline.TruncatedUsers)
+	}
+	fmt.Printf("offline LP-packing: %.2f (%s: %.2f)\n\n", offline.Utility, bound, offline.LPObjective)
 
 	fmt.Println("arrival   online-greedy   threshold(τ=0.5,g=0.3)   greedy/offline")
 	fmt.Println("--------------------------------------------------------------------")

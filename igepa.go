@@ -28,7 +28,6 @@ package igepa
 import (
 	"fmt"
 
-	"github.com/ebsn/igepa/internal/admissible"
 	"github.com/ebsn/igepa/internal/baselines"
 	"github.com/ebsn/igepa/internal/core"
 	"github.com/ebsn/igepa/internal/model"
@@ -202,11 +201,6 @@ type (
 	// planner constructors (wrong length, negative or over-committed
 	// leases).
 	OnlineBudgetError = online.BudgetError
-	// AdmissibleCacheStats is always zero.
-	//
-	// Deprecated: the serving layer no longer caches admissible sets (see
-	// ShardOptions.CacheSize).
-	AdmissibleCacheStats = admissible.CacheStats
 	// ShardBoundStats is the live LP-bound tracker's outcome
 	// (ShardResult.Bound; enable with ShardOptions.LiveBound): the
 	// remaining-opportunity bound after each batch, per-update planner
@@ -220,11 +214,10 @@ const (
 	ShardPlannerThreshold = shard.PlannerThreshold
 )
 
-// Lease-renewal policies: demand-aware proportional split (default), even
-// split (ablation), and the warm-started LP split.
+// Lease-renewal policies: demand-aware proportional split (default) and the
+// warm-started LP split.
 const (
 	LeaseDemand = shard.LeaseDemand
-	LeaseEven   = shard.LeaseEven
 	LeaseLP     = shard.LeaseLP
 )
 

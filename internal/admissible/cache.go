@@ -13,10 +13,3 @@ type Cache struct{}
 //
 // Deprecated: see Cache.
 func NewCache(int) *Cache { return &Cache{} }
-
-// CacheStats is always zero.
-//
-// Deprecated: see Cache.
-type CacheStats struct {
-	Hits, Misses int64
-}

@@ -52,65 +52,6 @@ func (s *Set) check(i int) {
 	}
 }
 
-// Count returns the number of set bits.
-func (s *Set) Count() int {
-	c := 0
-	for _, w := range s.words {
-		c += bits.OnesCount64(w)
-	}
-	return c
-}
-
-// Clear removes all bits.
-func (s *Set) Clear() {
-	for i := range s.words {
-		s.words[i] = 0
-	}
-}
-
-// Clone returns an independent copy of s.
-func (s *Set) Clone() *Set {
-	w := make([]uint64, len(s.words))
-	copy(w, s.words)
-	return &Set{words: w, n: s.n}
-}
-
-// Union sets s = s ∪ t. Both sets must have the same capacity.
-func (s *Set) Union(t *Set) {
-	s.sameSize(t)
-	for i, w := range t.words {
-		s.words[i] |= w
-	}
-}
-
-// Intersect sets s = s ∩ t. Both sets must have the same capacity.
-func (s *Set) Intersect(t *Set) {
-	s.sameSize(t)
-	for i, w := range t.words {
-		s.words[i] &= w
-	}
-}
-
-// Intersects reports whether s ∩ t is nonempty, without allocating.
-// This is the hot probe of admissible-set enumeration: "does candidate event
-// v conflict with anything already chosen?" is one Intersects call between a
-// conflict row and the partial set.
-func (s *Set) Intersects(t *Set) bool {
-	s.sameSize(t)
-	for i, w := range t.words {
-		if s.words[i]&w != 0 {
-			return true
-		}
-	}
-	return false
-}
-
-func (s *Set) sameSize(t *Set) {
-	if s.n != t.n {
-		panic("bitset: mismatched sizes")
-	}
-}
-
 // ForEach calls fn for every set bit in increasing order.
 func (s *Set) ForEach(fn func(i int)) {
 	for wi, w := range s.words {
@@ -120,10 +61,4 @@ func (s *Set) ForEach(fn func(i int)) {
 			w &= w - 1
 		}
 	}
-}
-
-// Members appends the indices of all set bits to dst and returns it.
-func (s *Set) Members(dst []int) []int {
-	s.ForEach(func(i int) { dst = append(dst, i) })
-	return dst
 }

@@ -53,15 +53,6 @@ func (m *Matrix) Conflicts(v, w int) bool {
 // shared; callers must not modify it.
 func (m *Matrix) Row(v int) *bitset.Set { return m.rows[v] }
 
-// NumPairs returns the number of unordered conflicting pairs.
-func (m *Matrix) NumPairs() int {
-	total := 0
-	for _, r := range m.rows {
-		total += r.Count()
-	}
-	return total / 2
-}
-
 // Pairs returns all unordered conflicting pairs (v < w), ordered
 // lexicographically. Used by the JSON codec to serialize any conflict
 // function explicitly.

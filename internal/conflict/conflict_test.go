@@ -24,8 +24,8 @@ func TestMatrixBasics(t *testing.T) {
 	if m.Conflicts(2, 2) {
 		t.Fatal("self conflict recorded")
 	}
-	if m.NumPairs() != 1 {
-		t.Fatalf("NumPairs = %d, want 1", m.NumPairs())
+	if len(m.Pairs()) != 1 {
+		t.Fatalf("%d pairs, want 1", len(m.Pairs()))
 	}
 }
 
@@ -58,7 +58,7 @@ func TestRandomRate(t *testing.T) {
 	const n, p = 150, 0.3
 	m := Random(n, p, rng)
 	total := n * (n - 1) / 2
-	rate := float64(m.NumPairs()) / float64(total)
+	rate := float64(len(m.Pairs())) / float64(total)
 	if math.Abs(rate-p) > 0.03 {
 		t.Errorf("conflict rate %v, want ≈%v", rate, p)
 	}
@@ -74,10 +74,10 @@ func TestRandomRate(t *testing.T) {
 
 func TestRandomExtremes(t *testing.T) {
 	rng := xrand.New(9)
-	if got := Random(20, 0, rng).NumPairs(); got != 0 {
+	if got := len(Random(20, 0, rng).Pairs()); got != 0 {
 		t.Errorf("p=0 produced %d pairs", got)
 	}
-	if got := Random(20, 1, rng).NumPairs(); got != 190 {
+	if got := len(Random(20, 1, rng).Pairs()); got != 190 {
 		t.Errorf("p=1 produced %d pairs, want 190", got)
 	}
 }

@@ -25,7 +25,9 @@
 package core
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 	"sync"
 
 	"github.com/ebsn/igepa/internal/admissible"
@@ -487,7 +489,7 @@ func repair(in *model.Instance, pk *picks, order RepairOrder, rng *xrand.RNG) (*
 	case RepairRandom:
 		rng.Shuffle(nu, func(i, j int) { scan[i], scan[j] = scan[j], scan[i] })
 	case RepairByWeightAsc:
-		sortByWeight(scan, pk.weight)
+		sortByKey(scan, pk.weight)
 	}
 
 	arr := model.NewArrangement(nu)
@@ -511,56 +513,15 @@ func repair(in *model.Instance, pk *picks, order RepairOrder, rng *xrand.RNG) (*
 	return arr, dropped
 }
 
-// sortByWeight sorts scan ascending by w[scan[i]], stable on user index.
-func sortByWeight(scan []int, w []float64) {
-	// insertion sort is fine here (n = |U|); but use an O(n log n) sort for
-	// the large sweeps.
-	quicksortByKey(scan, w, 0, len(scan)-1)
-}
-
-func quicksortByKey(idx []int, key []float64, lo, hi int) {
-	for lo < hi {
-		p := partitionByKey(idx, key, lo, hi)
-		if p-lo < hi-p {
-			quicksortByKey(idx, key, lo, p-1)
-			lo = p + 1
-		} else {
-			quicksortByKey(idx, key, p+1, hi)
-			hi = p - 1
+// sortByKey sorts idx ascending by key[idx[i]], ties by index: a total
+// order, so the permutation does not depend on the sort algorithm.
+func sortByKey(idx []int, key []float64) {
+	slices.SortFunc(idx, func(a, b int) int {
+		if c := cmp.Compare(key[a], key[b]); c != 0 {
+			return c
 		}
-	}
-}
-
-func partitionByKey(idx []int, key []float64, lo, hi int) int {
-	mid := lo + (hi-lo)/2
-	// median-of-three on (key, index) pairs for deterministic total order
-	if less(key, idx[mid], idx[lo]) {
-		idx[mid], idx[lo] = idx[lo], idx[mid]
-	}
-	if less(key, idx[hi], idx[lo]) {
-		idx[hi], idx[lo] = idx[lo], idx[hi]
-	}
-	if less(key, idx[hi], idx[mid]) {
-		idx[hi], idx[mid] = idx[mid], idx[hi]
-	}
-	pivot := idx[mid]
-	idx[mid], idx[hi] = idx[hi], idx[mid]
-	store := lo
-	for i := lo; i < hi; i++ {
-		if less(key, idx[i], pivot) {
-			idx[i], idx[store] = idx[store], idx[i]
-			store++
-		}
-	}
-	idx[store], idx[hi] = idx[hi], idx[store]
-	return store
-}
-
-func less(key []float64, a, b int) bool {
-	if key[a] != key[b] {
-		return key[a] < key[b]
-	}
-	return a < b
+		return cmp.Compare(a, b)
+	})
 }
 
 // greedyFill adds feasible (weight-descending) pairs left open after repair.
@@ -597,7 +558,7 @@ func greedyFill(in *model.Instance, conf *conflict.Matrix, arr *model.Arrangemen
 		idx[i] = i
 		keys[i] = -cands[i].w // descending
 	}
-	quicksortByKey(idx, keys, 0, len(idx)-1)
+	sortByKey(idx, keys)
 
 	added := 0
 	for _, i := range idx {

@@ -1,9 +1,8 @@
 // Package interest implements the interest functions SI(lv, lu) ∈ [0,1]
 // (Definition 5) used by the experiments: hashed uniform values (synthetic
-// datasets, "interest values of users in events are uniformly sampled"),
-// cosine and Jaccard similarity over attribute vectors (the Meetup-like
-// dataset computes interests from attributes as in GEACC), and explicit
-// lookup tables.
+// datasets, "interest values of users in events are uniformly sampled") and
+// cosine similarity over attribute vectors (the Meetup-like dataset computes
+// interests from attributes as in GEACC).
 //
 // All constructors return plain func(u, v int) float64 values, assignable to
 // model.InterestFunc.
@@ -62,60 +61,4 @@ func CosineSim(a, b []float64) float64 {
 		return 1
 	}
 	return c
-}
-
-// Jaccard returns SI(u,v) = |Au ∩ Av| / |Au ∪ Av| where an attribute i is
-// "present" when its value is > 0. Empty unions yield 0.
-func Jaccard(userAttrs, eventAttrs [][]float64) func(u, v int) float64 {
-	return func(u, v int) float64 {
-		return JaccardSim(userAttrs[u], eventAttrs[v])
-	}
-}
-
-// JaccardSim computes the Jaccard similarity of the supports of two vectors.
-func JaccardSim(a, b []float64) float64 {
-	n := len(a)
-	if len(b) > n {
-		n = len(b)
-	}
-	inter, union := 0, 0
-	for i := 0; i < n; i++ {
-		ina := i < len(a) && a[i] > 0
-		inb := i < len(b) && b[i] > 0
-		if ina && inb {
-			inter++
-		}
-		if ina || inb {
-			union++
-		}
-	}
-	if union == 0 {
-		return 0
-	}
-	return float64(inter) / float64(union)
-}
-
-// Table is an explicit dense interest table with one value per (user,
-// event). Values default to 0.
-type Table struct {
-	numEvents int
-	vals      []float64
-}
-
-// NewTable returns a zero table for numUsers × numEvents.
-func NewTable(numUsers, numEvents int) *Table {
-	return &Table{numEvents: numEvents, vals: make([]float64, numUsers*numEvents)}
-}
-
-// Set stores SI(u,v) = x. It panics if x is outside [0,1].
-func (t *Table) Set(u, v int, x float64) {
-	if x < 0 || x > 1 {
-		panic("interest: value outside [0,1]")
-	}
-	t.vals[u*t.numEvents+v] = x
-}
-
-// At returns SI(u,v). It has the signature of model.InterestFunc.
-func (t *Table) At(u, v int) float64 {
-	return t.vals[u*t.numEvents+v]
 }

@@ -69,26 +69,7 @@ func TestCosineSimSymmetricAndBounded(t *testing.T) {
 	}
 }
 
-func TestJaccardSim(t *testing.T) {
-	cases := []struct {
-		a, b []float64
-		want float64
-	}{
-		{[]float64{1, 1, 0}, []float64{1, 0, 0}, 0.5},
-		{[]float64{1, 1}, []float64{1, 1}, 1},
-		{[]float64{1, 0}, []float64{0, 1}, 0},
-		{[]float64{0, 0}, []float64{0, 0}, 0},
-		{[]float64{1}, []float64{1, 1}, 0.5}, // unequal lengths
-	}
-	for _, tc := range cases {
-		got := JaccardSim(tc.a, tc.b)
-		if math.Abs(got-tc.want) > 1e-12 {
-			t.Errorf("JaccardSim(%v,%v) = %v, want %v", tc.a, tc.b, got, tc.want)
-		}
-	}
-}
-
-func TestCosineAndJaccardClosures(t *testing.T) {
+func TestCosineClosure(t *testing.T) {
 	users := [][]float64{{1, 0}, {0, 1}}
 	events := [][]float64{{1, 0}}
 	c := Cosine(users, events)
@@ -98,31 +79,4 @@ func TestCosineAndJaccardClosures(t *testing.T) {
 	if got := c(1, 0); got != 0 {
 		t.Errorf("Cosine closure (1,0) = %v", got)
 	}
-	j := Jaccard(users, events)
-	if got := j(0, 0); got != 1 {
-		t.Errorf("Jaccard closure (0,0) = %v", got)
-	}
-}
-
-func TestTable(t *testing.T) {
-	tb := NewTable(3, 4)
-	if got := tb.At(2, 3); got != 0 {
-		t.Fatalf("fresh table At = %v", got)
-	}
-	tb.Set(2, 3, 0.75)
-	if got := tb.At(2, 3); got != 0.75 {
-		t.Fatalf("At after Set = %v", got)
-	}
-	if got := tb.At(2, 2); got != 0 {
-		t.Fatalf("neighboring cell contaminated: %v", got)
-	}
-}
-
-func TestTableSetPanicsOutOfRangeValue(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("Set(1.5) did not panic")
-		}
-	}()
-	NewTable(1, 1).Set(0, 0, 1.5)
 }

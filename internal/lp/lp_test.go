@@ -364,7 +364,8 @@ func BenchmarkDenseMediumPacking(b *testing.B) {
 
 // The pooled Devex passes must reproduce the sequential solve bit-for-bit:
 // same pivots, same primal solution, same objective. parallelThreshold 1
-// forces the worker-pool code paths even on this small LP.
+// keeps the worker count on this small LP, whose passes still fit in one
+// pool chunk; TestRevisedPooledDevexWorkerInvariance splits them.
 func TestRevisedDevexWorkerInvariance(t *testing.T) {
 	rng := xrand.New(31)
 	p := randomPacking(rng, 300, 60, 6)
@@ -385,6 +386,38 @@ func TestRevisedDevexWorkerInvariance(t *testing.T) {
 		if !reflect.DeepEqual(got.X, ref.X) || !reflect.DeepEqual(got.Y, ref.Y) {
 			t.Fatalf("workers=%d: solution vectors differ", workers)
 		}
+	}
+}
+
+// TestRevisedPooledDevexWorkerInvariance runs the pooled Devex passes over
+// more than one pool chunk: above 2·devexGrain variables, a worker count of 4
+// splits each pass into several chunks on two goroutines, which the small LP
+// of TestRevisedDevexWorkerInvariance never does. The solve must also take
+// the dense-pivot-row update, the pass the row scatter does not cover.
+func TestRevisedPooledDevexWorkerInvariance(t *testing.T) {
+	p := randomPacking(xrand.New(41), 400, 60, 45)
+	if vars := p.NumCols() + p.NumRows; vars <= 2*devexGrain {
+		t.Fatalf("%d variables fit in two pool chunks", vars)
+	}
+	solve := func(workers int) (*Solution, PhaseTimers) {
+		var tm PhaseTimers
+		sol, err := (&Revised{Workers: workers, Timers: &tm, tuning: tuning{pricing: pricingDevex, parallelThreshold: 1}}).Solve(p)
+		if err != nil {
+			t.Fatalf("workers=%d: %v", workers, err)
+		}
+		return sol, tm
+	}
+	ref, _ := solve(1)
+	got, tm := solve(4)
+	if tm.Pivots == tm.RowPricedUpdates {
+		t.Fatalf("no dense-pivot-row update in %d pivots", tm.Pivots)
+	}
+	if got.Objective != ref.Objective || got.Iterations != ref.Iterations {
+		t.Fatalf("workers=4: objective/iterations %v/%d, want %v/%d",
+			got.Objective, got.Iterations, ref.Objective, ref.Iterations)
+	}
+	if !reflect.DeepEqual(got.X, ref.X) || !reflect.DeepEqual(got.Y, ref.Y) {
+		t.Fatal("workers=4: solution vectors differ")
 	}
 }
 

@@ -143,14 +143,6 @@ func (c *Counter) Store(n int64) {
 type Gauge struct{ bits atomic.Uint64 }
 
 func (g *Gauge) Set(v float64) { g.bits.Store(math.Float64bits(v)) }
-func (g *Gauge) Add(d float64) {
-	for {
-		old := g.bits.Load()
-		if g.bits.CompareAndSwap(old, math.Float64bits(math.Float64frombits(old)+d)) {
-			return
-		}
-	}
-}
 func (g *Gauge) Load() float64 { return math.Float64frombits(g.bits.Load()) }
 
 // Histogram is a fixed-bucket distribution. Buckets are upper bounds in
@@ -282,9 +274,6 @@ func ExpBuckets(start, factor float64, n int) []float64 {
 // resolution of /statsz's percentiles, which Quantile reads off these
 // same histograms.
 func LatencyBuckets() []float64 { return ExpBuckets(1e-6, 2, 25) }
-
-// SizeBuckets is the byte-size layout: 64B … 2GiB, factor 4.
-func SizeBuckets() []float64 { return ExpBuckets(64, 4, 13) }
 
 // WritePrometheus writes the registry in Prometheus text exposition format
 // (version 0.0.4). Families appear in registration order.

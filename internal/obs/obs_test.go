@@ -18,8 +18,7 @@ func TestCounterGaugeExposition(t *testing.T) {
 	c.Add(41)
 	c.Inc()
 	g := r.Gauge("test_queue_depth", "Current queue depth.", L("shard", "0"))
-	g.Set(7)
-	g.Add(-2)
+	g.Set(5)
 	r.GaugeFunc("test_live", "Scrape-time gauge.", func() float64 { return 2.5 })
 
 	var b bytes.Buffer

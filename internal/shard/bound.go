@@ -200,15 +200,6 @@ func (bt *boundTracker) stats() *BoundStats {
 // BoundEnabled reports whether the engine tracks the live LP bound.
 func (e *Engine) BoundEnabled() bool { return e.bound != nil }
 
-// LiveBound returns the latest remaining-opportunity LP bound; ok is false
-// when Options.LiveBound is off.
-func (e *Engine) LiveBound() (bound float64, ok bool) {
-	if e.bound == nil {
-		return 0, false
-	}
-	return e.bound.bound, true
-}
-
 // UpdateBound applies every pending serving action to the shadow problem
 // and warm re-solves the bound. DispatchBatch calls it per batch; live
 // drivers that serve through ArriveOn/CancelOn call it at their renewal

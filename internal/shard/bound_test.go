@@ -130,10 +130,10 @@ func TestEngineLiveBoundCancel(t *testing.T) {
 	}
 	defer e.Close()
 
-	initial, ok := e.LiveBound()
-	if !ok {
+	if !e.BoundEnabled() {
 		t.Fatal("LiveBound not enabled")
 	}
+	initial := e.BoundStats().Remaining
 	// Serve a user who gets something.
 	var served, shard int
 	var got []int

@@ -276,7 +276,7 @@ func NewCoordinator(in *model.Instance, opt Options) (*Coordinator, error) {
 		return nil, &ConfigError{Field: "Shards", Reason: fmt.Sprintf("must be positive, got %d", opt.Shards)}
 	}
 	switch opt.Lease {
-	case LeaseDemand, LeaseEven, LeaseLP:
+	case LeaseDemand, LeaseLP:
 	default:
 		return nil, &ConfigError{Field: "Lease", Reason: fmt.Sprintf("unknown lease policy %v", opt.Lease)}
 	}
@@ -353,9 +353,6 @@ func (c *Coordinator) Renewals() int { return c.renewals }
 
 // MovedSeats returns the total seats that changed owner across renewals.
 func (c *Coordinator) MovedSeats() int { return c.moved }
-
-// Shards returns the cluster width.
-func (c *Coordinator) Shards() int { return c.s }
 
 // TransferSeats mirrors a user-range migration in the coordinator's view:
 // seats[v] consumed seats (budget and load) move from shard `from` to shard

@@ -118,7 +118,7 @@ func NewEngine(in *model.Instance, opt Options) (*Engine, error) {
 		return nil, &ConfigError{Field: "Planner", Reason: fmt.Sprintf("unknown planner kind %v", opt.Planner)}
 	}
 	switch opt.Lease {
-	case LeaseDemand, LeaseEven, LeaseLP:
+	case LeaseDemand, LeaseLP:
 	default:
 		return nil, &ConfigError{Field: "Lease", Reason: fmt.Sprintf("unknown lease policy %v", opt.Lease)}
 	}

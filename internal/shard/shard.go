@@ -37,9 +37,8 @@
 //     to the shards' pending-bidder counts for the next batch — the
 //     coordinator knows the batch composition before dispatch, so seats go
 //     where bidders are about to arrive. Events nobody in the next batch
-//     bids on fall back to the even split.
-//   - LeaseEven: the pool is re-split evenly, remainder rotated by (event,
-//     epoch) — the PR-2 protocol, kept as the ablation baseline.
+//     bids on fall back to the even split, remainder rotated by (event,
+//     epoch).
 //   - LeaseLP: the coordinator solves a small transportation LP over
 //     (shard, event) seat grants — maximizing predicted next-batch value
 //     subject to the free pool, per-shard attendance caps and per-pair
@@ -62,7 +61,6 @@ import (
 	"fmt"
 	"time"
 
-	"github.com/ebsn/igepa/internal/admissible"
 	"github.com/ebsn/igepa/internal/lp"
 	"github.com/ebsn/igepa/internal/model"
 	"github.com/ebsn/igepa/internal/xrand"
@@ -120,9 +118,6 @@ const (
 	// bidder counts for the next batch (largest-remainder rounding; even
 	// split for events with no pending demand). The default.
 	LeaseDemand LeasePolicy = iota
-	// LeaseEven splits each pool evenly, remainder rotated by (event,
-	// epoch) — the original protocol, kept for ablation.
-	LeaseEven
 	// LeaseLP solves a transportation LP over (shard, event) grants on a
 	// persistent warm-started solver and leases seats along its optimum.
 	LeaseLP
@@ -133,8 +128,6 @@ func (l LeasePolicy) String() string {
 	switch l {
 	case LeaseDemand:
 		return "demand"
-	case LeaseEven:
-		return "even"
 	case LeaseLP:
 		return "lp"
 	default:
@@ -148,12 +141,10 @@ func ParseLeasePolicy(s string) (LeasePolicy, error) {
 	switch s {
 	case "", "demand":
 		return LeaseDemand, nil
-	case "even":
-		return LeaseEven, nil
 	case "lp":
 		return LeaseLP, nil
 	default:
-		return 0, fmt.Errorf("unknown lease policy %q (want demand, even or lp)", s)
+		return 0, fmt.Errorf("unknown lease policy %q (want demand or lp)", s)
 	}
 }
 
@@ -206,7 +197,7 @@ type Options struct {
 	// its capacities, so the planner's objective is a live upper bound on
 	// the utility still reachable (committed + remaining ≥ best total).
 	// Results and decisions are unchanged; the tracker's outcome lands in
-	// Result.Bound and behind Engine.LiveBound/BoundStats. Costs one warm
+	// Result.Bound and behind Engine.BoundStats. Costs one warm
 	// LP re-solve plus a delta-scoped re-round per batch.
 	LiveBound bool
 	// LP configures the LP solvers this engine creates, the LeaseLP split
@@ -249,10 +240,6 @@ type Result struct {
 	// LeaseSolves counts warm/cold LP solves of the lease-split LP
 	// (LeaseLP only).
 	LeaseSolves lp.SolverStats
-	// Cache is always zero.
-	//
-	// Deprecated: see Options.CacheSize.
-	Cache admissible.CacheStats
 	// Bound is the live LP-bound tracker's outcome (nil unless
 	// Options.LiveBound).
 	Bound *BoundStats
@@ -358,7 +345,7 @@ func newLeaseRenewer(in *model.Instance, budgets [][]int, planners []shardPlanne
 		s: s, nv: in.NumEvents(),
 		newRem: make([]int, s),
 	}
-	if opt.Lease != LeaseEven && s > 1 {
+	if s > 1 {
 		r.demand = make([]int, s*r.nv)
 		r.value = make([]float64, s*r.nv)
 		r.attCap = make([]int, s)
@@ -388,8 +375,6 @@ func (r *leaseRenewer) solveStats() lp.SolverStats {
 // given) and returns the number of seats that changed owner.
 func (r *leaseRenewer) renew(epoch int, next []int) int {
 	switch r.opt.Lease {
-	case LeaseEven:
-		return renewLeases(r.in, r.budgets, r.planners, epoch, r.newRem)
 	case LeaseLP:
 		r.tallyDemand(next)
 		if moved, ok := r.renewLP(epoch); ok {
@@ -480,9 +465,8 @@ func (r *leaseRenewer) applyEvent(v int) int {
 }
 
 // evenSplit fills newRem with pool seats split evenly across the shards,
-// the remainder rotated by offset so extra seats circulate — the one copy
-// of the base/remainder rule shared by LeaseEven and the zero-demand
-// fallback of LeaseDemand.
+// the remainder rotated by offset so extra seats circulate — LeaseDemand's
+// fallback for an event with no pending demand.
 func evenSplit(newRem []int, pool, offset int) {
 	s := len(newRem)
 	base, rem := pool/s, pool%s
@@ -641,30 +625,4 @@ func (r *leaseRenewer) renewLP(epoch int) (int, bool) {
 		moved += r.applyEvent(v)
 	}
 	return moved, true
-}
-
-// renewLeases implements the renewal round: per event, reclaim every
-// shard's unused seats and re-split the free pool evenly, rotating the
-// remainder by (event, epoch) so the extra seats circulate. Consumed seats
-// stay with their shard, so Σ_s budget[s][v] = cv is restored exactly.
-// Returns the number of seats that changed owner.
-func renewLeases(in *model.Instance, budgets [][]int, planners []shardPlanner, epoch int, newRem []int) int {
-	s := len(budgets)
-	moved := 0
-	for v := 0; v < in.NumEvents(); v++ {
-		used := 0
-		for si := 0; si < s; si++ {
-			used += planners[si].loads[v]
-		}
-		pool := in.Events[v].Capacity - used
-		evenSplit(newRem, pool, v+epoch)
-		for si := 0; si < s; si++ {
-			load := planners[si].loads[v]
-			if oldRem := budgets[si][v] - load; newRem[si] > oldRem {
-				moved += newRem[si] - oldRem
-			}
-			budgets[si][v] = load + newRem[si]
-		}
-	}
-	return moved
 }

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"runtime"
+	"strings"
 	"testing"
 
 	"github.com/ebsn/igepa/internal/core"
@@ -38,7 +39,7 @@ func TestParsePolicyNames(t *testing.T) {
 			t.Errorf("ParsePlannerKind(%q) = %v, %v", k.String(), got, err)
 		}
 	}
-	for _, l := range []LeasePolicy{LeaseDemand, LeaseEven, LeaseLP} {
+	for _, l := range []LeasePolicy{LeaseDemand, LeaseLP} {
 		if got, err := ParseLeasePolicy(l.String()); err != nil || got != l {
 			t.Errorf("ParseLeasePolicy(%q) = %v, %v", l.String(), got, err)
 		}
@@ -51,9 +52,12 @@ func TestParsePolicyNames(t *testing.T) {
 			t.Errorf("ParsePlannerKind(%q) accepted", bad)
 		}
 	}
-	for _, bad := range []string{"nope", "LP", "LeasePolicy(9)"} {
-		if _, err := ParseLeasePolicy(bad); err == nil {
+	for _, bad := range []string{"nope", "LP", "LeasePolicy(9)", "even"} {
+		_, err := ParseLeasePolicy(bad)
+		if err == nil {
 			t.Errorf("ParseLeasePolicy(%q) accepted", bad)
+		} else if msg := err.Error(); !strings.Contains(msg, "demand") || !strings.Contains(msg, "lp") {
+			t.Errorf("ParseLeasePolicy(%q) error %q does not name the policies", bad, msg)
 		}
 	}
 }
@@ -191,7 +195,7 @@ func TestUtilityDegradesGracefully(t *testing.T) {
 func TestLeasePoliciesFeasibleAndDeterministic(t *testing.T) {
 	in := testInstance(t, 29, 200, 30)
 	order := arrivalOrder(5, in.NumUsers())
-	for _, pol := range []LeasePolicy{LeaseDemand, LeaseEven, LeaseLP} {
+	for _, pol := range []LeasePolicy{LeaseDemand, LeaseLP} {
 		for _, s := range []int{2, 8} {
 			label := fmt.Sprintf("%v/S=%d", pol, s)
 			opt := Options{Shards: s, Batch: 32, Seed: 42, Lease: pol, Workers: 1}
@@ -276,55 +280,9 @@ func TestRecordLatency(t *testing.T) {
 }
 
 func TestLeasePolicyString(t *testing.T) {
-	if LeaseDemand.String() != "demand" || LeaseEven.String() != "even" ||
-		LeaseLP.String() != "lp" || LeasePolicy(9).String() == "" {
+	if LeaseDemand.String() != "demand" || LeaseLP.String() != "lp" ||
+		LeasePolicy(9).String() == "" {
 		t.Error("LeasePolicy.String broken")
-	}
-}
-
-// TestRenewLeasesInvariant white-boxes the renewal round: it must restore
-// Σ_s budget[s][v] = cv exactly, never revoke a consumed seat, and conserve
-// the free pool.
-func TestRenewLeasesInvariant(t *testing.T) {
-	in := testInstance(t, 17, 40, 12)
-	rng := xrand.New(1)
-	const s = 4
-	for trial := 0; trial < 50; trial++ {
-		budgets := make([][]int, s)
-		planners := make([]shardPlanner, s)
-		for si := 0; si < s; si++ {
-			budgets[si] = make([]int, in.NumEvents())
-			planners[si] = shardPlanner{loads: make([]int, in.NumEvents())}
-		}
-		for v := 0; v < in.NumEvents(); v++ {
-			cv := in.Events[v].Capacity
-			// random lease split summing to cv, random loads ≤ lease
-			for k := 0; k < cv; k++ {
-				budgets[rng.Intn(s)][v]++
-			}
-			for si := 0; si < s; si++ {
-				if budgets[si][v] > 0 {
-					planners[si].loads[v] = rng.Intn(budgets[si][v] + 1)
-				}
-			}
-		}
-		moved := renewLeases(in, budgets, planners, trial, make([]int, s))
-		if moved < 0 {
-			t.Fatalf("trial %d: negative moved-seat count %d", trial, moved)
-		}
-		for v := 0; v < in.NumEvents(); v++ {
-			sum := 0
-			for si := 0; si < s; si++ {
-				if budgets[si][v] < planners[si].loads[v] {
-					t.Fatalf("trial %d: shard %d event %d: renewed budget %d below load %d",
-						trial, si, v, budgets[si][v], planners[si].loads[v])
-				}
-				sum += budgets[si][v]
-			}
-			if sum != in.Events[v].Capacity {
-				t.Fatalf("trial %d: event %d leases sum to %d, capacity %d", trial, v, sum, in.Events[v].Capacity)
-			}
-		}
 	}
 }
 

@@ -7,38 +7,40 @@ import (
 	"github.com/ebsn/igepa/internal/xrand"
 )
 
-func TestComponents(t *testing.T) {
-	g := NewGraph(7)
-	g.AddEdge(0, 1)
-	g.AddEdge(1, 2)
-	g.AddEdge(3, 4)
-	// 5, 6 isolated
-	comps := Components(g)
-	if len(comps) != 4 {
-		t.Fatalf("got %d components, want 4", len(comps))
+// The clustering metrics below are the oracle of the generator tests in
+// this file; no production code reads them.
+
+// localClustering returns vertex u's local clustering coefficient: the
+// fraction of its neighbour pairs that are themselves adjacent
+// (0 for degree < 2).
+func (g *Graph) localClustering(u int) float64 {
+	d := g.degree[u]
+	if d < 2 {
+		return 0
 	}
-	if len(comps[0]) != 3 || len(comps[1]) != 2 {
-		t.Fatalf("components not sorted by size: %v", comps)
+	neigh := g.Neighbors(u)
+	closed := 0
+	for i, a := range neigh {
+		for _, b := range neigh[i+1:] {
+			if g.HasEdge(a, b) {
+				closed++
+			}
+		}
 	}
-	total := 0
-	for _, c := range comps {
-		total += len(c)
-	}
-	if total != 7 {
-		t.Fatalf("components cover %d vertices, want 7", total)
-	}
+	return float64(closed) / float64(d*(d-1)/2)
 }
 
-func TestGiantComponentFraction(t *testing.T) {
-	g := NewGraph(4)
-	g.AddEdge(0, 1)
-	g.AddEdge(1, 2)
-	if got := GiantComponentFraction(g); math.Abs(got-0.75) > 1e-12 {
-		t.Errorf("fraction = %v, want 0.75", got)
+// meanClustering returns the average local clustering coefficient over all
+// vertices (Watts–Strogatz definition).
+func meanClustering(g *Graph) float64 {
+	if g.Len() == 0 {
+		return 0
 	}
-	if got := GiantComponentFraction(NewGraph(0)); got != 0 {
-		t.Errorf("empty graph fraction = %v", got)
+	sum := 0.0
+	for u := 0; u < g.Len(); u++ {
+		sum += g.localClustering(u)
 	}
+	return sum / float64(g.Len())
 }
 
 func TestLocalClustering(t *testing.T) {
@@ -48,25 +50,22 @@ func TestLocalClustering(t *testing.T) {
 	g.AddEdge(0, 2)
 	g.AddEdge(1, 2)
 	g.AddEdge(2, 3)
-	if got := g.LocalClustering(0); got != 1 {
+	if got := g.localClustering(0); got != 1 {
 		t.Errorf("clustering(0) = %v, want 1", got)
 	}
-	if got := g.LocalClustering(3); got != 0 {
+	if got := g.localClustering(3); got != 0 {
 		t.Errorf("pendant clustering = %v, want 0", got)
 	}
 	// vertex 2 has neighbours {0,1,3}: pairs (0,1) closed, (0,3),(1,3) open
-	if got := g.LocalClustering(2); math.Abs(got-1.0/3.0) > 1e-12 {
+	if got := g.localClustering(2); math.Abs(got-1.0/3.0) > 1e-12 {
 		t.Errorf("clustering(2) = %v, want 1/3", got)
 	}
 }
 
 func TestCliqueIsFullyClustered(t *testing.T) {
 	g := Affiliation(5, [][]int{{0, 1, 2, 3, 4}})
-	if got := MeanClustering(g); got != 1 {
+	if got := meanClustering(g); got != 1 {
 		t.Errorf("clique clustering = %v, want 1", got)
-	}
-	if got := GiantComponentFraction(g); got != 1 {
-		t.Errorf("clique giant fraction = %v, want 1", got)
 	}
 }
 
@@ -87,31 +86,8 @@ func TestAffiliationMoreClusteredThanER(t *testing.T) {
 	p := 2 * float64(aff.NumEdges()) / float64(n*(n-1))
 	er := ErdosRenyi(n, p, rng)
 
-	ca, ce := MeanClustering(aff), MeanClustering(er)
+	ca, ce := meanClustering(aff), meanClustering(er)
 	if ca < 2*ce {
 		t.Errorf("affiliation clustering %v not clearly above ER %v (density %v)", ca, ce, p)
-	}
-}
-
-func TestDegreeAssortativityProxy(t *testing.T) {
-	// star: centre degree n-1, leaves degree 1 → neighbour-degree mean far
-	// above mean degree (friendship paradox at its maximum)
-	g := NewGraph(11)
-	for v := 1; v <= 10; v++ {
-		g.AddEdge(0, v)
-	}
-	if got := DegreeAssortativityProxy(g); got < 2 {
-		t.Errorf("star proxy = %v, want >> 1", got)
-	}
-	// regular graph (cycle): every vertex degree 2 → proxy exactly 1
-	c := NewGraph(6)
-	for v := 0; v < 6; v++ {
-		c.AddEdge(v, (v+1)%6)
-	}
-	if got := DegreeAssortativityProxy(c); math.Abs(got-1) > 1e-12 {
-		t.Errorf("cycle proxy = %v, want 1", got)
-	}
-	if got := DegreeAssortativityProxy(NewGraph(3)); got != 0 {
-		t.Errorf("edgeless proxy = %v, want 0", got)
 	}
 }

@@ -1,8 +1,9 @@
 // Package social implements the social-network substrate: a compact
-// undirected graph with bitset adjacency, the generators used by the
+// undirected graph with bitset adjacency and the generators used by the
 // experiments (Erdős–Rényi per Table I, group-affiliation graphs for the
-// Meetup-like dataset, Barabási–Albert as an extension), and the degree of
-// potential interaction D(G,u) (Definition 6).
+// Meetup-like dataset). The workloads copy each user's degree into the
+// instance, where model.Instance.DPI turns it into the degree of potential
+// interaction D(G,u) (Definition 6).
 package social
 
 import (
@@ -15,10 +16,8 @@ import (
 // Graph is a simple undirected graph on n vertices with bitset adjacency
 // rows. Self-loops are ignored.
 type Graph struct {
-	n      int
 	adj    []*bitset.Set
 	degree []int
-	edges  int
 }
 
 // NewGraph returns an empty graph on n vertices.
@@ -27,14 +26,8 @@ func NewGraph(n int) *Graph {
 	for i := range adj {
 		adj[i] = bitset.New(n)
 	}
-	return &Graph{n: n, adj: adj, degree: make([]int, n)}
+	return &Graph{adj: adj, degree: make([]int, n)}
 }
-
-// Len returns the number of vertices.
-func (g *Graph) Len() int { return g.n }
-
-// NumEdges returns the number of undirected edges.
-func (g *Graph) NumEdges() int { return g.edges }
 
 // AddEdge inserts the undirected edge {u,v}. Self-loops and duplicate edges
 // are ignored.
@@ -46,46 +39,10 @@ func (g *Graph) AddEdge(u, v int) {
 	g.adj[v].Add(u)
 	g.degree[u]++
 	g.degree[v]++
-	g.edges++
-}
-
-// HasEdge reports whether {u,v} is an edge.
-func (g *Graph) HasEdge(u, v int) bool {
-	if u == v {
-		return false
-	}
-	return g.adj[u].Contains(v)
 }
 
 // Degree returns deg(u).
 func (g *Graph) Degree(u int) int { return g.degree[u] }
-
-// Degrees returns a copy of the degree sequence.
-func (g *Graph) Degrees() []int {
-	return append([]int(nil), g.degree...)
-}
-
-// Neighbors appends u's neighbors to dst and returns it.
-func (g *Graph) Neighbors(u int, dst []int) []int {
-	return g.adj[u].Members(dst)
-}
-
-// DPI returns the degree of potential interaction
-// D(G,u) = deg(u)/(n−1) (Definition 6); 0 when n ≤ 1.
-func (g *Graph) DPI(u int) float64 {
-	if g.n <= 1 {
-		return 0
-	}
-	return float64(g.degree[u]) / float64(g.n-1)
-}
-
-// MeanDegree returns the average vertex degree.
-func (g *Graph) MeanDegree() float64 {
-	if g.n == 0 {
-		return 0
-	}
-	return 2 * float64(g.edges) / float64(g.n)
-}
 
 // ErdosRenyi samples G(n, p): every unordered pair is an edge independently
 // with probability p. This is the synthetic social network of Table I
@@ -159,65 +116,4 @@ func Affiliation(n int, groups [][]int) *Graph {
 		}
 	}
 	return g
-}
-
-// BarabasiAlbert grows a preferential-attachment graph: starting from a
-// clique on m+1 vertices, each new vertex attaches to m distinct existing
-// vertices chosen with probability proportional to degree. Provided as an
-// extension for heavy-tailed social networks; not used by the paper's
-// experiments.
-func BarabasiAlbert(n, m int, rng *xrand.RNG) *Graph {
-	if m < 1 {
-		panic("social: BarabasiAlbert needs m >= 1")
-	}
-	g := NewGraph(n)
-	if n == 0 {
-		return g
-	}
-	seed := m + 1
-	if seed > n {
-		seed = n
-	}
-	// repeated endpoints list implements degree-proportional sampling
-	var endpoints []int
-	for u := 0; u < seed; u++ {
-		for v := u + 1; v < seed; v++ {
-			g.AddEdge(u, v)
-			endpoints = append(endpoints, u, v)
-		}
-	}
-	for u := seed; u < n; u++ {
-		chosen := map[int]bool{}
-		for len(chosen) < m {
-			var v int
-			if len(endpoints) == 0 {
-				v = rng.Intn(u)
-			} else {
-				v = endpoints[rng.Intn(len(endpoints))]
-			}
-			if v != u {
-				chosen[v] = true
-			}
-		}
-		for v := range chosen {
-			g.AddEdge(u, v)
-			endpoints = append(endpoints, u, v)
-		}
-	}
-	return g
-}
-
-// DegreeHistogram returns counts[d] = number of vertices with degree d.
-func DegreeHistogram(g *Graph) []int {
-	maxDeg := 0
-	for _, d := range g.degree {
-		if d > maxDeg {
-			maxDeg = d
-		}
-	}
-	counts := make([]int, maxDeg+1)
-	for _, d := range g.degree {
-		counts[d]++
-	}
-	return counts
 }

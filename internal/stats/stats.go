@@ -1,6 +1,6 @@
 // Package stats provides the small summary-statistics toolkit used by the
-// experiment harness: means, standard deviations, and normal-approximation
-// confidence intervals over repeated randomized runs.
+// experiment harness and the latency reports: means, standard deviations
+// and extremes over repeated randomized runs, and duration percentiles.
 package stats
 
 import (
@@ -46,15 +46,6 @@ func Summarize(xs []float64) Summary {
 		s.Std = math.Sqrt(ss / float64(s.N-1))
 	}
 	return s
-}
-
-// CI95 returns the half-width of the 95% normal-approximation confidence
-// interval for the mean (1.96·σ/√n); 0 for samples of size < 2.
-func (s Summary) CI95() float64 {
-	if s.N < 2 {
-		return 0
-	}
-	return 1.96 * s.Std / math.Sqrt(float64(s.N))
 }
 
 // String formats the summary as "mean ± std (n=N)".

@@ -25,28 +25,16 @@ func TestSummarizeKnown(t *testing.T) {
 }
 
 func TestSummarizeEdgeCases(t *testing.T) {
-	if s := Summarize(nil); s.N != 0 || s.Mean != 0 || s.CI95() != 0 {
+	if s := Summarize(nil); s.N != 0 || s.Mean != 0 {
 		t.Errorf("empty summary: %+v", s)
 	}
 	s := Summarize([]float64{3})
-	if s.Mean != 3 || s.Std != 0 || s.CI95() != 0 {
+	if s.Mean != 3 || s.Std != 0 {
 		t.Errorf("singleton summary: %+v", s)
 	}
 	neg := Summarize([]float64{-5, -1})
 	if neg.Min != -5 || neg.Max != -1 || neg.Mean != -3 {
 		t.Errorf("negative summary: %+v", neg)
-	}
-}
-
-func TestCI95ShrinksWithN(t *testing.T) {
-	small := Summarize([]float64{1, 2, 3, 4})
-	var many []float64
-	for i := 0; i < 16; i++ {
-		many = append(many, []float64{1, 2, 3, 4}[i%4])
-	}
-	big := Summarize(many)
-	if big.CI95() >= small.CI95() {
-		t.Errorf("CI did not shrink: %v vs %v", big.CI95(), small.CI95())
 	}
 }
 

@@ -15,7 +15,7 @@ import "math"
 
 // RNG is a deterministic pseudo-random number generator
 // (xoshiro256** with splitmix64 seeding). It is not safe for concurrent use;
-// give each goroutine its own RNG (see Split).
+// give each goroutine its own RNG (see NewStream).
 type RNG struct {
 	s [4]uint64
 }
@@ -35,18 +35,10 @@ func New(seed int64) *RNG {
 	return r
 }
 
-// Split derives a new, statistically independent RNG from r.
-// It advances r. Useful for giving deterministic sub-streams to
-// parallel workers.
-func (r *RNG) Split() *RNG {
-	return New(int64(r.Uint64() ^ 0xd1b54a32d192ed03))
-}
-
 // NewStream returns the RNG for sub-stream `stream` of the given seed. The
 // streams of one seed are statistically independent of each other and of
-// New(seed), and — unlike Split, which advances shared state — depend only
-// on (seed, stream). That makes them the right tool for parallel per-item
-// randomness: each item i draws from NewStream(seed, i), so results are
+// New(seed), and depend only on (seed, stream), never on shared state. That
+// makes them the right tool for parallel per-item randomness: each item i draws from NewStream(seed, i), so results are
 // bit-identical no matter how items are distributed over workers.
 func NewStream(seed int64, stream uint64) *RNG {
 	z := stream + 0xd1b54a32d192ed03
@@ -70,9 +62,6 @@ func (r *RNG) Uint64() uint64 {
 	s[3] = rotl(s[3], 45)
 	return result
 }
-
-// Int63 returns a non-negative pseudo-random 63-bit integer.
-func (r *RNG) Int63() int64 { return int64(r.Uint64() >> 1) }
 
 // Intn returns a uniform integer in [0, n). It panics if n <= 0.
 func (r *RNG) Intn(n int) int {
@@ -150,58 +139,6 @@ func (r *RNG) Shuffle(n int, swap func(i, j int)) {
 		j := r.Intn(i + 1)
 		swap(i, j)
 	}
-}
-
-// Binomial returns a sample from Binomial(n, p).
-// It uses direct simulation for small n and a normal approximation with
-// continuity correction for large n, which is accurate far beyond the needs
-// of the degree-distribution experiments.
-func (r *RNG) Binomial(n int, p float64) int {
-	if n <= 0 || p <= 0 {
-		return 0
-	}
-	if p >= 1 {
-		return n
-	}
-	if n <= 64 {
-		k := 0
-		for i := 0; i < n; i++ {
-			if r.Float64() < p {
-				k++
-			}
-		}
-		return k
-	}
-	mean := float64(n) * p
-	sd := math.Sqrt(mean * (1 - p))
-	k := int(math.Round(mean + sd*r.NormFloat64()))
-	if k < 0 {
-		k = 0
-	}
-	if k > n {
-		k = n
-	}
-	return k
-}
-
-// NormFloat64 returns a standard normal sample (Marsaglia polar method).
-func (r *RNG) NormFloat64() float64 {
-	for {
-		u := 2*r.Float64() - 1
-		v := 2*r.Float64() - 1
-		s := u*u + v*v
-		if s > 0 && s < 1 {
-			return u * math.Sqrt(-2*math.Log(s)/s)
-		}
-	}
-}
-
-// Zipf returns a sample in [1, n] from a Zipf distribution with exponent s>0,
-// i.e. P(k) ∝ k^(-s). It uses inverse-CDF sampling over a lazily built
-// cumulative table (the caller should reuse a Zipfian for repeated draws).
-func (r *RNG) Zipf(n int, s float64) int {
-	z := NewZipfian(n, s)
-	return z.Sample(r)
 }
 
 // Zipfian samples from a Zipf distribution over [1, n] with exponent s.

@@ -140,36 +140,6 @@ func TestPermIsPermutation(t *testing.T) {
 	}
 }
 
-func TestBinomialMoments(t *testing.T) {
-	r := New(17)
-	for _, tc := range []struct {
-		n int
-		p float64
-	}{{10, 0.5}, {50, 0.1}, {500, 0.3}, {5000, 0.5}} {
-		const draws = 3000
-		sum := 0.0
-		for i := 0; i < draws; i++ {
-			k := r.Binomial(tc.n, tc.p)
-			if k < 0 || k > tc.n {
-				t.Fatalf("Binomial(%d,%v) = %d out of range", tc.n, tc.p, k)
-			}
-			sum += float64(k)
-		}
-		mean := sum / draws
-		want := float64(tc.n) * tc.p
-		sd := math.Sqrt(want * (1 - tc.p))
-		if math.Abs(mean-want) > 6*sd/math.Sqrt(draws)+0.5 {
-			t.Errorf("Binomial(%d,%v): mean %v, want ≈%v", tc.n, tc.p, mean, want)
-		}
-	}
-	if got := r.Binomial(10, 0); got != 0 {
-		t.Errorf("Binomial(10,0) = %d", got)
-	}
-	if got := r.Binomial(10, 1); got != 10 {
-		t.Errorf("Binomial(10,1) = %d", got)
-	}
-}
-
 func TestZipfSkew(t *testing.T) {
 	r := New(23)
 	z := NewZipfian(100, 1.2)
@@ -242,21 +212,6 @@ func TestHashFloatUniform(t *testing.T) {
 		if math.Abs(float64(c)-want) > 6*math.Sqrt(want) {
 			t.Errorf("bucket %d: %d, want ≈%.0f", i, c, want)
 		}
-	}
-}
-
-func TestSplitIndependence(t *testing.T) {
-	r := New(31)
-	a := r.Split()
-	b := r.Split()
-	same := 0
-	for i := 0; i < 100; i++ {
-		if a.Uint64() == b.Uint64() {
-			same++
-		}
-	}
-	if same > 0 {
-		t.Errorf("split streams overlap in %d/100 outputs", same)
 	}
 }
 
