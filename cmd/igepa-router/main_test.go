@@ -13,12 +13,10 @@ import (
 	"os"
 	"os/exec"
 	"path/filepath"
-	"sync/atomic"
 	"testing"
 	"time"
 
 	"github.com/ebsn/igepa"
-	"github.com/ebsn/igepa/internal/router"
 	"github.com/ebsn/igepa/internal/server"
 	"github.com/ebsn/igepa/internal/shard"
 	"github.com/ebsn/igepa/internal/xrand"
@@ -272,88 +270,5 @@ func TestShutdownDrainsReplayTail(t *testing.T) {
 	}
 	if decided != 5 {
 		t.Fatalf("backends decided %d of the 5 queued bids on shutdown", decided)
-	}
-}
-
-// BenchmarkClusterHTTP measures sustained decided/s through the full
-// distributed stack — router tier in front of two shard-process servers —
-// under a closed-loop bid/cancel workload; BENCH_cluster.json in CI.
-func BenchmarkClusterHTTP(b *testing.B) {
-	in, err := igepa.Synthetic(igepa.SyntheticConfig{Seed: 1, NumEvents: 40, NumUsers: 400})
-	if err != nil {
-		b.Fatal(err)
-	}
-	const S = 2
-	opt := shard.Options{Batch: 32, Seed: 1, CacheSize: 4096}
-	urls := make([]string, S)
-	for si := 0; si < S; si++ {
-		bopt := opt
-		bopt.Shards = 1
-		bopt.ClusterShards, bopt.ClusterIndex = S, si
-		srv, err := server.New(in, server.Config{Shard: bopt})
-		if err != nil {
-			b.Fatal(err)
-		}
-		defer srv.Close()
-		ts := httptest.NewServer(srv)
-		defer ts.Close()
-		urls[si] = ts.URL
-	}
-	ropt := opt
-	ropt.Shards = S
-	rt, err := router.New(in, router.Config{Backends: urls, Shard: ropt})
-	if err != nil {
-		b.Fatal(err)
-	}
-	defer rt.Close()
-	if err := rt.CheckBackends(); err != nil {
-		b.Fatal(err)
-	}
-	ts := httptest.NewServer(rt)
-	defer ts.Close()
-
-	var userCtr, decided atomic.Int64
-	post := func(hc *http.Client, path string, body any) (int, error) {
-		raw, _ := json.Marshal(body)
-		resp, err := hc.Post(ts.URL+path, "application/json", bytes.NewReader(raw))
-		if err != nil {
-			return 0, err
-		}
-		io.Copy(io.Discard, resp.Body)
-		resp.Body.Close()
-		return resp.StatusCode, nil
-	}
-	b.SetParallelism(4)
-	b.ResetTimer()
-	start := time.Now()
-	b.RunParallel(func(pb *testing.PB) {
-		hc := &http.Client{}
-		u := int(userCtr.Add(1)-1) % in.NumUsers()
-		for pb.Next() {
-			code, err := post(hc, "/v1/bid", map[string]int{"user": u})
-			if err != nil {
-				b.Error(err)
-				return
-			}
-			switch code {
-			case http.StatusOK:
-				decided.Add(1)
-				post(hc, "/v1/cancel", map[string]int{"user": u})
-			case http.StatusTooManyRequests, http.StatusServiceUnavailable:
-				time.Sleep(time.Millisecond)
-			case http.StatusConflict:
-				post(hc, "/v1/cancel", map[string]int{"user": u})
-			default:
-				b.Errorf("bid user %d: %d", u, code)
-				return
-			}
-		}
-	})
-	elapsed := time.Since(start)
-	if elapsed > 0 {
-		b.ReportMetric(float64(decided.Load())/elapsed.Seconds(), "decided/s")
-	}
-	if rt.Stats().Degraded {
-		b.Fatalf("router degraded: %s", rt.Stats().DegradedReason)
 	}
 }

@@ -21,8 +21,8 @@
 // parallel pipeline, whose results are bit-identical for every worker count
 // — uses only the standard library, and every arrangement can be re-checked
 // with Validate. See DESIGN.md for the pipeline architecture; the paper
-// sweeps are reproduced by cmd/igepa-bench and the reduced benchmarks in
-// bench_test.go.
+// sweeps are reproduced by cmd/igepa-bench, and bench/ measures speed
+// layer by layer.
 package igepa
 
 import (

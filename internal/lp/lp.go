@@ -113,16 +113,6 @@ func (p *Problem) AddColumn(c float64, rows []int) {
 	p.C = append(p.C, c)
 }
 
-// addColumn32 is AddColumn for int32 row indices (CSC-to-CSC copies).
-func (p *Problem) addColumn32(c float64, rows []int32) {
-	if len(p.ColPtr) == 0 {
-		p.ColPtr = append(p.ColPtr, 0)
-	}
-	p.Rows = append(p.Rows, rows...)
-	p.ColPtr = append(p.ColPtr, len(p.Rows))
-	p.C = append(p.C, c)
-}
-
 // NewProblem assembles a CSC Problem from per-column data: the bridge from
 // hand-written fixtures and external assembly code to the flat layout.
 func NewProblem(numRows int, b []float64, c []float64, cols []Column) *Problem {

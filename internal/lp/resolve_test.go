@@ -24,6 +24,21 @@ func cloneProblem(p *Problem) *Problem {
 	}
 }
 
+// addColumn32 is AddColumn for int32 row indices (CSC-to-CSC copies).
+func (p *Problem) addColumn32(c float64, rows []int32) {
+	if len(p.ColPtr) == 0 {
+		p.ColPtr = append(p.ColPtr, 0)
+	}
+	p.Rows = append(p.Rows, rows...)
+	p.ColPtr = append(p.ColPtr, len(p.Rows))
+	p.C = append(p.C, c)
+}
+
+// Empty reports whether the delta changes nothing.
+func (d *ProblemDelta) Empty() bool {
+	return len(d.SetB) == 0 && len(d.SetC) == 0 && len(d.RemoveCols) == 0 && len(d.AddCols) == 0
+}
+
 // applyDeltaRef applies d to p by independent brute force under the slot
 // rule — a removed column keeps its slot and rows at cost 0, added columns
 // are appended — the reference the Solver's in-place delta application is

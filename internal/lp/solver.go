@@ -173,11 +173,6 @@ type ProblemDelta struct {
 	AddC    []float64
 }
 
-// Empty reports whether the delta changes nothing.
-func (d *ProblemDelta) Empty() bool {
-	return len(d.SetB) == 0 && len(d.SetC) == 0 && len(d.RemoveCols) == 0 && len(d.AddCols) == 0
-}
-
 // ErrNoProblem is returned by Resolve before any successful Solve.
 var ErrNoProblem = errors.New("lp: Resolve called before Solve installed a problem")
 

@@ -13,8 +13,9 @@ import "time"
 // RepairPivots the dual pivots of warm-start repair.
 //
 // Attach one via Revised.Timers; it keeps accumulating across solves until
-// Reset. Not synchronized — drive one solve at a time per struct. A nil
-// *PhaseTimers is valid everywhere and costs one branch per kernel call.
+// the caller zeroes it. Not synchronized — drive one solve at a time per
+// struct. A nil *PhaseTimers is valid everywhere and costs one branch per
+// kernel call.
 type PhaseTimers struct {
 	Ftran, Btran, Pricing, Update, Factor time.Duration
 	Pivots, RepairPivots                  int64
@@ -38,11 +39,6 @@ type PhaseTimers struct {
 	// pivot budget; PartialWarmCutovers counts the keep-the-basis
 	// refactorize-and-retry recoveries those (and stalls) triggered.
 	BudgetExhausted, PartialWarmCutovers int64
-}
-
-// Reset zeroes all accumulators.
-func (tm *PhaseTimers) Reset() {
-	*tm = PhaseTimers{}
 }
 
 // Total returns the summed phase time (excluding untimed glue such as the

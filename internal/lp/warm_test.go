@@ -1,0 +1,308 @@
+package lp_test
+
+// Warm-resolve behaviour pins on the benchmark LP of the Table I synthetic
+// workload: a warm Resolve must stay on the warm path, pivot less than a
+// cold solve of the same problem, and land on a certified optimum that
+// matches the cold one. The fixture re-bids every stride-th user (they drop
+// their first bid and re-enumerate), and capacity deltas shrink a slice of
+// the event rows.
+
+import (
+	"math"
+	"testing"
+	"time"
+
+	"github.com/ebsn/igepa/internal/admissible"
+	"github.com/ebsn/igepa/internal/conflict"
+	"github.com/ebsn/igepa/internal/core"
+	"github.com/ebsn/igepa/internal/lp"
+	"github.com/ebsn/igepa/internal/model"
+	"github.com/ebsn/igepa/internal/workload"
+)
+
+// enumerateSets runs the admissible-set enumeration for every user of the
+// instance (single-threaded; fixture setup only).
+func enumerateSets(in *model.Instance) [][]admissible.Set {
+	conf := conflict.FromFunc(in.NumEvents(), in.Conflicts)
+	wc := in.Weights()
+	sets := make([][]admissible.Set, in.NumUsers())
+	for u := range sets {
+		usr := &in.Users[u]
+		w := func(v int) float64 { return wc.Of(u, v) }
+		sets[u] = admissible.Enumerate(usr.Bids, usr.Capacity, conf, w, admissible.Config{}).Sets
+	}
+	return sets
+}
+
+// warmFixture holds the original instance's benchmark LP and the bid delta
+// that moves it to the re-bid variant.
+type warmFixture struct {
+	probA     *lp.Problem     // original instance's benchmark LP
+	dFirstToB lp.ProblemDelta // A (original column order) -> B
+}
+
+// setColumns converts one user's admissible sets to LP delta columns.
+func setColumns(u, numUsers int, sets []admissible.Set, d *lp.ProblemDelta) {
+	for _, s := range sets {
+		rows := make([]int, 0, len(s.Events)+1)
+		rows = append(rows, u)
+		for _, v := range s.Events {
+			rows = append(rows, numUsers+v)
+		}
+		d.AddCols = append(d.AddCols, lp.Column{Rows: rows})
+		d.AddC = append(d.AddC, s.Weight)
+	}
+}
+
+func buildWarmFixture(tb testing.TB) *warmFixture {
+	return buildWarmFixtureAt(tb, 500, 100, 20)
+}
+
+// buildWarmFixtureAt builds the fixture for an arbitrary instance size:
+// users/events set the synthetic workload's dimensions, and every stride-th
+// user is re-bid by the delta (stride 20 → 5% of users, stride 10 → 10%).
+func buildWarmFixtureAt(tb testing.TB, users, events, stride int) *warmFixture {
+	tb.Helper()
+	in, err := workload.Synthetic(workload.SyntheticConfig{Seed: 1, NumUsers: users, NumEvents: events})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	nu := in.NumUsers()
+	setsA := enumerateSets(in)
+
+	// Variant B: every stride-th user drops their first bid.
+	var changed []int
+	for u := 0; u < nu; u += stride {
+		if len(in.Users[u].Bids) > 1 {
+			changed = append(changed, u)
+		}
+	}
+	inB := &model.Instance{
+		Events: in.Events, Users: append([]model.User(nil), in.Users...),
+		Conflicts: in.Conflicts, Interest: in.Interest, Beta: in.Beta,
+	}
+	for _, u := range changed {
+		inB.Users[u].Bids = append([]int(nil), in.Users[u].Bids[1:]...)
+	}
+	setsB := enumerateSets(inB)
+
+	probA, ownerA := core.BuildBenchmarkLP(in, setsA)
+
+	isChanged := make([]bool, nu)
+	for _, u := range changed {
+		isChanged[u] = true
+	}
+	f := &warmFixture{probA: probA}
+	for j, ow := range ownerA {
+		if isChanged[ow[0]] {
+			f.dFirstToB.RemoveCols = append(f.dFirstToB.RemoveCols, j)
+		}
+	}
+	for _, u := range changed {
+		setColumns(u, nu, setsB[u], &f.dFirstToB)
+	}
+	return f
+}
+
+// totalFallbacks sums the per-reason cold-fallback counters.
+func totalFallbacks(st lp.SolverStats) int {
+	return st.FallbackSingular + st.FallbackInfeasible + st.FallbackRepairStall +
+		st.FallbackBoundInfeasible + st.FallbackError
+}
+
+// capacityShrinkDeltas builds a delta cutting every event capacity to
+// floor(frac·b) — turning the optimal basis primal infeasible across many
+// interacting rows at once, so the repair's leaving-row choice matters —
+// and its inverse restoring the original bounds (warm, repair-free).
+func capacityShrinkDeltas(p *lp.Problem, users, events int, frac float64) (shrink, restore lp.ProblemDelta) {
+	return capacityChurnDeltas(p, users, events, frac, 1)
+}
+
+// capacityChurnDeltas is capacityShrinkDeltas restricted to every `every`-th
+// event row — a bounded perturbation matching incremental capacity updates
+// between serving resolves, rather than an all-rows shock.
+func capacityChurnDeltas(p *lp.Problem, users, events int, frac float64, every int) (shrink, restore lp.ProblemDelta) {
+	for v := 0; v < events; v += every {
+		row := users + v
+		old := p.B[row]
+		shrink.SetB = append(shrink.SetB, lp.BoundChange{Row: row, B: math.Floor(old * frac)})
+		restore.SetB = append(restore.SetB, lp.BoundChange{Row: row, B: old})
+	}
+	return shrink, restore
+}
+
+// TestWarmResolveBeatsColdAt1500 pins that Resolve never loses to a cold
+// solve on the serving-shaped deltas it exists for. Every row must stay
+// warm — no cold fallback — and end on a certified optimum.
+//
+// capacity_churn: at |U| = 1500 a capacity churn on every 8th event row
+// must stay on the budgeted dual-repair path with strictly fewer pivots
+// than the cold solve and less wall time, and the restored problem must
+// land back on the cold optimum.
+//
+// bid_delta: at |U| = 1000 a 10%-of-users bid delta must be served by one
+// warm resolve whose primal and repair pivots together stay below the cold
+// solve's pivots. Pivot counts do not depend on the host, so this row
+// holds where a wall-clock comparison would be noise.
+func TestWarmResolveBeatsColdAt1500(t *testing.T) {
+	for _, tc := range []struct {
+		name                  string
+		users, events, stride int
+		churn                 bool // capacity shrink/restore instead of the bid delta
+	}{
+		{"capacity_churn", 1500, 150, 10, true},
+		{"bid_delta", 1000, 100, 10, false},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			f := buildWarmFixtureAt(t, tc.users, tc.events, tc.stride)
+			deltas := []lp.ProblemDelta{f.dFirstToB}
+			if tc.churn {
+				shrink, restore := capacityChurnDeltas(f.probA, tc.users, tc.events, 0.75, 8)
+				deltas = []lp.ProblemDelta{shrink, restore}
+			}
+
+			tm := &lp.PhaseTimers{}
+			s := lp.NewSolver(lp.Revised{Timers: tm})
+			defer s.Release()
+
+			t0 := time.Now()
+			coldSol, err := s.Solve(f.probA)
+			if err != nil {
+				t.Fatal(err)
+			}
+			coldDur := time.Since(t0)
+			coldPivots := tm.Pivots
+
+			*tm = lp.PhaseTimers{}
+			t0 = time.Now()
+			var warmSol *lp.Solution
+			for _, d := range deltas {
+				if warmSol, err = s.Resolve(d); err != nil {
+					t.Fatal(err)
+				}
+			}
+			warmDur := time.Since(t0) / time.Duration(len(deltas)) // per-resolve
+			t.Logf("cold %v (%d pivots) vs warm %v/resolve (%d pivots, %d repair pivots over %d resolves)",
+				coldDur, coldPivots, warmDur, tm.Pivots, tm.RepairPivots, len(deltas))
+
+			st := s.Stats()
+			if n := totalFallbacks(st); n != 0 {
+				t.Fatalf("warm resolves fell back cold %d times: %+v", n, st)
+			}
+			if st.WarmSolves != len(deltas) {
+				t.Fatalf("%d warm solves over %d resolves: %+v", st.WarmSolves, len(deltas), st)
+			}
+			if err := lp.Verify(s.Problem(), warmSol, 1e-6); err != nil {
+				t.Fatal(err)
+			}
+			if !tc.churn {
+				if warm := tm.Pivots + tm.RepairPivots; warm >= coldPivots {
+					t.Errorf("warm resolve needed %d pivots, cold needed %d — warm must pivot less", warm, coldPivots)
+				}
+				return
+			}
+			if tm.BudgetExhausted != 0 {
+				t.Fatalf("repair budget exhausted: %+v", tm)
+			}
+			if tm.RepairPivots == 0 {
+				t.Fatal("churn delta did not exercise the budgeted dual repair")
+			}
+			if tm.RepairPivots >= coldPivots {
+				t.Errorf("warm repair needed %d pivots across both resolves, cold needed %d — warm must pivot less",
+					tm.RepairPivots, coldPivots)
+			}
+			if warmDur >= coldDur {
+				t.Errorf("warm resolve took %v, cold solve %v — budgeted repair must beat cold", warmDur, coldDur)
+			}
+			// restoring the bounds returns to the original problem: the warm
+			// optimum must match the cold objective (bases may differ under
+			// degeneracy)
+			if diff := math.Abs(warmSol.Objective - coldSol.Objective); diff > 1e-6*(1+math.Abs(coldSol.Objective)) {
+				t.Errorf("restored warm objective %g differs from cold %g by %g",
+					warmSol.Objective, coldSol.Objective, diff)
+			}
+		})
+	}
+}
+
+// dseRepairPivotCeiling is the dual steepest-edge repair's pivot count on
+// the U1000 75%-shrink fixture when the rule became the only one. The
+// most-infeasible rule it replaced needed 1071 on the same delta.
+const dseRepairPivotCeiling = 699
+
+// TestDualSteepestEdgeReducesRepairPivots pins the dse leaving rule's pivot
+// count absolutely: the capacity-shrink repair with many competing
+// infeasible rows must need at most dseRepairPivotCeiling dual pivots and
+// land on a certified optimum without a cold fallback.
+func TestDualSteepestEdgeReducesRepairPivots(t *testing.T) {
+	const users, events = 1000, 100
+	f := buildWarmFixtureAt(t, users, events, 10)
+	shrink, _ := capacityShrinkDeltas(f.probA, users, events, 0.75)
+	tm := &lp.PhaseTimers{}
+	s := lp.NewSolver(lp.Revised{Timers: tm})
+	defer s.Release()
+	if _, err := s.Solve(f.probA); err != nil {
+		t.Fatal(err)
+	}
+	*tm = lp.PhaseTimers{}
+	sol, err := s.Resolve(shrink)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st := s.Stats(); totalFallbacks(st) > 0 {
+		t.Fatalf("repair fell back to a cold solve: %+v", st)
+	}
+	if err := lp.Verify(s.Problem(), sol, 1e-6); err != nil {
+		t.Fatal(err)
+	}
+	t.Logf("repair pivots: %d (ceiling %d)", tm.RepairPivots, dseRepairPivotCeiling)
+	if tm.RepairPivots == 0 {
+		t.Fatal("shrink delta did not exercise the dual repair")
+	}
+	if tm.RepairPivots > dseRepairPivotCeiling {
+		t.Errorf("dse used %d repair pivots, ceiling %d", tm.RepairPivots, dseRepairPivotCeiling)
+	}
+}
+
+// TestWarmResolveObjectiveMatchesCold pins the acceptance criterion: after
+// a 5%-of-users bid delta on the |U|=500 point, the warm re-solve's
+// objective agrees with a cold solve of the (same, post-delta) problem to
+// within ulps, and both certify via lp.Verify. Warm and cold provably reach
+// the same optimal value; since the warm path started reusing the previous
+// LU factors across re-solves (instead of refactorizing per delta), the two
+// trajectories' round-off differs by design, so the pin is ulp-level rather
+// than exact-bits — certified optimality, not a shared arithmetic path, is
+// the contract. (It used to be TestWarmResolveBitIdenticalObjective,
+// asserting exact bits on this fixture.)
+func TestWarmResolveObjectiveMatchesCold(t *testing.T) {
+	f := buildWarmFixture(t)
+	s := lp.NewSolver(lp.Revised{})
+	defer s.Release()
+	if _, err := s.Solve(f.probA); err != nil {
+		t.Fatal(err)
+	}
+	warm, err := s.Resolve(f.dFirstToB)
+	if err != nil {
+		t.Fatal(err)
+	}
+	st := s.Stats()
+	if st.WarmSolves != 1 || st.FallbackSingular+st.FallbackInfeasible != 0 {
+		t.Fatalf("delta did not take the warm path: %+v", st)
+	}
+	cold, err := (&lp.Revised{}).Solve(s.Problem())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if diff := math.Abs(warm.Objective - cold.Objective); diff > 1e-12*(1+math.Abs(cold.Objective)) {
+		t.Errorf("warm objective %.17g != cold %.17g (diff %g)", warm.Objective, cold.Objective, diff)
+	}
+	if err := lp.Verify(s.Problem(), warm, 1e-6); err != nil {
+		t.Errorf("warm certificate: %v", err)
+	}
+	if err := lp.Verify(s.Problem(), cold, 1e-6); err != nil {
+		t.Errorf("cold certificate: %v", err)
+	}
+	if warm.Iterations*5 > cold.Iterations {
+		t.Logf("note: warm used %d pivots vs cold %d (< 5x pivot headroom)", warm.Iterations, cold.Iterations)
+	}
+}

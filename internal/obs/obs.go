@@ -320,12 +320,18 @@ func writeHistogram(b *strings.Builder, name string, s *sample) {
 	fmt.Fprintf(b, "%s_count%s %d\n", name, s.labels, cum)
 }
 
-// Handler serves the registry at GET /metrics with the 0.0.4 content type.
-func (r *Registry) Handler() http.Handler {
+// Handler serves the registry at GET /metrics with the 0.0.4 content type;
+// any other method is 405 with a plain-text "GET only". A non-nil refresh
+// runs before each exposition, to mirror counters whose sources live
+// outside the registry.
+func (r *Registry) Handler(refresh func()) http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, req *http.Request) {
 		if req.Method != http.MethodGet {
 			http.Error(w, "GET only", http.StatusMethodNotAllowed)
 			return
+		}
+		if refresh != nil {
+			refresh()
 		}
 		w.Header().Set("Content-Type", ContentType)
 		r.WritePrometheus(w)

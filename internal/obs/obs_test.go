@@ -184,7 +184,7 @@ func TestHandlerAndRoundTrip(t *testing.T) {
 	h := r.Histogram("rt_seconds", "rt hist", []float64{0.01, 0.1})
 	h.Observe(0.02)
 
-	srv := httptest.NewServer(r.Handler())
+	srv := httptest.NewServer(r.Handler(nil))
 	defer srv.Close()
 	resp, err := srv.Client().Get(srv.URL + "/metrics")
 	if err != nil {

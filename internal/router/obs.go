@@ -124,16 +124,6 @@ func (o *routerObs) mirrorCoord(renewals, moved int) {
 	o.movedSeats.Store(int64(moved))
 }
 
-// handleMetrics is GET /metrics: the router's own registry.
-func (rt *Router) handleMetrics(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodGet {
-		httpError(w, http.StatusMethodNotAllowed, "GET only")
-		return
-	}
-	w.Header().Set("Content-Type", obs.ContentType)
-	rt.obs.reg.WritePrometheus(w)
-}
-
 // handleClusterMetrics is GET /cluster/metrics: scrape every backend's
 // /metrics in parallel, parse each exposition, and re-export the merged
 // families with a shard label — the single scrape target for the whole

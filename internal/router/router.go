@@ -226,16 +226,13 @@ func New(in *model.Instance, cfg Config) (*Router, error) {
 	rt.mux.HandleFunc("/readyz", rt.handleReadyz)
 	rt.mux.HandleFunc("/statsz", rt.handleStatsz)
 	if !cfg.DisableMetrics {
-		rt.mux.HandleFunc("/metrics", rt.handleMetrics)
+		rt.mux.Handle("/metrics", rt.obs.reg.Handler(nil))
 		rt.mux.HandleFunc("/cluster/metrics", rt.handleClusterMetrics)
 	}
 	rt.mux.HandleFunc("/admin/drain", rt.handleDrain)
 	rt.mux.HandleFunc("/admin/migrate", rt.handleMigrate)
 	return rt, nil
 }
-
-// Handler returns the router's HTTP handler.
-func (rt *Router) Handler() http.Handler { return rt.mux }
 
 // ServeHTTP implements http.Handler.
 func (rt *Router) ServeHTTP(w http.ResponseWriter, r *http.Request) { rt.mux.ServeHTTP(w, r) }

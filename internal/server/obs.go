@@ -30,7 +30,6 @@ package server
 import (
 	"fmt"
 	"math"
-	"net/http"
 	"time"
 
 	"github.com/ebsn/igepa/internal/lp"
@@ -217,19 +216,6 @@ func newServerObs(srv *Server) *serverObs {
 		return time.Since(srv.started).Seconds()
 	})
 	return o
-}
-
-// handleMetrics is GET /metrics: refresh the counters whose sources live
-// outside the registry, then serve the exposition. No shard lock is taken
-// anywhere on this path.
-func (srv *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodGet {
-		httpError(w, http.StatusMethodNotAllowed, "GET only")
-		return
-	}
-	srv.obs.refresh(srv)
-	w.Header().Set("Content-Type", obs.ContentType)
-	srv.obs.reg.WritePrometheus(w)
 }
 
 // refresh mirrors the scrape-safe counters kept by other components: WAL

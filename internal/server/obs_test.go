@@ -5,7 +5,6 @@ import (
 	"io"
 	"math"
 	"net/http"
-	"net/http/httptest"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -626,80 +625,4 @@ func TestFollowerHaltMetrics(t *testing.T) {
 	if v := requireMetric(t, fams, "igepa_replication_ready", "igepa_replication_ready", nil); v != 0 {
 		t.Fatalf("halted follower ready gauge = %v, want 0", v)
 	}
-}
-
-// BenchmarkArrivalPathObs measures the serving arrival path end to end
-// (HTTP codec, queue, micro-batch flush, planner, reply) — the source of the
-// BENCH_obs.json CI artifact. The registry is always built and always
-// records, so metrics=on and metrics=off differ only in the armed slowlog
-// gate and whether /metrics is mounted: the pair measures the slowlog gate.
-// The acceptance line: metrics=on within 2% of metrics=off ns/op with zero
-// extra allocs/op (the alloc half is also hard-pinned by
-// TestArrivalPathAllocs).
-func BenchmarkArrivalPathObs(b *testing.B) {
-	for _, mode := range []struct {
-		name    string
-		disable bool
-	}{
-		{"metrics=on", false},
-		{"metrics=off", true},
-	} {
-		b.Run(mode.name, func(b *testing.B) {
-			in := testInstance(b, 1, 400, 40)
-			cfg := Config{
-				Shard:          shard.Options{Shards: 4, Batch: 32, Seed: 1, CacheSize: 4096},
-				MicroBatch:     1,
-				DisableMetrics: mode.disable,
-			}
-			if !mode.disable {
-				// Slowlog armed but never firing: the per-arrival cost under
-				// test includes the threshold gate.
-				cfg.SlowLog = time.Hour
-				cfg.SlowLogOutput = io.Discard
-			}
-			srv, err := New(in, cfg)
-			if err != nil {
-				b.Fatal(err)
-			}
-			defer srv.Close()
-
-			do := func(path string, body []byte) int {
-				req := httptest.NewRequest("POST", path, bytes.NewReader(body))
-				rw := httptest.NewRecorder()
-				srv.ServeHTTP(rw, req)
-				return rw.Code
-			}
-			bids := make([][]byte, in.NumUsers())
-			cancels := make([][]byte, in.NumUsers())
-			for u := 0; u < in.NumUsers(); u++ {
-				bids[u] = []byte(`{"user":` + itoa(u) + `}`)
-				cancels[u] = []byte(`{"user":` + itoa(u) + `}`)
-			}
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				u := i % in.NumUsers()
-				if code := do("/v1/bid", bids[u]); code != http.StatusOK {
-					b.Fatalf("bid user %d: %d", u, code)
-				}
-				if code := do("/v1/cancel", cancels[u]); code != http.StatusOK {
-					b.Fatalf("cancel user %d: %d", u, code)
-				}
-			}
-		})
-	}
-}
-
-func itoa(n int) string {
-	if n == 0 {
-		return "0"
-	}
-	var buf [8]byte
-	i := len(buf)
-	for n > 0 {
-		i--
-		buf[i] = byte('0' + n%10)
-		n /= 10
-	}
-	return string(buf[i:])
 }

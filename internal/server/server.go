@@ -305,7 +305,10 @@ func New(in *model.Instance, cfg Config) (*Server, error) {
 	srv.mux.HandleFunc("/readyz", srv.handleReadyz)
 	srv.mux.HandleFunc("/statsz", srv.handleStatsz)
 	if !cfg.DisableMetrics {
-		srv.mux.HandleFunc("/metrics", srv.handleMetrics)
+		// GET /metrics refreshes the counters whose sources live outside
+		// the registry, then serves the exposition; no shard lock is taken
+		// anywhere on this path.
+		srv.mux.Handle("/metrics", srv.obs.reg.Handler(func() { srv.obs.refresh(srv) }))
 	}
 	srv.mux.HandleFunc("/admin/drain", srv.handleDrain)
 	srv.mux.HandleFunc("/admin/checkpoint", srv.handleCheckpoint)
@@ -335,9 +338,6 @@ func (srv *Server) startLoops() {
 		go srv.shardLoop(si)
 	}
 }
-
-// Handler returns the server's HTTP handler.
-func (srv *Server) Handler() http.Handler { return srv.mux }
 
 // ServeHTTP implements http.Handler.
 func (srv *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) { srv.mux.ServeHTTP(w, r) }
