@@ -1,7 +1,9 @@
 package core
 
 import (
+	"encoding/binary"
 	"fmt"
+	"hash/fnv"
 	"math"
 	"reflect"
 	"runtime"
@@ -124,11 +126,45 @@ func TestBenchmarkLPColumnsAreSets(t *testing.T) {
 	}
 }
 
+// syntheticInstance returns a loader of the Synthetic instance cfg.
+func syntheticInstance(cfg workload.SyntheticConfig) func(t *testing.T) *model.Instance {
+	return func(t *testing.T) *model.Instance {
+		t.Helper()
+		in, err := workload.Synthetic(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return in
+	}
+}
+
+// arrangementHash is an FNV-1a hash over every user's index, set size and
+// events, in user order.
+func arrangementHash(arr *model.Arrangement) uint64 {
+	h := fnv.New64a()
+	var buf [8]byte
+	put := func(v int) {
+		binary.LittleEndian.PutUint64(buf[:], uint64(v))
+		h.Write(buf[:])
+	}
+	for u, set := range arr.Sets {
+		put(u)
+		put(len(set))
+		for _, v := range set {
+			put(v)
+		}
+	}
+	return h.Sum64()
+}
+
 // TestLPPackingPinned pins, absolutely, LPPacking's result on the Meetup
 // pin instance and on plan_tall's Dantzig-class instance, once with a
 // MaxSetsPerUser that truncates nearly every user (so the singleton top-up
-// feeds the LP): the utility's and the LP objective's bits, the sampled and
-// dropped pairs, the truncated users and the column count. amd64 only.
+// feeds the LP), and on three small LPs (m ≤ 52 rows, under 800 columns):
+// two 40-user Synthetic instances at α = 1 and α = ½, and one
+// 12-user instance shaped like the ratio study's. It pins the utility's and
+// the LP objective's bits, an FNV-1a hash of the arrangement, the sampled
+// and dropped pairs, the truncated users and the column count. amd64 only.
 func TestLPPackingPinned(t *testing.T) {
 	if runtime.GOARCH != "amd64" {
 		t.Skipf("trajectory bits are pinned on amd64, not %s", runtime.GOARCH)
@@ -141,13 +177,21 @@ func TestLPPackingPinned(t *testing.T) {
 		utility, objective uint64
 		pairs, dropped     int
 		truncated, columns int
+		arrangement        uint64
 	}{
 		{"meetup-400", meetupInstance, Options{Seed: 1},
-			0x408c3a9729fc4388, 0x408c3a97b9fbaabb, 2061, 0, 11, 526610},
+			0x408c3a9729fc4388, 0x408c3a97b9fbaabb, 2061, 0, 11, 526610, 0x28009c9cc9638d01},
 		{"tall-dantzig", tallDantzigInstance, Options{Seed: 3},
-			0x40a61453b8982474, 0x40a614542690047b, 4936, 0, 0, 32899},
+			0x40a61453b8982474, 0x40a614542690047b, 4936, 0, 0, 32899, 0xe92abb04b7a46a5b},
 		{"tall-dantzig-truncated", tallDantzigInstance, Options{Seed: 2, MaxSetsPerUser: 7},
-			0x40a5d89876b87db9, 0x40a5d898e2f372c1, 4847, 0, 1876, 22043},
+			0x40a5d89876b87db9, 0x40a5d898e2f372c1, 4847, 0, 1876, 22043, 0x22e80184dfb74e74},
+		{"small-40", syntheticInstance(workload.SyntheticConfig{Seed: 1, NumUsers: 40, NumEvents: 12}), Options{Seed: 1},
+			0x40493ed7a1c940cd, 0x40493ed7a1c940cd, 85, 0, 0, 690, 0xb9ad3bcde3698ece},
+		{"small-40-half", syntheticInstance(workload.SyntheticConfig{Seed: 2, NumUsers: 40, NumEvents: 12}), Options{Seed: 2, Alpha: 0.5},
+			0x403694896d262587, 0x40484d40693d662d, 43, 0, 0, 749, 0xc6922047ca00d5ae},
+		{"ratio-12", syntheticInstance(workload.SyntheticConfig{Seed: 209_459, NumUsers: 12, NumEvents: 8,
+			MaxEventCap: 2, MaxUserCap: 3, MinBids: 2, MaxBids: 4}), Options{Seed: 3, Alpha: 0.5},
+			0x4015cf87684cad9e, 0x401a9fc3cbef3c30, 9, 0, 0, 68, 0x34bf280c2b715780},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
@@ -155,13 +199,13 @@ func TestLPPackingPinned(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			u, obj := math.Float64bits(res.Utility), math.Float64bits(res.LPObjective)
+			u, obj, arr := math.Float64bits(res.Utility), math.Float64bits(res.LPObjective), arrangementHash(res.Arrangement)
 			if u != c.utility || obj != c.objective || res.SampledPairs != c.pairs || res.RepairDropped != c.dropped ||
-				res.TruncatedUsers != c.truncated || res.LPColumns != c.columns {
-				t.Errorf("result moved: got utility=%#x (%v) objective=%#x pairs=%d dropped=%d truncated=%d columns=%d, "+
-					"want utility=%#x objective=%#x pairs=%d dropped=%d truncated=%d columns=%d",
-					u, res.Utility, obj, res.SampledPairs, res.RepairDropped, res.TruncatedUsers, res.LPColumns,
-					c.utility, c.objective, c.pairs, c.dropped, c.truncated, c.columns)
+				res.TruncatedUsers != c.truncated || res.LPColumns != c.columns || arr != c.arrangement {
+				t.Errorf("result moved: got utility=%#x (%v) objective=%#x (%v) pairs=%d dropped=%d truncated=%d columns=%d arrangement=%#x, "+
+					"want utility=%#x objective=%#x pairs=%d dropped=%d truncated=%d columns=%d arrangement=%#x",
+					u, res.Utility, obj, res.LPObjective, res.SampledPairs, res.RepairDropped, res.TruncatedUsers, res.LPColumns, arr,
+					c.utility, c.objective, c.pairs, c.dropped, c.truncated, c.columns, c.arrangement)
 			}
 		})
 	}
