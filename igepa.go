@@ -105,7 +105,8 @@ func LPPacking(in *Instance, opt LPPackingOptions) (*LPPackingResult, error) {
 // (Planner.Round, retained as the oracle); an empty delta short-circuits to
 // the cached result.
 type (
-	// Planner is the incremental mode of LPPacking. Construct with
+	// Planner runs LPPacking and keeps it live: LPPacking is a Planner's
+	// cold build and first Round. Construct with
 	// NewPlanner, mutate the instance in place, then call Update naming
 	// what changed; Close releases the solver arena. Update's Result
 	// aliases planner-owned state and is valid until the next Update.

@@ -186,12 +186,12 @@ func TestLPPackingPinned(t *testing.T) {
 		{"tall-dantzig-truncated", tallDantzigInstance, Options{Seed: 2, MaxSetsPerUser: 7},
 			0x40a5d89876b87db9, 0x40a5d898e2f372c1, 4847, 0, 1876, 22043, 0x22e80184dfb74e74},
 		{"small-40", syntheticInstance(workload.SyntheticConfig{Seed: 1, NumUsers: 40, NumEvents: 12}), Options{Seed: 1},
-			0x40493ed7a1c940cd, 0x40493ed7a1c940cd, 85, 0, 0, 690, 0xb9ad3bcde3698ece},
+			0x40493ed7a1c940cd, 0x40493ed8254d86f1, 85, 0, 0, 690, 0xb9ad3bcde3698ece},
 		{"small-40-half", syntheticInstance(workload.SyntheticConfig{Seed: 2, NumUsers: 40, NumEvents: 12}), Options{Seed: 2, Alpha: 0.5},
-			0x403694896d262587, 0x40484d40693d662d, 43, 0, 0, 749, 0xc6922047ca00d5ae},
+			0x403694896d262587, 0x40484d40e6f96d64, 43, 0, 0, 749, 0xc6922047ca00d5ae},
 		{"ratio-12", syntheticInstance(workload.SyntheticConfig{Seed: 209_459, NumUsers: 12, NumEvents: 8,
 			MaxEventCap: 2, MaxUserCap: 3, MinBids: 2, MaxBids: 4}), Options{Seed: 3, Alpha: 0.5},
-			0x4015cf87684cad9e, 0x401a9fc3cbef3c30, 9, 0, 0, 68, 0x34bf280c2b715780},
+			0x4015cf87684cad9e, 0x401a9fc442966cfa, 9, 0, 0, 68, 0x34bf280c2b715780},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
@@ -346,8 +346,10 @@ func TestLPPackingMatchesStagedPipeline(t *testing.T) {
 
 // TestColumnRoundingMatchesSetRounding drives the rounding kernels where
 // repair bites: on small random instances every user spreads its LP mass
-// evenly over its sets, and the column path (LPPacking's tail) must equal
-// the set path (SampleSets, then Repair) for every α and repair order.
+// evenly over its sets, and the column path (Planner.Round's tail on
+// enumerateLP's column lists) must equal the set path (SampleSets over
+// BuildBenchmarkLP's owner map, then the repair of the stored sets) for
+// every α and repair order.
 func TestColumnRoundingMatchesSetRounding(t *testing.T) {
 	sawDrop := false
 	for seed := int64(0); seed < 40; seed++ {
@@ -357,6 +359,7 @@ func TestColumnRoundingMatchesSetRounding(t *testing.T) {
 		sets, trunc := enumerateAll(in, conf, 0, 1)
 		prob, owner := BuildBenchmarkLP(in, sets)
 		_, colStart, _ := enumerateLP(in, conf, 0, 1)
+		cols := columnLists(colStart)
 		x := make([]float64, prob.NumCols())
 		for j, ow := range owner {
 			x[j] = 1 / float64(len(sets[ow[0]]))
@@ -365,7 +368,7 @@ func TestColumnRoundingMatchesSetRounding(t *testing.T) {
 		for _, alpha := range []float64{1, 0.5} {
 			for _, order := range []RepairOrder{RepairByIndex, RepairRandom, RepairByWeightAsc} {
 				opt := Options{Alpha: alpha, Seed: seed, Repair: order, Workers: 2}
-				got := roundColumns(in, conf, prob, colStart, sol, opt, trunc)
+				got := roundLP(in, conf, prob, cols, sol, opt, trunc)
 				chosen := SampleSets(in.NumUsers(), sets, owner, x, alpha, seed, 1)
 				want := finish(in, conf, setPicks(sets, chosen), prob.NumCols(), sol, opt, xrand.New(seed), trunc)
 				if !reflect.DeepEqual(got.Arrangement, want.Arrangement) || got.SampledPairs != want.SampledPairs ||

@@ -6,11 +6,21 @@ import (
 	"github.com/ebsn/igepa/internal/conflict"
 	"github.com/ebsn/igepa/internal/lp"
 	"github.com/ebsn/igepa/internal/model"
+	"github.com/ebsn/igepa/internal/xrand"
 )
+
+// roundLP is Planner.Round on a given LP solution: the draw kernel over the
+// column lists, columnPicks, then finish's repair and scoring.
+func roundLP(in *model.Instance, conf *conflict.Matrix, prob *lp.Problem, cols [][]int32, sol *lp.Solution,
+	opt Options, truncated int) *Result {
+	drawn := make([]int, len(cols))
+	drawColumns(cols, sol.X, nil, drawn, opt.Alpha, opt.Seed, opt.Workers)
+	return finish(in, conf, columnPicks(prob, drawn), prob.NumCols(), sol, opt, xrand.New(opt.Seed), truncated)
+}
 
 // fractionalRounding builds in's benchmark LP, fabricates the LP solution
 // x for it, and returns the tail of Algorithm 1 — sampling, repair, scoring
-// (roundColumns) — run on that solution for a given seed. On the generated
+// (roundLP) — run on that solution for a given seed. On the generated
 // workloads the benchmark LP solves integrally, so the sampling-collision →
 // repair path never fires there; this fixture forces the fractional regime
 // the ¼-approximation guarantee was designed for.
@@ -19,6 +29,7 @@ func fractionalRounding(t *testing.T, in *model.Instance, x []float64, alpha flo
 	in.Weights()
 	conf := conflict.FromFunc(in.NumEvents(), in.Conflicts)
 	prob, colStart, truncated := enumerateLP(in, conf, 0, 1)
+	cols := columnLists(colStart)
 	if prob.NumCols() != len(x) {
 		t.Fatalf("benchmark LP has %d columns, fabricated solution %d", prob.NumCols(), len(x))
 	}
@@ -28,7 +39,7 @@ func fractionalRounding(t *testing.T, in *model.Instance, x []float64, alpha flo
 	}
 	sol := &lp.Solution{Status: lp.Optimal, X: x, Y: make([]float64, prob.NumRows), Objective: obj}
 	return func(seed int64) *Result {
-		return roundColumns(in, conf, prob, colStart, sol, Options{Alpha: alpha, Seed: seed}, countTrue(truncated))
+		return roundLP(in, conf, prob, cols, sol, Options{Alpha: alpha, Seed: seed}, countTrue(truncated))
 	}
 }
 

@@ -35,7 +35,6 @@ import (
 	"sort"
 
 	"github.com/ebsn/igepa/internal/model"
-	"github.com/ebsn/igepa/internal/par"
 )
 
 // incState is the Planner's persistent rounding state: the current draws,
@@ -55,16 +54,14 @@ type incState struct {
 	res Result // assembled in place; Update returns &res
 
 	// scratch
-	ev        []int // events of a re-drawn user's new set
-	probs     []float64
-	probOff   []int
-	newChosen []int
-	resample  []int
-	userMark  []bool
-	dirtyEv   []int
-	evMark    []bool
-	accDirty  []int
-	accMark   []bool
+	ev       []int // events of a re-drawn user's new set
+	drawn    []int // per re-drawn user: its new column, or -1
+	resample []int
+	userMark []bool
+	dirtyEv  []int
+	evMark   []bool
+	accDirty []int
+	accMark  []bool
 }
 
 // ensure sizes the state for nu users and nv events.
@@ -95,7 +92,7 @@ func (p *Planner) rebuildInc() {
 	st := p.inc
 	st.ensure(nu, nv)
 	prob := p.solver.Problem()
-	drawn := p.drawColumns()
+	drawn := p.drawAll()
 
 	st.sampledPairs = 0
 	for v := 0; v < nv; v++ {
@@ -177,38 +174,18 @@ func (p *Planner) updateIncremental(users, events []int) *Result {
 	}
 	sort.Ints(st.resample)
 
-	// Draw the new choices in parallel — bit-identical to SampleSets over
-	// the same users: per-user streams, same clamp/normalize arithmetic.
-	st.probOff = append(st.probOff[:0], 0)
-	for _, u := range st.resample {
-		st.probOff = append(st.probOff, st.probOff[len(st.probOff)-1]+len(p.cols[u]))
-	}
-	need := st.probOff[len(st.probOff)-1]
-	if cap(st.probs) < need {
-		st.probs = make([]float64, need)
-	}
-	st.probs = st.probs[:need]
-	if cap(st.newChosen) < len(st.resample) {
-		st.newChosen = make([]int, len(st.resample))
-	}
-	st.newChosen = st.newChosen[:len(st.resample)]
-	alpha, x, seed := p.opt.Alpha, p.sol.X, p.opt.Seed
-	par.For(par.Workers(p.opt.Workers), len(st.resample), 8, func(i int) {
-		u := st.resample[i]
-		w := st.probs[st.probOff[i]:st.probOff[i+1]]
-		for k, j := range p.cols[u] {
-			w[k] = clampProb(alpha * x[j])
-		}
-		st.newChosen[i] = draw(w, seed, u)
-	})
+	// Draw the new choices with Round's kernel, so each re-drawn user gets
+	// the draw a full Round would give it.
+	st.drawn = slices.Grow(st.drawn[:0], len(st.resample))[:len(st.resample)]
+	drawColumns(p.cols, p.sol.X, st.resample, st.drawn, p.opt.Alpha, p.opt.Seed, p.opt.Workers)
 
 	// Apply the draw diffs to the sampler lists, dirtying touched events.
 	st.dirtyEv = st.dirtyEv[:0]
 	for i, u := range st.resample {
 		st.userMark[u] = false
 		ev := st.ev[:0]
-		if c := st.newChosen[i]; c >= 0 {
-			ev = appendEvents(ev, prob, int(p.cols[u][c]), nu)
+		if j := st.drawn[i]; j >= 0 {
+			ev = appendEvents(ev, prob, j, nu)
 		}
 		st.ev = ev
 		if slices.Equal(st.sampled[u], ev) {

@@ -9,7 +9,7 @@
 //  2. solve the LP (internal/lp) — with untruncated families its optimum
 //     upper-bounds the integral optimum (Lemma 1);
 //  3. for each user sample one admissible set S with probability α·x*_{u,S}
-//     from the user's column range (no set with the remaining probability);
+//     from the user's column list (no set with the remaining probability);
 //  4. repair event-capacity violations by scanning sampled sets and dropping
 //     events whose capacity is exceeded (lines 4-7 of Algorithm 1);
 //  5. optionally greedy-fill leftover capacity (an extension, off by
@@ -18,9 +18,12 @@
 // With α = 1/2 the expected utility is at least OPT/4 (Theorem 2); the
 // paper's experiments, and ours, run α = 1.
 //
+// LPPacking is one cold run of that pipeline, and a Planner keeps it live
+// under instance deltas: LPPacking is NewPlanner, then Round, then Close.
+//
 // The per-user stages (enumeration, sampling) run on a bounded worker pool
 // (internal/par) with per-user RNG streams (xrand.NewStream), and the
-// auto-selected LP solver prices on the same pool — results are
+// revised-simplex LP solver prices on the same pool — results are
 // bit-identical for every worker count and GOMAXPROCS value; see DESIGN.md.
 package core
 
@@ -88,8 +91,8 @@ type Options struct {
 	// comes from xrand.NewStream(Seed, u), never from a shared stream, and
 	// all parallel writes go to caller-owned per-user slots.
 	Workers int
-	// LP configures the solvers of LPPacking and the Planner; LP.Workers == 0
-	// inherits Workers.
+	// LP configures the Planner's LP solver; LP.Workers == 0 inherits
+	// Workers.
 	LP lp.Revised
 }
 
@@ -129,6 +132,12 @@ type Result struct {
 	// admissible sets, so the LP is a restriction of the benchmark LP and
 	// its optimum can fall below OPT. Only then does Utility/LPObjective
 	// lower-bound the realized approximation factor.
+	//
+	// The solver breaks degeneracy by raising each right-hand side b by at
+	// most 2·10⁻⁷·(1+b) (lp.SolveConfig), and LPObjective is the optimum of
+	// that perturbed LP. It can exceed the unperturbed optimum by about
+	// 3·10⁻⁷ relative, so a Utility/LPObjective of 0.9999997 is the
+	// perturbation, not a rounding loss.
 	LPObjective  float64
 	LPIterations int
 	LPColumns    int
@@ -139,40 +148,15 @@ type Result struct {
 	FilledPairs    int // pairs added by GreedyFill (0 unless enabled)
 }
 
-// LPPacking runs Algorithm 1 on the instance.
+// LPPacking runs Algorithm 1 on the instance: a Planner's cold build and
+// first Round.
 func LPPacking(in *model.Instance, opt Options) (*Result, error) {
-	if err := in.Check(); err != nil {
-		return nil, err
-	}
-	if err := opt.resolve(); err != nil {
-		return nil, err
-	}
-
-	// Build the shared weight cache before any parallel stage so the lazy
-	// initialization never races; every later stage reads it lock-free.
-	in.Weights()
-
-	conf := conflict.FromFunc(in.NumEvents(), in.Conflicts)
-	prob, colStart, truncated := enumerateLP(in, conf, opt.MaxSetsPerUser, par.Workers(opt.Workers))
-
-	sol, err := lp.SolveConfig(prob, opt.lpConfig())
+	p, err := NewPlanner(in, opt)
 	if err != nil {
-		return nil, fmt.Errorf("core: benchmark LP: %w", err)
+		return nil, err
 	}
-	return roundColumns(in, conf, prob, colStart, sol, opt, countTrue(truncated)), nil
-}
-
-// roundColumns is the tail of Algorithm 1 on enumerateLP's LP: each user
-// draws from its own column range, and repair reads the drawn columns.
-func roundColumns(in *model.Instance, conf *conflict.Matrix, prob *lp.Problem, colStart []int,
-	sol *lp.Solution, opt Options, truncated int) *Result {
-	drawn := sampleRanges(colStart, sol.X, opt.Alpha, opt.Seed, opt.Workers)
-	for u, c := range drawn {
-		if c >= 0 {
-			drawn[u] = colStart[u] + c
-		}
-	}
-	return finish(in, conf, columnPicks(prob, drawn), prob.NumCols(), sol, opt, xrand.New(opt.Seed), truncated)
+	defer p.Close()
+	return p.Round()
 }
 
 // walkers pools the enumeration scratch of the LP build's workers and of
@@ -292,8 +276,7 @@ func newBenchmarkLP(in *model.Instance) *lp.Problem {
 // column per (user, admissible set), a ≤1 row per user and a ≤cv row per
 // event. owner[j] identifies the user and set index of column j. LPPacking
 // and the Planner build the same LP from the enumeration without storing
-// the sets (enumerateLP). Exported for the benchmark's staged re-enactment
-// and the ablation benchmarks.
+// the sets (enumerateLP). Exported for the benchmark's staged re-enactment.
 func BuildBenchmarkLP(in *model.Instance, sets [][]admissible.Set) (*lp.Problem, [][2]int) {
 	p := newBenchmarkLP(in)
 	ncols, nnz := 0, 0
@@ -344,40 +327,55 @@ func finish(in *model.Instance, conf *conflict.Matrix, pk *picks, columns int, s
 
 // SampleSets draws, for each user, the index of the sampled admissible set
 // (or -1 for none) with probabilities α·x*, where owner maps LP column j to
-// its (user, set index). It gathers x into set order and runs the draw
-// kernel LPPacking runs on its LP's column ranges. Exported for the
-// benchmark's staged re-enactment and the rounding unit tests.
+// its (user, set index). It lists each user's columns in set order and runs
+// the Planner's draw kernel on those lists. Exported for the benchmark's
+// staged re-enactment and the rounding unit tests.
 func SampleSets(numUsers int, sets [][]admissible.Set, owner [][2]int, x []float64, alpha float64, seed int64, workers int) []int {
-	off := make([]int, numUsers+1)
-	for u := 0; u < numUsers; u++ {
-		off[u+1] = off[u] + len(sets[u])
+	flat := make([]int32, len(owner))
+	cols := make([][]int32, numUsers)
+	off := 0
+	for u := range cols {
+		cols[u] = flat[off : off+len(sets[u])]
+		off += len(sets[u])
 	}
-	xs := make([]float64, off[numUsers])
 	for j, ow := range owner {
-		xs[off[ow[0]]+ow[1]] = x[j]
+		cols[ow[0]][ow[1]] = int32(j)
 	}
-	return sampleRanges(off, xs, alpha, seed, workers)
+	chosen := make([]int, numUsers)
+	drawColumns(cols, x, nil, chosen, alpha, seed, workers)
+	for u, j := range chosen {
+		if j >= 0 {
+			chosen[u] = owner[j][1]
+		}
+	}
+	return chosen
 }
 
-// sampleRanges is the draw kernel: user u's sets have LP values
-// x[off[u]:off[u+1]], in set order, and it draws an index into that range
-// (or -1 for none) with probabilities α·x. User u draws from the dedicated
-// deterministic stream xrand.NewStream(seed, u), so the draws parallelize
-// over the bounded pool (workers = 0 means GOMAXPROCS) with bit-identical
-// results for every worker count.
-func sampleRanges(off []int, x []float64, alpha float64, seed int64, workers int) []int {
-	chosen := make([]int, len(off)-1)
-	par.Ranges(workers, len(chosen), 64, func(lo, hi int) {
+// drawColumns is the draw kernel. For each i, user u = users[i] (u = i when
+// users is nil) draws one column of its list cols[u] with probabilities
+// α·x_j over the list, in list order, or none with the remaining
+// probability; drawn[i] receives the column, or -1 for none. User u draws
+// from the dedicated deterministic stream xrand.NewStream(seed, u), so the
+// draws parallelize over the bounded pool (workers = 0 means GOMAXPROCS)
+// with bit-identical results for every worker count.
+func drawColumns(cols [][]int32, x []float64, users []int, drawn []int, alpha float64, seed int64, workers int) {
+	par.Ranges(workers, len(drawn), 64, func(lo, hi int) {
 		var w []float64
-		for u := lo; u < hi; u++ {
-			w = w[:0]
-			for _, xj := range x[off[u]:off[u+1]] {
-				w = append(w, clampProb(alpha*xj))
+		for i := lo; i < hi; i++ {
+			u := i
+			if users != nil {
+				u = users[i]
 			}
-			chosen[u] = draw(w, seed, u)
+			w = w[:0]
+			for _, j := range cols[u] {
+				w = append(w, clampProb(alpha*x[j]))
+			}
+			drawn[i] = -1
+			if c := draw(w, seed, u); c >= 0 {
+				drawn[i] = int(cols[u][c])
+			}
 		}
 	})
-	return chosen
 }
 
 // draw samples user u's set index from w, the clamped α·x* of its sets in
@@ -466,7 +464,7 @@ func setPicks(sets [][]admissible.Set, chosen []int) *picks {
 // drop events whose capacity the combined assignment would violate. The scan
 // order over users is configurable; within a user events are scanned in the
 // sampled set's stored order. Returns the arrangement and the number of
-// dropped pairs. It runs the repair kernel LPPacking runs on its LP's
+// dropped pairs. It runs the repair kernel Planner.Round runs on its LP's
 // columns. Exported for the benchmark's staged re-enactment, the rounding
 // unit tests and ablations.
 func Repair(in *model.Instance, sets [][]admissible.Set, chosen []int, order RepairOrder, rng *xrand.RNG) (*model.Arrangement, int) {

@@ -31,13 +31,13 @@ type Delta struct {
 // Empty reports whether the delta names nothing.
 func (d *Delta) Empty() bool { return len(d.Users) == 0 && len(d.Events) == 0 }
 
-// Planner is the incremental mode of LPPacking: it owns a persistent
+// Planner runs Algorithm 1 and keeps it live: it owns a persistent
 // warm-starting LP solver (lp.Solver) holding the benchmark LP, each user's
 // list of LP columns, and — under the default repair order — the sampled and
 // repaired arrangement itself, so a stream of small instance deltas costs
 // work proportional to the delta instead of a from-scratch pipeline run.
-// The serving stack uses it to keep a live LP bound (and arrangement) while
-// bids arrive and capacities shrink.
+// LPPacking is a Planner's first Round. The serving stack uses it to keep a
+// live LP bound (and arrangement) while bids arrive and capacities shrink.
 //
 // An LP column is its admissible set, so the Planner stores no set: user
 // u's k-th admissible set is slot cols[u][k] of the solver's problem, whose
@@ -114,20 +114,30 @@ func NewPlanner(in *model.Instance, opt Options) (*Planner, error) {
 	}
 	prob, colStart, truncated := enumerateLP(in, p.conf, opt.MaxSetsPerUser, par.Workers(opt.Workers))
 	p.truncated, p.truncCount = truncated, countTrue(truncated)
-	flat := make([]int32, prob.NumCols())
-	for j := range flat {
-		flat[j] = int32(j)
-	}
-	p.cols = make([][]int32, in.NumUsers())
-	for u := range p.cols {
-		p.cols[u] = flat[colStart[u]:colStart[u+1]:colStart[u+1]]
-	}
+	p.cols = columnLists(colStart)
 	sol, err := p.solver.Solve(prob)
 	if err != nil {
+		p.Close()
 		return nil, fmt.Errorf("core: benchmark LP: %w", err)
 	}
 	p.sol = sol
 	return p, nil
+}
+
+// columnLists turns enumerateLP's column ranges into per-user column lists:
+// user u's list is [colStart[u], colStart[u+1]), capped so that an append
+// to one list never writes into the next.
+func columnLists(colStart []int) [][]int32 {
+	nu := len(colStart) - 1
+	flat := make([]int32, colStart[nu])
+	for j := range flat {
+		flat[j] = int32(j)
+	}
+	cols := make([][]int32, nu)
+	for u := range cols {
+		cols[u] = flat[colStart[u]:colStart[u+1]:colStart[u+1]]
+	}
+	return cols
 }
 
 // Close releases the persistent solver state to the arena pool. The Planner
@@ -143,7 +153,9 @@ func (p *Planner) Stats() lp.SolverStats { return p.solver.Stats() }
 
 // Objective returns the current benchmark-LP optimum — the live upper bound
 // on the optimal utility of the current instance when no user's admissible
-// sets are truncated (see Result.LPObjective).
+// sets are truncated. It is the optimum of the LP with its right-hand sides
+// raised by at most 2·10⁻⁷·(1+b), so it can exceed the unperturbed optimum
+// by about 3·10⁻⁷ relative (see Result.LPObjective).
 func (p *Planner) Objective() float64 { return p.sol.Objective }
 
 // Update re-syncs the Planner with the instance after the caller's mutation
@@ -377,32 +389,14 @@ func (b *setBuf) isColumn(prob *lp.Problem, j, k, nu int) bool {
 // the maintained incremental rounding state, which is what makes it the
 // oracle the equivalence tests pin Update against.
 func (p *Planner) Round() (*Result, error) {
-	prob := p.solver.Problem()
-	return finish(p.in, p.conf, columnPicks(prob, p.drawColumns()), p.solver.LiveColumns(), p.sol,
+	return finish(p.in, p.conf, columnPicks(p.solver.Problem(), p.drawAll()), p.solver.LiveColumns(), p.sol,
 		p.opt, xrand.New(p.opt.Seed), p.truncCount), nil
 }
 
-// drawColumns draws every user's set from the current LP solution: it
-// gathers x through the column lists into set order, runs the draw kernel
-// LPPacking runs on its column ranges, and returns the column each user
-// drew, or -1 for none.
-func (p *Planner) drawColumns() []int {
-	nu := len(p.cols)
-	off := make([]int, nu+1)
-	for u, cs := range p.cols {
-		off[u+1] = off[u] + len(cs)
-	}
-	xs := make([]float64, off[nu])
-	for u, cs := range p.cols {
-		for k, j := range cs {
-			xs[off[u]+k] = p.sol.X[j]
-		}
-	}
-	drawn := sampleRanges(off, xs, p.opt.Alpha, p.opt.Seed, p.opt.Workers)
-	for u, c := range drawn {
-		if c >= 0 {
-			drawn[u] = int(p.cols[u][c])
-		}
-	}
+// drawAll draws every user's set from the current LP solution through the
+// column lists and returns the column each user drew, or -1 for none.
+func (p *Planner) drawAll() []int {
+	drawn := make([]int, len(p.cols))
+	drawColumns(p.cols, p.sol.X, nil, drawn, p.opt.Alpha, p.opt.Seed, p.opt.Workers)
 	return drawn
 }

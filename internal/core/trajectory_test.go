@@ -63,7 +63,7 @@ func TestPlanTallDevexTrajectoryPinned(t *testing.T) {
 			}
 		}
 	}
-	sol, err := (&lp.Revised{}).Solve(prob)
+	sol, err := lp.SolveConfig(prob, lp.Revised{})
 	if err != nil {
 		t.Fatal(err)
 	}

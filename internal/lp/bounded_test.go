@@ -160,7 +160,7 @@ func FuzzBoundedPricing(f *testing.F) {
 			noPerturb:     rng.Bool(0.25),
 		}}
 		done := CheckPricing(xrand.New(seed ^ 0x0b0d))
-		sol, err := cfg.Solve(p)
+		sol, err := SolveConfig(p, cfg)
 		_, calls, mismatch := done()
 		if mismatch != nil {
 			t.Fatalf("n=%d m=%d window=%d: %v", p.NumCols(), p.NumRows, cfg.tuning.pricingWindow, mismatch)
@@ -185,7 +185,7 @@ func TestBoundedPricingSkips(t *testing.T) {
 		p := blockedPacking(xrand.New(seed), 1)
 		var tm PhaseTimers
 		done := CheckPricing(nil)
-		_, err := (&Revised{Timers: &tm}).Solve(p)
+		_, err := SolveConfig(p, Revised{Timers: &tm})
 		plain, _, mismatch := done()
 		if mismatch != nil {
 			t.Fatal(mismatch)
@@ -209,7 +209,7 @@ func TestBoundedPricingSkips(t *testing.T) {
 // column array.
 func TestBoundedPricingNoColumns(t *testing.T) {
 	p := &Problem{NumRows: 2, B: []float64{1, 3}}
-	sol, err := (&Revised{}).Solve(p)
+	sol, err := SolveConfig(p, Revised{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -2,22 +2,14 @@ package lp
 
 // Dense is a full-tableau primal simplex solver. It keeps the entire
 // (m+1)×(n+m+1) tableau in memory, which makes every pivot O(m·(n+m)) but
-// the implementation short and auditable. It is the reference oracle the
-// revised solver is tested against, and the default for small problems.
+// the implementation short and auditable. It is the test oracle the
+// revised simplex is cross-checked against, and it solves the unperturbed
+// LP. It shares the production solver's tolerances and stall limit.
 type Dense struct {
 	// MaxIter bounds the number of pivots; 0 means an automatic limit of
 	// 10000 + 200·(m+n).
 	MaxIter int
 }
-
-const (
-	pivotTol   = 1e-9 // minimum magnitude for a ratio-test pivot element
-	reducedTol = 1e-9 // optimality tolerance on reduced costs
-	// stallLimit is the number of consecutive degenerate (zero-step) pivots
-	// tolerated under Dantzig pricing before switching to Bland's rule,
-	// which guarantees termination.
-	stallLimit = 256
-)
 
 // Solve runs the primal simplex on p from the all-slack basis.
 func (s *Dense) Solve(p *Problem) (*Solution, error) {

@@ -11,20 +11,17 @@
 // stored. The explicit upper bounds x ≤ 1 of (4) are implied by the user
 // rows, so they are not represented.
 //
-// Two solvers are provided:
-//
-//   - Dense: a textbook full-tableau primal simplex. Small, easy to audit,
-//     O((m+n)·m) memory — the reference oracle for tests and small problems.
-//   - Revised: a revised primal simplex that maintains the basis as a sparse
-//     LU factorization with product-form (eta) updates and periodic
-//     refactorization — the production path for paper-scale instances
-//     (m = |U|+|V| up to ≈10⁴ rows).
-//
-// Both start from the all-slack basis (feasible because b ≥ 0, so no phase-1
-// is needed), price with Dantzig's rule, and fall back to Bland's rule after
-// a run of degenerate pivots to guarantee termination. Verify certifies a
-// solution's optimality from first principles (primal feasibility, dual
-// feasibility, and strong duality), independent of solver internals.
+// One simplex solves every problem: Revised, a revised primal simplex that
+// maintains the basis as a sparse LU factorization with product-form (eta)
+// updates and periodic refactorization, at every size up to paper scale
+// (m = |U|+|V| up to ≈10⁴ rows). SolveConfig runs it once; Solver keeps its
+// state for warm re-solves. It starts from the all-slack basis (feasible
+// because b ≥ 0, so no phase-1 is needed), prices with partial Dantzig or
+// Devex, and falls back to Bland's rule after a run of degenerate pivots to
+// guarantee termination. Verify certifies a solution's optimality from
+// first principles (primal feasibility, dual feasibility, and strong
+// duality), independent of solver internals; the tests cross-check it
+// against a full-tableau oracle that lives only in the test files.
 package lp
 
 import (
@@ -234,23 +231,31 @@ var ErrUnbounded = errors.New("lp: problem is unbounded")
 // ErrIterLimit is returned when the pivot budget is exhausted.
 var ErrIterLimit = errors.New("lp: iteration limit reached")
 
-// denseRowLimit is the size up to which SolveConfig uses the dense tableau;
-// larger problems use the revised simplex.
-const denseRowLimit = 400
-
-// SolveConfig solves p from scratch with an automatically chosen solver: the
-// dense tableau for small problems and the sparse revised simplex, shaped by
-// cfg, otherwise. It is the package's one-shot entry point and the only home
-// of the selection rule, so every caller picks the same solver for the same
-// problem. The stateful, warm-starting counterpart is Solver (solver.go).
+// SolveConfig solves p from scratch with the revised primal simplex, from
+// the all-slack basis, with cfg's worker bound and timer sink. It is the
+// package's one-shot entry point; the stateful, warm-starting counterpart is
+// Solver (solver.go), which runs the same simplex.
+//
+// To break degeneracy, the simplex raises each right-hand side b_i > 0 by a
+// deterministic δ_i ≤ 2·10⁻⁷·(1+b_i) (zero rows stay hard), and the solution
+// is optimal for that perturbed LP: feasible for the original within Verify's
+// tolerances, with an Objective that can exceed the unperturbed optimum by
+// about 3·10⁻⁷ relative on the benchmark LP.
 func SolveConfig(p *Problem, cfg Revised) (*Solution, error) {
-	if p.NumRows <= denseRowLimit && p.NumCols() <= 4*denseRowLimit {
-		if err := cfg.validate(); err != nil {
-			return nil, err // checked even when the dense path runs
-		}
-		return (&Dense{}).Solve(p)
+	if err := cfg.validate(); err != nil {
+		return nil, err
 	}
-	return cfg.Solve(p)
+	if err := p.Check(); err != nil {
+		return nil, err
+	}
+	if sol, done := trivialSolution(p); done {
+		return sol, solutionErr(sol)
+	}
+	st := newRevisedState(p, !cfg.tuning.noPerturb)
+	if err := st.refactorize(); err != nil {
+		return nil, err
+	}
+	return cfg.pivot(st, false)
 }
 
 // Verify certifies that sol is an optimal solution of p within tolerance

@@ -10,17 +10,23 @@ import (
 	"github.com/ebsn/igepa/internal/xrand"
 )
 
-// solvers under test; both must agree on every problem.
+// revisedSolve is SolveConfig under cfg, as a solver function.
+func revisedSolve(cfg Revised) func(*Problem) (*Solution, error) {
+	return func(p *Problem) (*Solution, error) { return SolveConfig(p, cfg) }
+}
+
+// solvers under test: the dense oracle and the revised simplex under
+// several settings must agree on every problem.
 func bothSolvers() map[string]func(*Problem) (*Solution, error) {
 	return map[string]func(*Problem) (*Solution, error){
 		"dense":   (&Dense{}).Solve,
-		"revised": (&Revised{}).Solve,
+		"revised": revisedSolve(Revised{}),
 		// small refactor interval exercises the refactorization path hard
-		"revised-refactor2": (&Revised{tuning: tuning{refactorEvery: 2}}).Solve,
+		"revised-refactor2": revisedSolve(Revised{tuning: tuning{refactorEvery: 2}}),
 		// tiny pricing window exercises partial-pricing wraparound
-		"revised-window1": (&Revised{tuning: tuning{pricing: pricingDantzig, pricingWindow: 1}}).Solve,
-		"revised-devex":   (&Revised{tuning: tuning{pricing: pricingDevex}}).Solve,
-		"revised-dantzig": (&Revised{tuning: tuning{pricing: pricingDantzig}}).Solve,
+		"revised-window1": revisedSolve(Revised{tuning: tuning{pricing: pricingDantzig, pricingWindow: 1}}),
+		"revised-devex":   revisedSolve(Revised{tuning: tuning{pricing: pricingDevex}}),
+		"revised-dantzig": revisedSolve(Revised{tuning: tuning{pricing: pricingDantzig}}),
 	}
 }
 
@@ -57,7 +63,7 @@ func knownLP1() *Problem {
 func TestNoPerturbExact(t *testing.T) {
 	p := knownLP1()
 	for _, pr := range []pricingRule{pricingDevex, pricingDantzig} {
-		sol, err := (&Revised{tuning: tuning{noPerturb: true, pricing: pr}}).Solve(p)
+		sol, err := SolveConfig(p, Revised{tuning: tuning{noPerturb: true, pricing: pr}})
 		if err != nil {
 			t.Fatalf("pricing %d: %v", pr, err)
 		}
@@ -128,7 +134,7 @@ func TestEmptyProblems(t *testing.T) {
 	solveBoth(t, p, 0)
 	// no rows, non-positive objective
 	p2 := NewProblem(0, nil, []float64{-1}, []Column{{}})
-	sol, err := (&Revised{}).Solve(p2)
+	sol, err := SolveConfig(p2, Revised{})
 	if err != nil || sol.Objective != 0 {
 		t.Errorf("rowless LP: sol=%+v err=%v", sol, err)
 	}
@@ -250,7 +256,7 @@ func TestDenseRevisedAgreeOnRandomPacking(t *testing.T) {
 		if err != nil {
 			t.Fatalf("trial %d dense: %v", trial, err)
 		}
-		rsol, err := (&Revised{tuning: tuning{refactorEvery: 8}}).Solve(p)
+		rsol, err := SolveConfig(p, Revised{tuning: tuning{refactorEvery: 8}})
 		if err != nil {
 			t.Fatalf("trial %d revised: %v", trial, err)
 		}
@@ -293,7 +299,7 @@ func TestDenseRevisedAgreeOnRandomPatterns(t *testing.T) {
 		if err != nil {
 			t.Fatalf("trial %d dense: %v", trial, err)
 		}
-		rsol, err := (&Revised{tuning: tuning{refactorEvery: 4, pricingWindow: 3}}).Solve(p)
+		rsol, err := SolveConfig(p, Revised{tuning: tuning{refactorEvery: 4, pricingWindow: 3}})
 		if err != nil {
 			t.Fatalf("trial %d revised: %v", trial, err)
 		}
@@ -332,7 +338,7 @@ func TestIterLimit(t *testing.T) {
 	if err != ErrIterLimit {
 		t.Errorf("dense: err = %v, want ErrIterLimit", err)
 	}
-	_, err = (&Revised{tuning: tuning{maxIter: 1}}).Solve(p)
+	_, err = SolveConfig(p, Revised{tuning: tuning{maxIter: 1}})
 	if err != ErrIterLimit {
 		t.Errorf("revised: err = %v, want ErrIterLimit", err)
 	}
@@ -344,7 +350,7 @@ func BenchmarkRevisedMediumPacking(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := (&Revised{}).Solve(p); err != nil {
+		if _, err := SolveConfig(p, Revised{}); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -370,7 +376,7 @@ func TestRevisedDevexWorkerInvariance(t *testing.T) {
 	rng := xrand.New(31)
 	p := randomPacking(rng, 300, 60, 6)
 	solve := func(workers int) *Solution {
-		sol, err := (&Revised{Workers: workers, tuning: tuning{pricing: pricingDevex, parallelThreshold: 1}}).Solve(p)
+		sol, err := SolveConfig(p, Revised{Workers: workers, tuning: tuning{pricing: pricingDevex, parallelThreshold: 1}})
 		if err != nil {
 			t.Fatalf("workers=%d: %v", workers, err)
 		}
@@ -401,7 +407,7 @@ func TestRevisedPooledDevexWorkerInvariance(t *testing.T) {
 	}
 	solve := func(workers int) (*Solution, PhaseTimers) {
 		var tm PhaseTimers
-		sol, err := (&Revised{Workers: workers, Timers: &tm, tuning: tuning{pricing: pricingDevex, parallelThreshold: 1}}).Solve(p)
+		sol, err := SolveConfig(p, Revised{Workers: workers, Timers: &tm, tuning: tuning{pricing: pricingDevex, parallelThreshold: 1}})
 		if err != nil {
 			t.Fatalf("workers=%d: %v", workers, err)
 		}
@@ -425,11 +431,11 @@ func TestDevexAndDantzigAgreeOnPacking(t *testing.T) {
 	rng := xrand.New(12)
 	for trial := 0; trial < 15; trial++ {
 		p := randomPacking(rng, 5+rng.Intn(25), 3+rng.Intn(10), 5)
-		devex, err := (&Revised{tuning: tuning{pricing: pricingDevex}}).Solve(p)
+		devex, err := SolveConfig(p, Revised{tuning: tuning{pricing: pricingDevex}})
 		if err != nil {
 			t.Fatalf("trial %d devex: %v", trial, err)
 		}
-		dantzig, err := (&Revised{tuning: tuning{pricing: pricingDantzig}}).Solve(p)
+		dantzig, err := SolveConfig(p, Revised{tuning: tuning{pricing: pricingDantzig}})
 		if err != nil {
 			t.Fatalf("trial %d dantzig: %v", trial, err)
 		}

@@ -4,8 +4,7 @@ import "fmt"
 
 // OptionError reports a Revised field set to a value outside its domain.
 // The one field with a domain to check is Workers, which must be ≥ 0; the
-// public entry points (SolveConfig, Revised.Solve, Solver.Solve and
-// Solver.Resolve) reject a negative value before any state is touched.
+// public entry points (SolveConfig, Solver.Solve and Solver.Resolve) reject a negative value before any state is touched.
 type OptionError struct {
 	Option string // field name on Revised, e.g. "Workers"
 	Value  any    // the rejected value

@@ -23,7 +23,7 @@ func TestRevisedOptionValidation(t *testing.T) {
 	for _, tc := range bad {
 		t.Run(tc.name, func(t *testing.T) {
 			cfg := tc.cfg
-			_, err := cfg.Solve(tiny)
+			_, err := SolveConfig(tiny, cfg)
 			var oe *OptionError
 			if !errors.As(err, &oe) {
 				t.Fatalf("err = %v, want *OptionError", err)
@@ -48,7 +48,7 @@ func TestRevisedOptionValidation(t *testing.T) {
 		{Workers: 2},
 	}
 	for i, cfg := range good {
-		if _, err := cfg.Solve(tiny); err != nil {
+		if _, err := SolveConfig(tiny, cfg); err != nil {
 			t.Errorf("good config %d rejected: %v", i, err)
 		}
 	}

@@ -155,7 +155,7 @@ func requireResolveMatchesCold(t *testing.T, label string, s *Solver, d ProblemD
 	if err != nil {
 		t.Fatalf("%s: Resolve: %v", label, err)
 	}
-	cold, err := (&Revised{tuning: tuning{noPerturb: s.cfg.tuning.noPerturb, pricing: s.cfg.tuning.pricing}}).Solve(ref)
+	cold, err := SolveConfig(ref, Revised{tuning: tuning{noPerturb: s.cfg.tuning.noPerturb, pricing: s.cfg.tuning.pricing}})
 	if err != nil {
 		t.Fatalf("%s: cold solve: %v", label, err)
 	}
@@ -186,7 +186,7 @@ func TestSolverColdMatchesRevised(t *testing.T) {
 		if err != nil {
 			t.Fatalf("trial %d: %v", trial, err)
 		}
-		want, err := (&Revised{}).Solve(p)
+		want, err := SolveConfig(p, Revised{})
 		if err != nil {
 			t.Fatalf("trial %d: %v", trial, err)
 		}
@@ -737,7 +737,7 @@ func fuzzResolveSteps(t *testing.T, seed int64, steps uint8) SolverStats {
 		}
 		requireTombstonesInert(t, step, s, warm)
 		requireRedCacheExact(t, step, s)
-		cold, err := (&Revised{}).Solve(ref)
+		cold, err := SolveConfig(ref, Revised{})
 		if err != nil {
 			t.Fatalf("step %d: cold: %v", step, err)
 		}

@@ -8,12 +8,12 @@ import (
 	"github.com/ebsn/igepa/internal/par"
 )
 
-// Revised is a revised primal simplex solver. The basis inverse is never
-// formed: the basis is kept as a sparse LU factorization (lu.go) plus a
-// product-form eta file of the pivots since the last refactorization, so
-// each iteration costs a few sparse triangular solve pairs plus pricing.
-// This is the production path for paper-scale benchmark LPs, where the dense
-// tableau would be prohibitively large.
+// Revised configures the revised primal simplex, the package's one
+// simplex: SolveConfig runs it once, and a Solver keeps its state for warm
+// re-solves. The basis inverse is never formed: the basis is kept as a
+// sparse LU factorization (lu.go) plus a product-form eta file of the
+// pivots since the last refactorization, so each iteration costs a few
+// sparse triangular solve pairs plus pricing.
 //
 // Pricing is partial Dantzig or Devex (Forrest–Goldfarb reference weights
 // with incrementally updated reduced costs), and the LP's shape alone picks
@@ -104,12 +104,12 @@ type tuning struct {
 	//
 	// The benchmark LP is massively degenerate (thousands of identical
 	// user rows with b=1). The solver perturbs each b_i > 0 by a
-	// deterministic pseudo-random δ_i ∈ (0.5, 1]·1e-6·(1+b_i) before
-	// solving, so ties in the ratio test break consistently and degenerate
-	// vertices are left in real steps. Zero rows are never perturbed (a
-	// zero capacity must stay hard). The returned solution is feasible for
-	// the perturbed problem, hence feasible for the original within 1e-6
-	// relative per row; Verify's tolerances absorb it.
+	// deterministic pseudo-random δ_i ∈ (0.5, 1]·perturbScale·(1+b_i)
+	// before solving, so ties in the ratio test break consistently and
+	// degenerate vertices are left in real steps. Zero rows are never
+	// perturbed (a zero capacity must stay hard). The returned solution is
+	// feasible for the perturbed problem, hence feasible for the original
+	// within 2·10⁻⁷ relative per row; Verify's tolerances absorb it.
 	noPerturb bool
 }
 
@@ -167,6 +167,15 @@ const devexBlock = 256
 // blockDirty marks a pricing block whose cached best is stale.
 const blockDirty = -2
 
+const (
+	pivotTol   = 1e-9 // minimum magnitude for a ratio-test pivot element
+	reducedTol = 1e-9 // optimality tolerance on reduced costs
+	// stallLimit is the number of consecutive degenerate (zero-step) pivots
+	// tolerated under Dantzig pricing before switching to Bland's rule,
+	// which guarantees termination.
+	stallLimit = 256
+)
+
 // perturbScale is the relative magnitude of the anti-degeneracy
 // perturbation.
 const perturbScale = 2e-7
@@ -190,24 +199,6 @@ type eta struct {
 	r      int
 	lo, hi int32
 	dr     float64
-}
-
-// Solve runs the revised primal simplex on p from the all-slack basis.
-func (s *Revised) Solve(p *Problem) (*Solution, error) {
-	if err := s.validate(); err != nil {
-		return nil, err
-	}
-	if err := p.Check(); err != nil {
-		return nil, err
-	}
-	if sol, done := trivialSolution(p); done {
-		return sol, solutionErr(sol)
-	}
-	st := newRevisedState(p, !s.tuning.noPerturb)
-	if err := st.refactorize(); err != nil {
-		return nil, err
-	}
-	return s.pivot(st, false)
 }
 
 // trivialSolution handles the m == 0 degenerate case shared by the cold and

@@ -8,9 +8,8 @@ import (
 )
 
 // Solver is a persistent, warm-starting LP solver. Unlike the one-shot
-// solvers (Dense, Revised), a Solver owns its simplex state — basis, LU
-// factors, eta arena, Devex reference weights and every scratch vector —
-// across solves:
+// SolveConfig, a Solver owns its simplex state — basis, LU factors, eta
+// arena, Devex reference weights and every scratch vector — across solves:
 //
 //	s := lp.NewSolver(lp.Revised{Workers: w})
 //	sol, err := s.Solve(p)          // cold solve, installs the basis

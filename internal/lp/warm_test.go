@@ -289,7 +289,7 @@ func TestWarmResolveObjectiveMatchesCold(t *testing.T) {
 	if st.WarmSolves != 1 || st.FallbackSingular+st.FallbackInfeasible != 0 {
 		t.Fatalf("delta did not take the warm path: %+v", st)
 	}
-	cold, err := (&lp.Revised{}).Solve(s.Problem())
+	cold, err := lp.SolveConfig(s.Problem(), lp.Revised{})
 	if err != nil {
 		t.Fatal(err)
 	}

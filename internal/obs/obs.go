@@ -320,16 +320,12 @@ func writeHistogram(b *strings.Builder, name string, s *sample) {
 	fmt.Fprintf(b, "%s_count%s %d\n", name, s.labels, cum)
 }
 
-// Handler serves the registry at GET /metrics with the 0.0.4 content type;
-// any other method is 405 with a plain-text "GET only". A non-nil refresh
-// runs before each exposition, to mirror counters whose sources live
-// outside the registry.
+// Handler serves the registry with the 0.0.4 content type. The caller
+// mounts it as "GET /metrics", so the mux answers other methods with 405.
+// A non-nil refresh runs before each exposition, to mirror counters whose
+// sources live outside the registry.
 func (r *Registry) Handler(refresh func()) http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, req *http.Request) {
-		if req.Method != http.MethodGet {
-			http.Error(w, "GET only", http.StatusMethodNotAllowed)
-			return
-		}
 		if refresh != nil {
 			refresh()
 		}

@@ -34,10 +34,6 @@ type MigrateRequest struct {
 }
 
 func (rt *Router) handleMigrate(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodPost {
-		httpError(w, http.StatusMethodNotAllowed, "POST only")
-		return
-	}
 	if !rt.writable(w) {
 		return
 	}

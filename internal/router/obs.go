@@ -130,10 +130,6 @@ func (o *routerObs) mirrorCoord(renewals, moved int) {
 // deployment. A backend that fails to answer is skipped (and counted in
 // igepa_router_scrape_errors_total); the live ones still export.
 func (rt *Router) handleClusterMetrics(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodGet {
-		httpError(w, http.StatusMethodNotAllowed, "GET only")
-		return
-	}
 	sources := make([]*obs.RelabeledSource, rt.s)
 	var wg sync.WaitGroup
 	for si := 0; si < rt.s; si++ {

@@ -151,15 +151,6 @@ func TestRouterMetricsExposition(t *testing.T) {
 		t.Errorf("igepa_router_degraded = %v on a healthy cluster", v)
 	}
 
-	// Method discipline on both endpoints.
-	for _, path := range []string{"/metrics", "/cluster/metrics"} {
-		req := httptest.NewRequest("POST", path, nil)
-		rec := httptest.NewRecorder()
-		cl.rt.ServeHTTP(rec, req)
-		if rec.Code != http.StatusMethodNotAllowed {
-			t.Errorf("POST %s: %d, want 405", path, rec.Code)
-		}
-	}
 }
 
 // TestClusterMetricsFanIn pins the deployment-wide scrape target: the
@@ -293,5 +284,47 @@ func TestRouterMigrationMetrics(t *testing.T) {
 	}
 	if v := mustSample(t, fams, "igepa_router_migrated_seats_total", "igepa_router_migrated_seats_total", nil); v != float64(res.Seats) {
 		t.Errorf("igepa_router_migrated_seats_total = %v, want %d", v, res.Seats)
+	}
+}
+
+// TestMethodNotAllowedNamesAllow pins that a 405 from either tier carries
+// the Allow header HTTP requires on one: every route is registered with its
+// method, and the mux answers the others. The shard tier is reached over
+// real HTTP, the router through its handler.
+func TestMethodNotAllowedNamesAllow(t *testing.T) {
+	cl := startCluster(t, testInstance(t, 5, 40, 8), 2, shard.Options{Batch: 16, Seed: 7}, Config{})
+	for _, tc := range []struct {
+		tier, method, path, allow string
+	}{
+		{"shard", "GET", "/v1/bid", "POST"},
+		{"shard", "POST", "/metrics", "GET, HEAD"},
+		{"shard", "POST", "/v1/assignment", "GET, HEAD"},
+		{"shard", "GET", "/cluster/ops", "POST"},
+		{"router", "GET", "/v1/bid", "POST"},
+		{"router", "POST", "/metrics", "GET, HEAD"},
+		{"router", "POST", "/cluster/metrics", "GET, HEAD"},
+		{"router", "GET", "/admin/migrate", "POST"},
+	} {
+		var code int
+		var allow string
+		if tc.tier == "shard" {
+			req, err := http.NewRequest(tc.method, cl.urls[0]+tc.path, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			resp, err := http.DefaultClient.Do(req)
+			if err != nil {
+				t.Fatal(err)
+			}
+			resp.Body.Close()
+			code, allow = resp.StatusCode, resp.Header.Get("Allow")
+		} else {
+			rec := httptest.NewRecorder()
+			cl.rt.ServeHTTP(rec, httptest.NewRequest(tc.method, tc.path, nil))
+			code, allow = rec.Code, rec.Header().Get("Allow")
+		}
+		if code != http.StatusMethodNotAllowed || allow != tc.allow {
+			t.Errorf("%s %s %s: %d with Allow %q, want 405 with Allow %q", tc.tier, tc.method, tc.path, code, allow, tc.allow)
+		}
 	}
 }

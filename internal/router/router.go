@@ -217,20 +217,22 @@ func New(in *model.Instance, cfg Config) (*Router, error) {
 		go rt.dispatchLoop()
 	}
 
+	// Every route names its method, so the mux answers any other method
+	// with 405 and an Allow header before a handler runs.
 	rt.mux = http.NewServeMux()
-	rt.mux.HandleFunc("/v1/bid", rt.handleBid)
-	rt.mux.HandleFunc("/v1/cancel", rt.handleCancel)
-	rt.mux.HandleFunc("/v1/assignment", rt.handleAssignment)
-	rt.mux.HandleFunc("/v1/load", rt.handleLoad)
-	rt.mux.HandleFunc("/healthz", rt.handleHealthz)
-	rt.mux.HandleFunc("/readyz", rt.handleReadyz)
-	rt.mux.HandleFunc("/statsz", rt.handleStatsz)
+	rt.mux.HandleFunc("POST /v1/bid", rt.handleBid)
+	rt.mux.HandleFunc("POST /v1/cancel", rt.handleCancel)
+	rt.mux.HandleFunc("GET /v1/assignment", rt.handleAssignment)
+	rt.mux.HandleFunc("GET /v1/load", rt.handleLoad)
+	rt.mux.HandleFunc("GET /healthz", rt.handleHealthz)
+	rt.mux.HandleFunc("GET /readyz", rt.handleReadyz)
+	rt.mux.HandleFunc("GET /statsz", rt.handleStatsz)
 	if !cfg.DisableMetrics {
-		rt.mux.Handle("/metrics", rt.obs.reg.Handler(nil))
-		rt.mux.HandleFunc("/cluster/metrics", rt.handleClusterMetrics)
+		rt.mux.Handle("GET /metrics", rt.obs.reg.Handler(nil))
+		rt.mux.HandleFunc("GET /cluster/metrics", rt.handleClusterMetrics)
 	}
-	rt.mux.HandleFunc("/admin/drain", rt.handleDrain)
-	rt.mux.HandleFunc("/admin/migrate", rt.handleMigrate)
+	rt.mux.HandleFunc("POST /admin/drain", rt.handleDrain)
+	rt.mux.HandleFunc("POST /admin/migrate", rt.handleMigrate)
 	return rt, nil
 }
 
@@ -443,10 +445,6 @@ type bidResponse struct {
 }
 
 func (rt *Router) handleBid(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodPost {
-		httpError(w, http.StatusMethodNotAllowed, "POST only")
-		return
-	}
 	if !rt.writable(w) {
 		return
 	}
@@ -480,10 +478,6 @@ func (rt *Router) handleBid(w http.ResponseWriter, r *http.Request) {
 }
 
 func (rt *Router) handleCancel(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodPost {
-		httpError(w, http.StatusMethodNotAllowed, "POST only")
-		return
-	}
 	if !rt.writable(w) {
 		return
 	}
@@ -526,10 +520,6 @@ func (rt *Router) handleCancel(w http.ResponseWriter, r *http.Request) {
 }
 
 func (rt *Router) handleAssignment(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodGet {
-		httpError(w, http.StatusMethodNotAllowed, "GET only")
-		return
-	}
 	q := r.URL.Query().Get("user")
 	if q == "" {
 		rt.handleAssignmentDump(w)
@@ -591,10 +581,6 @@ type loadRow struct {
 // handleLoad sums per-event seat consumption across every backend — capacity
 // is a property of the instance, loads are the shards' local grants.
 func (rt *Router) handleLoad(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodGet {
-		httpError(w, http.StatusMethodNotAllowed, "GET only")
-		return
-	}
 	nv := rt.in.NumEvents()
 	totals := make([]int, nv)
 	rows := make([][]loadRow, rt.s)
@@ -828,10 +814,6 @@ func (rt *Router) handleStatsz(w http.ResponseWriter, r *http.Request) {
 // handleDrain flushes the router's partial replay batch, then fans the drain
 // out to every backend — the end-of-stream barrier for the whole cluster.
 func (rt *Router) handleDrain(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodPost {
-		httpError(w, http.StatusMethodNotAllowed, "POST only")
-		return
-	}
 	drained := rt.Drain(10 * time.Second)
 	var wg sync.WaitGroup
 	oks := make([]bool, rt.s)

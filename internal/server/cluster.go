@@ -201,10 +201,6 @@ type ClusterMigration struct {
 
 // handleClusterDemand is POST /cluster/demand — phase 1 of the wire renewal.
 func (srv *Server) handleClusterDemand(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodPost {
-		httpError(w, http.StatusMethodNotAllowed, "POST only")
-		return
-	}
 	if !srv.writable(w) {
 		return
 	}
@@ -229,10 +225,6 @@ func (srv *Server) handleClusterDemand(w http.ResponseWriter, r *http.Request) {
 // excludes the expiry watchdog, so the serving locks are provably still held
 // while the engine is touched.
 func (srv *Server) handleClusterLease(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodPost {
-		httpError(w, http.StatusMethodNotAllowed, "POST only")
-		return
-	}
 	var req ClusterLeaseRequest
 	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
 		srv.badRequest(w, "bad JSON: "+err.Error())
@@ -264,10 +256,6 @@ func (srv *Server) handleClusterLease(w http.ResponseWriter, r *http.Request) {
 
 // handleClusterAbort is POST /cluster/abort — thaw without installing.
 func (srv *Server) handleClusterAbort(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodPost {
-		httpError(w, http.StatusMethodNotAllowed, "POST only")
-		return
-	}
 	released := srv.abortFreeze()
 	writeJSON(w, http.StatusOK, struct {
 		Released bool `json:"released"`
@@ -278,10 +266,6 @@ func (srv *Server) handleClusterAbort(w http.ResponseWriter, r *http.Request) {
 // dispatch of one ordered sub-batch onto this shard, mirroring what
 // Engine.DispatchBatch would feed this shard's planner in a single process.
 func (srv *Server) handleClusterBatch(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodPost {
-		httpError(w, http.StatusMethodNotAllowed, "POST only")
-		return
-	}
 	if !srv.writable(w) {
 		return
 	}
@@ -365,10 +349,6 @@ func (srv *Server) handleClusterBatch(w http.ResponseWriter, r *http.Request) {
 // /v1/bid, /v1/cancel and /v1/assignment?user= ride in an envelope: any
 // other path is a per-op 400 that reaches no handler.
 func (srv *Server) handleClusterOps(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodPost {
-		httpError(w, http.StatusMethodNotAllowed, "POST only")
-		return
-	}
 	var req ClusterOpsRequest
 	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
 		srv.badRequest(w, "bad JSON: "+err.Error())
@@ -466,10 +446,6 @@ func (o *opWriter) result() ClusterOpResult {
 // handleClusterExport is POST /cluster/export — hand a user range off this
 // shard. The router drains this shard first; queued users are refused.
 func (srv *Server) handleClusterExport(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodPost {
-		httpError(w, http.StatusMethodNotAllowed, "POST only")
-		return
-	}
 	if !srv.writable(w) {
 		return
 	}
@@ -514,10 +490,6 @@ func (srv *Server) handleClusterExport(w http.ResponseWriter, r *http.Request) {
 // handleClusterAdopt is POST /cluster/adopt — take a migrated user range
 // onto this shard: decisions, consumed seats, and lifecycle states.
 func (srv *Server) handleClusterAdopt(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodPost {
-		httpError(w, http.StatusMethodNotAllowed, "POST only")
-		return
-	}
 	if !srv.writable(w) {
 		return
 	}

@@ -281,10 +281,6 @@ func (srv *Server) Checkpoint() error {
 
 // handleCheckpoint is POST /admin/checkpoint: drain, then snapshot.
 func (srv *Server) handleCheckpoint(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodPost {
-		httpError(w, http.StatusMethodNotAllowed, "POST only")
-		return
-	}
 	if srv.cfg.CheckpointPath == "" {
 		httpError(w, http.StatusConflict, "no checkpoint path configured")
 		return

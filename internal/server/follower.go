@@ -256,10 +256,6 @@ func (srv *Server) Promote() error {
 
 // handlePromote is POST /admin/promote — the failover switch.
 func (srv *Server) handlePromote(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodPost {
-		httpError(w, http.StatusMethodNotAllowed, "POST only")
-		return
-	}
 	if err := srv.Promote(); err != nil {
 		if errors.Is(err, ErrAlreadyLeader) {
 			httpError(w, http.StatusConflict, err.Error())

@@ -296,31 +296,33 @@ func New(in *model.Instance, cfg Config) (*Server, error) {
 		srv.startLoops()
 	}
 
+	// Every route names its method, so the mux answers any other method
+	// with 405 and an Allow header before a handler runs.
 	srv.mux = http.NewServeMux()
-	srv.mux.HandleFunc("/v1/bid", srv.handleBid)
-	srv.mux.HandleFunc("/v1/cancel", srv.handleCancel)
-	srv.mux.HandleFunc("/v1/assignment", srv.handleAssignment)
-	srv.mux.HandleFunc("/v1/load", srv.handleLoad)
-	srv.mux.HandleFunc("/healthz", srv.handleHealthz)
-	srv.mux.HandleFunc("/readyz", srv.handleReadyz)
-	srv.mux.HandleFunc("/statsz", srv.handleStatsz)
+	srv.mux.HandleFunc("POST /v1/bid", srv.handleBid)
+	srv.mux.HandleFunc("POST /v1/cancel", srv.handleCancel)
+	srv.mux.HandleFunc("GET /v1/assignment", srv.handleAssignment)
+	srv.mux.HandleFunc("GET /v1/load", srv.handleLoad)
+	srv.mux.HandleFunc("GET /healthz", srv.handleHealthz)
+	srv.mux.HandleFunc("GET /readyz", srv.handleReadyz)
+	srv.mux.HandleFunc("GET /statsz", srv.handleStatsz)
 	if !cfg.DisableMetrics {
 		// GET /metrics refreshes the counters whose sources live outside
 		// the registry, then serves the exposition; no shard lock is taken
 		// anywhere on this path.
-		srv.mux.Handle("/metrics", srv.obs.reg.Handler(func() { srv.obs.refresh(srv) }))
+		srv.mux.Handle("GET /metrics", srv.obs.reg.Handler(func() { srv.obs.refresh(srv) }))
 	}
-	srv.mux.HandleFunc("/admin/drain", srv.handleDrain)
-	srv.mux.HandleFunc("/admin/checkpoint", srv.handleCheckpoint)
-	srv.mux.HandleFunc("/admin/promote", srv.handlePromote)
+	srv.mux.HandleFunc("POST /admin/drain", srv.handleDrain)
+	srv.mux.HandleFunc("POST /admin/checkpoint", srv.handleCheckpoint)
+	srv.mux.HandleFunc("POST /admin/promote", srv.handlePromote)
 	if srv.cluster {
-		srv.mux.HandleFunc("/cluster/demand", srv.handleClusterDemand)
-		srv.mux.HandleFunc("/cluster/lease", srv.handleClusterLease)
-		srv.mux.HandleFunc("/cluster/abort", srv.handleClusterAbort)
-		srv.mux.HandleFunc("/cluster/batch", srv.handleClusterBatch)
-		srv.mux.HandleFunc("/cluster/ops", srv.handleClusterOps)
-		srv.mux.HandleFunc("/cluster/export", srv.handleClusterExport)
-		srv.mux.HandleFunc("/cluster/adopt", srv.handleClusterAdopt)
+		srv.mux.HandleFunc("POST /cluster/demand", srv.handleClusterDemand)
+		srv.mux.HandleFunc("POST /cluster/lease", srv.handleClusterLease)
+		srv.mux.HandleFunc("POST /cluster/abort", srv.handleClusterAbort)
+		srv.mux.HandleFunc("POST /cluster/batch", srv.handleClusterBatch)
+		srv.mux.HandleFunc("POST /cluster/ops", srv.handleClusterOps)
+		srv.mux.HandleFunc("POST /cluster/export", srv.handleClusterExport)
+		srv.mux.HandleFunc("POST /cluster/adopt", srv.handleClusterAdopt)
 	}
 	return srv, nil
 }
@@ -644,10 +646,6 @@ type bidResponse struct {
 }
 
 func (srv *Server) handleBid(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodPost {
-		httpError(w, http.StatusMethodNotAllowed, "POST only")
-		return
-	}
 	if rq, ok := srv.submitBid(w, r.Body); ok {
 		srv.answerBid(w, rq)
 	}
@@ -853,10 +851,6 @@ type cancelResponse struct {
 // capacity release, and holding freed seats back only delays better use of
 // them.
 func (srv *Server) handleCancel(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodPost {
-		httpError(w, http.StatusMethodNotAllowed, "POST only")
-		return
-	}
 	if !srv.writable(w) {
 		return
 	}
@@ -907,10 +901,6 @@ type assignmentResponse struct {
 // handleAssignment returns one user's state and events (?user=N), or the
 // full arrangement dump (no parameter) — the replay tooling's exit path.
 func (srv *Server) handleAssignment(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodGet {
-		httpError(w, http.StatusMethodNotAllowed, "GET only")
-		return
-	}
 	q := r.URL.Query().Get("user")
 	if q == "" {
 		arr, err := srv.Arrangement()
@@ -955,10 +945,6 @@ type loadResponse struct {
 
 // handleLoad returns one event's seat consumption (?event=N) or all events'.
 func (srv *Server) handleLoad(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodGet {
-		httpError(w, http.StatusMethodNotAllowed, "GET only")
-		return
-	}
 	q := r.URL.Query().Get("event")
 	srv.lockAll()
 	defer srv.unlockAll()
@@ -1260,10 +1246,6 @@ type drainResponse struct {
 }
 
 func (srv *Server) handleDrain(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodPost {
-		httpError(w, http.StatusMethodNotAllowed, "POST only")
-		return
-	}
 	ok := srv.Drain(10 * time.Second)
 	writeJSON(w, http.StatusOK, drainResponse{Drained: ok, Decided: srv.obs.decided.Load()})
 }
