@@ -1,7 +1,9 @@
 package shard
 
 import (
+	"encoding/binary"
 	"fmt"
+	"hash/fnv"
 	"math"
 	"runtime"
 	"strings"
@@ -437,5 +439,65 @@ func TestLeaseLPPinned(t *testing.T) {
 		t.Errorf("lease LP replay moved: got utility=%#x renewals=%d moved=%d warm=%d, want %#x/%d/%d/%d",
 			u, res.LeaseRenewals, res.MovedSeats, res.LeaseSolves.WarmSolves,
 			uint64(wantUtility), wantRenewals, wantMoved, wantWarm)
+	}
+}
+
+// TestLeaseDemandPinned pins, absolutely, Serve under the demand renewer:
+// for S ∈ {1,2,4,8} on a Meetup and a Synthetic instance, an FNV-1a hash
+// over the arrangement, the utility's bits, the moved seats and the renewal
+// count. A change to the tally, the largest-remainder split, the even
+// fallback's rotation or the moved-seat accounting moves a row. amd64 only.
+func TestLeaseDemandPinned(t *testing.T) {
+	if runtime.GOARCH != "amd64" {
+		t.Skipf("serving bits are pinned on amd64, not %s", runtime.GOARCH)
+	}
+	meetup, err := workload.Meetup(workload.MeetupConfig{Seed: 1, NumUsers: 400})
+	if err != nil {
+		t.Fatal(err)
+	}
+	synthetic, err := workload.Synthetic(workload.SyntheticConfig{Seed: 2, NumUsers: 600, NumEvents: 60})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rows := []struct {
+		name string
+		in   *model.Instance
+		s    int
+		want uint64
+	}{
+		{"meetup", meetup, 1, 0x77769b0f83c3a156},
+		{"meetup", meetup, 2, 0x23854dbffe2ed30c},
+		{"meetup", meetup, 4, 0x93a4bab061962208},
+		{"meetup", meetup, 8, 0xfe1d6ac1630b65c4},
+		{"synthetic", synthetic, 1, 0xb6e9ea1734f35046},
+		{"synthetic", synthetic, 2, 0x1852b9f78c40271c},
+		{"synthetic", synthetic, 4, 0xfef6503376c9014c},
+		{"synthetic", synthetic, 8, 0xfe68b66153ef57e7},
+	}
+	for _, row := range rows {
+		res, err := Serve(row.in, arrivalOrder(3, row.in.NumUsers()), Options{Shards: row.s, Batch: 16, Seed: 7, Workers: 1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		h := fnv.New64a()
+		var buf [8]byte
+		put := func(x uint64) {
+			binary.LittleEndian.PutUint64(buf[:], x)
+			h.Write(buf[:])
+		}
+		for u, set := range res.Arrangement.Sets {
+			put(uint64(u))
+			put(uint64(len(set)))
+			for _, v := range set {
+				put(uint64(v))
+			}
+		}
+		put(math.Float64bits(res.Utility))
+		put(uint64(res.MovedSeats))
+		put(uint64(res.LeaseRenewals))
+		if got := h.Sum64(); got != row.want {
+			t.Errorf("%s S=%d: hash %#x, want %#x (utility=%v moved=%d renewals=%d)",
+				row.name, row.s, got, row.want, res.Utility, res.MovedSeats, res.LeaseRenewals)
+		}
 	}
 }
