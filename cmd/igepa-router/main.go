@@ -46,7 +46,6 @@ type config struct {
 	users    int
 	seed     int64
 	batch    int
-	lease    string
 	replay   bool
 
 	timeout    time.Duration
@@ -65,7 +64,6 @@ func main() {
 	flag.IntVar(&cfg.users, "users", 600, "number of users (0 = workload default)")
 	flag.Int64Var(&cfg.seed, "seed", 1, "seed for instance and user→shard hash (must match the backends)")
 	flag.IntVar(&cfg.batch, "batch", 0, "arrivals between lease renewals (0 = default; must match the backends)")
-	flag.StringVar(&cfg.lease, "lease", "demand", "lease renewal policy: demand or lp")
 	flag.BoolVar(&cfg.replay, "replay", false, "deterministic replay dispatcher (batch-by-count, bit-identical to ServeSharded)")
 	flag.DurationVar(&cfg.timeout, "timeout", 0, "per-backend HTTP call timeout (0 = default)")
 	flag.IntVar(&cfg.retries, "retries", 0, "transport-error retries per backend call (0 = default)")
@@ -102,14 +100,10 @@ func serveListenerCtx(ctx context.Context, w *os.File, ln net.Listener, cfg conf
 	if err != nil {
 		return err
 	}
-	lease, err := shard.ParseLeasePolicy(cfg.lease)
-	if err != nil {
-		return err
-	}
 	rt, err := router.New(in, router.Config{
 		Backends: cfg.backends,
 		Shard: shard.Options{
-			Shards: len(cfg.backends), Batch: cfg.batch, Seed: cfg.seed, Lease: lease,
+			Shards: len(cfg.backends), Batch: cfg.batch, Seed: cfg.seed,
 		},
 		Replay:     cfg.replay,
 		Timeout:    cfg.timeout,

@@ -10,10 +10,8 @@
 //	igepa-serve -shards 1,2,4,8,16 -batch 64
 //	igepa-serve -workload synthetic -users 2000 -events 100
 //	igepa-serve -planner threshold -tau 0.5 -guard 0.25
-//	igepa-serve -lease lp                # warm-started LP lease splits
 //	igepa-serve -arrivals stream.jsonl   # replay a recorded arrival log
 //	igepa-serve -live-bound              # incremental LP bound per batch
-//	igepa-serve -pace 100                # wall-clock replay at 100× speed
 //	igepa-serve -listen :8080            # host the HTTP front-end
 //	igepa-serve -listen :8080 -replay    # deterministic replay dispatcher
 //	igepa-serve -listen :8080 -wal serve.wal -checkpoint serve.ckpt
@@ -41,12 +39,6 @@
 // reproduce bit-identical arrangements on every run and every GOMAXPROCS
 // (decision latencies, being wall-clock measurements, vary — the decisions
 // do not).
-//
-// With -pace the replay honors the log's timestamps: batch k is dispatched
-// only once its last arrival's (scaled) timestamp has passed, and the
-// report adds the queueing delay — time from a user's arrival to their
-// batch's dispatch — on top of the decision latency. Pacing changes when
-// decisions happen, never what they are.
 //
 // With -live-bound the single-shard baseline run keeps the engine's live LP
 // bound (shard.Options.LiveBound): after each batch the engine's incremental
@@ -95,11 +87,8 @@ type config struct {
 	guard     float64
 	workers   int
 	lpBound   bool
-	lease     string
 	arrivals  string
-	rate      float64
 	liveBound bool
-	pace      float64
 
 	arrivalsPartial bool
 
@@ -135,11 +124,8 @@ func main() {
 	flag.Float64Var(&cfg.guard, "guard", 0.25, "threshold planner: reserved capacity fraction")
 	flag.IntVar(&cfg.workers, "workers", 0, "worker-pool bound (0 = all cores; results identical)")
 	flag.BoolVar(&cfg.lpBound, "lp", true, "also solve the offline LP bound for comparison")
-	flag.StringVar(&cfg.lease, "lease", "demand", "lease renewal policy: demand or lp")
 	flag.StringVar(&cfg.arrivals, "arrivals", "", "replay arrivals from this JSONL log (igepa-datagen -arrivals)")
-	flag.Float64Var(&cfg.rate, "rate", 1000, "synthetic stream: mean arrivals per second")
 	flag.BoolVar(&cfg.liveBound, "live-bound", false, "track the incremental LP bound across batches (warm re-solves)")
-	flag.Float64Var(&cfg.pace, "pace", 0, "wall-clock replay speed-up factor (1 = real time, 0 = as fast as possible)")
 	flag.StringVar(&cfg.listen, "listen", "", "host the HTTP serving layer on this address instead of the replay sweep")
 	flag.IntVar(&cfg.cluster, "cluster", 0, "listen: host one shard of an S-process cluster behind igepa-router (0 = standalone)")
 	flag.IntVar(&cfg.index, "index", 0, "listen: this process's shard index within the -cluster")
@@ -209,10 +195,6 @@ func serveListenerCtx(ctx context.Context, w *os.File, ln net.Listener, cfg conf
 	if err != nil {
 		return err
 	}
-	lease, err := shard.ParseLeasePolicy(cfg.lease)
-	if err != nil {
-		return err
-	}
 	sync, err := wal.ParseSyncPolicy(cfg.walSync)
 	if err != nil {
 		return err
@@ -226,7 +208,7 @@ func serveListenerCtx(ctx context.Context, w *os.File, ln net.Listener, cfg conf
 			Shards: s, ClusterShards: cfg.cluster, ClusterIndex: cfg.index,
 			Batch: cfg.batch, Workers: cfg.workers, Seed: cfg.seed,
 			Planner: kind, Tau: cfg.tau, Guard: cfg.guard,
-			Lease: lease, LiveBound: cfg.liveBound,
+			LiveBound: cfg.liveBound,
 		},
 		Replay:          cfg.replay,
 		QueueDepth:      cfg.queueDepth,
@@ -308,15 +290,10 @@ func run(w *os.File, cfg config) error {
 	if err != nil {
 		return err
 	}
-	lease, err := shard.ParseLeasePolicy(cfg.lease)
+	order, err := makeOrder(cfg, in.NumUsers())
 	if err != nil {
 		return err
 	}
-	stream, err := makeStream(cfg, in.NumUsers())
-	if err != nil {
-		return err
-	}
-	order := workload.ArrivalOrder(stream)
 
 	bound := 0.0
 	if cfg.lpBound {
@@ -327,8 +304,8 @@ func run(w *os.File, cfg config) error {
 		bound = res.LPObjective
 	}
 
-	fmt.Fprintf(w, "workload=%s |V|=%d |U|=%d arrivals=%d planner=%s lease=%s seed=%d\n",
-		cfg.workload, in.NumEvents(), in.NumUsers(), len(order), kind, lease, cfg.seed)
+	fmt.Fprintf(w, "workload=%s |V|=%d |U|=%d arrivals=%d planner=%s seed=%d\n",
+		cfg.workload, in.NumEvents(), in.NumUsers(), len(order), kind, cfg.seed)
 	if cfg.lpBound {
 		fmt.Fprintf(w, "offline LP bound: %.4f\n", bound)
 	}
@@ -339,7 +316,7 @@ func run(w *os.File, cfg config) error {
 		return shard.Options{
 			Shards: s, Batch: cfg.batch, Workers: cfg.workers, Seed: cfg.seed,
 			Planner: kind, Tau: cfg.tau, Guard: cfg.guard,
-			Lease: lease, RecordLatency: true,
+			RecordLatency: true,
 		}
 	}
 	// The vs-single baseline is always a real S=1 run, whatever -shards says;
@@ -377,97 +354,12 @@ func run(w *os.File, cfg config) error {
 			p50.Round(time.Microsecond), p99.Round(time.Microsecond))
 	}
 
-	if cfg.pace > 0 {
-		if err := pacedReplay(w, in, stream, cfg, optFor); err != nil {
-			return fmt.Errorf("paced replay: %w", err)
-		}
-	}
 	if cfg.liveBound {
 		if err := liveBound(w, in, order, base); err != nil {
 			return fmt.Errorf("live bound: %w", err)
 		}
 	}
 	return nil
-}
-
-// pacedReplay re-runs the sweep honoring the stream's timestamps (scaled by
-// the pace factor): batch k dispatches once its last arrival has "arrived".
-// Decisions are identical to the unpaced sweep; what pacing adds is the
-// queueing delay every arrival spends waiting for its batch to assemble and
-// flush — the serving-time cost the throughput table cannot show.
-func pacedReplay(w *os.File, in *igepa.Instance, stream []workload.Arrival, cfg config, optFor func(s int) shard.Options) error {
-	if len(stream) == 0 {
-		fmt.Fprintf(w, "\npaced replay: empty arrival stream, nothing to pace\n")
-		return nil
-	}
-	fmt.Fprintf(w, "\npaced replay at %gx: queueing delay on top of decision latency (stream spans %.1fs)\n",
-		cfg.pace, float64(stream[len(stream)-1].TMillis)/1000)
-	fmt.Fprintf(w, "%8s %10s %10s %10s %10s %10s %12.12s\n",
-		"shards", "queue-p50", "queue-p99", "decide-p50", "decide-p99", "total-p99", "utility")
-	for _, s := range cfg.shards {
-		res, qdelay, err := servePaced(in, stream, optFor(s), cfg.pace)
-		if err != nil {
-			return err
-		}
-		order := workload.ArrivalOrder(stream)
-		dp50, dp99 := latencyPercentiles(res.Latencies, order)
-		qp50, qp99 := durationPercentiles(qdelay)
-		// per-arrival totals: summing the two p99s would overstate the tail
-		// (queue wait and decision order are anti-correlated in a batch)
-		totals := make([]time.Duration, len(order))
-		for i, u := range order {
-			totals[i] = qdelay[i] + res.Latencies[u]
-		}
-		_, tp99 := durationPercentiles(totals)
-		fmt.Fprintf(w, "%8d %10s %10s %10s %10s %10s %12.4f\n",
-			s,
-			qp50.Round(time.Microsecond), qp99.Round(time.Microsecond),
-			dp50.Round(time.Microsecond), dp99.Round(time.Microsecond),
-			tp99.Round(time.Microsecond), res.Utility)
-	}
-	return nil
-}
-
-// servePaced drives the shard engine over the stream with Serve's exact
-// batch schedule, but dispatches each batch only once its last arrival's
-// scaled timestamp has elapsed. qdelay[i] is arrival i's queueing delay:
-// dispatch time minus (scaled) arrival time.
-func servePaced(in *igepa.Instance, stream []workload.Arrival, opt shard.Options, pace float64) (*shard.Result, []time.Duration, error) {
-	order := workload.ArrivalOrder(stream)
-	e, err := shard.NewEngine(in, opt)
-	if err != nil {
-		return nil, nil, err
-	}
-	defer e.Close()
-	if err := shard.CheckOrder(in, order); err != nil {
-		return nil, nil, err
-	}
-	scaled := func(tms int64) time.Duration {
-		return time.Duration(float64(tms) / pace * float64(time.Millisecond))
-	}
-	qdelay := make([]time.Duration, len(order))
-	b := e.Batch()
-	start := time.Now()
-	for s0 := 0; s0 < len(order); s0 += b {
-		end := min(s0+b, len(order))
-		if wait := scaled(stream[end-1].TMillis) - time.Since(start); wait > 0 {
-			time.Sleep(wait)
-		}
-		flushAt := time.Since(start)
-		for i := s0; i < end; i++ {
-			if d := flushAt - scaled(stream[i].TMillis); d > 0 {
-				qdelay[i] = d
-			}
-		}
-		e.DispatchBatch(order[s0:end])
-		if end < len(order) && e.Shards() > 1 {
-			if _, err := e.RenewLeases(order[end:min(end+b, len(order))]); err != nil {
-				return nil, nil, err
-			}
-		}
-	}
-	res, err := e.Result()
-	return res, qdelay, err
 }
 
 // durationPercentiles returns (p50, p99) of the samples.
@@ -527,11 +419,12 @@ func liveBound(w *os.File, in *igepa.Instance, order []int, served *shard.Result
 	return nil
 }
 
-// makeStream loads the JSONL arrival log, or generates the deterministic
-// synthetic stream (every user once, seeded order, exponential gaps).
-func makeStream(cfg config, numUsers int) ([]workload.Arrival, error) {
+// makeOrder reads the arrival order from the JSONL log, or takes it from
+// the deterministic synthetic stream (every user once, in a seeded order
+// that does not depend on the stream's rate).
+func makeOrder(cfg config, numUsers int) ([]int, error) {
 	if cfg.arrivals == "" {
-		return workload.SyntheticArrivals(cfg.seed, numUsers, cfg.rate), nil
+		return workload.ArrivalOrder(workload.SyntheticArrivals(cfg.seed, numUsers, 0)), nil
 	}
 	f, err := os.Open(cfg.arrivals)
 	if err != nil {
@@ -561,7 +454,7 @@ func makeStream(cfg config, numUsers int) ([]workload.Arrival, error) {
 			return nil, fmt.Errorf("arrival %d: user %d outside instance (|U| = %d)", i, a.User, numUsers)
 		}
 	}
-	return arr, nil
+	return workload.ArrivalOrder(arr), nil
 }
 
 func makeInstance(cfg config) (*igepa.Instance, error) {

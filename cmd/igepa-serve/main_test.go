@@ -53,17 +53,15 @@ func TestRunSmoke(t *testing.T) {
 
 func TestRunLeasePoliciesAndLiveBound(t *testing.T) {
 	null := devNull(t)
-	for _, lease := range []string{"demand", "lp"} {
-		cfg := config{
-			workload: "synthetic", events: 15, users: 90, seed: 2,
-			shards: []int{2, 4}, planner: "greedy", lease: lease, batch: 16,
-		}
-		if err := run(null, cfg); err != nil {
-			t.Fatalf("lease=%s: %v", lease, err)
-		}
+	cfg := config{
+		workload: "synthetic", events: 15, users: 90, seed: 2,
+		shards: []int{2, 4}, planner: "greedy", batch: 16,
+	}
+	if err := run(null, cfg); err != nil {
+		t.Fatal(err)
 	}
 	// the incremental live-bound path (warm Planner.Update per batch)
-	cfg := config{
+	cfg = config{
 		workload: "synthetic", events: 15, users: 90, seed: 3,
 		shards: []int{2}, planner: "greedy", batch: 16, liveBound: true,
 	}
@@ -123,60 +121,6 @@ func TestBadConfigRejected(t *testing.T) {
 	}
 	if err := run(null, config{workload: "synthetic", users: 10, events: 5, planner: "nope", shards: []int{1}}); err == nil {
 		t.Error("unknown planner accepted")
-	}
-	for _, lease := range []string{"nope", "even"} {
-		err := run(null, config{workload: "synthetic", users: 10, events: 5, planner: "greedy", lease: lease, shards: []int{1}})
-		if err == nil {
-			t.Errorf("lease policy %q accepted", lease)
-		} else if msg := err.Error(); !strings.Contains(msg, "demand") || !strings.Contains(msg, "lp") {
-			t.Errorf("lease policy %q: error %q does not name the policies", lease, msg)
-		}
-	}
-}
-
-// TestRunPaced runs the sweep with wall-clock pacing (at a very high
-// speed-up so the test stays fast).
-func TestRunPaced(t *testing.T) {
-	null := devNull(t)
-	cfg := config{
-		workload: "synthetic", events: 15, users: 80, seed: 4,
-		shards: []int{1, 2}, planner: "greedy", batch: 16,
-		pace: 1e6, rate: 2000,
-	}
-	if err := run(null, cfg); err != nil {
-		t.Fatal(err)
-	}
-}
-
-// TestServePacedMatchesServe pins the pacing contract: pacing changes when
-// batches dispatch, never what they decide.
-func TestServePacedMatchesServe(t *testing.T) {
-	cfg := config{workload: "synthetic", events: 15, users: 90, seed: 2}
-	in, err := makeInstance(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	stream := workload.SyntheticArrivals(7, in.NumUsers(), 5000)
-	order := workload.ArrivalOrder(stream)
-	opt := shard.Options{Shards: 4, Batch: 16, Seed: 2, CacheSize: 64}
-	want, err := shard.Serve(in, order, opt)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, qdelay, err := servePaced(in, stream, opt, 1e6)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !want.Arrangement.Equal(got.Arrangement) {
-		t.Fatal("paced replay decided differently from Serve")
-	}
-	if len(qdelay) != len(order) {
-		t.Fatalf("%d queueing-delay samples, want %d", len(qdelay), len(order))
-	}
-	for i, d := range qdelay {
-		if d < 0 {
-			t.Fatalf("negative queueing delay %v at arrival %d", d, i)
-		}
 	}
 }
 

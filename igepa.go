@@ -181,21 +181,19 @@ func OnlineThreshold(in *Instance, order []int, tau, guard float64) (*Arrangemen
 // by construction and bit-identical for every worker count.
 type (
 	// ShardOptions configures sharded serving (shard count, batch size,
-	// planner policy, lease policy, seed).
+	// planner policy, seed).
 	ShardOptions = shard.Options
 	// ShardResult carries the merged arrangement plus lease-protocol
 	// diagnostics.
 	ShardResult = shard.Result
 	// ShardPlannerKind selects the per-shard online policy.
 	ShardPlannerKind = shard.PlannerKind
-	// LeasePolicy selects the lease-renewal split rule.
-	LeasePolicy = shard.LeasePolicy
 	// ShardConfigError is the typed error ServeSharded returns on invalid
 	// configuration (S ≤ 0, nil instance, negative batch or cache size,
-	// unknown planner/lease kinds) instead of panicking.
+	// unknown planner kind) instead of panicking.
 	ShardConfigError = shard.ConfigError
 	// ShardLeaseError reports a lease-invariant violation detected at a
-	// renewal boundary (a lease-policy bug, surfaced instead of risking a
+	// renewal boundary (a renewer bug, surfaced instead of risking a
 	// double-booked seat).
 	ShardLeaseError = shard.LeaseError
 	// OnlineBudgetError is the typed error of the budget-owning online
@@ -213,13 +211,6 @@ type (
 const (
 	ShardPlannerGreedy    = shard.PlannerGreedy
 	ShardPlannerThreshold = shard.PlannerThreshold
-)
-
-// Lease-renewal policies: demand-aware proportional split (default) and the
-// warm-started LP split.
-const (
-	LeaseDemand = shard.LeaseDemand
-	LeaseLP     = shard.LeaseLP
 )
 
 // ServeSharded replays the arrival order across opt.Shards shards and

@@ -240,9 +240,9 @@ func New(in *model.Instance, cfg Config) (*Router, error) {
 func (rt *Router) ServeHTTP(w http.ResponseWriter, r *http.Request) { rt.mux.ServeHTTP(w, r) }
 
 // Close stops the dispatcher (replay mode) and the envelope senders,
-// releasing every parked submitter with a 503, waits out a renewal round in
-// flight and frees the coordinator. It does not touch the backends — they
-// are separate processes with their own lifecycles.
+// releasing every parked submitter with a 503, and waits out a renewal round
+// in flight. It does not touch the backends — they are separate processes
+// with their own lifecycles.
 func (rt *Router) Close() {
 	if !rt.closed.CompareAndSwap(false, true) {
 		return
@@ -261,11 +261,9 @@ func (rt *Router) Close() {
 			}
 		}
 	}
-	// A live renewal runs on its own goroutine under renewMu; closing the
-	// coordinator under that lock waits it out, and tryRenew sees closed
-	// before starting another.
+	// A live renewal runs on its own goroutine under renewMu; taking the
+	// lock waits it out, and tryRenew sees closed before starting another.
 	rt.renewMu.Lock()
-	rt.coord.Close()
 	rt.renewMu.Unlock()
 	for i := range rt.backends {
 		if tr, ok := rt.backends[i].client.Transport.(*http.Transport); ok {

@@ -57,7 +57,7 @@ type serverObs struct {
 	readyFlips                            *obs.Counter
 	replicaRecords                        *obs.Counter
 
-	lease, bound solverObs
+	bound        solverObs
 	boundRemain  *obs.Gauge
 	boundUpdates *obs.Counter
 	boundErrors  *obs.Counter
@@ -168,7 +168,6 @@ func newServerObs(srv *Server) *serverObs {
 		readyFlips:   reg.Counter("igepa_readiness_flips_total", "Follower readiness transitions (either direction)."),
 		replicaRecords: reg.Counter("igepa_replica_records_total",
 			"WAL records applied by the follower tailer."),
-		lease:        newSolverObs(reg, "lease"),
 		bound:        newSolverObs(reg, "bound"),
 		boundRemain:  reg.Gauge("igepa_lp_bound_remaining", "Latest remaining-opportunity LP bound."),
 		boundUpdates: reg.Counter("igepa_lp_bound_updates_total", "Live-bound planner re-solves."),
@@ -257,9 +256,8 @@ func (o *serverObs) mirrorEngine(eng *shard.Engine, replay bool) {
 	if replay {
 		o.epochs.Store(int64(eng.Epochs()))
 	}
-	st := eng.LPStats()
-	o.lease.mirror(st.Lease, st.LeaseTimers)
 	if eng.BoundEnabled() {
+		st := eng.LPStats()
 		o.bound.mirror(st.Bound, st.BoundTimers)
 		o.boundRemain.Set(st.BoundRemaining)
 		o.boundUpdates.Store(int64(st.BoundUpdates))

@@ -93,8 +93,8 @@ func requireMetric(t *testing.T, fams map[string]obs.Family, family, sample stri
 // cluster-batch server and pins the /metrics surface of each: valid
 // lintable exposition, every /statsz counter equal to the /metrics series
 // it is read from, and the decision histogram counting exactly the decided
-// arrivals. The live server also runs the LP lease policy, the live bound
-// and a WAL, whose instrumentation its own check pins.
+// arrivals. The live server also runs the live bound and a WAL, whose
+// instrumentation its own check pins.
 func TestMetricsExposition(t *testing.T) {
 	in := testInstance(t, 41, 66, 10)
 	modes := []struct {
@@ -108,7 +108,7 @@ func TestMetricsExposition(t *testing.T) {
 			start: func(t *testing.T) (*Server, *client) {
 				srv, _, c := startServer(t, in.Clone(), Config{
 					Shard: shard.Options{
-						Shards: 2, Batch: 8, Seed: 7, Lease: shard.LeaseLP, LiveBound: true,
+						Shards: 2, Batch: 8, Seed: 7, LiveBound: true,
 					},
 					WALPath: filepath.Join(t.TempDir(), "wal.log"),
 					WALSync: wal.SyncAlways,
@@ -261,12 +261,12 @@ func checkLiveMetrics(t *testing.T, fams map[string]obs.Family, st Stats) {
 		t.Errorf("igepa_wal_commit_seconds count = %v, want %d", n, st.Decided)
 	}
 
-	// LP solver counters, mirrored at renewal rounds: the LP lease policy
-	// must have cold-solved at least once, and the live bound re-solved.
-	if v := requireMetric(t, fams, "igepa_lp_cold_solves_total", "igepa_lp_cold_solves_total", map[string]string{"solver": "lease"}); v == 0 {
-		t.Error("lease LP never cold-solved under LeaseLP")
+	// LP solver counters, mirrored at renewal rounds: the live bound's
+	// solver must have cold-solved at least once and re-solved since.
+	if v := requireMetric(t, fams, "igepa_lp_cold_solves_total", "igepa_lp_cold_solves_total", map[string]string{"solver": "bound"}); v == 0 {
+		t.Error("bound LP never cold-solved with LiveBound on")
 	}
-	requireMetric(t, fams, "igepa_lp_phase_ns_total", "igepa_lp_phase_ns_total", map[string]string{"solver": "lease", "phase": "pricing"})
+	requireMetric(t, fams, "igepa_lp_phase_ns_total", "igepa_lp_phase_ns_total", map[string]string{"solver": "bound", "phase": "pricing"})
 	if v := requireMetric(t, fams, "igepa_lp_bound_updates_total", "igepa_lp_bound_updates_total", nil); v == 0 {
 		t.Error("live bound never updated with LiveBound on")
 	}
@@ -371,7 +371,7 @@ func (b *syncBuffer) String() string {
 // arrival traced) produces decisions bit-identical to a replay server with
 // all instrumentation off.
 func TestReplayBitIdenticalWithSlowlog(t *testing.T) {
-	opts := shard.Options{Shards: 4, Batch: 16, Seed: 7, Lease: shard.LeaseLP, LiveBound: true}
+	opts := shard.Options{Shards: 4, Batch: 16, Seed: 7, LiveBound: true}
 	base := testInstance(t, 23, 66, 10)
 	var slow syncBuffer
 
@@ -435,14 +435,13 @@ func TestArrivalPathAllocs(t *testing.T) {
 	}
 }
 
-// TestStatszLPReport pins satellite 2: the persistent solver counters and
-// phase timers reach /statsz for both the lease solver and the live-bound
-// shadow planner.
+// TestStatszLPReport pins the live-bound planner's solver counters and
+// phase timers on /statsz.
 func TestStatszLPReport(t *testing.T) {
 	in := testInstance(t, 13, 66, 10)
 	srv, _, c := startServer(t, in, Config{
 		Shard: shard.Options{
-			Shards: 2, Batch: 8, Seed: 3, Lease: shard.LeaseLP, LiveBound: true,
+			Shards: 2, Batch: 8, Seed: 3, LiveBound: true,
 		},
 	})
 	driveTraffic(t, c, 66, 10, false)
@@ -451,19 +450,13 @@ func TestStatszLPReport(t *testing.T) {
 	}
 	st := srv.Stats()
 	if st.LP == nil {
-		t.Fatal("statsz LP report missing")
-	}
-	if st.LP.Lease.ColdSolves == 0 {
-		t.Fatalf("lease solver report shows no solves: %+v", st.LP.Lease)
-	}
-	if st.LP.Bound == nil {
-		t.Fatal("live-bound solver report missing with LiveBound on")
+		t.Fatal("statsz LP report missing with LiveBound on")
 	}
 	if st.LP.Bound.ColdSolves == 0 {
 		t.Fatalf("bound solver report shows no solves: %+v", st.LP.Bound)
 	}
-	if st.LP.Lease.PricingNS == 0 && st.LP.Lease.FactorNS == 0 {
-		t.Fatalf("lease phase timers all zero: %+v", st.LP.Lease)
+	if st.LP.Bound.PricingNS == 0 && st.LP.Bound.FactorNS == 0 {
+		t.Fatalf("bound phase timers all zero: %+v", st.LP.Bound)
 	}
 
 	// The same counters appear on /statsz's JSON wire form.

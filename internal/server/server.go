@@ -72,7 +72,7 @@ const (
 // Config parameterizes New.
 type Config struct {
 	// Shard configures the underlying engine (shard count S, lease-renewal
-	// batch B, planner policy, lease policy, seed, workers).
+	// batch B, planner policy, seed, workers).
 	// Shard.RecordLatency is managed by the server.
 	Shard shard.Options
 	// Replay switches to the deterministic dispatcher: one global queue,
@@ -200,14 +200,10 @@ type Server struct {
 	// obs is the server's counter set, behind both /statsz and /metrics;
 	// slow is the -slowlog structured logger (nil unless Config.SlowLog >
 	// 0, and then a nil-safe no-op).
-	// qlimit is the resolved per-queue depth bound. lastLP holds the LP
-	// snapshot at the previous renewal point (guarded by renewMu in live
-	// mode; replay's single dispatcher goroutine owns it there) so a slow
-	// renewal can log per-phase deltas rather than lifetime totals.
+	// qlimit is the resolved per-queue depth bound.
 	obs    *serverObs
 	slow   *obs.SlowLog
 	qlimit int
-	lastLP shard.LPStats
 }
 
 // New validates the configuration, builds the engine and starts the
@@ -520,30 +516,12 @@ func (srv *Server) tryRenew() {
 		srv.eng.UpdateBound() // failures land in BoundStats.Errors
 	}
 	srv.obs.mirrorEngine(srv.eng, false)
-	var cur shard.LPStats
-	if srv.slow != nil {
-		cur = srv.eng.LPStats() // must be read under the shard locks
-	}
 	srv.unlockAll()
 	if err != nil {
 		srv.obs.leaseErrors.Inc()
 	}
-	renewDur := time.Since(r0)
-	if srv.slow.Slow(renewDur) {
-		// Phase deltas against the previous renewal point, so a slow round
-		// shows where *this* round's time went, not lifetime totals.
-		// lastLP is guarded by renewMu, which we still hold.
-		prev := srv.lastLP
-		srv.slow.Note("renew", len(pending), -1, renewDur, []obs.Span{
-			{Name: "pricing", D: cur.LeaseTimers.Pricing - prev.LeaseTimers.Pricing},
-			{Name: "ftran", D: cur.LeaseTimers.Ftran - prev.LeaseTimers.Ftran},
-			{Name: "btran", D: cur.LeaseTimers.Btran - prev.LeaseTimers.Btran},
-			{Name: "update", D: cur.LeaseTimers.Update - prev.LeaseTimers.Update},
-			{Name: "factor", D: cur.LeaseTimers.Factor - prev.LeaseTimers.Factor},
-		})
-	}
-	if srv.slow != nil {
-		srv.lastLP = cur
+	if renewDur := time.Since(r0); srv.slow.Slow(renewDur) {
+		srv.slow.Note("renew", len(pending), -1, renewDur, nil)
 	}
 }
 
@@ -1074,10 +1052,10 @@ type Stats struct {
 	// bound's cost is visible next to the serving tails.
 	Bound *BoundReport `json:"live_bound,omitempty"`
 
-	// LP reports the persistent simplex solvers behind lease renewal and
-	// the live bound: warm-start effectiveness (cold/warm/fast-finish
-	// splits, pivots, fallbacks), factorization churn and where the solve
-	// time goes per phase. The same numbers /metrics exports as
+	// LP reports the live bound's persistent simplex solver (nil unless
+	// shard.Options.LiveBound): warm-start effectiveness (cold/warm/fast-
+	// finish splits, pivots, fallbacks), factorization churn and where the
+	// solve time goes per phase. The same numbers /metrics exports as
 	// igepa_lp_* series.
 	LP *LPReport `json:"lp,omitempty"`
 
@@ -1160,12 +1138,10 @@ func solverReport(st lp.SolverStats, t lp.PhaseTimers) SolverReport {
 	}
 }
 
-// LPReport is the /statsz view of the persistent LP solvers (satellite of
-// the unified observability layer): the lease-renewal solver always, the
-// live-bound shadow planner when enabled.
+// LPReport is the /statsz view of the live-bound shadow planner's LP
+// solver, present only when the live bound is enabled.
 type LPReport struct {
-	Lease SolverReport  `json:"lease"`
-	Bound *SolverReport `json:"bound,omitempty"`
+	Bound SolverReport `json:"bound"`
 }
 
 // Stats assembles the admin snapshot (also served as /statsz).
@@ -1216,13 +1192,8 @@ func (srv *Server) Stats() Stats {
 		fs := srv.fol.stats()
 		st.Follower = &fs
 	}
-	lr := &LPReport{Lease: solverReport(lps.Lease, lps.LeaseTimers)}
 	if bs != nil {
-		b := solverReport(lps.Bound, lps.BoundTimers)
-		lr.Bound = &b
-	}
-	st.LP = lr
-	if bs != nil {
+		st.LP = &LPReport{Bound: solverReport(lps.Bound, lps.BoundTimers)}
 		ps := stats.DurationPercentiles(bs.UpdateLatencies, 0.50, 0.99)
 		st.Bound = &BoundReport{
 			RemainingLP: bs.Remaining,

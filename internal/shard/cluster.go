@@ -254,7 +254,6 @@ func (e *Engine) restoreOwnership(owned, disowned []int) {
 // SetLoads and TransferSeats.
 type Coordinator struct {
 	in       *model.Instance
-	opt      Options
 	s, nv    int
 	budgets  [][]int
 	planners []shardPlanner // loads only; arrive/release never called
@@ -275,29 +274,16 @@ func NewCoordinator(in *model.Instance, opt Options) (*Coordinator, error) {
 	if opt.Shards <= 0 {
 		return nil, &ConfigError{Field: "Shards", Reason: fmt.Sprintf("must be positive, got %d", opt.Shards)}
 	}
-	switch opt.Lease {
-	case LeaseDemand, LeaseLP:
-	default:
-		return nil, &ConfigError{Field: "Lease", Reason: fmt.Sprintf("unknown lease policy %v", opt.Lease)}
-	}
 	c := &Coordinator{
-		in: in, opt: opt, s: opt.Shards, nv: in.NumEvents(),
+		in: in, s: opt.Shards, nv: in.NumEvents(),
 		budgets:  initialBudgets(in, opt.Shards),
 		planners: make([]shardPlanner, opt.Shards),
 	}
 	for si := range c.planners {
 		c.planners[si] = shardPlanner{loads: make([]int, c.nv)}
 	}
-	c.renewer = newLeaseRenewer(in, c.budgets, c.planners, opt)
+	c.renewer = newLeaseRenewer(in, c.budgets, c.planners, opt.Seed)
 	return c, nil
-}
-
-// Close releases the renewer's LP solver state (LeaseLP only). Idempotent.
-func (c *Coordinator) Close() {
-	if c != nil {
-		c.renewer.close()
-		c.renewer = nil
-	}
 }
 
 // SetLoads installs shard si's reported per-event load vector — phase one of
@@ -325,9 +311,6 @@ func (c *Coordinator) SetLoads(si int, loads []int) error {
 // the lease invariant exactly as Engine.RenewLeases does. After Renew, each
 // Budget(si) is the absolute vector to install on shard si.
 func (c *Coordinator) Renew(next []int) (int, error) {
-	if c.renewer == nil {
-		return 0, &ConfigError{Field: "coordinator", Reason: "closed"}
-	}
 	moved := c.renewer.renew(c.renewals+1, next)
 	c.moved += moved
 	c.renewals++

@@ -78,7 +78,6 @@ func TestClusterMatchesServeSharded(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			defer coord.Close()
 			engines := make([]*Engine, s)
 			for si := range engines {
 				engines[si] = newClusterShard(t, in, opt, s, si)
@@ -316,7 +315,6 @@ func TestCoordinatorValidation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer coord.Close()
 
 	if err := coord.SetLoads(2, make([]int, in.NumEvents())); err == nil {
 		t.Fatal("SetLoads accepted an out-of-range shard")

@@ -28,7 +28,7 @@ func (e *ConfigError) Error() string {
 // LeaseError is the typed error returned when a renewal round leaves the
 // lease table over-committed (Σ_s budget[s][v] ≠ cv) — the invariant that
 // makes merged arrangements feasible by construction. It indicates a bug in
-// a lease policy, never a caller mistake, and the defensive check turns a
+// the lease renewer, never a caller mistake, and the defensive check turns a
 // would-be double-booked seat into a clean failure.
 type LeaseError struct {
 	Event            int
@@ -80,13 +80,9 @@ type Engine struct {
 	latencies               []time.Duration
 	batches                 [][]int // DispatchBatch partition scratch
 
-	// Engine-owned LP phase-timer sinks, one per persistent solver: the
-	// lease renewer's split LP and the live-bound planner's solver each
-	// need their own (PhaseTimers is not synchronized, and a renewal and a
-	// bound update may interleave under the caller's exclusion). Nil when
-	// the caller supplied Options.LP.Timers — then the caller owns phase
-	// profiling and LPStats reports zeros for the phases.
-	leaseTimers *lp.PhaseTimers
+	// boundTimers is the live-bound planner's engine-owned LP phase-timer
+	// sink. Nil when the caller supplied Options.LP.Timers — then the
+	// caller owns phase profiling and LPStats reports zeros for the phases.
 	boundTimers *lp.PhaseTimers
 
 	closed bool
@@ -116,11 +112,6 @@ func NewEngine(in *model.Instance, opt Options) (*Engine, error) {
 	case PlannerGreedy, PlannerThreshold:
 	default:
 		return nil, &ConfigError{Field: "Planner", Reason: fmt.Sprintf("unknown planner kind %v", opt.Planner)}
-	}
-	switch opt.Lease {
-	case LeaseDemand, LeaseLP:
-	default:
-		return nil, &ConfigError{Field: "Lease", Reason: fmt.Sprintf("unknown lease policy %v", opt.Lease)}
 	}
 	if opt.ClusterShards < 0 {
 		return nil, &ConfigError{Field: "ClusterShards", Reason: fmt.Sprintf("must be non-negative, got %d", opt.ClusterShards)}
@@ -202,25 +193,22 @@ func NewEngine(in *model.Instance, opt Options) (*Engine, error) {
 	if opt.RecordLatency {
 		e.latencies = make([]time.Duration, nu)
 	}
-	// Attach engine-owned phase timers unless the caller brought their own.
-	// The sinks are passive accumulators read back via LPStats — they do
-	// not alter pivoting, pricing or any other solver decision, so the
-	// engine's bit-identity contract is unchanged by profiling.
-	leaseOpt, boundOpt := opt, opt
-	if opt.LP.Timers == nil {
-		e.leaseTimers = &lp.PhaseTimers{}
-		e.boundTimers = &lp.PhaseTimers{}
-		leaseOpt.LP.Timers = e.leaseTimers
-		boundOpt.LP.Timers = e.boundTimers
-	}
 	if opt.LiveBound {
+		// Attach an engine-owned phase-timer sink unless the caller brought
+		// their own. It is a passive accumulator read back via LPStats: it
+		// alters no solver decision, so profiling keeps bit-identity.
+		boundOpt := opt
+		if opt.LP.Timers == nil {
+			e.boundTimers = &lp.PhaseTimers{}
+			boundOpt.LP.Timers = e.boundTimers
+		}
 		bt, err := newBoundTracker(in, s, boundOpt)
 		if err != nil {
 			return nil, err
 		}
 		e.bound = bt
 	}
-	e.renewer = newLeaseRenewer(in, budgets, e.planners, leaseOpt)
+	e.renewer = newLeaseRenewer(in, budgets, e.planners, opt.Seed)
 	return e, nil
 }
 
@@ -365,19 +353,13 @@ func (e *Engine) ShardUtility(si int) float64 { return e.shardUtil[si] }
 // ArrivalsOn returns the number of arrivals shard si has served.
 func (e *Engine) ArrivalsOn(si int) int { return e.arrivals[si] }
 
-// LPStats is an allocation-light snapshot of the engine's two persistent
-// LP solvers — the lease renewer's split LP and the live-bound planner's —
-// for the serving layer's /statsz and /metrics surfaces. Unlike BoundStats
-// it copies no trace slices, so mirroring it into metrics at every renewal
-// point costs a few struct copies.
+// LPStats is an allocation-light snapshot of the live-bound planner's LP
+// solver for the serving layer's /statsz and /metrics surfaces. Unlike
+// BoundStats it copies no trace slices, so mirroring it into metrics at
+// every renewal point costs a few struct copies. It is all zeros unless
+// Options.LiveBound.
 type LPStats struct {
-	// Lease is the split-LP solver's counters (zeros unless Lease ==
-	// LeaseLP has solved at least once).
-	Lease lp.SolverStats
-	// LeaseTimers is the accumulated per-phase time of the lease solver.
-	LeaseTimers lp.PhaseTimers
-	// Bound is the live-bound planner's solver counters (zeros unless
-	// Options.LiveBound).
+	// Bound is the live-bound planner's solver counters.
 	Bound lp.SolverStats
 	// BoundTimers is the accumulated per-phase time of the bound solver.
 	BoundTimers lp.PhaseTimers
@@ -387,14 +369,11 @@ type LPStats struct {
 	BoundRemaining float64
 }
 
-// LPStats snapshots both solvers. The caller must hold the same exclusion
-// RenewLeases requires (the serving layer reads it under its shard locks at
-// renewal points); the snapshot itself takes no engine locks.
+// LPStats snapshots the bound solver. The caller must hold the same
+// exclusion RenewLeases requires (the serving layer reads it under its shard
+// locks at renewal points); the snapshot itself takes no engine locks.
 func (e *Engine) LPStats() LPStats {
-	st := LPStats{Lease: e.renewer.solveStats()}
-	if e.leaseTimers != nil {
-		st.LeaseTimers = *e.leaseTimers
-	}
+	var st LPStats
 	if e.bound != nil {
 		st.Bound = e.bound.planner.Stats()
 		st.BoundUpdates = e.bound.updates
@@ -458,14 +437,12 @@ func (e *Engine) Result() (*Result, error) {
 		MovedSeats:    e.moved,
 		Arrivals:      append([]int(nil), e.arrivals...),
 		Latencies:     e.latencies,
-		LeaseSolves:   e.renewer.solveStats(),
 		Bound:         e.BoundStats(),
 	}
 	return res, nil
 }
 
-// Close releases the lease renewer's and bound planner's solver state to
-// the arena pool. It is idempotent and nil-receiver-safe, so recovery error
+// Close releases the bound planner's solver state to the arena pool. It is idempotent and nil-receiver-safe, so recovery error
 // paths can always `defer Close()` — a failed boot leaves a nil engine, and
 // an aborted warm boot may close an engine its owner will close again.
 func (e *Engine) Close() {
@@ -473,6 +450,5 @@ func (e *Engine) Close() {
 		return
 	}
 	e.closed = true
-	e.renewer.close()
 	e.bound.close()
 }

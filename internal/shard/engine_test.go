@@ -36,9 +36,6 @@ func TestConfigErrorsTyped(t *testing.T) {
 	if _, err := Serve(in, nil, Options{Shards: 2, Planner: PlannerKind(99)}); !errors.As(err, &ce) || ce.Field != "Planner" {
 		t.Errorf("unknown planner: err = %v, want *ConfigError on Planner", err)
 	}
-	if _, err := Serve(in, nil, Options{Shards: 2, Lease: LeasePolicy(42)}); !errors.As(err, &ce) || ce.Field != "Lease" {
-		t.Errorf("unknown lease: err = %v, want *ConfigError on Lease", err)
-	}
 	if (&ConfigError{Field: "f", Reason: "r"}).Error() == "" || (&LeaseError{Event: 1, Leased: 3, Capacity: 2}).Error() == "" {
 		t.Error("error strings empty")
 	}

@@ -24,27 +24,16 @@
 // no shard systematically collects the extra seats. Arrivals are processed
 // in batches of B; between batches the coordinator renews the leases:
 // every shard's unused seats return to the pool and the pool is re-split
-// according to the lease policy. Consumed seats stay with the shard that
+// along the next batch's demand. Consumed seats stay with the shard that
 // granted them, so renewal never invalidates a past grant. Renewal is what
 // keeps utility loss from capacity fragmentation bounded: a shard that
 // received seats its users never wanted holds them for at most one batch.
 //
-// # Lease policies
-//
-// The re-split rule is Options.Lease:
-//
-//   - LeaseDemand (default): each event's free pool is split in proportion
-//     to the shards' pending-bidder counts for the next batch — the
-//     coordinator knows the batch composition before dispatch, so seats go
-//     where bidders are about to arrive. Events nobody in the next batch
-//     bids on fall back to the even split, remainder rotated by (event,
-//     epoch).
-//   - LeaseLP: the coordinator solves a small transportation LP over
-//     (shard, event) seat grants — maximizing predicted next-batch value
-//     subject to the free pool, per-shard attendance caps and per-pair
-//     demand caps — on a persistent warm-started solver (lp.Solver): the
-//     LP's shape is fixed across renewals, so each round is a bounds+
-//     objective delta re-solved from the previous basis.
+// The re-split is proportional to demand: each event's free pool is split
+// in proportion to the shards' pending-bidder counts for the next batch —
+// the coordinator knows the batch composition before dispatch, so seats go
+// where bidders are about to arrive. Events nobody in the next batch bids
+// on fall back to the even split, remainder rotated by (event, epoch).
 //
 // # Determinism and merge
 //
@@ -109,45 +98,6 @@ func ParsePlannerKind(s string) (PlannerKind, error) {
 	}
 }
 
-// LeasePolicy selects how the coordinator re-splits each event's free seat
-// pool at renewal time.
-type LeasePolicy int
-
-const (
-	// LeaseDemand splits each pool in proportion to the shards' pending
-	// bidder counts for the next batch (largest-remainder rounding; even
-	// split for events with no pending demand). The default.
-	LeaseDemand LeasePolicy = iota
-	// LeaseLP solves a transportation LP over (shard, event) grants on a
-	// persistent warm-started solver and leases seats along its optimum.
-	LeaseLP
-)
-
-// String implements fmt.Stringer.
-func (l LeasePolicy) String() string {
-	switch l {
-	case LeaseDemand:
-		return "demand"
-	case LeaseLP:
-		return "lp"
-	default:
-		return fmt.Sprintf("LeasePolicy(%d)", int(l))
-	}
-}
-
-// ParseLeasePolicy parses the -lease flag values, the String names; ""
-// is LeaseDemand, the default.
-func ParseLeasePolicy(s string) (LeasePolicy, error) {
-	switch s {
-	case "", "demand":
-		return LeaseDemand, nil
-	case "lp":
-		return LeaseLP, nil
-	default:
-		return 0, fmt.Errorf("unknown lease policy %q (want demand or lp)", s)
-	}
-}
-
 // Options configures Serve.
 type Options struct {
 	// Shards is S, the number of independent serving shards. It must be
@@ -168,8 +118,6 @@ type Options struct {
 	// MaxSetsPerUser caps per-user admissible-set enumeration
 	// (0 = package default).
 	MaxSetsPerUser int
-	// Lease selects the renewal policy (default LeaseDemand).
-	Lease LeasePolicy
 	// RecordLatency, when set, measures each arrival's decision latency and
 	// returns the samples in Result.Latencies. Timing adds a clock read per
 	// arrival and has no effect on decisions.
@@ -200,20 +148,10 @@ type Options struct {
 	// Result.Bound and behind Engine.BoundStats. Costs one warm
 	// LP re-solve plus a delta-scoped re-round per batch.
 	LiveBound bool
-	// LP configures the LP solvers this engine creates, the LeaseLP split
-	// solver and the LiveBound planner's: its worker bound, which defaults
-	// to Workers, and its phase-timer sink. A negative LP.Workers surfaces
-	// as *lp.OptionError from the first solve.
+	// LP configures the LiveBound planner's LP solver: its worker bound,
+	// which defaults to Workers, and its phase-timer sink. A negative
+	// LP.Workers surfaces as *lp.OptionError from the first solve.
 	LP lp.Revised
-}
-
-// lpConfig is LP with Workers as its worker bound's default.
-func (o *Options) lpConfig() lp.Revised {
-	cfg := o.LP
-	if cfg.Workers == 0 {
-		cfg.Workers = o.Workers
-	}
-	return cfg
 }
 
 // Result carries the merged arrangement plus the serving diagnostics.
@@ -237,9 +175,6 @@ type Result struct {
 	// Latencies[u] is user u's decision latency (only when
 	// Options.RecordLatency; zero for users absent from the order).
 	Latencies []time.Duration
-	// LeaseSolves counts warm/cold LP solves of the lease-split LP
-	// (LeaseLP only).
-	LeaseSolves lp.SolverStats
 	// Bound is the live LP-bound tracker's outcome (nil unless
 	// Options.LiveBound).
 	Bound *BoundStats
@@ -312,101 +247,54 @@ func Serve(in *model.Instance, order []int, opt Options) (*Result, error) {
 	return e.Result()
 }
 
-// leaseRenewer drives the between-batch renewal rounds for one Serve call.
-// It carries the policy-specific state: the pending-demand tallies for
-// LeaseDemand, plus the persistent warm-started split LP for LeaseLP.
+// leaseRenewer drives the between-batch renewal rounds for one Serve call
+// (or one cluster Coordinator): it tallies the next batch's pending bidders
+// per (shard, event) and re-splits every event's free pool along them.
 type leaseRenewer struct {
 	in       *model.Instance
 	budgets  [][]int
 	planners []shardPlanner
-	opt      Options
+	seed     int64
 	s, nv    int
 
-	newRem []int // per-shard scratch, reused every event
-
-	// demand tallies for the next batch (LeaseDemand, LeaseLP)
-	demand    []int     // [s*nv+v]: pending bidders of shard s for event v
-	value     []float64 // [s*nv+v]: summed pair weight of those bidders
-	attCap    []int     // [s]: summed user capacity of the shard's next batch
-	fracOrder []int     // largest-remainder scratch
+	newRem    []int // per-shard scratch, reused every event
+	demand    []int // [s*nv+v]: pending bidders of shard s for event v
+	fracOrder []int // largest-remainder scratch
 	frac      []float64
-
-	// LeaseLP state
-	solver  *lp.Solver
-	lpReady bool
-	delta   lp.ProblemDelta
-	pool    []int // per-event free seats, reused every renewal
 }
 
-func newLeaseRenewer(in *model.Instance, budgets [][]int, planners []shardPlanner, opt Options) *leaseRenewer {
+func newLeaseRenewer(in *model.Instance, budgets [][]int, planners []shardPlanner, seed int64) *leaseRenewer {
 	s := len(budgets)
 	r := &leaseRenewer{
-		in: in, budgets: budgets, planners: planners, opt: opt,
+		in: in, budgets: budgets, planners: planners, seed: seed,
 		s: s, nv: in.NumEvents(),
 		newRem: make([]int, s),
 	}
 	if s > 1 {
 		r.demand = make([]int, s*r.nv)
-		r.value = make([]float64, s*r.nv)
-		r.attCap = make([]int, s)
 		r.fracOrder = make([]int, s)
 		r.frac = make([]float64, s)
 	}
 	return r
 }
 
-// close releases the split LP's solver state to the arena pool.
-func (r *leaseRenewer) close() {
-	if r != nil && r.solver != nil {
-		r.solver.Release()
-	}
-}
-
-// solveStats reports the split LP's warm/cold counters (zero unless LeaseLP
-// ran).
-func (r *leaseRenewer) solveStats() lp.SolverStats {
-	if r.solver == nil {
-		return lp.SolverStats{}
-	}
-	return r.solver.Stats()
-}
-
 // renew performs one renewal round before the next batch (whose arrivals are
 // given) and returns the number of seats that changed owner.
 func (r *leaseRenewer) renew(epoch int, next []int) int {
-	switch r.opt.Lease {
-	case LeaseLP:
-		r.tallyDemand(next)
-		if moved, ok := r.renewLP(epoch); ok {
-			return moved
-		}
-		// LP unavailable (numerical failure): demand split is the safety net.
-		return r.renewDemand(epoch)
-	default: // LeaseDemand
-		r.tallyDemand(next)
-		return r.renewDemand(epoch)
-	}
+	r.tallyDemand(next)
+	return r.renewDemand(epoch)
 }
 
-// tallyDemand recomputes the per-(shard, event) pending-bidder counts,
-// pending pair values and per-shard attendance caps from the next batch.
+// tallyDemand recomputes the per-(shard, event) pending-bidder counts from
+// the next batch.
 func (r *leaseRenewer) tallyDemand(next []int) {
 	for i := range r.demand {
 		r.demand[i] = 0
-		r.value[i] = 0
 	}
-	for i := range r.attCap {
-		r.attCap[i] = 0
-	}
-	wc := r.in.Weights()
 	for _, u := range next {
-		si := ShardOf(r.opt.Seed, u, r.s)
-		usr := &r.in.Users[u]
-		r.attCap[si] += min(usr.Capacity, len(usr.Bids))
-		row := wc.Row(u)
-		for i, v := range usr.Bids {
+		si := ShardOf(r.seed, u, r.s)
+		for _, v := range r.in.Users[u].Bids {
 			r.demand[si*r.nv+v]++
-			r.value[si*r.nv+v] += row[i]
 		}
 	}
 }
@@ -465,7 +353,7 @@ func (r *leaseRenewer) applyEvent(v int) int {
 }
 
 // evenSplit fills newRem with pool seats split evenly across the shards,
-// the remainder rotated by offset so extra seats circulate — LeaseDemand's
+// the remainder rotated by offset so extra seats circulate — renewDemand's
 // fallback for an event with no pending demand.
 func evenSplit(newRem []int, pool, offset int) {
 	s := len(newRem)
@@ -491,138 +379,4 @@ func sortByFracDesc(idx []int, frac []float64) {
 		}
 		idx[j+1] = x
 	}
-}
-
-// --- LP lease policy ------------------------------------------------------
-//
-// The split LP has one variable y_{s,v} per (shard, event) — the seats
-// leased to shard s for event v in the next epoch — and maximizes the
-// predicted value of the next batch:
-//
-//	max  Σ c_{s,v}·y_{s,v}
-//	s.t. Σ_s y_{s,v}         ≤ pool_v        (event rows: the free pool)
-//	     Σ_v y_{s,v}         ≤ attCap_s      (shard rows: attendance caps)
-//	     y_{s,v}             ≤ demand_{s,v}  (pair rows: pending bidders)
-//
-// with c_{s,v} the mean pending pair weight. The shape (rows, columns,
-// nonzeros) is identical at every renewal — only bounds and objective move —
-// so after the first cold solve every round is a ProblemDelta re-solved warm
-// from the previous basis: exactly the regime lp.Solver.Resolve exists for.
-// Leftover pool seats (demand below supply) are parked by the even rotation
-// so Σ_s budget = cv stays exact.
-
-// lpRow layout: event rows [0,nv), shard rows [nv,nv+s), pair rows
-// [nv+s, nv+s+s*nv) in (shard-major, event-minor) order — matching the
-// column order y_{0,0..nv-1}, y_{1,·}, ...
-
-// buildSplitLP assembles the first epoch's problem.
-func (r *leaseRenewer) buildSplitLP(pool []int) *lp.Problem {
-	s, nv := r.s, r.nv
-	m := nv + s + s*nv
-	p := &lp.Problem{NumRows: m, B: make([]float64, m)}
-	for v := 0; v < nv; v++ {
-		p.B[v] = float64(pool[v])
-	}
-	for si := 0; si < s; si++ {
-		p.B[nv+si] = float64(r.attCap[si])
-	}
-	for i, d := range r.demand {
-		p.B[nv+s+i] = float64(d)
-	}
-	p.Reserve(s*nv, 3*s*nv)
-	for si := 0; si < s; si++ {
-		for v := 0; v < nv; v++ {
-			i := si*nv + v
-			c := 0.0
-			if r.demand[i] > 0 {
-				c = r.value[i] / float64(r.demand[i])
-			}
-			p.AddColumn(c, []int{v, nv + si, nv + s + i})
-		}
-	}
-	return p
-}
-
-// renewLP computes the demand-optimal split by (re-)solving the split LP
-// warm and rounding its optimum per event with the largest-remainder rule.
-// Returns ok=false when the solve fails; the caller falls back to the
-// proportional split.
-func (r *leaseRenewer) renewLP(epoch int) (int, bool) {
-	s, nv := r.s, r.nv
-	if r.pool == nil {
-		r.pool = make([]int, nv)
-	}
-	pool := r.pool
-	for v := 0; v < nv; v++ {
-		used := 0
-		for si := 0; si < s; si++ {
-			used += r.planners[si].loads[v]
-		}
-		pool[v] = r.in.Events[v].Capacity - used
-	}
-
-	var sol *lp.Solution
-	var err error
-	if !r.lpReady {
-		if r.solver == nil {
-			r.solver = lp.NewSolver(r.opt.lpConfig())
-		}
-		sol, err = r.solver.Solve(r.buildSplitLP(pool))
-		if err == nil {
-			r.lpReady = true
-		}
-	} else {
-		d := &r.delta
-		d.SetB = d.SetB[:0]
-		d.SetC = d.SetC[:0]
-		for v := 0; v < nv; v++ {
-			d.SetB = append(d.SetB, lp.BoundChange{Row: v, B: float64(pool[v])})
-		}
-		for si := 0; si < s; si++ {
-			d.SetB = append(d.SetB, lp.BoundChange{Row: nv + si, B: float64(r.attCap[si])})
-		}
-		for i, dem := range r.demand {
-			d.SetB = append(d.SetB, lp.BoundChange{Row: nv + s + i, B: float64(dem)})
-			c := 0.0
-			if dem > 0 {
-				c = r.value[i] / float64(dem)
-			}
-			d.SetC = append(d.SetC, lp.ObjChange{Col: i, C: c})
-		}
-		sol, err = r.solver.Resolve(*d)
-	}
-	if err != nil {
-		r.lpReady = false
-		return 0, false
-	}
-
-	moved := 0
-	for v := 0; v < nv; v++ {
-		given := 0
-		for si := 0; si < s; si++ {
-			y := sol.X[si*nv+v]
-			share := int(y + 1e-6) // y is ≥ 0 up to solver round-off
-			if share > pool[v]-given {
-				share = pool[v] - given
-			}
-			r.newRem[si] = share
-			r.frac[si] = y - float64(share)
-			r.fracOrder[si] = si
-			given += share
-		}
-		if given < pool[v] {
-			// leftover (demand below supply, or fractional optimum): top up
-			// by fractional part, then rotate the rest evenly
-			sortByFracDesc(r.fracOrder, r.frac)
-			left := pool[v] - given
-			for k := 0; k < min(left, s); k++ {
-				r.newRem[r.fracOrder[k]]++
-			}
-			for k := s; k < left; k++ {
-				r.newRem[(v+epoch+k)%s]++
-			}
-		}
-		moved += r.applyEvent(v)
-	}
-	return moved, true
 }

@@ -6,7 +6,6 @@ import (
 	"hash/fnv"
 	"math"
 	"runtime"
-	"strings"
 	"testing"
 
 	"github.com/ebsn/igepa/internal/core"
@@ -33,33 +32,17 @@ func arrivalOrder(seed int64, nu int) []int {
 	return xrand.New(seed).Perm(nu)
 }
 
-// TestParsePolicyNames pins the flag parsers against the String names: every
-// kind and policy round-trips, "" is the default lease, anything else errs.
+// TestParsePolicyNames pins the -planner flag parser against the String
+// names: every kind round-trips, anything else errs.
 func TestParsePolicyNames(t *testing.T) {
 	for _, k := range []PlannerKind{PlannerGreedy, PlannerThreshold} {
 		if got, err := ParsePlannerKind(k.String()); err != nil || got != k {
 			t.Errorf("ParsePlannerKind(%q) = %v, %v", k.String(), got, err)
 		}
 	}
-	for _, l := range []LeasePolicy{LeaseDemand, LeaseLP} {
-		if got, err := ParseLeasePolicy(l.String()); err != nil || got != l {
-			t.Errorf("ParseLeasePolicy(%q) = %v, %v", l.String(), got, err)
-		}
-	}
-	if got, err := ParseLeasePolicy(""); err != nil || got != LeaseDemand {
-		t.Errorf(`ParseLeasePolicy("") = %v, %v, want demand`, got, err)
-	}
 	for _, bad := range []string{"", "nope", "Greedy", "PlannerKind(7)"} {
 		if _, err := ParsePlannerKind(bad); err == nil {
 			t.Errorf("ParsePlannerKind(%q) accepted", bad)
-		}
-	}
-	for _, bad := range []string{"nope", "LP", "LeasePolicy(9)", "even"} {
-		_, err := ParseLeasePolicy(bad)
-		if err == nil {
-			t.Errorf("ParseLeasePolicy(%q) accepted", bad)
-		} else if msg := err.Error(); !strings.Contains(msg, "demand") || !strings.Contains(msg, "lp") {
-			t.Errorf("ParseLeasePolicy(%q) error %q does not name the policies", bad, msg)
 		}
 	}
 }
@@ -192,40 +175,34 @@ func TestUtilityDegradesGracefully(t *testing.T) {
 }
 
 // TestLeasePoliciesFeasibleAndDeterministic extends the acceptance suite to
-// every lease policy: feasibility through the shared oracle, bit-identical
-// results across worker counts and reruns.
+// a second instance under the demand renewer: feasibility through the shared
+// oracle, bit-identical results across worker counts.
 func TestLeasePoliciesFeasibleAndDeterministic(t *testing.T) {
 	in := testInstance(t, 29, 200, 30)
 	order := arrivalOrder(5, in.NumUsers())
-	for _, pol := range []LeasePolicy{LeaseDemand, LeaseLP} {
-		for _, s := range []int{2, 8} {
-			label := fmt.Sprintf("%v/S=%d", pol, s)
-			opt := Options{Shards: s, Batch: 32, Seed: 42, Lease: pol, Workers: 1}
-			base, err := Serve(in, order, opt)
+	for _, s := range []int{2, 8} {
+		label := fmt.Sprintf("S=%d", s)
+		opt := Options{Shards: s, Batch: 32, Seed: 42, Workers: 1}
+		base, err := Serve(in, order, opt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		modeltest.RequireFeasible(t, label, in, base.Arrangement)
+		for _, workers := range []int{3, 0} {
+			opt.Workers = workers
+			got, err := Serve(in, order, opt)
 			if err != nil {
 				t.Fatal(err)
 			}
-			modeltest.RequireFeasible(t, label, in, base.Arrangement)
-			if pol == LeaseLP && base.LeaseSolves.WarmSolves == 0 {
-				t.Errorf("%s: lease LP never warm-solved: %+v", label, base.LeaseSolves)
-			}
-			for _, workers := range []int{3, 0} {
-				opt.Workers = workers
-				got, err := Serve(in, order, opt)
-				if err != nil {
-					t.Fatal(err)
-				}
-				modeltest.RequireEqual(t, fmt.Sprintf("%s workers=%d", label, workers), base.Arrangement, got.Arrangement)
-			}
+			modeltest.RequireEqual(t, fmt.Sprintf("%s workers=%d", label, workers), base.Arrangement, got.Arrangement)
 		}
 	}
 }
 
 // TestDemandLeaseClosesUtilityGap pins the headline of the demand-aware
 // renewal: on the mid-size synthetic workload where the even split lost
-// ≈10% of single-shard utility at S=8, the demand and LP policies must stay
-// within 3% (measured: demand ≈0.9995, LP ≈1.047 — the LP split can beat
-// the single planner by steering seats toward upcoming high-value bidders).
+// ≈10% of single-shard utility at S=8, the demand split must stay within 3%
+// (measured ≈0.9995).
 func TestDemandLeaseClosesUtilityGap(t *testing.T) {
 	in := testInstance(t, 13, 300, 40)
 	order := arrivalOrder(9, in.NumUsers())
@@ -233,17 +210,14 @@ func TestDemandLeaseClosesUtilityGap(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, pol := range []LeasePolicy{LeaseDemand, LeaseLP} {
-		res, err := Serve(in, order, Options{Shards: 8, Batch: 32, Lease: pol})
-		if err != nil {
-			t.Fatal(err)
-		}
-		ratio := res.Utility / single.Utility
-		t.Logf("S=8 %v: %.4f of single shard (moved %d seats, lease solves %+v)",
-			pol, ratio, res.MovedSeats, res.LeaseSolves)
-		if ratio < 0.97 {
-			t.Errorf("S=8 %v: utility %.4f of single shard, want ≥ 0.97", pol, ratio)
-		}
+	res, err := Serve(in, order, Options{Shards: 8, Batch: 32})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ratio := res.Utility / single.Utility
+	t.Logf("S=8: %.4f of single shard (moved %d seats)", ratio, res.MovedSeats)
+	if ratio < 0.97 {
+		t.Errorf("S=8: utility %.4f of single shard, want ≥ 0.97", ratio)
 	}
 }
 
@@ -281,64 +255,54 @@ func TestRecordLatency(t *testing.T) {
 	}
 }
 
-func TestLeasePolicyString(t *testing.T) {
-	if LeaseDemand.String() != "demand" || LeaseLP.String() != "lp" ||
-		LeasePolicy(9).String() == "" {
-		t.Error("LeasePolicy.String broken")
-	}
-}
-
-// TestRenewPoliciesInvariant extends the renewal white-box to the demand and
-// LP policies: whatever the split rule, renewal must restore
-// Σ_s budget[s][v] = cv exactly and never revoke a consumed seat.
+// TestRenewPoliciesInvariant is the renewal white-box: from random lease
+// tables and loads, renewal must restore Σ_s budget[s][v] = cv exactly and
+// never revoke a consumed seat.
 func TestRenewPoliciesInvariant(t *testing.T) {
 	in := testInstance(t, 37, 120, 15)
 	rng := xrand.New(2)
 	const s = 4
-	for _, pol := range []LeasePolicy{LeaseDemand, LeaseLP} {
-		for trial := 0; trial < 20; trial++ {
-			budgets := make([][]int, s)
-			planners := make([]shardPlanner, s)
+	for trial := 0; trial < 20; trial++ {
+		budgets := make([][]int, s)
+		planners := make([]shardPlanner, s)
+		for si := 0; si < s; si++ {
+			budgets[si] = make([]int, in.NumEvents())
+			planners[si] = shardPlanner{loads: make([]int, in.NumEvents())}
+		}
+		for v := 0; v < in.NumEvents(); v++ {
+			cv := in.Events[v].Capacity
+			for k := 0; k < cv; k++ {
+				budgets[rng.Intn(s)][v]++
+			}
 			for si := 0; si < s; si++ {
-				budgets[si] = make([]int, in.NumEvents())
-				planners[si] = shardPlanner{loads: make([]int, in.NumEvents())}
-			}
-			for v := 0; v < in.NumEvents(); v++ {
-				cv := in.Events[v].Capacity
-				for k := 0; k < cv; k++ {
-					budgets[rng.Intn(s)][v]++
-				}
-				for si := 0; si < s; si++ {
-					if budgets[si][v] > 0 {
-						planners[si].loads[v] = rng.Intn(budgets[si][v] + 1)
-					}
+				if budgets[si][v] > 0 {
+					planners[si].loads[v] = rng.Intn(budgets[si][v] + 1)
 				}
 			}
-			var next []int
-			for u := 0; u < in.NumUsers(); u++ {
-				if rng.Bool(0.3) {
-					next = append(next, u)
-				}
+		}
+		var next []int
+		for u := 0; u < in.NumUsers(); u++ {
+			if rng.Bool(0.3) {
+				next = append(next, u)
 			}
-			r := newLeaseRenewer(in, budgets, planners, Options{Shards: s, Lease: pol, Seed: 7})
-			moved := r.renew(trial+1, next)
-			r.close()
-			if moved < 0 {
-				t.Fatalf("%v trial %d: negative moved-seat count %d", pol, trial, moved)
+		}
+		r := newLeaseRenewer(in, budgets, planners, 7)
+		moved := r.renew(trial+1, next)
+		if moved < 0 {
+			t.Fatalf("trial %d: negative moved-seat count %d", trial, moved)
+		}
+		for v := 0; v < in.NumEvents(); v++ {
+			sum := 0
+			for si := 0; si < s; si++ {
+				if budgets[si][v] < planners[si].loads[v] {
+					t.Fatalf("trial %d: shard %d event %d: budget %d below load %d",
+						trial, si, v, budgets[si][v], planners[si].loads[v])
+				}
+				sum += budgets[si][v]
 			}
-			for v := 0; v < in.NumEvents(); v++ {
-				sum := 0
-				for si := 0; si < s; si++ {
-					if budgets[si][v] < planners[si].loads[v] {
-						t.Fatalf("%v trial %d: shard %d event %d: budget %d below load %d",
-							pol, trial, si, v, budgets[si][v], planners[si].loads[v])
-					}
-					sum += budgets[si][v]
-				}
-				if sum != in.Events[v].Capacity {
-					t.Fatalf("%v trial %d: event %d leases sum to %d, capacity %d",
-						pol, trial, v, sum, in.Events[v].Capacity)
-				}
+			if sum != in.Events[v].Capacity {
+				t.Fatalf("trial %d: event %d leases sum to %d, capacity %d",
+					trial, v, sum, in.Events[v].Capacity)
 			}
 		}
 	}
@@ -412,33 +376,6 @@ func TestZeroCapacityEventsNeverAssigned(t *testing.T) {
 				t.Errorf("S=%d: zero-capacity event %d has %d attendees", s, v, load[v])
 			}
 		}
-	}
-}
-
-// TestLeaseLPPinned pins, absolutely, a LeaseLP replay: the split LP is
-// cold-solved once and re-solved warm at every renewal, so the utility's
-// bits, the renewal count and the moved seats fix its whole solve chain.
-// amd64 only.
-func TestLeaseLPPinned(t *testing.T) {
-	if runtime.GOARCH != "amd64" {
-		t.Skipf("lease-LP bits are pinned on amd64, not %s", runtime.GOARCH)
-	}
-	in := testInstance(t, 29, 200, 30)
-	res, err := Serve(in, arrivalOrder(5, in.NumUsers()), Options{Shards: 4, Batch: 16, Seed: 7, Lease: LeaseLP, Workers: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	const (
-		wantUtility  = 0x40522e879b99c8ef
-		wantRenewals = 12
-		wantMoved    = 127
-		wantWarm     = 11
-	)
-	if u := math.Float64bits(res.Utility); u != wantUtility || res.LeaseRenewals != wantRenewals ||
-		res.MovedSeats != wantMoved || res.LeaseSolves.WarmSolves != wantWarm {
-		t.Errorf("lease LP replay moved: got utility=%#x renewals=%d moved=%d warm=%d, want %#x/%d/%d/%d",
-			u, res.LeaseRenewals, res.MovedSeats, res.LeaseSolves.WarmSolves,
-			uint64(wantUtility), wantRenewals, wantMoved, wantWarm)
 	}
 }
 
