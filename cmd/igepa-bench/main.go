@@ -11,12 +11,14 @@
 //	igepa-bench -exp ratio
 //
 // Results print as aligned text tables (one series per algorithm — the same
-// series the paper plots); -csv additionally writes machine-readable files.
+// series the paper plots); -csv additionally writes one machine-readable
+// file per experiment, ratio.csv included. REPRODUCTION.md records one run.
 package main
 
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"runtime"
@@ -83,7 +85,7 @@ func run(exp string, reps int, seed int64, csvDir string, par int, quiet, chart 
 			fmt.Println()
 		}
 		if id == "ratio" {
-			if err := runRatio(seed, quiet); err != nil {
+			if err := runRatio(seed, csvDir, quiet); err != nil {
 				return err
 			}
 			continue
@@ -119,32 +121,49 @@ func runExperiment(id string, reps int, seed int64, csvDir string, par int, quie
 		}
 	}
 	fmt.Printf("(%s completed in %v)\n", id, time.Since(start).Round(time.Second))
-	if csvDir != "" {
-		if err := os.MkdirAll(csvDir, 0o755); err != nil {
-			return err
-		}
-		path := filepath.Join(csvDir, id+".csv")
-		f, err := os.Create(path)
-		if err != nil {
-			return err
-		}
-		defer f.Close()
-		if err := eval.RenderCSV(f, table); err != nil {
-			return err
-		}
-		fmt.Printf("CSV written to %s\n", path)
+	if csvDir == "" {
+		return nil
 	}
-	return nil
+	return writeCSV(csvDir, id, func(w io.Writer) error { return eval.RenderCSV(w, table) })
 }
 
-func runRatio(seed int64, quiet bool) error {
+func runRatio(seed int64, csvDir string, quiet bool) error {
 	var progress *os.File
 	if !quiet {
 		progress = os.Stderr
 	}
+	start := time.Now()
 	res, err := eval.RunRatio(eval.RatioConfig{Seed: seed}, progress)
 	if err != nil {
 		return err
 	}
-	return eval.RenderRatioText(os.Stdout, res)
+	if err := eval.RenderRatioText(os.Stdout, res); err != nil {
+		return err
+	}
+	fmt.Printf("(ratio completed in %v)\n", time.Since(start).Round(time.Second))
+	if csvDir == "" {
+		return nil
+	}
+	return writeCSV(csvDir, "ratio", func(w io.Writer) error { return eval.RenderRatioCSV(w, res) })
+}
+
+// writeCSV renders one experiment's CSV into dir/id.csv.
+func writeCSV(dir, id string, render func(io.Writer) error) error {
+	if err := os.MkdirAll(dir, 0o755); err != nil {
+		return err
+	}
+	path := filepath.Join(dir, id+".csv")
+	f, err := os.Create(path)
+	if err != nil {
+		return err
+	}
+	if err := render(f); err != nil {
+		f.Close()
+		return err
+	}
+	if err := f.Close(); err != nil {
+		return err
+	}
+	fmt.Printf("CSV written to %s\n", path)
+	return nil
 }

@@ -175,6 +175,24 @@ func TestRenderTextAndCSV(t *testing.T) {
 	}
 }
 
+// TestRenderRatioCSV pins the ratio CSV's shape: a header, one row per
+// instance and the aggregate row last.
+func TestRenderRatioCSV(t *testing.T) {
+	res := &RatioResult{Alpha: 0.5, PerInst: []float64{0.5, 0.75}, WorstCase: 0.5, LPGapMax: 1}
+	res.Aggregate.N, res.Aggregate.Mean, res.Aggregate.Std = 2, 0.625, 0.125
+	var buf bytes.Buffer
+	if err := RenderRatioCSV(&buf, res); err != nil {
+		t.Fatal(err)
+	}
+	want := "experiment,instance,alpha,ratio,std,min,n,opt_over_lp_max\n" +
+		"ratio,0,0.5,0.500000,0,0.500000,1,\n" +
+		"ratio,1,0.5,0.750000,0,0.750000,1,\n" +
+		"ratio,all,0.5,0.625000,0.125000,0.500000,2,1.000000\n"
+	if got := buf.String(); got != want {
+		t.Errorf("ratio CSV:\n%s\nwant:\n%s", got, want)
+	}
+}
+
 func TestCSVEscape(t *testing.T) {
 	if got := csvEscape(`a,b`); got != `"a,b"` {
 		t.Errorf("csvEscape = %q", got)

@@ -94,3 +94,21 @@ func RenderRatioText(w io.Writer, r *RatioResult) error {
 		r.Alpha, r.Aggregate.N, r.Aggregate.Mean, r.Aggregate.Std, r.WorstCase, r.LPGapMax)
 	return err
 }
+
+// RenderRatioCSV writes the approximation-ratio experiment as CSV: one row
+// per non-degenerate instance (its E[ALG]/OPT, in generation order), then an
+// "all" row with the aggregate's mean, std, minimum and count and the
+// largest OPT/LP ratio observed.
+func RenderRatioCSV(w io.Writer, r *RatioResult) error {
+	if _, err := fmt.Fprintf(w, "experiment,instance,alpha,ratio,std,min,n,opt_over_lp_max\n"); err != nil {
+		return err
+	}
+	for i, x := range r.PerInst {
+		if _, err := fmt.Fprintf(w, "ratio,%d,%g,%.6f,0,%.6f,1,\n", i, r.Alpha, x, x); err != nil {
+			return err
+		}
+	}
+	_, err := fmt.Fprintf(w, "ratio,all,%g,%.6f,%.6f,%.6f,%d,%.6f\n",
+		r.Alpha, r.Aggregate.Mean, r.Aggregate.Std, r.WorstCase, r.Aggregate.N, r.LPGapMax)
+	return err
+}
