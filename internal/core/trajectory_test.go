@@ -78,6 +78,93 @@ func TestPlanTallDevexTrajectoryPinned(t *testing.T) {
 	}
 }
 
+// TestPlanTallDantzigTrajectoryPinned pins, absolutely, the cold default
+// solve of plan_tall's Dantzig-class LP: the benchmark's 2400-user, 200-event
+// instance (m = 2600, below lp.DevexRowThreshold, so auto pricing is partial
+// Dantzig). The pivot count, the objective's bits and the X/Y hash must not
+// move. amd64 only.
+func TestPlanTallDantzigTrajectoryPinned(t *testing.T) {
+	if runtime.GOARCH != "amd64" {
+		t.Skipf("trajectory bits are pinned on amd64, not %s", runtime.GOARCH)
+	}
+	in := tallDantzigInstance(t)
+	sets, _ := enumerateAll(in, conflict.FromFunc(in.NumEvents(), in.Conflicts), 0, 0)
+	prob, _ := BuildBenchmarkLP(in, sets)
+	sol, err := lp.SolveConfig(prob, lp.Revised{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	const (
+		wantIters = 3186
+		wantObj   = 0x40a614542690047b
+		wantHash  = 0x831bc55a8fe0d9f7
+	)
+	if obj, h := math.Float64bits(sol.Objective), solutionHash(sol, nil); sol.Iterations != wantIters || obj != wantObj || h != wantHash {
+		t.Errorf("trajectory moved: got iters=%d obj=%#x hash=%#x, want iters=%d obj=%#x hash=%#x",
+			sol.Iterations, obj, h, wantIters, uint64(wantObj), uint64(wantHash))
+	}
+}
+
+// TestBulkAddColsResolvePinned pins, absolutely, one warm re-solve after a
+// bulk column delta, the shape of a column-generation master's step: the
+// plan_tall Dantzig-class LP is solved cold without the columns of 5% of its
+// users (drawn by xrand.New(1)), and one Solver.Resolve appends them all.
+// The warm pivots (dual repair plus the primal finish), the objective's bits
+// and the X/Y hash must not move, and the resolve must stay warm. amd64
+// only.
+func TestBulkAddColsResolvePinned(t *testing.T) {
+	if runtime.GOARCH != "amd64" {
+		t.Skipf("trajectory bits are pinned on amd64, not %s", runtime.GOARCH)
+	}
+	in := tallDantzigInstance(t)
+	sets, _ := enumerateAll(in, conflict.FromFunc(in.NumEvents(), in.Conflicts), 0, 0)
+	full, owner := BuildBenchmarkLP(in, sets)
+	nu := in.NumUsers()
+	held := make([]bool, nu)
+	for _, u := range xrand.New(1).Perm(nu)[:nu/20] {
+		held[u] = true
+	}
+	base := &lp.Problem{NumRows: full.NumRows, B: append([]float64(nil), full.B...)}
+	var d lp.ProblemDelta
+	for j := 0; j < full.NumCols(); j++ {
+		rows := make([]int, 0, len(full.Col(j)))
+		for _, r := range full.Col(j) {
+			rows = append(rows, int(r))
+		}
+		if held[owner[j][0]] {
+			d.AddCols = append(d.AddCols, lp.Column{Rows: rows})
+			d.AddC = append(d.AddC, full.C[j])
+		} else {
+			base.AddColumn(full.C[j], rows)
+		}
+	}
+	s := lp.NewSolver(lp.Revised{})
+	defer s.Release()
+	if _, err := s.Solve(base); err != nil {
+		t.Fatal(err)
+	}
+	sol, err := s.Resolve(d)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := lp.Verify(s.Problem(), sol, 1e-6); err != nil {
+		t.Fatal(err)
+	}
+	const (
+		wantWarmPivots = 320
+		wantObj        = 0x40a614542690047d
+		wantHash       = 0x8d00cea14bc24f88
+	)
+	st := s.Stats()
+	if st.WarmSolves != 1 || st.ColdSolves != 1 {
+		t.Fatalf("%d warm and %d cold solves, want one of each", st.WarmSolves, st.ColdSolves)
+	}
+	if obj, h := math.Float64bits(sol.Objective), solutionHash(sol, nil); st.WarmPivots != wantWarmPivots || obj != wantObj || h != wantHash {
+		t.Errorf("trajectory moved: got warm pivots=%d obj=%#x hash=%#x, want warm pivots=%d obj=%#x hash=%#x",
+			st.WarmPivots, obj, h, wantWarmPivots, uint64(wantObj), uint64(wantHash))
+	}
+}
+
 // meetupPin is a small Meetup instance, 400 users and the default 190
 // events (m = 590), with its admissible sets.
 func meetupPin(t *testing.T) (*model.Instance, [][]admissible.Set) {
