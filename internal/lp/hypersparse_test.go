@@ -270,3 +270,62 @@ func TestLUScheduleRebuiltAfterRefactorize(t *testing.T) {
 		}
 	}
 }
+
+// TestBtranUnitMatchesDense checks btranUnit's seed filter: with a long eta
+// file on the basis, β = B⁻ᵀe_r from the hypersparse kernel, seeded at r
+// and the eta positions the transposed sweep left nonzero, must equal the
+// dense solve of the same right-hand side bit for bit (modulo zero sign),
+// list exactly β's nonzeros in betaSupport, and leave the scratch zeroed.
+func TestBtranUnitMatchesDense(t *testing.T) {
+	for seed := int64(1); seed <= 4; seed++ {
+		p := randomPacking(xrand.New(seed), 150, 30, 5)
+		s := NewSolver(Revised{tuning: tuning{refactorEvery: 1 << 20, pricing: pricingDantzig}})
+		if _, err := s.Solve(p); err != nil {
+			t.Fatal(err)
+		}
+		st := s.st
+		if len(st.etas) < 20 {
+			t.Fatalf("seed %d: %d etas, want a long file", seed, len(st.etas))
+		}
+		st.hyperCap = st.m
+		z := make([]float64, st.m)
+		want := make([]float64, st.m)
+		hyper := 0
+		for r := 0; r < st.m; r++ {
+			clear(z)
+			z[r] = 1
+			st.applyEtasT(z)
+			st.lu.solveBT(z, want, st.work)
+			st.btranUnit(r)
+			nnz := 0
+			for i := range want {
+				if canonBits(st.beta[i]) != canonBits(want[i]) {
+					t.Fatalf("seed %d r=%d: β[%d] = %v, dense %v", seed, r, i, st.beta[i], want[i])
+				}
+				if want[i] != 0 {
+					nnz++
+				}
+			}
+			if st.betaSupportOK {
+				hyper++
+				if len(st.betaSupport) != nnz {
+					t.Fatalf("seed %d r=%d: support lists %d rows, β has %d nonzeros", seed, r, len(st.betaSupport), nnz)
+				}
+				for _, i := range st.betaSupport {
+					if st.beta[i] == 0 {
+						t.Fatalf("seed %d r=%d: support lists zero row %d", seed, r, i)
+					}
+				}
+			}
+			for i, v := range st.scratch {
+				if math.Float64bits(v) != 0 {
+					t.Fatalf("seed %d r=%d: scratch left %v at %d", seed, r, v, i)
+				}
+			}
+		}
+		if hyper == 0 {
+			t.Errorf("seed %d: no unit BTRAN took the hypersparse kernel", seed)
+		}
+		s.Release()
+	}
+}

@@ -736,10 +736,14 @@ func (st *revisedState) btran() {
 }
 
 // btranUnit computes β = B⁻ᵀ e_r (row r of the basis inverse) into st.beta.
-// The right-hand side after the transposed eta sweep is nonzero only at r and
-// the eta pivot positions, so with a short eta file the solve is served by
+// After the transposed eta sweep the right-hand side can be nonzero only at r
+// and at the eta pivot positions, and the reach is seeded at r plus those of
+// them that are nonzero: a zero entry seeds nothing but zeros, so skipping it
+// leaves every nonzero of β bit-identical while keeping the reach to what the
+// unit vector actually touches. With a short reach the solve is served by
 // the hypersparse kernel, which also exports β's nonzero pattern into
-// st.betaSupport for the reach-pruned dual pricing pass.
+// st.betaSupport for the reach-pruned dual pricing pass and the incremental
+// dual update.
 func (st *revisedState) btranUnit(r int) {
 	t0 := tick(st.timers)
 	if st.beta == nil {
@@ -749,25 +753,27 @@ func (st *revisedState) btranUnit(r int) {
 	z[r] = 1
 	st.applyEtasT(z)
 	st.betaSupportOK = false
-	if len(st.etas)+1 <= st.hyperCap {
-		st.hyperSeeds = append(st.hyperSeeds[:0], int32(r))
-		for i := range st.etas {
-			st.hyperSeeds = append(st.hyperSeeds, int32(st.etas[i].r))
-		}
-		st.betaSupport = st.betaSupport[:0]
-		if st.lu.solveBTHyper(&st.hyper, z, st.beta, st.work, st.hyperSeeds, &st.betaSupport, st.hyperCap) {
-			st.betaSupportOK = true
-			st.timers.hypersparseBtran()
-			for _, p := range st.hyperSeeds {
-				z[p] = 0
-			}
-			st.timers.add(phBtran, t0)
-			return
+	seeds := append(st.hyperSeeds[:0], int32(r))
+	for i := range st.etas {
+		if p := st.etas[i].r; p != r && z[p] != 0 {
+			seeds = append(seeds, int32(p))
 		}
 	}
-	st.lu.solveBT(z, st.beta, st.work)
-	for i := range z {
-		z[i] = 0
+	st.hyperSeeds = seeds
+	if len(seeds) <= st.hyperCap {
+		st.betaSupport = st.betaSupport[:0]
+		if st.lu.solveBTHyper(&st.hyper, z, st.beta, st.work, seeds, &st.betaSupport, st.hyperCap) {
+			st.betaSupportOK = true
+			st.timers.hypersparseBtran()
+		}
+	}
+	if !st.betaSupportOK {
+		st.lu.solveBT(z, st.beta, st.work)
+	}
+	// only r and the eta pivot positions were written, zeros included
+	z[r] = 0
+	for i := range st.etas {
+		z[st.etas[i].r] = 0
 	}
 	st.timers.add(phBtran, t0)
 }
