@@ -243,7 +243,9 @@ func TestMeetupTrajectoryPinned(t *testing.T) {
 // capacity edits of 5 events and one batch toggling 5% of the users; every
 // toggle flips between the generated value and one edit away from it. An
 // FNV-1a chain over every solution's plannerHash and the final warm-pivot,
-// fast-finish and refactorization counts must not move. amd64 only.
+// fast-finish and refactorization counts must not move. It logs the warm
+// reduced-cost cache's work per warm resolve (lp.PhaseTimers.MovedRows and
+// RecomputedCols). amd64 only.
 func TestChurnTrajectoryPinned(t *testing.T) {
 	if runtime.GOARCH != "amd64" {
 		t.Skipf("trajectory bits are pinned on amd64, not %s", runtime.GOARCH)
@@ -252,7 +254,8 @@ func TestChurnTrajectoryPinned(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	p, err := NewPlanner(in, Options{Seed: 1})
+	var tm lp.PhaseTimers
+	p, err := NewPlanner(in, Options{Seed: 1, LP: lp.Revised{Timers: &tm}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -276,6 +279,8 @@ func TestChurnTrajectoryPinned(t *testing.T) {
 		wantRefactors    = 22
 	)
 	st := p.Stats()
+	t.Logf("%d warm resolves, %d fast finishes: the reduced-cost cache found %d moved rows and recomputed %d variables",
+		st.WarmSolves, st.FastFinishes, tm.MovedRows, tm.RecomputedCols)
 	if h := chain.Sum64(); h != wantChain || st.WarmPivots != wantWarmPivots ||
 		st.FastFinishes != wantFastFinishes || st.Refactorizations != wantRefactors {
 		t.Errorf("trajectory moved: got chain=%#x warm pivots=%d fast finishes=%d refactorizations=%d, want chain=%#x warm pivots=%d fast finishes=%d refactorizations=%d",

@@ -220,7 +220,8 @@ func TestBoundedPricingNoColumns(t *testing.T) {
 
 // TestPricingCountersAllocateNothing checks that the partial Dantzig scan,
 // plain and bounded, counts PricedVars and SkippedVars into attached phase
-// timers without allocating.
+// timers without allocating, and that the warm reduced-cost cache counts
+// MovedRows and RecomputedCols without allocating either.
 func TestPricingCountersAllocateNothing(t *testing.T) {
 	p := blockedPacking(xrand.New(3), 1)
 	st := newRevisedState(p, true)
@@ -243,5 +244,22 @@ func TestPricingCountersAllocateNothing(t *testing.T) {
 		if tm.PricedVars+tm.SkippedVars == before {
 			t.Errorf("bounded=%v: pricing counted no variable", pb != nil)
 		}
+	}
+
+	st.syncRed() // a full pass: the cache becomes valid
+	if tm.MovedRows != int64(st.m) || tm.RecomputedCols != int64(total) {
+		t.Errorf("full sync counted %d rows and %d variables, want %d and %d", tm.MovedRows, tm.RecomputedCols, st.m, total)
+	}
+	tm.MovedRows, tm.RecomputedCols = 0, 0
+	k := 0
+	if allocs := testing.AllocsPerRun(20, func() {
+		st.y[k%st.m] += 0.5
+		k++
+		st.syncRed()
+	}); allocs != 0 {
+		t.Errorf("%v allocations per reduced-cost sync", allocs)
+	}
+	if tm.MovedRows != int64(k) || tm.RecomputedCols <= tm.MovedRows {
+		t.Errorf("%d syncs of one moved row counted %d rows and %d variables", k, tm.MovedRows, tm.RecomputedCols)
 	}
 }

@@ -1627,33 +1627,40 @@ func (st *revisedState) syncRed() {
 		st.yRef = append(st.yRef[:0], st.y...)
 		st.redDirty = st.redDirty[:0]
 		st.redOK = true
+		st.timers.synced(st.m, total)
 		return
 	}
 	epoch := st.beginCandidates(total)
 	stamp, red := st.candStamp, st.redC
+	rows, cols := 0, 0
 	for r, yr := range st.y {
 		if math.Float64bits(yr) == math.Float64bits(st.yRef[r]) {
 			continue
 		}
 		st.yRef[r] = yr
+		rows++
 		st.buildARows()
 		for _, part := range st.aRow(r) {
 			for _, j := range part {
 				if stamp[j] != epoch {
 					stamp[j] = epoch
 					red[j] = st.reducedCost(int(j))
+					cols++
 				}
 			}
 		}
 		red[st.n+r] = st.reducedCost(st.n + r)
+		cols++
 	}
 	for _, j := range st.redDirty {
 		if stamp[j] != epoch {
 			stamp[j] = epoch
 			red[j] = st.reducedCost(int(j))
+			cols++
 		}
 	}
 	st.redDirty = st.redDirty[:0]
+	st.timers.synced(rows, cols)
 }
 
 // pricePartial scans a window of variables starting at cursor and returns

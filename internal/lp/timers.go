@@ -39,6 +39,12 @@ type PhaseTimers struct {
 	// pivot budget; PartialWarmCutovers counts the keep-the-basis
 	// refactorize-and-retry recoveries those (and stalls) triggered.
 	BudgetExhausted, PartialWarmCutovers int64
+	// MovedRows counts the rows whose dual the warm reduced-cost cache
+	// found moved since its last sync, and RecomputedCols the variables it
+	// recomputed for them and for its queued columns; a sync of an invalid
+	// cache counts every row and every variable. Their ratio to the
+	// resolves run is the cache's per-resolve work.
+	MovedRows, RecomputedCols int64
 }
 
 // Total returns the summed phase time (excluding untimed glue such as the
@@ -132,5 +138,12 @@ func (tm *PhaseTimers) scanned(priced, skipped int) {
 	if tm != nil {
 		tm.PricedVars += int64(priced)
 		tm.SkippedVars += int64(skipped)
+	}
+}
+
+func (tm *PhaseTimers) synced(rows, cols int) {
+	if tm != nil {
+		tm.MovedRows += int64(rows)
+		tm.RecomputedCols += int64(cols)
 	}
 }
