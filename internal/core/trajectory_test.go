@@ -208,7 +208,7 @@ func TestMeetupTrajectoryPinned(t *testing.T) {
 		wantSkipped int64
 	}{
 		{400, 0, 585, 0x408c3a97b9fbaabb, 0x4a9d77c3850593e0, 1_035_009, 11_006_464},
-		{1000, 1_459_460, 1859, 0x40a0ac2f3c2ddfdf, 0xa29153eeccfd6e85, 3_364_572, 49_771_392},
+		{1000, 1_459_460, 1859, 0x40a0ac2f3c2ddfdf, 0xa29153eeccfd6e85, 3_368_710, 51_227_904},
 	} {
 		in, sets := meetupSets(t, tc.users)
 		prob, _ := BuildBenchmarkLP(in, sets)

@@ -24,6 +24,13 @@ import (
 // workload, Dantzig took ~96k pivots with 55k re-entries of previously
 // basic columns; Devex cuts both dramatically.
 //
+// Partial Dantzig keeps the duals incrementally: each pivot steps y along
+// the leaving row of the basis inverse, β = B⁻ᵀe_r, a hypersparse unit
+// BTRAN, instead of re-solving Bᵀy = c_B; a full BTRAN runs only at
+// refactorizations, after Bland pivots and to certify optimality (see
+// pivot). A warm solve's reduced-cost cache then recomputes only the columns
+// on β's rows.
+//
 // A cold partial-Dantzig scan keeps a dual bound per block of consecutive
 // variables (priceBounds) and counts a block as scanned without reading its
 // columns when the bound proves none of them improving. It returns exactly
@@ -260,12 +267,36 @@ func (s *Revised) configure(st *revisedState) tuning {
 	return t
 }
 
+// dualState says how st.y relates to the current basis under partial
+// Dantzig pricing.
+type dualState uint8
+
+const (
+	dualStale   dualState = iota // y belongs to an earlier basis: btran before pricing
+	dualExact                    // y = B⁻ᵀc_B from a full btran on this basis
+	dualUpdated                  // y kept by y += γβ since the last full btran
+)
+
 // pivot runs the simplex loop from st's current basis, which must already be
 // factorized and primal feasible. With warm == false the Devex reference
 // framework is reset (the cold, all-slack start); with warm == true any
 // reference weights carried in st.weights survive, so a re-solve keeps the
 // pricing memory of the previous optimum, and Dantzig and Bland pricing read
 // the reduced-cost cache (syncRed) instead of recomputing every column.
+//
+// Under partial Dantzig pricing the duals are kept the textbook way, as
+// dualRepair keeps them: before the basis change the pivot computes
+// β = B⁻ᵀe_r, the leaving row of the basis inverse, and after it steps
+// y += γβ with γ = red_q/d_r, which makes the entering column's reduced cost
+// zero and leaves every other basic column's at zero. The step touches only
+// β's support, so the reduced-cost cache of a warm solve recomputes only the
+// columns on those rows. A full btran runs only where y is stale — at entry,
+// after each refactorization and after a Bland pivot, whose rule keeps its
+// exact per-pivot btran — and as the optimality certificate: a scan that
+// finds no entering column on updated duals recomputes them exactly and
+// prices again wherever that can move the verdict (recertify), so extract
+// always reads duals computed from the final basis.
+// Devex keeps its own reduced costs and refreshes them exactly the same way.
 func (s *Revised) pivot(st *revisedState, warm bool) (*Solution, error) {
 	t := s.configure(st)
 	m := st.m
@@ -284,6 +315,22 @@ func (s *Revised) pivot(st *revisedState, warm bool) (*Solution, error) {
 	degenerate := 0
 	bland := false
 	cursor := 0
+	dual := dualStale
+	// beforeRefresh runs where updated duals are about to be replaced.
+	beforeRefresh := func() {
+		if dual == dualUpdated && dualHook != nil {
+			dualHook(st)
+		}
+	}
+	price := func() int {
+		from := cursor
+		q, next := st.pricePartial(cursor, t.pricingWindow, warm, bounds)
+		cursor = next
+		if pricingHook != nil {
+			pricingHook(st, bounds, from, t.pricingWindow, q, next)
+		}
+		return q
+	}
 	for ; iters < t.maxIter; iters++ {
 		var q int
 		switch {
@@ -299,16 +346,25 @@ func (s *Revised) pivot(st *revisedState, warm bool) (*Solution, error) {
 				q = st.priceDevex()
 			}
 		default:
-			st.btran()
-			from := cursor
-			q, cursor = st.pricePartial(cursor, t.pricingWindow, warm, bounds)
-			if pricingHook != nil {
-				pricingHook(st, bounds, from, t.pricingWindow, q, cursor)
+			if dual == dualStale {
+				st.btran()
+				dual = dualExact
+			}
+			q = price()
+			if q < 0 && dual == dualUpdated {
+				// Apparent optimality on updated duals: recompute them
+				// exactly and price again wherever that can move the verdict.
+				beforeRefresh()
+				if st.recertify(warm) {
+					q = price()
+				}
+				dual = dualExact
 			}
 		}
 		if q < 0 {
 			// y is exact: every branch above ends with duals computed from
-			// the current basis (Devex through refreshReducedCosts' btran).
+			// the current basis by a full btran (Devex through
+			// refreshReducedCosts).
 			return st.extract(iters), nil
 		}
 
@@ -348,6 +404,16 @@ func (s *Revised) pivot(st *revisedState, warm bool) (*Solution, error) {
 			degenerate = 0
 			bland = false
 		}
+		// The duals step with this pivot when the next pricing is Dantzig's;
+		// Bland recomputes them anyway, and Devex keeps its own reduced costs.
+		var gamma float64
+		step := !devex && !bland
+		if step {
+			gamma = st.reducedCost(q) / st.d[r]
+			st.btranUnit(r)
+		} else {
+			beforeRefresh()
+		}
 		if devex {
 			st.updateDevex(q, r)
 		}
@@ -370,11 +436,18 @@ func (s *Revised) pivot(st *revisedState, warm bool) (*Solution, error) {
 		st.cB[r] = st.objCoef(q)
 		st.pushEta(r)
 		st.timers.pivotDone()
+		dual = dualStale
+		if step {
+			st.stepDuals(gamma)
+			dual = dualUpdated
+		}
 
 		if len(st.etas) >= t.refactorEvery {
+			beforeRefresh()
 			if err := st.refactorize(); err != nil {
 				return nil, err
 			}
+			dual = dualStale
 			if devex {
 				st.refreshReducedCosts()
 			}
@@ -406,7 +479,7 @@ type revisedState struct {
 
 	y    []float64 // dual prices, original-row space
 	d    []float64 // FTRAN result, basis-position space
-	beta []float64 // BTRAN of the leaving unit vector (Devex pivot row)
+	beta []float64 // BTRAN of the leaving unit vector (pivot row, dual step)
 	work []float64 // scratch for LU solves
 
 	// Devex state: incrementally maintained reduced costs and reference
@@ -465,6 +538,11 @@ type revisedState struct {
 	yRef     []float64
 	redDirty []int32
 	redOK    bool
+	// redMoved lists the variables the last sync of a valid cache
+	// recomputed, and yPrev holds a cold solve's duals across recertify's
+	// btran.
+	redMoved []int32
+	yPrev    []float64
 
 	// dualGamma is the dual step length γ = red_q/α_q of the last priceDual
 	// winner, used for the incremental dual update y' = y + γβ.
@@ -776,6 +854,58 @@ func (st *revisedState) btranUnit(r int) {
 		z[st.etas[i].r] = 0
 	}
 	st.timers.add(phBtran, t0)
+}
+
+// recertify recomputes the duals exactly after a partial Dantzig pass found
+// no entering column on incrementally updated ones, and reports whether a
+// second pass must decide optimality. It need not when no reduced cost the
+// pass read can have moved: a cold pass computed each from y, so y must be
+// unchanged bit for bit; a warm pass read the reduced-cost cache, which
+// syncs here, so none of the variables the sync recomputed may be
+// improving. Either way the skipped pass would find no entering column and
+// end where the first one did, so skipping it moves nothing.
+func (st *revisedState) recertify(cached bool) bool {
+	if cached {
+		st.btran()
+		t0 := tick(st.timers)
+		defer st.timers.add(phPricing, t0)
+		st.syncRed()
+		for _, j := range st.redMoved {
+			if st.posOf[j] == -1 && st.redC[j] > reducedTol {
+				return true
+			}
+		}
+		return false
+	}
+	st.yPrev = append(st.yPrev[:0], st.y...)
+	st.btran()
+	for i, v := range st.yPrev {
+		if math.Float64bits(v) != math.Float64bits(st.y[i]) {
+			return true
+		}
+	}
+	return false
+}
+
+// stepDuals takes the dual step y += γβ of a pivot whose leaving row
+// st.beta holds, over β's nonzeros only: the support list when the
+// hypersparse kernel produced β, else a sweep. Each entry's update is
+// independent, so both give the same bits. Timed as the pivot's update.
+func (st *revisedState) stepDuals(gamma float64) {
+	t0 := tick(st.timers)
+	y, beta := st.y, st.beta
+	if st.betaSupportOK {
+		for _, i := range st.betaSupport {
+			y[i] += gamma * beta[i]
+		}
+	} else {
+		for i, v := range beta {
+			if v != 0 {
+				y[i] += gamma * v
+			}
+		}
+	}
+	st.timers.add(phUpdate, t0)
 }
 
 // work2 returns a second zeroed scratch vector of length m.
@@ -1241,12 +1371,7 @@ func (st *revisedState) dualRepair(budget, refactorEvery int) (int, dualRepairRe
 		// at the next refactorization, so round-off cannot accumulate past
 		// one eta chain.
 		if gamma != 0 {
-			beta := st.beta
-			for i, v := range beta {
-				if v != 0 {
-					st.y[i] += gamma * v
-				}
-			}
+			st.stepDuals(gamma)
 			if st.candDense {
 				red, al := st.dualRedVec, st.alphaVec
 				for j := range red {
@@ -1611,12 +1736,16 @@ func (st *revisedState) refreshDualRed() {
 // cache takes a full pass over every variable. A valid one recomputes only
 // what an input of reducedCost changed under: every column on a row whose
 // y differs from yRef bit for bit (found through the row mirror), that
-// row's slack, and every column queued in redDirty. The candidate epoch
-// stamps recompute each column once per sync. reducedCost(j) is a pure
-// function of c_j and of y on j's rows, summed in a fixed order, so every
-// entry afterwards equals a fresh reducedCost(j) bit for bit, and pricing
-// from the cache picks exactly what pricing from scratch would. Callers
-// time it under their pricing phase.
+// row's slack, and every column queued in redDirty. Between two pricing
+// calls of the pivot loop the moved rows are the support of the pivot's β,
+// which the dual step alone writes; a full btran (refactorization,
+// recertification) may move any row by rounding. The candidate epoch
+// stamps recompute each column once per sync, and redMoved lists them.
+// reducedCost(j) is a pure function of c_j and of y on j's rows, summed in a
+// fixed order, so every entry afterwards equals a fresh reducedCost(j) bit
+// for bit, and pricing from the cache picks exactly what pricing from
+// scratch would. It counts the moved rows and the recomputed variables into
+// the phase timers. Callers time it under their pricing phase.
 func (st *revisedState) syncRed() {
 	total := st.n + st.m
 	if !st.redOK {
@@ -1632,7 +1761,8 @@ func (st *revisedState) syncRed() {
 	}
 	epoch := st.beginCandidates(total)
 	stamp, red := st.candStamp, st.redC
-	rows, cols := 0, 0
+	moved := st.redMoved[:0]
+	rows := 0
 	for r, yr := range st.y {
 		if math.Float64bits(yr) == math.Float64bits(st.yRef[r]) {
 			continue
@@ -1645,22 +1775,23 @@ func (st *revisedState) syncRed() {
 				if stamp[j] != epoch {
 					stamp[j] = epoch
 					red[j] = st.reducedCost(int(j))
-					cols++
+					moved = append(moved, j)
 				}
 			}
 		}
 		red[st.n+r] = st.reducedCost(st.n + r)
-		cols++
+		moved = append(moved, int32(st.n+r))
 	}
 	for _, j := range st.redDirty {
 		if stamp[j] != epoch {
 			stamp[j] = epoch
 			red[j] = st.reducedCost(int(j))
-			cols++
+			moved = append(moved, j)
 		}
 	}
 	st.redDirty = st.redDirty[:0]
-	st.timers.synced(rows, cols)
+	st.redMoved = moved
+	st.timers.synced(rows, len(moved))
 }
 
 // pricePartial scans a window of variables starting at cursor and returns
@@ -1713,9 +1844,16 @@ func (st *revisedState) pricePartial(cursor, window int, cached bool, bounds *pr
 }
 
 // pricingHook, when set, runs after every partial Dantzig pricing call of
-// the pivot loop with the call's arguments and results. Tests use it to
-// check each call against the plain scan; it is nil otherwise.
+// the pivot loop, the certification pass included, with the call's
+// arguments and results. Tests use it to check each call against the plain
+// scan; it is nil otherwise.
 var pricingHook func(st *revisedState, bounds *priceBounds, cursor, window, q, next int)
+
+// dualHook, when set, runs whenever the pivot loop is about to replace
+// incrementally updated duals by a full btran (or drop them for Bland),
+// while st.y still belongs to the current basis. Tests use it to compare the
+// updated duals with exact ones; it is nil otherwise.
+var dualHook func(st *revisedState)
 
 // boundBlock is the width, in variables, of one bounded-pricing block.
 const boundBlock = 128

@@ -8,7 +8,8 @@ import "time"
 // pivot rows, including btranUnit), Pricing every entering/leaving scan
 // (Devex, partial Dantzig, Bland and the dual-repair ratio test) and the
 // block summaries of a cold partial-Dantzig solve, Update the
-// Devex reduced-cost and reference-weight update, and Factor the LU
+// Devex reduced-cost and reference-weight update and the dual step
+// y += γβ of Dantzig and dual-repair pivots, and Factor the LU
 // (re)factorizations plus their xB refresh. Pivots counts primal pivots,
 // RepairPivots the dual pivots of warm-start repair.
 //
