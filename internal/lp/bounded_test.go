@@ -149,6 +149,10 @@ func FuzzBoundedPricing(f *testing.F) {
 	f.Add(int64(33), uint8(3))
 	f.Add(int64(128), uint8(4))
 	f.Add(int64(77), uint8(5))
+	// a refactorization every 8 pivots, and a last pass on updated duals
+	// that moved, so the recertifying second pass runs under the check
+	f.Add(int64(12), uint8(6))
+	f.Add(int64(18), uint8(15))
 	f.Fuzz(func(t *testing.T, seed int64, knobs uint8) {
 		rng := xrand.New(seed)
 		p := blockedPacking(rng, []float64{0, 0.3, 0.7, 1}[knobs%4])

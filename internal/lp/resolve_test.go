@@ -620,6 +620,10 @@ func FuzzResolve(f *testing.F) {
 	f.Add(int64(-77), uint8(12))
 	f.Add(int64(207), uint8(4))                // its first delta lists a row twice (case 4)
 	f.Add(int64(fuzzTombstoneSeed), uint8(15)) // removal-heavy: compactions and a cold fallback
+	// knob 2 with a refactorization every 3 and 2 pivots: updated duals
+	// across many refreshes and recertifications, warm and cold
+	f.Add(int64(15), uint8(15))
+	f.Add(int64(368), uint8(15))
 	f.Fuzz(func(t *testing.T, seed int64, steps uint8) { fuzzResolveSteps(t, seed, steps) })
 }
 
@@ -644,11 +648,10 @@ func fuzzResolveSteps(t *testing.T, seed int64, steps uint8) SolverStats {
 	// (repair budget, hypersparse threshold) — the optimum must be
 	// knob-invariant.
 	var cfg Revised
-	switch rng.Intn(7) {
+	knob := rng.Intn(7)
+	switch knob {
 	case 1:
 		cfg.tuning.pricing = pricingDevex
-	case 2:
-		cfg.tuning.refactorEvery = 1
 	case 3:
 		cfg.Workers = 2
 		cfg.tuning.parallelThreshold = 1
@@ -660,11 +663,18 @@ func fuzzResolveSteps(t *testing.T, seed int64, steps uint8) SolverStats {
 	case 6:
 		cfg.tuning.hypersparseThreshold = rng.Float64()
 	}
-	// Skip three draws so every seed, fuzzTombstoneSeed included, keeps the
-	// problem and delta stream recorded for it.
-	rng.Intn(8)
+	// Three draws follow whatever the knob drew, so every seed,
+	// fuzzTombstoneSeed included, keeps the problem and delta stream
+	// recorded for it. The first sets knob 2's refactorization cadence,
+	// 1 to 8 pivots: per-pivot refactorization, or short eta files across
+	// which the pivot loop's updated duals meet several refreshes and the
+	// optimality recertification.
+	every := 1 + rng.Intn(8)
 	rng.Intn(8)
 	rng.Float64()
+	if knob == 2 {
+		cfg.tuning.refactorEvery = every
+	}
 	s := NewSolver(cfg)
 	if _, err := s.Solve(p); err != nil {
 		t.Fatal(err)
