@@ -6,6 +6,7 @@ import (
 
 	"github.com/ebsn/igepa/internal/core"
 	"github.com/ebsn/igepa/internal/workload"
+	"github.com/ebsn/igepa/internal/xrand"
 )
 
 // reducedFig1 is Fig. 1's sweep at reduced scale: the six Table I factors,
@@ -90,6 +91,53 @@ func TestLPObjectiveMonotoneInCapacity(t *testing.T) {
 			if res.LPObjective < prev*(1-2e-7) {
 				t.Errorf("seed %d: capacities +%d lower the LP optimum from %.9f to %.9f",
 					seed, extra, prev, res.LPObjective)
+			}
+			prev = res.LPObjective
+		}
+	}
+}
+
+// TestLPObjectiveMonotoneInEvents is Lemma 1's bound as a function of the
+// events on offer: on nested instances, built by removing every bid on a
+// shrinking set of events (drawn by xrand.New(seed)), each instance's
+// admissible sets are among the next one's with the same weights, so the LP
+// optimum never falls as events return. The only slack allowed is the
+// solver's RHS perturbation, ≤ 2·10⁻⁷ relative.
+func TestLPObjectiveMonotoneInEvents(t *testing.T) {
+	for seed := int64(1); seed <= 4; seed++ {
+		in, err := workload.Synthetic(workload.SyntheticConfig{
+			Seed: seed, NumUsers: 200, NumEvents: 30, MaxEventCap: 10,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		order := xrand.New(seed).Perm(in.NumEvents())
+		prev := 0.0
+		for _, gone := range []int{25, 15, 8, 3, 0} {
+			removed := make([]bool, in.NumEvents())
+			for _, v := range order[:gone] {
+				removed[v] = true
+			}
+			nested := in.Clone()
+			for u := range nested.Users {
+				var bids []int
+				for _, v := range nested.Users[u].Bids {
+					if !removed[v] {
+						bids = append(bids, v)
+					}
+				}
+				nested.Users[u].Bids = bids
+			}
+			res, err := core.LPPacking(nested, core.Options{Seed: 1})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if res.TruncatedUsers != 0 {
+				t.Fatalf("seed %d: %d users truncated; the LP is not Lemma 1's", seed, res.TruncatedUsers)
+			}
+			if res.LPObjective < prev*(1-2e-7) {
+				t.Errorf("seed %d: restoring events' bids (%d still removed) lowers the LP optimum from %.9f to %.9f",
+					seed, gone, prev, res.LPObjective)
 			}
 			prev = res.LPObjective
 		}
