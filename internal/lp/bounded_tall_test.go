@@ -22,10 +22,11 @@ func TestBoundedPricingInertOnTall(t *testing.T) {
 	var tm lp.PhaseTimers
 	done := lp.CheckPricing(nil)
 	_, err = core.LPPacking(in, core.Options{Seed: 1, LP: lp.Revised{Timers: &tm}})
-	plain, calls, mismatch := done()
-	if mismatch != nil {
-		t.Fatal(mismatch)
+	rep := done()
+	if rep.Err != nil {
+		t.Fatal(rep.Err)
 	}
+	plain, calls := rep.PlainVars, rep.Calls
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -8,24 +8,47 @@ import (
 	"github.com/ebsn/igepa/internal/xrand"
 )
 
+// PricingReport is what a CheckPricing check saw.
+type PricingReport struct {
+	// PlainVars counts the variables the reference scans of the pivot
+	// loop's own calls read; Calls counts those calls, and WarmCalls the
+	// ones that read the warm reduced-cost cache.
+	PlainVars        int64
+	Calls, WarmCalls int
+	// TombstoneWindows counts the warm calls whose window was shorter than
+	// the pass and held a tombstone, so the window's end had to be found by
+	// counting past it. Probes counts the extra random-cursor,
+	// random-window calls checked beside the loop's own.
+	TombstoneWindows, Probes int
+	// Err is the first call or probe whose (q, next), or whose count of
+	// variables read and skipped, differed from the plain scan's.
+	Err error
+}
+
 // CheckPricing installs the plain scan as the reference of every partial
 // Dantzig pricing call the pivot loop makes until the returned function is
-// called: it reruns each call without block bounds and records the first
-// call whose (q, next) differs. With a non-nil rng, each call of a cold solve
-// also prices from a random cursor with a random window, bounded and plain,
-// against the same duals and summaries. The returned function uninstalls the
-// check and reports the variables the reference scans read, the number of
-// calls checked and the first mismatch. Tests that use it must not run in
-// parallel.
-func CheckPricing(rng *xrand.RNG) func() (plainVars int64, calls int, err error) {
-	var (
-		plain    int64
-		n        int
-		mismatch error
-	)
-	pricingHook = func(st *revisedState, bounds *priceBounds, cursor, window, q, next int) {
-		n++
-		if mismatch != nil {
+// called: it reruns each call as a plain scan, which computes every reduced
+// cost from the duals and reads neither block bounds nor the warm
+// reduced-cost cache, and records the first call whose (q, next) differs.
+// A warm call is also rerun from the cache, whose PricedVars + SkippedVars
+// must equal the plain scan's PricedVars. With a non-nil rng, each call
+// also prices from random cursors with random windows against the same
+// duals: bounded against plain on a cold solve with block summaries, and
+// cached against plain on a warm one, whose cursors include 0, the end of
+// the pass and the slots on and just after a tombstone, and whose windows
+// include 1, 63, 64, 65, the live count, one more, and past the pass. The
+// returned function uninstalls the check and reports what it saw. Tests
+// that use it must not run in parallel.
+func CheckPricing(rng *xrand.RNG) func() PricingReport {
+	var rep PricingReport
+	fail := func(format string, args ...any) {
+		if rep.Err == nil {
+			rep.Err = fmt.Errorf(format, args...)
+		}
+	}
+	pricingHook = func(st *revisedState, bounds *priceBounds, warm bool, cursor, window, q, next int) {
+		rep.Calls++
+		if rep.Err != nil {
 			return
 		}
 		tm := st.timers
@@ -33,16 +56,29 @@ func CheckPricing(rng *xrand.RNG) func() (plainVars int64, calls int, err error)
 		var ref PhaseTimers
 		st.timers = &ref
 		if wq, wn := st.pricePartial(cursor, window, false, nil); wq != q || wn != next {
-			mismatch = fmt.Errorf("call %d: from %d with window %d: bounded scan (%d, %d), plain scan (%d, %d)",
-				n, cursor, window, q, next, wq, wn)
+			fail("call %d: from %d with window %d: scan (%d, %d), plain scan (%d, %d)",
+				rep.Calls, cursor, window, q, next, wq, wn)
 			return
 		}
-		plain += ref.PricedVars
-		if rng == nil || bounds == nil {
+		rep.PlainVars += ref.PricedVars
+		if warm {
+			rep.WarmCalls++
+			if window < st.live()+st.m && tombstoneInWindow(st, cursor, window) {
+				rep.TombstoneWindows++
+			}
+			checkCached(st, rep.Calls, "", cursor, window, fail)
+		}
+		if rng == nil || (!warm && bounds == nil) {
 			return
 		}
+		rep.Probes++
 		st.timers = nil
 		total := st.n + st.m
+		if warm {
+			c, w := warmProbe(st, rng)
+			checkCached(st, rep.Calls, " probe", c, w, fail)
+			return
+		}
 		c := rng.Intn(total)
 		switch rng.Intn(3) {
 		case 0: // a block's first variable
@@ -57,14 +93,78 @@ func CheckPricing(rng *xrand.RNG) func() (plainVars int64, calls int, err error)
 		}
 		gq, gn := st.pricePartial(c, w, false, bounds)
 		if wq, wn := st.pricePartial(c, w, false, nil); gq != wq || gn != wn {
-			mismatch = fmt.Errorf("call %d probe: from %d with window %d: bounded scan (%d, %d), plain scan (%d, %d)",
-				n, c, w, gq, gn, wq, wn)
+			fail("call %d probe: from %d with window %d: bounded scan (%d, %d), plain scan (%d, %d)",
+				rep.Calls, c, w, gq, gn, wq, wn)
 		}
 	}
-	return func() (int64, int, error) {
+	return func() PricingReport {
 		pricingHook = nil
-		return plain, n, mismatch
+		return rep
 	}
+}
+
+// checkCached prices from cursor c with window w twice, from the warm
+// reduced-cost cache and as the plain scan, and reports through fail a
+// differing (q, next) or a cached scan whose variables read and skipped do
+// not add up to what the plain scan read. It leaves st.timers nil.
+func checkCached(st *revisedState, call int, what string, c, w int, fail func(string, ...any)) {
+	var cached, plain PhaseTimers
+	st.timers = &cached
+	gq, gn := st.pricePartial(c, w, true, nil)
+	st.timers = &plain
+	wq, wn := st.pricePartial(c, w, false, nil)
+	st.timers = nil
+	switch {
+	case gq != wq || gn != wn:
+		fail("call %d%s: from %d with window %d: cached scan (%d, %d), plain scan (%d, %d)",
+			call, what, c, w, gq, gn, wq, wn)
+	case cached.PricedVars+cached.SkippedVars != plain.PricedVars:
+		fail("call %d%s: from %d with window %d: cached scan read %d and skipped %d variables, plain scan read %d",
+			call, what, c, w, cached.PricedVars, cached.SkippedVars, plain.PricedVars)
+	}
+}
+
+// warmProbe draws a cursor and a window for a warm probe on st.
+func warmProbe(st *revisedState, rng *xrand.RNG) (c, w int) {
+	total := st.n + st.m
+	live := total - st.dead
+	c = rng.Intn(total)
+	switch rng.Intn(4) {
+	case 0:
+		c = 0
+	case 1: // near the end of the pass
+		c = max(0, total-1-rng.Intn(3))
+	case 2, 3: // on a tombstone, or just after one
+		if st.dead > 0 {
+			for st.posOf[c] != deadSlot {
+				c = (c + 1) % total
+			}
+			if rng.Bool(0.5) {
+				c = (c + 1) % total
+			}
+		}
+	}
+	windows := []int{1, 63, 64, 65, live, live + 1, total + 1}
+	w = 1 + rng.Intn(2*total)
+	if rng.Bool(0.6) {
+		w = windows[rng.Intn(len(windows))]
+	}
+	return c, w
+}
+
+// tombstoneInWindow reports whether a tombstone lies among the slots a scan
+// from cursor passes before it has counted window live variables.
+func tombstoneInWindow(st *revisedState, cursor, window int) bool {
+	total := st.n + st.m
+	crossed := false
+	for i, seen := cursor, 0; seen < window; i = (i + 1) % total {
+		if st.posOf[i] == deadSlot {
+			crossed = true
+		} else {
+			seen++
+		}
+	}
+	return crossed
 }
 
 // blockedPacking builds a random packing LP whose columns come in owner
@@ -165,14 +265,14 @@ func FuzzBoundedPricing(f *testing.F) {
 		}}
 		done := CheckPricing(xrand.New(seed ^ 0x0b0d))
 		sol, err := SolveConfig(p, cfg)
-		_, calls, mismatch := done()
-		if mismatch != nil {
-			t.Fatalf("n=%d m=%d window=%d: %v", p.NumCols(), p.NumRows, cfg.tuning.pricingWindow, mismatch)
+		rep := done()
+		if rep.Err != nil {
+			t.Fatalf("n=%d m=%d window=%d: %v", p.NumCols(), p.NumRows, cfg.tuning.pricingWindow, rep.Err)
 		}
 		if err != nil {
 			t.Fatal(err)
 		}
-		if calls == 0 {
+		if rep.Calls == 0 {
 			t.Fatal("no pricing call was checked")
 		}
 		if err := Verify(p, sol, 1e-6); err != nil {
@@ -190,10 +290,11 @@ func TestBoundedPricingSkips(t *testing.T) {
 		var tm PhaseTimers
 		done := CheckPricing(nil)
 		_, err := SolveConfig(p, Revised{Timers: &tm})
-		plain, _, mismatch := done()
-		if mismatch != nil {
-			t.Fatal(mismatch)
+		rep := done()
+		if rep.Err != nil {
+			t.Fatal(rep.Err)
 		}
+		plain := rep.PlainVars
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -604,6 +604,11 @@ func requireTombstonesInert(t *testing.T, step int, s *Solver, sol *Solution) {
 // often enough to run compactions, and fall back to a cold solve once.
 const fuzzTombstoneSeed = 8810
 
+// fuzzWindowSeed is a FuzzResolve seed that draws knob 4, a pricing window
+// of 1 to 64 variables, and whose warm pivots price while tombstones are
+// present, with the window shorter than the pass and a tombstone inside it.
+const fuzzWindowSeed = 216
+
 // FuzzResolve mutates a random packing LP through a persistent solver —
 // removing and adding columns, shrinking and growing bounds, rescaling
 // objectives — and asserts after every step that Resolve applied the delta
@@ -624,6 +629,7 @@ func FuzzResolve(f *testing.F) {
 	// across many refreshes and recertifications, warm and cold
 	f.Add(int64(15), uint8(15))
 	f.Add(int64(368), uint8(15))
+	f.Add(int64(fuzzWindowSeed), uint8(15)) // tiny window across tombstones
 	f.Fuzz(func(t *testing.T, seed int64, steps uint8) { fuzzResolveSteps(t, seed, steps) })
 }
 
@@ -631,15 +637,42 @@ func FuzzResolve(f *testing.F) {
 // comment says: at least two compactions and a warm Resolve that falls back
 // to a cold solve.
 func TestFuzzResolveTombstoneSeed(t *testing.T) {
-	st := fuzzResolveSteps(t, fuzzTombstoneSeed, 15)
+	st, _ := fuzzResolveSteps(t, fuzzTombstoneSeed, 15)
 	fallbacks := st.FallbackSingular + st.FallbackInfeasible + st.FallbackError
 	if st.Compactions < 2 || fallbacks < 1 {
 		t.Errorf("seed %d ran %d compactions and %d cold fallbacks, want ≥ 2 and ≥ 1", fuzzTombstoneSeed, st.Compactions, fallbacks)
 	}
 }
 
-// fuzzResolveSteps is FuzzResolve's body. It returns the solver's stats.
-func fuzzResolveSteps(t *testing.T, seed int64, steps uint8) SolverStats {
+// TestFuzzResolveWindowSeed requires fuzzWindowSeed to do what its comment
+// says: warm pricing calls whose window ends past a tombstone, each checked
+// against the plain scan (fuzzResolveSteps fails on a mismatch). Only
+// knob 4 sets a window below the few dozen variables of these LPs.
+func TestFuzzResolveWindowSeed(t *testing.T) {
+	_, rep := fuzzResolveSteps(t, fuzzWindowSeed, 15)
+	if rep.TombstoneWindows == 0 {
+		t.Errorf("seed %d: none of %d warm pricing calls had a tombstone inside a window shorter than the pass", fuzzWindowSeed, rep.WarmCalls)
+	}
+	t.Logf("seed %d: %d warm pricing calls, %d with a tombstone in the window, %d probes", fuzzWindowSeed, rep.WarmCalls, rep.TombstoneWindows, rep.Probes)
+}
+
+// fuzzResolveSteps is FuzzResolve's body. It returns the solver's stats and
+// what the pricing check saw: every partial Dantzig pricing call of every
+// solve it runs, warm or cold, must return the plain scan's (q, next)
+// (CheckPricing), with random probes beside each.
+func fuzzResolveSteps(t *testing.T, seed int64, steps uint8) (SolverStats, PricingReport) {
+	done := CheckPricing(xrand.New(seed ^ 0x5eed))
+	defer done() // uninstalls the check when the run fails
+	st := fuzzResolveRun(t, seed, steps)
+	rep := done()
+	if rep.Err != nil {
+		t.Fatalf("pricing: %v", rep.Err)
+	}
+	return st, rep
+}
+
+// fuzzResolveRun runs fuzzResolveSteps' stream of deltas.
+func fuzzResolveRun(t *testing.T, seed int64, steps uint8) SolverStats {
 	rng := xrand.New(seed)
 	p := randomPacking(rng, 3+rng.Intn(25), 2+rng.Intn(8), 4)
 	// Rotate the solver knobs through the fuzzed space too: forced Devex

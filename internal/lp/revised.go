@@ -327,7 +327,7 @@ func (s *Revised) pivot(st *revisedState, warm bool) (*Solution, error) {
 		q, next := st.pricePartial(cursor, t.pricingWindow, warm, bounds)
 		cursor = next
 		if pricingHook != nil {
-			pricingHook(st, bounds, from, t.pricingWindow, q, next)
+			pricingHook(st, bounds, warm, from, t.pricingWindow, q, next)
 		}
 		return q
 	}
@@ -1845,9 +1845,10 @@ func (st *revisedState) pricePartial(cursor, window int, cached bool, bounds *pr
 
 // pricingHook, when set, runs after every partial Dantzig pricing call of
 // the pivot loop, the certification pass included, with the call's
-// arguments and results. Tests use it to check each call against the plain
-// scan; it is nil otherwise.
-var pricingHook func(st *revisedState, bounds *priceBounds, cursor, window, q, next int)
+// arguments and results; warm says the call read the reduced-cost cache.
+// Tests use it to check each call against the plain scan; it is nil
+// otherwise.
+var pricingHook func(st *revisedState, bounds *priceBounds, warm bool, cursor, window, q, next int)
 
 // dualHook, when set, runs whenever the pivot loop is about to replace
 // incrementally updated duals by a full btran (or drop them for Bland),
