@@ -543,6 +543,14 @@ type revisedState struct {
 	// btran.
 	redMoved []int32
 	yPrev    []float64
+	// Warm candidate index beside the cache (priceIndexed): bit j of redPos
+	// is set exactly when redC[j] > reducedTol, bit j of tombs exactly when
+	// slot j is a tombstone, and no bit at or past n+m is set. Valid while
+	// redOK and idxOK. syncRed keeps redPos with every entry it recomputes
+	// and rebuilds both after a full pass or an invalidation; patchState
+	// keeps both across a delta; rebind and remapState invalidate them.
+	redPos, tombs []uint64
+	idxOK         bool
 
 	// dualGamma is the dual step length γ = red_q/α_q of the last priceDual
 	// winner, used for the incremental dual update y' = y + γβ.
@@ -625,6 +633,7 @@ func (st *revisedState) rebind(p *Problem, perturb bool) {
 	st.betaSupportOK = false
 	st.aRowsOK = false
 	st.redOK = false
+	st.idxOK = false
 	st.redDirty = st.redDirty[:0]
 	st.loadRHS(perturb)
 	st.basis = resize(st.basis, m)
@@ -1744,8 +1753,10 @@ func (st *revisedState) refreshDualRed() {
 // reducedCost(j) is a pure function of c_j and of y on j's rows, summed in a
 // fixed order, so every entry afterwards equals a fresh reducedCost(j) bit
 // for bit, and pricing from the cache picks exactly what pricing from
-// scratch would. It counts the moved rows and the recomputed variables into
-// the phase timers. Callers time it under their pricing phase.
+// scratch would. Every recomputed entry sets or clears its bit of the
+// candidate index, which a full pass or an invalidated index rebuilds. It
+// counts the moved rows and the recomputed variables into the phase timers.
+// Callers time it under their pricing phase.
 func (st *revisedState) syncRed() {
 	total := st.n + st.m
 	if !st.redOK {
@@ -1756,8 +1767,12 @@ func (st *revisedState) syncRed() {
 		st.yRef = append(st.yRef[:0], st.y...)
 		st.redDirty = st.redDirty[:0]
 		st.redOK = true
+		st.buildIndex()
 		st.timers.synced(st.m, total)
 		return
+	}
+	if !st.idxOK {
+		st.buildIndex()
 	}
 	epoch := st.beginCandidates(total)
 	stamp, red := st.candStamp, st.redC
@@ -1775,17 +1790,20 @@ func (st *revisedState) syncRed() {
 				if stamp[j] != epoch {
 					stamp[j] = epoch
 					red[j] = st.reducedCost(int(j))
+					st.markRed(int(j))
 					moved = append(moved, j)
 				}
 			}
 		}
 		red[st.n+r] = st.reducedCost(st.n + r)
+		st.markRed(st.n + r)
 		moved = append(moved, int32(st.n+r))
 	}
 	for _, j := range st.redDirty {
 		if stamp[j] != epoch {
 			stamp[j] = epoch
 			red[j] = st.reducedCost(int(j))
+			st.markRed(int(j))
 			moved = append(moved, j)
 		}
 	}
@@ -1794,22 +1812,75 @@ func (st *revisedState) syncRed() {
 	st.timers.synced(rows, len(moved))
 }
 
+// markRed sets bit j of the candidate index from redC[j].
+func (st *revisedState) markRed(j int) {
+	w, b := j>>6, uint64(1)<<(j&63)
+	if st.redC[j] > reducedTol {
+		st.redPos[w] |= b
+	} else {
+		st.redPos[w] &^= b
+	}
+}
+
+// buildIndex rebuilds the candidate index from redC and posOf in one pass.
+func (st *revisedState) buildIndex() {
+	total := st.n + st.m
+	words := (total + 63) >> 6
+	st.redPos = resize(st.redPos, words)
+	st.tombs = resize(st.tombs, words)
+	clear(st.redPos)
+	clear(st.tombs)
+	for j, r := range st.redC[:total] {
+		if r > reducedTol {
+			st.redPos[j>>6] |= 1 << (j & 63)
+		}
+	}
+	if st.dead > 0 {
+		for j, pos := range st.posOf[:st.n] {
+			if pos == deadSlot {
+				st.tombs[j>>6] |= 1 << (j & 63)
+			}
+		}
+	}
+	st.idxOK = true
+}
+
+// growIndex carries the candidate index across growSlots from oldN to newN
+// structural slots: the words past the old end start clear, and the slots
+// whose entries moved or are new, the appended ones and the slack block,
+// [oldN, newN+m), take their bits from redC anew, in O(appended + m).
+// Neither holds a tombstone.
+func (st *revisedState) growIndex(oldN, newN int) {
+	words := (newN + st.m + 63) >> 6
+	old := len(st.redPos)
+	st.redPos = slices.Grow(st.redPos, words-old)[:words]
+	st.tombs = slices.Grow(st.tombs, words-old)[:words]
+	clear(st.redPos[old:])
+	clear(st.tombs[old:])
+	for j := oldN; j < newN+st.m; j++ {
+		st.markRed(j)
+		st.tombs[j>>6] &^= 1 << (j & 63)
+	}
+}
+
 // pricePartial scans a window of variables starting at cursor and returns
 // the best improving one; if the window has none it widens to a full pass,
-// which also certifies optimality (return -1). A warm pivot (cached) reads
-// the synced reduced-cost cache; a cold one computes each reduced cost, or,
-// given the cold solve's block summaries bounds, runs priceBounded, which
-// returns the same (q, next). Tombstones are skipped and not counted against
+// which also certifies optimality (return -1). A cold pivot computes each
+// reduced cost, or, given the cold solve's block summaries bounds, runs
+// priceBounded. A warm pivot (cached) syncs the reduced-cost cache and runs
+// priceIndexed, which reads only its improving entries. Both return the
+// plain scan's (q, next). Tombstones are skipped and not counted against
 // the window or the pass, so the scan visits the live variables in the
 // order, and stops where, it would on the compacted problem.
 func (st *revisedState) pricePartial(cursor, window int, cached bool, bounds *priceBounds) (q, next int) {
 	t0 := tick(st.timers)
 	defer st.timers.add(phPricing, t0)
-	if bounds != nil {
+	switch {
+	case bounds != nil:
 		return st.priceBounded(cursor, window, bounds)
-	}
-	if cached {
+	case cached:
 		st.syncRed()
+		return st.priceIndexed(cursor, window)
 	}
 	total := st.n + st.m
 	live := total - st.dead
@@ -1819,13 +1890,7 @@ func (st *revisedState) pricePartial(cursor, window int, cached bool, bounds *pr
 	for scanned < live {
 		if pos := st.posOf[i]; pos != deadSlot {
 			if pos < 0 {
-				var red float64
-				if cached {
-					red = st.redC[i]
-				} else {
-					red = st.reducedCost(i)
-				}
-				if red > bestRed {
+				if red := st.reducedCost(i); red > bestRed {
 					best, bestRed = i, red
 				}
 			}
@@ -1841,6 +1906,202 @@ func (st *revisedState) pricePartial(cursor, window int, cached bool, bounds *pr
 	}
 	st.timers.scanned(scanned, 0)
 	return best, i
+}
+
+// priceIndexed is the warm pricePartial: it returns the plain scan's
+// (q, next) from the synced cache while reading only the variables the
+// candidate index marks improving. All ranges are cyclic. The plain scan's
+// window ends at W, the slot after the window-th live variable from cursor,
+// or, when the pass holds no more than window live variables, at E, the
+// slot after its last one; both come from popcounts of the tombstone bits.
+// If [cursor, W) holds a candidate, the plain scan returns the first strict
+// maximum among them and W. Otherwise it goes on to the first candidate c
+// of the rest of the pass and returns c and the slot after it, or, with
+// none left, −1 and E. PricedVars counts the candidates read, and
+// SkippedVars the rest of the live variables the plain scan would have
+// counted, so their sum is the plain scan's count.
+func (st *revisedState) priceIndexed(cursor, window int) (q, next int) {
+	total := st.n + st.m
+	live := total - st.dead
+	full := window >= live
+	var end int
+	if full {
+		end = st.passEnd(cursor)
+	} else {
+		end = st.liveAfter(cursor, window)
+	}
+	best, bestRed, read := -1, reducedTol, 0
+	if end > cursor {
+		best, bestRed, read = st.indexBest(cursor, end, best, bestRed, read)
+	} else {
+		best, bestRed, read = st.indexBest(cursor, total, best, bestRed, read)
+		best, _, read = st.indexBest(0, end, best, bestRed, read)
+	}
+	counted := min(window, live)
+	next = end
+	if best < 0 && !full {
+		// The rest of the pass: [end, cursor), all of it live-counted
+		// before the scan would return to cursor.
+		c := -1
+		if end > cursor {
+			if c, read = st.indexFirst(end, total, read); c < 0 {
+				c, read = st.indexFirst(0, cursor, read)
+			}
+		} else {
+			c, read = st.indexFirst(end, cursor, read)
+		}
+		if c >= 0 {
+			best, next = c, c+1
+			if next == total {
+				next = 0
+			}
+			counted += st.liveIn(end, next)
+		} else {
+			next, counted = st.passEnd(cursor), live
+		}
+	}
+	st.timers.scanned(read, counted-read)
+	return best, next
+}
+
+// indexBest folds the candidates of slots [lo, hi) into the first strict
+// maximum (best, bestRed) of their cached reduced costs, in slot order, and
+// counts the index entries it read into read. A basic variable whose bit
+// is set is read but never chosen.
+func (st *revisedState) indexBest(lo, hi, best int, bestRed float64, read int) (int, float64, int) {
+	if lo >= hi {
+		return best, bestRed, read
+	}
+	red, pos := st.redC, st.posOf
+	first, last := lo>>6, (hi-1)>>6
+	for w := first; w <= last; w++ {
+		word := st.redPos[w] &^ st.tombs[w]
+		if w == first {
+			word &= ^uint64(0) << (lo & 63)
+		}
+		if w == last {
+			word &= ^uint64(0) >> (63 - (hi-1)&63)
+		}
+		for word != 0 {
+			j := w<<6 | bits.TrailingZeros64(word)
+			word &= word - 1
+			read++
+			if pos[j] == -1 && red[j] > bestRed {
+				best, bestRed = j, red[j]
+			}
+		}
+	}
+	return best, bestRed, read
+}
+
+// indexFirst returns the first nonbasic candidate of slots [lo, hi), or −1,
+// and counts the index entries it read into read.
+func (st *revisedState) indexFirst(lo, hi, read int) (int, int) {
+	if lo >= hi {
+		return -1, read
+	}
+	first, last := lo>>6, (hi-1)>>6
+	for w := first; w <= last; w++ {
+		word := st.redPos[w] &^ st.tombs[w]
+		if w == first {
+			word &= ^uint64(0) << (lo & 63)
+		}
+		if w == last {
+			word &= ^uint64(0) >> (63 - (hi-1)&63)
+		}
+		for word != 0 {
+			j := w<<6 | bits.TrailingZeros64(word)
+			word &= word - 1
+			read++
+			if st.posOf[j] == -1 {
+				return j, read
+			}
+		}
+	}
+	return -1, read
+}
+
+// liveAfter returns the slot after the k-th live variable from cursor, for
+// 1 ≤ k < the live count: the end of a window of k.
+func (st *revisedState) liveAfter(cursor, k int) int {
+	total := st.n + st.m
+	if st.dead == 0 {
+		if j := cursor + k; j < total {
+			return j
+		}
+		return cursor + k - total
+	}
+	// Count the live bits, ^tombs, word by word; the last word's bits past
+	// total are not slots. Back at cursor's word after a wrap, the k-th
+	// live bit lies below cursor, and the lowest bits are selected first.
+	lastWord, tail := (total-1)>>6, total&63
+	w := cursor >> 6
+	word := ^st.tombs[w] &^ (1<<(cursor&63) - 1)
+	for {
+		if w == lastWord && tail != 0 {
+			word &= 1<<tail - 1
+		}
+		if c := bits.OnesCount64(word); c < k {
+			k -= c
+			if w++; w > lastWord {
+				w = 0
+			}
+			word = ^st.tombs[w]
+			continue
+		}
+		for ; k > 1; k-- {
+			word &= word - 1
+		}
+		if j := w<<6 | bits.TrailingZeros64(word); j+1 < total {
+			return j + 1
+		}
+		return 0
+	}
+}
+
+// passEnd returns the slot after the last live variable of a pass from
+// cursor: cursor itself unless tombstones sit just before it.
+func (st *revisedState) passEnd(cursor int) int {
+	if st.dead == 0 || cursor == 0 {
+		return cursor
+	}
+	w := (cursor - 1) >> 6
+	word := ^st.tombs[w] & (^uint64(0) >> (63 - (cursor-1)&63))
+	for {
+		if word != 0 {
+			return w<<6 | (63 - bits.LeadingZeros64(word)) + 1
+		}
+		if w--; w < 0 {
+			// Every slot below cursor is a tombstone. The last slot, a
+			// slack, is live, so the pass ends by wrapping to 0.
+			return 0
+		}
+		word = ^st.tombs[w]
+	}
+}
+
+// liveIn returns the number of live slots in the cyclic range [lo, hi),
+// lo ≠ hi.
+func (st *revisedState) liveIn(lo, hi int) int {
+	if hi < lo {
+		return st.liveIn(lo, st.n+st.m) + st.liveIn(0, hi)
+	}
+	n := hi - lo
+	if st.dead == 0 || n == 0 {
+		return n
+	}
+	first, last := lo>>6, (hi-1)>>6
+	for w := first; w <= last; w++ {
+		word := st.tombs[w]
+		if w == first {
+			word &= ^uint64(0) << (lo & 63)
+		}
+		if w == last {
+			word &= ^uint64(0) >> (63 - (hi-1)&63)
+		}
+		n -= bits.OnesCount64(word)
+	}
+	return n
 }
 
 // pricingHook, when set, runs after every partial Dantzig pricing call of

@@ -722,14 +722,16 @@ func (s *Solver) applyDelta(d *ProblemDelta) {
 // per-variable array past the appended slots (added columns start nonbasic
 // at the unit Devex reference), patches the row mirror, and queues every
 // column whose c_j is new — SetC targets, tombstones and appended columns —
-// for the reduced-cost cache's next sync. Bound changes touch no input of a
-// reduced cost, so a SetB-only delta leaves the cache exactly as valid as it
-// was.
+// for the reduced-cost cache's next sync. The candidate index marks each
+// tombstone and refreshes the slots growSlots moved or added. Bound changes
+// touch no input of a reduced cost, so a SetB-only delta leaves the cache
+// exactly as valid as it was.
 func (s *Solver) patchState(d *ProblemDelta, oldN int) {
 	st := s.st
 	m := st.m
 	newN := s.prob.NumCols()
 	devexW := len(st.weights) == oldN+m
+	idx := st.redOK && st.idxOK
 	for _, j := range d.RemoveCols {
 		if st.posOf[j] == deadSlot {
 			continue // listed twice
@@ -737,6 +739,9 @@ func (s *Solver) patchState(d *ProblemDelta, oldN int) {
 		st.posOf[j] = deadSlot
 		if devexW {
 			st.weights[j] = 0
+		}
+		if idx {
+			st.tombs[j>>6] |= 1 << (j & 63)
 		}
 		st.dead++
 	}
@@ -762,6 +767,9 @@ func (s *Solver) patchState(d *ProblemDelta, oldN int) {
 	defer st.timers.add(phPricing, t0)
 	if newN > oldN {
 		st.redC = growSlots(st.redC, oldN, newN, m, 0)
+		if idx {
+			st.growIndex(oldN, newN)
+		}
 	}
 	for _, oc := range d.SetC {
 		st.redDirty = append(st.redDirty, int32(oc.Col))
@@ -851,8 +859,8 @@ func (s *Solver) compact(removed []int) {
 // remapState carries the warm state through the compaction just run: basis
 // entries, posOf, the Devex reference weights and the reduced-cost cache
 // with its dirty queue move with their variables through newOf, and the
-// slack block moves down behind the surviving columns. The row mirror and
-// the solution buffer are rebuilt on next use.
+// slack block moves down behind the surviving columns. The row mirror, the
+// candidate index and the solution buffer are rebuilt on next use.
 func (s *Solver) remapState() {
 	st := s.st
 	m := st.m
@@ -887,6 +895,7 @@ func (s *Solver) remapState() {
 	}
 	st.n = newN
 	st.aRowsOK = false
+	st.idxOK = false
 	st.xSetOK = false
 }
 
