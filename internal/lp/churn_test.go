@@ -16,7 +16,9 @@ import (
 // replan_churn-scale instance (m = 2200, partial Dantzig) through 816
 // updates, long enough for two compactions. Every partial Dantzig pricing
 // call the warm re-solves make, and random probes beside each, must return
-// the plain scan's (q, next) and count what it reads (lp.CheckPricing).
+// the plain scan's (q, next) and count what it reads (lp.CheckPricing), and
+// every BTRAN that returns early on carried exact duals must leave the bits
+// a fresh one computes (lp.CheckCarriedDuals).
 func TestWarmPricingOnChurn(t *testing.T) {
 	in, err := workload.Synthetic(workload.SyntheticConfig{Seed: 1_000_003, NumUsers: 2000, NumEvents: 200, MaxEventCap: 100})
 	if err != nil {
@@ -30,7 +32,9 @@ func TestWarmPricingOnChurn(t *testing.T) {
 	defer p.Close()
 	tm = lp.PhaseTimers{} // the warm re-solves' counts alone
 	done := lp.CheckPricing(xrand.New(7))
-	defer done() // uninstalls the check when an update fails
+	defer done() // uninstalls the checks when an update fails
+	doneDuals := lp.CheckCarriedDuals()
+	defer doneDuals()
 	next := churnStream(in)
 	for j := 0; j < 16*51; j++ {
 		if _, err := p.Update(next(j)); err != nil {
@@ -41,13 +45,17 @@ func TestWarmPricingOnChurn(t *testing.T) {
 	if rep.Err != nil {
 		t.Fatal(rep.Err)
 	}
-	st := p.Stats()
-	if st.Compactions < 2 || rep.TombstoneWindows == 0 || rep.Probes == 0 {
-		t.Errorf("%d compactions, %d warm pricing calls with a tombstone in the window and %d probes checked; want ≥ 2 and some of each",
-			st.Compactions, rep.TombstoneWindows, rep.Probes)
+	carried, err := doneDuals()
+	if err != nil {
+		t.Fatal(err)
 	}
-	t.Logf("%d warm resolves: %d pricing calls checked (%d warm, %d with a tombstone in the window) and %d probes; %d variables read and %d skipped",
-		st.WarmSolves, rep.Calls, rep.WarmCalls, rep.TombstoneWindows, rep.Probes, tm.PricedVars, tm.SkippedVars)
+	st := p.Stats()
+	if st.Compactions < 2 || rep.TombstoneWindows == 0 || rep.Probes == 0 || carried == 0 {
+		t.Errorf("%d compactions, %d warm pricing calls with a tombstone in the window, %d probes and %d carried duals checked; want ≥ 2 and some of each",
+			st.Compactions, rep.TombstoneWindows, rep.Probes, carried)
+	}
+	t.Logf("%d warm resolves: %d pricing calls checked (%d warm, %d with a tombstone in the window) and %d probes; %d variables read and %d skipped; %d BTRANs skipped on carried duals",
+		st.WarmSolves, rep.Calls, rep.WarmCalls, rep.TombstoneWindows, rep.Probes, tm.PricedVars, tm.SkippedVars, carried)
 }
 
 // churnStream is core's churnStream, the update stream of its pinned churn

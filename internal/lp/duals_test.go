@@ -33,9 +33,43 @@ func CheckDuals(tol float64) func() (checks int, worst float64, err error) {
 		}
 		copy(st.y, y)
 		copy(st.d, d)
+		st.yExact = false // y holds the updated duals again
 	}
 	return func() (int, float64, error) {
 		dualHook = nil
 		return n, worst, exceeded
+	}
+}
+
+// CheckCarriedDuals installs a check of the duals btran carries until the
+// returned function is called: whenever btran returns early because y is
+// already exact, it recomputes y from the LU, the eta file and c_B and
+// records the first entry whose bits differ. The solve goes on from the
+// carried duals, untouched. The returned function uninstalls the check and
+// reports the number of checks and the first mismatch. Tests that use it
+// must not run in parallel.
+func CheckCarriedDuals() func() (checks int, err error) {
+	var (
+		n        int
+		mismatch error
+		y, d     []float64
+	)
+	btranHook = func(st *revisedState) {
+		n++
+		y = append(y[:0], st.y...)
+		d = append(d[:0], st.d...) // btran borrows d as scratch
+		st.yExact = false
+		st.btran()
+		for i, exact := range st.y {
+			if math.Float64bits(y[i]) != math.Float64bits(exact) && mismatch == nil {
+				mismatch = fmt.Errorf("check %d: y[%d] = %v carried, %v recomputed", n, i, y[i], exact)
+			}
+		}
+		copy(st.y, y)
+		copy(st.d, d)
+	}
+	return func() (int, error) {
+		btranHook = nil
+		return n, mismatch
 	}
 }

@@ -659,14 +659,21 @@ func TestFuzzResolveWindowSeed(t *testing.T) {
 // fuzzResolveSteps is FuzzResolve's body. It returns the solver's stats and
 // what the pricing check saw: every partial Dantzig pricing call of every
 // solve it runs, warm or cold, must return the plain scan's (q, next)
-// (CheckPricing), with random probes beside each.
+// (CheckPricing), with random probes beside each, and every BTRAN skipped
+// on carried exact duals must match a fresh one bit for bit
+// (CheckCarriedDuals).
 func fuzzResolveSteps(t *testing.T, seed int64, steps uint8) (SolverStats, PricingReport) {
 	done := CheckPricing(xrand.New(seed ^ 0x5eed))
-	defer done() // uninstalls the check when the run fails
+	defer done() // uninstalls the checks when the run fails
+	doneDuals := CheckCarriedDuals()
+	defer doneDuals()
 	st := fuzzResolveRun(t, seed, steps)
 	rep := done()
 	if rep.Err != nil {
 		t.Fatalf("pricing: %v", rep.Err)
+	}
+	if _, err := doneDuals(); err != nil {
+		t.Fatalf("carried duals: %v", err)
 	}
 	return st, rep
 }

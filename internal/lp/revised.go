@@ -477,10 +477,16 @@ type revisedState struct {
 	etaIdx []int32 // shared eta arena (see eta)
 	etaVal []float64
 
-	y    []float64 // dual prices, original-row space
-	d    []float64 // FTRAN result, basis-position space
-	beta []float64 // BTRAN of the leaving unit vector (pivot row, dual step)
-	work []float64 // scratch for LU solves
+	y []float64 // dual prices, original-row space
+	// yExact says y equals, bit for bit, what btran computes from the
+	// current LU, eta file and c_B, so btran can return at once. btran sets
+	// it; pushEta, refactorize, stepDuals and rebind clear it, and so does
+	// recomputeXB when it changes a bit of c_B. It carries exact duals
+	// across Solver.Resolve calls that leave the basis and c_B alone.
+	yExact bool
+	d      []float64 // FTRAN result, basis-position space
+	beta   []float64 // BTRAN of the leaving unit vector (pivot row, dual step)
+	work   []float64 // scratch for LU solves
 
 	// Devex state: incrementally maintained reduced costs and reference
 	// weights for every variable (structural and slack).
@@ -634,6 +640,7 @@ func (st *revisedState) rebind(p *Problem, perturb bool) {
 	st.aRowsOK = false
 	st.redOK = false
 	st.idxOK = false
+	st.yExact = false
 	st.redDirty = st.redDirty[:0]
 	st.loadRHS(perturb)
 	st.basis = resize(st.basis, m)
@@ -730,6 +737,7 @@ func (st *revisedState) refactorize() error {
 	st.etas = st.etas[:0]
 	st.etaIdx = st.etaIdx[:0]
 	st.etaVal = st.etaVal[:0]
+	st.yExact = false
 	st.solveB(st.rowSeq, st.b, st.xB)
 	for i := range st.xB {
 		if st.xB[i] < 0 && st.xB[i] > -1e-9 {
@@ -770,7 +778,7 @@ func (st *revisedState) solveB(rows []int32, vals []float64, out []float64) {
 // Solver.Resolve guarantees (substituted removals are product-form updates)
 // — so a small-delta re-solve skips the O(m·nnz) refactorization entirely.
 // The round-off hygiene matches refactorize: tiny negative basics clamp to
-// zero.
+// zero. Exact duals stay exact unless a bit of c_B changed.
 func (st *revisedState) recomputeXB() {
 	st.solveB(st.rowSeq, st.b, st.d)
 	for _, e := range st.etas {
@@ -789,7 +797,11 @@ func (st *revisedState) recomputeXB() {
 		if st.xB[i] < 0 && st.xB[i] > -1e-9 {
 			st.xB[i] = 0
 		}
-		st.cB[i] = st.objCoef(st.basis[i])
+		c := st.objCoef(st.basis[i])
+		if math.Float64bits(c) != math.Float64bits(st.cB[i]) {
+			st.yExact = false
+		}
+		st.cB[i] = c
 	}
 }
 
@@ -812,13 +824,23 @@ func (st *revisedState) ftran(q int) {
 	st.timers.add(phFtran, t0)
 }
 
-// btran computes y = B⁻ᵀ c_B into st.y.
+// btran computes y = B⁻ᵀ c_B into st.y. When y is already exact (yExact)
+// it returns at once: the solve is a pure function of the LU, the eta file
+// and c_B, none of which changed, so it would write the same bits.
 func (st *revisedState) btran() {
+	if st.yExact {
+		st.timers.btranSkipped()
+		if btranHook != nil {
+			btranHook(st)
+		}
+		return
+	}
 	t0 := tick(st.timers)
 	z := st.d // reuse as scratch; overwritten by the next ftran
 	copy(z, st.cB)
 	st.applyEtasT(z)
 	st.lu.solveBT(z, st.y, st.work)
+	st.yExact = true
 	st.timers.add(phBtran, t0)
 }
 
@@ -902,6 +924,7 @@ func (st *revisedState) recertify(cached bool) bool {
 // independent, so both give the same bits. Timed as the pivot's update.
 func (st *revisedState) stepDuals(gamma float64) {
 	t0 := tick(st.timers)
+	st.yExact = false
 	y, beta := st.y, st.beta
 	if st.betaSupportOK {
 		for _, i := range st.betaSupport {
@@ -943,6 +966,7 @@ func (st *revisedState) applyEtasT(z []float64) {
 // pushEta records the current FTRAN vector st.d as the eta for a pivot at
 // basic position r, appending its entries to the shared arena.
 func (st *revisedState) pushEta(r int) {
+	st.yExact = false
 	lo := int32(len(st.etaIdx))
 	for i, v := range st.d {
 		if i != r && (v > 1e-13 || v < -1e-13) {
@@ -2110,6 +2134,11 @@ func (st *revisedState) liveIn(lo, hi int) int {
 // Tests use it to check each call against the plain scan; it is nil
 // otherwise.
 var pricingHook func(st *revisedState, bounds *priceBounds, warm bool, cursor, window, q, next int)
+
+// btranHook, when set, runs whenever btran returns early because y is
+// already exact. Tests use it to recompute y and compare the bits; it is
+// nil otherwise.
+var btranHook func(st *revisedState)
 
 // dualHook, when set, runs whenever the pivot loop is about to replace
 // incrementally updated duals by a full btran (or drop them for Bland),

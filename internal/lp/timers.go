@@ -46,6 +46,12 @@ type PhaseTimers struct {
 	// cache counts every row and every variable. Their ratio to the
 	// resolves run is the cache's per-resolve work.
 	MovedRows, RecomputedCols int64
+	// SkippedBtrans counts the full BTRANs of the duals that returned at
+	// once because y was already exact for the current basis, its
+	// factorization and c_B: the fast finish, the warm pivot loop's entry
+	// and the dual repair's first pivot after a delta that changed none of
+	// them.
+	SkippedBtrans int64
 }
 
 // Total returns the summed phase time (excluding untimed glue such as the
@@ -139,6 +145,12 @@ func (tm *PhaseTimers) scanned(priced, skipped int) {
 	if tm != nil {
 		tm.PricedVars += int64(priced)
 		tm.SkippedVars += int64(skipped)
+	}
+}
+
+func (tm *PhaseTimers) btranSkipped() {
+	if tm != nil {
+		tm.SkippedBtrans++
 	}
 }
 
