@@ -244,8 +244,10 @@ func TestMeetupTrajectoryPinned(t *testing.T) {
 // toggle flips between the generated value and one edit away from it. An
 // FNV-1a chain over every solution's plannerHash and the final warm-pivot,
 // fast-finish and refactorization counts must not move. It logs the warm
-// reduced-cost cache's work per warm resolve (lp.PhaseTimers.MovedRows and
-// RecomputedCols). amd64 only.
+// reduced-cost cache's work over the warm resolves (lp.PhaseTimers.MovedRows
+// and RecomputedCols), the candidates their pricing read against the
+// variables it skipped (PricedVars, SkippedVars) and the BTRANs skipped on
+// carried duals. amd64 only.
 func TestChurnTrajectoryPinned(t *testing.T) {
 	if runtime.GOARCH != "amd64" {
 		t.Skipf("trajectory bits are pinned on amd64, not %s", runtime.GOARCH)
@@ -260,6 +262,7 @@ func TestChurnTrajectoryPinned(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer p.Close()
+	tm = lp.PhaseTimers{} // the warm resolves' counts alone
 
 	next := churnStream(in)
 	chain := fnv.New64a()
@@ -279,8 +282,8 @@ func TestChurnTrajectoryPinned(t *testing.T) {
 		wantRefactors    = 22
 	)
 	st := p.Stats()
-	t.Logf("%d warm resolves, %d fast finishes: the reduced-cost cache found %d moved rows and recomputed %d variables",
-		st.WarmSolves, st.FastFinishes, tm.MovedRows, tm.RecomputedCols)
+	t.Logf("%d warm resolves, %d fast finishes: the reduced-cost cache found %d moved rows and recomputed %d variables; pricing read %d candidates and skipped %d variables; %d BTRANs skipped on carried duals",
+		st.WarmSolves, st.FastFinishes, tm.MovedRows, tm.RecomputedCols, tm.PricedVars, tm.SkippedVars, tm.SkippedBtrans)
 	if h := chain.Sum64(); h != wantChain || st.WarmPivots != wantWarmPivots ||
 		st.FastFinishes != wantFastFinishes || st.Refactorizations != wantRefactors {
 		t.Errorf("trajectory moved: got chain=%#x warm pivots=%d fast finishes=%d refactorizations=%d, want chain=%#x warm pivots=%d fast finishes=%d refactorizations=%d",

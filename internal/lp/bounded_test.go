@@ -324,9 +324,11 @@ func TestBoundedPricingNoColumns(t *testing.T) {
 }
 
 // TestPricingCountersAllocateNothing checks that the partial Dantzig scan,
-// plain and bounded, counts PricedVars and SkippedVars into attached phase
-// timers without allocating, and that the warm reduced-cost cache counts
-// MovedRows and RecomputedCols without allocating either.
+// plain, bounded and warm from the candidate index, counts PricedVars and
+// SkippedVars into attached phase timers without allocating, that the warm
+// reduced-cost cache counts MovedRows and RecomputedCols and times its
+// Sync phase without allocating either, and that a BTRAN skipped on exact
+// duals counts SkippedBtrans without allocating.
 func TestPricingCountersAllocateNothing(t *testing.T) {
 	p := blockedPacking(xrand.New(3), 1)
 	st := newRevisedState(p, true)
@@ -366,5 +368,42 @@ func TestPricingCountersAllocateNothing(t *testing.T) {
 	}
 	if tm.MovedRows != int64(k) || tm.RecomputedCols <= tm.MovedRows {
 		t.Errorf("%d syncs of one moved row counted %d rows and %d variables", k, tm.MovedRows, tm.RecomputedCols)
+	}
+
+	// The index path: exact duals again, a synced cache, then warm scans.
+	tm = PhaseTimers{}
+	st.yExact = false // the loop above moved y behind btran's back
+	st.btran()
+	st.syncRed()
+	if tm.Sync <= 0 || tm.Pricing != 0 {
+		t.Errorf("a sync timed %v as Sync and %v as Pricing, want some Sync and no Pricing", tm.Sync, tm.Pricing)
+	}
+	for _, w := range []int{64, total} {
+		priced, skipped := tm.PricedVars, tm.SkippedVars
+		calls := 0
+		if allocs := testing.AllocsPerRun(20, func() {
+			st.pricePartial(0, w, true, nil)
+			calls++
+		}); allocs != 0 {
+			t.Errorf("window %d: %v allocations per warm pricing call", w, allocs)
+		}
+		read, left := tm.PricedVars-priced, tm.SkippedVars-skipped
+		if read+left != int64(calls*min(w, total)) {
+			t.Errorf("window %d: %d calls read %d and skipped %d variables, want %d in all", w, calls, read, left, calls*min(w, total))
+		}
+		if w == total && (read == 0 || left == 0) {
+			t.Errorf("full pass: %d calls read %d and skipped %d variables, want some of each", calls, read, left)
+		}
+	}
+	before := tm.SkippedBtrans
+	calls := 0
+	if allocs := testing.AllocsPerRun(20, func() {
+		st.btran()
+		calls++
+	}); allocs != 0 {
+		t.Errorf("%v allocations per BTRAN on exact duals", allocs)
+	}
+	if got := tm.SkippedBtrans - before; got != int64(calls) {
+		t.Errorf("%d BTRANs on exact duals counted %d skipped", calls, got)
 	}
 }

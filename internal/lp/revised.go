@@ -898,9 +898,9 @@ func (st *revisedState) btranUnit(r int) {
 func (st *revisedState) recertify(cached bool) bool {
 	if cached {
 		st.btran()
+		st.syncRed()
 		t0 := tick(st.timers)
 		defer st.timers.add(phPricing, t0)
-		st.syncRed()
 		for _, j := range st.redMoved {
 			if st.posOf[j] == -1 && st.redC[j] > reducedTol {
 				return true
@@ -1758,8 +1758,8 @@ func (st *revisedState) appendARows(j int) {
 // recomputed exactly (the repair's first pivot, refactorizations), so the
 // incremental red updates never drift further than one eta chain.
 func (st *revisedState) refreshDualRed() {
-	t0 := tick(st.timers)
 	st.syncRed()
+	t0 := tick(st.timers)
 	st.dualRedVec = resize(st.dualRedVec, st.n+st.m)
 	copy(st.dualRedVec, st.redC)
 	st.timers.add(phPricing, t0)
@@ -1779,9 +1779,11 @@ func (st *revisedState) refreshDualRed() {
 // for bit, and pricing from the cache picks exactly what pricing from
 // scratch would. Every recomputed entry sets or clears its bit of the
 // candidate index, which a full pass or an invalidated index rebuilds. It
-// counts the moved rows and the recomputed variables into the phase timers.
-// Callers time it under their pricing phase.
+// counts the moved rows and the recomputed variables into the phase timers
+// and times itself as their Sync phase.
 func (st *revisedState) syncRed() {
+	t0 := tick(st.timers)
+	defer st.timers.add(phSync, t0)
 	total := st.n + st.m
 	if !st.redOK {
 		st.redC = resize(st.redC, total)
@@ -1897,13 +1899,15 @@ func (st *revisedState) growIndex(oldN, newN int) {
 // the window or the pass, so the scan visits the live variables in the
 // order, and stops where, it would on the compacted problem.
 func (st *revisedState) pricePartial(cursor, window int, cached bool, bounds *priceBounds) (q, next int) {
+	if cached {
+		st.syncRed()
+	}
 	t0 := tick(st.timers)
 	defer st.timers.add(phPricing, t0)
 	switch {
 	case bounds != nil:
 		return st.priceBounded(cursor, window, bounds)
 	case cached:
-		st.syncRed()
 		return st.priceIndexed(cursor, window)
 	}
 	total := st.n + st.m
@@ -2368,11 +2372,11 @@ func (st *revisedState) priceBounded(cursor, window int, pb *priceBounds) (q, ne
 // (used during anti-cycling episodes), read from the synced cache when
 // cached, as in pricePartial.
 func (st *revisedState) priceBland(cached bool) int {
-	t0 := tick(st.timers)
-	defer st.timers.add(phPricing, t0)
 	if cached {
 		st.syncRed()
 	}
+	t0 := tick(st.timers)
+	defer st.timers.add(phPricing, t0)
 	for q := 0; q < st.n+st.m; q++ {
 		if st.posOf[q] != -1 {
 			continue

@@ -764,7 +764,7 @@ func (s *Solver) patchState(d *ProblemDelta, oldN int) {
 		return
 	}
 	t0 := tick(st.timers)
-	defer st.timers.add(phPricing, t0)
+	defer st.timers.add(phSync, t0)
 	if newN > oldN {
 		st.redC = growSlots(st.redC, oldN, newN, m, 0)
 		if idx {

@@ -7,9 +7,11 @@ import "time"
 // (B⁻¹a, including the eta sweep), Btran the transposed solves (duals and
 // pivot rows, including btranUnit), Pricing every entering/leaving scan
 // (Devex, partial Dantzig, Bland and the dual-repair ratio test) and the
-// block summaries of a cold partial-Dantzig solve, Update the
-// Devex reduced-cost and reference-weight update and the dual step
-// y += γβ of Dantzig and dual-repair pivots, and Factor the LU
+// block summaries of a cold partial-Dantzig solve, Sync the warm
+// reduced-cost cache's upkeep (syncRed bringing it and its candidate index
+// to the current duals, and Solver.Resolve carrying it across a delta),
+// Update the Devex reduced-cost and reference-weight update and the dual
+// step y += γβ of Dantzig and dual-repair pivots, and Factor the LU
 // (re)factorizations plus their xB refresh. Pivots counts primal pivots,
 // RepairPivots the dual pivots of warm-start repair.
 //
@@ -18,8 +20,8 @@ import "time"
 // struct. A nil *PhaseTimers is valid everywhere and costs one branch per
 // kernel call.
 type PhaseTimers struct {
-	Ftran, Btran, Pricing, Update, Factor time.Duration
-	Pivots, RepairPivots                  int64
+	Ftran, Btran, Pricing, Sync, Update, Factor time.Duration
+	Pivots, RepairPivots                        int64
 
 	// HypersparseFtran and HypersparseBtran count triangular solves served
 	// by the symbolic-reach kernels (hypersparse.go) instead of the dense
@@ -30,11 +32,12 @@ type PhaseTimers struct {
 	// reaches; the rest paid a pass over every column. Its share of Pivots
 	// (on a Devex solve) is what the sparse update's gain depends on.
 	RowPricedUpdates int64
-	// PricedVars counts the variables the partial Dantzig scan read, warm or
-	// cold; SkippedVars those a cold scan counted as scanned without reading
-	// them, because a block's dual bound proved them non-improving. Their
-	// sum is what the plain scan reads, so SkippedVars over the sum is the
-	// bound's skip share.
+	// PricedVars counts the variables the partial Dantzig scan read, and
+	// SkippedVars those it counted as scanned without reading them: on a
+	// cold scan, because a block's dual bound proved them non-improving; on
+	// a warm one, because the candidate index does not mark them improving,
+	// so only the marked ones are read. Their sum is what the plain scan
+	// reads, so SkippedVars over the sum is the skip share.
 	PricedVars, SkippedVars int64
 	// BudgetExhausted counts dual-repair attempts that ran out of their
 	// pivot budget; PartialWarmCutovers counts the keep-the-basis
@@ -57,7 +60,7 @@ type PhaseTimers struct {
 // Total returns the summed phase time (excluding untimed glue such as the
 // ratio test and basis bookkeeping, which are O(m) per pivot and small).
 func (tm *PhaseTimers) Total() time.Duration {
-	return tm.Ftran + tm.Btran + tm.Pricing + tm.Update + tm.Factor
+	return tm.Ftran + tm.Btran + tm.Pricing + tm.Sync + tm.Update + tm.Factor
 }
 
 type phase int
@@ -66,6 +69,7 @@ const (
 	phFtran phase = iota
 	phBtran
 	phPricing
+	phSync
 	phUpdate
 	phFactor
 )
@@ -92,6 +96,8 @@ func (tm *PhaseTimers) add(p phase, t0 time.Time) {
 		tm.Btran += d
 	case phPricing:
 		tm.Pricing += d
+	case phSync:
+		tm.Sync += d
 	case phUpdate:
 		tm.Update += d
 	case phFactor:

@@ -79,7 +79,7 @@ type solverObs struct {
 	budgetExhausted               *obs.Counter
 	warmCutovers                  *obs.Counter
 	ftran, btran, pricing, update *obs.Counter
-	factor                        *obs.Counter
+	sync, factor                  *obs.Counter
 }
 
 func newSolverObs(reg *obs.Registry, name string) solverObs {
@@ -106,6 +106,7 @@ func newSolverObs(reg *obs.Registry, name string) solverObs {
 		ftran:            reg.Counter("igepa_lp_phase_ns_total", "Cumulative LP phase time in nanoseconds.", l, obs.L("phase", "ftran")),
 		btran:            reg.Counter("igepa_lp_phase_ns_total", "Cumulative LP phase time in nanoseconds.", l, obs.L("phase", "btran")),
 		pricing:          reg.Counter("igepa_lp_phase_ns_total", "Cumulative LP phase time in nanoseconds.", l, obs.L("phase", "pricing")),
+		sync:             reg.Counter("igepa_lp_phase_ns_total", "Cumulative LP phase time in nanoseconds.", l, obs.L("phase", "sync")),
 		update:           reg.Counter("igepa_lp_phase_ns_total", "Cumulative LP phase time in nanoseconds.", l, obs.L("phase", "update")),
 		factor:           reg.Counter("igepa_lp_phase_ns_total", "Cumulative LP phase time in nanoseconds.", l, obs.L("phase", "factor")),
 	}
@@ -131,6 +132,7 @@ func (so *solverObs) mirror(st lp.SolverStats, t lp.PhaseTimers) {
 	so.ftran.Store(t.Ftran.Nanoseconds())
 	so.btran.Store(t.Btran.Nanoseconds())
 	so.pricing.Store(t.Pricing.Nanoseconds())
+	so.sync.Store(t.Sync.Nanoseconds())
 	so.update.Store(t.Update.Nanoseconds())
 	so.factor.Store(t.Factor.Nanoseconds())
 }

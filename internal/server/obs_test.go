@@ -267,6 +267,7 @@ func checkLiveMetrics(t *testing.T, fams map[string]obs.Family, st Stats) {
 		t.Error("bound LP never cold-solved with LiveBound on")
 	}
 	requireMetric(t, fams, "igepa_lp_phase_ns_total", "igepa_lp_phase_ns_total", map[string]string{"solver": "bound", "phase": "pricing"})
+	requireMetric(t, fams, "igepa_lp_phase_ns_total", "igepa_lp_phase_ns_total", map[string]string{"solver": "bound", "phase": "sync"})
 	if v := requireMetric(t, fams, "igepa_lp_bound_updates_total", "igepa_lp_bound_updates_total", nil); v == 0 {
 		t.Error("live bound never updated with LiveBound on")
 	}

@@ -1109,6 +1109,7 @@ type SolverReport struct {
 	FtranNS   int64 `json:"ftran_ns"`
 	BtranNS   int64 `json:"btran_ns"`
 	PricingNS int64 `json:"pricing_ns"`
+	SyncNS    int64 `json:"sync_ns"`
 	UpdateNS  int64 `json:"update_ns"`
 	FactorNS  int64 `json:"factor_ns"`
 }
@@ -1133,6 +1134,7 @@ func solverReport(st lp.SolverStats, t lp.PhaseTimers) SolverReport {
 		FtranNS:                 t.Ftran.Nanoseconds(),
 		BtranNS:                 t.Btran.Nanoseconds(),
 		PricingNS:               t.Pricing.Nanoseconds(),
+		SyncNS:                  t.Sync.Nanoseconds(),
 		UpdateNS:                t.Update.Nanoseconds(),
 		FactorNS:                t.Factor.Nanoseconds(),
 	}
