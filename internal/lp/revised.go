@@ -31,6 +31,14 @@ import (
 // pivot). A warm solve's reduced-cost cache then recomputes only the columns
 // on β's rows.
 //
+// A warm partial-Dantzig scan reads no variable the cache does not mark
+// improving: a bitset beside the cache (the candidate index) holds exactly
+// those, and a second one the tombstones, whose popcounts find where the
+// window ends (priceIndexed). Exact duals carry across warm re-solves: a
+// btran on a basis, factorization and c_B unchanged since the last one
+// returns at once (yExact), so a delta that leaves them alone costs no
+// dense BTRAN before its first pivot.
+//
 // A cold partial-Dantzig scan keeps a dual bound per block of consecutive
 // variables (priceBounds) and counts a block as scanned without reading its
 // columns when the bound proves none of them improving. It returns exactly
@@ -1874,8 +1882,8 @@ func (st *revisedState) buildIndex() {
 // growIndex carries the candidate index across growSlots from oldN to newN
 // structural slots: the words past the old end start clear, and the slots
 // whose entries moved or are new, the appended ones and the slack block,
-// [oldN, newN+m), take their bits from redC anew, in O(appended + m).
-// Neither holds a tombstone.
+// [oldN, newN+m), take their bits from redC anew, in O(appended + m). Their
+// tombstone bits are already clear: they held slacks or lay past the end.
 func (st *revisedState) growIndex(oldN, newN int) {
 	words := (newN + st.m + 63) >> 6
 	old := len(st.redPos)
@@ -1885,7 +1893,6 @@ func (st *revisedState) growIndex(oldN, newN int) {
 	clear(st.tombs[old:])
 	for j := oldN; j < newN+st.m; j++ {
 		st.markRed(j)
-		st.tombs[j>>6] &^= 1 << (j & 63)
 	}
 }
 
@@ -1958,27 +1965,14 @@ func (st *revisedState) priceIndexed(cursor, window int) (q, next int) {
 	} else {
 		end = st.liveAfter(cursor, window)
 	}
-	best, bestRed, read := -1, reducedTol, 0
-	if end > cursor {
-		best, bestRed, read = st.indexBest(cursor, end, best, bestRed, read)
-	} else {
-		best, bestRed, read = st.indexBest(cursor, total, best, bestRed, read)
-		best, _, read = st.indexBest(0, end, best, bestRed, read)
-	}
+	best, read := st.indexCycle(cursor, end, 0, false)
 	counted := min(window, live)
 	next = end
 	if best < 0 && !full {
-		// The rest of the pass: [end, cursor), all of it live-counted
-		// before the scan would return to cursor.
-		c := -1
-		if end > cursor {
-			if c, read = st.indexFirst(end, total, read); c < 0 {
-				c, read = st.indexFirst(0, cursor, read)
-			}
-		} else {
-			c, read = st.indexFirst(end, cursor, read)
-		}
-		if c >= 0 {
+		// The rest of the pass, [end, cursor): the plain scan counts every
+		// live variable of it before it would return to cursor.
+		var c int
+		if c, read = st.indexCycle(end, cursor, read, true); c >= 0 {
 			best, next = c, c+1
 			if next == total {
 				next = 0
@@ -1994,59 +1988,54 @@ func (st *revisedState) priceIndexed(cursor, window int) (q, next int) {
 
 // indexBest folds the candidates of slots [lo, hi) into the first strict
 // maximum (best, bestRed) of their cached reduced costs, in slot order, and
-// counts the index entries it read into read. A basic variable whose bit
-// is set is read but never chosen.
-func (st *revisedState) indexBest(lo, hi, best int, bestRed float64, read int) (int, float64, int) {
-	if lo >= hi {
-		return best, bestRed, read
-	}
+// counts the index entries it read into read; with first, it returns at the
+// first candidate it takes. A basic variable whose bit is set is read but
+// never taken.
+func (st *revisedState) indexBest(lo, hi, best int, bestRed float64, read int, first bool) (int, float64, int) {
 	red, pos := st.redC, st.posOf
-	first, last := lo>>6, (hi-1)>>6
-	for w := first; w <= last; w++ {
-		word := st.redPos[w] &^ st.tombs[w]
-		if w == first {
-			word &= ^uint64(0) << (lo & 63)
-		}
-		if w == last {
-			word &= ^uint64(0) >> (63 - (hi-1)&63)
-		}
+	for w := lo >> 6; w<<6 < hi; w++ {
+		word := st.redPos[w] &^ st.tombs[w] & wordMask(w, lo, hi)
 		for word != 0 {
 			j := w<<6 | bits.TrailingZeros64(word)
 			word &= word - 1
 			read++
 			if pos[j] == -1 && red[j] > bestRed {
 				best, bestRed = j, red[j]
+				if first {
+					return best, bestRed, read
+				}
 			}
 		}
 	}
 	return best, bestRed, read
 }
 
-// indexFirst returns the first nonbasic candidate of slots [lo, hi), or −1,
-// and counts the index entries it read into read.
-func (st *revisedState) indexFirst(lo, hi, read int) (int, int) {
-	if lo >= hi {
-		return -1, read
+// indexCycle returns the first strict maximum of the candidates of the
+// cyclic range [lo, hi), the whole pass when lo == hi, or with first the
+// first candidate, as indexBest does on each linear part; −1 if none.
+func (st *revisedState) indexCycle(lo, hi, read int, first bool) (int, int) {
+	if hi > lo {
+		best, _, read := st.indexBest(lo, hi, -1, reducedTol, read, first)
+		return best, read
 	}
-	first, last := lo>>6, (hi-1)>>6
-	for w := first; w <= last; w++ {
-		word := st.redPos[w] &^ st.tombs[w]
-		if w == first {
-			word &= ^uint64(0) << (lo & 63)
-		}
-		if w == last {
-			word &= ^uint64(0) >> (63 - (hi-1)&63)
-		}
-		for word != 0 {
-			j := w<<6 | bits.TrailingZeros64(word)
-			word &= word - 1
-			read++
-			if st.posOf[j] == -1 {
-				return j, read
-			}
-		}
+	best, bestRed, read := st.indexBest(lo, st.n+st.m, -1, reducedTol, read, first)
+	if first && best >= 0 {
+		return best, read
 	}
-	return -1, read
+	best, _, read = st.indexBest(0, hi, best, bestRed, read, first)
+	return best, read
+}
+
+// wordMask returns the bits of bitset word w that lie in slots [lo, hi).
+func wordMask(w, lo, hi int) uint64 {
+	m := ^uint64(0)
+	if b := lo - w<<6; b > 0 {
+		m <<= b
+	}
+	if b := (w+1)<<6 - hi; b > 0 {
+		m &= ^uint64(0) >> b
+	}
+	return m
 }
 
 // liveAfter returns the slot after the k-th live variable from cursor, for
@@ -2059,22 +2048,18 @@ func (st *revisedState) liveAfter(cursor, k int) int {
 		}
 		return cursor + k - total
 	}
-	// Count the live bits, ^tombs, word by word; the last word's bits past
-	// total are not slots. Back at cursor's word after a wrap, the k-th
-	// live bit lies below cursor, and the lowest bits are selected first.
-	lastWord, tail := (total-1)>>6, total&63
+	// Count the live bits, ^tombs, word by word. Back at cursor's word
+	// after a wrap, the k-th live bit lies below cursor, and the lowest
+	// bits are selected first.
 	w := cursor >> 6
-	word := ^st.tombs[w] &^ (1<<(cursor&63) - 1)
+	word := ^st.tombs[w] & wordMask(w, cursor, total)
 	for {
-		if w == lastWord && tail != 0 {
-			word &= 1<<tail - 1
-		}
 		if c := bits.OnesCount64(word); c < k {
 			k -= c
-			if w++; w > lastWord {
+			if w++; w<<6 >= total {
 				w = 0
 			}
-			word = ^st.tombs[w]
+			word = ^st.tombs[w] & wordMask(w, 0, total)
 			continue
 		}
 		for ; k > 1; k-- {
@@ -2094,7 +2079,7 @@ func (st *revisedState) passEnd(cursor int) int {
 		return cursor
 	}
 	w := (cursor - 1) >> 6
-	word := ^st.tombs[w] & (^uint64(0) >> (63 - (cursor-1)&63))
+	word := ^st.tombs[w] & wordMask(w, 0, cursor)
 	for {
 		if word != 0 {
 			return w<<6 | (63 - bits.LeadingZeros64(word)) + 1
@@ -2115,19 +2100,11 @@ func (st *revisedState) liveIn(lo, hi int) int {
 		return st.liveIn(lo, st.n+st.m) + st.liveIn(0, hi)
 	}
 	n := hi - lo
-	if st.dead == 0 || n == 0 {
+	if st.dead == 0 {
 		return n
 	}
-	first, last := lo>>6, (hi-1)>>6
-	for w := first; w <= last; w++ {
-		word := st.tombs[w]
-		if w == first {
-			word &= ^uint64(0) << (lo & 63)
-		}
-		if w == last {
-			word &= ^uint64(0) >> (63 - (hi-1)&63)
-		}
-		n -= bits.OnesCount64(word)
+	for w := lo >> 6; w<<6 < hi; w++ {
+		n -= bits.OnesCount64(st.tombs[w] & wordMask(w, lo, hi))
 	}
 	return n
 }
