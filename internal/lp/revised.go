@@ -485,16 +485,16 @@ type revisedState struct {
 	etaIdx []int32 // shared eta arena (see eta)
 	etaVal []float64
 
-	y []float64 // dual prices, original-row space
+	y    []float64 // dual prices, original-row space
+	d    []float64 // FTRAN result, basis-position space
+	beta []float64 // BTRAN of the leaving unit vector (pivot row, dual step)
+	work []float64 // scratch for LU solves
 	// yExact says y equals, bit for bit, what btran computes from the
 	// current LU, eta file and c_B, so btran can return at once. btran sets
 	// it; pushEta, refactorize, stepDuals and rebind clear it, and so does
 	// recomputeXB when it changes a bit of c_B. It carries exact duals
 	// across Solver.Resolve calls that leave the basis and c_B alone.
 	yExact bool
-	d      []float64 // FTRAN result, basis-position space
-	beta   []float64 // BTRAN of the leaving unit vector (pivot row, dual step)
-	work   []float64 // scratch for LU solves
 
 	// Devex state: incrementally maintained reduced costs and reference
 	// weights for every variable (structural and slack).
