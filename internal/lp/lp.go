@@ -31,7 +31,7 @@ import (
 )
 
 // Column is one 0/1 column in assembly form: Rows lists the rows where the
-// column has coefficient 1, under Problem's row-order contract. Problems do
+// column has coefficient 1, each at most once. Problems do
 // not store columns this way (see Problem); Column is the currency of
 // NewProblem, ProblemDelta.AddCols and hand-written fixtures.
 type Column struct {
@@ -43,13 +43,11 @@ type Column struct {
 //
 // A is stored in flat compressed-sparse-column (CSC) form with no values:
 // column j has coefficient 1 in rows Rows[ColPtr[j]:ColPtr[j+1]] and 0
-// elsewhere, 4 bytes per nonzero. The row-order contract:
-//   - a column should list its rows in ascending order: every LP the
-//     planning pipeline builds does, and under that order the solver's
-//     pivot-row scatter is bit-identical to a column dot product (see
-//     scatterPivotRow);
-//   - a column must list each row at most once: a 0/1 column either
-//     crosses a row or does not, so Check rejects a repeat.
+// elsewhere, 4 bytes per nonzero. A column may list its rows in any order
+// (every LP the planning pipeline builds lists them ascending; the solver
+// builds its pivot rows row-ascending whatever the order, see pivotRow), but
+// must list each row at most once: a 0/1 column either crosses a row or does
+// not, so Check rejects a repeat.
 type Problem struct {
 	NumRows int       // m, number of constraints
 	C       []float64 // objective coefficients, len n

@@ -47,11 +47,12 @@ import (
 // blocks hold one or two users' sets; on the synthetic LPs no block does,
 // and the scan is the plain one.
 //
-// A Devex pivot costs what its pivot row touches. A sparse pivot row is
-// scattered through a row-major mirror of A and updates only the columns it
-// reaches; pricing keeps the best candidate of every fixed block of columns
-// and rescans only the blocks an update wrote. A dense pivot row falls back
-// to a dot product per column. The dense update pass, the reduced-cost
+// A Devex pivot costs what its pivot row touches. One builder, pivotRow,
+// serves it and the dual repair: a sparse pivot row is scattered through a
+// row-major mirror of A and updates only the columns it reaches, a dense one
+// is swept over every row of β and updates every column; pricing keeps the
+// best candidate of every fixed block of columns and rescans only the blocks
+// an update wrote. The dense update pass, the reduced-cost
 // refresh and large block rescans run on a bounded worker pool. Every
 // column's update is arithmetically independent and the block maxima fold
 // in column order, so the solve is bit-identical for every worker count and
@@ -496,8 +497,10 @@ type revisedState struct {
 	// across Solver.Resolve calls that leave the basis and c_B alone.
 	yExact bool
 
-	// Devex state: incrementally maintained reduced costs and reference
-	// weights for every variable (structural and slack).
+	// Maintained reduced costs for every variable (structural and slack),
+	// shared by Devex pricing and the dual repair, each of which refills
+	// them exactly before its first read (initDevex, refreshDualRed), plus
+	// the Devex reference weights.
 	rvec    []float64
 	weights []float64
 	scratch []float64 // second zeroed work vector (btranUnit)
@@ -512,24 +515,18 @@ type revisedState struct {
 
 	// dual-repair state: steepest-edge row norms (positional, reset to the
 	// unit reference framework at repair entry and on mid-repair
-	// refactorization), the maintained dual reduced costs, and the
-	// support-scatter pricing scratch. dualRedVec holds red_j = c_j − yᵀa_j
-	// for every nonbasic column (basic slots hold don't-care values, never
-	// read), refreshed exactly from the duals — a copy of the synced redC —
-	// at the repair's first pivot and at every refactorization, and updated
-	// incrementally (red' = red − γ·α) per pivot in between. alphaVec
-	// accumulates the pivot row α: in sparse mode over the candidate column
-	// set candList (scatterPivotRow, epoch-stamped via candStamp, so no O(n)
-	// clearing between pivots; syncRed reuses the stamps), in dense mode
-	// (candDense, chosen by β's nonzero count alone) over every column after
-	// a plain clear. The sparse Devex update reuses the same scatter.
-	dseW       []float64
-	dualRedVec []float64
-	alphaVec   []float64
-	candStamp  []int32
-	candEpoch  int32
-	candList   []int32
-	candDense  bool
+	// refactorization).
+	dseW []float64
+	// Pivot-row scratch (pivotRow): alphaVec holds α = βᵀA. A sparse β
+	// fills it over the candidate column set candList only
+	// (scatterPivotRow, epoch-stamped via candStamp, so no O(n) clearing
+	// between pivots; syncRed reuses the stamps); a dense β (candDense)
+	// fills every entry.
+	alphaVec  []float64
+	candStamp []int32
+	candEpoch int32
+	candList  []int32
+	candDense bool
 
 	// Row-major mirror of the structural matrix A (row → columns with a 1
 	// there), built lazily by buildARows for the pivot-row scatter: row r is
@@ -1126,17 +1123,14 @@ func (st *revisedState) priceDevex() int {
 
 // updateDevex performs the Forrest–Goldfarb update after choosing entering
 // variable q and leaving basic position r: it computes the pivot row
-// α = (B⁻¹)ᵣA, folds it into the stored reduced costs, grows the reference
-// weights, and marks the pricing blocks it wrote. Must be called before the
-// basis is modified.
+// α = (B⁻¹)ᵣA (pivotRow), folds it into the stored reduced costs, grows the
+// reference weights, and marks the pricing blocks it wrote. Must be called
+// before the basis is modified.
 //
-// The update costs what the pivot row touches. A sparse β (nnz(β)·8 ≤ m,
-// the rule priceDual uses too) takes the row scatter, scatterPivotRow, and
-// visits only the variables it returns. A dense β takes the column pass, a
-// dot product per column chunked over the worker pool, and marks every
-// block. The two give bit-identical α on ascending-row columns, and each
-// variable's arithmetic is self-contained, so the result is identical for
-// every worker count.
+// The update costs what the pivot row touches: a sparse pivot row visits
+// only the variables it reaches, a dense one every variable, chunked over
+// the worker pool, and marks every block. Each variable's arithmetic is
+// self-contained, so the result is identical for every worker count.
 func (st *revisedState) updateDevex(q, r int) {
 	st.btranUnit(r) // times itself as phBtran; the pass below is phUpdate
 	t0 := tick(st.timers)
@@ -1153,10 +1147,10 @@ func (st *revisedState) updateDevex(q, r int) {
 		wLeave = 1
 	}
 	invAlphaQ := 1 / alphaQ
-	if st.betaSparse() {
+	cand := st.pivotRow()
+	alphaVec := st.alphaVec
+	if !st.candDense {
 		st.timers.rowPricedUpdate()
-		cand := st.scatterPivotRow()
-		alphaVec := st.alphaVec
 		for _, j32 := range cand {
 			j := int(j32)
 			if st.posOf[j] != -1 || j == q {
@@ -1168,22 +1162,12 @@ func (st *revisedState) updateDevex(q, r int) {
 			}
 		}
 	} else {
-		beta := st.beta
 		par.Ranges(st.workers, st.n+st.m, devexGrain, func(lo, hi int) {
 			for j := lo; j < hi; j++ {
 				if st.posOf[j] != -1 || j == q {
 					continue
 				}
-				var alpha float64
-				if j < st.n {
-					for _, r := range st.p.Col(j) {
-						alpha += beta[r]
-					}
-				} else {
-					// slack: α_j is just the β entry of the slack's row
-					alpha = beta[j-st.n]
-				}
-				if alpha != 0 {
+				if alpha := alphaVec[j]; alpha != 0 {
 					st.devexFold(j, alpha, ratio, invAlphaQ, wq)
 				}
 			}
@@ -1413,14 +1397,14 @@ func (st *revisedState) dualRepair(budget, refactorEvery int) (int, dualRepairRe
 		// one eta chain.
 		if gamma != 0 {
 			st.stepDuals(gamma)
+			red, al := st.rvec, st.alphaVec
 			if st.candDense {
-				red, al := st.dualRedVec, st.alphaVec
 				for j := range red {
 					red[j] -= gamma * al[j]
 				}
 			} else {
-				for _, j32 := range st.candList {
-					st.dualRedVec[j32] -= gamma * st.alphaVec[j32]
+				for _, j := range st.candList {
+					red[j] -= gamma * al[j]
 				}
 			}
 		}
@@ -1431,8 +1415,8 @@ func (st *revisedState) dualRepair(budget, refactorEvery int) (int, dualRepairRe
 		st.cB[r] = st.objCoef(q)
 		// the entering column is basic now (red exactly 0); the leaving one
 		// picks up the textbook post-pivot reduced cost −γ
-		st.dualRedVec[q] = 0
-		st.dualRedVec[leaving] = -gamma
+		st.rvec[q] = 0
+		st.rvec[leaving] = -gamma
 		st.pushEta(r)
 		st.timers.repairPivotDone()
 		if mass < bestMass*(1-1e-6) {
@@ -1463,21 +1447,15 @@ func (st *revisedState) dualRepair(budget, refactorEvery int) (int, dualRepairRe
 // the BTRAN'd pivot row), pick the one minimizing red_j/α_j, with a pivotTol
 // tolerance band broken toward the steepest α.
 //
-// The pass exploits that only columns intersecting β's row support can have
-// α_j ≠ 0: it computes α with the row scatter (scatterPivotRow) instead of a
-// dot product per column, so its cost is proportional to the nonzeros of
-// β's rows rather than to all of A, and columns the pivot row cannot touch
-// are never visited at all. Reduced costs come from the maintained
-// st.dualRedVec (exact-refreshed at the repair's first pivot and every
-// refactorization, updated per pivot from the same α values this pass
-// produces), which eliminates the second dot product per column the fused
-// scan used to pay (measured: computing them on demand per candidate was
-// ~40% slower — the short column dots chase pointers, the maintained read
-// streams). When β is dense the whole pass switches to sequential
-// full-range sweeps instead (priceDualDense). The pass is sequential —
-// worker-count invariance is structural — and β is bit-identical whichever
-// triangular kernel produced it, so the hypersparse threshold cannot move a
-// pivot.
+// The pass builds α with pivotRow and reads only the variables it reached:
+// the candidate list of a sparse pivot row, every variable of a dense one.
+// Reduced costs come from the maintained st.rvec (exact-refreshed at the
+// repair's first pivot and every refactorization, updated per pivot from the
+// same α values this pass produces); computing them on demand per candidate
+// was measured ~40% slower, as the short column dots chase pointers where the
+// maintained read streams. The pass is sequential — worker-count invariance
+// is structural — and β is bit-identical whichever triangular kernel
+// produced it, so the hypersparse threshold cannot move a pivot.
 //
 // Candidates split into two tiers. Columns whose reduced cost is within the
 // dual-feasibility tolerance (red ≤ reducedTol, negatives and boundary
@@ -1500,39 +1478,42 @@ func (st *revisedState) dualRepair(budget, refactorEvery int) (int, dualRepairRe
 func (st *revisedState) priceDual() int {
 	t0 := tick(st.timers)
 	defer st.timers.add(phPricing, t0)
-	if !st.betaSparse() {
-		return st.priceDualDense(st.n + st.m)
+	return st.dualRatio(st.pivotRow())
+}
+
+// dualRatio is priceDual's two-tier ratio test over the pivot row in
+// st.alphaVec: over cand, the variables the scatter reached, or over every
+// variable after the sweep (candDense).
+func (st *revisedState) dualRatio(cand []int32) int {
+	alphaVec, red := st.alphaVec, st.rvec
+	reached := len(cand)
+	if st.candDense {
+		reached = st.n + st.m
 	}
-	st.candDense = false
-	cand := st.scatterPivotRow()
-	alphaVec := st.alphaVec
 	q, relax := -1, -1
 	var bestRatio, bestAlpha, bestRed float64
 	var relaxAlpha, relaxRed float64
-	for _, j32 := range cand {
-		j := int(j32)
-		if st.posOf[j] != -1 {
-			continue
+	for k := 0; k < reached; k++ {
+		j := k
+		if !st.candDense {
+			j = int(cand[k])
 		}
 		alpha := alphaVec[j]
-		if alpha >= -pivotTol {
+		if alpha >= -pivotTol || st.posOf[j] != -1 {
 			continue
 		}
-		red := st.dualRedVec[j]
-		if red > reducedTol {
+		rj := red[j]
+		if rj > reducedTol {
 			if relax < 0 || alpha < relaxAlpha {
-				relax, relaxAlpha, relaxRed = j, alpha, red
+				relax, relaxAlpha, relaxRed = j, alpha, rj
 			}
 			continue
 		}
-		rc := red
-		if rc > 0 {
-			rc = 0 // boundary stragglers within tolerance: ratio 0
-		}
+		rc := min(rj, 0) // boundary stragglers within tolerance: ratio 0
 		ratio := rc / alpha // ≥ 0
 		if q < 0 || ratio < bestRatio-pivotTol ||
 			(ratio <= bestRatio+pivotTol && alpha < bestAlpha) {
-			q, bestRatio, bestAlpha, bestRed = j, ratio, alpha, red
+			q, bestRatio, bestAlpha, bestRed = j, ratio, alpha, rj
 		}
 	}
 	if q < 0 && relax >= 0 {
@@ -1546,79 +1527,27 @@ func (st *revisedState) priceDual() int {
 	return q
 }
 
-// priceDualDense is priceDual for a dense pivot row: the same α scatter and
-// two-tier ratio test, minus the candidate bookkeeping. Every auxiliary
-// access (alphaVec, posOf, dualRedVec) runs as a sequential sweep over the
-// full column range, which at ≥1/8 β density is cheaper than chasing an
-// almost-complete candidate list through the caches. The α accumulation
-// visits the same row entries in the same ascending order from the same zero
-// start as the stamped pass, so the two modes produce bit-identical α — the
-// mode flips per pivot on β's density without ever moving a result.
-func (st *revisedState) priceDualDense(total int) int {
-	st.buildARows()
-	st.beginCandidates(total) // sizing only; the epoch goes unused
-	st.candDense = true
-	alphaVec := st.alphaVec
-	for i := range alphaVec {
-		alphaVec[i] = 0
+// pivotRow computes the pivot row α_j = βᵀa_j (β = st.beta) of every
+// variable into st.alphaVec, the one builder of α for the Devex update and
+// the dual repair: the scatter (scatterPivotRow) when β is sparse, else the
+// sweep (sweepPivotRow). It returns the scatter's reached variables, or nil
+// after the sweep, and st.candDense says which ran. Both passes add β_r to
+// α_j for the rows r with β_r ≠ 0 in ascending order, from zero, so they give
+// the same bits for any column order, and the choice moves only cost.
+func (st *revisedState) pivotRow() []int32 {
+	if st.betaSparse() {
+		return st.scatterPivotRow()
 	}
-	beta := st.beta
-	for r := 0; r < st.m; r++ {
-		br := beta[r]
-		if br == 0 {
-			continue
-		}
-		for _, part := range st.aRow(r) {
-			for _, j := range part {
-				alphaVec[j] += br
-			}
-		}
-		alphaVec[st.n+r] = br // the row's slack
-	}
-	q, relax := -1, -1
-	var bestRatio, bestAlpha, bestRed float64
-	var relaxAlpha, relaxRed float64
-	for j := 0; j < total; j++ {
-		alpha := alphaVec[j]
-		if alpha >= -pivotTol {
-			continue
-		}
-		if st.posOf[j] != -1 {
-			continue
-		}
-		red := st.dualRedVec[j]
-		if red > reducedTol {
-			if relax < 0 || alpha < relaxAlpha {
-				relax, relaxAlpha, relaxRed = j, alpha, red
-			}
-			continue
-		}
-		rc := red
-		if rc > 0 {
-			rc = 0 // boundary stragglers within tolerance: ratio 0
-		}
-		ratio := rc / alpha // ≥ 0
-		if q < 0 || ratio < bestRatio-pivotTol ||
-			(ratio <= bestRatio+pivotTol && alpha < bestAlpha) {
-			q, bestRatio, bestAlpha, bestRed = j, ratio, alpha, red
-		}
-	}
-	if q < 0 && relax >= 0 {
-		q, bestAlpha, bestRed = relax, relaxAlpha, relaxRed
-	}
-	if q >= 0 {
-		st.dualGamma = bestRed / bestAlpha
-	}
-	return q
+	st.sweepPivotRow()
+	return nil
 }
 
 // betaSparse reports whether the pivot row β = st.beta is sparse enough,
-// nnz(β)·8 ≤ m, for the row scatter (scatterPivotRow) to beat a pass over
-// every column. Past ~1/8 density the scatter's epoch-stamp bookkeeping
-// costs more than a full sweep with purely sequential accesses. β is
-// bit-identical whichever triangular kernel produced it, so the choice —
-// like everything downstream of it — cannot depend on the hypersparse
-// threshold or the worker count.
+// nnz(β)·8 ≤ m, for the row scatter (scatterPivotRow) to beat the sweep.
+// Past ~1/8 density the scatter's epoch-stamp bookkeeping costs more than a
+// sweep with purely sequential accesses. β is bit-identical whichever
+// triangular kernel produced it, so the choice cannot depend on the
+// hypersparse threshold or the worker count.
 func (st *revisedState) betaSparse() bool {
 	nnz := 0
 	for _, v := range st.beta {
@@ -1629,25 +1558,18 @@ func (st *revisedState) betaSparse() bool {
 	return nnz*8 <= st.m
 }
 
-// scatterPivotRow computes the pivot row α_j = βᵀa_j (β = st.beta) of every
-// variable β's row support can reach, through the row-major mirror of A:
-// for each row r with β_r ≠ 0, in ascending order, α_j += β_r for every
-// column j with a 1 in row r, and the row's slack gets α = β_r. It returns the reached
-// variables; their α is in st.alphaVec, and every other variable has α = 0.
-// The list and the values are epoch-stamped (beginCandidates), so no O(n)
-// clearing happens between pivots, and both stay valid until the next call.
-// The cost is proportional to the nonzeros of β's rows, not to all of A.
-//
-// Contract: when every column lists its rows in ascending order, each α_j
-// adds the same nonzero terms in the same order, from the same zero, as the
-// column dot product Σ_k β[rows_k] — whose β_r = 0 terms add a zero that
-// leaves any such sum unchanged — so the two are bit-identical.
-// Every LP the planning pipeline builds lists its rows in ascending order.
-// On columns that do not, α may differ from the dot product in the last
-// bits, and a Devex solve may take a different, equally valid pivot path.
+// scatterPivotRow is pivotRow's pass for a sparse β. Through the row-major
+// mirror of A, for each row r with β_r ≠ 0, in ascending order, it adds β_r
+// to α_j of every column j with a 1 in row r, and the row's slack gets
+// α = β_r. It returns the reached variables; their α is in st.alphaVec, and
+// every other variable has α = 0. The list and the values are epoch-stamped
+// (beginCandidates), so no O(n) clearing happens between pivots, and both
+// stay valid until the next call. The cost is proportional to the nonzeros
+// of β's rows, not to all of A.
 func (st *revisedState) scatterPivotRow() []int32 {
 	st.buildARows()
 	epoch := st.beginCandidates(st.n + st.m)
+	st.candDense = false
 	alphaVec, stamp := st.alphaVec, st.candStamp
 	cand := st.candList[:0]
 	for r, br := range st.beta {
@@ -1671,6 +1593,29 @@ func (st *revisedState) scatterPivotRow() []int32 {
 	}
 	st.candList = cand
 	return cand
+}
+
+// sweepPivotRow is pivotRow's pass for a dense β: the scatter's additions,
+// in the same order, into an α cleared over every variable, without the
+// candidate bookkeeping. At ≥ 1/8 β density a sequential pass over every
+// variable is cheaper than chasing an almost complete candidate list.
+func (st *revisedState) sweepPivotRow() {
+	st.buildARows()
+	st.beginCandidates(st.n + st.m) // sizing only; the epoch goes unused
+	st.candDense = true
+	alphaVec := st.alphaVec
+	clear(alphaVec)
+	for r, br := range st.beta {
+		if br == 0 {
+			continue
+		}
+		for _, part := range st.aRow(r) {
+			for _, j := range part {
+				alphaVec[j] += br
+			}
+		}
+		alphaVec[st.n+r] = br // the row's slack
+	}
 }
 
 // beginCandidates sizes the epoch-stamped candidate scratch for a pricing
@@ -1759,7 +1704,7 @@ func (st *revisedState) appendARows(j int) {
 	}
 }
 
-// refreshDualRed sets the maintained dual reduced costs exactly from the
+// refreshDualRed sets the maintained reduced costs st.rvec exactly from the
 // current duals, red_j = c_j − yᵀa_j, by copying the synced reduced-cost
 // cache. Basic slots get values that are never read; the incremental
 // updates scribble on them freely. Called whenever the duals themselves are
@@ -1768,8 +1713,8 @@ func (st *revisedState) appendARows(j int) {
 func (st *revisedState) refreshDualRed() {
 	st.syncRed()
 	t0 := tick(st.timers)
-	st.dualRedVec = resize(st.dualRedVec, st.n+st.m)
-	copy(st.dualRedVec, st.redC)
+	st.rvec = resize(st.rvec, st.n+st.m)
+	copy(st.rvec, st.redC)
 	st.timers.add(phPricing, t0)
 }
 
