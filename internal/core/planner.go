@@ -107,11 +107,6 @@ func NewPlanner(in *model.Instance, opt Options) (*Planner, error) {
 		conf:   conflict.FromFunc(in.NumEvents(), in.Conflicts),
 		solver: lp.NewSolver(opt.lpConfig()),
 	}
-	if opt.Repair == RepairByIndex {
-		// the incremental rounding path re-samples exactly the users whose
-		// LP column mass moved between solves
-		p.solver.TrackChangedColumns(true)
-	}
 	prob, colStart, truncated := enumerateLP(in, p.conf, opt.MaxSetsPerUser, par.Workers(opt.Workers))
 	p.truncated, p.truncCount = truncated, countTrue(truncated)
 	p.cols = columnLists(colStart)

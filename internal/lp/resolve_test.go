@@ -811,7 +811,6 @@ func TestResolveChangedColumns(t *testing.T) {
 	for trial := 0; trial < 20; trial++ {
 		p := randomPacking(rng, 8+rng.Intn(20), 4+rng.Intn(8), 4)
 		s := NewSolver(Revised{})
-		s.TrackChangedColumns(true)
 		sol, err := s.Solve(p)
 		if err != nil {
 			t.Fatalf("trial %d: %v", trial, err)

@@ -68,15 +68,14 @@ type Solver struct {
 	rowSeen   []int // checkDelta's per-row stamp: the epoch that last listed the row
 	seenEpoch int
 
-	// changed-column tracking (TrackChangedColumns): the basic structurals
-	// of the previous solution, ascending, and their values. Every other
-	// column was 0.
-	trackChanged bool
-	prevOK       bool // prevSlots/prevVals describe the previous solution
-	prevSlots    []int32
-	prevVals     []float64
-	changedCols  []int // slots whose x moved in the last solve
-	changedAll   bool  // treat every column as changed (cold solve, error)
+	// changed-column tracking (ChangedColumns): the basic structurals of
+	// the previous solution, ascending, and their values. Every other column
+	// was 0.
+	prevOK      bool // prevSlots/prevVals describe the previous solution
+	prevSlots   []int32
+	prevVals    []float64
+	changedCols []int // slots whose x moved in the last solve
+	changedAll  bool  // treat every column as changed (cold solve, error)
 }
 
 // SolverStats counts how a Solver's solves were served.
@@ -132,7 +131,7 @@ type SolverStats struct {
 // NewSolver returns a persistent solver with the given revised-simplex
 // configuration.
 func NewSolver(cfg Revised) *Solver {
-	return &Solver{cfg: cfg}
+	return &Solver{cfg: cfg, changedAll: true}
 }
 
 // BoundChange sets row Row's right-hand side to B (the packing form still
@@ -198,27 +197,17 @@ func (s *Solver) Stats() SolverStats {
 	return st
 }
 
-// TrackChangedColumns enables changed-column tracking: after every solve
-// the Solver records the basic structurals and their values and, on the
-// next warm Resolve, reports exactly which slots' values differ from the
-// previous solution. Incremental callers use the set to re-derive only the
-// state that depends on moved columns — the rounding layer's delta-scoped
-// resampling. Only a basic column can be nonzero, so tracking costs
-// O(m + |Δ|) per solve: the slots basic before or after it, plus the
-// appended ones.
-func (s *Solver) TrackChangedColumns(on bool) {
-	s.trackChanged = on
-	s.changedAll = true
-	s.prevOK = false
-}
-
 // ChangedColumns reports, ascending, the slots whose primal value changed in
 // the last solve: live slots whose value moved, then every appended slot.
 // Tombstones are never listed. all=true means every column must be treated
-// as changed — a cold solve (including Resolve fallbacks), a solve error, or
-// tracking having just been enabled — and cols is nil in that case. The
-// slots are post-compaction ones when the solve renumbered (Renumbering).
-// The slice is solver-owned and valid until the next Solve/Resolve.
+// as changed — no solve yet, a cold solve (including Resolve fallbacks) or a
+// solve error — and cols is nil in that case. The slots are post-compaction
+// ones when the solve renumbered (Renumbering). The slice is solver-owned
+// and valid until the next Solve/Resolve. Incremental callers use the set to
+// re-derive only the state that depends on moved columns — the rounding
+// layer's delta-scoped resampling. Only a basic column can be nonzero, so
+// the tracking costs every solve O(m + |Δ|): the slots basic before or after
+// it, plus the appended ones.
 func (s *Solver) ChangedColumns() (cols []int, all bool) {
 	if s.changedAll {
 		return nil, true
@@ -229,9 +218,6 @@ func (s *Solver) ChangedColumns() (cols []int, all bool) {
 // snapshotX records the solution's basic structurals and their values as the
 // baseline for the next diff.
 func (s *Solver) snapshotX(sol *Solution) {
-	if !s.trackChanged {
-		return
-	}
 	s.prevOK = sol != nil && sol.Status == Optimal
 	if !s.prevOK {
 		return
@@ -253,8 +239,7 @@ func (s *Solver) snapshotX(sol *Solution) {
 // in order, and the appended slots follow.
 func (s *Solver) diffChanged(added int, x []float64) {
 	if !s.prevOK {
-		// No trustworthy baseline (tracking enabled mid-stream).
-		s.changedAll = true
+		s.changedAll = true // no trustworthy baseline
 		return
 	}
 	st := s.st
@@ -523,7 +508,7 @@ func (s *Solver) fastFinish(d *ProblemDelta) (*Solution, bool) {
 // feed the changed-column tracker.
 func (s *Solver) finishWarm(sol *Solution, err error, added int) (*Solution, error) {
 	sol, err = s.finish(sol, err)
-	if s.trackChanged && err == nil && sol != nil && sol.Status == Optimal {
+	if err == nil && sol != nil && sol.Status == Optimal {
 		s.diffChanged(added, sol.X)
 		s.snapshotX(sol)
 	}
@@ -841,7 +826,7 @@ func (s *Solver) compact(removed []int) {
 	s.newOf = newOf
 	s.renumbered = true
 	s.stats.Compactions++
-	if s.trackChanged && s.prevOK {
+	if s.prevOK {
 		k := 0
 		for i, j := range s.prevSlots {
 			if nj := newOf[j]; nj >= 0 {
