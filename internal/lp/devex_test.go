@@ -7,8 +7,8 @@ import (
 	"github.com/ebsn/igepa/internal/xrand"
 )
 
-// dotAlpha is the column dot product α_j = βᵀa_j the row scatter replaces:
-// every entry of the column, in its stored order, from a zero start.
+// dotAlpha is the column dot product α_j = βᵀa_j: every entry of the
+// column, in its stored order, from a zero start.
 func dotAlpha(st *revisedState, j int) float64 {
 	if j >= st.n {
 		return st.beta[j-st.n]
@@ -71,11 +71,115 @@ func checkScatter(t *testing.T, st *revisedState) {
 	}
 }
 
-// FuzzDevexPivotRow checks the two shortcuts a Devex pivot takes against
-// test-local oracles, on random packing LPs whose columns list their rows
-// in ascending order:
-//   - the row scatter's α equals the column dot product bit for bit on
-//     every variable, for random sparse and dense β;
+// checkPivotRows forces both α passes on st's β and asserts that they agree
+// bit for bit on every variable, whatever order st's columns list their
+// rows in: the scatter's α, zero where it did not reach, against the
+// sweep's.
+func checkPivotRows(t *testing.T, st *revisedState) {
+	t.Helper()
+	scattered := make([]float64, st.n+st.m)
+	for _, j := range st.scatterPivotRow() {
+		scattered[j] = st.alphaVec[j]
+	}
+	st.sweepPivotRow()
+	for j, want := range scattered {
+		if got := st.alphaVec[j]; math.Float64bits(got) != math.Float64bits(want) {
+			t.Fatalf("variable %d: swept α %v (%#x), scattered %v (%#x)",
+				j, got, math.Float64bits(got), want, math.Float64bits(want))
+		}
+	}
+}
+
+// uniqueDualWinner returns the column priceDual's ratio test must name on
+// the pivot row in st.alphaVec, which must cover every variable (the
+// sweep's), and the reduced costs in st.rvec, when that column does not
+// depend on the order the test visits its candidates in: a lone feasible-tier
+// minimum ratio with every other feasible-tier ratio more than 2·pivotTol
+// above it (the tie band, plus room for rounding), or, with no feasible-tier
+// candidate, a lone steepest α among the dual infeasible ones. ok is false
+// when a tie decides.
+func uniqueDualWinner(st *revisedState) (q int, ok bool) {
+	best, bestRatio, second := -1, 0.0, math.Inf(1)
+	relax, relaxTie := -1, false
+	for j, alpha := range st.alphaVec {
+		if alpha >= -pivotTol || st.posOf[j] != -1 {
+			continue
+		}
+		red := st.rvec[j]
+		if red > reducedTol {
+			switch {
+			case relax < 0 || alpha < st.alphaVec[relax]:
+				relax, relaxTie = j, false
+			case alpha == st.alphaVec[relax]:
+				relaxTie = true
+			}
+			continue
+		}
+		switch ratio := min(red, 0) / alpha; {
+		case best < 0:
+			best, bestRatio = j, ratio
+		case ratio < bestRatio:
+			best, bestRatio, second = j, ratio, bestRatio
+		default:
+			second = min(second, ratio)
+		}
+	}
+	if best >= 0 {
+		return best, second > bestRatio+2*pivotTol
+	}
+	return relax, !relaxTie
+}
+
+// checkPriceDual draws reduced costs into st.rvec and asserts that
+// priceDual's ratio test names the same column, with the same dual step γ
+// bit for bit, through either α pass, and the column uniqueDualWinner
+// names. The test breaks a tie within pivotTol by visiting order, and the
+// scatter visits its candidates in the order it reaches them where the
+// sweep ascends, so the check runs where the winner is unique; the draws are
+// continuous, so that is the common case. It reports whether it compared.
+func checkPriceDual(t *testing.T, rng *xrand.RNG, st *revisedState) bool {
+	t.Helper()
+	saved := append([]float64(nil), st.rvec...)
+	defer copy(st.rvec, saved)
+	for j := range st.rvec {
+		switch u := rng.Float64(); {
+		case u < 0.002: // within tolerance of dual feasible: ratio 0
+			st.rvec[j] = rng.Float64() * reducedTol
+		case u < 0.1: // dual infeasible: the second tier
+			st.rvec[j] = 1 + rng.Float64()
+		default:
+			st.rvec[j] = -rng.Float64() * math.Pow(10, float64(rng.Intn(5)-2))
+		}
+	}
+	qScatter := st.dualRatio(st.scatterPivotRow())
+	gScatter := st.dualGamma
+	st.sweepPivotRow()
+	want, unique := uniqueDualWinner(st)
+	if !unique {
+		return false
+	}
+	qSweep := st.dualRatio(nil)
+	gSweep := st.dualGamma
+	if qScatter != want || qSweep != want {
+		t.Fatalf("dual ratio test: scatter chose %d, sweep %d, unique winner %d", qScatter, qSweep, want)
+	}
+	if want >= 0 && math.Float64bits(gScatter) != math.Float64bits(gSweep) {
+		t.Fatalf("dual step of %d: scatter γ %v (%#x), sweep γ %v (%#x)",
+			want, gScatter, math.Float64bits(gScatter), gSweep, math.Float64bits(gSweep))
+	}
+	return true
+}
+
+// FuzzDevexPivotRow checks the pivot row and the pricing shortcuts of Devex
+// and the dual repair against each other and test-local oracles, on random
+// packing LPs whose columns list their rows in random order. For every
+// random β, sparse or dense, and whichever pass β's density picks:
+//   - the scatter's and the sweep's α agree bit for bit on every variable;
+//   - on the LP's ascending-row copy, the scatter's α equals the column dot
+//     product bit for bit on every variable;
+//   - on random reduced costs, priceDual's ratio test names the same column
+//     and the same dual step bits through either pass, wherever its winner
+//     does not hang on a tie (checkPriceDual);
 //   - after every update of a random pivot sequence (and interleaved exact
 //     refreshes), the block-cached priceDevex names the same variable as a
 //     flat first-strict-maximum scan, at workers 1 and 2, and the two
@@ -83,7 +187,7 @@ func checkScatter(t *testing.T, st *revisedState) {
 //
 // Some instances are wide enough (> 2·devexGrain variables) that a full
 // rescan runs on the worker pool; small ones make dense pivot rows, and so
-// the column-pass update, common.
+// the swept update, common.
 func FuzzDevexPivotRow(f *testing.F) {
 	f.Add(int64(1), uint8(40))
 	f.Add(int64(7), uint8(120))
@@ -101,7 +205,9 @@ func FuzzDevexPivotRow(f *testing.F) {
 		default:
 			g, k = 3+rng.Intn(200), 2+rng.Intn(40)
 		}
-		p := ascendingRows(randomPacking(rng, g, k, 4))
+		p := randomPacking(rng, g, k, 4)
+		asc := newRevisedState(ascendingRows(p), true)
+		asc.beta = make([]float64, asc.m)
 		var priced [2][]int
 		for wi, workers := range []int{1, 2} {
 			rng := xrand.New(seed ^ 0x5eed)
@@ -127,7 +233,10 @@ func FuzzDevexPivotRow(f *testing.F) {
 					nnz = st.m/8 + 1 + rng.Intn(st.m)
 				}
 				randomBeta(rng, st, nnz)
-				checkScatter(t, st)
+				checkPivotRows(t, st)
+				copy(asc.beta, st.beta)
+				checkScatter(t, asc)
+				checkPriceDual(t, rng, st)
 
 				// One pivot on a random nonbasic column at a random
 				// well-sized FTRAN entry, applied the way the pivot loop
