@@ -1485,9 +1485,9 @@ func (st *revisedState) priceDual() int {
 // st.alphaVec: over cand, the variables the scatter reached, or over every
 // variable after the sweep (candDense).
 func (st *revisedState) dualRatio(cand []int32) int {
-	alphaVec, red := st.alphaVec, st.rvec
+	alphaVec, red, dense := st.alphaVec, st.rvec, st.candDense
 	reached := len(cand)
-	if st.candDense {
+	if dense {
 		reached = st.n + st.m
 	}
 	q, relax := -1, -1
@@ -1495,7 +1495,7 @@ func (st *revisedState) dualRatio(cand []int32) int {
 	var relaxAlpha, relaxRed float64
 	for k := 0; k < reached; k++ {
 		j := k
-		if !st.candDense {
+		if !dense {
 			j = int(cand[k])
 		}
 		alpha := alphaVec[j]
@@ -1509,7 +1509,7 @@ func (st *revisedState) dualRatio(cand []int32) int {
 			}
 			continue
 		}
-		rc := min(rj, 0) // boundary stragglers within tolerance: ratio 0
+		rc := min(rj, 0)    // boundary stragglers within tolerance: ratio 0
 		ratio := rc / alpha // ≥ 0
 		if q < 0 || ratio < bestRatio-pivotTol ||
 			(ratio <= bestRatio+pivotTol && alpha < bestAlpha) {

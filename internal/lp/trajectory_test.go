@@ -142,8 +142,8 @@ func TestDefaultTrajectoryPinned(t *testing.T) {
 
 // ascendingRows returns a copy of p whose columns list their rows in
 // ascending order — the order every LP the planning pipeline builds uses,
-// and the one under which the Devex pivot row is bit-identical whichever
-// way it is accumulated. randomPacking draws event rows in random order.
+// and the one under which the pivot row equals a column dot product bit for
+// bit. randomPacking draws event rows in random order.
 func ascendingRows(p *Problem) *Problem {
 	q := &Problem{NumRows: p.NumRows, B: append([]float64(nil), p.B...)}
 	for j := 0; j < p.NumCols(); j++ {
