@@ -1601,7 +1601,7 @@ func (st *revisedState) scatterPivotRow() []int32 {
 // variable is cheaper than chasing an almost complete candidate list.
 func (st *revisedState) sweepPivotRow() {
 	st.buildARows()
-	st.beginCandidates(st.n + st.m) // sizing only; the epoch goes unused
+	st.alphaVec = resize(st.alphaVec, st.n+st.m)
 	st.candDense = true
 	alphaVec := st.alphaVec
 	clear(alphaVec)
