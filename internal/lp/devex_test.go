@@ -136,8 +136,8 @@ func uniqueDualWinner(st *revisedState) (q int, ok bool) {
 // names. The test breaks a tie within pivotTol by visiting order, and the
 // scatter visits its candidates in the order it reaches them where the
 // sweep ascends, so the check runs where the winner is unique; the draws are
-// continuous, so that is the common case. It reports whether it compared.
-func checkPriceDual(t *testing.T, rng *xrand.RNG, st *revisedState) bool {
+// continuous, so that is the common case.
+func checkPriceDual(t *testing.T, rng *xrand.RNG, st *revisedState) {
 	t.Helper()
 	saved := append([]float64(nil), st.rvec...)
 	defer copy(st.rvec, saved)
@@ -156,7 +156,7 @@ func checkPriceDual(t *testing.T, rng *xrand.RNG, st *revisedState) bool {
 	st.sweepPivotRow()
 	want, unique := uniqueDualWinner(st)
 	if !unique {
-		return false
+		return
 	}
 	qSweep := st.dualRatio(nil)
 	gSweep := st.dualGamma
@@ -167,13 +167,12 @@ func checkPriceDual(t *testing.T, rng *xrand.RNG, st *revisedState) bool {
 		t.Fatalf("dual step of %d: scatter γ %v (%#x), sweep γ %v (%#x)",
 			want, gScatter, math.Float64bits(gScatter), gSweep, math.Float64bits(gSweep))
 	}
-	return true
 }
 
 // FuzzDevexPivotRow checks the pivot row and the pricing shortcuts of Devex
 // and the dual repair against each other and test-local oracles, on random
 // packing LPs whose columns list their rows in random order. For every
-// random β, sparse or dense, and whichever pass β's density picks:
+// random β, sparse or dense:
 //   - the scatter's and the sweep's α agree bit for bit on every variable;
 //   - on the LP's ascending-row copy, the scatter's α equals the column dot
 //     product bit for bit on every variable;

@@ -31,9 +31,9 @@ import (
 )
 
 // Column is one 0/1 column in assembly form: Rows lists the rows where the
-// column has coefficient 1, each at most once. Problems do
-// not store columns this way (see Problem); Column is the currency of
-// NewProblem, ProblemDelta.AddCols and hand-written fixtures.
+// column has coefficient 1, each at most once. Problems do not store
+// columns this way (see Problem); Column is the currency of NewProblem,
+// ProblemDelta.AddCols and hand-written fixtures.
 type Column struct {
 	Rows []int
 }
