@@ -2,7 +2,9 @@
 // serving layer (internal/shard) and reports how utility, throughput and
 // decision latency behave as the shard count grows — the serving-side
 // counterpart of igepa-bench's offline sweeps. With -listen it instead
-// hosts the HTTP serving subsystem (internal/server) over the same engine.
+// hosts the HTTP serving subsystem (internal/server) over the same engine,
+// or, with -backends, the router in front of a multi-process cluster
+// (internal/router).
 //
 // Usage:
 //
@@ -16,7 +18,9 @@
 //	igepa-serve -listen :8080 -replay    # deterministic replay dispatcher
 //	igepa-serve -listen :8080 -wal serve.wal -checkpoint serve.ckpt
 //	igepa-serve -listen :8081 -wal serve.wal -follow   # read replica
-//	igepa-serve -listen :9001 -cluster 2 -index 0      # shard 0 of 2 behind igepa-router
+//	igepa-serve -listen :9001 -cluster 2 -index 0      # shard 0 of a 2-process cluster
+//	igepa-serve -listen :9002 -cluster 2 -index 1      # shard 1
+//	igepa-serve -listen :8080 -backends http://127.0.0.1:9001,http://127.0.0.1:9002 [-replay]
 //
 // With -wal every accepted operation is appended to a write-ahead log
 // before its reply and restarts warm-boot by replaying it (from the
@@ -29,9 +33,13 @@
 // a container stop is a clean shutdown, not a crash. See DESIGN.md §9.
 //
 // With -cluster S the process hosts cluster shard -index of an S-process
-// deployment behind cmd/igepa-router, which routes users by the shared hash
-// and drives lease renewals over /cluster/* (DESIGN.md §10). Every shard and
-// the router take the same -workload, -events, -users, -seed and -batch.
+// deployment; with -backends it is that deployment's router (DESIGN.md §10):
+// the same /v1 API routed to each user's shard by the shared hash, the admin
+// surface fanned across the cluster, and the wire lease renewals. The router
+// and every shard take the same -workload, -events, -users, -seed and
+// -batch. The router waits up to -check-wait for the cluster to assemble,
+// refuses a mismatched one, and refuses by name any flag but those, -listen,
+// -queue, -replay, -timeout and -retries.
 //
 // The arrival stream is either a timestamped JSONL log written by
 // igepa-datagen -arrivals, or the built-in synthetic stream. Every row is
@@ -62,12 +70,14 @@ import (
 	httppprof "net/http/pprof"
 	"os"
 	"os/signal"
+	"slices"
 	"strconv"
 	"strings"
 	"syscall"
 	"time"
 
 	"github.com/ebsn/igepa"
+	"github.com/ebsn/igepa/internal/router"
 	"github.com/ebsn/igepa/internal/server"
 	"github.com/ebsn/igepa/internal/shard"
 	"github.com/ebsn/igepa/internal/stats"
@@ -108,11 +118,27 @@ type config struct {
 	checkpoint      string
 	follow          bool
 	lagBytes        int64
+
+	// router (-listen with -backends)
+	backends  []string
+	timeout   time.Duration
+	retries   int
+	checkWait time.Duration
+
+	// set names the flags given on the command line, in lexical order.
+	set []string
+}
+
+// routerFlags are the flags a -backends router reads. Every other flag
+// configures a shard or the sweep.
+var routerFlags = map[string]bool{
+	"listen": true, "backends": true, "workload": true, "events": true, "users": true, "seed": true,
+	"batch": true, "queue": true, "replay": true, "timeout": true, "retries": true, "check-wait": true,
 }
 
 func main() {
 	var cfg config
-	var shardList string
+	var shardList, backendList string
 	flag.StringVar(&cfg.workload, "workload", "meetup", "arrival workload: meetup or synthetic")
 	flag.IntVar(&cfg.events, "events", 80, "number of events (0 = workload default)")
 	flag.IntVar(&cfg.users, "users", 600, "number of users / arrivals (0 = workload default)")
@@ -127,7 +153,7 @@ func main() {
 	flag.StringVar(&cfg.arrivals, "arrivals", "", "replay arrivals from this JSONL log (igepa-datagen -arrivals)")
 	flag.BoolVar(&cfg.liveBound, "live-bound", false, "track the incremental LP bound across batches (warm re-solves)")
 	flag.StringVar(&cfg.listen, "listen", "", "host the HTTP serving layer on this address instead of the replay sweep")
-	flag.IntVar(&cfg.cluster, "cluster", 0, "listen: host one shard of an S-process cluster behind igepa-router (0 = standalone)")
+	flag.IntVar(&cfg.cluster, "cluster", 0, "listen: host one shard of an S-process cluster (0 = standalone)")
 	flag.IntVar(&cfg.index, "index", 0, "listen: this process's shard index within the -cluster")
 	flag.IntVar(&cfg.queueDepth, "queue", 0, "listen: bounded queue depth (0 = default)")
 	flag.BoolVar(&cfg.replay, "replay", false, "listen: deterministic replay dispatcher (batch-by-count, no deadlines)")
@@ -140,24 +166,30 @@ func main() {
 	flag.StringVar(&cfg.checkpoint, "checkpoint", "", "listen: checkpoint file (atomic snapshot bounding WAL replay; written on shutdown and POST /admin/checkpoint)")
 	flag.BoolVar(&cfg.follow, "follow", false, "listen: run as a read replica tailing -wal (promote via POST /admin/promote)")
 	flag.Int64Var(&cfg.lagBytes, "lag-bytes", 0, "listen: follower readiness bound in bytes behind the log end (0 = default)")
+	flag.StringVar(&backendList, "backends", "", "listen: serve as the router in front of these shard base URLs (comma-separated, in shard-index order)")
+	flag.DurationVar(&cfg.timeout, "timeout", 0, "backends: per-backend HTTP call timeout (0 = default)")
+	flag.IntVar(&cfg.retries, "retries", 0, "backends: transport-error retries per backend call (0 = default)")
+	flag.DurationVar(&cfg.checkWait, "check-wait", 30*time.Second, "backends: how long to wait for the shards to come up")
 	flag.Parse()
 
-	shardsSet := false
-	flag.Visit(func(f *flag.Flag) {
-		if f.Name == "shards" {
-			shardsSet = true
+	flag.Visit(func(f *flag.Flag) { cfg.set = append(cfg.set, f.Name) })
+	for _, tok := range strings.Split(backendList, ",") {
+		if tok = strings.TrimSpace(tok); tok != "" {
+			cfg.backends = append(cfg.backends, tok)
 		}
-	})
+	}
 	var err error
 	cfg.shards, err = parseShards(shardList)
 	if err == nil {
 		if cfg.listen != "" {
-			if !shardsSet {
+			if !slices.Contains(cfg.set, "shards") {
 				// the sweep default "1,2,4,8" is a shard-count list; a
 				// server is one configuration, so default to a single shard
 				cfg.shards = []int{1}
 			}
 			err = listenAndServe(os.Stdout, cfg)
+		} else if len(cfg.backends) > 0 {
+			err = fmt.Errorf("-backends needs -listen")
 		} else {
 			err = run(os.Stdout, cfg)
 		}
@@ -185,8 +217,17 @@ func listenAndServe(w *os.File, cfg config) error {
 // every queued decision drains — with a WAL, into the log — and a leader
 // writes a final checkpoint if one is configured before Close. Invalid
 // -cluster combinations (-shards ≠ 1, -index out of range, -live-bound,
-// -replay) are the engine's and server's typed errors.
+// -replay) are the engine's and server's typed errors. With -backends it
+// hosts the router instead (serveRouter).
 func serveListenerCtx(ctx context.Context, w *os.File, ln net.Listener, cfg config) error {
+	if len(cfg.backends) > 0 {
+		return serveRouter(ctx, w, ln, cfg)
+	}
+	for _, name := range []string{"timeout", "retries", "check-wait"} {
+		if slices.Contains(cfg.set, name) {
+			return fmt.Errorf("-%s configures the -backends router", name)
+		}
+	}
 	in, err := makeInstance(cfg)
 	if err != nil {
 		return err
@@ -248,6 +289,63 @@ func serveListenerCtx(ctx context.Context, w *os.File, ln net.Listener, cfg conf
 				fmt.Fprintln(os.Stderr, "igepa-serve: checkpoint on shutdown:", err)
 			}
 		}
+	})
+}
+
+// serveRouter hosts the router in front of the -backends cluster. It
+// refuses any flag a router does not read, naming it, then waits up to
+// -check-wait for every backend to report the expected shard of the same
+// instance. On shutdown Close flushes the replay queue's tail into the
+// backends, renewal included, before it returns.
+func serveRouter(ctx context.Context, w *os.File, ln net.Listener, cfg config) error {
+	for _, name := range cfg.set {
+		if !routerFlags[name] {
+			return fmt.Errorf("-%s configures a shard or the sweep; it cannot be set beside -backends", name)
+		}
+	}
+	in, err := makeInstance(cfg)
+	if err != nil {
+		return err
+	}
+	rt, err := router.New(in, router.Config{
+		Backends:   cfg.backends,
+		Shard:      shard.Options{Shards: len(cfg.backends), Batch: cfg.batch, Seed: cfg.seed},
+		Replay:     cfg.replay,
+		Timeout:    cfg.timeout,
+		Retries:    cfg.retries,
+		QueueDepth: cfg.queueDepth,
+	})
+	if err != nil {
+		return err
+	}
+	defer rt.Close()
+	// The backends may still be booting; keep probing until the cluster
+	// assembles (shape mismatches are permanent and fail immediately after
+	// the wait window).
+	deadline := time.Now().Add(cfg.checkWait)
+	for {
+		err = rt.CheckBackends()
+		if err == nil {
+			break
+		}
+		if time.Now().After(deadline) {
+			return fmt.Errorf("cluster never assembled: %w", err)
+		}
+		select {
+		case <-ctx.Done():
+			return nil
+		case <-time.After(200 * time.Millisecond):
+		}
+	}
+	mode := "live"
+	if cfg.replay {
+		mode = "replay"
+	}
+	fmt.Fprintf(w, "igepa-serve: router in %s mode on %s — |V|=%d |U|=%d S=%d backends=%s (/metrics; /cluster/metrics fans in every shard)\n",
+		mode, ln.Addr(), in.NumEvents(), in.NumUsers(), len(cfg.backends), strings.Join(cfg.backends, ","))
+	return server.Run(ctx, ln, rt, func() {
+		fmt.Fprintf(w, "igepa-serve: shutting down, flushing the router's queue\n")
+		rt.Close()
 	})
 }
 

@@ -304,7 +304,9 @@ func TestListenServesClusterShard(t *testing.T) {
 
 // TestListenBadConfigRejected pins -listen flag validation through the
 // command path. The -cluster rows are the engine's and server's own typed
-// errors: the command adds no checks of its own.
+// errors: the command adds no checks of its own. The -backends rows are the
+// command's one check: a router refuses, by name, any flag set beside
+// -backends that configures a shard, and a shard refuses the router's.
 func TestListenBadConfigRejected(t *testing.T) {
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
@@ -312,18 +314,28 @@ func TestListenBadConfigRejected(t *testing.T) {
 	}
 	defer ln.Close()
 	ok := config{workload: "synthetic", events: 8, users: 20, shards: []int{1}, cluster: 2, planner: "greedy"}
+	backends := func(set ...string) func(*config) {
+		return func(c *config) {
+			c.backends = []string{"http://127.0.0.1:1"}
+			c.set = append([]string{"backends", "listen"}, set...)
+		}
+	}
 	for _, tc := range []struct {
 		name  string
 		edit  func(*config)
 		field string // the *shard.ConfigError field, when the error is one
+		flag  string // the flag the error names, when the command refuses one
 	}{
-		{"workload", func(c *config) { c.workload = "nope" }, ""},
-		{"planner", func(c *config) { c.planner = "nope" }, ""},
-		{"wal-sync", func(c *config) { c.walSync = "nope" }, ""},
-		{"index", func(c *config) { c.index = 5 }, "ClusterIndex"},
-		{"cluster+replay", func(c *config) { c.replay = true }, "Replay"},
-		{"cluster+shards", func(c *config) { c.shards = []int{4} }, "Shards"},
-		{"cluster+live-bound", func(c *config) { c.liveBound = true }, "LiveBound"},
+		{"workload", func(c *config) { c.workload = "nope" }, "", ""},
+		{"planner", func(c *config) { c.planner = "nope" }, "", ""},
+		{"wal-sync", func(c *config) { c.walSync = "nope" }, "", ""},
+		{"index", func(c *config) { c.index = 5 }, "ClusterIndex", ""},
+		{"cluster+replay", func(c *config) { c.replay = true }, "Replay", ""},
+		{"cluster+shards", func(c *config) { c.shards = []int{4} }, "Shards", ""},
+		{"cluster+live-bound", func(c *config) { c.liveBound = true }, "LiveBound", ""},
+		{"backends+wal", backends("wal"), "", "-wal"},
+		{"backends+cluster", backends("cluster"), "", "-cluster"},
+		{"shard+timeout", func(c *config) { c.set = []string{"timeout"} }, "", "-timeout"},
 	} {
 		cfg := ok
 		tc.edit(&cfg)
@@ -336,6 +348,8 @@ func TestListenBadConfigRejected(t *testing.T) {
 			t.Errorf("%s: bad config accepted", tc.name)
 		case tc.field != "" && (!errors.As(err, &ce) || ce.Field != tc.field):
 			t.Errorf("%s: got %v, want a *shard.ConfigError on %s", tc.name, err, tc.field)
+		case tc.flag != "" && !strings.Contains(err.Error(), tc.flag+" "):
+			t.Errorf("%s: got %v, want an error naming %s", tc.name, err, tc.flag)
 		}
 	}
 }

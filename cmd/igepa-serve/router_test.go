@@ -35,7 +35,9 @@ func freeAddr(t testing.TB) string {
 	return addr
 }
 
-func postJSON(hc *http.Client, url string, body, out any) (int, error) {
+// tryPostJSON posts body as JSON and decodes a 2xx reply into out,
+// returning the status and any transport or decode error.
+func tryPostJSON(hc *http.Client, url string, body, out any) (int, error) {
 	raw, _ := json.Marshal(body)
 	resp, err := hc.Post(url, "application/json", bytes.NewReader(raw))
 	if err != nil {
@@ -49,7 +51,8 @@ func postJSON(hc *http.Client, url string, body, out any) (int, error) {
 	return resp.StatusCode, nil
 }
 
-func getJSON(hc *http.Client, url string, out any) (int, error) {
+// tryGetJSON is tryPostJSON's GET.
+func tryGetJSON(hc *http.Client, url string, out any) (int, error) {
 	resp, err := hc.Get(url)
 	if err != nil {
 		return 0, err
@@ -63,9 +66,10 @@ func getJSON(hc *http.Client, url string, out any) (int, error) {
 }
 
 // TestMultiProcessClusterSmoke is the deployment-shaped acceptance test: it
-// builds the real igepa-serve and igepa-router binaries, boots a cluster of
-// separate OS processes (router + 2 `igepa-serve -listen -cluster 2 -index i`
-// shards), replays an arrival order through the public API, and pins the
+// builds the real igepa-serve binary, boots a cluster of separate OS
+// processes from it (2 `igepa-serve -listen -cluster 2 -index i` shards and
+// one `igepa-serve -listen -backends … -replay` router), replays an arrival
+// order through the public API, and pins the
 // cluster's utility bit-identical to the in-process ServeSharded run — and
 // therefore trivially ≥ 99.6% of the single-shard utility the acceptance
 // bound asks for.
@@ -73,17 +77,9 @@ func TestMultiProcessClusterSmoke(t *testing.T) {
 	if _, err := exec.LookPath("go"); err != nil {
 		t.Skip("go toolchain not on PATH")
 	}
-	dir := t.TempDir()
-	serveBin := filepath.Join(dir, "igepa-serve")
-	routerBin := filepath.Join(dir, "igepa-router")
-	for bin, pkg := range map[string]string{
-		serveBin:  "github.com/ebsn/igepa/cmd/igepa-serve",
-		routerBin: "github.com/ebsn/igepa/cmd/igepa-router",
-	} {
-		out, err := exec.Command("go", "build", "-o", bin, pkg).CombinedOutput()
-		if err != nil {
-			t.Fatalf("building %s: %v\n%s", pkg, err, out)
-		}
+	serveBin := filepath.Join(t.TempDir(), "igepa-serve")
+	if out, err := exec.Command("go", "build", "-o", serveBin, "github.com/ebsn/igepa/cmd/igepa-serve").CombinedOutput(); err != nil {
+		t.Fatalf("building igepa-serve: %v\n%s", err, out)
 	}
 
 	const (
@@ -126,7 +122,7 @@ func TestMultiProcessClusterSmoke(t *testing.T) {
 			"-cluster", fmt.Sprint(S), "-index", fmt.Sprint(i))
 	}
 	routerAddr := freeAddr(t)
-	startProc(routerBin, "-listen", routerAddr, "-backends", backendURLs, "-replay")
+	startProc(serveBin, "-listen", routerAddr, "-backends", backendURLs, "-replay")
 	base := "http://" + routerAddr
 
 	hc := &http.Client{Timeout: 10 * time.Second}
@@ -135,7 +131,7 @@ func TestMultiProcessClusterSmoke(t *testing.T) {
 		var h struct {
 			Status string `json:"status"`
 		}
-		if _, err := getJSON(hc, base+"/healthz", &h); err == nil && h.Status == "ok" {
+		if _, err := tryGetJSON(hc, base+"/healthz", &h); err == nil && h.Status == "ok" {
 			break
 		}
 		if time.Now().After(deadline) {
@@ -164,7 +160,7 @@ func TestMultiProcessClusterSmoke(t *testing.T) {
 	}
 
 	for _, u := range order {
-		code, err := postJSON(hc, base+"/v1/bid", map[string]any{"user": u, "wait": false}, nil)
+		code, err := tryPostJSON(hc, base+"/v1/bid", map[string]any{"user": u, "wait": false}, nil)
 		if err != nil {
 			t.Fatalf("submit user %d: %v", u, err)
 		}
@@ -175,7 +171,7 @@ func TestMultiProcessClusterSmoke(t *testing.T) {
 	var dr struct {
 		Drained bool `json:"drained"`
 	}
-	if _, err := postJSON(hc, base+"/admin/drain", struct{}{}, &dr); err != nil || !dr.Drained {
+	if _, err := tryPostJSON(hc, base+"/admin/drain", struct{}{}, &dr); err != nil || !dr.Drained {
 		t.Fatalf("drain: %v drained=%v", err, dr.Drained)
 	}
 
@@ -185,7 +181,7 @@ func TestMultiProcessClusterSmoke(t *testing.T) {
 		MovedSeats    int     `json:"moved_seats"`
 		Degraded      bool    `json:"degraded"`
 	}
-	if _, err := getJSON(hc, base+"/statsz", &st); err != nil {
+	if _, err := tryGetJSON(hc, base+"/statsz", &st); err != nil {
 		t.Fatal(err)
 	}
 	if st.Degraded {
@@ -204,7 +200,7 @@ func TestMultiProcessClusterSmoke(t *testing.T) {
 	}
 }
 
-// TestShutdownDrainsReplayTail drives the router's command path in replay
+// TestShutdownDrainsReplayTail drives the -backends command path in replay
 // mode over two in-process cluster shards: a tail shorter than one batch is
 // still queued at the router when the signal arrives, and the shutdown path
 // must drain it into the backends before returning.
@@ -250,7 +246,7 @@ func TestShutdownDrainsReplayTail(t *testing.T) {
 	base := "http://" + ln.Addr().String()
 	hc := &http.Client{Timeout: 10 * time.Second}
 	for u := 0; u < 5; u++ {
-		code, err := postJSON(hc, base+"/v1/bid", map[string]any{"user": u, "wait": false}, nil)
+		code, err := tryPostJSON(hc, base+"/v1/bid", map[string]any{"user": u, "wait": false}, nil)
 		if err != nil || code != http.StatusAccepted {
 			t.Fatalf("submit user %d: %d %v", u, code, err)
 		}

@@ -3,9 +3,7 @@ package router
 import (
 	"fmt"
 	"net/http"
-	"strconv"
 	"sync"
-	"time"
 
 	"github.com/ebsn/igepa/internal/batchq"
 	"github.com/ebsn/igepa/internal/server"
@@ -72,7 +70,7 @@ func (rt *Router) replayBid(w http.ResponseWriter, req *bidRequest) {
 			return
 		}
 		rt.obs.errs429.Inc()
-		w.Header().Set("Retry-After", strconv.Itoa(int((rt.cfg.RetryAfter+time.Second-1)/time.Second)))
+		w.Header().Set("Retry-After", "1")
 		httpError(w, http.StatusTooManyRequests, "queue full")
 		return
 	}

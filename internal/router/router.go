@@ -59,8 +59,7 @@ type Config struct {
 	Backends []string
 	// Shard carries the cluster-wide planner options. Shards must equal
 	// len(Backends); Seed must match every backend (it drives the user→shard
-	// hash on both sides); Batch is B, the renewal period; Lease is the
-	// renewal policy the Coordinator runs.
+	// hash on both sides); Batch is B, the renewal period.
 	Shard shard.Options
 	// Replay switches the router to the deterministic dispatcher: one global
 	// queue, flush strictly every Shard.Batch arrivals, renewal before every
@@ -74,8 +73,6 @@ type Config struct {
 	// QueueDepth bounds the replay queue; full answers 429
 	// (0 = max(4×Shard.Batch, 256)).
 	QueueDepth int
-	// RetryAfter is the backpressure hint on 429 (0 = 1s).
-	RetryAfter time.Duration
 	// DisableMetrics leaves the /metrics and /cluster/metrics endpoints
 	// unmounted (benchmark baseline only). The registry behind them is
 	// always built: /statsz reads it.
@@ -169,9 +166,6 @@ func New(in *model.Instance, cfg Config) (*Router, error) {
 		cfg.Retries = DefaultRetries
 	} else if cfg.Retries < 0 {
 		cfg.Retries = 0
-	}
-	if cfg.RetryAfter <= 0 {
-		cfg.RetryAfter = time.Second
 	}
 	b := opt.Batch
 	if b <= 0 {
@@ -274,7 +268,7 @@ func (rt *Router) Close() {
 
 // CheckBackends probes every backend's /healthz and verifies the cluster
 // shape: backend i must host cluster shard i of an S-wide deployment over the
-// same instance. Run it at startup (cmd/igepa-router retries until the
+// same instance. Run it at startup (igepa-serve -backends retries until the
 // cluster assembles) and before trusting a reconfigured backend list.
 func (rt *Router) CheckBackends() error {
 	for i := range rt.backends {

@@ -33,7 +33,7 @@ import (
 // sound: the shard's loads must not move between the coordinator reading
 // them and the new budgets landing, or a grant in that window could exceed
 // the incoming lease. Freezing means holding every serving lock across the
-// two HTTP calls; a watchdog thaws the shard after Config.FreezeTimeout so a
+// two HTTP calls; a watchdog thaws the shard after DefaultFreezeTimeout so a
 // dead router cannot wedge it (the late install then gets a 409 and the
 // router degrades rather than double-booking).
 
@@ -50,8 +50,8 @@ type leaseGate struct {
 }
 
 func (srv *Server) freezeTimeout() time.Duration {
-	if srv.cfg.FreezeTimeout > 0 {
-		return srv.cfg.FreezeTimeout
+	if srv.cfg.freezeTimeout > 0 {
+		return srv.cfg.freezeTimeout
 	}
 	return DefaultFreezeTimeout
 }

@@ -12,27 +12,6 @@ import (
 	"github.com/ebsn/igepa/internal/shard"
 )
 
-// TestRetryAfterSeconds pins the round-up: truncation (1500ms -> 1) told
-// clients to retry before the window ended, guaranteeing a second 429.
-func TestRetryAfterSeconds(t *testing.T) {
-	cases := []struct {
-		d    time.Duration
-		want int
-	}{
-		{10 * time.Millisecond, 1},
-		{time.Second, 1},
-		{1500 * time.Millisecond, 2},
-		{2 * time.Second, 2},
-		{2001 * time.Millisecond, 3},
-		{0, 1},
-	}
-	for _, tc := range cases {
-		if got := retryAfterSeconds(tc.d); got != tc.want {
-			t.Errorf("retryAfterSeconds(%v) = %d, want %d", tc.d, got, tc.want)
-		}
-	}
-}
-
 // TestRollbackQueuedGuard pins the rollback race fix: undoing a failed
 // enqueue's optimistic stateQueued claim must not clobber a state transition
 // that landed while the state lock was dropped.
@@ -259,12 +238,12 @@ func TestClusterShardSurface(t *testing.T) {
 
 // TestClusterFreezeWatchdog pins the thaw: a router that dies between demand
 // and lease must not wedge the shard — the watchdog releases the locks after
-// FreezeTimeout and the late install is refused.
+// freezeTimeout and the late install is refused.
 func TestClusterFreezeWatchdog(t *testing.T) {
 	in := testInstance(t, 33, 40, 8)
 	srv, c := startClusterShard(t, in, 2, 0, Config{
 		Shard:         shard.Options{Seed: 7, Batch: 16},
-		FreezeTimeout: 30 * time.Millisecond,
+		freezeTimeout: 30 * time.Millisecond,
 	})
 	var d ClusterDemandResponse
 	if code := c.do("POST", "/cluster/demand", struct{}{}, &d).StatusCode; code != http.StatusOK {

@@ -378,7 +378,7 @@ func TestReplayBitIdenticalWithSlowlog(t *testing.T) {
 
 	instrumented, _, ic := startServer(t, base.Clone(), Config{
 		Shard: opts, Replay: true,
-		SlowLog: time.Nanosecond, SlowLogOutput: &slow,
+		SlowLog: time.Nanosecond, slowLogOutput: &slow,
 	})
 	plain, _, pc := startServer(t, base.Clone(), Config{
 		Shard: opts, Replay: true, DisableMetrics: true,

@@ -60,14 +60,10 @@ import (
 	"github.com/ebsn/igepa/internal/wal"
 )
 
-// Defaults for Config zero values.
-const (
-	DefaultRetryAfter = 1 * time.Second
-	// DefaultFreezeTimeout bounds a wire-renewal freeze (cluster mode): if
-	// the router dies between /cluster/demand and /cluster/lease, the shard
-	// thaws itself after this long instead of serving frozen forever.
-	DefaultFreezeTimeout = 2 * time.Second
-)
+// DefaultFreezeTimeout bounds a wire-renewal freeze (cluster mode): if the
+// router dies between /cluster/demand and /cluster/lease, the shard thaws
+// itself after this long instead of serving frozen forever.
+const DefaultFreezeTimeout = 2 * time.Second
 
 // Config parameterizes New.
 type Config struct {
@@ -92,9 +88,6 @@ type Config struct {
 	// QueueDepth bounds each queue; a full queue answers 429. 0 means
 	// max(4×Shard.Batch, 256).
 	QueueDepth int
-	// RetryAfter is the backpressure hint returned with 429 responses.
-	// 0 means DefaultRetryAfter.
-	RetryAfter time.Duration
 
 	// WALPath, when non-empty, makes serving crash-safe: every accepted
 	// operation is appended to a write-ahead log before its reply, and New
@@ -111,11 +104,6 @@ type Config struct {
 	// POST /admin/checkpoint surface): an atomic snapshot that bounds how
 	// much WAL a warm boot replays.
 	CheckpointPath string
-	// FreezeTimeout bounds how long a cluster shard stays frozen between a
-	// /cluster/demand prepare and the matching /cluster/lease install (or
-	// /cluster/abort) before thawing itself. 0 means DefaultFreezeTimeout.
-	// Only meaningful when Shard.ClusterShards > 0.
-	FreezeTimeout time.Duration
 	// Follow runs the server as a read replica: no serving loops, no
 	// writes (503), state built by tailing WALPath. /readyz reports ready
 	// only within LagBytes of the log's end; POST /admin/promote turns the
@@ -136,8 +124,14 @@ type Config struct {
 	// it with its LP phase breakdown. Arrivals below the threshold cost
 	// one comparison and zero allocations.
 	SlowLog time.Duration
-	// SlowLogOutput receives the slow-arrival lines (default os.Stderr).
-	SlowLogOutput io.Writer
+
+	// Test seams. freezeTimeout bounds how long a cluster shard stays
+	// frozen between a /cluster/demand prepare and the matching
+	// /cluster/lease install (or /cluster/abort) before thawing itself
+	// (0 = DefaultFreezeTimeout). slowLogOutput receives the SlowLog lines
+	// (nil = os.Stderr).
+	freezeTimeout time.Duration
+	slowLogOutput io.Writer
 }
 
 // user lifecycle states
@@ -246,11 +240,8 @@ func New(in *model.Instance, cfg Config) (*Server, error) {
 		}
 	}
 	srv.qlimit = depth
-	if cfg.RetryAfter <= 0 {
-		srv.cfg.RetryAfter = DefaultRetryAfter
-	}
 	if cfg.SlowLog > 0 {
-		out := cfg.SlowLogOutput
+		out := cfg.slowLogOutput
 		if out == nil {
 			out = os.Stderr
 		}
@@ -697,7 +688,7 @@ func (srv *Server) submitBid(w http.ResponseWriter, body io.Reader) (request, bo
 			return request{}, false
 		}
 		srv.obs.errs429.Inc()
-		w.Header().Set("Retry-After", strconv.Itoa(retryAfterSeconds(srv.cfg.RetryAfter)))
+		w.Header().Set("Retry-After", "1")
 		httpError(w, http.StatusTooManyRequests, "queue full")
 		return request{}, false
 	}
@@ -1224,18 +1215,6 @@ func (srv *Server) handleDrain(w http.ResponseWriter, r *http.Request) {
 }
 
 // --- helpers --------------------------------------------------------------
-
-// retryAfterSeconds converts the backpressure window to the integral
-// Retry-After header value, rounding up: a 1500ms window must emit 2, not 1 —
-// truncating tells clients to retry before the window ends, turning every
-// sub-second remainder into a guaranteed second 429.
-func retryAfterSeconds(d time.Duration) int {
-	s := int((d + time.Second - 1) / time.Second)
-	if s < 1 {
-		s = 1
-	}
-	return s
-}
 
 func writeJSON(w http.ResponseWriter, code int, v any) {
 	w.Header().Set("Content-Type", "application/json")
