@@ -380,10 +380,12 @@ func TestZeroCapacityEventsNeverAssigned(t *testing.T) {
 }
 
 // TestLeaseDemandPinned pins, absolutely, Serve under the demand renewer:
-// for S ∈ {1,2,4,8} on a Meetup and a Synthetic instance, an FNV-1a hash
-// over the arrangement, the utility's bits, the moved seats and the renewal
-// count. A change to the tally, the largest-remainder split, the even
-// fallback's rotation or the moved-seat accounting moves a row. amd64 only.
+// for S ∈ {1,2,4,8} on a Meetup and a Synthetic instance, with and without
+// the reservation rule (Tau 0.5, Guard 0.25), an FNV-1a hash over the
+// arrangement, the utility's bits, the moved seats and the renewal count. A
+// change to the tally, the largest-remainder split, the even fallback's
+// rotation, the moved-seat accounting or the open-bid filter moves a row.
+// amd64 only.
 func TestLeaseDemandPinned(t *testing.T) {
 	if runtime.GOARCH != "amd64" {
 		t.Skipf("serving bits are pinned on amd64, not %s", runtime.GOARCH)
@@ -396,23 +398,36 @@ func TestLeaseDemandPinned(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	greedy := Options{}
+	reserve := Options{Planner: PlannerThreshold, Tau: 0.5, Guard: 0.25}
 	rows := []struct {
 		name string
 		in   *model.Instance
+		rule Options
 		s    int
 		want uint64
 	}{
-		{"meetup", meetup, 1, 0x77769b0f83c3a156},
-		{"meetup", meetup, 2, 0x23854dbffe2ed30c},
-		{"meetup", meetup, 4, 0x93a4bab061962208},
-		{"meetup", meetup, 8, 0xfe1d6ac1630b65c4},
-		{"synthetic", synthetic, 1, 0xb6e9ea1734f35046},
-		{"synthetic", synthetic, 2, 0x1852b9f78c40271c},
-		{"synthetic", synthetic, 4, 0xfef6503376c9014c},
-		{"synthetic", synthetic, 8, 0xfe68b66153ef57e7},
+		{"meetup", meetup, greedy, 1, 0x77769b0f83c3a156},
+		{"meetup", meetup, greedy, 2, 0x23854dbffe2ed30c},
+		{"meetup", meetup, greedy, 4, 0x93a4bab061962208},
+		{"meetup", meetup, greedy, 8, 0xfe1d6ac1630b65c4},
+		{"synthetic", synthetic, greedy, 1, 0xb6e9ea1734f35046},
+		{"synthetic", synthetic, greedy, 2, 0x1852b9f78c40271c},
+		{"synthetic", synthetic, greedy, 4, 0xfef6503376c9014c},
+		{"synthetic", synthetic, greedy, 8, 0xfe68b66153ef57e7},
+		{"meetup/reserve", meetup, reserve, 1, 0x0f9a3c10918e9896},
+		{"meetup/reserve", meetup, reserve, 2, 0xd1653787368ba18c},
+		{"meetup/reserve", meetup, reserve, 4, 0x78e971d840eda39b},
+		{"meetup/reserve", meetup, reserve, 8, 0x629c705e113c66ca},
+		{"synthetic/reserve", synthetic, reserve, 1, 0x140117fa17544607},
+		{"synthetic/reserve", synthetic, reserve, 2, 0xa77ab376a1bc93ad},
+		{"synthetic/reserve", synthetic, reserve, 4, 0x1957e471cc054524},
+		{"synthetic/reserve", synthetic, reserve, 8, 0xf32e3ed7b5cfc52b},
 	}
 	for _, row := range rows {
-		res, err := Serve(row.in, arrivalOrder(3, row.in.NumUsers()), Options{Shards: row.s, Batch: 16, Seed: 7, Workers: 1})
+		opt := row.rule
+		opt.Shards, opt.Batch, opt.Seed, opt.Workers = row.s, 16, 7, 1
+		res, err := Serve(row.in, arrivalOrder(3, row.in.NumUsers()), opt)
 		if err != nil {
 			t.Fatal(err)
 		}
