@@ -11,7 +11,7 @@
 //	igepa-serve                          # Meetup-like stream, S ∈ {1,2,4,8}
 //	igepa-serve -shards 1,2,4,8,16 -batch 64
 //	igepa-serve -workload synthetic -users 2000 -events 100
-//	igepa-serve -planner threshold -tau 0.5 -guard 0.25
+//	igepa-serve -guard 0.25              # keep a quarter of each lease for pairs ≥ -tau
 //	igepa-serve -arrivals stream.jsonl   # replay a recorded arrival log
 //	igepa-serve -live-bound              # incremental LP bound per batch
 //	igepa-serve -listen :8080            # host the HTTP front-end
@@ -37,9 +37,14 @@
 // the same /v1 API routed to each user's shard by the shared hash, the admin
 // surface fanned across the cluster, and the wire lease renewals. The router
 // and every shard take the same -workload, -events, -users, -seed and
-// -batch. The router waits up to -check-wait for the cluster to assemble,
-// refuses a mismatched one, and refuses by name any flag but those, -listen,
-// -queue, -replay, -timeout and -retries.
+// -batch. The router waits up to -check-wait for the cluster to assemble and
+// refuses a mismatched one.
+//
+// Each mode — the sweep, a -listen shard, a -backends router — refuses, by
+// name, any flag set that it does not read (flagModes lists which flag each
+// reads), so a -wal beside the sweep is an error, not a silent no-op. -tau
+// without -guard > 0 is refused too: with guard 0 the planner is greedy and
+// never reads tau.
 //
 // The arrival stream is either a timestamped JSONL log written by
 // igepa-datagen -arrivals, or the built-in synthetic stream. Every row is
@@ -92,7 +97,6 @@ type config struct {
 	seed      int64
 	shards    []int
 	batch     int
-	planner   string
 	tau       float64
 	guard     float64
 	workers   int
@@ -129,11 +133,44 @@ type config struct {
 	set []string
 }
 
-// routerFlags are the flags a -backends router reads. Every other flag
-// configures a shard or the sweep.
-var routerFlags = map[string]bool{
-	"listen": true, "backends": true, "workload": true, "events": true, "users": true, "seed": true,
-	"batch": true, "queue": true, "replay": true, "timeout": true, "retries": true, "check-wait": true,
+// mode is a set of igepa-serve's run modes.
+type mode uint8
+
+const (
+	sweep  mode = 1 << iota // the replay sweep (no -listen)
+	served                  // a -listen shard, standalone or -cluster
+	routed                  // a -listen -backends router
+)
+
+// modeNames names each mode in a refusal.
+var modeNames = map[mode]string{sweep: "the replay sweep", served: "a -listen shard", routed: "a -backends router"}
+
+// flagModes lists, for every flag, the modes that read it.
+var flagModes = map[string]mode{
+	"workload": sweep | served | routed, "events": sweep | served | routed,
+	"users": sweep | served | routed, "seed": sweep | served | routed, "batch": sweep | served | routed,
+	"shards": sweep | served, "tau": sweep | served, "guard": sweep | served,
+	"workers": sweep | served, "live-bound": sweep | served,
+	"lp": sweep, "arrivals": sweep, "arrivals-partial": sweep,
+	"listen": served | routed, "queue": served | routed, "replay": served | routed,
+	"cluster": served, "index": served, "pprof": served, "slowlog": served,
+	"wal": served, "wal-sync": served, "wal-sync-interval": served,
+	"checkpoint": served, "follow": served, "lag-bytes": served,
+	"backends": routed, "timeout": routed, "retries": routed, "check-wait": routed,
+}
+
+// checkFlags refuses, by name, any flag set on the command line that mode m
+// does not read, and -tau without a guard to apply it.
+func checkFlags(cfg config, m mode) error {
+	for _, name := range cfg.set {
+		if flagModes[name]&m == 0 {
+			return fmt.Errorf("-%s is not read by %s", name, modeNames[m])
+		}
+	}
+	if slices.Contains(cfg.set, "tau") && cfg.guard == 0 {
+		return fmt.Errorf("-tau has no effect without -guard > 0")
+	}
+	return nil
 }
 
 func main() {
@@ -145,9 +182,8 @@ func main() {
 	flag.Int64Var(&cfg.seed, "seed", 1, "seed for instance, arrival order and shard partition")
 	flag.StringVar(&shardList, "shards", "1,2,4,8", "comma-separated shard counts to sweep")
 	flag.IntVar(&cfg.batch, "batch", 0, "arrivals between lease renewals (0 = default)")
-	flag.StringVar(&cfg.planner, "planner", "greedy", "per-shard policy: greedy or threshold")
-	flag.Float64Var(&cfg.tau, "tau", 0.5, "threshold planner: admission weight")
-	flag.Float64Var(&cfg.guard, "guard", 0.25, "threshold planner: reserved capacity fraction")
+	flag.Float64Var(&cfg.tau, "tau", 0.5, "reservation rule: pairs of at least this weight may take reserved seats")
+	flag.Float64Var(&cfg.guard, "guard", 0, "reservation rule: fraction of each lease reserved for pairs ≥ -tau (0 = greedy)")
 	flag.IntVar(&cfg.workers, "workers", 0, "worker-pool bound (0 = all cores; results identical)")
 	flag.BoolVar(&cfg.lpBound, "lp", true, "also solve the offline LP bound for comparison")
 	flag.StringVar(&cfg.arrivals, "arrivals", "", "replay arrivals from this JSONL log (igepa-datagen -arrivals)")
@@ -188,8 +224,6 @@ func main() {
 				cfg.shards = []int{1}
 			}
 			err = listenAndServe(os.Stdout, cfg)
-		} else if len(cfg.backends) > 0 {
-			err = fmt.Errorf("-backends needs -listen")
 		} else {
 			err = run(os.Stdout, cfg)
 		}
@@ -223,16 +257,10 @@ func serveListenerCtx(ctx context.Context, w *os.File, ln net.Listener, cfg conf
 	if len(cfg.backends) > 0 {
 		return serveRouter(ctx, w, ln, cfg)
 	}
-	for _, name := range []string{"timeout", "retries", "check-wait"} {
-		if slices.Contains(cfg.set, name) {
-			return fmt.Errorf("-%s configures the -backends router", name)
-		}
-	}
-	in, err := makeInstance(cfg)
-	if err != nil {
+	if err := checkFlags(cfg, served); err != nil {
 		return err
 	}
-	kind, err := shard.ParsePlannerKind(cfg.planner)
+	in, err := makeInstance(cfg)
 	if err != nil {
 		return err
 	}
@@ -248,8 +276,7 @@ func serveListenerCtx(ctx context.Context, w *os.File, ln net.Listener, cfg conf
 		Shard: shard.Options{
 			Shards: s, ClusterShards: cfg.cluster, ClusterIndex: cfg.index,
 			Batch: cfg.batch, Workers: cfg.workers, Seed: cfg.seed,
-			Planner: kind, Tau: cfg.tau, Guard: cfg.guard,
-			LiveBound: cfg.liveBound,
+			Tau: cfg.tau, Guard: cfg.guard, LiveBound: cfg.liveBound,
 		},
 		Replay:          cfg.replay,
 		QueueDepth:      cfg.queueDepth,
@@ -298,10 +325,8 @@ func serveListenerCtx(ctx context.Context, w *os.File, ln net.Listener, cfg conf
 // instance. On shutdown Close flushes the replay queue's tail into the
 // backends, renewal included, before it returns.
 func serveRouter(ctx context.Context, w *os.File, ln net.Listener, cfg config) error {
-	for _, name := range cfg.set {
-		if !routerFlags[name] {
-			return fmt.Errorf("-%s configures a shard or the sweep; it cannot be set beside -backends", name)
-		}
+	if err := checkFlags(cfg, routed); err != nil {
+		return err
 	}
 	in, err := makeInstance(cfg)
 	if err != nil {
@@ -380,11 +405,10 @@ func parseShards(list string) ([]int, error) {
 }
 
 func run(w *os.File, cfg config) error {
-	in, err := makeInstance(cfg)
-	if err != nil {
+	if err := checkFlags(cfg, sweep); err != nil {
 		return err
 	}
-	kind, err := shard.ParsePlannerKind(cfg.planner)
+	in, err := makeInstance(cfg)
 	if err != nil {
 		return err
 	}
@@ -392,6 +416,23 @@ func run(w *os.File, cfg config) error {
 	if err != nil {
 		return err
 	}
+
+	optFor := func(s int) shard.Options {
+		return shard.Options{
+			Shards: s, Batch: cfg.batch, Workers: cfg.workers, Seed: cfg.seed,
+			Tau: cfg.tau, Guard: cfg.guard, RecordLatency: true,
+		}
+	}
+	// The vs-single baseline is always a real S=1 run, whatever -shards says;
+	// it also carries the live bound, which leaves decisions unchanged. It
+	// runs first, so an invalid -tau or -guard fails before the LP solve.
+	baseOpt := optFor(1)
+	baseOpt.LiveBound = cfg.liveBound
+	base, err := shard.Serve(in, order, baseOpt)
+	if err != nil {
+		return err
+	}
+	single := base.Utility
 
 	bound := 0.0
 	if cfg.lpBound {
@@ -402,30 +443,14 @@ func run(w *os.File, cfg config) error {
 		bound = res.LPObjective
 	}
 
-	fmt.Fprintf(w, "workload=%s |V|=%d |U|=%d arrivals=%d planner=%s seed=%d\n",
-		cfg.workload, in.NumEvents(), in.NumUsers(), len(order), kind, cfg.seed)
+	fmt.Fprintf(w, "workload=%s |V|=%d |U|=%d arrivals=%d tau=%g guard=%g seed=%d\n",
+		cfg.workload, in.NumEvents(), in.NumUsers(), len(order), cfg.tau, cfg.guard, cfg.seed)
 	if cfg.lpBound {
 		fmt.Fprintf(w, "offline LP bound: %.4f\n", bound)
 	}
 	fmt.Fprintf(w, "%8s %12s %10s %10s %8s %8s %10s %12s %10s %10s\n",
 		"shards", "utility", "vs-single", "vs-bound", "pairs", "moved", "elapsed", "arrivals/s", "p50", "p99")
 
-	optFor := func(s int) shard.Options {
-		return shard.Options{
-			Shards: s, Batch: cfg.batch, Workers: cfg.workers, Seed: cfg.seed,
-			Planner: kind, Tau: cfg.tau, Guard: cfg.guard,
-			RecordLatency: true,
-		}
-	}
-	// The vs-single baseline is always a real S=1 run, whatever -shards says;
-	// it also carries the live bound, which leaves decisions unchanged.
-	baseOpt := optFor(1)
-	baseOpt.LiveBound = cfg.liveBound
-	base, err := shard.Serve(in, order, baseOpt)
-	if err != nil {
-		return err
-	}
-	single := base.Utility
 	for _, s := range cfg.shards {
 		start := time.Now()
 		res, err := shard.Serve(in, order, optFor(s))

@@ -6,6 +6,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"math"
 	"net"
 	"net/http"
 	"os"
@@ -38,13 +39,13 @@ func TestRunSmoke(t *testing.T) {
 	null := devNull(t)
 	cfg := config{
 		workload: "synthetic", events: 20, users: 80, seed: 1,
-		shards: []int{1, 2, 4}, planner: "greedy", lpBound: true,
+		shards: []int{1, 2, 4}, lpBound: true,
 	}
 	if err := run(null, cfg); err != nil {
 		t.Fatal(err)
 	}
 	cfg.workload = "meetup"
-	cfg.planner = "threshold"
+	cfg.guard = 0.25
 	cfg.lpBound = false
 	if err := run(null, cfg); err != nil {
 		t.Fatal(err)
@@ -55,7 +56,7 @@ func TestRunLeasePoliciesAndLiveBound(t *testing.T) {
 	null := devNull(t)
 	cfg := config{
 		workload: "synthetic", events: 15, users: 90, seed: 2,
-		shards: []int{2, 4}, planner: "greedy", batch: 16,
+		shards: []int{2, 4}, batch: 16,
 	}
 	if err := run(null, cfg); err != nil {
 		t.Fatal(err)
@@ -63,7 +64,7 @@ func TestRunLeasePoliciesAndLiveBound(t *testing.T) {
 	// the incremental live-bound path (warm Planner.Update per batch)
 	cfg = config{
 		workload: "synthetic", events: 15, users: 90, seed: 3,
-		shards: []int{2}, planner: "greedy", batch: 16, liveBound: true,
+		shards: []int{2}, batch: 16, liveBound: true,
 	}
 	if err := run(null, cfg); err != nil {
 		t.Fatal(err)
@@ -85,7 +86,7 @@ func TestRunReplaysArrivalLog(t *testing.T) {
 	f.Close()
 	cfg := config{
 		workload: "synthetic", events: 15, users: 70, seed: 9,
-		shards: []int{1, 4}, planner: "greedy", arrivals: log,
+		shards: []int{1, 4}, arrivals: log,
 	}
 	if err := run(null, cfg); err != nil {
 		t.Fatal(err)
@@ -119,8 +120,9 @@ func TestBadConfigRejected(t *testing.T) {
 	if err := run(null, config{workload: "nope", shards: []int{1}}); err == nil {
 		t.Error("unknown workload accepted")
 	}
-	if err := run(null, config{workload: "synthetic", users: 10, events: 5, planner: "nope", shards: []int{1}}); err == nil {
-		t.Error("unknown planner accepted")
+	var ce *shard.ConfigError
+	if err := run(null, config{workload: "synthetic", users: 10, events: 5, guard: math.NaN(), shards: []int{1}}); !errors.As(err, &ce) || ce.Field != "Guard" {
+		t.Errorf("NaN guard: got %v, want a *shard.ConfigError on Guard", err)
 	}
 }
 
@@ -134,7 +136,7 @@ func TestListenServesHTTP(t *testing.T) {
 	null := devNull(t)
 	cfg := config{
 		workload: "synthetic", events: 12, users: 50, seed: 6,
-		shards: []int{2}, planner: "greedy",
+		shards: []int{2},
 	}
 	done := make(chan error, 1)
 	go func() { done <- serveListener(null, ln, cfg) }()
@@ -220,7 +222,7 @@ func TestListenServesClusterShard(t *testing.T) {
 	}
 	cfg := config{
 		workload: "synthetic", events: 12, users: 60, seed: 6,
-		shards: []int{1}, cluster: 2, index: 0, batch: 16, planner: "greedy",
+		shards: []int{1}, cluster: 2, index: 0, batch: 16,
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	done := make(chan error, 1)
@@ -303,17 +305,17 @@ func TestListenServesClusterShard(t *testing.T) {
 }
 
 // TestListenBadConfigRejected pins -listen flag validation through the
-// command path. The -cluster rows are the engine's and server's own typed
-// errors: the command adds no checks of its own. The -backends rows are the
-// command's one check: a router refuses, by name, any flag set beside
-// -backends that configures a shard, and a shard refuses the router's.
+// command path. The -cluster, Guard and Tau rows are the engine's and
+// server's own typed errors. The rest are the command's one check: each mode
+// refuses, by name, any flag set that it does not read — a router a shard's
+// flag, a shard the router's or the sweep's — and -tau without -guard.
 func TestListenBadConfigRejected(t *testing.T) {
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer ln.Close()
-	ok := config{workload: "synthetic", events: 8, users: 20, shards: []int{1}, cluster: 2, planner: "greedy"}
+	ok := config{workload: "synthetic", events: 8, users: 20, shards: []int{1}, cluster: 2}
 	backends := func(set ...string) func(*config) {
 		return func(c *config) {
 			c.backends = []string{"http://127.0.0.1:1"}
@@ -327,7 +329,9 @@ func TestListenBadConfigRejected(t *testing.T) {
 		flag  string // the flag the error names, when the command refuses one
 	}{
 		{"workload", func(c *config) { c.workload = "nope" }, "", ""},
-		{"planner", func(c *config) { c.planner = "nope" }, "", ""},
+		{"guard NaN", func(c *config) { c.guard = math.NaN() }, "Guard", ""},
+		{"guard>1", func(c *config) { c.guard = 2 }, "Guard", ""},
+		{"tau NaN", func(c *config) { c.tau, c.guard = math.NaN(), 0.25 }, "Tau", ""},
 		{"wal-sync", func(c *config) { c.walSync = "nope" }, "", ""},
 		{"index", func(c *config) { c.index = 5 }, "ClusterIndex", ""},
 		{"cluster+replay", func(c *config) { c.replay = true }, "Replay", ""},
@@ -336,6 +340,10 @@ func TestListenBadConfigRejected(t *testing.T) {
 		{"backends+wal", backends("wal"), "", "-wal"},
 		{"backends+cluster", backends("cluster"), "", "-cluster"},
 		{"shard+timeout", func(c *config) { c.set = []string{"timeout"} }, "", "-timeout"},
+		{"shard+lp", func(c *config) { c.set = []string{"lp"} }, "", "-lp"},
+		{"shard+arrivals", func(c *config) { c.set = []string{"arrivals"} }, "", "-arrivals"},
+		{"shard+arrivals-partial", func(c *config) { c.set = []string{"arrivals-partial"} }, "", "-arrivals-partial"},
+		{"tau without guard", func(c *config) { c.set = []string{"tau"} }, "", "-tau"},
 	} {
 		cfg := ok
 		tc.edit(&cfg)
@@ -351,6 +359,26 @@ func TestListenBadConfigRejected(t *testing.T) {
 		case tc.flag != "" && !strings.Contains(err.Error(), tc.flag+" "):
 			t.Errorf("%s: got %v, want an error naming %s", tc.name, err, tc.flag)
 		}
+	}
+}
+
+// TestSweepRefusesListenFlags pins the sweep's half of the flag check: a
+// flag only -listen reads, such as -wal, is an error naming it rather than
+// a silent no-op, and the sweep creates no file.
+func TestSweepRefusesListenFlags(t *testing.T) {
+	dir := t.TempDir()
+	ok := config{workload: "synthetic", events: 8, users: 20, shards: []int{1},
+		wal: filepath.Join(dir, "x.wal"), checkpoint: filepath.Join(dir, "x.ckpt")}
+	for _, name := range []string{"wal", "checkpoint", "follow", "cluster", "queue", "replay",
+		"pprof", "slowlog", "listen", "backends", "timeout", "tau"} {
+		cfg := ok
+		cfg.set = []string{"seed", name}
+		if err := run(devNull(t), cfg); err == nil || !strings.Contains(err.Error(), "-"+name+" ") {
+			t.Errorf("-%s: got %v, want an error naming it", name, err)
+		}
+	}
+	if entries, err := os.ReadDir(dir); err != nil || len(entries) != 0 {
+		t.Errorf("the refused sweep left files behind: %v %v", entries, err)
 	}
 }
 
@@ -407,7 +435,7 @@ func TestLiveBoundReportsUpdateLatency(t *testing.T) {
 	const users, batch = 60, 16
 	cfg := config{
 		workload: "synthetic", events: 12, users: users, seed: 4,
-		shards: []int{2}, planner: "greedy", batch: batch, liveBound: true,
+		shards: []int{2}, batch: batch, liveBound: true,
 	}
 	out := output(t, func(w *os.File) error { return run(w, cfg) })
 	for _, want := range []string{
@@ -474,7 +502,7 @@ func TestListenDurableShutdownAndWarmBoot(t *testing.T) {
 	null := devNull(t)
 	cfg := config{
 		workload: "synthetic", events: 12, users: 50, seed: 6,
-		shards: []int{2}, planner: "greedy",
+		shards:     []int{2},
 		wal:        filepath.Join(dir, "serve.wal"),
 		walSync:    "off",
 		checkpoint: filepath.Join(dir, "serve.ckpt"),
@@ -552,8 +580,8 @@ func TestListenFollowerThroughCommand(t *testing.T) {
 	null := devNull(t)
 	cfg := config{
 		workload: "synthetic", events: 12, users: 50, seed: 6,
-		shards: []int{2}, planner: "greedy",
-		wal: filepath.Join(dir, "serve.wal"), walSync: "off",
+		shards: []int{2},
+		wal:    filepath.Join(dir, "serve.wal"), walSync: "off",
 	}
 	lnL, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
@@ -651,7 +679,7 @@ func TestRunTruncatedArrivalLog(t *testing.T) {
 	}
 	cfg := config{
 		workload: "synthetic", events: 15, users: 70, seed: 9,
-		shards: []int{2}, planner: "greedy", arrivals: log, lpBound: false,
+		shards: []int{2}, arrivals: log, lpBound: false,
 	}
 	if err := run(null, cfg); err == nil {
 		t.Error("truncated arrival log accepted without -arrivals-partial")

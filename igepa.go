@@ -181,23 +181,22 @@ func OnlineThreshold(in *Instance, order []int, tau, guard float64) (*Arrangemen
 // by construction and bit-identical for every worker count.
 type (
 	// ShardOptions configures sharded serving (shard count, batch size,
-	// planner policy, seed).
+	// seed, and the per-shard reservation rule Tau/Guard, where Guard 0 is
+	// greedy).
 	ShardOptions = shard.Options
 	// ShardResult carries the merged arrangement plus lease-protocol
 	// diagnostics.
 	ShardResult = shard.Result
-	// ShardPlannerKind selects the per-shard online policy.
-	ShardPlannerKind = shard.PlannerKind
 	// ShardConfigError is the typed error ServeSharded returns on invalid
-	// configuration (S ≤ 0, nil instance, negative batch or cache size,
-	// unknown planner kind) instead of panicking.
+	// configuration (S ≤ 0, nil instance, negative batch or cache size, a
+	// NaN Tau, a Guard that is NaN or outside [0,1]) instead of panicking.
 	ShardConfigError = shard.ConfigError
 	// ShardLeaseError reports a lease-invariant violation detected at a
 	// renewal boundary (a renewer bug, surfaced instead of risking a
 	// double-booked seat).
 	ShardLeaseError = shard.LeaseError
 	// OnlineBudgetError is the typed error of the budget-owning online
-	// planner constructors (wrong length, negative or over-committed
+	// planner constructor (wrong length, negative or over-committed
 	// leases).
 	OnlineBudgetError = online.BudgetError
 	// ShardBoundStats is the live LP-bound tracker's outcome
@@ -205,12 +204,6 @@ type (
 	// remaining-opportunity bound after each batch, per-update planner
 	// latencies, and the bound planner's warm/cold solve counters.
 	ShardBoundStats = shard.BoundStats
-)
-
-// Per-shard planner policies.
-const (
-	ShardPlannerGreedy    = shard.PlannerGreedy
-	ShardPlannerThreshold = shard.PlannerThreshold
 )
 
 // ServeSharded replays the arrival order across opt.Shards shards and

@@ -131,10 +131,7 @@ func TestArriveAllocatesOnlyItsResult(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	planners := map[string]interface {
-		Planner
-		Release([]int)
-	}{
+	planners := map[string]*GreedyPlanner{
 		"greedy":    NewGreedy(in, 0),
 		"threshold": NewThreshold(in, 0.4, 0.3, 0),
 	}

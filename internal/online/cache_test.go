@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"github.com/ebsn/igepa/internal/admissible"
+	"github.com/ebsn/igepa/internal/conflict"
 	"github.com/ebsn/igepa/internal/model/modeltest"
 )
 
@@ -16,27 +17,25 @@ func TestBudgetConstructorsTypedErrors(t *testing.T) {
 	nv := in.NumEvents()
 	var be *BudgetError
 
-	if _, err := NewGreedyBudget(nil, nil, 0); !errors.As(err, &be) {
+	conf := conflict.FromFunc(nv, in.Conflicts)
+	if _, err := NewGreedyBudgetShared(nil, conf, nil, 0, 0, 0); !errors.As(err, &be) {
 		t.Errorf("nil instance: err = %v, want *BudgetError", err)
 	}
-	if _, err := NewGreedyBudget(in, make([]int, nv+1), 0); !errors.As(err, &be) {
+	if _, err := NewGreedyBudgetShared(in, nil, make([]int, nv), 0, 0, 0); !errors.As(err, &be) {
+		t.Errorf("nil conflict matrix: err = %v, want *BudgetError", err)
+	}
+	if _, err := NewGreedyBudgetShared(in, conf, make([]int, nv+1), 0, 0, 0); !errors.As(err, &be) {
 		t.Errorf("length mismatch: err = %v, want *BudgetError", err)
 	}
 	bad := make([]int, nv)
 	bad[0] = -1
-	if _, err := NewGreedyBudget(in, bad, 0); !errors.As(err, &be) || be.Event != 0 {
+	if _, err := NewGreedyBudgetShared(in, conf, bad, 0, 0, 0); !errors.As(err, &be) || be.Event != 0 {
 		t.Errorf("negative entry: err = %v, want *BudgetError for event 0", err)
 	}
 	over := make([]int, nv)
 	over[nv-1] = in.Events[nv-1].Capacity + 1
-	if _, err := NewGreedyBudget(in, over, 0); !errors.As(err, &be) || be.Event != nv-1 {
+	if _, err := NewGreedyBudgetShared(in, conf, over, 0.5, 0.5, 0); !errors.As(err, &be) || be.Event != nv-1 {
 		t.Errorf("over-committed lease: err = %v, want *BudgetError for event %d", err, nv-1)
-	}
-	if _, err := NewThresholdBudget(nil, nil, 0.5, 0.5, 0); !errors.As(err, &be) {
-		t.Errorf("threshold nil instance: err = %v, want *BudgetError", err)
-	}
-	if _, err := NewThresholdBudget(in, make([]int, nv+2), 0.5, 0.5, 0); !errors.As(err, &be) {
-		t.Errorf("threshold length mismatch: err = %v, want *BudgetError", err)
 	}
 	if (&BudgetError{Event: -1, Reason: "x"}).Error() == "" ||
 		(&BudgetError{Event: 2, Reason: "y"}).Error() == "" {
@@ -48,7 +47,7 @@ func TestBudgetConstructorsTypedErrors(t *testing.T) {
 	for v := range ok {
 		ok[v] = in.Events[v].Capacity
 	}
-	if _, err := NewGreedyBudget(in, ok, 0); err != nil {
+	if _, err := NewGreedyBudgetShared(in, conf, ok, 0, 0, 0); err != nil {
 		t.Errorf("valid budget rejected: %v", err)
 	}
 }

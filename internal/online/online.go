@@ -7,15 +7,15 @@
 // online counterparts of the offline baselines so the cost of onlineness
 // can be measured against the offline LP bound.
 //
-// Two policies are provided:
+// One planner, GreedyPlanner, provides two policies:
 //
-//   - Greedy: assign the arriving user their maximum-weight admissible set
-//     that fits the remaining capacities.
-//   - Threshold: like Greedy, but while an event still has more than a
-//     guard fraction of its capacity free, only pairs with weight ≥ tau are
-//     accepted — the classic reservation rule that keeps early low-value
-//     arrivals from exhausting capacity that later high-value arrivals
-//     would use.
+//   - Greedy (guard 0): assign the arriving user their maximum-weight
+//     admissible set that fits the remaining capacities.
+//   - Threshold (guard > 0): like Greedy, but once an event has handed out
+//     all but a guard fraction of its seats, only pairs with weight ≥ tau
+//     are accepted — the classic reservation rule that keeps early
+//     low-value arrivals from exhausting capacity that later high-value
+//     arrivals would use.
 package online
 
 import (
@@ -26,10 +26,10 @@ import (
 	"github.com/ebsn/igepa/internal/model"
 )
 
-// BudgetError is the typed error returned by the budget-owning constructors
-// when the caller-supplied capacity budget cannot be a valid lease: wrong
-// length, negative entries, or more seats than the event physically has
-// (an over-committed lease). It replaces the out-of-range panics a malformed
+// BudgetError is the typed error returned by NewGreedyBudgetShared when the
+// caller-supplied capacity budget cannot be a valid lease: wrong length,
+// negative entries, or more seats than the event physically has (an
+// over-committed lease). It replaces the out-of-range panics a malformed
 // budget used to cause deep inside Arrive.
 type BudgetError struct {
 	// Event is the offending event index, or -1 for structural problems.
@@ -72,49 +72,62 @@ func checkBudget(in *model.Instance, conf *conflict.Matrix, budget []int) error 
 	return nil
 }
 
-// Planner assigns events to users as they arrive. Implementations are
-// stateful: each Arrive consumes capacity permanently.
-type Planner interface {
-	// Arrive returns the events granted to user u (sorted ascending).
-	// It must be called at most once per user.
-	Arrive(u int) []int
+// CheckOrder validates an arrival order against the instance: every user in
+// range, no duplicates — the contract under which Run and the sharded
+// serving layer dispatch arrivals unchecked.
+func CheckOrder(in *model.Instance, order []int) error {
+	seen := make([]bool, in.NumUsers())
+	for _, u := range order {
+		if u < 0 || u >= len(seen) {
+			return fmt.Errorf("online: arrival of unknown user %d", u)
+		}
+		if seen[u] {
+			return fmt.Errorf("online: user %d arrived twice", u)
+		}
+		seen[u] = true
+	}
+	return nil
 }
 
 // Run processes the arrival order through the planner and returns the
 // resulting arrangement. Users absent from order receive no events. It
-// returns an error if order contains an out-of-range or duplicate user.
-func Run(in *model.Instance, order []int, p Planner) (*model.Arrangement, error) {
+// returns an error, before any arrival, if order contains an out-of-range
+// or duplicate user.
+func Run(in *model.Instance, order []int, p *GreedyPlanner) (*model.Arrangement, error) {
+	if err := CheckOrder(in, order); err != nil {
+		return nil, err
+	}
 	arr := model.NewArrangement(in.NumUsers())
-	seen := make([]bool, in.NumUsers())
 	for _, u := range order {
-		if u < 0 || u >= in.NumUsers() {
-			return nil, fmt.Errorf("online: arrival of unknown user %d", u)
-		}
-		if seen[u] {
-			return nil, fmt.Errorf("online: user %d arrived twice", u)
-		}
-		seen[u] = true
 		arr.Sets[u] = p.Arrive(u)
 	}
 	arr.Normalize()
 	return arr, nil
 }
 
-// GreedyPlanner grants each arrival its best admissible set that fits the
-// remaining event capacities.
+// GreedyPlanner grants each arrival its best admissible set among the bids
+// still open to it. A bid on event v is open while the planner has granted
+// fewer than budget(v) seats of v. With a positive guard it also obeys the
+// reservation rule: the last guard·budget(v) seats are kept for pairs with
+// w(u,v) ≥ tau, so a lighter pair is open only while load(v) is below
+// (1−guard)·budget(v). Guard 0 is pure greedy; guard 1 admits only pairs
+// ≥ tau.
 //
 // The planner draws seats from a capacity budget rather than from the
-// instance's raw Capacity fields. NewGreedy gives the planner a private
-// budget equal to the event capacities (the classic single-planner setting);
-// NewGreedyBudget aliases a caller-owned budget slice, which is how the
-// sharded serving layer (internal/shard) grants each shard a lease on a
-// slice of every event's capacity and renews it between batches.
+// instance's raw Capacity fields. NewGreedy and NewThreshold give the
+// planner a private budget equal to the event capacities (the classic
+// single-planner setting, where the guard protects a fraction of cv);
+// NewGreedyBudgetShared aliases a caller-owned budget slice, which is how
+// the sharded serving layer (internal/shard) grants each shard a lease on a
+// slice of every event's capacity and renews it between batches — the guard
+// then protects the same fraction of the leased slice.
 type GreedyPlanner struct {
-	in      *model.Instance
-	conf    *conflict.Matrix
-	budget  []int // seats this planner may grant per event (may be caller-owned)
-	load    []int // seats this planner has granted per event
-	maxSets int
+	in         *model.Instance
+	conf       *conflict.Matrix
+	budget     []int // seats this planner may grant per event (may be caller-owned)
+	load       []int // seats this planner has granted per event
+	maxSets    int
+	tau, guard float64 // the reservation rule; guard 0 disables it
 
 	// per-arrival scratch, so a decision allocates only the slice it returns
 	search admissible.Searcher
@@ -125,11 +138,19 @@ type GreedyPlanner struct {
 // event capacities. maxSets caps the per-user admissible-set enumeration
 // (0 = package default).
 func NewGreedy(in *model.Instance, maxSets int) *GreedyPlanner {
+	return NewThreshold(in, 0, 0, maxSets)
+}
+
+// NewThreshold returns an online planner under the reservation rule (tau,
+// guard) whose budget is the instance's event capacities. guard is clamped
+// to [0,1].
+func NewThreshold(in *model.Instance, tau, guard float64, maxSets int) *GreedyPlanner {
 	budget := make([]int, in.NumEvents())
 	for v := range budget {
 		budget[v] = in.Events[v].Capacity
 	}
-	p, err := NewGreedyBudget(in, budget, maxSets)
+	conf := conflict.FromFunc(in.NumEvents(), in.Conflicts)
+	p, err := NewGreedyBudgetShared(in, conf, budget, tau, min(max(guard, 0), 1), maxSets)
 	if err != nil {
 		// the budget is the capacity table itself; it cannot be invalid
 		panic(err)
@@ -137,25 +158,20 @@ func NewGreedy(in *model.Instance, maxSets int) *GreedyPlanner {
 	return p
 }
 
-// NewGreedyBudget returns a greedy online planner that grants at most
-// budget[v] seats of event v. The slice is aliased, not copied: the caller
-// may raise (or, down to the current load, lower) entries between Arrive
-// calls to renew a capacity lease, and the planner observes the new values
-// on the next arrival. Mutating the budget concurrently with Arrive is a
-// data race; the sharded serving layer only writes it at batch boundaries.
-// It returns a *BudgetError when the budget cannot be a valid lease.
-func NewGreedyBudget(in *model.Instance, budget []int, maxSets int) (*GreedyPlanner, error) {
-	if in == nil {
-		return nil, &BudgetError{Event: -1, Reason: "nil instance"}
-	}
-	return NewGreedyBudgetShared(in, conflict.FromFunc(in.NumEvents(), in.Conflicts), budget, maxSets)
-}
-
-// NewGreedyBudgetShared is NewGreedyBudget with a caller-provided conflict
-// matrix, shared read-only: a serving layer constructing one planner per
-// shard over the same instance materializes the O(|V|²) matrix once instead
-// of once per shard.
-func NewGreedyBudgetShared(in *model.Instance, conf *conflict.Matrix, budget []int, maxSets int) (*GreedyPlanner, error) {
+// NewGreedyBudgetShared returns an online planner under the reservation
+// rule (tau, guard) that grants at most budget[v] seats of event v. The
+// caller validates guard ∈ [0,1].
+//
+// The budget slice is aliased, not copied: the caller may raise (or, down to
+// the current load, lower) entries between Arrive calls to renew a capacity
+// lease, and the planner observes the new values on the next arrival.
+// Mutating the budget concurrently with Arrive is a data race; the sharded
+// serving layer only writes it at batch boundaries. The conflict matrix is
+// shared read-only: a serving layer constructing one planner per shard over
+// the same instance materializes the O(|V|²) matrix once instead of once
+// per shard. It returns a *BudgetError when the budget cannot be a valid
+// lease.
+func NewGreedyBudgetShared(in *model.Instance, conf *conflict.Matrix, budget []int, tau, guard float64, maxSets int) (*GreedyPlanner, error) {
 	if err := checkBudget(in, conf, budget); err != nil {
 		return nil, err
 	}
@@ -165,6 +181,8 @@ func NewGreedyBudgetShared(in *model.Instance, conf *conflict.Matrix, budget []i
 		budget:  budget,
 		load:    make([]int, in.NumEvents()),
 		maxSets: maxSets,
+		tau:     tau,
+		guard:   guard,
 	}, nil
 }
 
@@ -175,13 +193,27 @@ func NewGreedyBudgetShared(in *model.Instance, conf *conflict.Matrix, budget []i
 func (p *GreedyPlanner) SetCache(*admissible.Cache) {}
 
 // Loads returns the per-event seat counts this planner has granted so far.
-// The slice is the planner's internal state: callers must not modify it and
-// must not read it concurrently with Arrive.
+// The slice is the planner's internal state, aliased like the budget: its
+// owner may move consumed seats in or out between Arrive calls (a user
+// migration, a checkpoint restore), never concurrently with Arrive.
 func (p *GreedyPlanner) Loads() []int { return p.load }
 
-// Arrive implements Planner.
+// Arrive returns the events granted to user u (sorted ascending) and
+// consumes their seats. It must be called at most once per user, unless the
+// user's seats were released in between.
 func (p *GreedyPlanner) Arrive(u int) []int {
-	best := p.bestFeasibleSet(u, func(int) bool { return true })
+	usr := &p.in.Users[u]
+	wc := p.in.Weights()
+	p.open = p.open[:0]
+	for _, v := range usr.Bids {
+		if p.load[v] < p.budget[v] && (p.guard == 0 || wc.Of(u, v) >= p.tau ||
+			float64(p.load[v]) < (1-p.guard)*float64(p.budget[v])) {
+			p.open = append(p.open, v)
+		}
+	}
+	w := func(v int) float64 { return wc.Of(u, v) }
+	best := p.search.Best(p.open, usr.Capacity, p.conf, w, admissible.Config{MaxSetsPerUser: p.maxSets})
+	best = append([]int(nil), best...)
 	for _, v := range best {
 		p.load[v]++
 	}
@@ -197,96 +229,4 @@ func (p *GreedyPlanner) Release(events []int) {
 			p.load[v]--
 		}
 	}
-}
-
-// bestFeasibleSet returns the maximum-weight admissible set of user u whose
-// events all pass accept and have remaining budget.
-func (p *GreedyPlanner) bestFeasibleSet(u int, accept func(v int) bool) []int {
-	usr := &p.in.Users[u]
-	p.open = p.open[:0]
-	for _, v := range usr.Bids {
-		if p.load[v] < p.budget[v] && accept(v) {
-			p.open = append(p.open, v)
-		}
-	}
-	wc := p.in.Weights()
-	w := func(v int) float64 { return wc.Of(u, v) }
-	best := p.search.Best(p.open, usr.Capacity, p.conf, w, admissible.Config{MaxSetsPerUser: p.maxSets})
-	return append([]int(nil), best...)
-}
-
-// ThresholdPlanner is GreedyPlanner plus a reservation rule: the last
-// Guard·budget(v) seats of every event are reserved for pairs with
-// w(u,v) ≥ Tau; lighter pairs are admitted only into the first
-// (1−Guard)·budget(v) seats. With the default budget (NewThreshold) the
-// budget is cv, the paper-setting reservation rule; under a capacity lease
-// the guard protects the same fraction of the leased slice.
-type ThresholdPlanner struct {
-	GreedyPlanner
-	// Tau is the admission threshold on pair weight.
-	Tau float64
-	// Guard is the reserved capacity fraction in [0,1]. Guard=0 disables
-	// the rule (pure greedy); Guard=1 admits only pairs ≥ Tau.
-	Guard float64
-}
-
-// NewThreshold returns a threshold online planner whose budget is the
-// instance's event capacities.
-func NewThreshold(in *model.Instance, tau, guard float64, maxSets int) *ThresholdPlanner {
-	budget := make([]int, in.NumEvents())
-	for v := range budget {
-		budget[v] = in.Events[v].Capacity
-	}
-	p, err := NewThresholdBudget(in, budget, tau, guard, maxSets)
-	if err != nil {
-		// the budget is the capacity table itself; it cannot be invalid
-		panic(err)
-	}
-	return p
-}
-
-// NewThresholdBudget returns a threshold online planner over a caller-owned
-// capacity budget (see NewGreedyBudget for the aliasing contract). It
-// returns a *BudgetError when the budget cannot be a valid lease.
-func NewThresholdBudget(in *model.Instance, budget []int, tau, guard float64, maxSets int) (*ThresholdPlanner, error) {
-	if in == nil {
-		return nil, &BudgetError{Event: -1, Reason: "nil instance"}
-	}
-	return NewThresholdBudgetShared(in, conflict.FromFunc(in.NumEvents(), in.Conflicts), budget, tau, guard, maxSets)
-}
-
-// NewThresholdBudgetShared is NewThresholdBudget with a caller-provided
-// conflict matrix (see NewGreedyBudgetShared).
-func NewThresholdBudgetShared(in *model.Instance, conf *conflict.Matrix, budget []int, tau, guard float64, maxSets int) (*ThresholdPlanner, error) {
-	if guard < 0 {
-		guard = 0
-	}
-	if guard > 1 {
-		guard = 1
-	}
-	g, err := NewGreedyBudgetShared(in, conf, budget, maxSets)
-	if err != nil {
-		return nil, err
-	}
-	return &ThresholdPlanner{
-		GreedyPlanner: *g,
-		Tau:           tau,
-		Guard:         guard,
-	}, nil
-}
-
-// Arrive implements Planner.
-func (p *ThresholdPlanner) Arrive(u int) []int {
-	wc := p.in.Weights()
-	best := p.bestFeasibleSet(u, func(v int) bool {
-		if wc.Of(u, v) >= p.Tau {
-			return true // heavy pairs may use any seat
-		}
-		openSeats := (1 - p.Guard) * float64(p.budget[v])
-		return float64(p.load[v]) < openSeats
-	})
-	for _, v := range best {
-		p.load[v]++
-	}
-	return best
 }

@@ -210,11 +210,11 @@ func TestThresholdAlwaysFeasible(t *testing.T) {
 
 func TestGuardClamping(t *testing.T) {
 	in := randomInstance(3)
-	if p := NewThreshold(in, 0.5, -2, 0); p.Guard != 0 {
-		t.Errorf("Guard not clamped up: %v", p.Guard)
+	if p := NewThreshold(in, 0.5, -2, 0); p.guard != 0 {
+		t.Errorf("guard not clamped up: %v", p.guard)
 	}
-	if p := NewThreshold(in, 0.5, 7, 0); p.Guard != 1 {
-		t.Errorf("Guard not clamped down: %v", p.Guard)
+	if p := NewThreshold(in, 0.5, 7, 0); p.guard != 1 {
+		t.Errorf("guard not clamped down: %v", p.guard)
 	}
 }
 
@@ -279,7 +279,7 @@ func TestOnlineZeroCapacityEvents(t *testing.T) {
 		in.Events[v].Capacity = 0
 	}
 	order := fullOrder(in.NumUsers())
-	planners := []Planner{
+	planners := []*GreedyPlanner{
 		NewGreedy(in, 0),
 		NewThreshold(in, 0, 0, 0),
 		NewThreshold(in, 0.5, 0.5, 0),
@@ -363,7 +363,7 @@ func TestBudgetPlannersRespectExternalBudget(t *testing.T) {
 		Beta:      1,
 	}
 	budget := []int{1}
-	p, err := NewGreedyBudget(in, budget, 0)
+	p, err := NewGreedyBudgetShared(in, conflict.FromFunc(1, in.Conflicts), budget, 0, 0, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -392,7 +392,7 @@ func TestBudgetPlannersRespectExternalBudget(t *testing.T) {
 		Interest:  light,
 		Beta:      1,
 	}
-	tb, err := NewThresholdBudget(in2, []int{2}, 0.9, 0.5, 0)
+	tb, err := NewGreedyBudgetShared(in2, conflict.FromFunc(1, in2.Conflicts), []int{2}, 0.9, 0.5, 0)
 	if err != nil {
 		t.Fatal(err)
 	}

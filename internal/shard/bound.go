@@ -86,12 +86,12 @@ type BoundStats struct {
 	Solver lp.SolverStats
 }
 
-// newBoundTracker clones the instance and cold-solves the initial bound.
-func newBoundTracker(in *model.Instance, s int, opt Options) (*boundTracker, error) {
+// newBoundTracker clones the instance and cold-solves the initial bound,
+// accumulating the solver's phase times into timers.
+func newBoundTracker(in *model.Instance, s int, opt Options, timers *lp.PhaseTimers) (*boundTracker, error) {
 	shadow := in.Clone()
 	pl, err := core.NewPlanner(shadow, core.Options{
-		Seed: opt.Seed, Workers: opt.Workers,
-		MaxSetsPerUser: opt.MaxSetsPerUser, LP: opt.LP,
+		Seed: opt.Seed, Workers: opt.Workers, LP: lp.Revised{Timers: timers},
 	})
 	if err != nil {
 		return nil, fmt.Errorf("shard: live-bound planner: %w", err)

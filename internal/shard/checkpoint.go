@@ -156,7 +156,7 @@ func (e *Engine) RestoreState(st *EngineState) error {
 	// slices: the planners alias them.
 	for si := 0; si < e.s; si++ {
 		copy(e.budgets[si], st.Budgets[si])
-		copy(e.planners[si].loads, loads[si])
+		copy(e.loads[si], loads[si])
 		e.shardUtil[si] = math.Float64frombits(st.UtilityBits[si])
 	}
 	copy(e.arrivals, st.Arrivals)

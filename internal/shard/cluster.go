@@ -98,7 +98,7 @@ func (e *Engine) InstallLease(budget []int) (int, error) {
 		return 0, &ConfigError{Field: "budget", Reason: fmt.Sprintf(
 			"lease covers %d events, instance has %d", len(budget), nv)}
 	}
-	loads := e.planners[0].loads
+	loads := e.loads[0]
 	for v := 0; v < nv; v++ {
 		if budget[v] < loads[v] {
 			return 0, &LeaseError{Event: v, Leased: budget[v], Capacity: loads[v]}
@@ -157,7 +157,7 @@ func (e *Engine) ExportUsers(users []int) (*Migration, error) {
 		if len(set) > 0 {
 			m.Sets[i] = append([]int(nil), set...)
 			for _, v := range set {
-				e.planners[0].loads[v]--
+				e.loads[0][v]--
 				e.budgets[0][v]--
 				e.shardUtil[0] -= e.wc.Of(u, v)
 			}
@@ -199,7 +199,7 @@ func (e *Engine) AdoptUsers(m *Migration) error {
 		if set := m.Sets[i]; len(set) > 0 {
 			e.parts[0].Sets[u] = append([]int(nil), set...)
 			for _, v := range set {
-				e.planners[0].loads[v]++
+				e.loads[0][v]++
 				e.budgets[0][v]++
 				e.shardUtil[0] += e.wc.Of(u, v)
 			}
@@ -253,11 +253,11 @@ func (e *Engine) restoreOwnership(owned, disowned []int) {
 // A Coordinator is not synchronized; the router serializes Renew against
 // SetLoads and TransferSeats.
 type Coordinator struct {
-	in       *model.Instance
-	s, nv    int
-	budgets  [][]int
-	planners []shardPlanner // loads only; arrive/release never called
-	renewer  *leaseRenewer
+	in      *model.Instance
+	s, nv   int
+	budgets [][]int
+	loads   [][]int
+	renewer *leaseRenewer
 
 	renewals, moved int
 }
@@ -276,13 +276,13 @@ func NewCoordinator(in *model.Instance, opt Options) (*Coordinator, error) {
 	}
 	c := &Coordinator{
 		in: in, s: opt.Shards, nv: in.NumEvents(),
-		budgets:  initialBudgets(in, opt.Shards),
-		planners: make([]shardPlanner, opt.Shards),
+		budgets: initialBudgets(in, opt.Shards),
+		loads:   make([][]int, opt.Shards),
 	}
-	for si := range c.planners {
-		c.planners[si] = shardPlanner{loads: make([]int, c.nv)}
+	for si := range c.loads {
+		c.loads[si] = make([]int, c.nv)
 	}
-	c.renewer = newLeaseRenewer(in, c.budgets, c.planners, opt.Seed)
+	c.renewer = newLeaseRenewer(in, c.budgets, c.loads, opt.Seed)
 	return c, nil
 }
 
@@ -302,7 +302,7 @@ func (c *Coordinator) SetLoads(si int, loads []int) error {
 				"shard %d reports load %d for event %d (capacity %d)", si, l, v, c.in.Events[v].Capacity)}
 		}
 	}
-	copy(c.planners[si].loads, loads)
+	copy(c.loads[si], loads)
 	return nil
 }
 
@@ -361,8 +361,8 @@ func (c *Coordinator) TransferSeats(from, to int, seats []int) error {
 	for v, n := range seats {
 		c.budgets[from][v] -= n
 		c.budgets[to][v] += n
-		c.planners[from].loads[v] -= n
-		c.planners[to].loads[v] += n
+		c.loads[from][v] -= n
+		c.loads[to][v] += n
 	}
 	return nil
 }

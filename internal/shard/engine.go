@@ -2,6 +2,7 @@ package shard
 
 import (
 	"fmt"
+	"math"
 	"sync"
 	"time"
 
@@ -14,8 +15,9 @@ import (
 
 // ConfigError is the typed error Serve, NewEngine and the rest of the
 // serving stack return on an invalid configuration — a nil instance, a
-// non-positive shard count, a negative batch size — instead of panicking
-// somewhere inside the lease machinery.
+// non-positive shard count, a negative batch size, a NaN or out-of-range
+// reservation rule — instead of panicking somewhere inside the lease
+// machinery.
 type ConfigError struct {
 	Field  string // the offending Options field or argument
 	Reason string
@@ -57,9 +59,10 @@ type Engine struct {
 	opt  Options
 	s, b int
 
-	planners []shardPlanner
+	planners []*online.GreedyPlanner
 	parts    []*model.Arrangement
 	budgets  [][]int
+	loads    [][]int // loads[si] aliases planners[si].Loads()
 	renewer  *leaseRenewer
 	wc       *model.WeightCache
 	bound    *boundTracker // live LP bound (Options.LiveBound)
@@ -80,9 +83,8 @@ type Engine struct {
 	latencies               []time.Duration
 	batches                 [][]int // DispatchBatch partition scratch
 
-	// boundTimers is the live-bound planner's engine-owned LP phase-timer
-	// sink. Nil when the caller supplied Options.LP.Timers — then the
-	// caller owns phase profiling and LPStats reports zeros for the phases.
+	// boundTimers is the live-bound planner's LP phase-timer sink, read
+	// back via LPStats (nil unless Options.LiveBound).
 	boundTimers *lp.PhaseTimers
 
 	closed bool
@@ -108,10 +110,11 @@ func NewEngine(in *model.Instance, opt Options) (*Engine, error) {
 	if opt.CacheSize < 0 {
 		return nil, &ConfigError{Field: "CacheSize", Reason: fmt.Sprintf("must be non-negative, got %d", opt.CacheSize)}
 	}
-	switch opt.Planner {
-	case PlannerGreedy, PlannerThreshold:
-	default:
-		return nil, &ConfigError{Field: "Planner", Reason: fmt.Sprintf("unknown planner kind %v", opt.Planner)}
+	if math.IsNaN(opt.Tau) {
+		return nil, &ConfigError{Field: "Tau", Reason: "must be a number, got NaN"}
+	}
+	if !(opt.Guard >= 0 && opt.Guard <= 1) {
+		return nil, &ConfigError{Field: "Guard", Reason: fmt.Sprintf("must be in [0,1], got %v", opt.Guard)}
 	}
 	if opt.ClusterShards < 0 {
 		return nil, &ConfigError{Field: "ClusterShards", Reason: fmt.Sprintf("must be non-negative, got %d", opt.ClusterShards)}
@@ -155,9 +158,10 @@ func NewEngine(in *model.Instance, opt Options) (*Engine, error) {
 
 	e := &Engine{
 		in: in, opt: opt, s: s, b: b,
-		planners:  make([]shardPlanner, s),
+		planners:  make([]*online.GreedyPlanner, s),
 		parts:     make([]*model.Arrangement, s),
 		budgets:   budgets,
+		loads:     make([][]int, s),
 		wc:        wc,
 		arrivals:  make([]int, s),
 		shardUtil: make([]float64, s),
@@ -170,45 +174,29 @@ func NewEngine(in *model.Instance, opt Options) (*Engine, error) {
 		e.ownsOverride = make(map[int]bool)
 	}
 	for si := 0; si < s; si++ {
-		var err error
-		switch opt.Planner {
-		case PlannerGreedy:
-			var p *online.GreedyPlanner
-			p, err = online.NewGreedyBudgetShared(in, conf, budgets[si], opt.MaxSetsPerUser)
-			if err == nil {
-				e.planners[si] = shardPlanner{arrive: p.Arrive, release: p.Release, loads: p.Loads()}
-			}
-		case PlannerThreshold:
-			var p *online.ThresholdPlanner
-			p, err = online.NewThresholdBudgetShared(in, conf, budgets[si], opt.Tau, opt.Guard, opt.MaxSetsPerUser)
-			if err == nil {
-				e.planners[si] = shardPlanner{arrive: p.Arrive, release: p.Release, loads: p.Loads()}
-			}
-		}
+		p, err := online.NewGreedyBudgetShared(in, conf, budgets[si], opt.Tau, opt.Guard, 0)
 		if err != nil {
 			return nil, &ConfigError{Field: "budget", Reason: err.Error()}
 		}
+		e.planners[si] = p
+		e.loads[si] = p.Loads()
 		e.parts[si] = model.NewArrangement(nu)
 	}
 	if opt.RecordLatency {
 		e.latencies = make([]time.Duration, nu)
 	}
 	if opt.LiveBound {
-		// Attach an engine-owned phase-timer sink unless the caller brought
-		// their own. It is a passive accumulator read back via LPStats: it
-		// alters no solver decision, so profiling keeps bit-identity.
-		boundOpt := opt
-		if opt.LP.Timers == nil {
-			e.boundTimers = &lp.PhaseTimers{}
-			boundOpt.LP.Timers = e.boundTimers
-		}
-		bt, err := newBoundTracker(in, s, boundOpt)
+		// The phase-timer sink is a passive accumulator read back via
+		// LPStats: it alters no solver decision, so profiling keeps
+		// bit-identity.
+		e.boundTimers = &lp.PhaseTimers{}
+		bt, err := newBoundTracker(in, s, opt, e.boundTimers)
 		if err != nil {
 			return nil, err
 		}
 		e.bound = bt
 	}
-	e.renewer = newLeaseRenewer(in, budgets, e.planners, opt.Seed)
+	e.renewer = newLeaseRenewer(in, budgets, e.loads, opt.Seed)
 	return e, nil
 }
 
@@ -258,7 +246,7 @@ func (e *Engine) DispatchBatch(users []int) {
 
 // arriveOn serves user u on shard si and accounts the granted utility.
 func (e *Engine) arriveOn(si, u int) []int {
-	set := e.planners[si].arrive(u)
+	set := e.planners[si].Arrive(u)
 	e.parts[si].Sets[u] = set
 	for _, v := range set {
 		e.shardUtil[si] += e.wc.Of(u, v)
@@ -288,7 +276,7 @@ func (e *Engine) CancelOn(si, u int) []int {
 	if len(set) == 0 {
 		return nil
 	}
-	e.planners[si].release(set)
+	e.planners[si].Release(set)
 	for _, v := range set {
 		e.shardUtil[si] -= e.wc.Of(u, v)
 	}
@@ -341,7 +329,7 @@ func (e *Engine) Assignment(si, u int) []int {
 func (e *Engine) EventLoad(v int) int {
 	n := 0
 	for si := 0; si < e.s; si++ {
-		n += e.planners[si].loads[v]
+		n += e.loads[si][v]
 	}
 	return n
 }
@@ -379,9 +367,7 @@ func (e *Engine) LPStats() LPStats {
 		st.BoundUpdates = e.bound.updates
 		st.BoundErrors = e.bound.errs
 		st.BoundRemaining = e.bound.bound
-		if e.boundTimers != nil {
-			st.BoundTimers = *e.boundTimers
-		}
+		st.BoundTimers = *e.boundTimers
 	}
 	return st
 }

@@ -3,6 +3,7 @@ package shard
 import (
 	"errors"
 	"fmt"
+	"math"
 	"testing"
 
 	"github.com/ebsn/igepa/internal/model"
@@ -33,8 +34,19 @@ func TestConfigErrorsTyped(t *testing.T) {
 	if _, err := Serve(in, nil, Options{Shards: 2, CacheSize: -1}); !errors.As(err, &ce) || ce.Field != "CacheSize" {
 		t.Errorf("negative cache size: err = %v, want *ConfigError on CacheSize", err)
 	}
-	if _, err := Serve(in, nil, Options{Shards: 2, Planner: PlannerKind(99)}); !errors.As(err, &ce) || ce.Field != "Planner" {
-		t.Errorf("unknown planner: err = %v, want *ConfigError on Planner", err)
+	for _, tc := range []struct {
+		field      string
+		tau, guard float64
+	}{
+		{"Tau", math.NaN(), 0.25},
+		{"Tau", math.NaN(), 0},
+		{"Guard", 0.5, math.NaN()},
+		{"Guard", 0.5, -0.1},
+		{"Guard", 0.5, 1.5},
+	} {
+		if _, err := NewEngine(in, Options{Shards: 2, Tau: tc.tau, Guard: tc.guard}); !errors.As(err, &ce) || ce.Field != tc.field {
+			t.Errorf("Tau=%v Guard=%v: err = %v, want *ConfigError on %s", tc.tau, tc.guard, err, tc.field)
+		}
 	}
 	if (&ConfigError{Field: "f", Reason: "r"}).Error() == "" || (&LeaseError{Event: 1, Leased: 3, Capacity: 2}).Error() == "" {
 		t.Error("error strings empty")

@@ -47,11 +47,10 @@
 package shard
 
 import (
-	"fmt"
 	"time"
 
-	"github.com/ebsn/igepa/internal/lp"
 	"github.com/ebsn/igepa/internal/model"
+	"github.com/ebsn/igepa/internal/online"
 	"github.com/ebsn/igepa/internal/xrand"
 )
 
@@ -62,41 +61,6 @@ const DefaultBatch = 128
 // shardSalt decorrelates the user→shard hash from other uses of the seed
 // (interest tables, RNG streams).
 const shardSalt = 0x5eed
-
-// PlannerKind selects the per-shard online policy.
-type PlannerKind int
-
-const (
-	// PlannerGreedy runs online.GreedyPlanner per shard.
-	PlannerGreedy PlannerKind = iota
-	// PlannerThreshold runs online.ThresholdPlanner per shard (Tau/Guard
-	// from Options); the guard protects a fraction of each shard's lease.
-	PlannerThreshold
-)
-
-// String implements fmt.Stringer.
-func (k PlannerKind) String() string {
-	switch k {
-	case PlannerGreedy:
-		return "greedy"
-	case PlannerThreshold:
-		return "threshold"
-	default:
-		return fmt.Sprintf("PlannerKind(%d)", int(k))
-	}
-}
-
-// ParsePlannerKind parses the -planner flag values, the String names.
-func ParsePlannerKind(s string) (PlannerKind, error) {
-	switch s {
-	case "greedy":
-		return PlannerGreedy, nil
-	case "threshold":
-		return PlannerThreshold, nil
-	default:
-		return 0, fmt.Errorf("unknown planner %q (want greedy or threshold)", s)
-	}
-}
 
 // Options configures Serve.
 type Options struct {
@@ -111,13 +75,12 @@ type Options struct {
 	Workers int
 	// Seed drives the user→shard partition hash.
 	Seed int64
-	// Planner selects the per-shard policy.
-	Planner PlannerKind
-	// Tau, Guard parameterize PlannerThreshold (see online.ThresholdPlanner).
+	// Tau and Guard set every shard planner's reservation rule (see
+	// online.GreedyPlanner): the last Guard fraction of each shard's lease
+	// of an event is kept for pairs of weight ≥ Tau. Guard 0 is pure
+	// greedy, and then Tau has no effect. A NaN Tau, or a Guard that is NaN
+	// or outside [0,1], is a *ConfigError.
 	Tau, Guard float64
-	// MaxSetsPerUser caps per-user admissible-set enumeration
-	// (0 = package default).
-	MaxSetsPerUser int
 	// RecordLatency, when set, measures each arrival's decision latency and
 	// returns the samples in Result.Latencies. Timing adds a clock read per
 	// arrival and has no effect on decisions.
@@ -148,10 +111,6 @@ type Options struct {
 	// Result.Bound and behind Engine.BoundStats. Costs one warm
 	// LP re-solve plus a delta-scoped re-round per batch.
 	LiveBound bool
-	// LP configures the LiveBound planner's LP solver: its worker bound,
-	// which defaults to Workers, and its phase-timer sink. A negative
-	// LP.Workers surfaces as *lp.OptionError from the first solve.
-	LP lp.Revised
 }
 
 // Result carries the merged arrangement plus the serving diagnostics.
@@ -189,36 +148,10 @@ func ShardOf(seed int64, u, shards int) int {
 	return int(xrand.Hash64(seed, u, shardSalt) % uint64(shards))
 }
 
-// shardPlanner pairs a planner's Arrive/Release with its load vector so the
-// coordinator can read per-shard consumption at renewal time regardless of
-// the concrete policy.
-type shardPlanner struct {
-	arrive  func(u int) []int
-	release func(events []int)
-	loads   []int
-}
-
-// CheckOrder validates an arrival order against the instance: every user in
-// range, no duplicates — the contract under which Serve and the replay
-// tooling dispatch batches unchecked.
-func CheckOrder(in *model.Instance, order []int) error {
-	nu := in.NumUsers()
-	seen := make([]bool, nu)
-	for _, u := range order {
-		if u < 0 || u >= nu {
-			return fmt.Errorf("shard: arrival of unknown user %d", u)
-		}
-		if seen[u] {
-			return fmt.Errorf("shard: user %d arrived twice", u)
-		}
-		seen[u] = true
-	}
-	return nil
-}
-
 // Serve replays the arrival order across Options.Shards shards and returns
 // the merged arrangement. Users absent from order receive no events; it
-// errors on out-of-range or duplicate arrivals, mirroring online.Run.
+// errors on out-of-range or duplicate arrivals (online.CheckOrder, the check
+// online.Run makes).
 // Invalid configurations yield a *ConfigError.
 //
 // Serve is a thin driver over Engine: one DispatchBatch per B arrivals, one
@@ -231,7 +164,7 @@ func Serve(in *model.Instance, order []int, opt Options) (*Result, error) {
 		return nil, err
 	}
 	defer e.Close()
-	if err := CheckOrder(in, order); err != nil {
+	if err := online.CheckOrder(in, order); err != nil {
 		return nil, err
 	}
 	b := e.Batch()
@@ -251,11 +184,11 @@ func Serve(in *model.Instance, order []int, opt Options) (*Result, error) {
 // (or one cluster Coordinator): it tallies the next batch's pending bidders
 // per (shard, event) and re-splits every event's free pool along them.
 type leaseRenewer struct {
-	in       *model.Instance
-	budgets  [][]int
-	planners []shardPlanner
-	seed     int64
-	s, nv    int
+	in      *model.Instance
+	budgets [][]int
+	loads   [][]int // loads[s][v]: seats shard s has granted of event v
+	seed    int64
+	s, nv   int
 
 	newRem    []int // per-shard scratch, reused every event
 	demand    []int // [s*nv+v]: pending bidders of shard s for event v
@@ -263,10 +196,10 @@ type leaseRenewer struct {
 	frac      []float64
 }
 
-func newLeaseRenewer(in *model.Instance, budgets [][]int, planners []shardPlanner, seed int64) *leaseRenewer {
+func newLeaseRenewer(in *model.Instance, budgets, loads [][]int, seed int64) *leaseRenewer {
 	s := len(budgets)
 	r := &leaseRenewer{
-		in: in, budgets: budgets, planners: planners, seed: seed,
+		in: in, budgets: budgets, loads: loads, seed: seed,
 		s: s, nv: in.NumEvents(),
 		newRem: make([]int, s),
 	}
@@ -309,7 +242,7 @@ func (r *leaseRenewer) renewDemand(epoch int) int {
 	for v := 0; v < r.nv; v++ {
 		used := 0
 		for si := 0; si < r.s; si++ {
-			used += r.planners[si].loads[v]
+			used += r.loads[si][v]
 		}
 		pool := r.in.Events[v].Capacity - used
 		total := 0
@@ -343,7 +276,7 @@ func (r *leaseRenewer) renewDemand(epoch int) int {
 func (r *leaseRenewer) applyEvent(v int) int {
 	moved := 0
 	for si := 0; si < r.s; si++ {
-		load := r.planners[si].loads[v]
+		load := r.loads[si][v]
 		if oldRem := r.budgets[si][v] - load; r.newRem[si] > oldRem {
 			moved += r.newRem[si] - oldRem
 		}

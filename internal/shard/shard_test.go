@@ -32,21 +32,6 @@ func arrivalOrder(seed int64, nu int) []int {
 	return xrand.New(seed).Perm(nu)
 }
 
-// TestParsePolicyNames pins the -planner flag parser against the String
-// names: every kind round-trips, anything else errs.
-func TestParsePolicyNames(t *testing.T) {
-	for _, k := range []PlannerKind{PlannerGreedy, PlannerThreshold} {
-		if got, err := ParsePlannerKind(k.String()); err != nil || got != k {
-			t.Errorf("ParsePlannerKind(%q) = %v, %v", k.String(), got, err)
-		}
-	}
-	for _, bad := range []string{"", "nope", "Greedy", "PlannerKind(7)"} {
-		if _, err := ParsePlannerKind(bad); err == nil {
-			t.Errorf("ParsePlannerKind(%q) accepted", bad)
-		}
-	}
-}
-
 // TestSingleShardMatchesOnlineRun pins the degenerate case: one shard with
 // any batch size is exactly the unsharded online planner — the lease is the
 // full capacity table and renewals are no-ops.
@@ -70,7 +55,7 @@ func TestSingleShardMatchesOnlineRun(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := Serve(in, order, Options{Shards: 1, Planner: PlannerThreshold, Tau: 0.4, Guard: 0.3})
+	res, err := Serve(in, order, Options{Shards: 1, Tau: 0.4, Guard: 0.3})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -89,10 +74,10 @@ func TestServeFeasibleAndDeterministic(t *testing.T) {
 	}
 	order := arrivalOrder(5, in.NumUsers())
 
-	for _, kind := range []PlannerKind{PlannerGreedy, PlannerThreshold} {
+	for _, guard := range []float64{0, 0.25} {
 		for _, s := range []int{1, 2, 4, 8} {
-			label := fmt.Sprintf("%v/S=%d", kind, s)
-			opt := Options{Shards: s, Batch: 32, Seed: 42, Planner: kind, Tau: 0.5, Guard: 0.25}
+			label := fmt.Sprintf("guard=%v/S=%d", guard, s)
+			opt := Options{Shards: s, Batch: 32, Seed: 42, Tau: 0.5, Guard: guard}
 
 			opt.Workers = 1
 			base, err := Serve(in, order, opt)
@@ -264,10 +249,10 @@ func TestRenewPoliciesInvariant(t *testing.T) {
 	const s = 4
 	for trial := 0; trial < 20; trial++ {
 		budgets := make([][]int, s)
-		planners := make([]shardPlanner, s)
+		loads := make([][]int, s)
 		for si := 0; si < s; si++ {
 			budgets[si] = make([]int, in.NumEvents())
-			planners[si] = shardPlanner{loads: make([]int, in.NumEvents())}
+			loads[si] = make([]int, in.NumEvents())
 		}
 		for v := 0; v < in.NumEvents(); v++ {
 			cv := in.Events[v].Capacity
@@ -276,7 +261,7 @@ func TestRenewPoliciesInvariant(t *testing.T) {
 			}
 			for si := 0; si < s; si++ {
 				if budgets[si][v] > 0 {
-					planners[si].loads[v] = rng.Intn(budgets[si][v] + 1)
+					loads[si][v] = rng.Intn(budgets[si][v] + 1)
 				}
 			}
 		}
@@ -286,7 +271,7 @@ func TestRenewPoliciesInvariant(t *testing.T) {
 				next = append(next, u)
 			}
 		}
-		r := newLeaseRenewer(in, budgets, planners, 7)
+		r := newLeaseRenewer(in, budgets, loads, 7)
 		moved := r.renew(trial+1, next)
 		if moved < 0 {
 			t.Fatalf("trial %d: negative moved-seat count %d", trial, moved)
@@ -294,9 +279,9 @@ func TestRenewPoliciesInvariant(t *testing.T) {
 		for v := 0; v < in.NumEvents(); v++ {
 			sum := 0
 			for si := 0; si < s; si++ {
-				if budgets[si][v] < planners[si].loads[v] {
+				if budgets[si][v] < loads[si][v] {
 					t.Fatalf("trial %d: shard %d event %d: budget %d below load %d",
-						trial, si, v, budgets[si][v], planners[si].loads[v])
+						trial, si, v, budgets[si][v], loads[si][v])
 				}
 				sum += budgets[si][v]
 			}
@@ -323,9 +308,6 @@ func TestServeRejectsBadOrders(t *testing.T) {
 	res, err := Serve(in, nil, Options{Shards: 2})
 	if err != nil || res.Arrangement.Size() != 0 {
 		t.Errorf("empty order: res=%v err=%v", res, err)
-	}
-	if _, err := Serve(in, []int{0}, Options{Shards: 2, Planner: PlannerKind(99)}); err == nil {
-		t.Error("unknown planner kind accepted")
 	}
 }
 
@@ -399,7 +381,7 @@ func TestLeaseDemandPinned(t *testing.T) {
 		t.Fatal(err)
 	}
 	greedy := Options{}
-	reserve := Options{Planner: PlannerThreshold, Tau: 0.5, Guard: 0.25}
+	reserve := Options{Tau: 0.5, Guard: 0.25}
 	rows := []struct {
 		name string
 		in   *model.Instance
