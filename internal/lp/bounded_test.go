@@ -324,11 +324,13 @@ func TestBoundedPricingNoColumns(t *testing.T) {
 }
 
 // TestPricingCountersAllocateNothing checks that the partial Dantzig scan,
-// plain, bounded and warm from the candidate index, counts PricedVars and
-// SkippedVars into attached phase timers without allocating, that the warm
-// reduced-cost cache counts MovedRows and RecomputedCols and times its
-// Sync phase without allocating either, and that a BTRAN skipped on exact
-// duals counts SkippedBtrans without allocating.
+// plain, bounded and from the candidate index, counts PricedVars,
+// SkippedVars, the call under its scan's call counter and, for the plain and
+// cached scans, ScanWork into attached phase timers without allocating; that
+// the reduced-cost cache counts MovedRows, RecomputedCols and SyncWork and
+// times its Sync phase without allocating either; that Bland's scan counts
+// ScanWork without allocating; and that a BTRAN skipped on exact duals
+// counts SkippedBtrans without allocating.
 func TestPricingCountersAllocateNothing(t *testing.T) {
 	p := blockedPacking(xrand.New(3), 1)
 	st := newRevisedState(p, true)
@@ -344,30 +346,55 @@ func TestPricingCountersAllocateNothing(t *testing.T) {
 	st.timers = &tm
 	total := st.n + st.m
 	for _, pb := range []*priceBounds{nil, bounds} {
-		before := tm.PricedVars + tm.SkippedVars
-		if allocs := testing.AllocsPerRun(20, func() { st.pricePartial(0, total, false, pb) }); allocs != 0 {
+		before, work := tm.PricedVars+tm.SkippedVars, tm.ScanWork
+		calls := 0
+		if allocs := testing.AllocsPerRun(20, func() {
+			st.pricePartial(0, total, false, pb)
+			calls++
+		}); allocs != 0 {
 			t.Errorf("bounded=%v: %v allocations per pricing call", pb != nil, allocs)
 		}
 		if tm.PricedVars+tm.SkippedVars == before {
 			t.Errorf("bounded=%v: pricing counted no variable", pb != nil)
 		}
+		served, wantWork := tm.PlainScans, int64(calls*total) // a plain full pass reads every variable
+		if pb != nil {
+			served, wantWork = tm.BoundedScans, 0
+		}
+		if served != int64(calls) || tm.ScanWork-work != wantWork {
+			t.Errorf("bounded=%v: %d calls counted %d served and %d scan work, want %d and %d",
+				pb != nil, calls, served, tm.ScanWork-work, calls, wantWork)
+		}
 	}
 
 	st.syncRed() // a full pass: the cache becomes valid
-	if tm.MovedRows != int64(st.m) || tm.RecomputedCols != int64(total) {
-		t.Errorf("full sync counted %d rows and %d variables, want %d and %d", tm.MovedRows, tm.RecomputedCols, st.m, total)
+	if tm.MovedRows != int64(st.m) || tm.RecomputedCols != int64(total) || tm.SyncWork != int64(total) {
+		t.Errorf("full sync counted %d rows, %d variables and %d work, want %d, %d and %d",
+			tm.MovedRows, tm.RecomputedCols, tm.SyncWork, st.m, total, total)
 	}
-	tm.MovedRows, tm.RecomputedCols = 0, 0
-	k := 0
+	tm.MovedRows, tm.RecomputedCols, tm.SyncWork = 0, 0, 0
+	st.buildARows()
+	k, wantWork := 0, int64(0)
 	if allocs := testing.AllocsPerRun(20, func() {
 		st.y[k%st.m] += 0.5
+		wantWork += int64(st.rowLen(k%st.m) + 1)
 		k++
 		st.syncRed()
 	}); allocs != 0 {
 		t.Errorf("%v allocations per reduced-cost sync", allocs)
 	}
-	if tm.MovedRows != int64(k) || tm.RecomputedCols <= tm.MovedRows {
-		t.Errorf("%d syncs of one moved row counted %d rows and %d variables", k, tm.MovedRows, tm.RecomputedCols)
+	if tm.MovedRows != int64(k) || tm.RecomputedCols <= tm.MovedRows || tm.SyncWork != wantWork {
+		t.Errorf("%d syncs of one moved row counted %d rows, %d variables and %d work, want %d work",
+			k, tm.MovedRows, tm.RecomputedCols, tm.SyncWork, wantWork)
+	}
+	for _, cached := range []bool{false, true} {
+		work := tm.ScanWork
+		if allocs := testing.AllocsPerRun(20, func() { st.priceBland(cached) }); allocs != 0 {
+			t.Errorf("cached=%v: %v allocations per Bland scan", cached, allocs)
+		}
+		if tm.ScanWork == work {
+			t.Errorf("cached=%v: Bland's scan counted no work", cached)
+		}
 	}
 
 	// The index path: exact duals again, a synced cache, then warm scans.
@@ -379,17 +406,21 @@ func TestPricingCountersAllocateNothing(t *testing.T) {
 		t.Errorf("a sync timed %v as Sync and %v as Pricing, want some Sync and no Pricing", tm.Sync, tm.Pricing)
 	}
 	for _, w := range []int{64, total} {
-		priced, skipped := tm.PricedVars, tm.SkippedVars
+		priced, skipped, served, work := tm.PricedVars, tm.SkippedVars, tm.CachedScans, tm.ScanWork
 		calls := 0
 		if allocs := testing.AllocsPerRun(20, func() {
 			st.pricePartial(0, w, true, nil)
 			calls++
 		}); allocs != 0 {
-			t.Errorf("window %d: %v allocations per warm pricing call", w, allocs)
+			t.Errorf("window %d: %v allocations per cached pricing call", w, allocs)
 		}
 		read, left := tm.PricedVars-priced, tm.SkippedVars-skipped
 		if read+left != int64(calls*min(w, total)) {
 			t.Errorf("window %d: %d calls read %d and skipped %d variables, want %d in all", w, calls, read, left, calls*min(w, total))
+		}
+		if tm.CachedScans-served != int64(calls) || tm.ScanWork-work != read {
+			t.Errorf("window %d: %d calls counted %d served and %d scan work, want %d and %d",
+				w, calls, tm.CachedScans-served, tm.ScanWork-work, calls, read)
 		}
 		if w == total && (read == 0 || left == 0) {
 			t.Errorf("full pass: %d calls read %d and skipped %d variables, want some of each", calls, read, left)

@@ -87,6 +87,16 @@ const (
 	pricingDantzig                    // partial Dantzig, whatever the shape
 )
 
+// scanKind names the scan that serves a partial Dantzig pricing call.
+type scanKind uint8
+
+const (
+	scanAuto    scanKind = iota // tuning only: the scan rule picks
+	scanPlain                   // every reduced cost from the duals
+	scanCached                  // the candidate index over the synced cache
+	scanBounded                 // the block bounds of a cold solve
+)
+
 // tuning holds the solver's internal knobs. In every field the zero value
 // selects the package default, which resolve fills in.
 type tuning struct {
@@ -906,11 +916,13 @@ func (st *revisedState) recertify(cached bool) bool {
 		st.syncRed()
 		t0 := tick(st.timers)
 		defer st.timers.add(phPricing, t0)
-		for _, j := range st.redMoved {
+		for k, j := range st.redMoved {
 			if st.posOf[j] == -1 && st.redC[j] > reducedTol {
+				st.timers.read(k + 1)
 				return true
 			}
 		}
+		st.timers.read(len(st.redMoved))
 		return false
 	}
 	st.yPrev = append(st.yPrev[:0], st.y...)
@@ -1689,6 +1701,16 @@ func (st *revisedState) aRow(r int) [2][]int32 {
 	return [2][]int32{st.aRowIdx[st.aRowPtr[r]:st.aRowPtr[r+1]], tail}
 }
 
+// rowLen returns the length of row r of the row mirror, tombstones
+// included.
+func (st *revisedState) rowLen(r int) int {
+	n := int(st.aRowPtr[r+1] - st.aRowPtr[r])
+	if st.aTail != nil {
+		n += len(st.aTail[r])
+	}
+	return n
+}
+
 // appendARows patches column j, the highest slot so far, into a built row
 // mirror: it goes to the end of each of its rows, which keeps them
 // ascending, at O(1) amortized per entry.
@@ -1747,7 +1769,7 @@ func (st *revisedState) syncRed() {
 		st.redDirty = st.redDirty[:0]
 		st.redOK = true
 		st.buildIndex()
-		st.timers.synced(st.m, total)
+		st.timers.synced(st.m, total, total)
 		return
 	}
 	if !st.idxOK {
@@ -1756,7 +1778,7 @@ func (st *revisedState) syncRed() {
 	epoch := st.beginCandidates(total)
 	stamp, red := st.candStamp, st.redC
 	moved := st.redMoved[:0]
-	rows := 0
+	rows, work := 0, len(st.redDirty)
 	for r, yr := range st.y {
 		if math.Float64bits(yr) == math.Float64bits(st.yRef[r]) {
 			continue
@@ -1764,6 +1786,7 @@ func (st *revisedState) syncRed() {
 		st.yRef[r] = yr
 		rows++
 		st.buildARows()
+		work += st.rowLen(r) + 1
 		for _, part := range st.aRow(r) {
 			for _, j := range part {
 				if stamp[j] != epoch {
@@ -1788,7 +1811,7 @@ func (st *revisedState) syncRed() {
 	}
 	st.redDirty = st.redDirty[:0]
 	st.redMoved = moved
-	st.timers.synced(rows, len(moved))
+	st.timers.synced(rows, len(moved), work)
 }
 
 // markRed sets bit j of the candidate index from redC[j].
@@ -1884,7 +1907,7 @@ func (st *revisedState) pricePartial(cursor, window int, cached bool, bounds *pr
 			break
 		}
 	}
-	st.timers.scanned(scanned, 0)
+	st.timers.scanned(scanPlain, scanned, 0)
 	return best, i
 }
 
@@ -1927,7 +1950,7 @@ func (st *revisedState) priceIndexed(cursor, window int) (q, next int) {
 			next, counted = st.passEnd(cursor), live
 		}
 	}
-	st.timers.scanned(read, counted-read)
+	st.timers.scanned(scanCached, read, counted-read)
 	return best, next
 }
 
@@ -2270,7 +2293,7 @@ func (st *revisedState) priceBounded(cursor, window int, pb *priceBounds) (q, ne
 				}
 				scanned++
 				if scanned >= window && best >= 0 && j+1 < end {
-					st.timers.scanned(scanned-skipped, skipped)
+					st.timers.scanned(scanBounded, scanned-skipped, skipped)
 					return best, j + 1
 				}
 			}
@@ -2286,7 +2309,7 @@ func (st *revisedState) priceBounded(cursor, window int, pb *priceBounds) (q, ne
 			break
 		}
 	}
-	st.timers.scanned(scanned-skipped, skipped)
+	st.timers.scanned(scanBounded, scanned-skipped, skipped)
 	return best, i
 }
 
@@ -2299,10 +2322,12 @@ func (st *revisedState) priceBland(cached bool) int {
 	}
 	t0 := tick(st.timers)
 	defer st.timers.add(phPricing, t0)
+	read := 0
 	for q := 0; q < st.n+st.m; q++ {
 		if st.posOf[q] != -1 {
 			continue
 		}
+		read++
 		var red float64
 		if cached {
 			red = st.redC[q]
@@ -2310,9 +2335,11 @@ func (st *revisedState) priceBland(cached bool) int {
 			red = st.reducedCost(q)
 		}
 		if red > reducedTol {
+			st.timers.read(read)
 			return q
 		}
 	}
+	st.timers.read(read)
 	return -1
 }
 

@@ -7,9 +7,9 @@ import "time"
 // (B⁻¹a, including the eta sweep), Btran the transposed solves (duals and
 // pivot rows, including btranUnit), Pricing every entering/leaving scan
 // (Devex, partial Dantzig, Bland and the dual-repair ratio test) and the
-// block summaries of a cold partial-Dantzig solve, Sync the warm
-// reduced-cost cache's upkeep (syncRed bringing it and its candidate index
-// to the current duals, and Solver.Resolve carrying it across a delta),
+// block summaries of a cold partial-Dantzig solve, Sync the reduced-cost
+// cache's upkeep (syncRed bringing it and its candidate index to the
+// current duals, and Solver.Resolve carrying it across a delta),
 // Update the Devex reduced-cost and reference-weight update and the dual
 // step y += γβ of Dantzig and dual-repair pivots, and Factor the LU
 // (re)factorizations plus their xB refresh. Pivots counts primal pivots,
@@ -33,18 +33,31 @@ type PhaseTimers struct {
 	// (on a Devex solve) is what the sparse update's gain depends on.
 	RowPricedUpdates int64
 	// PricedVars counts the variables the partial Dantzig scan read, and
-	// SkippedVars those it counted as scanned without reading them: on a
-	// cold scan, because a block's dual bound proved them non-improving; on
-	// a warm one, because the candidate index does not mark them improving,
-	// so only the marked ones are read. Their sum is what the plain scan
-	// reads, so SkippedVars over the sum is the skip share.
+	// SkippedVars those it counted as scanned without reading them: on the
+	// bounded scan, because a block's dual bound proved them non-improving;
+	// on the cached one, because the candidate index does not mark them
+	// improving, so only the marked ones are read. Their sum is what the
+	// plain scan reads, so SkippedVars over the sum is the skip share.
 	PricedVars, SkippedVars int64
+	// PlainScans, CachedScans and BoundedScans count the partial Dantzig
+	// calls each scan served: the plain scan, the candidate index over the
+	// synced reduced-cost cache, and the block bounds of a cold solve.
+	PlainScans, CachedScans, BoundedScans int64
+	// SyncWork and ScanWork sum, over the calls that ran, the two counts
+	// the scan rule compares (see Revised). SyncWork is the reduced-cost
+	// cache's sync work: Σ(|row r| + 1) over the rows a sync found moved,
+	// plus its queued columns, or n + m for a full pass. ScanWork counts
+	// the variables the scans the rule picks read: the plain scan and the
+	// candidate index in partial Dantzig calls, Bland's scan, and the
+	// recertification's check of the recomputed entries. The bounded scan,
+	// which the rule does not pick, is not in it.
+	SyncWork, ScanWork int64
 	// BudgetExhausted counts dual-repair attempts that ran out of their
 	// pivot budget; PartialWarmCutovers counts the keep-the-basis
 	// refactorize-and-retry recoveries those (and stalls) triggered.
 	BudgetExhausted, PartialWarmCutovers int64
-	// MovedRows counts the rows whose dual the warm reduced-cost cache
-	// found moved since its last sync, and RecomputedCols the variables it
+	// MovedRows counts the rows whose dual the reduced-cost cache found
+	// moved since its last sync, and RecomputedCols the variables it
 	// recomputed for them and for its queued columns; a sync of an invalid
 	// cache counts every row and every variable. Their ratio to the
 	// resolves run is the cache's per-resolve work.
@@ -147,10 +160,31 @@ func (tm *PhaseTimers) partialWarmCutover() {
 	}
 }
 
-func (tm *PhaseTimers) scanned(priced, skipped int) {
+// scanned counts one partial Dantzig call that read priced variables and
+// skipped skipped, served by the scan kind.
+func (tm *PhaseTimers) scanned(kind scanKind, priced, skipped int) {
+	if tm == nil {
+		return
+	}
+	tm.PricedVars += int64(priced)
+	tm.SkippedVars += int64(skipped)
+	switch kind {
+	case scanPlain:
+		tm.PlainScans++
+		tm.ScanWork += int64(priced)
+	case scanCached:
+		tm.CachedScans++
+		tm.ScanWork += int64(priced)
+	case scanBounded:
+		tm.BoundedScans++
+	}
+}
+
+// read counts variables read by a rule-picked scan outside partial Dantzig
+// pricing: Bland's scan and the recertification's check.
+func (tm *PhaseTimers) read(n int) {
 	if tm != nil {
-		tm.PricedVars += int64(priced)
-		tm.SkippedVars += int64(skipped)
+		tm.ScanWork += int64(n)
 	}
 }
 
@@ -160,9 +194,10 @@ func (tm *PhaseTimers) btranSkipped() {
 	}
 }
 
-func (tm *PhaseTimers) synced(rows, cols int) {
+func (tm *PhaseTimers) synced(rows, cols, work int) {
 	if tm != nil {
 		tm.MovedRows += int64(rows)
 		tm.RecomputedCols += int64(cols)
+		tm.SyncWork += int64(work)
 	}
 }
