@@ -11,13 +11,19 @@ import (
 // PricingReport is what a CheckPricing check saw.
 type PricingReport struct {
 	// PlainVars counts the variables the reference scans of the pivot
-	// loop's own calls read; Calls counts those calls, and WarmCalls the
-	// ones that read the warm reduced-cost cache.
-	PlainVars        int64
-	Calls, WarmCalls int
-	// TombstoneWindows counts the warm calls whose window was shorter than
-	// the pass and held a tombstone, so the window's end had to be found by
-	// counting past it. Probes counts the extra random-cursor,
+	// loop's own calls read; Calls counts those calls, CachedCalls the ones
+	// the reduced-cost cache served, and ColdCachedCalls those of them made
+	// by cold solves.
+	PlainVars                           int64
+	Calls, CachedCalls, ColdCachedCalls int
+	// UncachedCalls counts the calls the plain or the bounded scan served;
+	// UncachedRead and UncachedSkipped sum what those calls read and
+	// skipped, and UncachedPlainVars what their reference scans read.
+	UncachedCalls                                    int
+	UncachedRead, UncachedSkipped, UncachedPlainVars int64
+	// TombstoneWindows counts the cached calls whose window was shorter
+	// than the pass and held a tombstone, so the window's end had to be
+	// found by counting past it. Probes counts the extra random-cursor,
 	// random-window calls checked beside the loop's own.
 	TombstoneWindows, Probes int
 	// Err is the first call or probe whose (q, next), or whose count of
@@ -28,17 +34,20 @@ type PricingReport struct {
 // CheckPricing installs the plain scan as the reference of every partial
 // Dantzig pricing call the pivot loop makes until the returned function is
 // called: it reruns each call as a plain scan, which computes every reduced
-// cost from the duals and reads neither block bounds nor the warm
-// reduced-cost cache, and records the first call whose (q, next) differs.
-// A warm call is also rerun from the cache, whose PricedVars + SkippedVars
-// must equal the plain scan's PricedVars. With a non-nil rng, each call
-// also prices from random cursors with random windows against the same
-// duals: bounded against plain on a cold solve with block summaries, and
-// cached against plain on a warm one, whose cursors include 0, the end of
-// the pass and the slots on and just after a tombstone, and whose windows
-// include 1, 63, 64, 65, the live count, one more, and past the pass. The
-// returned function uninstalls the check and reports what it saw. Tests
-// that use it must not run in parallel.
+// cost from the duals and reads neither block bounds nor the reduced-cost
+// cache, and records the first call whose (q, next) differs. A call the
+// cache served, warm or cold, is also rerun from the cache, whose
+// PricedVars + SkippedVars must equal the plain scan's PricedVars. With a
+// non-nil rng, each call the bounded or the cached scan served also prices
+// from random cursors with random windows against the same duals, through
+// the scan that served it and as the plain scan: bounded on a cold solve
+// with block summaries; cached with cursors that include 0, the end of the
+// pass and the slots on and just after a tombstone, and windows that
+// include 1, 63, 64, 65, the live count, one more, and past the pass. A
+// plain call gets no probe, so a cache the plain scan leaves stale stays
+// stale until the rule picks it again. The returned function uninstalls
+// the check and reports what it saw. Tests that use it must not run in
+// parallel.
 func CheckPricing(rng *xrand.RNG) func() PricingReport {
 	var rep PricingReport
 	fail := func(format string, args ...any) {
@@ -46,11 +55,12 @@ func CheckPricing(rng *xrand.RNG) func() PricingReport {
 			rep.Err = fmt.Errorf(format, args...)
 		}
 	}
-	pricingHook = func(st *revisedState, bounds *priceBounds, warm bool, cursor, window, q, next int) {
+	pricingHook = func(st *revisedState, bounds *priceBounds, scan scanKind, warm bool, cursor, window, q, next int) {
 		rep.Calls++
 		if rep.Err != nil {
 			return
 		}
+		read, skipped := st.lastRead, st.lastSkipped
 		tm := st.timers
 		defer func() { st.timers = tm }()
 		var ref PhaseTimers
@@ -61,21 +71,29 @@ func CheckPricing(rng *xrand.RNG) func() PricingReport {
 			return
 		}
 		rep.PlainVars += ref.PricedVars
-		if warm {
-			rep.WarmCalls++
+		if scan == scanCached {
+			rep.CachedCalls++
+			if !warm {
+				rep.ColdCachedCalls++
+			}
 			if window < st.live()+st.m && tombstoneInWindow(st, cursor, window) {
 				rep.TombstoneWindows++
 			}
 			checkCached(st, rep.Calls, "", cursor, window, fail)
+		} else {
+			rep.UncachedCalls++
+			rep.UncachedRead += int64(read)
+			rep.UncachedSkipped += int64(skipped)
+			rep.UncachedPlainVars += ref.PricedVars
 		}
-		if rng == nil || (!warm && bounds == nil) {
+		if rng == nil || scan == scanPlain {
 			return
 		}
 		rep.Probes++
 		st.timers = nil
 		total := st.n + st.m
-		if warm {
-			c, w := warmProbe(st, rng)
+		if scan == scanCached {
+			c, w := cachedProbe(st, rng)
 			checkCached(st, rep.Calls, " probe", c, w, fail)
 			return
 		}
@@ -103,7 +121,7 @@ func CheckPricing(rng *xrand.RNG) func() PricingReport {
 	}
 }
 
-// checkCached prices from cursor c with window w twice, from the warm
+// checkCached prices from cursor c with window w twice, from the
 // reduced-cost cache and as the plain scan, and reports through fail a
 // differing (q, next) or a cached scan whose variables read and skipped do
 // not add up to what the plain scan read. It leaves st.timers nil.
@@ -124,8 +142,8 @@ func checkCached(st *revisedState, call int, what string, c, w int, fail func(st
 	}
 }
 
-// warmProbe draws a cursor and a window for a warm probe on st.
-func warmProbe(st *revisedState, rng *xrand.RNG) (c, w int) {
+// cachedProbe draws a cursor and a window for a cached probe on st.
+func cachedProbe(st *revisedState, rng *xrand.RNG) (c, w int) {
 	total := st.n + st.m
 	live := total - st.dead
 	c = rng.Intn(total)
@@ -437,4 +455,20 @@ func TestPricingCountersAllocateNothing(t *testing.T) {
 	if got := tm.SkippedBtrans - before; got != int64(calls) {
 		t.Errorf("%d BTRANs on exact duals counted %d skipped", calls, got)
 	}
+}
+
+// ScanMode names the scans TestScanRuleWork compares: the scan rule's pick,
+// or one scan forced on every call the rule would pick for.
+type ScanMode = scanKind
+
+const (
+	ScanRule   ScanMode = scanAuto
+	ScanPlain  ScanMode = scanPlain
+	ScanCached ScanMode = scanCached
+)
+
+// WithScan returns cfg with its scan forced to mode.
+func WithScan(cfg Revised, mode ScanMode) Revised {
+	cfg.tuning.scan = mode
+	return cfg
 }

@@ -51,11 +51,11 @@ func TestWarmPricingOnChurn(t *testing.T) {
 	}
 	st := p.Stats()
 	if st.Compactions < 2 || rep.TombstoneWindows == 0 || rep.Probes == 0 || carried == 0 {
-		t.Errorf("%d compactions, %d warm pricing calls with a tombstone in the window, %d probes and %d carried duals checked; want ≥ 2 and some of each",
+		t.Errorf("%d compactions, %d cached pricing calls with a tombstone in the window, %d probes and %d carried duals checked; want ≥ 2 and some of each",
 			st.Compactions, rep.TombstoneWindows, rep.Probes, carried)
 	}
-	t.Logf("%d warm resolves: %d pricing calls checked (%d warm, %d with a tombstone in the window) and %d probes; %d variables read and %d skipped; %d BTRANs skipped on carried duals",
-		st.WarmSolves, rep.Calls, rep.WarmCalls, rep.TombstoneWindows, rep.Probes, tm.PricedVars, tm.SkippedVars, carried)
+	t.Logf("%d warm resolves: %d pricing calls checked (%d cached, %d with a tombstone in the window) and %d probes; %d variables read and %d skipped; %d BTRANs skipped on carried duals",
+		st.WarmSolves, rep.Calls, rep.CachedCalls, rep.TombstoneWindows, rep.Probes, tm.PricedVars, tm.SkippedVars, carried)
 }
 
 // churnStream is core's churnStream, the update stream of its pinned churn

@@ -609,6 +609,12 @@ const fuzzTombstoneSeed = 8810
 // present, with the window shorter than the pass and a tombstone inside it.
 const fuzzWindowSeed = 216
 
+// fuzzColdCacheSeed is a FuzzResolve seed whose cold solves read the
+// reduced-cost cache. It was chosen because its cold and its warm solves
+// also leave the cache stale behind plain scans and then resume it, so the
+// catch-up of many missed dual steps runs under the pricing check.
+const fuzzColdCacheSeed = 943
+
 // FuzzResolve mutates a random packing LP through a persistent solver —
 // removing and adding columns, shrinking and growing bounds, rescaling
 // objectives — and asserts after every step that Resolve applied the delta
@@ -629,7 +635,8 @@ func FuzzResolve(f *testing.F) {
 	// across many refreshes and recertifications, warm and cold
 	f.Add(int64(15), uint8(15))
 	f.Add(int64(368), uint8(15))
-	f.Add(int64(fuzzWindowSeed), uint8(15)) // tiny window across tombstones
+	f.Add(int64(fuzzWindowSeed), uint8(15))    // tiny window across tombstones
+	f.Add(int64(fuzzColdCacheSeed), uint8(15)) // cold solves through the cache
 	f.Fuzz(func(t *testing.T, seed int64, steps uint8) { fuzzResolveSteps(t, seed, steps) })
 }
 
@@ -645,15 +652,26 @@ func TestFuzzResolveTombstoneSeed(t *testing.T) {
 }
 
 // TestFuzzResolveWindowSeed requires fuzzWindowSeed to do what its comment
-// says: warm pricing calls whose window ends past a tombstone, each checked
-// against the plain scan (fuzzResolveSteps fails on a mismatch). Only
-// knob 4 sets a window below the few dozen variables of these LPs.
+// says: cached pricing calls whose window ends past a tombstone, each
+// checked against the plain scan (fuzzResolveSteps fails on a mismatch).
+// Only knob 4 sets a window below the few dozen variables of these LPs.
 func TestFuzzResolveWindowSeed(t *testing.T) {
 	_, rep := fuzzResolveSteps(t, fuzzWindowSeed, 15)
 	if rep.TombstoneWindows == 0 {
-		t.Errorf("seed %d: none of %d warm pricing calls had a tombstone inside a window shorter than the pass", fuzzWindowSeed, rep.WarmCalls)
+		t.Errorf("seed %d: none of %d cached pricing calls had a tombstone inside a window shorter than the pass", fuzzWindowSeed, rep.CachedCalls)
 	}
-	t.Logf("seed %d: %d warm pricing calls, %d with a tombstone in the window, %d probes", fuzzWindowSeed, rep.WarmCalls, rep.TombstoneWindows, rep.Probes)
+	t.Logf("seed %d: %d cached pricing calls, %d with a tombstone in the window, %d probes", fuzzWindowSeed, rep.CachedCalls, rep.TombstoneWindows, rep.Probes)
+}
+
+// TestFuzzResolveColdCacheSeed requires fuzzColdCacheSeed to do what its
+// comment says: cold solves whose pricing calls the reduced-cost cache
+// serves, each checked against the plain scan.
+func TestFuzzResolveColdCacheSeed(t *testing.T) {
+	_, rep := fuzzResolveSteps(t, fuzzColdCacheSeed, 15)
+	if rep.ColdCachedCalls == 0 {
+		t.Errorf("seed %d: none of %d pricing calls was a cold solve's through the cache", fuzzColdCacheSeed, rep.Calls)
+	}
+	t.Logf("seed %d: %d pricing calls, %d cached, %d of them cold", fuzzColdCacheSeed, rep.Calls, rep.CachedCalls, rep.ColdCachedCalls)
 }
 
 // fuzzResolveSteps is FuzzResolve's body. It returns the solver's stats and

@@ -28,24 +28,32 @@ import (
 // the leaving row of the basis inverse, β = B⁻ᵀe_r, a hypersparse unit
 // BTRAN, instead of re-solving Bᵀy = c_B; a full BTRAN runs only at
 // refactorizations, after Bland pivots and to certify optimality (see
-// pivot). A warm solve's reduced-cost cache then recomputes only the columns
-// on β's rows.
+// pivot). A reduced-cost cache then recomputes only the columns on β's
+// rows.
 //
-// A warm partial-Dantzig scan reads no variable the cache does not mark
-// improving: a bitset beside the cache (the candidate index) holds exactly
-// those, and a second one the tombstones, whose popcounts find where the
-// window ends (priceIndexed). Exact duals carry across warm re-solves: a
-// btran on a basis, factorization and c_B unchanged since the last one
-// returns at once (yExact), so a delta that leaves them alone costs no
-// dense BTRAN before its first pivot.
+// Three scans serve a partial Dantzig call, and all three return the plain
+// scan's (q, next) bit for bit, so the choice moves no pivot. The plain scan
+// computes each reduced cost from the duals. The cached scan reads no
+// variable the synced cache does not mark improving: a bitset beside the
+// cache (the candidate index) holds exactly those, and a second one the
+// tombstones, whose popcounts find where the window ends (priceIndexed).
+// Before each call a rule picks between the two by counted work, not by
+// warm versus cold (cacheWins): what a synced cache costs per call, the rows
+// of the dual steps since the last call plus the candidate reads, against
+// what the plain scan reads, each a running mean over the calls so far. A
+// cache the plain scan left stale catches up in full when it next wins.
+// Exact duals carry across
+// warm re-solves: a btran on a basis, factorization and c_B unchanged since
+// the last one returns at once (yExact), so a delta that leaves them alone
+// costs no dense BTRAN before its first pivot.
 //
-// A cold partial-Dantzig scan keeps a dual bound per block of consecutive
-// variables (priceBounds) and counts a block as scanned without reading its
-// columns when the bound proves none of them improving. It returns exactly
-// what reading every column would, so pivots do not move. A block keeps a
-// bound only where its columns share few rows, as on Meetup LPs, whose
-// blocks hold one or two users' sets; on the synthetic LPs no block does,
-// and the scan is the plain one.
+// The third scan serves a cold solve whose blocks of consecutive variables
+// keep a dual bound (priceBounds): it counts a block as scanned without
+// reading its columns when the bound proves none of them improving. A block
+// keeps a bound only where its columns share few rows, as on Meetup LPs,
+// whose blocks hold one or two users' sets; there it serves every call and
+// no cache is built. On the synthetic LPs no block keeps one, and the rule
+// picks.
 //
 // A Devex pivot costs what its pivot row touches. One builder, pivotRow,
 // serves it and the dual repair: a sparse pivot row is scattered through a
@@ -107,6 +115,11 @@ type tuning struct {
 	// discarding accumulated round-off; the default is 128.
 	refactorEvery int
 	pricing       pricingRule
+	// scan forces the scan of every partial Dantzig and Bland call the
+	// scan rule would pick for (scanPlain or scanCached); the default,
+	// scanAuto, lets the rule pick. Block bounds still serve the cold calls
+	// they cover.
+	scan scanKind
 	// pricingWindow is the number of variables scanned per iteration under
 	// partial Dantzig pricing before falling back to a full pass; only live
 	// variables count. The default is 4096.
@@ -300,16 +313,18 @@ const (
 // factorized and primal feasible. With warm == false the Devex reference
 // framework is reset (the cold, all-slack start); with warm == true any
 // reference weights carried in st.weights survive, so a re-solve keeps the
-// pricing memory of the previous optimum, and Dantzig and Bland pricing read
-// the reduced-cost cache (syncRed) instead of recomputing every column.
+// pricing memory of the previous optimum. Warm or cold, each Dantzig and
+// Bland pricing call reads the reduced-cost cache (syncRed) or recomputes
+// every column as the scan rule picks (cacheWins), except that a cold solve
+// whose blocks keep dual bounds prices through them and builds no cache.
 //
 // Under partial Dantzig pricing the duals are kept the textbook way, as
 // dualRepair keeps them: before the basis change the pivot computes
 // β = B⁻ᵀe_r, the leaving row of the basis inverse, and after it steps
 // y += γβ with γ = red_q/d_r, which makes the entering column's reduced cost
 // zero and leaves every other basic column's at zero. The step touches only
-// β's support, so the reduced-cost cache of a warm solve recomputes only the
-// columns on those rows. A full btran runs only where y is stale — at entry,
+// β's support, so the reduced-cost cache recomputes only the columns on
+// those rows. A full btran runs only where y is stale — at entry,
 // after each refactorization and after a Bland pivot, whose rule keeps its
 // exact per-pivot btran — and as the optimality certificate: a scan that
 // finds no entering column on updated duals recomputes them exactly and
@@ -329,6 +344,10 @@ func (s *Revised) pivot(st *revisedState, warm bool) (*Solution, error) {
 		bounds = newPriceBounds(st)
 		st.timers.add(phPricing, t0)
 	}
+	ruled := !devex && bounds == nil
+	if ruled {
+		st.buildARows() // stepDuals sizes each dual step through it
+	}
 
 	iters := 0
 	degenerate := 0
@@ -341,12 +360,24 @@ func (s *Revised) pivot(st *revisedState, warm bool) (*Solution, error) {
 			dualHook(st)
 		}
 	}
+	// cached says the last pricing call read the cache; recertify follows
+	// that call's scan.
+	cached := false
 	price := func() int {
 		from := cursor
-		q, next := st.pricePartial(cursor, t.pricingWindow, warm, bounds)
+		cached = ruled && st.cacheWins(t.scan)
+		q, next := st.pricePartial(cursor, t.pricingWindow, cached, bounds)
 		cursor = next
+		scan := scanBounded
+		if ruled {
+			scan = scanPlain
+			if cached {
+				scan = scanCached
+			}
+			st.noteScan(cached)
+		}
 		if pricingHook != nil {
-			pricingHook(st, bounds, warm, from, t.pricingWindow, q, next)
+			pricingHook(st, bounds, scan, warm, from, t.pricingWindow, q, next)
 		}
 		return q
 	}
@@ -355,7 +386,7 @@ func (s *Revised) pivot(st *revisedState, warm bool) (*Solution, error) {
 		switch {
 		case bland:
 			st.btran()
-			q = st.priceBland(warm)
+			q = st.priceBland(ruled && st.cacheWins(t.scan))
 		case devex:
 			q = st.priceDevex()
 			if q < 0 {
@@ -374,7 +405,7 @@ func (s *Revised) pivot(st *revisedState, warm bool) (*Solution, error) {
 				// Apparent optimality on updated duals: recompute them
 				// exactly and price again wherever that can move the verdict.
 				beforeRefresh()
-				if st.recertify(warm) {
+				if st.recertify(cached) {
 					q = price()
 				}
 				dual = dualExact
@@ -549,22 +580,22 @@ type revisedState struct {
 	aTail            [][]int32
 	aRowsOK          bool
 
-	// Reduced-cost cache of the warm path: redC[j] = c_j − yᵀa_j for every
-	// variable, basic, nonbasic and slack, computed against the duals yRef,
-	// and valid while redOK. redDirty lists columns whose c_j changed since
-	// (Solver.Resolve queues SetC targets and appended columns). syncRed
-	// brings the cache to the current y. rebind invalidates it, so cold
-	// solves never build or read it.
+	// Reduced-cost cache: redC[j] = c_j − yᵀa_j for every variable, basic,
+	// nonbasic and slack, computed against the duals yRef, and valid while
+	// redOK. redDirty lists columns whose c_j changed since (Solver.Resolve
+	// queues SetC targets and appended columns). syncRed brings the cache
+	// to the current y, however many dual steps it missed. rebind
+	// invalidates it; a solve builds it when the scan rule first picks it.
 	redC     []float64
 	yRef     []float64
 	redDirty []int32
 	redOK    bool
 	// redMoved lists the variables the last sync of a valid cache
-	// recomputed, and yPrev holds a cold solve's duals across recertify's
-	// btran.
+	// recomputed, and yPrev holds the duals across the btran of a
+	// recertification after a plain scan.
 	redMoved []int32
 	yPrev    []float64
-	// Warm candidate index beside the cache (priceIndexed): bit j of redPos
+	// Candidate index beside the cache (priceIndexed): bit j of redPos
 	// is set exactly when redC[j] > reducedTol, bit j of tombs exactly when
 	// slot j is a tombstone, and no bit at or past n+m is set. Valid while
 	// redOK and idxOK. syncRed keeps redPos with every entry it recomputes
@@ -572,6 +603,22 @@ type revisedState struct {
 	// keeps both across a delta; rebind and remapState invalidate them.
 	redPos, tombs []uint64
 	idxOK         bool
+
+	// The scan rule's state (cacheWins, noteScan), in variables. stepWork
+	// is Σ(|row r| + 1) over the support of the dual steps since the last
+	// partial Dantzig call, an upper bound on what a synced cache would
+	// recompute for them, and pendWork the same sum since the cache's last
+	// sync. cacheCost and plainCost are running means of what each call
+	// cost, or would have cost, through a synced cache and through the
+	// plain scan; plainCost is 0 before the first call. lastRead,
+	// lastSkipped and lastImproving are the last partial Dantzig call's
+	// counts: what it read and skipped, whichever scan served it, and, on
+	// the plain scan, how many variables it read were improving. rebind
+	// zeroes the means, and a warm re-solve starts from where the last solve
+	// on the state left them.
+	stepWork, pendWork                   int
+	cacheCost, plainCost                 int
+	lastRead, lastSkipped, lastImproving int
 
 	// dualGamma is the dual step length γ = red_q/α_q of the last priceDual
 	// winner, used for the incremental dual update y' = y + γβ.
@@ -657,6 +704,7 @@ func (st *revisedState) rebind(p *Problem, perturb bool) {
 	st.idxOK = false
 	st.yExact = false
 	st.redDirty = st.redDirty[:0]
+	st.stepWork, st.pendWork, st.cacheCost, st.plainCost = 0, 0, 0, 0
 	st.loadRHS(perturb)
 	st.basis = resize(st.basis, m)
 	st.posOf = resize(st.posOf, n+m)
@@ -905,15 +953,18 @@ func (st *revisedState) btranUnit(r int) {
 // recertify recomputes the duals exactly after a partial Dantzig pass found
 // no entering column on incrementally updated ones, and reports whether a
 // second pass must decide optimality. It need not when no reduced cost the
-// pass read can have moved: a cold pass computed each from y, so y must be
-// unchanged bit for bit; a warm pass read the reduced-cost cache, which
-// syncs here, so none of the variables the sync recomputed may be
-// improving. Either way the skipped pass would find no entering column and
-// end where the first one did, so skipping it moves nothing.
+// pass read can have moved: a plain (or bounded) pass computed each from y,
+// so y must be unchanged bit for bit; a cached pass read the synced
+// reduced-cost cache, which syncs again here, so none of the variables the
+// sync recomputed may be improving. Either way the skipped pass would find
+// no entering column and end where the first one did, so skipping it moves
+// nothing. cached names the pass's scan; the second pass picks its own.
 func (st *revisedState) recertify(cached bool) bool {
 	if cached {
 		st.btran()
-		st.syncRed()
+		if st.syncRed() {
+			return true // no list of what moved: price again
+		}
 		t0 := tick(st.timers)
 		defer st.timers.add(phPricing, t0)
 		for k, j := range st.redMoved {
@@ -938,23 +989,89 @@ func (st *revisedState) recertify(cached bool) bool {
 // stepDuals takes the dual step y += γβ of a pivot whose leaving row
 // st.beta holds, over β's nonzeros only: the support list when the
 // hypersparse kernel produced β, else a sweep. Each entry's update is
-// independent, so both give the same bits. Timed as the pivot's update.
+// independent, so both give the same bits. With the row mirror built, it
+// also sizes the step for the scan rule: Σ(|row r| + 1) over the rows it
+// walked goes into stepWork and pendWork, whichever scan prices next. Timed
+// as the pivot's update.
 func (st *revisedState) stepDuals(gamma float64) {
 	t0 := tick(st.timers)
 	st.yExact = false
 	y, beta := st.y, st.beta
+	sized, work := st.aRowsOK, 0
 	if st.betaSupportOK {
 		for _, i := range st.betaSupport {
 			y[i] += gamma * beta[i]
+			if sized {
+				work += st.rowLen(int(i)) + 1
+			}
 		}
 	} else {
 		for i, v := range beta {
 			if v != 0 {
 				y[i] += gamma * v
+				if sized {
+					work += st.rowLen(i) + 1
+				}
 			}
 		}
 	}
+	st.stepWork += work
+	st.pendWork += work
 	st.timers.add(phUpdate, t0)
+}
+
+// cacheWins is the scan rule: whether the next partial Dantzig or Bland
+// call reads the reduced-cost cache. It takes the cache when a synced
+// cache has cost less per call than the plain scan, on the running means
+// noteScan keeps; before the first call there is nothing to compare, and
+// the plain scan runs. The counts depend only on the pivots, never on a
+// clock or the worker count, so the choice is deterministic, and every scan
+// returns the plain scan's (q, next) anyway. force, tuning's scan,
+// overrides the rule.
+func (st *revisedState) cacheWins(force scanKind) bool {
+	switch force {
+	case scanPlain:
+		return false
+	case scanCached:
+		return true
+	}
+	return st.plainCost > 0 && st.cacheCost < st.plainCost
+}
+
+// ruleShift sets the weight of the latest call in the scan rule's running
+// means to 2⁻⁴. The per-step sync work is bimodal on the synthetic LPs
+// (Table I |U| = 2000: quartiles of ~600, ~13,600 and ~40,000 variables
+// against a plain scan of ~4,100), so the last step alone would flip the
+// scan every other call, and each flip back to the cache pays a catch-up.
+const ruleShift = 4
+
+// noteScan feeds the scan rule the partial Dantzig call just made, which
+// the plain scan (cached false) or the cache served. Either scan knows what
+// both would have cost: a cached call read the candidates and skipped the
+// rest of the plain scan's count, and a plain call's improving variables
+// are exactly the candidates the index would have read. Through a synced
+// cache the call costs the dual steps before it, stepWork, plus those
+// candidate reads.
+func (st *revisedState) noteScan(cached bool) {
+	index, plain := st.lastImproving, st.lastRead
+	if cached {
+		index, plain = st.lastRead, st.lastRead+st.lastSkipped
+	}
+	cache := st.stepWork + index
+	st.stepWork = 0
+	if st.plainCost == 0 {
+		st.cacheCost, st.plainCost = cache, plain
+		return
+	}
+	st.cacheCost += (cache - st.cacheCost) >> ruleShift
+	st.plainCost += (plain - st.plainCost) >> ruleShift
+}
+
+// scanned records a partial Dantzig call's counts: as the state's
+// lastRead and lastSkipped, and into the phase timers under kind.
+func (st *revisedState) scanned(kind scanKind, read, skipped int) {
+	st.lastRead, st.lastSkipped = read, skipped
+	st.timers.scanned(kind, read, skipped)
 }
 
 // work2 returns a second zeroed scratch vector of length m.
@@ -1741,7 +1858,9 @@ func (st *revisedState) refreshDualRed() {
 }
 
 // syncRed brings the reduced-cost cache to the current duals. An invalid
-// cache takes a full pass over every variable. A valid one recomputes only
+// cache takes a full pass over every variable, and so does one whose dual
+// steps since its last sync, pendWork, add up to more than the pass would
+// cost: a cache the plain scan left stale for long. A valid one recomputes only
 // what an input of reducedCost changed under: every column on a row whose
 // y differs from yRef bit for bit (found through the row mirror), that
 // row's slack, and every column queued in redDirty. Between two pricing
@@ -1755,12 +1874,15 @@ func (st *revisedState) refreshDualRed() {
 // scratch would. Every recomputed entry sets or clears its bit of the
 // candidate index, which a full pass or an invalidated index rebuilds. It
 // counts the moved rows and the recomputed variables into the phase timers
-// and times itself as their Sync phase.
-func (st *revisedState) syncRed() {
+// and times itself as their Sync phase. It reports whether it took the full
+// pass, which leaves redMoved as it was.
+func (st *revisedState) syncRed() (full bool) {
 	t0 := tick(st.timers)
 	defer st.timers.add(phSync, t0)
 	total := st.n + st.m
-	if !st.redOK {
+	pend := st.pendWork
+	st.pendWork = 0
+	if !st.redOK || pend > total {
 		st.redC = resize(st.redC, total)
 		for j := 0; j < total; j++ {
 			st.redC[j] = st.reducedCost(j)
@@ -1770,7 +1892,7 @@ func (st *revisedState) syncRed() {
 		st.redOK = true
 		st.buildIndex()
 		st.timers.synced(st.m, total, total)
-		return
+		return true
 	}
 	if !st.idxOK {
 		st.buildIndex()
@@ -1812,6 +1934,7 @@ func (st *revisedState) syncRed() {
 	st.redDirty = st.redDirty[:0]
 	st.redMoved = moved
 	st.timers.synced(rows, len(moved), work)
+	return false
 }
 
 // markRed sets bit j of the candidate index from redC[j].
@@ -1866,13 +1989,14 @@ func (st *revisedState) growIndex(oldN, newN int) {
 
 // pricePartial scans a window of variables starting at cursor and returns
 // the best improving one; if the window has none it widens to a full pass,
-// which also certifies optimality (return -1). A cold pivot computes each
-// reduced cost, or, given the cold solve's block summaries bounds, runs
-// priceBounded. A warm pivot (cached) syncs the reduced-cost cache and runs
-// priceIndexed, which reads only its improving entries. Both return the
-// plain scan's (q, next). Tombstones are skipped and not counted against
-// the window or the pass, so the scan visits the live variables in the
-// order, and stops where, it would on the compacted problem.
+// which also certifies optimality (return -1). Given a cold solve's block
+// summaries bounds it runs priceBounded; with cached it brings the
+// reduced-cost cache up to date (syncRed), however stale, and runs
+// priceIndexed, which reads only its improving entries; otherwise it
+// computes each reduced cost, the plain scan. All three return the plain
+// scan's (q, next). Tombstones are skipped and not counted against the
+// window or the pass, so the scan visits the live variables in the order,
+// and stops where, it would on the compacted problem.
 func (st *revisedState) pricePartial(cursor, window int, cached bool, bounds *priceBounds) (q, next int) {
 	if cached {
 		st.syncRed()
@@ -1888,13 +2012,16 @@ func (st *revisedState) pricePartial(cursor, window int, cached bool, bounds *pr
 	total := st.n + st.m
 	live := total - st.dead
 	best, bestRed := -1, reducedTol
-	scanned := 0
+	scanned, improving := 0, 0
 	i := cursor
 	for scanned < live {
 		if pos := st.posOf[i]; pos != deadSlot {
 			if pos < 0 {
-				if red := st.reducedCost(i); red > bestRed {
-					best, bestRed = i, red
+				if red := st.reducedCost(i); red > reducedTol {
+					improving++
+					if red > bestRed {
+						best, bestRed = i, red
+					}
 				}
 			}
 			scanned++
@@ -1907,11 +2034,12 @@ func (st *revisedState) pricePartial(cursor, window int, cached bool, bounds *pr
 			break
 		}
 	}
-	st.timers.scanned(scanPlain, scanned, 0)
+	st.lastImproving = improving
+	st.scanned(scanPlain, scanned, 0)
 	return best, i
 }
 
-// priceIndexed is the warm pricePartial: it returns the plain scan's
+// priceIndexed is the cached pricePartial: it returns the plain scan's
 // (q, next) from the synced cache while reading only the variables the
 // candidate index marks improving. All ranges are cyclic. The plain scan's
 // window ends at W, the slot after the window-th live variable from cursor,
@@ -1950,7 +2078,7 @@ func (st *revisedState) priceIndexed(cursor, window int) (q, next int) {
 			next, counted = st.passEnd(cursor), live
 		}
 	}
-	st.timers.scanned(scanCached, read, counted-read)
+	st.scanned(scanCached, read, counted-read)
 	return best, next
 }
 
@@ -2079,10 +2207,10 @@ func (st *revisedState) liveIn(lo, hi int) int {
 
 // pricingHook, when set, runs after every partial Dantzig pricing call of
 // the pivot loop, the certification pass included, with the call's
-// arguments and results; warm says the call read the reduced-cost cache.
-// Tests use it to check each call against the plain scan; it is nil
-// otherwise.
-var pricingHook func(st *revisedState, bounds *priceBounds, warm bool, cursor, window, q, next int)
+// arguments and results: scan names the scan that served it, and warm
+// says the solve is a warm re-solve. Tests use it to check each call
+// against the plain scan; it is nil otherwise.
+var pricingHook func(st *revisedState, bounds *priceBounds, scan scanKind, warm bool, cursor, window, q, next int)
 
 // btranHook, when set, runs whenever btran returns early because y is
 // already exact. Tests use it to recompute y and compare the bits; it is
@@ -2293,7 +2421,7 @@ func (st *revisedState) priceBounded(cursor, window int, pb *priceBounds) (q, ne
 				}
 				scanned++
 				if scanned >= window && best >= 0 && j+1 < end {
-					st.timers.scanned(scanBounded, scanned-skipped, skipped)
+					st.scanned(scanBounded, scanned-skipped, skipped)
 					return best, j + 1
 				}
 			}
@@ -2309,13 +2437,13 @@ func (st *revisedState) priceBounded(cursor, window int, pb *priceBounds) (q, ne
 			break
 		}
 	}
-	st.timers.scanned(scanBounded, scanned-skipped, skipped)
+	st.scanned(scanBounded, scanned-skipped, skipped)
 	return best, i
 }
 
 // priceBland returns the lowest-index variable with positive reduced cost
 // (used during anti-cycling episodes), read from the synced cache when
-// cached, as in pricePartial.
+// cached, as in pricePartial, whose scan rule picks it.
 func (st *revisedState) priceBland(cached bool) int {
 	if cached {
 		st.syncRed()
