@@ -169,8 +169,13 @@ func OnlineGreedy(in *Instance, order []int) (*Arrangement, error) {
 
 // OnlineThreshold is OnlineGreedy with a reservation rule: the last
 // guard·cv seats of every event are reserved for pairs of weight ≥ tau,
-// protecting late high-value arrivals from early low-value fill.
+// protecting late high-value arrivals from early low-value fill. guard is
+// clamped to [0,1]; a NaN tau or guard is rejected with an *OnlineRuleError
+// before any arrival.
 func OnlineThreshold(in *Instance, order []int, tau, guard float64) (*Arrangement, error) {
+	if err := online.CheckRule(tau, guard); err != nil {
+		return nil, err
+	}
 	return online.Run(in, order, online.NewThreshold(in, tau, guard, 0))
 }
 
@@ -199,6 +204,9 @@ type (
 	// planner constructor (wrong length, negative or over-committed
 	// leases).
 	OnlineBudgetError = online.BudgetError
+	// OnlineRuleError is the typed error of OnlineThreshold when tau or
+	// guard is NaN.
+	OnlineRuleError = online.RuleError
 	// ShardBoundStats is the live LP-bound tracker's outcome
 	// (ShardResult.Bound; enable with ShardOptions.LiveBound): the
 	// remaining-opportunity bound after each batch, per-update planner

@@ -2,6 +2,7 @@ package igepa_test
 
 import (
 	"bytes"
+	"errors"
 	"math"
 	"strings"
 	"testing"
@@ -236,5 +237,38 @@ func TestMeetupPublic(t *testing.T) {
 	}
 	if err := igepa.Validate(in, res.Arrangement); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestOnlineThresholdRejectsNaN requires OnlineThreshold to reject a NaN tau
+// or guard with an *OnlineRuleError naming it and no arrangement, instead of
+// running the rule the clamp makes of it; a valid rule on the same stream
+// still runs.
+func TestOnlineThresholdRejectsNaN(t *testing.T) {
+	in := smallInstance(t)
+	order := make([]int, in.NumUsers())
+	for u := range order {
+		order[u] = u
+	}
+	for _, tc := range []struct {
+		tau, guard float64
+		field      string // "" when the rule is valid
+	}{
+		{math.NaN(), 0.5, "tau"},
+		{0.5, math.NaN(), "guard"},
+		{0.5, 0.5, ""},
+	} {
+		arr, err := igepa.OnlineThreshold(in, order, tc.tau, tc.guard)
+		if tc.field == "" {
+			if err != nil || arr == nil {
+				t.Errorf("tau %v guard %v: arrangement %v, err %v; want an arrangement", tc.tau, tc.guard, arr, err)
+			}
+			continue
+		}
+		var re *igepa.OnlineRuleError
+		if !errors.As(err, &re) || re.Field != tc.field || arr != nil {
+			t.Errorf("tau %v guard %v: arrangement %v, err %v; want no arrangement and an *OnlineRuleError for %s",
+				tc.tau, tc.guard, arr, err, tc.field)
+		}
 	}
 }

@@ -20,6 +20,7 @@ package online
 
 import (
 	"fmt"
+	"math"
 
 	"github.com/ebsn/igepa/internal/admissible"
 	"github.com/ebsn/igepa/internal/conflict"
@@ -42,6 +43,30 @@ func (e *BudgetError) Error() string {
 		return fmt.Sprintf("online: invalid budget for event %d: %s", e.Event, e.Reason)
 	}
 	return "online: invalid budget: " + e.Reason
+}
+
+// RuleError is the typed error of a reservation rule whose tau or guard is
+// NaN. NewThreshold clamps guard into [0,1], and a NaN would pass the clamp
+// as some guard the caller never chose, so callers check the rule first
+// (CheckRule).
+type RuleError struct {
+	Field string // "tau" or "guard"
+}
+
+func (e *RuleError) Error() string {
+	return "online: invalid reservation rule: " + e.Field + " must be a number, got NaN"
+}
+
+// CheckRule returns a *RuleError when tau or guard is NaN, and nil
+// otherwise.
+func CheckRule(tau, guard float64) error {
+	switch {
+	case math.IsNaN(tau):
+		return &RuleError{Field: "tau"}
+	case math.IsNaN(guard):
+		return &RuleError{Field: "guard"}
+	}
+	return nil
 }
 
 // checkBudget validates a caller-owned budget against the instance.
@@ -143,7 +168,7 @@ func NewGreedy(in *model.Instance, maxSets int) *GreedyPlanner {
 
 // NewThreshold returns an online planner under the reservation rule (tau,
 // guard) whose budget is the instance's event capacities. guard is clamped
-// to [0,1].
+// to [0,1]; a NaN tau or guard is the caller's to reject (CheckRule).
 func NewThreshold(in *model.Instance, tau, guard float64, maxSets int) *GreedyPlanner {
 	budget := make([]int, in.NumEvents())
 	for v := range budget {
