@@ -41,7 +41,7 @@ import (
 // warm versus cold (cacheWins): what a synced cache costs per call, the rows
 // of the dual steps since the last call plus the candidate reads, against
 // what the plain scan reads, each a running mean over the calls so far. A
-// cache the plain scan left stale catches up in full when it next wins.
+// cache the plain scan left stale catches up when it next wins.
 // Exact duals carry across
 // warm re-solves: a btran on a basis, factorization and c_B unchanged since
 // the last one returns at once (yExact), so a delta that leaves them alone
@@ -607,8 +607,7 @@ type revisedState struct {
 	// The scan rule's state (cacheWins, noteScan), in variables. stepWork
 	// is Σ(|row r| + 1) over the support of the dual steps since the last
 	// partial Dantzig call, an upper bound on what a synced cache would
-	// recompute for them, and pendWork the same sum since the cache's last
-	// sync. cacheCost and plainCost are running means of what each call
+	// recompute for them. cacheCost and plainCost are running means of what each call
 	// cost, or would have cost, through a synced cache and through the
 	// plain scan; plainCost is 0 before the first call. lastRead,
 	// lastSkipped and lastImproving are the last partial Dantzig call's
@@ -616,8 +615,7 @@ type revisedState struct {
 	// the plain scan, how many variables it read were improving. rebind
 	// zeroes the means, and a warm re-solve starts from where the last solve
 	// on the state left them.
-	stepWork, pendWork                   int
-	cacheCost, plainCost                 int
+	stepWork, cacheCost, plainCost       int
 	lastRead, lastSkipped, lastImproving int
 
 	// dualGamma is the dual step length γ = red_q/α_q of the last priceDual
@@ -704,7 +702,7 @@ func (st *revisedState) rebind(p *Problem, perturb bool) {
 	st.idxOK = false
 	st.yExact = false
 	st.redDirty = st.redDirty[:0]
-	st.stepWork, st.pendWork, st.cacheCost, st.plainCost = 0, 0, 0, 0
+	st.stepWork, st.cacheCost, st.plainCost = 0, 0, 0
 	st.loadRHS(perturb)
 	st.basis = resize(st.basis, m)
 	st.posOf = resize(st.posOf, n+m)
@@ -962,9 +960,7 @@ func (st *revisedState) btranUnit(r int) {
 func (st *revisedState) recertify(cached bool) bool {
 	if cached {
 		st.btran()
-		if st.syncRed() {
-			return true // no list of what moved: price again
-		}
+		st.syncRed()
 		t0 := tick(st.timers)
 		defer st.timers.add(phPricing, t0)
 		for k, j := range st.redMoved {
@@ -991,8 +987,8 @@ func (st *revisedState) recertify(cached bool) bool {
 // hypersparse kernel produced β, else a sweep. Each entry's update is
 // independent, so both give the same bits. With the row mirror built, it
 // also sizes the step for the scan rule: Σ(|row r| + 1) over the rows it
-// walked goes into stepWork and pendWork, whichever scan prices next. Timed
-// as the pivot's update.
+// walked goes into stepWork, whichever scan prices next. Timed as the
+// pivot's update.
 func (st *revisedState) stepDuals(gamma float64) {
 	t0 := tick(st.timers)
 	st.yExact = false
@@ -1016,7 +1012,6 @@ func (st *revisedState) stepDuals(gamma float64) {
 		}
 	}
 	st.stepWork += work
-	st.pendWork += work
 	st.timers.add(phUpdate, t0)
 }
 
@@ -1858,9 +1853,7 @@ func (st *revisedState) refreshDualRed() {
 }
 
 // syncRed brings the reduced-cost cache to the current duals. An invalid
-// cache takes a full pass over every variable, and so does one whose dual
-// steps since its last sync, pendWork, add up to more than the pass would
-// cost: a cache the plain scan left stale for long. A valid one recomputes only
+// cache takes a full pass over every variable. A valid one recomputes only
 // what an input of reducedCost changed under: every column on a row whose
 // y differs from yRef bit for bit (found through the row mirror), that
 // row's slack, and every column queued in redDirty. Between two pricing
@@ -1874,15 +1867,12 @@ func (st *revisedState) refreshDualRed() {
 // scratch would. Every recomputed entry sets or clears its bit of the
 // candidate index, which a full pass or an invalidated index rebuilds. It
 // counts the moved rows and the recomputed variables into the phase timers
-// and times itself as their Sync phase. It reports whether it took the full
-// pass, which leaves redMoved as it was.
-func (st *revisedState) syncRed() (full bool) {
+// and times itself as their Sync phase.
+func (st *revisedState) syncRed() {
 	t0 := tick(st.timers)
 	defer st.timers.add(phSync, t0)
 	total := st.n + st.m
-	pend := st.pendWork
-	st.pendWork = 0
-	if !st.redOK || pend > total {
+	if !st.redOK {
 		st.redC = resize(st.redC, total)
 		for j := 0; j < total; j++ {
 			st.redC[j] = st.reducedCost(j)
@@ -1892,7 +1882,7 @@ func (st *revisedState) syncRed() (full bool) {
 		st.redOK = true
 		st.buildIndex()
 		st.timers.synced(st.m, total, total)
-		return true
+		return
 	}
 	if !st.idxOK {
 		st.buildIndex()
@@ -1934,7 +1924,6 @@ func (st *revisedState) syncRed() (full bool) {
 	st.redDirty = st.redDirty[:0]
 	st.redMoved = moved
 	st.timers.synced(rows, len(moved), work)
-	return false
 }
 
 // markRed sets bit j of the candidate index from redC[j].
