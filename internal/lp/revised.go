@@ -368,15 +368,17 @@ func (s *Revised) pivot(st *revisedState, warm bool) (*Solution, error) {
 		cached = ruled && st.cacheWins(t.scan)
 		q, next := st.pricePartial(cursor, t.pricingWindow, cached, bounds)
 		cursor = next
-		scan := scanBounded
 		if ruled {
-			scan = scanPlain
-			if cached {
-				scan = scanCached
-			}
 			st.noteScan(cached)
 		}
 		if pricingHook != nil {
+			scan := scanBounded
+			switch {
+			case cached:
+				scan = scanCached
+			case ruled:
+				scan = scanPlain
+			}
 			pricingHook(st, bounds, scan, warm, from, t.pricingWindow, q, next)
 		}
 		return q
